@@ -7,12 +7,13 @@ the POX controller compare is far slower than the C compare.
 
 from conftest import emit
 
-from repro.analysis import ALL_SCENARIOS, render_record, run_fig4_tcp
+from repro.analysis import render_record
+from repro.plan.builtin import builtin_plan
 
 
 def test_fig4_tcp_throughput(benchmark):
     record = benchmark.pedantic(
-        run_fig4_tcp, args=(ALL_SCENARIOS,), rounds=1, iterations=1
+        builtin_plan("fig4").run, rounds=1, iterations=1
     )
     emit(render_record(record))
     values = {row.scenario: row.value for row in record.rows}

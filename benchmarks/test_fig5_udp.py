@@ -7,12 +7,13 @@ and adjusting the -b flag value until a maximum is reached", with the
 
 from conftest import emit
 
-from repro.analysis import ALL_SCENARIOS, render_record, run_fig5_udp
+from repro.analysis import render_record
+from repro.plan.builtin import builtin_plan
 
 
 def test_fig5_max_udp_throughput(benchmark):
     record = benchmark.pedantic(
-        run_fig5_udp, args=(ALL_SCENARIOS,), rounds=1, iterations=1
+        builtin_plan("fig5").run, rounds=1, iterations=1
     )
     emit(render_record(record))
     values = {row.scenario: row.value for row in record.rows}

@@ -7,14 +7,15 @@ rate climbs while goodput saturates.
 
 from conftest import emit
 
-from repro.analysis import render_series, run_fig6_loss_correlation
+from repro.analysis import render_series
+from repro.plan.builtin import fig6_plan
 
 OFFERED = (60, 120, 180, 210, 230, 250, 270, 300, 350)
 
 
 def test_fig6_throughput_vs_loss(benchmark):
     points = benchmark.pedantic(
-        run_fig6_loss_correlation, args=(OFFERED,), rounds=1, iterations=1
+        fig6_plan(offered_mbps=OFFERED).run, rounds=1, iterations=1
     )
     emit(
         render_series(

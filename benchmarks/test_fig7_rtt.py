@@ -7,13 +7,13 @@ dup3 0.189, dup5 0.26, central3 0.319, central5 0.415.
 
 from conftest import emit
 
-from repro.analysis import TABLE1_SCENARIOS, render_record, run_fig7_rtt
+from repro.analysis import render_record
+from repro.plan.builtin import fig7_plan
 
 
 def test_fig7_ping_rtt(benchmark):
     record = benchmark.pedantic(
-        run_fig7_rtt,
-        kwargs=dict(scenarios=TABLE1_SCENARIOS, count=50, sequences=3),
+        fig7_plan(count=50, sequences=3).run,
         rounds=1,
         iterations=1,
     )

@@ -13,7 +13,8 @@ stalls surface as RFC 3550 jitter; at large sizes the cache never fills.
 
 from conftest import emit
 
-from repro.analysis import render_series, run_fig8_jitter
+from repro.analysis import render_series
+from repro.plan.builtin import fig8_plan
 
 SCENARIOS = ("linespeed", "dup3", "dup5", "central3", "central5")
 SIZES = (128, 256, 512, 1024, 1470)
@@ -21,8 +22,7 @@ SIZES = (128, 256, 512, 1024, 1470)
 
 def test_fig8_jitter_vs_packet_size(benchmark):
     series = benchmark.pedantic(
-        run_fig8_jitter,
-        kwargs=dict(scenarios=SCENARIOS, payload_sizes=SIZES, repetitions=2),
+        fig8_plan(scenarios=SCENARIOS, payload_sizes=SIZES, repetitions=2).run,
         rounds=1,
         iterations=1,
     )

@@ -410,10 +410,11 @@ _FIG5_RECORD = None
 
 def test_macro_fig5_quick():
     global _FIG5_RECORD
-    from repro.analysis.runners import run_fig5_udp
+    from repro.plan.builtin import builtin_plan
 
+    plan = builtin_plan("fig5", quick=True)
     t0 = time.perf_counter()
-    record = run_fig5_udp(duration=0.04, iterations=6, farm=None)
+    record = plan.run()
     elapsed = time.perf_counter() - t0
     assert record.rows, "fig5 produced no rows"
     _FIG5_RECORD = record
@@ -433,15 +434,12 @@ def test_macro_fig5_quick_train32():
     hosts are noisy.  Record identity, by contrast, is exact and gated
     hard.
     """
-    from repro.analysis.runners import run_fig5_udp
-    from repro.scenarios.testbed import TestbedParams
+    from repro.plan.builtin import builtin_plan
 
     assert _FIG5_RECORD is not None, "train=1 macro must run first"
+    plan = builtin_plan("fig5", quick=True, params={"batch_train": 32})
     t0 = time.perf_counter()
-    record = run_fig5_udp(
-        duration=0.04, iterations=6, farm=None,
-        params=TestbedParams(batch_train=32),
-    )
+    record = plan.run()
     elapsed = time.perf_counter() - t0
     base = RESULTS["macro_fig5_quick"]["seconds"]
     speedup = base / elapsed if elapsed > 0 else float("inf")

@@ -10,11 +10,14 @@ Paper values (Mbit/s, Mbit/s, ms):
 
 from conftest import emit
 
-from repro.analysis import paper_table1_values, render_table1, run_table1
+from repro.analysis import paper_table1_values, render_table1
+from repro.plan.builtin import builtin_plan
 
 
 def test_table1(benchmark):
-    values = benchmark.pedantic(run_table1, rounds=1, iterations=1)
+    values = benchmark.pedantic(
+        builtin_plan("table1").run, rounds=1, iterations=1
+    )
     emit(render_table1(values, paper=paper_table1_values()))
     for metric in ("tcp_mbps", "udp_mbps", "rtt_ms"):
         for scenario, value in values[metric].items():

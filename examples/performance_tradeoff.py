@@ -14,19 +14,18 @@ Run:  python examples/performance_tradeoff.py           (about a minute)
 
 import sys
 
-from repro.analysis import paper_table1_values, render_table1, run_table1
+from repro.analysis import paper_table1_values, render_table1
 from repro.farm import FarmExecutor
+from repro.plan.builtin import builtin_plan
 
 
 def main() -> None:
     quick = "--quick" in sys.argv
     jobs = int(sys.argv[sys.argv.index("--jobs") + 1]) if "--jobs" in sys.argv else 1
-    kwargs = dict(duration_tcp=0.06, duration_udp=0.04, ping_count=20,
-                  repetitions=1) if quick else {}
     print("measuring the five scenarios"
           + (" (quick mode)" if quick else "")
           + (f" on {jobs} workers" if jobs > 1 else "") + " ...\n")
-    values = run_table1(farm=FarmExecutor(jobs=jobs), **kwargs)
+    values = builtin_plan("table1", quick=quick).run(FarmExecutor(jobs=jobs))
     print(render_table1(values, paper=paper_table1_values()))
     print()
 

@@ -14,7 +14,8 @@ Packages:
   router behaviours;
 * :mod:`repro.traffic` — iperf/ping analogues with full TCP Reno;
 * :mod:`repro.scenarios` — the paper's evaluation scenarios;
-* :mod:`repro.analysis` — experiment runners for every table and figure.
+* :mod:`repro.analysis` — farm tasks, records and reporting for every
+  table and figure (the grids themselves are :mod:`repro.plan` plans).
 
 Quickstart::
 

@@ -10,10 +10,10 @@ the chaos engine can activate mid-run (``adversary_strategy`` events).
 
 Each strategy draws from its own named rng stream, and the ones that key
 off the trusted element's internal cadence subscribe to the hooks the
-compare exposes for exactly this purpose:
-:meth:`~repro.core.compare.CompareCore.add_sweep_listener` (expiry-sweep
-ticks) and
-:meth:`~repro.core.membership.QuorumMembershipMixin.add_membership_listener`
+voter exposes for exactly this purpose:
+:meth:`~repro.core.membership.QuorumVoter.add_sweep_listener`
+(expiry-sweep ticks) and
+:meth:`~repro.core.membership.QuorumVoter.add_membership_listener`
 (quarantine / re-admission transitions).
 
 Every tampered packet is counted on the

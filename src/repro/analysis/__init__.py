@@ -1,9 +1,14 @@
-"""Experiment records, runners and plain-text reporting."""
+"""Experiment records, farm tasks and plain-text reporting.
+
+The evaluation grids themselves live in :mod:`repro.plan.builtin`
+(``builtin_plan("fig7").run(farm)``).
+"""
 
 from repro.analysis.records import (
     ExperimentRecord,
     MeasurementRow,
     PAPER_TABLE1,
+    paper_table1_values,
     paper_value,
 )
 from repro.analysis.monitor import BranchHealth, HealthMonitor, SEVERITIES
@@ -14,33 +19,12 @@ from repro.analysis.report import (
     render_series,
     render_table1,
 )
-from repro.analysis.runners import (
-    ALL_SCENARIOS,
-    TABLE1_SCENARIOS,
-    jitter_params,
-    merge_fig4,
-    merge_fig5,
-    merge_fig6,
-    merge_fig7,
-    merge_fig8,
-    paper_table1_values,
-    run_fig4_tcp,
-    run_fig5_udp,
-    run_fig6_loss_correlation,
-    run_fig7_rtt,
-    run_fig8_jitter,
-    run_table1,
-    specs_fig4,
-    specs_fig5,
-    specs_fig6,
-    specs_fig7,
-    specs_fig8,
-)
 
 __all__ = [
     "ExperimentRecord",
     "MeasurementRow",
     "PAPER_TABLE1",
+    "paper_table1_values",
     "paper_value",
     "BranchHealth",
     "HealthMonitor",
@@ -50,24 +34,4 @@ __all__ = [
     "render_record",
     "render_series",
     "render_table1",
-    "ALL_SCENARIOS",
-    "TABLE1_SCENARIOS",
-    "jitter_params",
-    "merge_fig4",
-    "merge_fig5",
-    "merge_fig6",
-    "merge_fig7",
-    "merge_fig8",
-    "paper_table1_values",
-    "run_fig4_tcp",
-    "run_fig5_udp",
-    "run_fig6_loss_correlation",
-    "run_fig7_rtt",
-    "run_fig8_jitter",
-    "run_table1",
-    "specs_fig4",
-    "specs_fig5",
-    "specs_fig6",
-    "specs_fig7",
-    "specs_fig8",
 ]

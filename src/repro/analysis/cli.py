@@ -28,59 +28,51 @@ import argparse
 import contextlib
 import sys
 import time
+from functools import partial
 from typing import Callable, Dict, Optional
 
+from repro.analysis.records import paper_table1_values
 from repro.analysis.report import (
     render_farm_summary,
     render_record,
     render_series,
     render_table1,
 )
-from repro.analysis.runners import paper_table1_values
 from repro.farm import FarmExecutor, FarmTaskError, ResultCache
 from repro.plan.builtin import builtin_plan
 from repro.scenarios.registry import scenario_names
 
-#: path of the --chaos spec file, set by main() before dispatch
-_CHAOS_SPEC: Optional[str] = None
 
-#: scenario for the `chaos` experiment, set by main() before dispatch
-_CHAOS_VARIANT: str = "central3"
+def _run_plan(name: str, args: argparse.Namespace,
+              farm: Optional[FarmExecutor], **overrides: object):
+    """Run built-in plan ``name`` at the parsed ``--quick``/``--train``.
 
-#: packets per train for the batch tier (--train), set by main()
-_TRAIN: int = 1
-
-
-def _train_overrides() -> Dict[str, object]:
-    """Plan overrides carrying ``--train`` (empty at the default 1, so
-    presets keep their own ``params``)."""
-    if _TRAIN > 1:
-        return {"params": {"batch_train": _TRAIN}}
-    return {}
+    ``--train`` travels as a ``params`` override only above the default
+    1, so presets keep their own ``params``.
+    """
+    if args.train > 1:
+        overrides["params"] = {"batch_train": args.train}
+    return builtin_plan(name, quick=args.quick, **overrides).run(farm)
 
 
-def _cmd_table1(quick: bool, farm: Optional[FarmExecutor]) -> list:
+def _cmd_table1(args: argparse.Namespace, farm: Optional[FarmExecutor]) -> list:
     # one plan, one farm batch: the tcp/udp/rtt specs shard together
-    results = builtin_plan("table1", quick=quick, **_train_overrides()).run(farm)
+    results = _run_plan("table1", args, farm)
     print(render_table1(results, paper=paper_table1_values()))
     return [{"scenario": scenario, **metrics}
             for scenario, metrics in results.items()]
 
 
-def _cmd_fig4(quick: bool, farm: Optional[FarmExecutor]) -> list:
-    record = builtin_plan("fig4", quick=quick, **_train_overrides()).run(farm)
+def _cmd_record(name: str, args: argparse.Namespace,
+                farm: Optional[FarmExecutor]) -> list:
+    """fig4 / fig5 / fig7: a plan that merges to one ExperimentRecord."""
+    record = _run_plan(name, args, farm)
     print(render_record(record))
     return [record.to_dict()]
 
 
-def _cmd_fig5(quick: bool, farm: Optional[FarmExecutor]) -> list:
-    record = builtin_plan("fig5", quick=quick, **_train_overrides()).run(farm)
-    print(render_record(record))
-    return [record.to_dict()]
-
-
-def _cmd_fig6(quick: bool, farm: Optional[FarmExecutor]) -> list:
-    points = builtin_plan("fig6", quick=quick, **_train_overrides()).run(farm)
+def _cmd_fig6(args: argparse.Namespace, farm: Optional[FarmExecutor]) -> list:
+    points = _run_plan("fig6", args, farm)
     print(render_series("Figure 6: Central3 goodput", "offered Mbit/s",
                         "goodput Mbit/s", [(o, round(g, 1)) for o, g, _ in points]))
     print(render_series("Figure 6: Central3 loss", "offered Mbit/s",
@@ -89,14 +81,8 @@ def _cmd_fig6(quick: bool, farm: Optional[FarmExecutor]) -> list:
              "loss_rate": round(l, 6)} for o, g, l in points]
 
 
-def _cmd_fig7(quick: bool, farm: Optional[FarmExecutor]) -> list:
-    record = builtin_plan("fig7", quick=quick, **_train_overrides()).run(farm)
-    print(render_record(record))
-    return [record.to_dict()]
-
-
-def _cmd_fig8(quick: bool, farm: Optional[FarmExecutor]) -> list:
-    series = builtin_plan("fig8", quick=quick, **_train_overrides()).run(farm)
+def _cmd_fig8(args: argparse.Namespace, farm: Optional[FarmExecutor]) -> list:
+    series = _run_plan("fig8", args, farm)
     records = []
     for scenario, points in series.items():
         print(render_series(f"Figure 8 — {scenario}", "payload B",
@@ -106,16 +92,15 @@ def _cmd_fig8(quick: bool, farm: Optional[FarmExecutor]) -> list:
     return records
 
 
-def _cmd_chaos(quick: bool, farm: Optional[FarmExecutor]) -> list:
+def _cmd_chaos(args: argparse.Namespace, farm: Optional[FarmExecutor]) -> list:
     from repro.chaos import FaultSchedule
 
     schedules = None
-    if _CHAOS_SPEC is not None:
-        schedules = [FaultSchedule.from_json_file(_CHAOS_SPEC).to_dict()]
-    records = builtin_plan(
-        "chaos", quick=quick, schedules=schedules, variant=_CHAOS_VARIANT,
-        **_train_overrides(),
-    ).run(farm)
+    if args.chaos is not None:
+        schedules = [FaultSchedule.from_json_file(args.chaos).to_dict()]
+    records = _run_plan(
+        "chaos", args, farm, schedules=schedules, variant=args.variant
+    )
     for r in records:
         print(
             f"chaos {r['schedule']} seed={r['seed']}: "
@@ -127,8 +112,8 @@ def _cmd_chaos(quick: bool, farm: Optional[FarmExecutor]) -> list:
     return records
 
 
-def _cmd_ctrlbft(quick: bool, farm: Optional[FarmExecutor]) -> list:
-    records = builtin_plan("ctrlbft", quick=quick, **_train_overrides()).run(farm)
+def _cmd_ctrlbft(args: argparse.Namespace, farm: Optional[FarmExecutor]) -> list:
+    records = _run_plan("ctrlbft", args, farm)
     for r in records:
         detect = (
             f"{r['detection_latency']:.4f}"
@@ -148,8 +133,8 @@ def _cmd_ctrlbft(quick: bool, farm: Optional[FarmExecutor]) -> list:
     return records
 
 
-def _cmd_advbench(quick: bool, farm: Optional[FarmExecutor]) -> list:
-    rows = builtin_plan("advbench", quick=quick, **_train_overrides()).run(farm)
+def _cmd_advbench(args: argparse.Namespace, farm: Optional[FarmExecutor]) -> list:
+    rows = _run_plan("advbench", args, farm)
     for r in rows:
         alarm = (
             f"{r['time_to_first_alarm']:.4f}"
@@ -172,7 +157,7 @@ def _cmd_advbench(quick: bool, farm: Optional[FarmExecutor]) -> list:
     return rows
 
 
-def _cmd_casestudy(quick: bool, farm: Optional[FarmExecutor]) -> list:
+def _cmd_casestudy(args: argparse.Namespace, farm: Optional[FarmExecutor]) -> list:
     from repro.analysis.report import format_table
     from repro.scenarios.datacenter import DatacenterCaseStudy
 
@@ -199,7 +184,7 @@ def _cmd_casestudy(quick: bool, farm: Optional[FarmExecutor]) -> list:
     return records
 
 
-def _cmd_virtualized(quick: bool, farm: Optional[FarmExecutor]) -> list:
+def _cmd_virtualized(args: argparse.Namespace, farm: Optional[FarmExecutor]) -> list:
     from repro.adversary import PayloadCorruptionBehavior
     from repro.scenarios.virtualized import build_virtualized_scenario
     from repro.traffic.iperf import PathEndpoints, run_ping
@@ -223,8 +208,8 @@ def _cmd_virtualized(quick: bool, farm: Optional[FarmExecutor]) -> list:
     return records
 
 
-def _run_profiled(name: str, quick: bool, farm: Optional[FarmExecutor],
-                  top: int = 25) -> list:
+def _run_profiled(name: str, args: argparse.Namespace,
+                  farm: Optional[FarmExecutor], top: int = 25) -> list:
     """Run one experiment under cProfile, then print the hot spots."""
     import cProfile
     import pstats
@@ -232,7 +217,7 @@ def _run_profiled(name: str, quick: bool, farm: Optional[FarmExecutor],
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        return COMMANDS[name](quick, farm)
+        return COMMANDS[name](args, farm)
     finally:
         profiler.disable()
         stats = pstats.Stats(profiler, stream=sys.stderr)
@@ -242,12 +227,15 @@ def _run_profiled(name: str, quick: bool, farm: Optional[FarmExecutor],
         stats.print_stats(top)
 
 
-COMMANDS: Dict[str, Callable[[bool, Optional[FarmExecutor]], list]] = {
+#: experiment name -> ``command(parsed_args, farm)`` returning its records
+COMMANDS: Dict[
+    str, Callable[[argparse.Namespace, Optional[FarmExecutor]], list]
+] = {
     "table1": _cmd_table1,
-    "fig4": _cmd_fig4,
-    "fig5": _cmd_fig5,
+    "fig4": partial(_cmd_record, "fig4"),
+    "fig5": partial(_cmd_record, "fig5"),
     "fig6": _cmd_fig6,
-    "fig7": _cmd_fig7,
+    "fig7": partial(_cmd_record, "fig7"),
     "fig8": _cmd_fig8,
     "advbench": _cmd_advbench,
     "casestudy": _cmd_casestudy,
@@ -373,11 +361,6 @@ def main(argv=None) -> int:
     if args.train < 1:
         parser.error(f"--train must be >= 1, got {args.train}")
 
-    global _CHAOS_SPEC, _CHAOS_VARIANT, _TRAIN
-    _CHAOS_SPEC = args.chaos
-    _CHAOS_VARIANT = args.variant
-    _TRAIN = args.train
-
     names = sorted(COMMANDS) if args.experiment == "all" else [args.experiment]
     all_records = []
     farm_snapshots = {}
@@ -412,9 +395,9 @@ def main(argv=None) -> int:
             start = time.time()
             try:
                 if args.profile:
-                    records = _run_profiled(name, args.quick, farm)
+                    records = _run_profiled(name, args, farm)
                 else:
-                    records = COMMANDS[name](args.quick, farm)
+                    records = COMMANDS[name](args, farm)
             except FarmTaskError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 if farm.progress.queued:

@@ -136,3 +136,12 @@ PAPER_TABLE1 = {
 
 def paper_value(scenario: str, metric: str) -> Optional[float]:
     return PAPER_TABLE1.get((scenario, metric))
+
+
+def paper_table1_values() -> Dict[str, Dict[str, float]]:
+    """The paper's Table I as ``values[metric][scenario]`` — the layout
+    the ``table1`` plan merges to and ``render_table1`` prints."""
+    values: Dict[str, Dict[str, float]] = {}
+    for (scenario, metric), value in PAPER_TABLE1.items():
+        values.setdefault(metric, {})[scenario] = value
+    return values

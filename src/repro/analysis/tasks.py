@@ -8,9 +8,9 @@ as the ``dataclasses.asdict`` form of :class:`TestbedParams` (or
 both the topology build and per-flow costs like ``udp_send_cost``, so
 they cannot diverge.
 
-The figure runners in :mod:`repro.analysis.runners` decompose into
-lists of :class:`~repro.farm.spec.RunSpec` over these tasks plus pure
-merge functions.
+The figure plans in :mod:`repro.plan.builtin` expand into lists of
+:class:`~repro.farm.spec.RunSpec` over these tasks, folded back by the
+pure merge recipes of :mod:`repro.plan.mergers`.
 """
 
 from __future__ import annotations
@@ -607,7 +607,7 @@ def ctrl_run(
     receiver.close()
     if tb.quarantine is not None:
         tb.quarantine.detach()
-    tb.control_plane.flush()
+    tb.control_plane.compare.flush()
 
     # The bit-identity artefact: a digest of exactly which datagrams the
     # receiver saw.  Equal fingerprints == identical data-plane outcome.

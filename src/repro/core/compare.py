@@ -31,33 +31,31 @@ paper's C prototype) or to the control plane (a POX-style controller app,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.core.alarms import (
     ALARM_DOS_SUSPECTED,
-    ALARM_MINORITY_DIVERGENCE,
-    ALARM_ROUTER_UNAVAILABLE,
     ALARM_SINGLE_SOURCE_PACKET,
     AlarmSink,
 )
-from repro.core.membership import QuorumMembershipMixin
+from repro.core.membership import QuorumConfig, QuorumVoter
 from repro.core.policy import BitExactPolicy, ComparePolicy
-from repro.core.votes import VoteBook, VoteEntry
+from repro.core.votes import VoteEntry, VoteOutcome
 from repro.net.packet import Packet
 from repro.obs.metrics import active_registry
-from repro.sim import PeriodicTask, Simulator, TraceBus
+from repro.sim import Simulator, TraceBus
 
 
 @dataclass
-class CompareConfig:
+class CompareConfig(QuorumConfig):
     """Tunable parameters of a compare element.
 
     Defaults are calibrated for the microsecond-scale testbed used in the
-    performance benchmarks; scenarios override what they need.
+    performance benchmarks; scenarios override what they need.  The
+    quorum, liveness, divergence and probation fields (and their
+    defaults) are :class:`~repro.core.membership.QuorumConfig`'s.
     """
 
-    k: int = 3
-    quorum: Optional[int] = None  # default: floor(k/2) + 1
     policy: ComparePolicy = field(default_factory=BitExactPolicy)
     #: how long a packet stays buffered awaiting (or after) its majority
     buffer_timeout: float = 5e-3
@@ -81,43 +79,13 @@ class CompareConfig:
     craft_threshold: int = 64
     #: how long the advised port block lasts
     block_duration: float = 50e-3
-    #: consecutive released packets a branch may miss before the alarm
-    miss_threshold: int = 10
-    #: cumulative entries carrying a branch's *unconfirmed* bytes (expired
-    #: without any active majority agreeing) before the minority-divergence
-    #: alarm latches.  Cumulative, not consecutive: a colluding minority
-    #: that diverges intermittently stays under every consecutive counter
-    #: (its miss count resets at each clean packet) but accumulates here.
-    divergence_threshold: int = 16
-    #: consecutive clean (bit-identical, non-duplicate) copies a
-    #: quarantined branch must deliver before it is re-admitted
-    probation_clean_target: int = 12
-    #: smallest bundle the compare will degrade to; a quarantine request
-    #: that would leave fewer active branches is refused (below two
-    #: branches a "majority" stops meaning anything)
-    min_active_branches: int = 2
-
-    def effective_quorum(self) -> int:
-        if self.quorum is not None:
-            return self.quorum
-        return self.k // 2 + 1
 
     def validate(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        quorum = self.effective_quorum()
-        if not 1 <= quorum <= self.k:
-            raise ValueError(f"quorum {quorum} out of range for k={self.k}")
+        super().validate()
         if self.buffer_timeout <= 0:
             raise ValueError("buffer_timeout must be positive")
         if self.cache_capacity < 1:
             raise ValueError("cache_capacity must be >= 1")
-        if self.probation_clean_target < 1:
-            raise ValueError("probation_clean_target must be >= 1")
-        if self.divergence_threshold < 1:
-            raise ValueError("divergence_threshold must be >= 1")
-        if self.min_active_branches < 1:
-            raise ValueError("min_active_branches must be >= 1")
 
 
 @dataclass
@@ -177,12 +145,17 @@ class CompareContext:
         self.block_branch = block_branch
 
 
-class CompareCore(QuorumMembershipMixin):
-    """The compare logic plus its single-server processing model.
+class CompareCore(QuorumVoter):
+    """The data-plane adapter of the one quorum voter, plus the compare's
+    single-server processing model.
 
-    The quarantine / probation / re-admission state machine lives in
-    :class:`~repro.core.membership.QuorumMembershipMixin`, shared with
-    the control-plane voter.
+    The vote itself — majority release, expiry sweep, liveness and
+    divergence alarms, quarantine / probation / re-admission — is
+    :class:`~repro.core.membership.QuorumVoter`'s, shared with the
+    control-plane voter.  What is the compare's own: the vote key
+    ``(scope, claim, policy.key(packet))``, release through a
+    :class:`CompareContext`, the service queue, the bounded cache and
+    its cleanup stall, and the DoS mitigation.
     """
 
     def __init__(
@@ -194,15 +167,10 @@ class CompareCore(QuorumMembershipMixin):
         trace_bus: Optional[TraceBus] = None,
         branch_ids: Optional[Sequence[int]] = None,
     ) -> None:
-        config.validate()
-        self.sim = sim
-        self.config = config
-        self.name = name
-        self.alarms = alarm_sink or AlarmSink(trace_bus)
-        self.trace_bus = trace_bus
-        self.branch_ids = list(branch_ids) if branch_ids is not None else list(range(config.k))
-        self.book = VoteBook(config.effective_quorum(), config.buffer_timeout)
-        self.stats = CompareStats()
+        super().__init__(
+            sim, config, config.buffer_timeout, CompareStats(), name,
+            alarm_sink, trace_bus, branch_ids,
+        )
         self._contexts: Dict[str, CompareContext] = {}
         self._busy_until = 0.0
         self._in_service = 0
@@ -210,23 +178,6 @@ class CompareCore(QuorumMembershipMixin):
         self._dup_strikes: Dict[int, int] = {}
         self._craft_strikes: Dict[int, int] = {}
         self._blocked_branches: Dict[int, float] = {}
-        # liveness bookkeeping
-        self._miss_counts: Dict[int, int] = {b: 0 for b in self.branch_ids}
-        self._unavailable: Dict[int, bool] = {b: False for b in self.branch_ids}
-        # minority-divergence bookkeeping: how often each branch's bytes
-        # expired unconfirmed, and whether the alarm already latched
-        self._divergence_counts: Dict[int, int] = {b: 0 for b in self.branch_ids}
-        self._divergence_alarmed: Dict[int, bool] = {}
-        # Time of each branch's last clean (counted, non-duplicate) vote:
-        # entries older than this must not count as misses — they date
-        # from before the branch recovered (stale-count guard).
-        self._last_clean_vote: Dict[int, float] = {}
-        self._init_membership()
-        self.add_membership_listener(self._membership_divergence_reset)
-        # observers of the expiry-sweep tick (adversary strategies that
-        # time themselves against the vote cadence subscribe here)
-        self._sweep_listeners: List[Callable[[float], None]] = []
-        self._sweeper = PeriodicTask(sim, config.buffer_timeout, self._sweep)
         # Latency/quorum histograms bound from the registry active at
         # construction time; None when metrics are disabled so the
         # release path pays a single test per packet.
@@ -303,65 +254,38 @@ class CompareCore(QuorumMembershipMixin):
         claim: Optional[int],
     ) -> None:
         now = self.sim.now
-        if not self._sweeper.running:
-            self._sweeper.start(self.config.buffer_timeout)
         if len(self.book) >= self.config.cache_capacity:
             self._cleanup(now)
-        quarantined = branch in self._quarantined
-        key: Hashable = (context.scope, claim, self.config.policy.key(packet))
-        outcome = self.book.observe(
-            key, branch, now, packet, claim=claim, countable=not quarantined
+        outcome = self._vote(
+            (context.scope, claim, self.config.policy.key(packet)),
+            branch, now, packet, claim, context, packet.trace_id,
         )
-        if outcome.evicted_stale is not None:
-            self._finalise(outcome.evicted_stale)
         if outcome.is_branch_duplicate:
-            self.stats.branch_duplicates += 1
             self._note_duplicate(branch, context)
         else:
             self._dup_strikes[branch] = 0
-            if not quarantined:
-                # First clean vote after an outage heals the liveness
-                # bookkeeping right here, not at entry-finalise time:
-                # otherwise outage-era entries expiring after the branch
-                # recovered would re-alarm a healed router.
-                self._last_clean_vote[branch] = now
-                if self._miss_counts.get(branch):
-                    self._miss_counts[branch] = 0
-                if self._unavailable.get(branch):
-                    self._unavailable[branch] = False
-        if packet.trace_id is not None:
-            self._trace(
-                "compare.vote",
-                trace=packet.trace_id,
-                branch=branch,
-                votes=outcome.entry.distinct_branches,
-                duplicate=outcome.is_branch_duplicate,
-                late=outcome.late_copy,
-                probation=quarantined,
-            )
-        if quarantined:
-            self.stats.quarantined_copies += 1
-            if outcome.entry.released and not outcome.is_branch_duplicate:
-                # The copy matches a packet the active majority already
-                # released: a clean duplicate, probation's currency.
-                self._note_probation_clean(branch)
-            return
-        if outcome.late_copy:
-            self.stats.late_copies += 1
+        if outcome.late_copy and outcome.countable:
             self._trace("compare.late_copy", branch=branch)
-            return
-        if outcome.newly_released:
-            self._do_release(outcome.entry, now, context=context, branch=branch)
 
-    def _do_release(
+    def _note_copy(self, outcome: VoteOutcome, branch: int, note: object) -> None:
+        # ``note`` is the copy's trace id: only sampled packets get a span
+        self._trace(
+            "compare.vote",
+            trace=note,
+            branch=branch,
+            votes=outcome.entry.distinct_branches,
+            duplicate=outcome.is_branch_duplicate,
+            late=outcome.late_copy,
+            probation=not outcome.countable,
+        )
+
+    def _deliver(
         self,
         entry: VoteEntry,
         now: float,
-        context: Optional[CompareContext] = None,
-        branch: Optional[int] = None,
+        ctx: Optional[CompareContext],
+        branch: Optional[int],
     ) -> None:
-        """Forward an entry's winning copy and settle probation credit."""
-        self.stats.released += 1
         if self._h_release_latency is not None:
             self._h_release_latency.observe(now - entry.first_seen)
             self._h_quorum_votes.observe(entry.distinct_branches)
@@ -372,14 +296,11 @@ class CompareCore(QuorumMembershipMixin):
             trace=entry.packet.trace_id,
             latency=now - entry.first_seen,
         )
-        if context is None:
-            context = self._contexts.get(entry.key[0])
-        if context is not None:
-            context.release(entry.packet)
-        # Probation copies that preceded the quorum are confirmed clean
-        # now that the active majority agreed on the same bytes.
-        for waiting in list(entry.probation_counts):
-            self._note_probation_clean(waiting)
+        if ctx is None:
+            # released by a quorum shrink, not by a copy arriving
+            ctx = self._contexts.get(entry.key[0])
+        if ctx is not None:
+            ctx.release(entry.packet)
 
     # ------------------------------------------------------------------
     # cache management (the Figure 8 jitter mechanism)
@@ -401,74 +322,41 @@ class CompareCore(QuorumMembershipMixin):
         self.stats.cleanup_stall_time += stall
         self._trace("compare.cleanup", scanned=scanned, expired=len(expired), stall=stall)
 
-    @property
-    def sweep_period(self) -> float:
-        """The expiry-sweep cadence (one tick per ``buffer_timeout``)."""
-        return self.config.buffer_timeout
-
-    def add_sweep_listener(self, fn: Callable[[float], None]) -> None:
-        """Observe each expiry-sweep tick (called with ``sim.now``)."""
-        self._sweep_listeners.append(fn)
-
-    def remove_sweep_listener(self, fn: Callable[[float], None]) -> None:
-        if fn in self._sweep_listeners:
-            self._sweep_listeners.remove(fn)
-
-    def _sweep(self) -> None:
-        if self._sweep_listeners:
-            now = self.sim.now
-            for fn in list(self._sweep_listeners):
-                fn(now)
-        for entry in self.book.pop_expired(self.sim.now):
-            self._finalise(entry)
-        if not len(self.book):
-            self._sweeper.stop()
-
     def _finalise(self, entry: VoteEntry) -> None:
         """Account for an entry leaving the cache (expiry or eviction)."""
-        now = self.sim.now
         self.stats.copies_finalised += entry.total_copies()
         if entry.released:
-            self.stats.expired_released += 1
-            for missing in entry.missing_branches(self.branch_ids):
-                if missing in self._quarantined or missing in entry.probation_counts:
-                    # Quarantined branches are expected to be absent from
-                    # the count; a probation copy is not "missing" either.
-                    continue
-                self._note_missing(missing, entry.first_seen)
-            for present in entry.branches():
-                self._miss_counts[present] = 0
-                if self._unavailable.get(present):
-                    self._unavailable[present] = False
-        else:
-            self.stats.expired_unreleased += 1
-            for waiting in list(entry.probation_counts):
-                # The quarantined branch delivered bytes no active
-                # majority ever confirmed: probation starts over.
-                self._reset_probation(waiting)
-            if entry.distinct_branches == 1:
-                branch = entry.branches()[0]
-                self.alarms.raise_alarm(
-                    now,
-                    ALARM_SINGLE_SOURCE_PACKET,
-                    self.name,
-                    branch=branch,
-                    copies=entry.total_copies(),
-                )
-                self._note_crafted(branch)
-            for present in entry.branches():
-                if present in self._quarantined or present in entry.probation_counts:
-                    continue
-                self._note_divergence(present)
-            self._trace(
-                "compare.drop_unreleased",
-                votes=entry.distinct_branches,
-                copies=entry.total_copies(),
-                trace=entry.packet.trace_id,
-            )
+            self._finalise_released(entry)
+            return
+        self.stats.expired_unreleased += 1
+        self._finalise_unreleased(entry)
+        self._trace(
+            "compare.drop_unreleased",
+            votes=entry.distinct_branches,
+            copies=entry.total_copies(),
+            trace=entry.packet.trace_id,
+        )
+
+    def _on_single_source(self, entry: VoteEntry) -> None:
+        branch = entry.branches()[0]
+        self.alarms.raise_alarm(
+            self.sim.now,
+            ALARM_SINGLE_SOURCE_PACKET,
+            self.name,
+            branch=branch,
+            copies=entry.total_copies(),
+        )
+        self._note_crafted(branch)
+
+    def _count_divergence(self, branch: int, latched: bool) -> None:
+        self.stats.divergent_copies += 1
+        if self._c_branch_divergence is not None:
+            self._c_branch_divergence.labels(self.name, str(branch)).inc()
+        if latched:
+            self.stats.divergence_alarms += 1
 
     # ------------------------------------------------------------------
-    # DoS and liveness logic
+    # DoS mitigation
     # ------------------------------------------------------------------
     def _note_duplicate(self, branch: int, context: CompareContext) -> None:
         strikes = self._dup_strikes.get(branch, 0) + 1
@@ -497,74 +385,6 @@ class CompareCore(QuorumMembershipMixin):
         )
         if context is not None and context.block_branch is not None:
             context.block_branch(branch, self.config.block_duration)
-
-    def _note_divergence(self, branch: int) -> None:
-        """A (non-quarantined) branch voted for bytes that expired without
-        any active majority confirming them.  The count is cumulative and
-        the alarm latches: it surfaces the silent colluding minority (at
-        k=5, two branches delivering identical altered copies never trip
-        the single-source alarm, and intermittent divergence resets every
-        consecutive miss counter) without changing the vote itself.
-        """
-        count = self._divergence_counts.get(branch, 0) + 1
-        self._divergence_counts[branch] = count
-        self.stats.divergent_copies += 1
-        if self._c_branch_divergence is not None:
-            self._c_branch_divergence.labels(self.name, str(branch)).inc()
-        if (
-            count >= self.config.divergence_threshold
-            and not self._divergence_alarmed.get(branch)
-        ):
-            self._divergence_alarmed[branch] = True
-            self.stats.divergence_alarms += 1
-            self.alarms.raise_alarm(
-                self.sim.now,
-                ALARM_MINORITY_DIVERGENCE,
-                self.name,
-                branch=branch,
-                divergent_entries=count,
-            )
-
-    def _membership_divergence_reset(
-        self, kind: str, branch: int, now: float
-    ) -> None:
-        # A re-admitted branch served its probation; its divergence
-        # history (which likely drove the quarantine) starts over.
-        if kind == "readmit":
-            self._divergence_counts[branch] = 0
-            self._divergence_alarmed.pop(branch, None)
-
-    def _note_missing(self, branch: int, first_seen: float) -> None:
-        if first_seen < self._last_clean_vote.get(branch, -1.0):
-            # The entry's packet predates the branch's recovery; counting
-            # it would re-alarm a healed router on stale history.
-            return
-        count = self._miss_counts.get(branch, 0) + 1
-        self._miss_counts[branch] = count
-        if count >= self.config.miss_threshold and not self._unavailable.get(branch):
-            self._unavailable[branch] = True
-            self.alarms.raise_alarm(
-                self.sim.now,
-                ALARM_ROUTER_UNAVAILABLE,
-                self.name,
-                branch=branch,
-                consecutive_misses=count,
-            )
-
-    # ------------------------------------------------------------------
-    # self-healing: quarantine / probation / re-admission — inherited
-    # from QuorumMembershipMixin (shared with ctrl.ControlCompare)
-    # ------------------------------------------------------------------
-    def flush(self) -> None:
-        """Finalise everything still buffered (end-of-run accounting)."""
-        for entry in self.book.entries():
-            self._finalise(entry)
-        self.book.clear()
-        self._sweeper.stop()
-
-    def _trace(self, topic: str, **data: object) -> None:
-        if self.trace_bus is not None:
-            self.trace_bus.emit(self.sim.now, topic, self.name, **data)
 
     def __repr__(self) -> str:
         return (

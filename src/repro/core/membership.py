@@ -1,58 +1,151 @@
-"""The quarantine / probation / re-admission state machine.
+"""The one quorum voter.
 
-Extracted from :class:`~repro.core.compare.CompareCore` so that the
-control-plane voter (:class:`~repro.ctrl.compare.ControlCompare`) runs
-the *same* self-healing code over its own :class:`~repro.core.votes.
-VoteBook` instead of a near-copy: one bundle-membership implementation,
-two trusted elements.
+The paper has exactly one trusted mechanism — "once a packet has been
+received on the majority of the possible ingress ports, the compare
+releases it" (Section IV).  :class:`QuorumVoter` is that mechanism:
+a :class:`~repro.core.votes.VoteBook`, the vote step, the expiry sweep,
+the liveness and divergence signatures, and the quarantine / probation /
+re-admission state machine.  Two adapters subclass it and keep only what
+is theirs: :class:`~repro.core.compare.CompareCore` (data plane: wire
+image keys, packet release, service queue, DoS mitigation) and
+:class:`~repro.ctrl.compare.ControlCompare` (control plane: canonical
+digest keys, per-switch release, taint accounting).
 
-A host class mixes this in and provides:
+An adapter supplies four things:
 
-* ``sim`` — the simulator (for ``sim.now``);
-* ``config`` — with ``effective_quorum()``, ``probation_clean_target``
-  and ``min_active_branches``;
-* ``book`` — the :class:`VoteBook` whose quorum the mixin retunes;
-* ``branch_ids`` — the full bundle membership (list of branch ints);
-* ``stats`` — with ``quarantines``, ``readmissions`` and
-  ``probation_resets`` counters;
-* ``alarms`` — an :class:`~repro.core.alarms.AlarmSink`;
-* ``name`` — the alarm source string;
-* ``_miss_counts`` / ``_unavailable`` / ``_last_clean_vote`` — the
-  liveness bookkeeping dicts the mixin heals on re-admission;
-* ``_do_release(entry, now)`` — forwards an entry's winning copy (a
-  quorum shrink can complete votes that were already pending);
-* ``_trace(topic, **data)`` — trace emission.
+* its public ``submit`` — derives the vote key and calls
+  :meth:`QuorumVoter._vote`;
+* ``_note_copy(outcome, branch, note)`` — record what the adapter knows
+  about one copy (its vote span, a taint mark); runs after a stale entry
+  was finalised and before anything is released;
+* ``_deliver(entry, now, ctx, branch)`` — hand the winning copy to the
+  adapter's sink;
+* ``_finalise(entry)`` — the adapter's accounting for an entry leaving
+  the book, sequenced around :meth:`_finalise_released` /
+  :meth:`_finalise_unreleased`.
+
+Two notifications default to no-ops: ``_count_divergence`` (adapter
+counters for one divergence strike) and ``_on_single_source`` (an entry
+expired with one voter).
 
 ``trace_prefix`` picks the trace-topic namespace (``compare.*`` for the
 data plane, ``ctrl.*`` for the control plane); alarm kinds are shared.
-
-The mixin also exposes the probation window to observers:
-``add_membership_listener(fn)`` calls ``fn(event, branch, now)`` on each
-``"quarantine"`` / ``"readmit"`` transition, and ``probation_status``
-reports a quarantined branch's clean-copy progress — the hooks the
-adversary strategy library (``repro.adversary.strategies``) keys off.
+``add_sweep_listener`` (expiry-sweep ticks), ``add_membership_listener``
+(``"quarantine"`` / ``"readmit"`` transitions) and ``probation_status``
+expose the vote cadence and the probation window to observers — the
+hooks the adversary strategy library (``repro.adversary.strategies``)
+keys off.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.alarms import (
     ALARM_BRANCH_QUARANTINED,
     ALARM_BRANCH_READMITTED,
+    ALARM_MINORITY_DIVERGENCE,
+    ALARM_ROUTER_UNAVAILABLE,
+    AlarmSink,
 )
+from repro.core.votes import VoteBook, VoteEntry, VoteOutcome
+from repro.sim import PeriodicTask, Simulator, TraceBus
 
-__all__ = ["QuorumMembershipMixin"]
+__all__ = ["QuorumConfig", "QuorumVoter"]
 
 
-class QuorumMembershipMixin:
-    """Branch quarantine, dynamic quorum and probation re-admission."""
+@dataclass
+class QuorumConfig:
+    """The parameters every quorum voter has; adapters add their own
+    (and their own defaults for these)."""
 
-    #: trace-topic namespace for membership transitions
+    k: int = 3
+    quorum: Optional[int] = None  # default: floor(k/2) + 1 (strict majority)
+    #: consecutive released decisions a branch may miss before the
+    #: unavailable alarm fires (the crash signature)
+    miss_threshold: int = 10
+    #: cumulative entries carrying a branch's *unconfirmed* bytes (expired
+    #: without any active majority agreeing) before the minority-divergence
+    #: alarm latches.  Cumulative, not consecutive: a colluding minority
+    #: that diverges intermittently stays under every consecutive counter
+    #: (its miss count resets at each clean packet) but accumulates here.
+    divergence_threshold: int = 16
+    #: consecutive clean (bit-identical, non-duplicate) copies a
+    #: quarantined branch must deliver before it is re-admitted
+    probation_clean_target: int = 12
+    #: smallest bundle the voter will degrade to; a quarantine request
+    #: that would leave fewer active branches is refused (below two
+    #: branches a "majority" stops meaning anything)
+    min_active_branches: int = 2
+
+    def effective_quorum(self) -> int:
+        if self.quorum is not None:
+            return self.quorum
+        return self.k // 2 + 1
+
+    def validate(self) -> None:
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        quorum = self.effective_quorum()
+        if not 1 <= quorum <= self.k:
+            raise ValueError(f"quorum {quorum} out of range for k={self.k}")
+        if self.miss_threshold < 1:
+            raise ValueError("miss_threshold must be >= 1")
+        if self.probation_clean_target < 1:
+            raise ValueError("probation_clean_target must be >= 1")
+        if self.divergence_threshold < 1:
+            raise ValueError("divergence_threshold must be >= 1")
+        if self.min_active_branches < 1:
+            raise ValueError("min_active_branches must be >= 1")
+
+
+class QuorumVoter:
+    """Majority vote over copies from a bundle of branches.
+
+    ``timeout`` is how long an entry waits for (and remembers) its
+    majority; ``stats`` is the adapter's counter object, of which the
+    voter touches ``released``, ``late_copies``, ``branch_duplicates``,
+    ``expired_released``, ``quarantined_copies``, ``quarantines``,
+    ``readmissions`` and ``probation_resets``.
+    """
+
+    #: trace-topic namespace
     trace_prefix = "compare"
 
-    def _init_membership(self) -> None:
-        """Initialise the membership dicts (call from ``__init__``)."""
+    def __init__(
+        self,
+        sim: Simulator,
+        config: QuorumConfig,
+        timeout: float,
+        stats: object,
+        name: str,
+        alarm_sink: Optional[AlarmSink] = None,
+        trace_bus: Optional[TraceBus] = None,
+        branch_ids: Optional[Sequence[int]] = None,
+    ) -> None:
+        config.validate()
+        self.sim = sim
+        self.config = config
+        self.name = name
+        self.alarms = alarm_sink or AlarmSink(trace_bus)
+        self.trace_bus = trace_bus
+        self.branch_ids = (
+            list(branch_ids) if branch_ids is not None else list(range(config.k))
+        )
+        self.book = VoteBook(config.effective_quorum(), timeout)
+        self.stats = stats
+        # liveness bookkeeping
+        self._miss_counts: Dict[int, int] = {b: 0 for b in self.branch_ids}
+        self._unavailable: Dict[int, bool] = {b: False for b in self.branch_ids}
+        # Time of each branch's last clean (counted, non-duplicate) vote:
+        # entries older than this must not count as misses — they date
+        # from before the branch recovered (stale-count guard).
+        self._last_clean_vote: Dict[int, float] = {}
+        # minority-divergence bookkeeping: how often each branch's bytes
+        # expired unconfirmed, and whether the alarm already latched
+        self._divergence_counts: Dict[int, int] = {}
+        self._divergence_alarmed: Dict[int, bool] = {}
         # branch -> quarantined-at time, and the running count of
         # consecutive clean probation copies
         self._quarantined: Dict[int, float] = {}
@@ -60,7 +153,211 @@ class QuorumMembershipMixin:
         # observers of membership transitions, called with
         # ("quarantine" | "readmit", branch, now)
         self._membership_listeners: List[Callable[[str, int, float], None]] = []
+        # observers of the expiry-sweep tick (adversary strategies that
+        # time themselves against the vote cadence subscribe here)
+        self._sweep_listeners: List[Callable[[float], None]] = []
+        self._sweeper = PeriodicTask(sim, timeout, self._sweep)
 
+    # ------------------------------------------------------------------
+    # the vote step
+    # ------------------------------------------------------------------
+    def _vote(
+        self,
+        key: Hashable,
+        branch: int,
+        now: float,
+        payload: object,
+        claim: Optional[int] = None,
+        ctx: object = None,
+        note: object = None,
+    ) -> VoteOutcome:
+        """Count one copy from ``branch`` toward ``key``'s majority.
+
+        ``ctx`` is passed through to ``_deliver`` untouched; ``note``,
+        when given, to ``_note_copy``.  Returns the outcome so the
+        adapter can settle what only it tracks (duplicate strikes, a
+        late-copy span).
+        """
+        if not self._sweeper.running:
+            self._sweeper.start(self.book.timeout)
+        quarantined = branch in self._quarantined
+        outcome = self.book.observe(
+            key, branch, now, payload, claim=claim, countable=not quarantined
+        )
+        if outcome.evicted_stale is not None:
+            self._finalise(outcome.evicted_stale)
+        if outcome.is_branch_duplicate:
+            self.stats.branch_duplicates += 1
+        elif not quarantined:
+            # First clean vote after an outage heals the liveness
+            # bookkeeping right here, not at entry-finalise time:
+            # otherwise outage-era entries expiring after the branch
+            # recovered would re-alarm a healed router.
+            self._last_clean_vote[branch] = now
+            if self._miss_counts.get(branch):
+                self._miss_counts[branch] = 0
+            if self._unavailable.get(branch):
+                self._unavailable[branch] = False
+        if note is not None:
+            self._note_copy(outcome, branch, note)
+        if quarantined:
+            self.stats.quarantined_copies += 1
+            if outcome.entry.released and not outcome.is_branch_duplicate:
+                # The copy matches what the active majority already
+                # released: a clean duplicate, probation's currency.
+                self._note_probation_clean(branch)
+        elif outcome.late_copy:
+            self.stats.late_copies += 1
+        elif outcome.newly_released:
+            self._do_release(outcome.entry, now, ctx, branch)
+        return outcome
+
+    def _do_release(
+        self,
+        entry: VoteEntry,
+        now: float,
+        ctx: object = None,
+        branch: Optional[int] = None,
+    ) -> None:
+        """Forward an entry's winning copy and settle probation credit."""
+        self.stats.released += 1
+        self._deliver(entry, now, ctx, branch)
+        # Probation copies that preceded the quorum are confirmed clean
+        # now that the active majority agreed on the same bytes.
+        for waiting in list(entry.probation_counts):
+            self._note_probation_clean(waiting)
+
+    # ------------------------------------------------------------------
+    # adapter hooks
+    # ------------------------------------------------------------------
+    def _note_copy(self, outcome: VoteOutcome, branch: int, note: object) -> None:
+        raise NotImplementedError
+
+    def _deliver(
+        self, entry: VoteEntry, now: float, ctx: object, branch: Optional[int]
+    ) -> None:
+        raise NotImplementedError
+
+    def _finalise(self, entry: VoteEntry) -> None:
+        """Account for an entry leaving the book (expiry or eviction)."""
+        raise NotImplementedError
+
+    def _count_divergence(self, branch: int, latched: bool) -> None:
+        """One divergence strike against ``branch`` (``latched`` when it
+        trips the alarm); adapters with counters for it override."""
+
+    def _on_single_source(self, entry: VoteEntry) -> None:
+        """``entry`` expired having only ever been voted by one branch;
+        adapters that alarm on it override."""
+
+    # ------------------------------------------------------------------
+    # expiry
+    # ------------------------------------------------------------------
+    @property
+    def sweep_period(self) -> float:
+        """The expiry-sweep cadence (one tick per entry timeout)."""
+        return self.book.timeout
+
+    def add_sweep_listener(self, fn: Callable[[float], None]) -> None:
+        """Observe each expiry-sweep tick (called with ``sim.now``)."""
+        self._sweep_listeners.append(fn)
+
+    def remove_sweep_listener(self, fn: Callable[[float], None]) -> None:
+        if fn in self._sweep_listeners:
+            self._sweep_listeners.remove(fn)
+
+    def _sweep(self) -> None:
+        if self._sweep_listeners:
+            now = self.sim.now
+            for fn in list(self._sweep_listeners):
+                fn(now)
+        for entry in self.book.pop_expired(self.sim.now):
+            self._finalise(entry)
+        if not len(self.book):
+            self._sweeper.stop()
+
+    def flush(self) -> None:
+        """Finalise everything still buffered (end-of-run accounting)."""
+        for entry in self.book.entries():
+            self._finalise(entry)
+        self.book.clear()
+        self._sweeper.stop()
+
+    def _finalise_released(self, entry: VoteEntry) -> None:
+        """A released entry left the book: who was missing from it?"""
+        self.stats.expired_released += 1
+        for missing in entry.missing_branches(self.branch_ids):
+            if missing in self._quarantined or missing in entry.probation_counts:
+                # Quarantined branches are expected to be absent from
+                # the count; a probation copy is not "missing" either.
+                continue
+            self._note_missing(missing, entry.first_seen)
+        for present in entry.branches():
+            self._miss_counts[present] = 0
+            if self._unavailable.get(present):
+                self._unavailable[present] = False
+
+    def _finalise_unreleased(self, entry: VoteEntry) -> None:
+        """An entry expired with no majority: nobody confirmed its bytes."""
+        for waiting in list(entry.probation_counts):
+            # The quarantined branch delivered bytes no active
+            # majority ever confirmed: probation starts over.
+            self._reset_probation(waiting)
+        if entry.distinct_branches == 1:
+            self._on_single_source(entry)
+        for present in entry.branches():
+            if present in self._quarantined or present in entry.probation_counts:
+                continue
+            self._note_divergence(present)
+
+    # ------------------------------------------------------------------
+    # failure signatures
+    # ------------------------------------------------------------------
+    def _note_missing(self, branch: int, first_seen: float) -> None:
+        if first_seen < self._last_clean_vote.get(branch, -1.0):
+            # The entry predates the branch's recovery; counting it
+            # would re-alarm a healed router on stale history.
+            return
+        count = self._miss_counts.get(branch, 0) + 1
+        self._miss_counts[branch] = count
+        if count >= self.config.miss_threshold and not self._unavailable.get(branch):
+            self._unavailable[branch] = True
+            self.alarms.raise_alarm(
+                self.sim.now,
+                ALARM_ROUTER_UNAVAILABLE,
+                self.name,
+                branch=branch,
+                consecutive_misses=count,
+            )
+
+    def _note_divergence(self, branch: int) -> None:
+        """A (non-quarantined) branch voted for bytes that expired without
+        any active majority confirming them.  The count is cumulative and
+        the alarm latches: it surfaces the silent colluding minority (at
+        k=5, two branches delivering identical altered copies never trip
+        the single-source alarm, and intermittent divergence resets every
+        consecutive miss counter) without changing the vote itself.
+        """
+        count = self._divergence_counts.get(branch, 0) + 1
+        self._divergence_counts[branch] = count
+        latched = (
+            count >= self.config.divergence_threshold
+            and not self._divergence_alarmed.get(branch)
+        )
+        self._count_divergence(branch, latched)
+        if latched:
+            self._divergence_alarmed[branch] = True
+            self.alarms.raise_alarm(
+                self.sim.now,
+                ALARM_MINORITY_DIVERGENCE,
+                self.name,
+                branch=branch,
+                divergent_entries=count,
+            )
+
+    # ------------------------------------------------------------------
+    # self-healing: quarantine / probation / re-admission
+    # ------------------------------------------------------------------
     def add_membership_listener(self, fn: Callable[[str, int, float], None]) -> None:
         """Observe quarantine / re-admission transitions."""
         self._membership_listeners.append(fn)
@@ -82,7 +379,6 @@ class QuorumMembershipMixin:
             self.config.probation_clean_target,
         )
 
-    # ------------------------------------------------------------------
     def active_branches(self) -> List[int]:
         """Branches currently counted toward the quorum."""
         return [b for b in self.branch_ids if b not in self._quarantined]
@@ -148,9 +444,13 @@ class QuorumMembershipMixin:
             return False
         clean = self._probation_clean.pop(branch, 0)
         now = self.sim.now
+        # A re-admitted branch earns a clean slate on both signatures;
+        # a relapse re-alarms from scratch.
         self._miss_counts[branch] = 0
         self._unavailable[branch] = False
         self._last_clean_vote[branch] = now
+        self._divergence_counts[branch] = 0
+        self._divergence_alarmed.pop(branch, None)
         self.stats.readmissions += 1
         self._apply_dynamic_quorum()
         self.alarms.raise_alarm(
@@ -212,3 +512,7 @@ class QuorumMembershipMixin:
             self._probation_clean[branch] = 0
             self.stats.probation_resets += 1
             self._trace(f"{self.trace_prefix}.probation_reset", branch=branch)
+
+    def _trace(self, topic: str, **data: object) -> None:
+        if self.trace_bus is not None:
+            self.trace_bus.emit(self.sim.now, topic, self.name, **data)

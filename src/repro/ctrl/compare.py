@@ -5,17 +5,17 @@
 element that receives every replica's outbound control message, votes on
 the canonical byte encoding (:mod:`repro.ctrl.digest`), and releases a
 message to the switch only once a strict majority of replicas produced a
-byte-identical copy.  It reuses the same machinery end to end:
-
-* :class:`~repro.core.votes.VoteBook` for quorum accounting — the vote
-  key is ``(datapath_id, digest(message))`` and the entry's payload slot
-  holds the message object itself;
-* :class:`~repro.core.membership.QuorumMembershipMixin` for quarantine,
-  dynamic quorum and probation re-admission — byte for byte the state
-  machine the data-plane compare runs;
-* the shared alarm kinds, so the existing
-  :class:`~repro.chaos.quarantine.QuarantineController` closes the loop
-  unchanged (pointed at this voter instead of a compare core).
+byte-identical copy.  Both are adapters of the one
+:class:`~repro.core.membership.QuorumVoter`: the vote, the expiry sweep,
+the two failure signatures and quarantine / dynamic quorum / probation
+re-admission are that class's, byte for byte what the data-plane compare
+runs, and the shared alarm kinds let the existing
+:class:`~repro.chaos.quarantine.QuarantineController` close the loop
+unchanged (pointed at this voter instead of a compare core).  What is
+the control plane's own: the vote key ``(datapath_id, digest(message))``
+(the entry's payload slot holds the message object itself), release
+through ``register_switch``, and the taint / entry-trace / ``blocked_*``
+accounting.
 
 Two failure signatures are distinguished:
 
@@ -34,64 +34,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
-from repro.core.alarms import (
-    ALARM_MINORITY_DIVERGENCE,
-    ALARM_ROUTER_UNAVAILABLE,
-    AlarmSink,
-)
-from repro.core.membership import QuorumMembershipMixin
-from repro.core.votes import VoteBook, VoteEntry
+from repro.core.alarms import AlarmSink
+from repro.core.membership import QuorumConfig, QuorumVoter
+from repro.core.votes import VoteEntry, VoteOutcome
 from repro.ctrl.digest import digest
 from repro.obs.metrics import active_registry
-from repro.sim import PeriodicTask, Simulator, TraceBus
+from repro.sim import Simulator, TraceBus
 
 __all__ = ["ControlCompareConfig", "CtrlStats", "ControlCompare"]
 
 
 @dataclass
-class ControlCompareConfig:
+class ControlCompareConfig(QuorumConfig):
     """Tunable parameters of the control-plane voter."""
 
-    k: int = 3
-    quorum: Optional[int] = None  # default: floor(k/2) + 1 (strict majority)
     #: how long a decision waits for its majority before it is voided;
     #: replicas answer the same fanned-out event synchronously (plus
     #: their service time), so this can be much shorter than a data-plane
     #: buffer timeout
     vote_timeout: float = 2e-3
-    #: consecutive released decisions a replica may miss before the
-    #: unavailable alarm fires (the crash signature)
     miss_threshold: int = 4
-    #: unconfirmed divergent decisions before the divergence alarm fires
-    #: (the lying signature); 1 = zero tolerance
+    #: the lying signature; 1 = zero tolerance
     divergence_threshold: int = 1
-    #: consecutive clean probation copies before re-admission
     probation_clean_target: int = 6
     #: the control plane may degrade all the way to one replica (an
     #: unreplicated controller is today's baseline, not an outage)
     min_active_branches: int = 1
 
-    def effective_quorum(self) -> int:
-        if self.quorum is not None:
-            return self.quorum
-        return self.k // 2 + 1
-
     def validate(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        quorum = self.effective_quorum()
-        if not 1 <= quorum <= self.k:
-            raise ValueError(f"quorum {quorum} out of range for k={self.k}")
+        super().validate()
         if self.vote_timeout <= 0:
             raise ValueError("vote_timeout must be positive")
-        if self.miss_threshold < 1:
-            raise ValueError("miss_threshold must be >= 1")
-        if self.divergence_threshold < 1:
-            raise ValueError("divergence_threshold must be >= 1")
-        if self.probation_clean_target < 1:
-            raise ValueError("probation_clean_target must be >= 1")
-        if self.min_active_branches < 1:
-            raise ValueError("min_active_branches must be >= 1")
 
 
 @dataclass
@@ -125,7 +98,7 @@ class CtrlStats:
         return data
 
 
-class ControlCompare(QuorumMembershipMixin):
+class ControlCompare(QuorumVoter):
     """Majority vote over replica control messages, per switch."""
 
     trace_prefix = "ctrl"
@@ -139,26 +112,12 @@ class ControlCompare(QuorumMembershipMixin):
         trace_bus: Optional[TraceBus] = None,
         replica_ids: Optional[Sequence[int]] = None,
     ) -> None:
-        config.validate()
-        self.sim = sim
-        self.config = config
-        self.name = name
-        self.alarms = alarm_sink or AlarmSink(trace_bus)
-        self.trace_bus = trace_bus
-        self.branch_ids = (
-            list(replica_ids) if replica_ids is not None else list(range(config.k))
+        super().__init__(
+            sim, config, config.vote_timeout, CtrlStats(), name,
+            alarm_sink, trace_bus, replica_ids,
         )
-        self.book = VoteBook(config.effective_quorum(), config.vote_timeout)
-        self.stats = CtrlStats()
         #: datapath_id -> release callable (delivers one winning message)
         self._releases: Dict[int, Callable[[object], None]] = {}
-        # liveness bookkeeping (same shape as CompareCore's)
-        self._miss_counts: Dict[int, int] = {b: 0 for b in self.branch_ids}
-        self._unavailable: Dict[int, bool] = {b: False for b in self.branch_ids}
-        self._last_clean_vote: Dict[int, float] = {}
-        # divergence bookkeeping: replica -> unconfirmed-divergent strikes
-        self._divergence_strikes: Dict[int, int] = {}
-        self._divergence_alarmed: Dict[int, bool] = {}
         # vote keys a compromised replica emitted (simulation-side truth,
         # used only to score the malicious_released acceptance metric)
         self._tainted: Set[Tuple[int, bytes]] = set()
@@ -167,8 +126,6 @@ class ControlCompare(QuorumMembershipMixin):
         # `repro obs trace` stitch control-plane spans onto a packet's
         # data-plane trajectory
         self._entry_trace: Dict[Tuple[int, bytes], int] = {}
-        self._init_membership()
-        self._sweeper = PeriodicTask(sim, config.vote_timeout, self._sweep)
         registry = active_registry()
         if registry.enabled:
             self._c_votes = registry.counter(
@@ -220,60 +177,48 @@ class ControlCompare(QuorumMembershipMixin):
         PacketIn caused this message (when that packet is marked); it is
         attached to the decision's span records and never affects voting.
         """
-        now = self.sim.now
         self.stats.submissions += 1
         if self._c_votes is not None:
             self._c_votes.inc()
-        if not self._sweeper.running:
-            self._sweeper.start(self.config.vote_timeout)
-        key: Tuple[int, bytes] = (datapath_id, digest(message))
+        self._vote(
+            (datapath_id, digest(message)), replica, self.sim.now, message,
+            note=(tainted, trace),
+        )
+
+    def _note_copy(
+        self, outcome: VoteOutcome, replica: int, note: Tuple[bool, Optional[int]]
+    ) -> None:
+        # Runs after a stale entry under this key was finalised, so the
+        # marks land on the fresh decision and are not discarded with
+        # the old one.
+        entry = outcome.entry
+        key = entry.key
+        tainted, trace = note
         if tainted:
             self._tainted.add(key)
         if trace is not None:
             self._entry_trace.setdefault(key, trace)
-        quarantined = replica in self._quarantined
-        outcome = self.book.observe(
-            key, replica, now, message, countable=not quarantined
-        )
-        if outcome.evicted_stale is not None:
-            self._finalise(outcome.evicted_stale)
-        if outcome.is_branch_duplicate:
-            self.stats.branch_duplicates += 1
-        elif not quarantined:
-            # A clean counted vote heals the liveness bookkeeping
-            # immediately (same stale-count guard as the data plane).
-            self._last_clean_vote[replica] = now
-            if self._miss_counts.get(replica):
-                self._miss_counts[replica] = 0
-            if self._unavailable.get(replica):
-                self._unavailable[replica] = False
+        bus = self.trace_bus
+        if bus is None:
+            return
         vote_data = dict(
             branch=replica,
-            dpid=datapath_id,
-            votes=outcome.entry.distinct_branches,
-            kind=type(message).__name__,
+            dpid=key[0],
+            votes=entry.distinct_branches,
+            kind=type(entry.packet).__name__,
             duplicate=outcome.is_branch_duplicate,
             late=outcome.late_copy,
-            probation=quarantined,
+            probation=not outcome.countable,
         )
         known_trace = self._entry_trace.get(key)
         if known_trace is not None:
             vote_data["trace"] = known_trace
-        self._trace("ctrl.vote", **vote_data)
-        if quarantined:
-            self.stats.quarantined_copies += 1
-            if outcome.entry.released and not outcome.is_branch_duplicate:
-                self._note_probation_clean(replica)
-            return
-        if outcome.late_copy:
-            self.stats.late_copies += 1
-            return
-        if outcome.newly_released:
-            self._do_release(outcome.entry, now)
+        # every copy gets a vote record: emit without the _trace frame
+        bus.emit(self.sim.now, "ctrl.vote", self.name, **vote_data)
 
-    def _do_release(self, entry: VoteEntry, now: float) -> None:
-        """Deliver an entry's winning message and settle probation."""
-        self.stats.released += 1
+    def _deliver(
+        self, entry: VoteEntry, now: float, ctx: object, branch: Optional[int]
+    ) -> None:
         key = entry.key
         if key in self._tainted:
             # A majority confirmed bytes a compromised replica emitted:
@@ -297,32 +242,13 @@ class ControlCompare(QuorumMembershipMixin):
         release = self._releases.get(key[0])
         if release is not None:
             release(entry.packet)
-        for waiting in list(entry.probation_counts):
-            self._note_probation_clean(waiting)
-
-    # ------------------------------------------------------------------
-    # expiry path
-    # ------------------------------------------------------------------
-    def _sweep(self) -> None:
-        for entry in self.book.pop_expired(self.sim.now):
-            self._finalise(entry)
-        if not len(self.book):
-            self._sweeper.stop()
 
     def _finalise(self, entry: VoteEntry) -> None:
         """Account for a decision leaving the book (expiry/eviction)."""
         self._tainted.discard(entry.key)
         entry_trace = self._entry_trace.pop(entry.key, None)
         if entry.released:
-            self.stats.expired_released += 1
-            for missing in entry.missing_branches(self.branch_ids):
-                if missing in self._quarantined or missing in entry.probation_counts:
-                    continue
-                self._note_missing(missing, entry.first_seen)
-            for present in entry.branches():
-                self._miss_counts[present] = 0
-                if self._unavailable.get(present):
-                    self._unavailable[present] = False
+            self._finalise_released(entry)
             return
         # Voided: nobody assembled a majority for these bytes.
         if entry.branch_counts:
@@ -342,66 +268,7 @@ class ControlCompare(QuorumMembershipMixin):
         if entry_trace is not None:
             blocked_data["trace"] = entry_trace
         self._trace("ctrl.blocked", **blocked_data)
-        for waiting in list(entry.probation_counts):
-            # Probation bytes no active majority confirmed: start over.
-            self._reset_probation(waiting)
-        for voter in entry.branches():
-            self._note_divergence(voter)
-
-    # ------------------------------------------------------------------
-    # failure signatures
-    # ------------------------------------------------------------------
-    def _note_missing(self, replica: int, first_seen: float) -> None:
-        if first_seen < self._last_clean_vote.get(replica, -1.0):
-            return
-        count = self._miss_counts.get(replica, 0) + 1
-        self._miss_counts[replica] = count
-        if count >= self.config.miss_threshold and not self._unavailable.get(replica):
-            self._unavailable[replica] = True
-            self.alarms.raise_alarm(
-                self.sim.now,
-                ALARM_ROUTER_UNAVAILABLE,
-                self.name,
-                branch=replica,
-                consecutive_misses=count,
-            )
-
-    def _note_divergence(self, replica: int) -> None:
-        strikes = self._divergence_strikes.get(replica, 0) + 1
-        self._divergence_strikes[replica] = strikes
-        if (
-            strikes >= self.config.divergence_threshold
-            and not self._divergence_alarmed.get(replica)
-        ):
-            self._divergence_alarmed[replica] = True
-            self.alarms.raise_alarm(
-                self.sim.now,
-                ALARM_MINORITY_DIVERGENCE,
-                self.name,
-                branch=replica,
-                strikes=strikes,
-            )
-
-    def readmit_branch(self, branch: int, reason: str = "probation_complete") -> bool:
-        readmitted = super().readmit_branch(branch, reason)
-        if readmitted:
-            # A re-admitted replica earns a clean slate on both
-            # signatures; a relapse re-alarms from scratch.
-            self._divergence_strikes[branch] = 0
-            self._divergence_alarmed[branch] = False
-        return readmitted
-
-    # ------------------------------------------------------------------
-    def flush(self) -> None:
-        """Finalise everything still buffered (end-of-run accounting)."""
-        for entry in self.book.entries():
-            self._finalise(entry)
-        self.book.clear()
-        self._sweeper.stop()
-
-    def _trace(self, topic: str, **data: object) -> None:
-        if self.trace_bus is not None:
-            self.trace_bus.emit(self.sim.now, topic, self.name, **data)
+        self._finalise_unreleased(entry)
 
     def __repr__(self) -> str:
         return (

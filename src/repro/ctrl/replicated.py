@@ -354,10 +354,6 @@ class ReplicatedControlPlane(Controller):
         self.trace("ctrl.replica_restore", replica=handle.index)
 
     # ------------------------------------------------------------------
-    def flush(self) -> None:
-        """Finalise pending votes (end-of-run accounting)."""
-        self.compare.flush()
-
     def replica_stats(self) -> List[dict]:
         return [handle.as_dict() for handle in self.replicas]
 

@@ -156,7 +156,7 @@ def run_instrumented_ctrl_scenario(
     receiver.close()
     if tb.quarantine is not None:
         tb.quarantine.detach()
-    tb.control_plane.flush()
+    tb.control_plane.compare.flush()
     return ScenarioRun(
         variant=variant,
         rate_bps=rate_bps,

@@ -3,9 +3,8 @@
 These builders are the single source of truth for the evaluation grids.
 Three consumers share them:
 
-* the legacy ``specs_*``/``run_*`` API in :mod:`repro.analysis.runners`
-  (thin shims over these builders, bit-identical to the historical
-  hand-wired expansion);
+* library callers (benchmarks, examples, tests):
+  ``fig7_plan(count=20).run(farm)`` or ``builtin_plan(name, quick=...)``;
 * the experiment CLI's figure commands (aliases for
   ``builtin_plan(name, quick=...)``);
 * the checked-in JSON artefacts under ``examples/plans/`` (each file is
@@ -235,8 +234,8 @@ def fig8_plan(
     seed: int = 1,
     params: Optional[Dict[str, Any]] = None,
 ) -> ExperimentPlan:
-    # The tuned parameter set travels in full so plan-built specs hash
-    # identically to the historical specs_fig8 cache keys.
+    # The tuned parameter set travels in full so the specs keep the
+    # content hashes (cache keys) the hand-wired fig8 loop produced.
     base = TestbedParams(**params) if params else None
     tuned = asdict(jitter_params(base))
     return ExperimentPlan(

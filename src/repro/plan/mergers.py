@@ -5,16 +5,14 @@ declarative options from the plan JSON (``{"kind": "mean_record",
 "metric": "tcp_mbps", ...}``), with companions that turn the merged
 value into report records and deterministic text.  Merging walks the
 spec list — never completion order — so a sharded run folds to the same
-bytes as a serial one; the recipes here are the exact generic forms of
-the historical ``merge_fig*`` functions, which survive as one-line
-shims over this registry.
+bytes as a serial one.
 
 :class:`Combiner` recipes fold *multi-stage* plans one step further
 (Table I folds three metric records into one scenario × metric table).
 
 The :mod:`repro.analysis` imports are deliberately function-local:
 ``repro.plan`` must be importable without touching the analysis
-package, whose runners import the plan builders (the cycle is broken
+package, whose CLI imports the plan builders (the cycle is broken
 here, at the data edge, where the import only happens at merge time).
 """
 

@@ -5,8 +5,9 @@ Every Section V testbed variant is registered here once, as a
 factor, endpoint mode, compare transport) *and* the presentation
 metadata the rest of the stack needs (paper-figure ordering, Table I
 membership).  Everything that used to be a hand-maintained list —
-``testbed.VARIANTS``, ``runners.ALL_SCENARIOS``/``TABLE1_SCENARIOS``,
-CLI ``choices`` and validation messages, experiment-plan validation —
+``testbed.VARIANTS``, the figure and Table I scenario orders
+(:func:`figure_scenarios` / :func:`table1_scenarios`), CLI ``choices``
+and validation messages, experiment-plan validation —
 derives from this registry, so registering a new scenario propagates it
 everywhere at once and nothing can desynchronise.
 """
@@ -108,7 +109,7 @@ def table1_scenarios() -> Tuple[str, ...]:
 # the Section V-A scenarios (Figure 3 testbed variants)
 # ----------------------------------------------------------------------
 # Registration order is the historical ``VARIANTS`` tuple;
-# ``figure_order`` is the paper's column order (``ALL_SCENARIOS``).
+# ``figure_order`` is the paper's column order (``figure_scenarios()``).
 register_scenario(ScenarioSpec(
     "linespeed", k=1, mode=MODE_DUP, transport="inline",
     title="Linespeed", figure_order=0,

@@ -1,4 +1,4 @@
-"""Tests for experiment records, reporting and (smoke) runners."""
+"""Tests for experiment records, reporting and (smoke) figure plans."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.analysis import (
     ExperimentRecord,
     PAPER_TABLE1,
     format_table,
-    jitter_params,
     paper_table1_values,
     paper_value,
     render_record,
@@ -14,6 +13,7 @@ from repro.analysis import (
     render_table1,
 )
 from repro.analysis.records import MeasurementRow
+from repro.plan.builtin import fig4_plan, fig6_plan, jitter_params
 
 
 class TestRecords:
@@ -84,19 +84,15 @@ class TestRunnersSmoke:
         assert params.compare_buffer_timeout > 5e-3
 
     def test_fig6_sweep_smoke(self):
-        from repro.analysis import run_fig6_loss_correlation
-
-        points = run_fig6_loss_correlation(offered_mbps=(60, 300), duration=0.02)
+        points = fig6_plan(offered_mbps=(60, 300), duration=0.02).run()
         assert len(points) == 2
         (low_rate, low_good, low_loss), (hi_rate, hi_good, hi_loss) = points
         assert low_loss < hi_loss  # overload produces loss
         assert hi_good < hi_rate  # goodput saturates below offered
 
     def test_fig4_runner_smoke(self):
-        from repro.analysis import run_fig4_tcp
-
-        record = run_fig4_tcp(
+        record = fig4_plan(
             scenarios=("linespeed", "central3"), duration=0.03, repetitions=1
-        )
+        ).run()
         values = {r.scenario: r.value for r in record.rows}
         assert values["linespeed"] > values["central3"]

@@ -1,5 +1,9 @@
 """Tests for the compare element: release, timeouts, DoS mitigation,
-liveness alarms, cache cleanup and processing model."""
+liveness alarms, cache cleanup and processing model.
+
+Behaviour shared with the control-plane voter (the quorum-voter
+contract) is tested against both in ``test_voter_contract.py``.
+"""
 
 import pytest
 
@@ -45,16 +49,6 @@ class Harness:
 
 
 class TestRelease:
-    def test_majority_releases_exactly_one_copy(self):
-        h = Harness()
-        p = pkt()
-        for branch in range(3):
-            h.submit(p.copy(), branch)
-        h.sim.run(until=0.001)
-        assert len(h.released) == 1
-        assert h.core.stats.released == 1
-        assert h.core.stats.late_copies == 1
-
     def test_released_packet_is_first_copy(self):
         h = Harness()
         first = pkt()

@@ -1,4 +1,8 @@
-"""Tests for the control-plane voter (repro.ctrl.compare)."""
+"""Tests for the control-plane voter (repro.ctrl.compare).
+
+Behaviour shared with the data-plane compare (the quorum-voter
+contract) is tested against both in ``test_voter_contract.py``.
+"""
 
 import pytest
 
@@ -13,7 +17,7 @@ from repro.openflow.actions import Output
 from repro.openflow.match import Match
 from repro.openflow.messages import FLOWMOD_ADD, FlowMod
 from repro.net import MacAddress
-from repro.sim import Simulator
+from repro.sim import Simulator, TraceBus
 
 DPID = 7
 
@@ -49,14 +53,6 @@ class Harness:
 
 
 class TestRelease:
-    def test_majority_releases_exactly_once(self):
-        h = Harness()
-        for replica in range(3):
-            h.submit(replica, mod())
-        assert len(h.released) == 1
-        assert h.compare.stats.released == 1
-        assert h.compare.stats.late_copies == 1
-
     def test_single_replica_never_reaches_quorum(self):
         h = Harness()
         h.submit(0, mod())
@@ -145,6 +141,34 @@ class TestDivergenceAlarm:
         assert h.compare.stats.blocked_no_quorum == 1
         assert h.compare.stats.blocked_quarantined == 1
         assert h.compare.stats.blocked == 2
+
+
+class TestTaint:
+    def test_stale_eviction_keeps_the_fresh_decisions_taint_and_trace(self):
+        """Regression: a tainted copy that stale-evicts an expired entry
+        under its own key starts a fresh decision; finalising the old one
+        must not discard the fresh one's taint mark and trace id."""
+        sim = Simulator()
+        bus = TraceBus()
+        compare = ControlCompare(
+            sim, ControlCompareConfig(k=3, vote_timeout=0.01), trace_bus=bus
+        )
+        compare.register_switch(DPID, lambda message: None)
+        lie = mod(port=9999)
+        sim.schedule_at(0.001, lambda: compare.submit(0, DPID, mod()))  # starts the sweeper
+        sim.schedule_at(
+            0.005, lambda: compare.submit(0, DPID, lie, tainted=True, trace=41)
+        )
+        # 16 ms: past the lie's deadline, before the sweeper's next tick
+        sim.schedule_at(
+            0.016, lambda: compare.submit(0, DPID, lie, tainted=True, trace=42)
+        )
+        sim.schedule_at(0.017, lambda: compare.submit(1, DPID, lie))
+        sim.run(until=0.018)
+        assert compare.stats.released == 1
+        assert compare.stats.malicious_released == 1
+        (release,) = bus.select(topic="ctrl.release")
+        assert release.data["trace"] == 42
 
 
 class TestMissingReplica:

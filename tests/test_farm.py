@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.analysis.runners import run_fig7_rtt, specs_fig7
+from repro.plan.builtin import chaos_plan, fig7_plan
 from repro.farm import (
     FarmExecutor,
     FarmProgress,
@@ -291,24 +291,20 @@ class TestFigureEquivalence:
     SCENARIOS = ("linespeed", "dup3")
 
     def test_fig7_parallel_is_bit_identical_to_serial(self):
-        serial = run_fig7_rtt(
-            scenarios=self.SCENARIOS, count=5, sequences=2, seed=3
-        )
-        parallel = run_fig7_rtt(
-            scenarios=self.SCENARIOS, count=5, sequences=2, seed=3,
-            farm=FarmExecutor(jobs=2),
-        )
+        plan = fig7_plan(scenarios=self.SCENARIOS, count=5, sequences=2, seed=3)
+        serial = plan.run()
+        parallel = plan.run(FarmExecutor(jobs=2))
         assert parallel.to_dict() == serial.to_dict()
 
     def test_fig7_cached_rerun_is_identical_and_all_hits(self, tmp_path):
-        kwargs = dict(scenarios=self.SCENARIOS, count=5, sequences=2, seed=3)
+        plan = fig7_plan(scenarios=self.SCENARIOS, count=5, sequences=2, seed=3)
         first = FarmExecutor(jobs=1, cache=ResultCache(root=tmp_path))
-        warm = run_fig7_rtt(farm=first, **kwargs)
-        n_specs = len(specs_fig7(self.SCENARIOS, 5, 2, 3, None))
+        warm = plan.run(first)
+        n_specs = len(plan.expand())
         assert first.cache.misses == n_specs
 
         second = FarmExecutor(jobs=1, cache=ResultCache(root=tmp_path))
-        cached = run_fig7_rtt(farm=second, **kwargs)
+        cached = plan.run(second)
         assert cached.to_dict() == warm.to_dict()
         assert second.cache.hits == n_specs
         assert second.cache.hit_rate == 1.0
@@ -330,15 +326,11 @@ class TestChaosDeterminism:
         ]
 
     def _report_bytes(self, tmp_path, tag, jobs):
-        from repro.analysis.runners import run_chaos_battery
         from repro.obs.report import RunReport
 
-        records = run_chaos_battery(
-            schedules=self._battery(),
-            duration=0.03,
-            seeds=(1, 2),
-            farm=FarmExecutor(jobs=jobs),
-        )
+        records = chaos_plan(
+            schedules=self._battery(), duration=0.03, seeds=(1, 2)
+        ).run(FarmExecutor(jobs=jobs))
         path = tmp_path / f"chaos-{tag}.json"
         # records only: farm progress snapshots carry wall-clock times
         RunReport(name="chaos", records=records).save(str(path))

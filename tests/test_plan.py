@@ -5,10 +5,9 @@ Pins the three contracts the refactor rests on:
 * the checked-in plan artefacts under ``examples/plans/`` are exactly
   what the builders produce, and every artefact round-trips to
   byte-identical JSON;
-* plan expansion reproduces the historical ``specs_*`` loop nestings
+* plan expansion reproduces the historical hand-wired loop nestings
   spec-key for spec-key (so cache entries and merged records survive);
-* the legacy ``run_*`` shims and ``plan run`` produce bit-identical
-  records.
+* ``plan run`` serial and parallel produce bit-identical records.
 """
 
 import glob
@@ -17,13 +16,6 @@ import os
 
 import pytest
 
-from repro.analysis.runners import (
-    ALL_SCENARIOS,
-    TABLE1_SCENARIOS,
-    run_chaos_battery,
-    run_fig5_udp,
-    run_table1,
-)
 from repro.analysis.tasks import params_to_dict
 from repro.chaos import FaultSchedule, builtin_battery
 from repro.farm.executor import FarmExecutor
@@ -44,6 +36,7 @@ from repro.plan import (
 )
 from repro.plan.cli import plan_main
 from repro.scenarios import scenario_names
+from repro.scenarios.registry import figure_scenarios, table1_scenarios
 from repro.scenarios.testbed import VARIANTS
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -127,7 +120,7 @@ class TestExpansionEquivalence:
                  "params": None},
                 seed=1,
             )
-            for variant in ALL_SCENARIOS
+            for variant in figure_scenarios()
         ]
         plan = fig5_plan(duration=0.04, iterations=6)
         assert _keys(plan.expand()) == _keys(legacy)
@@ -153,7 +146,7 @@ class TestExpansionEquivalence:
                 {"variant": variant, "count": 20, "params": None},
                 seed=1 + rep,
             )
-            for variant in TABLE1_SCENARIOS
+            for variant in table1_scenarios()
             for rep in range(2)
         ]
         plan = fig7_plan(count=20, sequences=2)
@@ -169,7 +162,7 @@ class TestExpansionEquivalence:
                  "duration": 0.05, "params": tuned},
                 seed=1 + rep,
             )
-            for variant in TABLE1_SCENARIOS
+            for variant in table1_scenarios()
             for size in sizes
             for rep in range(2)
         ]
@@ -194,10 +187,20 @@ class TestExpansionEquivalence:
     def test_table1_is_one_batch_of_the_three_stages(self):
         plan = table1_plan()
         specs = plan.expand()
-        tcp = fig4_plan(scenarios=TABLE1_SCENARIOS).expand()
-        udp = fig5_plan(scenarios=TABLE1_SCENARIOS).expand()
+        tcp = fig4_plan(scenarios=table1_scenarios()).expand()
+        udp = fig5_plan(scenarios=table1_scenarios()).expand()
         rtt = fig7_plan(sequences=2).expand()
         assert _keys(specs) == _keys(tcp) + _keys(udp) + _keys(rtt)
+
+    def test_table1_runs_as_one_farm_batch(self):
+        farm = FarmExecutor()
+        values = table1_plan(duration_tcp=0.03, duration_udp=0.03,
+                             ping_count=5, repetitions=1).run(farm)
+        # 5 tcp + 5 udp + 5 rtt specs, one batch, one farm
+        assert farm.progress.queued == 15
+        assert set(values) == {"tcp_mbps", "udp_mbps", "rtt_ms"}
+        for metric in values:
+            assert set(values[metric]) == set(table1_scenarios())
 
     def test_rep_args_cycle_by_seed_position(self):
         stage = fig4_plan(scenarios=("linespeed",), repetitions=4).stages[0]
@@ -297,10 +300,10 @@ class TestRegistryDerivation:
                             "pox3", "dup3", "dup5")
 
     def test_figure_and_table1_orders(self):
-        assert ALL_SCENARIOS == ("linespeed", "dup3", "dup5",
-                                 "central3", "central5", "pox3")
-        assert TABLE1_SCENARIOS == ("linespeed", "dup3", "dup5",
-                                    "central3", "central5")
+        assert figure_scenarios() == ("linespeed", "dup3", "dup5",
+                                      "central3", "central5", "pox3")
+        assert table1_scenarios() == ("linespeed", "dup3", "dup5",
+                                      "central3", "central5")
 
     def test_build_testbed_error_lists_registry_names(self):
         from repro.scenarios.testbed import build_testbed
@@ -313,30 +316,6 @@ class TestRegistryDerivation:
 
         with pytest.raises(SystemExit):
             main(["chaos", "--variant", "bogus"])
-
-
-class TestShimEquivalence:
-    """Legacy run_* and the plans they shim produce identical records."""
-
-    def test_fig5_quick_shim_matches_plan(self):
-        legacy = run_fig5_udp(duration=0.04, iterations=6)
-        plan = builtin_plan("fig5", quick=True).run()
-        assert legacy.to_dict() == plan.to_dict()
-
-    def test_chaos_battery_shim_matches_plan(self):
-        legacy = run_chaos_battery(duration=0.04, seeds=(1,))
-        plan = builtin_plan("chaos", quick=True).run()
-        assert legacy == plan
-
-    def test_table1_runs_as_one_farm_batch(self):
-        farm = FarmExecutor()
-        values = run_table1(duration_tcp=0.03, duration_udp=0.03,
-                            ping_count=5, repetitions=1, farm=farm)
-        # 5 tcp + 5 udp + 5 rtt specs, one batch, one farm
-        assert farm.progress.queued == 15
-        assert set(values) == {"tcp_mbps", "udp_mbps", "rtt_ms"}
-        for metric in values:
-            assert set(values[metric]) == set(TABLE1_SCENARIOS)
 
 
 class TestPlanCli:
