@@ -222,29 +222,30 @@ class CompareCore(QuorumVoter):
         self._contexts[context.scope] = context
         self.stats.submissions += 1
         cost = self.config.proc_time + self.config.proc_per_byte * packet.wire_len
-        if cost <= 0.0 and self.sim.now >= self._busy_until:
+        sim = self.sim
+        now = sim.now  # the public clock: `sim` may be a RealTimeScheduler
+        if cost <= 0.0 and now >= self._busy_until:
             self._serve(packet, branch, context, claim)
             return
         if self._in_service >= self.config.service_queue_capacity:
             self.stats.queue_drops += 1
             self._trace("compare.queue_drop", branch=branch)
             return
-        start = max(self.sim.now, self._busy_until)
-        finish = start + cost
+        finish = max(now, self._busy_until) + cost
         self._busy_until = finish
         self._in_service += 1
+        sim.post(finish, self._serve_one, (packet, branch, context, claim))
 
-        def _serve_one() -> None:
-            self._in_service -= 1
-            self._serve(packet, branch, context, claim)
-
-        realm = self.sim.realm
-        if realm is not None:
-            # Keep compare service completions on the micro heap so they
-            # interleave with in-flight train packets in global time order.
-            realm.post(finish, _serve_one, ())
-        else:
-            self.sim.schedule_at(finish, _serve_one)
+    def _serve_one(
+        self,
+        packet: Packet,
+        branch: int,
+        context: CompareContext,
+        claim: Optional[int],
+    ) -> None:
+        """Event: the single-server processor finishes one queued copy."""
+        self._in_service -= 1
+        self._serve(packet, branch, context, claim)
 
     def _serve(
         self,

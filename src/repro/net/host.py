@@ -145,18 +145,16 @@ class Host(Node):
         The transmission waits for the host CPU if the receive path is
         busy serving queued arrivals.
         """
+        sim = self.sim
+        now = sim._now
         tracer = self.tracer
         if tracer is not None and packet.trace_id is None:
-            tracer.mark(packet, self.sim.now, self.name)
-        depart = max(self.sim.now, self._cpu_busy_until) + self._stack_traversal()
-        if depart <= self.sim.now:
+            tracer.mark(packet, now, self.name)
+        depart = max(now, self._cpu_busy_until) + self._stack_traversal()
+        if depart <= now:
             self.port(1).send(packet)
-            return
-        realm = self.sim.realm
-        if realm is not None:
-            realm.post(depart, self.port(1).send, (packet,))
         else:
-            self.sim.schedule_at(depart, lambda: self.port(1).send(packet))
+            sim.post(depart, self.port(1).send, (packet,))
 
     # ------------------------------------------------------------------
     # receiving
@@ -176,20 +174,16 @@ class Host(Node):
             self.trace("host.rx_drop", packet=packet)
             return
         # Single-server receive path: packets queue behind the stack.
-        start = max(self.sim.now, self._cpu_busy_until)
-        finish = start + cost
+        sim = self.sim
+        finish = max(sim._now, self._cpu_busy_until) + cost
         self._cpu_busy_until = finish
         self._recv_queued += 1
+        sim.post(finish + self._stack_traversal(), self._deliver, (packet,))
 
-        def _deliver() -> None:
-            self._recv_queued -= 1
-            self._dispatch(packet)
-
-        realm = self.sim.realm
-        if realm is not None:
-            realm.post(finish + self._stack_traversal(), _deliver, ())
-        else:
-            self.sim.schedule_at(finish + self._stack_traversal(), _deliver)
+    def _deliver(self, packet: Packet) -> None:
+        """Event: the receive stack hands one queued packet up."""
+        self._recv_queued -= 1
+        self._dispatch(packet)
 
     def receive_batch_packet(self, batch, i: int, in_port: Port) -> None:
         """:meth:`receive` for one train packet, at the patched clock.

@@ -86,31 +86,34 @@ class _Direction:
         )
 
     def transmit(self, packet: "Packet", deliver_to: "Port") -> None:
-        sim = self._link.sim
-        now = sim.now
-        if self._link.is_down:
-            self.stats.fault_drops += 1
-            self._link.trace(now, "link.drop", self._name, reason="down", packet=packet)
+        link = self._link
+        sim = link.sim
+        now = sim._now
+        stats = self.stats
+        if link._down:
+            stats.fault_drops += 1
+            link.trace(now, "link.drop", self._name, reason="down", packet=packet)
             return
         if self._queued >= self._queue_capacity:
-            self.stats.queue_drops += 1
-            self._link.trace(now, "link.drop", self._name, reason="queue", packet=packet)
+            stats.queue_drops += 1
+            link.trace(now, "link.drop", self._name, reason="queue", packet=packet)
             return
         wire_len = packet.wire_len
-        self.stats.tx_packets += 1
-        self.stats.tx_bytes += wire_len
+        stats.tx_packets += 1
+        stats.tx_bytes += wire_len
         if self._rate_bps is None:
             start = finish = now
         else:
-            start = max(now, self._busy_until)
+            start = self._busy_until
+            if start < now:
+                start = now
             finish = start + wire_len * 8.0 / self._rate_bps
             self._busy_until = finish
         self._queued += 1
-        arrive = finish + self._delay
         if self._h_queue_delay is not None:
             self._h_queue_delay.observe(start - now)
         if packet.trace_id is not None:
-            self._link.trace(
+            link.trace(
                 now,
                 "link.tx",
                 self._name,
@@ -122,29 +125,24 @@ class _Direction:
         if self._loss_model is not None:
             lost = self._loss_model()
         elif self._loss > 0.0:
-            lost = self._link.rng.random() < self._loss
+            lost = link.rng.random() < self._loss
         else:
             lost = False
+        sim.post(finish + self._delay, self._arrive, (packet, wire_len, lost, deliver_to))
 
-        def _complete() -> None:
-            self._queued -= 1
-            if lost:
-                self.stats.loss_drops += 1
-                self._link.trace(
-                    sim.now, "link.drop", self._name, reason="loss", packet=packet
-                )
-                return
-            self.stats.delivered_packets += 1
-            self.stats.delivered_bytes += wire_len
-            deliver_to.deliver(packet)
-
-        realm = sim.realm
-        if realm is not None:
-            # Keep single-packet completions on the realm's micro heap so
-            # they interleave with train packets in global time order.
-            realm.post(arrive, _complete, ())
-        else:
-            sim.schedule_at(arrive, _complete)
+    def _arrive(self, packet: "Packet", wire_len: int, lost: bool, deliver_to: "Port") -> None:
+        """Event: the frame reaches the far end of the wire."""
+        self._queued -= 1
+        stats = self.stats
+        if lost:
+            stats.loss_drops += 1
+            self._link.trace(
+                self._link.sim._now, "link.drop", self._name, reason="loss", packet=packet
+            )
+            return
+        stats.delivered_packets += 1
+        stats.delivered_bytes += wire_len
+        deliver_to.deliver(packet)
 
     # ------------------------------------------------------------------
     # packet-train fast path (batch realm)
@@ -267,8 +265,8 @@ class Link:
             self, f"{self.name}:{b.full_name}->{a.full_name}",
             rate_bps, delay, loss, queue_capacity,
         )
-        a.attach_link(self)
-        b.attach_link(self)
+        a.attach_link(self, self._a_to_b, b)
+        b.attach_link(self, self._b_to_a, a)
 
     # ------------------------------------------------------------------
     # fault hooks (chaos engine / operator actions)
@@ -309,26 +307,6 @@ class Link:
     def rates_bps(self) -> tuple:
         """Current per-direction rates (a->b, b->a)."""
         return (self._a_to_b._rate_bps, self._b_to_a._rate_bps)
-
-    def send_from(self, src_port: "Port", packet: "Packet") -> None:
-        """Transmit ``packet`` out of ``src_port`` toward the other end."""
-        if src_port is self.a:
-            self._a_to_b.transmit(packet, self.b)
-        elif src_port is self.b:
-            self._b_to_a.transmit(packet, self.a)
-        else:
-            raise ValueError(f"port {src_port.full_name} is not an endpoint of {self.name}")
-
-    def send_from_batch(self, src_port: "Port", batch, i: int, now: float) -> None:
-        """Transmit one train packet out of ``src_port`` at time ``now``."""
-        if src_port is self.a:
-            self._a_to_b.ingress_batch_packet(batch, i, now, self.b)
-        elif src_port is self.b:
-            self._b_to_a.ingress_batch_packet(batch, i, now, self.a)
-        else:
-            raise ValueError(
-                f"port {src_port.full_name} is not an endpoint of {self.name}"
-            )
 
     def peer_of(self, port: "Port") -> "Port":
         if port is self.a:

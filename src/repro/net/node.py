@@ -38,8 +38,8 @@ class Port:
         self.taps: List[Callable[["Packet"], None]] = []
         # A port may be administratively blocked (compare DoS mitigation).
         self.blocked_until: float = 0.0
-        # Train fast path: the link direction this port transmits into and
-        # the far-end port, resolved once on first use (wiring is static).
+        # The link direction this port transmits into and the far-end
+        # port, handed over by the link when it wires the port.
         self._egress_dir = None
         self._egress_to: Optional["Port"] = None
 
@@ -47,10 +47,12 @@ class Port:
     def full_name(self) -> str:
         return f"{self.node.name}.p{self.port_no}"
 
-    def attach_link(self, link: "Link") -> None:
+    def attach_link(self, link: "Link", egress_dir, egress_to: "Port") -> None:
         if self.link is not None:
             raise NetworkError(f"port {self.full_name} already wired")
         self.link = link
+        self._egress_dir = egress_dir
+        self._egress_to = egress_to
 
     @property
     def is_wired(self) -> bool:
@@ -67,7 +69,7 @@ class Port:
         """Transmit a packet out of this port (drops if unwired/blocked)."""
         if self.link is None:
             return
-        now = self.node.sim.now
+        now = self.node.sim._now
         if now < self.blocked_until:
             self.node.trace("port.blocked_drop", port=self.port_no, packet=packet)
             return
@@ -75,7 +77,7 @@ class Port:
         self.tx_bytes += packet.wire_len
         if packet.trace_id is not None:
             self._span(packet, "span.send", now)
-        self.link.send_from(self, packet)
+        self._egress_dir.transmit(packet, self._egress_to)
 
     def send_batch_packet(self, batch, i: int, now: float) -> None:
         """:meth:`send` for one packet of a train at virtual time ``now``.
@@ -83,8 +85,7 @@ class Port:
         Train packets are never trace-marked (marked packets split out of
         the train at emission), so the span branch is omitted.
         """
-        link = self.link
-        if link is None:
+        if self.link is None:
             return
         if now < self.blocked_until:
             self.node.trace(
@@ -93,12 +94,7 @@ class Port:
             return
         self.tx_packets += 1
         self.tx_bytes += batch.wire_len
-        direction = self._egress_dir
-        if direction is None:
-            direction = link._a_to_b if self is link.a else link._b_to_a
-            self._egress_dir = direction
-            self._egress_to = link.peer_of(self)
-        direction.ingress_batch_packet(batch, i, now, self._egress_to)
+        self._egress_dir.ingress_batch_packet(batch, i, now, self._egress_to)
 
     def deliver_batch_packet(self, batch, i: int, now: float) -> None:
         """:meth:`deliver` for one packet of a train at time ``now``."""
@@ -121,7 +117,7 @@ class Port:
         self.rx_bytes += packet.wire_len
         for tap in self.taps:
             tap(packet)
-        now = self.node.sim.now
+        now = self.node.sim._now
         # The span hop mirrors tcpdump-tap semantics exactly: it fires on
         # every delivery, before the administrative port block is applied
         # (taps above see blocked arrivals too).

@@ -479,7 +479,7 @@ class Packet:
     """
 
     __slots__ = ("_eth", "_vlan", "_ip", "_l4", "_payload", "meta",
-                 "_wire", "_snap", "_cow", "trace_id")
+                 "_wire", "_snap", "_cow", "trace_id", "wire_len")
 
     def __init__(
         self,
@@ -496,6 +496,11 @@ class Packet:
         self._ip = ip
         self._l4 = l4
         self._payload = payload
+        #: frame length in bytes on the wire.  It depends only on which
+        #: headers exist and on ``len(payload)`` — never on a field value —
+        #: so it is a plain attribute, rewritten by the four setters that
+        #: can change it and carried over by :meth:`copy`.
+        self.wire_len = self._frame_len()
         self._wire: Optional[bytes] = None
         self._snap: Optional[tuple] = None
         self._cow = 0
@@ -545,6 +550,7 @@ class Packet:
         self._vlan = value
         self._cow &= ~_COW_VLAN
         self._wire = None
+        self.wire_len = self._frame_len()
 
     @property
     def ip(self) -> Optional[Ipv4]:
@@ -557,6 +563,7 @@ class Packet:
         self._ip = value
         self._cow &= ~_COW_IP
         self._wire = None
+        self.wire_len = self._frame_len()
 
     @property
     def l4(self) -> Optional[TransportHeader]:
@@ -569,6 +576,7 @@ class Packet:
         self._l4 = value
         self._cow &= ~_COW_L4
         self._wire = None
+        self.wire_len = self._frame_len()
 
     @property
     def payload(self) -> bytes:
@@ -578,6 +586,7 @@ class Packet:
     def payload(self, value: bytes) -> None:
         self._payload = value
         self._wire = None
+        self.wire_len = self._frame_len()
 
     def fields(self) -> tuple:
         """Read-only view ``(eth, vlan, ip, l4, payload)`` of the stack.
@@ -752,11 +761,8 @@ class Packet:
             l4, payload = Icmp.from_bytes(rest)
         return cls(eth, ip, l4, payload, vlan=vlan)
 
-    @property
-    def wire_len(self) -> int:
-        """Frame length in bytes on the wire."""
-        if self._wire is not None and self._cache_valid():
-            return len(self._wire)
+    def _frame_len(self) -> int:
+        """Length :meth:`_serialise` would produce for the current stack."""
         length = ETHERNET_HEADER_LEN + len(self._payload)
         if self._vlan is not None:
             length += VLAN_TAG_LEN
@@ -860,6 +866,7 @@ class Packet:
         new._ip = ip
         new._l4 = l4
         new._payload = self._payload
+        new.wire_len = self.wire_len
         new.meta = None
         new.trace_id = self.trace_id
         new._cow = cow

@@ -98,22 +98,16 @@ class Controller:
         if self.proc_time <= 0.0:
             self._dispatch(switch, message)
             return
-        start = max(self.sim.now, self._busy_until)
-        finish = start + self.proc_time
+        sim = self.sim
+        finish = max(sim._now, self._busy_until) + self.proc_time
         self._busy_until = finish
         self._in_service += 1
+        sim.post(finish, self._serve_one, (switch, message))
 
-        def _serve() -> None:
-            self._in_service -= 1
-            self._dispatch(switch, message)
-
-        realm = self.sim.realm
-        if realm is not None:
-            # Control-channel service must interleave with in-flight train
-            # packets in global time order (POX3 exactness).
-            realm.post(finish, _serve, ())
-        else:
-            self.sim.schedule_at(finish, _serve)
+    def _serve_one(self, switch: "OpenFlowSwitch", message: object) -> None:
+        """Event: the controller CPU finishes one queued message."""
+        self._in_service -= 1
+        self._dispatch(switch, message)
 
     def _dispatch(self, switch: "OpenFlowSwitch", message: object) -> None:
         if isinstance(message, PacketIn):
@@ -137,14 +131,12 @@ class Controller:
         if self.outbox is not None:
             self.outbox(self, switch, message)
             return
-        latency = switch.controller_latency()
-        realm = self.sim.realm
-        if realm is not None:
-            realm.post(
-                self.sim.now + latency, switch.handle_controller_message, (message,)
-            )
-        else:
-            self.sim.schedule(latency, lambda: switch.handle_controller_message(message))
+        sim = self.sim
+        sim.post(
+            sim._now + switch.controller_latency(),
+            switch.handle_controller_message,
+            (message,),
+        )
 
     def send_flow_mod(self, switch: "OpenFlowSwitch", mod: FlowMod) -> None:
         self.send(switch, mod)

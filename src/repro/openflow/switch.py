@@ -156,16 +156,11 @@ class OpenFlowSwitch(Node):
         controller = self._controller
         if controller is None:
             return
-        realm = self.sim.realm
-        if realm is not None:
-            realm.post(
-                self.sim.now + self._controller_latency,
-                controller.receive_from_switch,
-                (self, message),
-            )
-            return
-        self.sim.schedule(
-            self._controller_latency, lambda: controller.receive_from_switch(self, message)
+        sim = self.sim
+        sim.post(
+            sim._now + self._controller_latency,
+            controller.receive_from_switch,
+            (self, message),
         )
 
     def handle_controller_message(self, message: object) -> None:
@@ -201,18 +196,15 @@ class OpenFlowSwitch(Node):
         if cost <= 0.0:
             self._process(packet, in_port.port_no)
             return
-        finish = self.cpu.acquire(self.sim.now, cost)
+        sim = self.sim
+        finish = self.cpu.acquire(sim._now, cost)
         self._in_service += 1
+        sim.post(finish, self._serve_one, (packet, in_port.port_no))
 
-        def _serve() -> None:
-            self._in_service -= 1
-            self._process(packet, in_port.port_no)
-
-        realm = self.sim.realm
-        if realm is not None:
-            realm.post(finish, _serve, ())
-        else:
-            self.sim.schedule_at(finish, _serve)
+    def _serve_one(self, packet: Packet, in_port_no: int) -> None:
+        """Event: CPU service of one packet completes."""
+        self._in_service -= 1
+        self._process(packet, in_port_no)
 
     # ------------------------------------------------------------------
     # packet-train fast path (batch realm)
@@ -355,14 +347,15 @@ class OpenFlowSwitch(Node):
             self.stats.dropped_failed += 1
             self.trace("switch.drop", reason="failed", packet=packet)
             return
-        for entry in self.table.sweep_expired(self.sim.now):
-            self._notify_flow_removed(entry, reason=entry.expired(self.sim.now) or "idle")
+        now = self.sim._now
+        for entry in self.table.sweep_expired(now):
+            self._notify_flow_removed(entry, reason=entry.expired(now) or "idle")
         if self.behavior is not None:
             handled = self.behavior.handle(self, packet, in_port_no)
             if handled:
                 self.stats.behavior_handled += 1
                 return
-        entry = self.table.lookup(packet, in_port_no, self.sim.now)
+        entry = self.table.lookup(packet, in_port_no, now)
         if entry is None:
             self.stats.dropped_no_match += 1
             self._table_miss(packet, in_port_no)
@@ -395,10 +388,14 @@ class OpenFlowSwitch(Node):
     ) -> None:
         """Apply an OF 1.0 action list to (a working copy of) the packet."""
         working = packet.copy()
+        last = len(actions) - 1
         emitted = False
-        for action in actions:
+        for index, action in enumerate(actions):
             if isinstance(action, Output):
-                self._output(working, action.port, in_port_no)
+                # Nothing touches the working copy after the final action,
+                # so a final Output sends it as is (a copy of this fresh
+                # copy would be indistinguishable from it).
+                self._output(working, action.port, in_port_no, index == last)
                 emitted = True
             else:
                 action.apply(working)
@@ -415,7 +412,11 @@ class OpenFlowSwitch(Node):
             self._egress_sessions[port.port_no] = session
         return session
 
-    def _output(self, packet: Packet, out_port: int, in_port_no: int) -> None:
+    def _output(
+        self, packet: Packet, out_port: int, in_port_no: int, owned: bool = False
+    ) -> None:
+        """Emit ``packet`` on ``out_port``; ``owned`` means the caller is
+        done with it, so a unicast output need not copy it again."""
         if out_port == PORT_FLOOD:
             for port_no, port in sorted(self.ports.items()):
                 if port_no != in_port_no and port.is_wired:
@@ -433,14 +434,14 @@ class OpenFlowSwitch(Node):
             )
         elif out_port == PORT_IN_PORT:
             port = self.ports.get(in_port_no)
-            if port is not None and port.is_wired:
-                self._egress_session(port).send(packet.copy())
+            if port is not None and port.link is not None:
+                self._egress_session(port).send(packet if owned else packet.copy())
         else:
             port = self.ports.get(out_port)
-            if port is None or not port.is_wired:
+            if port is None or port.link is None:
                 self.trace("switch.drop", reason="bad_port", port=out_port, packet=packet)
                 return
-            self._egress_session(port).send(packet.copy())
+            self._egress_session(port).send(packet if owned else packet.copy())
 
     # ------------------------------------------------------------------
     # controller message handling

@@ -13,8 +13,8 @@ sequence number), and all randomness flows through seeded
 
 from __future__ import annotations
 
-import heapq
 import math
+from heapq import heapify, heappop, heappush
 from typing import Callable, List, Optional, Tuple
 
 
@@ -22,49 +22,30 @@ class SimulationError(Exception):
     """Raised for invalid uses of the simulation engine."""
 
 
-class _Event:
-    """A single scheduled callback.
+class EventHandle:
+    """A cancellable scheduled callback, returned by :meth:`Simulator.schedule`.
 
-    Events sit in the heap as ``(time, seq, event)`` tuples, so ordering
-    is decided by plain float/int comparisons — simultaneous events
-    preserve FIFO scheduling order, which keeps runs bit-for-bit
-    reproducible — and the event object itself is a bare slotted record.
+    It is the only object a cancellable event allocates: it rides in the
+    fifth field of its heap entry, where :meth:`Simulator.run` reads
+    ``cancelled``.  ``_sim`` is cleared once the event has fired or been
+    cancelled, so a late ``cancel()`` is a no-op.
     """
 
-    __slots__ = ("time", "callback", "cancelled", "fired")
+    __slots__ = ("time", "cancelled", "_sim")
 
-    def __init__(self, time: float, callback: Callable[[], None]) -> None:
+    def __init__(self, time: float, sim: "Simulator") -> None:
+        #: simulated timestamp at which the event will fire
         self.time = time
-        self.callback: Optional[Callable[[], None]] = callback
         self.cancelled = False
-        self.fired = False
-
-
-class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`; allows cancellation."""
-
-    __slots__ = ("_event", "_sim")
-
-    def __init__(self, event: _Event, sim: "Simulator") -> None:
-        self._event = event
-        self._sim = sim
+        self._sim: Optional["Simulator"] = sim
 
     def cancel(self) -> None:
         """Cancel the event if it has not fired yet (idempotent)."""
-        event = self._event
-        if not event.cancelled and not event.fired:
-            event.cancelled = True
-            event.callback = None  # release closure references early
-            self._sim._note_cancel()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
-    @property
-    def time(self) -> float:
-        """Simulated timestamp at which the event will fire."""
-        return self._event.time
+        sim = self._sim
+        if sim is not None:
+            self._sim = None
+            self.cancelled = True
+            sim._note_cancel()
 
 
 class Simulator:
@@ -84,7 +65,10 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue: List[Tuple[float, int, _Event]] = []
+        #: heap of ``(when, seq, fn, args, handle-or-None)``: ordering is
+        #: decided by the float/int prefix, so simultaneous events fire in
+        #: scheduling order (``seq`` is unique; later fields never compare)
+        self._queue: List[Tuple[float, int, Callable[..., None], tuple, Optional[EventHandle]]] = []
         self._seq = 0
         self._live = 0  # queued, non-cancelled events (O(1) pending_events)
         self._dead = 0  # cancelled events still sitting in the heap
@@ -127,17 +111,41 @@ class Simulator:
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at absolute simulated time ``when``."""
-        if when < self._now:
+        # `not >=` rather than `<`: it rejects NaN as well as the past.
+        if not when >= self._now:
             raise SimulationError(
                 f"cannot schedule into the past (now={self._now}, when={when})"
             )
-        event = _Event(when, callback)
-        heapq.heappush(self._queue, (when, self._seq, event))
+        handle = EventHandle(when, self)
+        heappush(self._queue, (when, self._seq, callback, (), handle))
         self._seq += 1
         self._live += 1
         if self._live > self._peak_pending:
             self._peak_pending = self._live
-        return EventHandle(event, self)
+        return handle
+
+    def post(self, when: float, fn: Callable[..., None], args: tuple = ()) -> None:
+        """Fire-and-forget ``fn(*args)`` at absolute time ``when``.
+
+        The per-packet form of :meth:`schedule_at` — no handle, no closure,
+        the same FIFO order among simultaneous events.  With a batch realm
+        attached the event goes to its micro heap, so single packets
+        interleave with train packets in global time order.
+        """
+        if not when >= self._now:
+            raise SimulationError(
+                f"cannot schedule into the past (now={self._now}, when={when})"
+            )
+        if self.realm is not None:
+            self.realm.post(when, fn, args)
+            return
+        # The push is spelled out here and in schedule_at, not shared: a
+        # helper would be one more Python frame on every event.
+        heappush(self._queue, (when, self._seq, fn, args, None))
+        self._seq += 1
+        self._live += 1
+        if self._live > self._peak_pending:
+            self._peak_pending = self._live
 
     # ------------------------------------------------------------------
     # execution
@@ -164,20 +172,19 @@ class Simulator:
             while queue:
                 if self._stop_requested:
                     break
-                event = queue[0][2]
-                if event.cancelled:
-                    heapq.heappop(queue)
+                when, _seq, fn, args, handle = queue[0]
+                if handle is not None and handle.cancelled:
+                    heappop(queue)
                     self._dead -= 1
                     continue
-                if until is not None and event.time > until:
+                if until is not None and when > until:
                     break
-                heapq.heappop(queue)
+                heappop(queue)
                 self._live -= 1
-                self._now = event.time
-                callback = event.callback
-                event.fired = True
-                event.callback = None
-                callback()
+                self._now = when
+                if handle is not None:
+                    handle._sim = None  # fired: a late cancel() is a no-op
+                fn(*args)
                 self._events_processed += 1
                 executed += 1
                 if max_events is not None and executed > max_events:
@@ -204,8 +211,8 @@ class Simulator:
         queue = self._queue
         while queue:
             head = queue[0]
-            if head[2].cancelled:
-                heapq.heappop(queue)
+            if head[4] is not None and head[4].cancelled:
+                heappop(queue)
                 self._dead -= 1
                 continue
             return head[0]
@@ -226,8 +233,10 @@ class Simulator:
         self._dead += 1
         if self._dead > self._COMPACT_MIN_DEAD and self._dead * 2 > len(self._queue):
             # In place: run() iterates over the same list object.
-            self._queue[:] = [item for item in self._queue if not item[2].cancelled]
-            heapq.heapify(self._queue)
+            self._queue[:] = [
+                item for item in self._queue if item[4] is None or not item[4].cancelled
+            ]
+            heapify(self._queue)
             self._dead = 0
 
 
@@ -248,8 +257,8 @@ class CpuResource:
         self.busy_time = 0.0
 
     def acquire(self, now: float, duration: float) -> float:
-        start = max(now, self._busy_until)
-        finish = start + duration
+        busy = self._busy_until
+        finish = (now if now > busy else busy) + duration
         self._busy_until = finish
         self.busy_time += duration
         return finish

@@ -6,8 +6,8 @@ keeping every observable bit-identical to the event-per-packet run.  The
 trick is a second, much cheaper event queue:
 
 * Batch stages post *micro-events* — bare ``(time, seq, fn, args)``
-  tuples on a private heap, no ``_Event`` object, no closure, no
-  :class:`EventHandle`.
+  tuples on a private heap, the shape of :meth:`Simulator.post` — and
+  while a realm is attached ``Simulator.post`` itself lands here.
 * The realm keeps exactly one *tick* event on the outer simulator heap,
   pinned at the earliest micro-event time.  When the tick fires, the
   realm drains every micro-event that is due strictly before the next
@@ -159,7 +159,7 @@ class BatchRealm:
     def outer_next(self) -> float:
         """The outer heap's next event time, cached between schedules.
 
-        ``sim._seq`` is bumped by every ``schedule_at``, so it doubles as
+        ``sim._seq`` is bumped by every outer-heap push, so it doubles as
         a cheap change marker.  Cancellations are not tracked: they only
         push the true head later, so the cached value is at worst *early*
         — callers stop sooner than strictly necessary, never too late.

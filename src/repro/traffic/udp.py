@@ -129,10 +129,11 @@ class UdpSender:
         if realm is not None:
             self._send_train(realm)
             return
-        if not self._running or sim.now >= self._end_time:
+        now = sim.now
+        if not self._running or now >= self._end_time:
             self._running = False
             return
-        payload = _encode_payload(self.sent, sim.now, self.payload_size)
+        payload = _encode_payload(self.sent, now, self.payload_size)
         packet = Packet.udp(
             src_mac=self.host.mac,
             dst_mac=self.dst_mac,
@@ -145,7 +146,7 @@ class UdpSender:
         )
         self.host.send(packet)
         self.sent += 1
-        sim.schedule(self.interval, self._send_one)
+        sim.post(now + self.interval, self._send_one)
 
     def _send_train(self, realm) -> None:
         """Emit up to ``realm.train`` datagrams as one packet train.

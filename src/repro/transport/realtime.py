@@ -2,7 +2,8 @@
 
 :class:`CompareCore`, :class:`~repro.sim.PeriodicTask` and the
 quarantine machinery only touch ``sim.now``, ``sim.schedule``,
-``sim.schedule_at`` and ``sim.realm``; this adapter maps those onto an
+``sim.schedule_at``, ``sim.post`` and ``sim.realm`` (never the DES
+clock's private ``_now``); this adapter maps those onto an
 asyncio event loop so the *same* voting code runs unmodified in a
 real-time process.  ``now`` is seconds since the scheduler was created
 (``loop.time()`` is monotonic), which keeps compare timestamps small and
@@ -52,3 +53,6 @@ class RealTimeScheduler:
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> _Handle:
         return self.schedule(when - self.now, callback)
+
+    def post(self, when: float, fn: Callable[..., None], args: tuple = ()) -> None:
+        self._loop.call_later(max(0.0, when - self.now), fn, *args)

@@ -12,14 +12,22 @@ and mutating a header object shared by copy-on-write raises.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.adversary.modify import dst_mac_rewrite, vlan_rewrite
 from repro.net.addresses import IpAddress, MacAddress
 from repro.net.packet import (
+    IP_PROTO_ICMP,
+    IP_PROTO_TCP,
+    IP_PROTO_UDP,
     Ethernet,
+    Icmp,
     Ipv4,
     Packet,
+    PacketBatch,
     PacketError,
+    Tcp,
+    Udp,
     Vlan,
     incremental_checksum_update,
     internet_checksum,
@@ -294,3 +302,100 @@ class TestIncrementalChecksum:
         packet.decrement_ttl()
         wire = packet.to_bytes()
         assert internet_checksum(wire[14:34]) == 0  # RFC 1071 self-check
+
+
+# ----------------------------------------------------------------------
+# wire_len is a maintained attribute: it must track the frame through
+# every mutation path without ever consulting the wire cache
+# ----------------------------------------------------------------------
+_small = st.integers(0, 255)
+_payloads = st.binary(max_size=64)
+
+
+_OPS = ("field", "vlan", "ip", "l4", "payload", "copy", "warm", "ttl", "eth", "parse")
+
+
+def _apply(packet: Packet, op: str, n: int, data: bytes) -> Packet:
+    """Apply one mutation path; return the packet to carry on with."""
+    _eth, vlan, ip, l4, _payload = packet.fields()
+    if op == "field":  # a header-field write through the owning packet
+        packet.eth.src = MacAddress.from_index(n)
+        if ip is not None:
+            packet.ip.ident = n
+        if isinstance(l4, (Udp, Tcp)):
+            packet.l4.sport = 1000 + n
+        if vlan is not None:
+            packet.vlan.vid = n
+    elif op == "vlan":
+        packet.vlan = Vlan(n) if n % 3 else None
+    elif op == "ip":
+        proto = (IP_PROTO_UDP, IP_PROTO_TCP, IP_PROTO_ICMP)[n % 3]
+        packet.ip = (
+            Ipv4(IpAddress.from_index(1), IpAddress.from_index(2), proto) if n % 4 else None
+        )
+    elif op == "l4":
+        packet.l4 = (None, Udp(1, 2), Tcp(3, 4, seq=n), Icmp(8, ident=n))[n % 4]
+    elif op == "payload":
+        packet.payload = data
+    elif op == "copy":
+        return packet.copy()
+    elif op == "warm":
+        packet.to_bytes()
+    elif op == "ttl":
+        if ip is not None and ip.ttl > 0:
+            packet.decrement_ttl()
+    elif op == "eth":
+        packet.rewrite_eth(dst=MacAddress.from_index(n))
+    elif op == "parse":
+        try:
+            return Packet.parse(packet.to_bytes())
+        except PacketError:  # e.g. an l4 header that contradicts ip.proto
+            pass
+    return packet
+
+
+class TestWireLenAttribute:
+    @given(
+        payload=_payloads,
+        vlan=st.one_of(st.none(), st.integers(0, 4095).map(Vlan)),
+        ops=st.lists(
+            st.tuples(st.sampled_from(_OPS), _small, _payloads), max_size=24
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_wire_len_tracks_every_mutation_path(self, payload, vlan, ops):
+        packet = make_packet(payload, vlan)
+        seen = [packet]  # every packet ever produced, CoW siblings included
+        for name, n, data in ops:
+            packet = _apply(packet, name, n, data)
+            seen.append(packet)
+            for each in seen:
+                assert each.wire_len == len(each._serialise()), name
+                assert each.wire_len == len(each.to_bytes()), name
+
+    @given(
+        payload=st.binary(min_size=12, max_size=64),
+        vlan=st.one_of(st.none(), st.integers(0, 4095).map(Vlan)),
+        count=st.integers(1, 6),
+        warm=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_batch_packet_has_the_train_wire_len(self, payload, vlan, count, warm):
+        template = make_packet(payload, vlan)
+        if warm:
+            template.to_bytes()
+        heads = [payload[:12] if i == 0 else bytes([i]) * 12 for i in range(count)]
+        batch = PacketBatch(template, heads, list(range(count)))
+        for i in range(count):
+            packet = batch.packet_at(i)
+            assert packet.wire_len == batch.wire_len == len(packet.to_bytes())
+
+    def test_length_reads_never_validate_the_cache(self, monkeypatch):
+        packet = make_packet()
+        packet.to_bytes()
+        monkeypatch.setattr(
+            Packet, "_cache_valid", lambda self: pytest.fail("length read hit the cache")
+        )
+        assert packet.wire_len == 14 + 20 + 8 + len(b"hello-netco")
+        packet.payload = b"xy"
+        assert packet.wire_len == 14 + 20 + 8 + 2

@@ -67,6 +67,52 @@ class TestScheduling:
         sim.run()
         assert seen == [2.0]
 
+    def test_nan_time_rejected(self):
+        """`nan < now` is False, so a `<` guard lets NaN through; it then
+        fires out of order and leaves the clock at NaN."""
+        sim = Simulator()
+        nan = float("nan")
+        for attempt in (
+            lambda: sim.schedule(nan, lambda: None),
+            lambda: sim.schedule_at(nan, lambda: None),
+            lambda: sim.post(nan, lambda: None),
+        ):
+            with pytest.raises(SimulationError):
+                attempt()
+        assert sim.pending_events() == 0
+        sim.run(until=1.0)
+        assert sim.now == 1.0
+
+    def test_post_past_rejected(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: sim.post(0.5, lambda: None))
+        with pytest.raises(SimulationError):
+            sim.run()
+
+    def test_post_passes_arguments_and_counts_as_an_event(self):
+        sim = Simulator()
+        seen = []
+        sim.post(0.5, lambda a, b: seen.append((sim.now, a, b)), (1, "x"))
+        assert sim.pending_events() == 1
+        sim.run()
+        assert seen == [(0.5, 1, "x")]
+        assert sim.events_processed == 1
+
+    def test_post_and_schedule_at_share_one_fifo(self):
+        """Events at one timestamp fire in posting order whichever call
+        queued them."""
+        sim = Simulator()
+        order = []
+        for i in range(12):
+            if i % 3 == 0:
+                sim.schedule_at(0.5, lambda i=i: order.append(i))
+            elif i % 3 == 1:
+                sim.post(0.5, order.append, (i,))
+            else:
+                sim.schedule(0.5, lambda i=i: order.append(i))
+        sim.run()
+        assert order == list(range(12))
+
 
 class TestRunControl:
     def test_run_until_stops_before_later_events(self):
@@ -153,6 +199,32 @@ class TestCancellation:
         sim.schedule(1.0, lambda: None)
         handle = sim.schedule(2.0, lambda: None)
         handle.cancel()
+        assert sim.pending_events() == 1
+
+    def test_compaction_keeps_posted_entries(self):
+        """Mass cancels rebuild the heap; entries without a handle (from
+        `post`) must survive the rebuild and keep their order."""
+        sim = Simulator()
+        fired = []
+        handles = []
+        for i in range(300):
+            if i % 3 == 0:
+                sim.post(1.0 + i * 1e-3, fired.append, (i,))
+            handles.append(sim.schedule(1.0 + i * 1e-3, lambda: fired.append("cancelled")))
+        for handle in handles:
+            handle.cancel()
+        assert len(sim._queue) < 400  # compaction ran
+        assert sim.pending_events() == 100
+        sim.run()
+        assert fired == list(range(0, 300, 3))
+
+    def test_cancel_after_fire_is_a_no_op(self):
+        sim = Simulator()
+        handle = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.run(until=1.5)
+        handle.cancel()
+        assert not handle.cancelled
         assert sim.pending_events() == 1
 
 

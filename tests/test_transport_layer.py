@@ -238,6 +238,63 @@ class TestSessions:
 
 
 # ----------------------------------------------------------------------
+# RealTimeScheduler: the Simulator surface the voter uses, on asyncio
+# ----------------------------------------------------------------------
+class TestRealTimeScheduler:
+    def test_post_runs_the_call_with_its_arguments(self):
+        import asyncio
+
+        from repro.transport.realtime import RealTimeScheduler
+
+        async def scenario():
+            sched = RealTimeScheduler(asyncio.get_running_loop())
+            got = asyncio.Event()
+            seen = []
+            sched.post(sched.now - 1.0, seen.append, ("late",))  # clamped to now
+            sched.post(sched.now + 0.01, lambda a, b: (seen.append((a, b)), got.set()), (1, 2))
+            await asyncio.wait_for(got.wait(), timeout=5.0)
+            return seen
+
+        assert asyncio.run(scenario()) == ["late", (1, 2)]
+
+    def test_compare_with_service_cost_releases(self):
+        """A non-zero ``proc_time`` queues each copy behind the compare's
+        processor, i.e. goes through ``sim.post`` and reads the clock —
+        the facade has neither a heap nor ``_now``.  (The live stack runs
+        at zero cost and never takes this path.)"""
+        import asyncio
+
+        from repro.core.alarms import AlarmSink
+        from repro.core.compare import CompareConfig, CompareContext, CompareCore
+        from repro.transport.realtime import RealTimeScheduler
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            core = CompareCore(
+                RealTimeScheduler(loop),
+                CompareConfig(k=3, proc_time=1e-3, buffer_timeout=0.5),
+                name="rt_compare",
+                alarm_sink=AlarmSink(None),
+            )
+            got = asyncio.Event()
+            released = []
+            context = CompareContext(
+                scope="s", release=lambda packet: (released.append(packet), got.set())
+            )
+            for branch in range(3):
+                core.submit(_pkt(ident=7), branch, context)
+            assert released == []  # queued, not served inline
+            await asyncio.wait_for(got.wait(), timeout=5.0)
+            await asyncio.sleep(0.01)  # let the third copy be served too
+            return core, released
+
+        core, released = asyncio.run(scenario())
+        assert [p.to_bytes() for p in released] == [_pkt(ident=7).to_bytes()]
+        assert core.stats.submissions == 3
+        assert core._in_service == 0
+
+
+# ----------------------------------------------------------------------
 # UDP loopback smoke: live verdict == DES verdict
 # ----------------------------------------------------------------------
 class TestUdpSmoke:
