@@ -19,9 +19,12 @@ Hot-path machinery (see DESIGN.md "Per-packet hot path"):
 * ``Packet.copy()`` is copy-on-write: the k-way fan-out of a hub shares
   header objects, payload and the cached wire image, and a branch pays for
   private header copies only when it actually mutates them;
-* :func:`internet_checksum` sums native 16-bit words in one C-level loop,
-  and :func:`incremental_checksum_update` implements RFC 1624 so the
-  TTL-decrement path of a routed hop patches the cached image in place.
+* :func:`internet_checksum` reduces the buffer as one big integer mod
+  0xFFFF, and :func:`incremental_checksum_update` implements RFC 1624 so
+  the TTL-decrement path of a routed hop patches the cached image in place;
+* :meth:`Packet.parse` keeps the bytes it was given as the wire image when
+  they are provably what serialising the parsed headers would rebuild, so
+  a received copy is vote-keyed and forwarded without re-serialising.
 
 **Mutability contract**: packets are mutable, but equality and hashing are
 defined over the serialised bytes.  Mutating a header *after* using the
@@ -37,9 +40,7 @@ materialises a private header first.
 from __future__ import annotations
 
 import struct
-import sys
-from array import array
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Union
 
 from repro.net.addresses import IpAddress, MacAddress
 
@@ -78,8 +79,6 @@ UDP_HEADER_LEN = 8
 TCP_HEADER_LEN = 20
 ICMP_HEADER_LEN = 8
 
-_LITTLE_ENDIAN = sys.byteorder == "little"
-
 
 class PacketError(Exception):
     """Raised on malformed packet construction or parsing."""
@@ -88,19 +87,17 @@ class PacketError(Exception):
 def internet_checksum(data: bytes) -> int:
     """RFC 1071 ones-complement checksum over ``data``.
 
-    Sums native-endian 16-bit words in a single C-level loop and
-    byte-swaps the folded result once: ones-complement addition commutes
-    with byte swapping (RFC 1071 §2.B), so the result is identical to
-    summing big-endian words.
+    ``2**16 ≡ 1 (mod 0xFFFF)``, so the ones-complement sum of the
+    big-endian 16-bit words is the whole buffer read as one big integer,
+    reduced mod 0xFFFF — one C-level conversion and one C-level division.
+    The reduction yields 0 where the folded sum is 0xFFFF (a non-zero
+    multiple of 0xFFFF); only an all-zero buffer sums to a true zero.
     """
+    total = int.from_bytes(data, "big")
     if len(data) & 1:
-        data = data + b"\x00"
-    total = sum(array("H", data))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    if _LITTLE_ENDIAN:
-        total = ((total & 0xFF) << 8) | (total >> 8)
-    return (~total) & 0xFFFF
+        total <<= 8  # pad the odd trailing byte to a word
+    folded = total % 0xFFFF
+    return 0xFFFF - folded if folded or not total else 0
 
 
 def incremental_checksum_update(checksum: int, old_word: int, new_word: int) -> int:
@@ -171,15 +168,6 @@ class Ethernet(_Header):
     def to_bytes(self) -> bytes:
         return self.dst.to_bytes() + self.src.to_bytes() + struct.pack("!H", self.ethertype)
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> Tuple["Ethernet", bytes]:
-        if len(data) < ETHERNET_HEADER_LEN:
-            raise PacketError("truncated Ethernet header")
-        dst = MacAddress(data[0:6])
-        src = MacAddress(data[6:12])
-        (ethertype,) = struct.unpack("!H", data[12:14])
-        return cls(dst, src, ethertype), data[14:]
-
     def copy(self) -> "Ethernet":
         return Ethernet(self.dst, self.src, self.ethertype)
 
@@ -204,13 +192,6 @@ class Vlan(_Header):
     def to_bytes(self, inner_ethertype: int) -> bytes:
         tci = (self.pcp << 13) | self.vid
         return struct.pack("!HH", tci, inner_ethertype)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> Tuple["Vlan", int, bytes]:
-        if len(data) < VLAN_TAG_LEN:
-            raise PacketError("truncated VLAN tag")
-        tci, inner_ethertype = struct.unpack("!HH", data[:4])
-        return cls(vid=tci & 0x0FFF, pcp=tci >> 13), inner_ethertype, data[4:]
 
     def copy(self) -> "Vlan":
         return Vlan(self.vid, self.pcp)
@@ -264,30 +245,6 @@ class Ipv4(_Header):
         checksum = internet_checksum(header)
         return header[:10] + struct.pack("!H", checksum) + header[12:]
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> Tuple["Ipv4", bytes]:
-        if len(data) < IPV4_HEADER_LEN:
-            raise PacketError("truncated IPv4 header")
-        (
-            ver_ihl,
-            tos,
-            total_length,
-            ident,
-            _frag,
-            ttl,
-            proto,
-            checksum,
-            src,
-            dst,
-        ) = struct.unpack("!BBHHHBBH4s4s", data[:20])
-        if ver_ihl >> 4 != 4:
-            raise PacketError(f"not an IPv4 packet (version={ver_ihl >> 4})")
-        if internet_checksum(data[:20]) != 0:
-            raise PacketError("bad IPv4 header checksum")
-        header = cls(IpAddress(src), IpAddress(dst), proto, ttl=ttl, ident=ident, tos=tos)
-        header.total_length = total_length
-        return header, data[20:]
-
     def copy(self) -> "Ipv4":
         dup = Ipv4(self.src, self.dst, self.proto, ttl=self.ttl, ident=self.ident, tos=self.tos)
         object.__setattr__(dup, "total_length", self.total_length)
@@ -318,15 +275,6 @@ class Udp(_Header):
         )
         checksum = internet_checksum(pseudo + header + payload)
         return header[:6] + struct.pack("!H", checksum)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> Tuple["Udp", bytes]:
-        if len(data) < UDP_HEADER_LEN:
-            raise PacketError("truncated UDP header")
-        sport, dport, length, _checksum = struct.unpack("!HHHH", data[:8])
-        if length < UDP_HEADER_LEN or length > len(data):
-            raise PacketError(f"bad UDP length {length}")
-        return cls(sport, dport), data[8:length]
 
     def copy(self) -> "Udp":
         return Udp(self.sport, self.dport)
@@ -382,19 +330,6 @@ class Tcp(_Header):
         checksum = internet_checksum(pseudo + header + payload)
         return header[:16] + struct.pack("!H", checksum) + header[18:]
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> Tuple["Tcp", bytes]:
-        if len(data) < TCP_HEADER_LEN:
-            raise PacketError("truncated TCP header")
-        sport, dport, seq, ack, offset_byte, flags, window, _checksum, _urg = struct.unpack(
-            "!HHIIBBHHH", data[:20]
-        )
-        data_offset = (offset_byte >> 4) * 4
-        if data_offset < TCP_HEADER_LEN or data_offset > len(data):
-            raise PacketError(f"bad TCP data offset {data_offset}")
-        header = cls(sport, dport, seq=seq, ack=ack, flags=flags, window=window)
-        return header, data[data_offset:]
-
     def copy(self) -> "Tcp":
         return Tcp(self.sport, self.dport, self.seq, self.ack, self.flags, self.window)
 
@@ -440,13 +375,6 @@ class Icmp(_Header):
         checksum = internet_checksum(header + payload)
         return header[:2] + struct.pack("!H", checksum) + header[4:]
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> Tuple["Icmp", bytes]:
-        if len(data) < ICMP_HEADER_LEN:
-            raise PacketError("truncated ICMP header")
-        icmp_type, code, _checksum, ident, seqno = struct.unpack("!BBHHH", data[:8])
-        return cls(icmp_type, code, ident, seqno), data[8:]
-
     def copy(self) -> "Icmp":
         return Icmp(self.icmp_type, self.code, self.ident, self.seqno)
 
@@ -456,6 +384,14 @@ class Icmp(_Header):
 
 
 TransportHeader = Union[Udp, Tcp, Icmp]
+
+# Packet.parse reads each header's fields in place, at an offset
+_VLAN_FIELDS = struct.Struct("!HH").unpack_from
+_IPV4_FIELDS = struct.Struct("!BBHHHBBHII").unpack_from
+_UDP_FIELDS = struct.Struct("!HHHH").unpack_from
+_TCP_FIELDS = struct.Struct("!HHIIBBHHH").unpack_from
+_ICMP_FIELDS = struct.Struct("!BBHHH").unpack_from
+_PSEUDO_TAIL = struct.Struct("!BBH").pack  # zero, protocol, L4 length
 
 # CoW bitmask positions for Packet._cow
 _COW_ETH = 1
@@ -741,25 +677,124 @@ class Packet:
 
     @classmethod
     def parse(cls, data: bytes) -> "Packet":
-        """Parse a frame produced by :meth:`to_bytes` (round-trip safe)."""
-        eth, rest = Ethernet.from_bytes(data)
-        vlan = None
+        """Parse a frame (round-trips :meth:`to_bytes` output).
+
+        ``data`` itself becomes the cached wire image iff it is provably
+        what :meth:`_serialise` would rebuild from the parsed stack: every
+        field the headers do not model holds the value the serialiser
+        writes, nothing trails the frame, and the checksums verify (a
+        stored 0xFFFF is the other ones-complement zero, which the
+        serialiser never writes).  Any other frame is read leniently and
+        re-serialises on demand, so ``parse(d).to_bytes()`` does not
+        depend on whether ``d`` was kept.
+        """
+        size = len(data)
+        if size < ETHERNET_HEADER_LEN:
+            raise PacketError("truncated Ethernet header")
+        # headers are built without their constructors' conversions and
+        # range checks: a fixed-width wire field is in range as read
+        new = object.__new__
+        eth = new(Ethernet)
+        s = eth._init()
+        s(eth, "dst", MacAddress(data[0:6]))
+        s(eth, "src", MacAddress(data[6:12]))
+        s(eth, "ethertype", (data[12] << 8) | data[13])
+        off = ETHERNET_HEADER_LEN
+        exact = type(data) is bytes
+        vlan = ip = l4 = None
         if eth.ethertype == ETH_TYPE_VLAN:
-            vlan, inner_type, rest = Vlan.from_bytes(rest)
-            eth.ethertype = inner_type
+            if size < off + VLAN_TAG_LEN:
+                raise PacketError("truncated VLAN tag")
+            tci, eth.ethertype = _VLAN_FIELDS(data, off)
+            off += VLAN_TAG_LEN
+            vlan = new(Vlan)
+            vlan._init()
+            s(vlan, "vid", tci & 0x0FFF)
+            s(vlan, "pcp", tci >> 13)
+            exact = exact and not tci & 0x1000  # DEI is not modelled
         if eth.ethertype != ETH_TYPE_IPV4:
-            return cls(eth, payload=rest, vlan=vlan)
-        ip, rest = Ipv4.from_bytes(rest)
-        rest = rest[: ip.total_length - IPV4_HEADER_LEN]
-        l4: Optional[TransportHeader] = None
-        payload = rest
-        if ip.proto == IP_PROTO_UDP:
-            l4, payload = Udp.from_bytes(rest)
-        elif ip.proto == IP_PROTO_TCP:
-            l4, payload = Tcp.from_bytes(rest)
-        elif ip.proto == IP_PROTO_ICMP:
-            l4, payload = Icmp.from_bytes(rest)
-        return cls(eth, ip, l4, payload, vlan=vlan)
+            payload = data[off:]
+        else:
+            if size < off + IPV4_HEADER_LEN:
+                raise PacketError("truncated IPv4 header")
+            (ver_ihl, tos, total_length, ident, frag, ttl, proto, ip_csum,
+             src, dst) = _IPV4_FIELDS(data, off)
+            if ver_ihl >> 4 != 4:
+                raise PacketError(f"not an IPv4 packet (version={ver_ihl >> 4})")
+            if internet_checksum(data[off : off + IPV4_HEADER_LEN]) != 0:
+                raise PacketError("bad IPv4 header checksum")
+            ip = new(Ipv4)
+            ip._init()
+            s(ip, "src", IpAddress(src))
+            s(ip, "dst", IpAddress(dst))
+            s(ip, "proto", proto)
+            s(ip, "ttl", ttl)
+            s(ip, "ident", ident)
+            s(ip, "tos", tos)
+            s(ip, "total_length", total_length)
+            s(ip, "_v", 1)  # where a public total_length write leaves it
+            exact = (
+                exact and ver_ihl == 0x45 and not frag and ip_csum != 0xFFFF
+                and off + total_length == size
+            )
+            # the IP payload, clipped to total_length (a length below the
+            # header's own size clips from the end, as slicing always did)
+            stop = total_length - IPV4_HEADER_LEN
+            seg = data[off + IPV4_HEADER_LEN : off + total_length if stop >= 0 else stop]
+            seg_len = len(seg)
+            payload = seg
+            if proto == IP_PROTO_UDP:
+                if seg_len < UDP_HEADER_LEN:
+                    raise PacketError("truncated UDP header")
+                sport, dport, length, l4_csum = _UDP_FIELDS(seg)
+                if length < UDP_HEADER_LEN or length > seg_len:
+                    raise PacketError(f"bad UDP length {length}")
+                l4 = new(Udp)
+                l4._init()
+                s(l4, "sport", sport)
+                s(l4, "dport", dport)
+                payload = seg[UDP_HEADER_LEN:length]
+            elif proto == IP_PROTO_TCP:
+                if seg_len < TCP_HEADER_LEN:
+                    raise PacketError("truncated TCP header")
+                (sport, dport, seq, ack, offset_byte, flags, window, l4_csum,
+                 urgent) = _TCP_FIELDS(seg)
+                data_offset = (offset_byte >> 4) * 4
+                if data_offset < TCP_HEADER_LEN or data_offset > seg_len:
+                    raise PacketError(f"bad TCP data offset {data_offset}")
+                l4 = new(Tcp)
+                l4._init()
+                s(l4, "sport", sport)
+                s(l4, "dport", dport)
+                s(l4, "seq", seq)
+                s(l4, "ack", ack)
+                s(l4, "flags", flags)
+                s(l4, "window", window)
+                payload = seg[data_offset:]
+                exact = exact and offset_byte == 0x50 and not urgent
+            elif proto == IP_PROTO_ICMP:
+                if seg_len < ICMP_HEADER_LEN:
+                    raise PacketError("truncated ICMP header")
+                icmp_type, code, l4_csum, icmp_ident, seqno = _ICMP_FIELDS(seg)
+                l4 = new(Icmp)
+                l4._init()
+                s(l4, "icmp_type", icmp_type)
+                s(l4, "code", code)
+                s(l4, "ident", icmp_ident)
+                s(l4, "seqno", seqno)
+                payload = seg[ICMP_HEADER_LEN:]
+            if exact and l4 is not None:
+                covered = seg if proto == IP_PROTO_ICMP else (
+                    data[off + 12 : off + IPV4_HEADER_LEN]
+                    + _PSEUDO_TAIL(0, proto, seg_len) + seg
+                )
+                exact = l4_csum != 0xFFFF and internet_checksum(covered) == 0
+        packet = cls(eth, ip, l4, payload, vlan=vlan)
+        # bytes past a header's own length field were dropped on the way
+        if exact and packet.wire_len == size:
+            packet._wire = data
+            packet._snap = packet._snapshot()
+        return packet
 
     def _frame_len(self) -> int:
         """Length :meth:`_serialise` would produce for the current stack."""

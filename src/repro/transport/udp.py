@@ -1,28 +1,36 @@
 """Real-time asyncio UDP transport: the combiner over actual sockets.
 
-One :class:`UdpTransport` owns one datagram socket.  Outbound sessions
-carry a ``remote`` address; inbound dispatch matches a decoded
+One :class:`UdpTransport` owns one non-blocking datagram socket,
+registered with the event loop as a reader.  Outbound sessions carry a
+``remote`` address; inbound dispatch matches a decoded
 :class:`~repro.transport.wire.WireMessage` to the open session with the
 same ``(role, scope, branch)``, falling back to ``(role, scope)`` — so a
 compare process opens *one* collect session per scope and receives every
 branch's copies through it, branch identity riding in the message.
 
-Wire images are rebuilt into :class:`~repro.net.packet.Packet` objects
-on receive (``Packet.parse``), so the compare's bit-exact policy hashes
-the same bytes the DES backend sees.  What is *not* preserved over UDP
-is DES timing exactness: arrival times are wall-clock, so anything
-counted in packets (quorums, miss thresholds, probation credits) is
-comparable across backends while latency histograms are not — see
-DESIGN.md §14.
+Receive path: each reader wakeup drains up to :data:`RX_BURST` datagrams
+(the loop runs timers and other sockets between wakeups, so the burst is
+the longest a due timer waits behind a busy socket).  A payload goes to
+``Packet.parse`` as the ``bytes`` that arrived; parse keeps them as the
+packet's wire image when they are canonical, so the compare's bit-exact
+policy keys on the received buffer itself — the same bytes the DES
+backend sees — and a forwarding process re-sends it without
+serialising.  What is *not* preserved over UDP is DES timing exactness:
+arrival times are wall-clock, so anything counted in packets (quorums,
+miss thresholds, probation credits) is comparable across backends while
+latency histograms are not — see DESIGN.md §14.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Dict, Optional, Tuple
+import socket
+from collections import deque
+from typing import Callable, Deque, Dict, Optional, Tuple
 
-from repro.net.packet import Packet
+from repro.net.packet import Packet, PacketError
 from repro.transport.base import (
+    ROLE_COLLECT,
     Session,
     SessionSpec,
     Transport,
@@ -32,14 +40,20 @@ from repro.transport.wire import (
     MSG_BYE,
     MSG_DATA,
     MSG_HELLO,
-    WireMessage,
     decode_message,
     encode_message,
+    message_encoder,
 )
 
 Address = Tuple[str, int]
 #: control callback: fn(mtype, scope, branch, addr)
 ControlHandler = Callable[[int, str, Optional[int], Address], None]
+
+#: datagrams handled per reader wakeup before the loop gets to run its
+#: timers (the voter's sweep) and other sockets again
+RX_BURST = 64
+#: no UDP datagram is longer
+_MAX_DATAGRAM = 65536
 
 
 class UdpSession(Session):
@@ -54,6 +68,7 @@ class UdpSession(Session):
         super().__init__(transport, spec)
         self.remote = remote
         self._seq = 0
+        self._encode = message_encoder(MSG_DATA, spec.role, spec.scope)
 
     def send(
         self,
@@ -72,31 +87,20 @@ class UdpSession(Session):
                 "tx", self.spec, packet,
                 {"branch": branch, "claim": claim, "seq": seq},
             )
-        data = encode_message(
-            MSG_DATA,
-            self.spec.role,
-            self.spec.scope,
-            payload=bytes(packet.to_bytes()),
-            branch=branch,
-            claim=claim,
-            seq=seq,
+        transport._sendto(
+            self._encode(packet.to_bytes(), branch, claim, seq), self.remote
         )
-        transport._sendto(data, self.remote)
-
-
-class _Protocol(asyncio.DatagramProtocol):
-    def __init__(self, transport: "UdpTransport") -> None:
-        self._owner = transport
-
-    def datagram_received(self, data: bytes, addr: Address) -> None:
-        self._owner._on_datagram(data, addr)
-
-    def error_received(self, exc: Exception) -> None:  # pragma: no cover
-        self._owner.rx_errors += 1
 
 
 class UdpTransport(Transport):
-    """One socket, many sessions; see module docstring."""
+    """One socket, many sessions; see module docstring.
+
+    ``rx_errors`` counts datagrams that did not decode or parse and
+    errors the socket reported; ``rx_unmatched`` data for no open
+    session; ``rx_handler_errors`` exceptions raised by a receiver or
+    control callback (reported to the loop's exception handler — the
+    drain goes on with the next datagram).
+    """
 
     def __init__(
         self,
@@ -107,32 +111,53 @@ class UdpTransport(Transport):
         self.local = local
         self.rx_errors = 0
         self.rx_unmatched = 0
-        self._endpoint: Optional[asyncio.DatagramTransport] = None
+        self.rx_handler_errors = 0
+        self._sock: Optional[socket.socket] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: datagrams the socket would not take yet, in send order
+        self._backlog: Deque[Tuple[bytes, Address]] = deque()
+        #: (scope, role, branch) as decoded -> the session it matched
+        self._routes: Dict[tuple, Session] = {}
         self._control: Optional[ControlHandler] = None
         self._default_remote: Optional[Address] = None
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> Address:
         """Bind the socket; returns the actual local address."""
-        if self._endpoint is not None:
+        if self._sock is not None:
             return self.local_address()
         loop = asyncio.get_running_loop()
-        self._endpoint, _ = await loop.create_datagram_endpoint(
-            lambda: _Protocol(self), local_addr=self.local
-        )
+        host, port = self.local
+        family, kind, proto, _, address = (
+            await loop.getaddrinfo(host, port, type=socket.SOCK_DGRAM)
+        )[0]
+        sock = socket.socket(family, kind, proto)
+        try:
+            sock.setblocking(False)
+            sock.bind(address)
+        except OSError:
+            sock.close()
+            raise
+        self._sock, self._loop = sock, loop
+        loop.add_reader(sock, self._on_readable)
         return self.local_address()
 
     def local_address(self) -> Address:
-        if self._endpoint is None:
+        if self._sock is None:
             raise TransportError(f"transport {self.name!r} is not started")
-        sock = self._endpoint.get_extra_info("sockname")
-        return (sock[0], sock[1])
+        name = self._sock.getsockname()
+        return (name[0], name[1])
 
     def close(self) -> None:
+        """Close sessions and socket; a backlog not yet sent is dropped."""
         super().close()
-        if self._endpoint is not None:
-            self._endpoint.close()
-            self._endpoint = None
+        sock = self._sock
+        if sock is not None:
+            self._sock = None
+            self._loop.remove_reader(sock)
+            self._loop.remove_writer(sock)
+            self._backlog.clear()
+            sock.close()
 
     # -- sessions -------------------------------------------------------
     def set_default_remote(self, remote: Address) -> None:
@@ -140,8 +165,17 @@ class UdpTransport(Transport):
         self._default_remote = remote
 
     def _make_session(self, spec: SessionSpec, **options: object) -> UdpSession:
+        self._routes.clear()  # a new exact session outranks a memoised fallback
         remote = options.get("remote", self._default_remote)
         return UdpSession(self, spec, remote=remote)  # type: ignore[arg-type]
+
+    def adopt(self, session: Session) -> Session:
+        self._routes.clear()
+        return super().adopt(session)
+
+    def _forget(self, spec: SessionSpec) -> None:
+        self._routes.clear()
+        super()._forget(spec)
 
     # -- control messages (HELLO/BYE lifecycle) -------------------------
     def set_control_handler(self, fn: Optional[ControlHandler]) -> None:
@@ -156,18 +190,64 @@ class UdpTransport(Transport):
     ) -> None:
         if mtype not in (MSG_HELLO, MSG_BYE):
             raise TransportError(f"not a control message type: {mtype}")
-        from repro.transport.base import ROLE_COLLECT
-
         data = encode_message(mtype, ROLE_COLLECT, scope, branch=branch)
         self._sendto(data, remote or self._default_remote)
 
-    # -- datapath -------------------------------------------------------
+    # -- datapath: send -------------------------------------------------
     def _sendto(self, data: bytes, remote: Optional[Address]) -> None:
-        if self._endpoint is None:
+        sock = self._sock
+        if sock is None:
             raise TransportError(f"transport {self.name!r} is not started")
         if remote is None:
             raise TransportError("session has no remote address")
-        self._endpoint.sendto(data, remote)
+        if not self._backlog:
+            try:
+                sock.sendto(data, remote)
+                return
+            except BlockingIOError:
+                self._loop.add_writer(sock, self._flush_backlog)
+            except OSError:
+                self.rx_errors += 1
+                return
+        self._backlog.append((data, remote))
+
+    def _flush_backlog(self) -> None:
+        """Writer callback: send what queued behind a full socket, in order."""
+        sock, backlog = self._sock, self._backlog
+        while backlog:
+            try:
+                sock.sendto(*backlog[0])
+            except BlockingIOError:
+                return
+            except OSError:
+                self.rx_errors += 1
+            backlog.popleft()
+        self._loop.remove_writer(sock)
+
+    # -- datapath: receive ----------------------------------------------
+    def _on_readable(self) -> None:
+        """Reader callback: hand on up to ``RX_BURST`` queued datagrams."""
+        sock = self._sock
+        for _ in range(RX_BURST):
+            try:
+                data, addr = sock.recvfrom(_MAX_DATAGRAM)
+            except BlockingIOError:
+                return
+            except OSError:
+                self.rx_errors += 1
+                return
+            try:
+                self._on_datagram(data, addr)
+            except Exception as exc:
+                # a receiver or control callback raised: theirs to fix,
+                # not a reason to strand the datagrams queued behind it
+                self.rx_handler_errors += 1
+                self._loop.call_exception_handler({
+                    "message": f"transport {self.name!r}: receive callback failed",
+                    "exception": exc,
+                })
+            if self._sock is not sock:  # a callback closed the transport
+                return
 
     def _on_datagram(self, data: bytes, addr: Address) -> None:
         try:
@@ -179,22 +259,28 @@ class UdpTransport(Transport):
             if self._control is not None:
                 self._control(message.mtype, message.scope, message.branch, addr)
             return
-        session = self._match(message)
+        route = (message.scope, message.role, message.branch)
+        session = self._routes.get(route)
         if session is None:
-            self.rx_unmatched += 1
-            return
+            session = self._match(*route)
+            if session is None:
+                self.rx_unmatched += 1
+                return
+            self._routes[route] = session
         try:
             packet = Packet.parse(message.payload)
-        except Exception:
+        except PacketError:
             self.rx_errors += 1
             return
         meta = message.meta()
         meta["peer"] = addr
         session.deliver(packet, meta)
 
-    def _match(self, message: WireMessage) -> Optional[Session]:
-        exact = SessionSpec(message.scope, message.role, message.branch)
-        session = self.sessions.get(exact)
-        if session is not None:
-            return session
-        return self.sessions.get(SessionSpec(message.scope, message.role))
+    def _match(
+        self, scope: str, role: str, branch: Optional[int]
+    ) -> Optional[Session]:
+        """Exact ``(scope, role, branch)`` session, else the scope's."""
+        sessions = self.sessions
+        return sessions.get(SessionSpec(scope, role, branch)) or sessions.get(
+            SessionSpec(scope, role)
+        )

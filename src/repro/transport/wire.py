@@ -13,18 +13,22 @@ One UDP datagram carries one message::
     scope   1B length + utf-8 bytes
     payload rest: the packet wire image (Ethernet frame)
 
-The payload is exactly what :meth:`repro.net.packet.Packet.to_bytes`
-produces, so a compare process votes over the same bytes the DES
-backend's bit-exact policy sees.  HELLO/BYE are session-lifecycle
-control messages (no payload): a sender announces itself and signals
-end-of-stream so the receiving process can stop without guessing.
+An honest sender's payload is exactly what
+:meth:`repro.net.packet.Packet.to_bytes` produces; the receiver hands it
+to ``Packet.parse`` as received, which keeps a canonical frame as the
+packet's wire image — the compare votes on the bytes that arrived, the
+same bytes the DES backend's bit-exact policy sees.  HELLO/BYE are
+session-lifecycle control messages (no payload): a sender announces
+itself and signals end-of-stream so the receiver can stop without
+guessing.  Datagrams come from the network: :func:`decode_message`
+raises :class:`TransportError` for every malformed one, nothing else.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from repro.transport.base import (
     ROLE_COLLECT,
@@ -40,6 +44,7 @@ VERSION = 1
 MSG_DATA = 0
 MSG_HELLO = 1
 MSG_BYE = 2
+_MTYPES = (MSG_DATA, MSG_HELLO, MSG_BYE)
 
 _ROLE_CODES = {
     ROLE_FANOUT: 0,
@@ -52,8 +57,7 @@ _CODE_ROLES = {code: role for role, code in _ROLE_CODES.items()}
 _FIXED = struct.Struct("!2sBBBhhIQ")
 
 
-@dataclass(frozen=True)
-class WireMessage:
+class WireMessage(NamedTuple):
     """A decoded transport datagram."""
 
     mtype: int
@@ -69,6 +73,50 @@ class WireMessage:
         return {"branch": self.branch, "claim": self.claim, "seq": self.seq}
 
 
+def _constant_part(mtype: int, role: str, scope: str) -> Tuple[int, int, bytes]:
+    """Validated ``(mtype, role code, length-prefixed scope)``."""
+    if mtype not in _MTYPES:
+        raise TransportError(f"unknown message type {mtype}")
+    role_code = _ROLE_CODES.get(role)
+    if role_code is None:
+        raise TransportError(f"unknown role {role!r}")
+    scope_bytes = scope.encode("utf-8")
+    if len(scope_bytes) > 255:
+        raise TransportError(f"scope too long ({len(scope_bytes)} bytes)")
+    return mtype, role_code, bytes((len(scope_bytes),)) + scope_bytes
+
+
+def _frame(
+    mtype: int,
+    role_code: int,
+    scope_field: bytes,
+    payload: bytes = b"",
+    branch: Optional[int] = None,
+    claim: Optional[int] = None,
+    seq: int = 0,
+    t_ns: int = 0,
+) -> bytes:
+    try:
+        head = _FIXED.pack(
+            MAGIC, VERSION, mtype, role_code,
+            -1 if branch is None else branch,
+            -1 if claim is None else claim,
+            seq & 0xFFFFFFFF,
+            t_ns & 0xFFFFFFFFFFFFFFFF,
+        )
+    except struct.error:
+        raise TransportError(
+            f"branch={branch} claim={claim} outside the int16 frame fields"
+        ) from None
+    return head + scope_field + payload
+
+
+def message_encoder(mtype: int, role: str, scope: str) -> Callable[..., bytes]:
+    """``encode(payload, branch, claim, seq, t_ns) -> datagram`` for one
+    ``(mtype, role, scope)``: a session validates and lays them out once."""
+    return partial(_frame, *_constant_part(mtype, role, scope))
+
+
 def encode_message(
     mtype: int,
     role: str,
@@ -79,23 +127,9 @@ def encode_message(
     seq: int = 0,
     t_ns: int = 0,
 ) -> bytes:
-    role_code = _ROLE_CODES.get(role)
-    if role_code is None:
-        raise TransportError(f"unknown role {role!r}")
-    scope_bytes = scope.encode("utf-8")
-    if len(scope_bytes) > 255:
-        raise TransportError(f"scope too long ({len(scope_bytes)} bytes)")
-    head = _FIXED.pack(
-        MAGIC,
-        VERSION,
-        mtype,
-        role_code,
-        -1 if branch is None else branch,
-        -1 if claim is None else claim,
-        seq & 0xFFFFFFFF,
-        t_ns & 0xFFFFFFFFFFFFFFFF,
+    return _frame(
+        *_constant_part(mtype, role, scope), payload, branch, claim, seq, t_ns
     )
-    return head + bytes((len(scope_bytes),)) + scope_bytes + payload
 
 
 def decode_message(data: bytes) -> WireMessage:
@@ -108,23 +142,22 @@ def decode_message(data: bytes) -> WireMessage:
         raise TransportError(f"bad magic {magic!r}")
     if version != VERSION:
         raise TransportError(f"unsupported version {version}")
+    if mtype not in _MTYPES:
+        raise TransportError(f"unknown message type {mtype}")
     role = _CODE_ROLES.get(role_code)
     if role is None:
         raise TransportError(f"unknown role code {role_code}")
-    offset = _FIXED.size
-    scope_len = data[offset]
-    offset += 1
-    if len(data) < offset + scope_len:
+    offset = _FIXED.size + 1
+    end = offset + data[offset - 1]
+    if len(data) < end:
         raise TransportError("truncated scope")
-    scope = data[offset:offset + scope_len].decode("utf-8")
-    offset += scope_len
+    try:
+        scope = data[offset:end].decode("utf-8")
+    except UnicodeDecodeError:
+        raise TransportError("scope is not UTF-8") from None
     return WireMessage(
-        mtype=mtype,
-        role=role,
-        scope=scope,
-        branch=None if branch < 0 else branch,
-        claim=None if claim < 0 else claim,
-        seq=seq,
-        t_ns=t_ns,
-        payload=data[offset:],
+        mtype, role, scope,
+        None if branch < 0 else branch,
+        None if claim < 0 else claim,
+        seq, t_ns, data[end:],
     )

@@ -9,6 +9,11 @@ and a handle per event, an extra frame between ``Port.send`` and the
 wire) fails tier-1 by name instead of hiding in timer noise.
 
 Calls per hop, this recipe: 70.5 before the lean hop, 44.6 with it.
+
+The same idea gates the live receive path (``live_udp_vote``'s recipe at
+small size): per received datagram, how often the voter side serialises
+(0; it re-serialised every copy before ``Packet.parse`` kept the received
+bytes), checksums (2; was 3) and builds address objects (4; was 8).
 """
 
 from __future__ import annotations
@@ -54,3 +59,108 @@ def test_calls_and_events_per_hop():
         f"{calls / hops:.1f} calls per hop; "
         "`python bench/run.py --workload des_udp_central3 --trace` names the layer"
     )
+
+
+# ----------------------------------------------------------------------
+# the live receive path: counts per received datagram
+# ----------------------------------------------------------------------
+LIVE_PACKETS = 200
+LIVE_K = 3
+LIVE_WINDOW = 16
+
+
+def _calls(stats: pstats.Stats, module: str, *functions: str) -> int:
+    """Profiled calls of ``functions`` defined in ``repro/<module>.py``."""
+    return sum(
+        ncalls
+        for (filename, _line, name), (_cc, ncalls, *_rest) in stats.stats.items()
+        if filename.endswith(f"/repro/{module}.py") and name in functions
+    )
+
+
+def test_live_receive_path_does_the_work_once():
+    """The ``live_udp_vote`` recipe of ``bench/workloads.py`` at small
+    size: k collect sessions over the loopback into a stock
+    ``CompareCore``, closed loop.  A received copy is parsed once, verified
+    once, and vote-keyed on the bytes that arrived — never re-serialised."""
+    import asyncio
+
+    from repro.core.alarms import AlarmSink
+    from repro.core.compare import CompareConfig, CompareContext, CompareCore
+    from repro.net import IpAddress, MacAddress, Packet
+    from repro.transport import ROLE_COLLECT, SessionSpec
+    from repro.transport.realtime import RealTimeScheduler
+    from repro.transport.udp import UdpTransport
+
+    packets = [
+        Packet.udp(
+            MacAddress.from_index(1), MacAddress.from_index(2),
+            IpAddress.from_index(1), IpAddress.from_index(2),
+            50000, 5001, payload=seq.to_bytes(4, "big") * 16, ident=seq,
+        )
+        for seq in range(LIVE_PACKETS)
+    ]
+
+    async def scenario() -> tuple:
+        loop = asyncio.get_running_loop()
+        core = CompareCore(
+            RealTimeScheduler(loop),
+            CompareConfig(k=LIVE_K, buffer_timeout=0.5),
+            name="budget_compare",
+            alarm_sink=AlarmSink(None),
+        )
+        voter_side = UdpTransport(("127.0.0.1", 0), name="budget.compare")
+        switch_side = UdpTransport(("127.0.0.1", 0), name="budget.switches")
+        profile = cProfile.Profile()
+        try:
+            voter_addr = await voter_side.start()
+            await switch_side.start()
+            branches = [
+                switch_side.session(SessionSpec("sA", ROLE_COLLECT, b), remote=voter_addr)
+                for b in range(LIVE_K)
+            ]
+            pending = iter(packets)
+            released = []
+            done = asyncio.Event()
+
+            def send_next() -> None:
+                packet = next(pending, None)
+                if packet is not None:
+                    for session in branches:
+                        session.send(packet)
+
+            def release(packet) -> None:
+                released.append(packet)
+                send_next()
+                if len(released) == LIVE_PACKETS:
+                    done.set()
+
+            context = CompareContext(scope="sA", release=release)
+            voter_side.session(SessionSpec("sA", ROLE_COLLECT)).set_receiver(
+                lambda packet, meta: core.submit(packet, meta["branch"], context)
+            )
+            profile.enable()
+            for _ in range(LIVE_WINDOW):
+                send_next()
+            await asyncio.wait_for(done.wait(), timeout=30.0)
+            profile.disable()
+            core.flush()
+        finally:
+            profile.disable()
+            switch_side.close()
+            voter_side.close()
+        return released, core.stats.submissions, voter_side.rx_errors, profile
+
+    released, submissions, rx_errors, profile = asyncio.run(scenario())
+    assert [p.to_bytes() for p in released] == [p.to_bytes() for p in packets]
+    received = LIVE_PACKETS * LIVE_K
+    assert (submissions, rx_errors) == (received, 0)
+    stats = pstats.Stats(profile)
+    assert _calls(stats, "net/packet", "parse") == received
+    # once per packet sent (its k sessions share the image), never to vote
+    assert _calls(stats, "net/packet", "_serialise") == LIVE_PACKETS
+    # sender: IPv4 header + UDP per serialise; voter: the same two, verifying
+    assert _calls(stats, "net/packet", "internet_checksum") <= 2 * LIVE_PACKETS + 2 * received
+    # two MACs, two IPs, each built once (the sender builds none: the
+    # packets exist before the profile starts)
+    assert _calls(stats, "net/addresses", "__init__") <= 4 * received

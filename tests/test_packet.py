@@ -4,6 +4,7 @@ identity semantics (bit-exact equality, deep copies, out-of-band meta)."""
 import pytest
 
 from repro.net import (
+    ETH_TYPE_ARP,
     ETH_TYPE_IPV4,
     ETH_TYPE_VLAN,
     Ethernet,
@@ -50,24 +51,37 @@ class TestChecksum:
         assert internet_checksum(b"") == 0xFFFF
 
 
+def frame(ip, l4_and_payload=b""):
+    """An Ethernet frame around ``ip`` and the bytes it carries."""
+    return (
+        Ethernet(M2, M1, ETH_TYPE_IPV4).to_bytes()
+        + ip.to_bytes(len(l4_and_payload))
+        + l4_and_payload
+    )
+
+
 class TestHeaderRoundTrips:
+    """Each header's encoding, read back through ``Packet.parse``."""
+
     def test_ethernet(self):
-        eth = Ethernet(M2, M1, ETH_TYPE_IPV4)
-        parsed, rest = Ethernet.from_bytes(eth.to_bytes() + b"xx")
-        assert parsed.dst == M2 and parsed.src == M1
-        assert parsed.ethertype == ETH_TYPE_IPV4
-        assert rest == b"xx"
+        eth = Ethernet(M2, M1, ETH_TYPE_ARP)
+        parsed = Packet.parse(eth.to_bytes() + b"xx")
+        assert parsed.eth.dst == M2 and parsed.eth.src == M1
+        assert parsed.eth.ethertype == ETH_TYPE_ARP
+        assert parsed.ip is None and parsed.payload == b"xx"
 
     def test_ethernet_truncated(self):
         with pytest.raises(PacketError):
-            Ethernet.from_bytes(b"\x00" * 10)
+            Packet.parse(b"\x00" * 10)
 
     def test_vlan(self):
         vlan = Vlan(vid=100, pcp=5)
-        raw = vlan.to_bytes(ETH_TYPE_IPV4)
-        parsed, inner, rest = Vlan.from_bytes(raw)
-        assert parsed.vid == 100 and parsed.pcp == 5
-        assert inner == ETH_TYPE_IPV4
+        raw = Ethernet(M2, M1, ETH_TYPE_VLAN).to_bytes() + vlan.to_bytes(ETH_TYPE_ARP)
+        parsed = Packet.parse(raw)
+        assert parsed.vlan.vid == 100 and parsed.vlan.pcp == 5
+        assert parsed.eth.ethertype == ETH_TYPE_ARP
+        with pytest.raises(PacketError):
+            Packet.parse(raw[:-1])
 
     def test_vlan_range_checks(self):
         with pytest.raises(PacketError):
@@ -76,26 +90,27 @@ class TestHeaderRoundTrips:
             Vlan(1, pcp=8)
 
     def test_ipv4_roundtrip_and_checksum(self):
-        ip = Ipv4(IP1, IP2, IP_PROTO_UDP, ttl=33, ident=999, tos=4)
+        ip = Ipv4(IP1, IP2, 253, ttl=33, ident=999, tos=4)  # no L4 we model
         raw = ip.to_bytes(payload_len=100)
         assert internet_checksum(raw) == 0  # valid checksum
-        parsed, rest = Ipv4.from_bytes(raw + b"p" * 100)
-        assert parsed.src == IP1 and parsed.dst == IP2
-        assert parsed.ttl == 33 and parsed.ident == 999 and parsed.tos == 4
-        assert parsed.total_length == 120
+        parsed = Packet.parse(frame(ip, b"p" * 100))
+        assert parsed.ip.src == IP1 and parsed.ip.dst == IP2
+        assert parsed.ip.ttl == 33 and parsed.ip.ident == 999 and parsed.ip.tos == 4
+        assert parsed.ip.total_length == 120
+        assert parsed.l4 is None and parsed.payload == b"p" * 100
 
     def test_ipv4_bad_checksum_rejected(self):
-        raw = bytearray(Ipv4(IP1, IP2, IP_PROTO_UDP).to_bytes(0))
-        raw[8] ^= 0xFF  # corrupt TTL
+        raw = bytearray(frame(Ipv4(IP1, IP2, IP_PROTO_UDP)))
+        raw[14 + 8] ^= 0xFF  # corrupt TTL
         with pytest.raises(PacketError):
-            Ipv4.from_bytes(bytes(raw))
+            Packet.parse(bytes(raw))
 
     def test_udp_roundtrip(self):
         ip = Ipv4(IP1, IP2, IP_PROTO_UDP)
         udp = Udp(1234, 5678)
-        raw = udp.to_bytes(ip, b"payload")
-        parsed, payload = Udp.from_bytes(raw + b"payload")
-        assert (parsed.sport, parsed.dport) == (1234, 5678)
+        parsed = Packet.parse(frame(ip, udp.to_bytes(ip, b"payload") + b"payload"))
+        assert (parsed.l4.sport, parsed.l4.dport) == (1234, 5678)
+        assert parsed.payload == b"payload"
 
     def test_udp_port_range(self):
         with pytest.raises(PacketError):
@@ -104,8 +119,7 @@ class TestHeaderRoundTrips:
     def test_tcp_roundtrip(self):
         ip = Ipv4(IP1, IP2, IP_PROTO_TCP)
         tcp = Tcp(1, 2, seq=100, ack=200, flags=TCP_SYN | TCP_ACK, window=4096)
-        raw = tcp.to_bytes(ip, b"")
-        parsed, payload = Tcp.from_bytes(raw)
+        parsed = Packet.parse(frame(ip, tcp.to_bytes(ip, b""))).l4
         assert parsed.seq == 100 and parsed.ack == 200
         assert parsed.flag(TCP_SYN) and parsed.flag(TCP_ACK)
         assert parsed.window == 4096
@@ -115,11 +129,12 @@ class TestHeaderRoundTrips:
         assert Tcp(1, 2).flags_str() == "."
 
     def test_icmp_roundtrip(self):
+        ip = Ipv4(IP1, IP2, IP_PROTO_ICMP)
         icmp = Icmp(ICMP_ECHO_REQUEST, ident=7, seqno=3)
-        raw = icmp.to_bytes(b"data")
-        parsed, payload = Icmp.from_bytes(raw + b"data")
-        assert parsed.is_echo_request
-        assert parsed.ident == 7 and parsed.seqno == 3
+        parsed = Packet.parse(frame(ip, icmp.to_bytes(b"data") + b"data"))
+        assert parsed.l4.is_echo_request
+        assert parsed.l4.ident == 7 and parsed.l4.seqno == 3
+        assert parsed.payload == b"data"
 
     def test_icmp_reply_predicates(self):
         assert Icmp(ICMP_ECHO_REPLY).is_echo_reply

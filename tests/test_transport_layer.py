@@ -5,7 +5,11 @@
   transport-session code, must reproduce every field pinned in
   ``benchmarks/transport_baseline.json``.  New fields may appear
   (counters grow over PRs); pinned ones may not drift.
-* wire framing round-trips and rejects malformed datagrams;
+* wire framing round-trips and rejects malformed datagrams — hostile
+  bytes raise ``TransportError`` and nothing else;
+* the UDP receive path: dispatch and counters without a socket, then the
+  burst drain, timers between bursts, a close or a failing callback
+  mid-burst, and ordered re-sends after ``EAGAIN``, over the loopback;
 * loopback pairs and the redundant transport (fusion + first-copy-wins
   dedup, tracer hooks, stats rollups);
 * UDP smoke: the live multi-process demo's verdict — alarms, quarantine
@@ -17,6 +21,7 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.tasks import chaos_run
 from repro.chaos.schedule import builtin_battery
@@ -147,6 +152,49 @@ class TestWireFraming:
             encode_message(MSG_DATA, "sideways", "sA")  # unknown role
         with pytest.raises(TransportError):
             encode_message(MSG_DATA, ROLE_FANOUT, "s" * 300)  # scope too long
+
+
+    def test_hostile_fields_raise_transport_error_only(self):
+        good = encode_message(MSG_DATA, ROLE_COLLECT, "sA", b"frame", branch=1)
+        with pytest.raises(TransportError):  # scope bytes that are not UTF-8
+            decode_message(good[:21] + b"\x02\xff\xfe" + good[24:])
+        with pytest.raises(TransportError):  # a message type nobody defined
+            decode_message(good[:3] + bytes([9]) + good[4:])
+        with pytest.raises(TransportError):
+            encode_message(9, ROLE_COLLECT, "sA")
+        for field in ("branch", "claim"):  # int16 on the wire
+            with pytest.raises(TransportError):
+                encode_message(MSG_DATA, ROLE_COLLECT, "sA", **{field: 1 << 15})
+            with pytest.raises(TransportError):
+                encode_message(MSG_DATA, ROLE_COLLECT, "sA", **{field: -(1 << 15) - 1})
+
+    @given(st.one_of(
+        st.binary(max_size=64),
+        # a real datagram with a few bytes overwritten gets past the magic
+        st.tuples(
+            st.lists(st.tuples(st.integers(0, 30), st.integers(0, 255)), max_size=4),
+            st.integers(0, 40),
+        ).map(lambda edit: _overwrite(
+            encode_message(MSG_DATA, ROLE_COLLECT, "scöpe", b"frame", branch=2, claim=1),
+            *edit,
+        )),
+    ))
+    @settings(max_examples=600)
+    def test_decode_returns_a_message_or_raises_transport_error(self, data):
+        try:
+            message = decode_message(data)
+        except TransportError:
+            return
+        assert message.mtype in (MSG_DATA, MSG_HELLO, MSG_BYE)
+        assert isinstance(message.scope, str) and isinstance(message.payload, bytes)
+
+
+def _overwrite(data, edits, keep):
+    out = bytearray(data[:keep])
+    for at, value in edits:
+        if at < len(out):
+            out[at] = value
+    return bytes(out)
 
 
 # ----------------------------------------------------------------------
@@ -292,6 +340,272 @@ class TestRealTimeScheduler:
         assert [p.to_bytes() for p in released] == [_pkt(ident=7).to_bytes()]
         assert core.stats.submissions == 3
         assert core._in_service == 0
+
+
+# ----------------------------------------------------------------------
+# UdpTransport: the receive path the repo owns (socket, drain, dispatch)
+# ----------------------------------------------------------------------
+def _datagram(branch=0, seq=0, scope="sA", payload=None):
+    payload = _pkt(ident=seq).to_bytes() if payload is None else payload
+    return encode_message(MSG_DATA, ROLE_COLLECT, scope, payload, branch=branch, seq=seq)
+
+
+class TestUdpDispatch:
+    """``_on_datagram`` needs no socket: bytes in, a delivery or a count out."""
+
+    PEER = ("127.0.0.1", 9)
+
+    def _transport(self):
+        from repro.transport.udp import UdpTransport
+
+        transport = UdpTransport(name="unit")
+        got = []
+        transport.session(SessionSpec("sA", ROLE_COLLECT)).set_receiver(
+            lambda packet, meta: got.append(("any", meta["branch"], meta["seq"]))
+        )
+        return transport, got
+
+    def test_hostile_datagrams_are_counted_not_raised(self):
+        transport, got = self._transport()
+        good = _datagram()
+        for bad in (
+            b"",                                              # too short
+            good[:21] + b"\x02\xff\xfe" + good[24:],          # scope not UTF-8
+            good[:3] + bytes([9]) + good[4:],                 # unknown mtype
+            _datagram(payload=b"\x00" * 10),                  # not a frame
+            _datagram(payload=_pkt().to_bytes()[:30]),        # truncated IPv4
+        ):
+            transport._on_datagram(bad, self.PEER)
+        assert transport.rx_errors == 5 and got == []
+        transport._on_datagram(_datagram(scope="sB"), self.PEER)
+        assert transport.rx_unmatched == 1
+        transport._on_datagram(good, self.PEER)
+        assert got == [("any", 0, 0)]
+
+    def test_only_packet_errors_count_as_rx_errors(self, monkeypatch):
+        """A bug behind ``Packet.parse`` is not a malformed datagram."""
+        from repro.transport import udp
+
+        transport, _got = self._transport()
+
+        def broken(_data):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(udp.Packet, "parse", broken)
+        with pytest.raises(RuntimeError):
+            transport._on_datagram(_datagram(), self.PEER)
+        assert transport.rx_errors == 0
+
+    def test_received_packet_holds_the_bytes_that_arrived(self):
+        from repro.transport.udp import UdpTransport
+
+        transport = UdpTransport(name="unit")
+        packets = []
+        transport.session(SessionSpec("sA", ROLE_COLLECT)).set_receiver(
+            lambda packet, _meta: packets.append(packet)
+        )
+        frame = _pkt(ident=3).to_bytes()
+        transport._on_datagram(_datagram(payload=frame), self.PEER)
+        assert packets[0].wire_cache() == frame
+
+    def test_route_memo_follows_session_changes(self):
+        transport, got = self._transport()
+        transport._on_datagram(_datagram(branch=2, seq=0), self.PEER)
+        exact = transport.session(SessionSpec("sA", ROLE_COLLECT, 2))
+        exact.set_receiver(lambda _p, meta: got.append(("exact", 2, meta["seq"])))
+        transport._on_datagram(_datagram(branch=2, seq=1), self.PEER)
+        transport._on_datagram(_datagram(branch=1, seq=2), self.PEER)
+        exact.close()
+        transport._on_datagram(_datagram(branch=2, seq=3), self.PEER)
+        assert got == [("any", 2, 0), ("exact", 2, 1), ("any", 1, 2), ("any", 2, 3)]
+        transport.close()
+        transport._on_datagram(_datagram(branch=2, seq=4), self.PEER)
+        assert transport.rx_unmatched == 1 and len(got) == 4
+
+
+class _StubbornSocket:
+    """The transport's socket, refusing the first ``refusals`` sends."""
+
+    def __init__(self, sock, refusals):
+        self._sock = sock
+        self.refusals = refusals
+
+    def sendto(self, data, address):
+        if self.refusals > 0:
+            self.refusals -= 1
+            raise BlockingIOError
+        return self._sock.sendto(data, address)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class TestUdpDrain:
+    @staticmethod
+    async def _pair():
+        from repro.transport.udp import UdpTransport
+
+        rx = UdpTransport(("127.0.0.1", 0), name="rx")
+        tx = UdpTransport(("127.0.0.1", 0), name="tx")
+        address = await rx.start()
+        await tx.start()
+        spec = SessionSpec("sA", ROLE_COLLECT, 0)
+        return rx, tx, rx.session(spec), tx.session(spec, remote=address)
+
+    @staticmethod
+    async def _until(condition, timeout=5.0):
+        import asyncio
+
+        deadline = asyncio.get_running_loop().time() + timeout
+        while not condition():
+            assert asyncio.get_running_loop().time() < deadline, "timed out"
+            await asyncio.sleep(0.001)
+
+    def test_lifecycle_keeps_its_contract(self):
+        import asyncio
+
+        from repro.transport.udp import UdpTransport
+
+        async def scenario():
+            transport = UdpTransport(("127.0.0.1", 0), name="t")
+            with pytest.raises(TransportError):
+                transport.local_address()
+            session = transport.session(
+                SessionSpec("sA", ROLE_COLLECT, 0), remote=("127.0.0.1", 9)
+            )
+            with pytest.raises(TransportError):
+                session.send(_pkt())  # not started
+            address = await transport.start()
+            assert address[0] == "127.0.0.1" and address[1] > 0
+            assert await transport.start() == address == transport.local_address()
+            transport.close()
+            transport.close()  # idempotent
+            assert transport.sessions == {}
+            with pytest.raises(TransportError):
+                transport.local_address()
+            with pytest.raises(TransportError):
+                session.send(_pkt())
+
+        asyncio.run(scenario())
+
+    def test_due_timer_runs_between_bursts(self):
+        """More than two bursts are queued on the socket when a timer
+        comes due: it fires after at most one burst, not behind them all."""
+        import asyncio
+
+        from repro.transport.realtime import RealTimeScheduler
+        from repro.transport.udp import RX_BURST
+
+        total = 2 * RX_BURST + 10
+
+        async def scenario():
+            rx, tx, inbound, outbound = await self._pair()
+            try:
+                seen, at_timer = [], []
+                inbound.set_receiver(lambda _p, meta: seen.append(meta["seq"]))
+                packet = _pkt()
+                for _ in range(total):
+                    outbound.send(packet)
+                sched = RealTimeScheduler(asyncio.get_running_loop())
+                sched.post(sched.now, lambda: at_timer.append(len(seen)))
+                await self._until(lambda: len(seen) == total)
+                return seen, at_timer
+            finally:
+                tx.close()
+                rx.close()
+
+        seen, at_timer = asyncio.run(scenario())
+        assert seen == list(range(total))
+        assert len(at_timer) == 1 and at_timer[0] <= RX_BURST < total
+
+    def test_close_from_a_receiver_ends_the_drain(self):
+        import asyncio
+
+        async def scenario():
+            rx, tx, inbound, outbound = await self._pair()
+            loop = asyncio.get_running_loop()
+            reported = []
+            loop.set_exception_handler(lambda _loop, context: reported.append(context))
+            seen = []
+
+            def on_message(_packet, meta):
+                seen.append(meta["seq"])
+                if len(seen) == 3:
+                    rx.close()
+
+            inbound.set_receiver(on_message)
+            try:
+                for _ in range(10):
+                    outbound.send(_pkt())
+                await self._until(lambda: len(seen) >= 3)
+                await asyncio.sleep(0.02)
+                return seen, reported, rx
+            finally:
+                tx.close()
+                rx.close()
+
+        seen, reported, rx = asyncio.run(scenario())
+        assert seen == [0, 1, 2] and reported == []
+        assert rx.rx_errors == 0 and rx.rx_handler_errors == 0
+
+    def test_failing_receiver_is_reported_and_the_drain_goes_on(self):
+        import asyncio
+        import socket
+
+        async def scenario():
+            rx, tx, inbound, outbound = await self._pair()
+            loop = asyncio.get_running_loop()
+            reported = []
+            loop.set_exception_handler(lambda _loop, context: reported.append(context))
+            seen = []
+
+            def on_message(_packet, meta):
+                seen.append(meta["seq"])
+                if meta["seq"] == 1:
+                    raise ValueError("receiver bug")
+
+            inbound.set_receiver(on_message)
+            try:
+                outbound.send(_pkt())
+                outbound.send(_pkt())
+                with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as raw:
+                    raw.sendto(b"not a transport datagram", rx.local_address())
+                outbound.send(_pkt())
+                await self._until(lambda: len(seen) == 3)
+                return seen, reported, rx
+            finally:
+                tx.close()
+                rx.close()
+
+        seen, reported, rx = asyncio.run(scenario())
+        assert seen == [0, 1, 2]
+        assert rx.rx_handler_errors == 1 and rx.rx_errors == 1
+        assert len(reported) == 1
+        assert isinstance(reported[0]["exception"], ValueError)
+
+    def test_refused_sends_keep_order_and_lose_nothing(self):
+        import asyncio
+
+        async def scenario():
+            rx, tx, inbound, outbound = await self._pair()
+            seen = []
+            inbound.set_receiver(lambda _p, meta: seen.append(meta["seq"]))
+            # the first send and the first flush find the socket full
+            tx._sock = stubborn = _StubbornSocket(tx._sock, refusals=2)
+            try:
+                for _ in range(5):
+                    outbound.send(_pkt())
+                assert seen == [] and len(tx._backlog) == 5
+                await self._until(lambda: len(seen) == 5)
+                assert stubborn.refusals == 0 and not tx._backlog
+                outbound.send(_pkt())  # and the direct path is back
+                await self._until(lambda: len(seen) == 6)
+                return seen
+            finally:
+                tx.close()
+                rx.close()
+
+        assert asyncio.run(scenario()) == list(range(6))
 
 
 # ----------------------------------------------------------------------
