@@ -1,4 +1,4 @@
-"""``python -m repro`` — regenerate the paper's experiments from the CLI."""
+"""``python -m repro`` — the one command tree (:mod:`repro.analysis.cli`)."""
 
 import sys
 

@@ -1,22 +1,25 @@
-"""``python -m repro live ...`` — the real-socket demo commands."""
+"""``python -m repro live ...`` — the real-socket demo commands.
+
+:func:`register` declares them on the one command tree
+(:mod:`repro.analysis.cli`); the demo (and with it ``asyncio``) is
+imported when the handler runs.
+"""
 
 from __future__ import annotations
 
 import argparse
 import json
-import sys
-from typing import List, Optional
 
-from repro.live.demo import run_live_demo
-from repro.live.schedule import LiveFault, LiveSchedule, default_schedule
+from repro.live.schedule import LiveFault, LiveSchedule
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro live",
+def register(subparsers) -> None:
+    """Declare ``live demo`` on the one command tree."""
+    live = subparsers.add_parser(
+        "live", help="the NetCo combiner over localhost UDP sockets",
         description="run the NetCo combiner over localhost UDP sockets",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = live.add_subparsers(dest="subcommand", required=True)
     demo = sub.add_parser(
         "demo",
         help="3 switch processes + 1 compare process under a fault "
@@ -40,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="run only the live half (no verdict diff)")
     demo.add_argument("--json", dest="json_path", default=None,
                       help="write the full report to this file")
-    return parser
+    demo.set_defaults(func=_cmd_demo)
 
 
 def _print_verdict(label: str, verdict: dict) -> None:
@@ -51,27 +54,16 @@ def _print_verdict(label: str, verdict: dict) -> None:
           f"quarantined={verdict['quarantined']}")
 
 
-def live_main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+def _cmd_demo(args: argparse.Namespace) -> int:
+    from repro.live.demo import run_live_demo
+
     crash_index = args.crash_index
     if crash_index is None:
-        schedule = default_schedule(args.packets, branch=args.crash_branch,
-                                    restart=args.restart_index is not None)
-        if args.restart_index is not None:
-            schedule = LiveSchedule(
-                name="crash_restart",
-                faults=(
-                    LiveFault(args.crash_branch, args.packets // 3,
-                              args.restart_index),
-                ),
-            )
-    else:
-        schedule = LiveSchedule(
-            name="crash_restart" if args.restart_index is not None else "crash",
-            faults=(
-                LiveFault(args.crash_branch, crash_index, args.restart_index),
-            ),
-        )
+        crash_index = args.packets // 3
+    schedule = LiveSchedule(
+        name="crash_restart" if args.restart_index is not None else "crash",
+        faults=(LiveFault(args.crash_branch, crash_index, args.restart_index),),
+    )
     report = run_live_demo(
         packets=args.packets,
         interval=args.interval,
@@ -104,6 +96,3 @@ def live_main(argv: Optional[List[str]] = None) -> int:
         return 0
     return 0 if report["match"] else 1
 
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(live_main())

@@ -16,7 +16,10 @@ compare votes, control-plane voting, overlapping fault windows).
 
 Exit codes (all subcommands): 0 success; 1 a watched counter breached
 (``diff``) or the requested trace id does not exist (``trace``); 2
-usage error (argparse).
+usage error (argparse) or an unreadable report / watch file (``diff``).
+
+:func:`register` declares these subcommands on the one command tree
+(:mod:`repro.analysis.cli`); handlers import what they run when called.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
 
 
 def _cmd_summary(args: argparse.Namespace) -> int:
@@ -82,9 +84,13 @@ def _load_watches(path: str):
 def _cmd_diff(args: argparse.Namespace) -> int:
     from repro.obs.report import DEFAULT_WATCHES, RunReport, diff_reports
 
-    base = RunReport.load(args.base)
-    new = RunReport.load(args.new)
-    watches = _load_watches(args.watch) if args.watch else DEFAULT_WATCHES
+    try:
+        base = RunReport.load(args.base)
+        new = RunReport.load(args.new)
+        watches = _load_watches(args.watch) if args.watch else DEFAULT_WATCHES
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     findings = diff_reports(base, new, watches)
     breached = [f for f in findings if f.breached]
     if not args.quiet:
@@ -124,9 +130,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             seed=args.seed,
             sample_rate=args.sample,
         )
-        if args.chaos:
-            print("note: --chaos requires --ctrl or a chaos-armed run; "
-                  "ignored for the plain scenario", file=sys.stderr)
     tracer = run.tracer
     ids = tracer.trace_ids()
     if args.list or args.trace_id is None:
@@ -162,21 +165,27 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def obs_main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro obs",
+def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    """The instrumented-run knobs shared by ``summary``, ``dump`` and ``trace``."""
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--sample", type=float, default=1.0, metavar="RATE",
+                        help="packet-trace sampling rate in [0,1] (default 1.0)")
+    parser.add_argument("--duration", type=float, default=None, metavar="SECONDS",
+                        help="per-scenario flow duration")
+
+
+def register(subparsers) -> None:
+    """Declare ``obs summary|dump|diff|trace`` on the one command tree."""
+    obs = subparsers.add_parser(
+        "obs", help="observability: metric summaries, trace dumps, report diffs",
         description="Observability: metric summaries, trace dumps, report diffs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = obs.add_subparsers(dest="subcommand", required=True)
 
     p_summary = sub.add_parser("summary", help="instrumented fig5 run + metrics")
     p_summary.add_argument("--quick", action="store_true",
                            help="fewer scenarios, shorter flows")
-    p_summary.add_argument("--seed", type=int, default=1)
-    p_summary.add_argument("--sample", type=float, default=1.0, metavar="RATE",
-                           help="packet-trace sampling rate in [0,1] (default 1.0)")
-    p_summary.add_argument("--duration", type=float, default=None, metavar="SECONDS",
-                           help="per-scenario flow duration")
+    _add_run_arguments(p_summary)
     p_summary.add_argument("--train", type=int, default=1, metavar="N",
                            help="packets per train for the batch tier "
                                 "(default 1: per-packet path)")
@@ -191,9 +200,7 @@ def obs_main(argv: Optional[List[str]] = None) -> int:
                         help="testbed variant to run (default central3)")
     p_dump.add_argument("--topic", default=None, metavar="TOPIC",
                         help='exact topic or "prefix*" filter')
-    p_dump.add_argument("--seed", type=int, default=1)
-    p_dump.add_argument("--sample", type=float, default=1.0)
-    p_dump.add_argument("--duration", type=float, default=None)
+    _add_run_arguments(p_dump)
     p_dump.add_argument("-o", "--output", default="-", metavar="PATH",
                         help="output file (default stdout)")
     p_dump.set_defaults(func=_cmd_dump)
@@ -204,7 +211,8 @@ def obs_main(argv: Optional[List[str]] = None) -> int:
         epilog="exit codes: 0 all watched samples within thresholds; "
                "1 at least one watched counter BREACHED (the one-line "
                "summary and the exit code survive --quiet, so scripts "
-               "can gate on status instead of grepping); 2 usage error",
+               "can gate on status instead of grepping); 2 usage error "
+               "or an unreadable report / watch file",
     )
     p_diff.add_argument("base", help="baseline RunReport JSON")
     p_diff.add_argument("new", help="candidate RunReport JSON")
@@ -238,20 +246,7 @@ def obs_main(argv: Optional[List[str]] = None) -> int:
     p_trace.add_argument("--adversary", default="none",
                          choices=("none", "crash", "lying"),
                          help="chaos adversary for --ctrl (default none)")
-    p_trace.add_argument("--chaos", default=None, metavar="NAME",
-                         help="reserved: named fault schedule (with --ctrl, "
-                              "the adversary axis already arms one)")
-    p_trace.add_argument("--seed", type=int, default=1)
-    p_trace.add_argument("--sample", type=float, default=1.0)
-    p_trace.add_argument("--duration", type=float, default=None,
-                         metavar="SECONDS")
+    _add_run_arguments(p_trace)
     p_trace.add_argument("--list", action="store_true",
                          help="list available trace ids and exit")
     p_trace.set_defaults(func=_cmd_trace)
-
-    args = parser.parse_args(argv)
-    return args.func(args)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(obs_main())

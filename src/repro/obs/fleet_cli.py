@@ -16,6 +16,9 @@ Subcommands:
 
 Exit codes: 0 ok; 1 validation/replay mismatch or unreachable source;
 2 usage error (argparse).
+
+:func:`register` declares these subcommands on the one command tree
+(:mod:`repro.analysis.cli`).
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ import argparse
 import json
 import sys
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Dict, List, Optional
 
 from repro.obs.events import (
@@ -36,13 +37,15 @@ from repro.obs.events import (
     EventLogError,
 )
 
-__all__ = ["fleet_main"]
+__all__ = ["register"]
 
 
 # ----------------------------------------------------------------------
 # snapshot sources
 # ----------------------------------------------------------------------
 def _fetch_url_snapshot(url: str) -> Dict[str, Any]:
+    import urllib.request
+
     endpoint = url.rstrip("/") + "/fleet"
     with urllib.request.urlopen(endpoint, timeout=5.0) as response:
         return json.loads(response.read().decode("utf-8"))
@@ -173,7 +176,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                 snap = _fetch_url_snapshot(args.url)
             else:
                 snap = _snapshot_from_events(read_events(args.events))
-        except (urllib.error.URLError, OSError, EventLogError, json.JSONDecodeError) as exc:
+        except (OSError, EventLogError, json.JSONDecodeError) as exc:
             print(f"fleet watch: cannot read {source}: {exc}", file=sys.stderr)
             return 1
         frame = _render_frame(snap, label)
@@ -226,12 +229,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def fleet_main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro fleet",
+def register(subparsers) -> None:
+    """Declare ``fleet watch|replay|profile`` on the one command tree."""
+    fleet = subparsers.add_parser(
+        "fleet", help="live view and replay of farm fleet telemetry",
         description="live view and replay of farm fleet telemetry",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = fleet.add_subparsers(dest="subcommand", required=True)
 
     watch = sub.add_parser("watch", help="tail a live run in place")
     group = watch.add_mutually_exclusive_group(required=True)
@@ -241,23 +245,16 @@ def fleet_main(argv: Optional[List[str]] = None) -> int:
                        help="refresh period in seconds (default 1.0)")
     watch.add_argument("--once", action="store_true",
                        help="print one frame and exit (no ANSI control codes)")
-    watch.set_defaults(fn=_cmd_watch)
+    watch.set_defaults(func=_cmd_watch)
 
     replay = sub.add_parser("replay", help="validate + replay a JSONL event log")
     replay.add_argument("log", help="path to the JSONL event log")
     replay.add_argument("--check", action="store_true",
                         help="exit 1 unless the replayed rollup matches farm.summary")
-    replay.set_defaults(fn=_cmd_replay)
+    replay.set_defaults(func=_cmd_replay)
 
     profile = sub.add_parser("profile", help="aggregate --profile-shards dumps")
     profile.add_argument("dir", help="directory of .pstats dumps")
     profile.add_argument("--top", type=int, default=15,
                          help="rows in the cumulative-time table (default 15)")
-    profile.set_defaults(fn=_cmd_profile)
-
-    args = parser.parse_args(argv)
-    return args.fn(args)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(fleet_main())
+    profile.set_defaults(func=_cmd_profile)

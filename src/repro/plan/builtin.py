@@ -5,8 +5,8 @@ Three consumers share them:
 
 * library callers (benchmarks, examples, tests):
   ``fig7_plan(count=20).run(farm)`` or ``builtin_plan(name, quick=...)``;
-* the experiment CLI's figure commands (aliases for
-  ``builtin_plan(name, quick=...)``);
+* the CLI: ``repro X`` is ``repro plan run X``, both
+  ``builtin_plan(name, quick=...)``;
 * the checked-in JSON artefacts under ``examples/plans/`` (each file is
   exactly ``builtin_plan(name).to_json()``; a test pins the bytes).
 
@@ -287,7 +287,7 @@ def chaos_plan(
             args={"duration": duration, "rate_mbps": rate_mbps},
             seeds=list(seeds),
             params=params,
-            merge={"kind": "records_list"},
+            merge={"kind": "chaos_records"},
         )],
     )
 
@@ -324,7 +324,7 @@ def ctrlbft_plan(
             args={"duration": duration, "rate_mbps": rate_mbps},
             seeds=list(seeds),
             params=params,
-            merge={"kind": "records_list"},
+            merge={"kind": "ctrlbft_records"},
         )],
     )
 
@@ -400,6 +400,7 @@ def smoke_plan(
     scenarios: Sequence[str] = ("linespeed", "central3"),
     count: int = 10,
     seed: int = 1,
+    params: Optional[Dict[str, Any]] = None,
 ) -> ExperimentPlan:
     """A seconds-scale plan for CI: two scenarios, one short RTT
     sequence each — enough to exercise expand/merge, caching and the
@@ -408,7 +409,7 @@ def smoke_plan(
         name="smoke",
         description="CI smoke: tiny RTT grid proving plan expansion, "
                     "deterministic merge and serial == --jobs 2.",
-        stages=[_rtt_stage(list(scenarios), count, 1, seed, None, name="smoke")],
+        stages=[_rtt_stage(list(scenarios), count, 1, seed, params, name="smoke")],
     )
 
 

@@ -211,7 +211,18 @@ def _points_records(merged, options) -> List[Dict[str, Any]]:
 
 
 def _points_render(merged, options) -> str:
-    return _json_text(_points_records(merged, options))
+    """One series table per dependent field (first field is the x axis);
+    without ``fields`` the points have no names to head a table with."""
+    fields = options.get("fields")
+    if not fields:
+        return _json_text(_points_records(merged, options))
+    x_label, *y_labels = fields
+    return "\n".join(
+        _report_mod().render_series(
+            y_label, x_label, y_label, [(p[0], p[column]) for p in merged]
+        )
+        for column, y_label in enumerate(y_labels, start=1)
+    )
 
 
 register_merger(Merger(
@@ -292,8 +303,53 @@ register_merger(Merger(
 
 
 # ----------------------------------------------------------------------
+# chaos_records / ctrlbft_records: records_list with the one line per
+# run that CI greps (`chaos ...` / `ctrlbft ...`) as text
+# ----------------------------------------------------------------------
+def _optional(value: Optional[float]) -> str:
+    return f"{value:.4f}" if value is not None else "-"
+
+
+def _line_per_record(line: Callable[[Dict[str, Any]], str]):
+    return lambda merged, options: "\n".join(line(record) for record in merged)
+
+
+def _chaos_line(r) -> str:
+    return (
+        f"chaos {r['schedule']} seed={r['seed']}: "
+        f"sent={r['sent']} received={r['received']} "
+        f"loss_rate={r['loss_rate']:.4f} faults={len(r['injections'])} "
+        f"quarantined={r['quarantined']} readmitted={r['readmitted']} "
+        f"post_quarantine_gaps={r['post_quarantine_gaps']}"
+    )
+
+
+def _ctrlbft_line(r) -> str:
+    return (
+        f"ctrlbft {r['variant']} ctrl_k={r['ctrl_k']} "
+        f"adversary={r['adversary']} seed={r['seed']}: "
+        f"sent={r['sent']} received={r['received']} "
+        f"loss_rate={r['loss_rate']:.4f} fp={r['data_fingerprint']} "
+        f"blocked={r['ctrl']['blocked']} "
+        f"malicious_installed={r['malicious_installed']} "
+        f"ctrl_quarantined={r['ctrl_quarantined']} "
+        f"detection_latency={_optional(r['detection_latency'])}"
+    )
+
+
+for _kind, _line in (("chaos_records", _chaos_line),
+                     ("ctrlbft_records", _ctrlbft_line)):
+    register_merger(Merger(
+        kind=_kind,
+        merge=_merge_records_list,
+        records=_records_list_records,
+        render=_line_per_record(_line),
+    ))
+
+
+# ----------------------------------------------------------------------
 # detection_table: advbench records aggregated over seeds per
-# (variant, adversary, profile) -> a paper-style detection-latency table
+# (variant, adversary, profile) -> one `advbench ...` line per row
 # ----------------------------------------------------------------------
 def _merge_detection_table(specs, results, options):
     grouped: Dict[tuple, Dict[str, Any]] = {}
@@ -350,46 +406,25 @@ def _merge_detection_table(specs, results, options):
     return rows
 
 
-def _detection_table_records(merged, options) -> List[Dict[str, Any]]:
-    return list(merged)
-
-
-def _ms(value: Optional[float]) -> str:
-    return f"{value * 1e3:.2f}ms" if value is not None else "-"
-
-
-def _detection_table_render(merged, options) -> str:
-    report = _report_mod()
-    headers = [
-        "variant", "k", "adversary", "profile", "detected",
-        "t_alarm", "t_quarantine", "leaked", "masked", "false_q",
-    ]
-    table = [
-        [
-            row["variant"],
-            str(row["k"]),
-            row["adversary"],
-            row["profile"],
-            f"{row['detected']}/{row['seeds']}",
-            _ms(row["time_to_first_alarm"]),
-            _ms(row["detection_latency"]),
-            str(row["leaked_max"]),
-            str(row["masked_damage_max"]),
-            f"{row['false_quarantine_rate_max']:.2f}",
-        ]
-        for row in merged
-    ]
+def _advbench_line(r) -> str:
     return (
-        "detection-latency surface (worst case over seeds; masked must "
-        "be 0 below quorum)\n" + report.format_table(headers, table)
+        f"advbench {r['variant']} k={r['k']} "
+        f"adversary={r['adversary']} profile={r['profile']}: "
+        f"detected={r['detected']}/{r['seeds']} "
+        f"t_alarm={_optional(r['time_to_first_alarm'])} "
+        f"t_quarantine={_optional(r['detection_latency'])} "
+        f"tampered={r['tampered']} "
+        f"leaked={r['leaked_max']} "
+        f"masked_damage={r['masked_damage_max']} "
+        f"false_quarantine_rate={r['false_quarantine_rate_max']:.2f}"
     )
 
 
 register_merger(Merger(
     kind="detection_table",
     merge=_merge_detection_table,
-    records=_detection_table_records,
-    render=_detection_table_render,
+    records=_records_list_records,
+    render=_line_per_record(_advbench_line),
 ))
 
 

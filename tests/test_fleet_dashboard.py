@@ -6,11 +6,11 @@ import urllib.request
 
 import pytest
 
+from repro.analysis.cli import main
 from repro.farm import FarmExecutor, FarmProgress, ResultCache, RunSpec, register_runner
 from repro.obs.dashboard import DashboardServer
 from repro.obs.events import EventLogWriter, FarmEventLogger
 from repro.obs.fleet import FleetState
-from repro.obs.fleet_cli import fleet_main
 from repro.obs.metrics import MetricsRegistry, use_registry
 
 
@@ -167,7 +167,7 @@ def _logged_farm_run(tmp_path, name="cli"):
 class TestFleetCli:
     def test_watch_once_from_events(self, tmp_path, capsys):
         path = _logged_farm_run(tmp_path)
-        assert fleet_main(["watch", "--events", path, "--once"]) == 0
+        assert main(["fleet", "watch", "--events", path, "--once"]) == 0
         out = capsys.readouterr().out
         assert "[finished]" in out
         assert "tasks: 3/3 done" in out
@@ -176,19 +176,19 @@ class TestFleetCli:
     def test_watch_once_from_url(self, tmp_path, capsys):
         fleet = _run_small_farm()
         with DashboardServer(fleet=fleet) as server:
-            assert fleet_main(["watch", "--url", server.url, "--once"]) == 0
+            assert main(["fleet", "watch", "--url", server.url, "--once"]) == 0
         out = capsys.readouterr().out
         assert "tasks: 3/3 done" in out
         fleet.detach()
 
     def test_watch_unreachable_source_exits_1(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.jsonl")
-        assert fleet_main(["watch", "--events", missing, "--once"]) == 1
+        assert main(["fleet", "watch", "--events", missing, "--once"]) == 1
         assert "cannot read" in capsys.readouterr().err
 
     def test_replay_check_ok(self, tmp_path, capsys):
         path = _logged_farm_run(tmp_path)
-        assert fleet_main(["replay", path, "--check"]) == 0
+        assert main(["fleet", "replay", path, "--check"]) == 0
         assert "replay ok" in capsys.readouterr().out
 
     def test_replay_check_flags_truncation(self, tmp_path, capsys):
@@ -198,10 +198,10 @@ class TestFleetCli:
         truncated = str(tmp_path / "truncated.jsonl")
         with open(truncated, "w", encoding="utf-8") as fh:
             fh.writelines(lines[: len(lines) // 2])
-        assert fleet_main(["replay", truncated]) == 0  # report-only
-        assert fleet_main(["replay", truncated, "--check"]) == 1
+        assert main(["fleet", "replay", truncated]) == 0  # report-only
+        assert main(["fleet", "replay", truncated, "--check"]) == 1
         assert "ERROR" in capsys.readouterr().out
 
     def test_profile_empty_dir_exits_1(self, tmp_path, capsys):
-        assert fleet_main(["profile", str(tmp_path)]) == 1
+        assert main(["fleet", "profile", str(tmp_path)]) == 1
         assert "no profile dumps" in capsys.readouterr().err

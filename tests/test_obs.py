@@ -413,12 +413,12 @@ class TestJsonlDump:
 
 class TestObsCli:
     def test_summary_writes_report_and_prometheus(self, tmp_path, capsys):
-        from repro.obs.cli import obs_main
+        from repro.analysis.cli import main
 
         report_path = tmp_path / "r.json"
         prom_path = tmp_path / "p.txt"
-        rc = obs_main([
-            "summary", "--quick", "--duration", "0.002",
+        rc = main([
+            "obs", "summary", "--quick", "--duration", "0.002",
             "--report", str(report_path), "--prometheus", str(prom_path),
         ])
         assert rc == 0
@@ -430,19 +430,19 @@ class TestObsCli:
         assert "# TYPE" in prom_path.read_text()
 
     def test_diff_exit_codes(self, tmp_path, capsys):
-        from repro.obs.cli import obs_main
+        from repro.analysis.cli import main
 
         base = tmp_path / "a.json"
         new = tmp_path / "b.json"
         RunReport(name="a", metrics={'link_queue_drops_total{link="x"}': 0.0}).save(base)
         RunReport(name="b", metrics={'link_queue_drops_total{link="x"}': 0.0}).save(new)
-        assert obs_main(["diff", str(base), str(new)]) == 0
+        assert main(["obs", "diff", str(base), str(new)]) == 0
         RunReport(name="b", metrics={'link_queue_drops_total{link="x"}': 500.0}).save(new)
-        assert obs_main(["diff", str(base), str(new)]) == 1
+        assert main(["obs", "diff", str(base), str(new)]) == 1
         assert "BREACHED" in capsys.readouterr().out
 
     def test_diff_custom_watch_file(self, tmp_path):
-        from repro.obs.cli import obs_main
+        from repro.analysis.cli import main
 
         base = tmp_path / "a.json"
         new = tmp_path / "b.json"
@@ -452,14 +452,14 @@ class TestObsCli:
         watch.write_text(json.dumps(
             [{"pattern": "my_total", "max_ratio": 1.1, "max_increase": 1.0}]
         ))
-        assert obs_main(["diff", str(base), str(new), "--watch", str(watch)]) == 1
+        assert main(["obs", "diff", str(base), str(new), "--watch", str(watch)]) == 1
 
     def test_dump_writes_jsonl(self, tmp_path, capsys):
-        from repro.obs.cli import obs_main
+        from repro.analysis.cli import main
 
         out_path = tmp_path / "t.jsonl"
-        rc = obs_main([
-            "dump", "--scenario", "linespeed", "--duration", "0.002",
+        rc = main([
+            "obs", "dump", "--scenario", "linespeed", "--duration", "0.002",
             "--topic", "span.*", "-o", str(out_path),
         ])
         assert rc == 0

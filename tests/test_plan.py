@@ -16,6 +16,7 @@ import os
 
 import pytest
 
+from repro.analysis.cli import main
 from repro.analysis.tasks import params_to_dict
 from repro.chaos import FaultSchedule, builtin_battery
 from repro.farm.executor import FarmExecutor
@@ -34,7 +35,6 @@ from repro.plan import (
     jitter_params,
     table1_plan,
 )
-from repro.plan.cli import plan_main
 from repro.scenarios import scenario_names
 from repro.scenarios.registry import figure_scenarios, table1_scenarios
 from repro.scenarios.testbed import VARIANTS
@@ -312,22 +312,20 @@ class TestRegistryDerivation:
             build_testbed("bogus")
 
     def test_cli_variant_choices_come_from_registry(self):
-        from repro.analysis.cli import main
-
         with pytest.raises(SystemExit):
             main(["chaos", "--variant", "bogus"])
 
 
 class TestPlanCli:
     def test_list_names_every_builtin(self, capsys):
-        assert plan_main(["list"]) == 0
+        assert main(["plan", "list"]) == 0
         out = capsys.readouterr().out
         for name in builtin_plan_names():
             assert name in out
 
     def test_validate_accepts_the_artefacts(self, capsys):
         paths = sorted(glob.glob(os.path.join(PLAN_DIR, "*.json")))
-        assert plan_main(["validate"] + paths) == 0
+        assert main(["plan", "validate"] + paths) == 0
         out = capsys.readouterr().out
         assert out.count(": ok") == len(paths)
 
@@ -339,23 +337,23 @@ class TestPlanCli:
                         "merge": {"kind": "records_list"},
                         "scenarios": ["bogus"]}],
         }))
-        assert plan_main(["validate", str(bad)]) == 1
+        assert main(["plan", "validate", str(bad)]) == 1
         assert "INVALID" in capsys.readouterr().err
 
     def test_run_unknown_plan_fails_cleanly(self, capsys):
-        assert plan_main(["run", "fig99"]) == 2
+        assert main(["plan", "run", "fig99"]) == 2
         assert "no plan file" in capsys.readouterr().err
 
     def test_quick_rejected_for_plan_files(self, capsys):
         path = os.path.join(PLAN_DIR, "smoke.json")
-        assert plan_main(["run", path, "--quick"]) == 2
+        assert main(["plan", "run", path, "--quick"]) == 2
         assert "--quick" in capsys.readouterr().err
 
     def test_run_smoke_parallel_stdout_matches_serial(self, capsys, tmp_path):
-        args = ["run", "smoke", "--cache-dir", str(tmp_path / "c")]
-        assert plan_main(args + ["--jobs", "2"]) == 0
+        args = ["plan", "run", "smoke", "--cache-dir", str(tmp_path / "c")]
+        assert main(args + ["--jobs", "2"]) == 0
         parallel = capsys.readouterr()
-        assert plan_main(args + ["--no-cache"]) == 0
+        assert main(args + ["--no-cache"]) == 0
         serial = capsys.readouterr()
         # stdout is purely deterministic; telemetry goes to stderr
         assert parallel.out == serial.out
@@ -363,8 +361,8 @@ class TestPlanCli:
 
     def test_run_writes_report_with_stage_records(self, capsys, tmp_path):
         report_path = tmp_path / "report.json"
-        assert plan_main(["run", "smoke", "--no-cache",
-                          "--report", str(report_path)]) == 0
+        assert main(["plan", "run", "smoke", "--no-cache",
+                     "--report", str(report_path)]) == 0
         with open(report_path, "r", encoding="utf-8") as fh:
             report = json.load(fh)
         assert report["name"] == "smoke"
@@ -372,7 +370,5 @@ class TestPlanCli:
         assert "smoke" in report["farm"]
 
     def test_repro_cli_dispatches_plan_subcommand(self, capsys):
-        from repro.analysis.cli import main
-
         assert main(["plan", "list"]) == 0
         assert "table1" in capsys.readouterr().out

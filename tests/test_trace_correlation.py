@@ -4,7 +4,7 @@ voter, control plane and fault windows — plus the ``obs trace`` CLI,
 
 import pytest
 
-from repro.obs.cli import obs_main
+from repro.analysis.cli import main
 from repro.obs.report import RunReport
 from repro.obs.spans import cross_layer_story
 from repro.obs.summary import (
@@ -146,18 +146,18 @@ class TestFaultWindowCorrelation:
 # ----------------------------------------------------------------------
 class TestTraceCli:
     def test_list_ids(self, capsys):
-        assert obs_main(["trace", "--list", "--duration", "0.001"]) == 0
+        assert main(["obs", "trace", "--list", "--duration", "0.001"]) == 0
         out = capsys.readouterr().out
         assert "trace ids:" in out
 
     def test_story_printed(self, capsys):
-        assert obs_main(["trace", "2", "--duration", "0.001"]) == 0
+        assert main(["obs", "trace", "2", "--duration", "0.001"]) == 0
         out = capsys.readouterr().out
         assert "trace 2:" in out
         assert "[   data]" in out
 
     def test_missing_id_exits_1(self, capsys):
-        assert obs_main(["trace", "999999", "--duration", "0.001"]) == 1
+        assert main(["obs", "trace", "999999", "--duration", "0.001"]) == 1
         assert "no trajectory" in capsys.readouterr().err
 
 
@@ -178,7 +178,7 @@ class TestDiffQuiet:
 
     def test_quiet_keeps_verdict_and_exit_code(self, tmp_path, capsys):
         base, new = self._reports(tmp_path, 500.0)
-        assert obs_main(["diff", base, new, "--quiet"]) == 1
+        assert main(["obs", "diff", base, new, "--quiet"]) == 1
         out = capsys.readouterr().out
         lines = [line for line in out.splitlines() if line]
         assert len(lines) == 1  # per-finding lines suppressed
@@ -186,7 +186,7 @@ class TestDiffQuiet:
 
     def test_quiet_clean_diff_exits_0(self, tmp_path, capsys):
         base, new = self._reports(tmp_path, 0.0)
-        assert obs_main(["diff", base, new, "-q"]) == 0
+        assert main(["obs", "diff", base, new, "-q"]) == 0
         assert "within thresholds" in capsys.readouterr().out
 
 
