@@ -29,7 +29,7 @@ from typing import Dict, Optional, Type
 
 from repro.adversary.behaviors import AdversarialBehavior
 from repro.net.packet import Packet
-from repro.obs.metrics import active_registry
+from repro.obs.metrics import StatBlock
 from repro.openflow.switch import OpenFlowSwitch
 
 __all__ = [
@@ -111,21 +111,13 @@ class ScheduledStrategy(AdversarialBehavior):
         self.activated_at: Optional[float] = None
         #: accumulated active sim time over completed activations
         self.active_seconds = 0.0
-        registry = active_registry()
-        if registry.enabled:
-            self._c_tampered = registry.counter(
-                "adversary_packets_tampered_total",
-                "packets tampered by a scheduled adversary strategy",
-                labelnames=("strategy",),
-            ).labels(self.STRATEGY)
-            self._g_active = registry.gauge(
-                "adversary_active_seconds",
-                "sim time scheduled adversary strategies have been active",
-                labelnames=("strategy",),
-            ).labels(self.STRATEGY)
-        else:
-            self._c_tampered = None
-            self._g_active = None
+        StatBlock.publish_samples(
+            lambda: {
+                "adversary_packets_tampered_total": self.packets_tampered,
+                "adversary_active_seconds": self.active_seconds,
+            },
+            strategy=self.STRATEGY,
+        )
 
     # -- lifecycle (driven by the chaos engine) -------------------------
     def activate(self) -> None:
@@ -138,8 +130,6 @@ class ScheduledStrategy(AdversarialBehavior):
         elapsed = self.sim.now - self.activated_at
         self.activated_at = None
         self.active_seconds += elapsed
-        if self._g_active is not None:
-            self._g_active.inc(elapsed)
 
     # -- the hot path ---------------------------------------------------
     def handle(self, switch: OpenFlowSwitch, packet: Packet, in_port_no: int) -> bool:
@@ -160,11 +150,6 @@ class ScheduledStrategy(AdversarialBehavior):
         self.trace_tamper(switch, "corrupt", mutated)
         self.forward_normally(switch, mutated, in_port_no)
         return True
-
-    def trace_tamper(self, switch: OpenFlowSwitch, action: str, packet: Packet) -> None:
-        super().trace_tamper(switch, action, packet)
-        if self._c_tampered is not None:
-            self._c_tampered.inc()
 
     def _sample(self) -> bool:
         """One Bernoulli(rate) draw from this strategy's own stream."""

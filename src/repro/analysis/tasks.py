@@ -220,10 +220,6 @@ def chaos_run(
         ]
         post_quarantine_gaps = sum(1 for s in post if s not in seen)
 
-    alarm_counts: Dict[str, int] = {}
-    for alarm in testbed.chain.alarms.alarms:
-        alarm_counts[alarm.kind] = alarm_counts.get(alarm.kind, 0) + 1
-
     return {
         "variant": variant,
         "schedule": engine.schedule.name,
@@ -242,7 +238,7 @@ def chaos_run(
             {t["branch"] for t in controller.transitions if t["event"] == "readmit"}
         ),
         "post_quarantine_gaps": post_quarantine_gaps,
-        "alarms": alarm_counts,
+        "alarms": testbed.chain.alarms.counts(),
         "compare": core.stats.as_dict(),
     }
 
@@ -413,9 +409,6 @@ def adversary_run(
     active_seconds = sum(s.active_seconds for s in strategies)
 
     alarms = testbed.chain.alarms.alarms
-    alarm_counts: Dict[str, int] = {}
-    for alarm in alarms:
-        alarm_counts[alarm.kind] = alarm_counts.get(alarm.kind, 0) + 1
     attack_alarms = [a for a in alarms if a.time >= activate_at]
     time_to_first_alarm = None
     first_alarm_kind = None
@@ -499,7 +492,7 @@ def adversary_run(
         ),
         "transitions": transitions,
         "injections": engine.injections,
-        "alarms": alarm_counts,
+        "alarms": testbed.chain.alarms.counts(),
         "compare": core.stats.as_dict(),
     }
 
@@ -631,10 +624,6 @@ def ctrl_run(
         # Pass-through: every lie the lone replica emitted was installed.
         malicious_installed = malicious_emitted
 
-    alarm_counts: Dict[str, int] = {}
-    for alarm in tb.testbed.chain.alarms.alarms:
-        alarm_counts[alarm.kind] = alarm_counts.get(alarm.kind, 0) + 1
-
     return {
         "variant": variant,
         "ctrl_k": ctrl_k,
@@ -657,7 +646,7 @@ def ctrl_run(
         ),
         "transitions": transitions,
         "injections": injections,
-        "alarms": alarm_counts,
+        "alarms": tb.testbed.chain.alarms.counts(),
         "ctrl": tb.compare.stats.as_dict(),
         "replicas": handles,
     }

@@ -24,7 +24,7 @@ from repro.core.alarms import (
     ALARM_BRANCH_READMITTED,
     ALARM_ROUTER_UNAVAILABLE,
 )
-from repro.obs.metrics import active_registry
+from repro.obs.metrics import bind_counter
 from repro.sim import TraceBus, TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -53,15 +53,10 @@ class QuarantineController:
         self._trigger_kinds = tuple(trigger_kinds)
         #: ordered transition log: dicts of time/event/branch
         self.transitions: List[dict] = []
-        registry = active_registry()
-        self._c_transitions = (
-            registry.counter(
-                "quarantine_transitions_total",
-                "branch quarantine/readmit transitions",
-                labelnames=("event",),
-            )
-            if registry.enabled
-            else None
+        self._c_transitions = bind_counter(
+            "quarantine_transitions_total",
+            "branch quarantine/readmit transitions",
+            labelnames=("event",),
         )
         trace_bus.subscribe("alarm", self._on_alarm)
 

@@ -42,7 +42,7 @@ from repro.adversary.strategies import STRATEGIES, ScheduledStrategy, build_stra
 from repro.ctrl.replicated import CTRL_STRATEGIES
 from repro.net.link import Link
 from repro.net.topology import Network
-from repro.obs.metrics import active_registry
+from repro.obs.metrics import bind_counter
 from repro.openflow.switch import OpenFlowSwitch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -479,15 +479,10 @@ class ChaosEngine:
         self._saved_behaviors: Dict[str, object] = {}
         # original per-direction rates, for bandwidth restoration
         self._saved_rates: Dict[str, tuple] = {}
-        registry = active_registry()
-        self._c_faults = (
-            registry.counter(
-                "chaos_faults_injected_total",
-                "fault events applied by the chaos engine",
-                labelnames=("kind",),
-            )
-            if registry.enabled
-            else None
+        self._c_faults = bind_counter(
+            "chaos_faults_injected_total",
+            "fault events applied by the chaos engine",
+            labelnames=("kind",),
         )
         self._armed = False
 

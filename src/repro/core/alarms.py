@@ -74,5 +74,12 @@ class AlarmSink:
             return len(self.alarms)
         return len(self.of_kind(kind))
 
+    def counts(self) -> Dict[str, int]:
+        """Alarms per kind, in order of first occurrence."""
+        counts: Dict[str, int] = {}
+        for alarm in self.alarms:
+            counts[alarm.kind] = counts.get(alarm.kind, 0) + 1
+        return counts
+
     def clear(self) -> None:
         self.alarms.clear()

@@ -18,7 +18,7 @@ Two builders live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.alarms import AlarmSink
 from repro.core.compare import CompareConfig, CompareContext, CompareCore
@@ -102,6 +102,37 @@ class CompareHost(Node):
             self.trace("compare_host.untagged_packet", port=in_port.port_no)
             return
         session.deliver(packet, meta)
+
+
+def attach_inline_compare(
+    network: Network,
+    name: str,
+    config: CompareConfig,
+    endpoints: Sequence[CombinerEndpoint],
+    alarms: AlarmSink,
+    **link: object,
+) -> Tuple[CompareCore, CompareHost]:
+    """Build ``<name>_compare`` on its dedicated host ``<name>_h3`` and
+    wire the host in-band to each of ``endpoints`` (``link`` are the
+    :meth:`Network.connect` options of those links)."""
+    core = CompareCore(
+        network.sim,
+        config,
+        name=f"{name}_compare",
+        alarm_sink=alarms,
+        trace_bus=network.trace,
+    )
+    host = CompareHost(network.sim, f"{name}_h3", core, trace_bus=network.trace)
+    network.add_node(host)
+    for endpoint in endpoints:
+        network.connect(endpoint, host, **link)
+        endpoint.assign_compare_port(
+            network.port_no_between(endpoint.name, host.name)
+        )
+        host.register_endpoint(
+            network.port_no_between(host.name, endpoint.name), endpoint
+        )
+    return core, host
 
 
 @dataclass
@@ -296,35 +327,29 @@ def build_combiner_chain(
             from repro.core.policy import mask_src_mac_policy
 
             config = replace(config, policy=mask_src_mac_policy(config.policy))
-        compare_core = CompareCore(
-            sim,
-            config,
-            name=f"{name}_compare",
-            alarm_sink=alarms,
-            trace_bus=trace,
-        )
         if params.transport == "inline":
-            compare_host = CompareHost(sim, f"{name}_h3", compare_core, trace_bus=trace)
-            network.add_node(compare_host)
-            for endpoint in (endpoint_a, endpoint_b):
-                network.connect(
-                    endpoint,
-                    compare_host,
-                    rate_bps=params.compare_link_rate_bps,
-                    delay=params.compare_link_delay,
-                    queue_capacity=params.queue_capacity,
-                )
-                endpoint.assign_compare_port(
-                    network.port_no_between(endpoint.name, compare_host.name)
-                )
-                compare_host.register_endpoint(
-                    network.port_no_between(compare_host.name, endpoint.name), endpoint
-                )
+            compare_core, compare_host = attach_inline_compare(
+                network,
+                name,
+                config,
+                (endpoint_a, endpoint_b),
+                alarms,
+                rate_bps=params.compare_link_rate_bps,
+                delay=params.compare_link_delay,
+                queue_capacity=params.queue_capacity,
+            )
         elif params.transport == "controller":
             # POX3: the compare lives in a controller application; copies
             # cross the OpenFlow control channel in both directions.
             from repro.apps.combiner_app import PoxStyleCompareApp
 
+            compare_core = CompareCore(
+                sim,
+                config,
+                name=f"{name}_compare",
+                alarm_sink=alarms,
+                trace_bus=trace,
+            )
             controller = PoxStyleCompareApp(
                 sim,
                 compare_core,

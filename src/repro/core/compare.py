@@ -42,7 +42,7 @@ from repro.core.membership import QuorumConfig, QuorumVoter
 from repro.core.policy import BitExactPolicy, ComparePolicy
 from repro.core.votes import VoteEntry, VoteOutcome
 from repro.net.packet import Packet
-from repro.obs.metrics import active_registry
+from repro.obs.metrics import StatBlock, bind_counter, bind_histogram
 from repro.sim import Simulator, TraceBus
 
 
@@ -88,39 +88,38 @@ class CompareConfig(QuorumConfig):
             raise ValueError("cache_capacity must be >= 1")
 
 
-@dataclass
-class CompareStats:
+class CompareStats(StatBlock):
     """Counters exposed by a compare element."""
 
-    submissions: int = 0
-    released: int = 0
-    late_copies: int = 0
-    branch_duplicates: int = 0
-    expired_unreleased: int = 0
-    expired_released: int = 0
-    evicted: int = 0
-    queue_drops: int = 0
-    #: total copies accounted for by finalised entries; conservation
-    #: invariant: submissions == queue_drops + copies_finalised +
-    #: (copies still buffered) — checked by the soak tests
-    copies_finalised: int = 0
-    cleanups: int = 0
-    cleanup_stall_time: float = 0.0
-    blocks_issued: int = 0
-    #: self-healing bookkeeping (see quarantine_branch / readmit_branch)
-    quarantines: int = 0
-    readmissions: int = 0
-    quarantined_copies: int = 0
-    probation_resets: int = 0
-    #: entries that expired carrying bytes no active majority confirmed,
-    #: summed over the (non-quarantined) branches that voted for them
-    divergent_copies: int = 0
-    #: minority-divergence alarms latched (at most one per branch until
-    #: the branch is quarantined and later re-admitted)
-    divergence_alarms: int = 0
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
+    __slots__ = (
+        "submissions",
+        "released",
+        "late_copies",
+        "branch_duplicates",
+        "expired_unreleased",
+        "expired_released",
+        "evicted",
+        "queue_drops",
+        # total copies accounted for by finalised entries; conservation
+        # invariant: submissions == queue_drops + copies_finalised +
+        # (copies still buffered) — checked by the soak tests
+        "copies_finalised",
+        "cleanups",
+        "cleanup_stall_time",
+        "blocks_issued",
+        # self-healing bookkeeping (see quarantine_branch / readmit_branch)
+        "quarantines",
+        "readmissions",
+        "quarantined_copies",
+        "probation_resets",
+        # entries that expired carrying bytes no active majority confirmed,
+        # summed over the (non-quarantined) branches that voted for them
+        "divergent_copies",
+        # minority-divergence alarms latched (at most one per branch until
+        # the branch is quarantined and later re-admitted)
+        "divergence_alarms",
+    )
+    FLOAT_FIELDS = ("cleanup_stall_time",)
 
 
 class CompareContext:
@@ -168,7 +167,8 @@ class CompareCore(QuorumVoter):
         branch_ids: Optional[Sequence[int]] = None,
     ) -> None:
         super().__init__(
-            sim, config, config.buffer_timeout, CompareStats(), name,
+            sim, config, config.buffer_timeout,
+            CompareStats().publish("compare", compare=name), name,
             alarm_sink, trace_bus, branch_ids,
         )
         self._contexts: Dict[str, CompareContext] = {}
@@ -178,31 +178,28 @@ class CompareCore(QuorumVoter):
         self._dup_strikes: Dict[int, int] = {}
         self._craft_strikes: Dict[int, int] = {}
         self._blocked_branches: Dict[int, float] = {}
-        # Latency/quorum histograms bound from the registry active at
-        # construction time; None when metrics are disabled so the
-        # release path pays a single test per packet.
-        registry = active_registry()
-        if registry.enabled:
-            self._h_release_latency = registry.histogram(
-                "compare_release_latency_seconds",
-                "time from a packet's first copy arriving to its release",
-                labelnames=("compare",),
-            ).labels(name)
-            self._h_quorum_votes = registry.histogram(
-                "compare_quorum_votes",
-                "distinct branches that had voted when a packet released",
-                labelnames=("compare",),
-                buckets=(1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 9.0),
-            ).labels(name)
-            self._c_branch_divergence = registry.counter(
-                "compare_branch_divergence_total",
-                "expired entries carrying a branch's unconfirmed bytes",
-                labelnames=("compare", "branch"),
-            )
-        else:
-            self._h_release_latency = None
-            self._h_quorum_votes = None
-            self._c_branch_divergence = None
+        StatBlock.publish_samples(
+            lambda: {"compare_buffered_entries": len(self.book)}, compare=name
+        )
+        # Bound from the registry active at construction time; None when
+        # metrics are disabled so the release path pays a single test
+        # per packet.
+        self._h_release_latency = bind_histogram(
+            "compare_release_latency_seconds",
+            "time from a packet's first copy arriving to its release",
+            compare=name,
+        )
+        self._h_quorum_votes = bind_histogram(
+            "compare_quorum_votes",
+            "distinct branches that had voted when a packet released",
+            buckets=(1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 9.0),
+            compare=name,
+        )
+        self._c_branch_divergence = bind_counter(
+            "compare_branch_divergence_total",
+            "expired entries carrying a branch's unconfirmed bytes",
+            labelnames=("compare", "branch"),
+        )
 
     # ------------------------------------------------------------------
     # submission path

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.core.alarms import AlarmSink
-from repro.core.combiner import CompareHost
+from repro.core.combiner import CompareHost, attach_inline_compare
 from repro.core.compare import CompareConfig, CompareCore
 from repro.core.endpoint import MODE_COMBINE, CombinerEndpoint
 from repro.net.addresses import MacAddress
@@ -195,27 +195,15 @@ def build_shielded_router(
         replicas.append(replica)
 
     config = replace(params.compare, k=params.k)
-    core = CompareCore(
-        sim,
+    core, compare_host = attach_inline_compare(
+        network,
+        name,
         config,
-        name=f"{name}_compare",
-        alarm_sink=alarms,
-        trace_bus=trace,
-    )
-    compare_host = CompareHost(sim, f"{name}_h3", core, trace_bus=trace)
-    network.add_node(compare_host)
-    network.connect(
-        endpoint,
-        compare_host,
+        (endpoint,),
+        alarms,
         rate_bps=params.compare_link_rate_bps,
         delay=params.compare_link_delay,
         queue_capacity=params.queue_capacity,
-    )
-    endpoint.assign_compare_port(
-        network.port_no_between(endpoint.name, compare_host.name)
-    )
-    compare_host.register_endpoint(
-        network.port_no_between(compare_host.name, endpoint.name), endpoint
     )
 
     return ShieldedRouter(

@@ -30,6 +30,7 @@ from repro.core.compare import CompareContext, CompareCore
 from repro.net.addresses import MacAddress
 from repro.net.node import NetworkError
 from repro.net.packet import Packet
+from repro.obs.metrics import StatBlock
 from repro.openflow.messages import PACKETIN_NO_MATCH, PacketIn, PacketOut
 from repro.openflow.switch import OpenFlowSwitch
 from repro.sim import Simulator, TraceBus
@@ -95,7 +96,7 @@ class ControlChannelCollectSession(Session):
         )
 
 
-class EndpointStats:
+class EndpointStats(StatBlock):
     """Counters for one combiner endpoint."""
 
     __slots__ = (
@@ -107,18 +108,6 @@ class EndpointStats:
         "spoof_drops",
         "flooded",
     )
-
-    def __init__(self) -> None:
-        self.external_in = 0
-        self.duplicated = 0
-        self.collected = 0
-        self.submitted = 0
-        self.released_out = 0
-        self.spoof_drops = 0
-        self.flooded = 0
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class CombinerEndpoint(OpenFlowSwitch):
@@ -158,7 +147,7 @@ class CombinerEndpoint(OpenFlowSwitch):
         # copies win their vote.
         self.address_registry: Dict = {}
         self.alarms = alarm_sink or AlarmSink(trace_bus)
-        self.estats = EndpointStats()
+        self.estats = EndpointStats().publish("endpoint", endpoint=name)
         self._branch_by_port: Dict[int, int] = {}
         self._port_by_branch: Dict[int, int] = {}
         # Optional egress claim per branch port: for an n-port shielded

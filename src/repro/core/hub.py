@@ -18,6 +18,7 @@ from typing import List, Optional
 
 from repro.net.node import Node, Port
 from repro.net.packet import Packet
+from repro.obs.metrics import StatBlock
 from repro.sim import Simulator, TraceBus
 from repro.transport import (
     ROLE_EGRESS,
@@ -50,6 +51,13 @@ class Hub(Node):
         self.add_port(UPSTREAM_PORT)
         self.duplicated = 0
         self.merged = 0
+        StatBlock.publish_samples(
+            lambda: {
+                "hub_duplicated_total": self.duplicated,
+                "hub_merged_total": self.merged,
+            },
+            hub=name,
+        )
 
     def add_port(self, port_no: Optional[int] = None) -> Port:
         self._branch_ports = None  # topology changed; re-derive lazily

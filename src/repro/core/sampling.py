@@ -175,7 +175,7 @@ def build_sampling_chain(
     """
     from dataclasses import replace as dc_replace
 
-    from repro.core.combiner import CombinerChain, CompareHost
+    from repro.core.combiner import CombinerChain, attach_inline_compare
     from repro.core.compare import CompareConfig
 
     sim, trace = network.sim, network.trace
@@ -216,22 +216,12 @@ def build_sampling_chain(
     # crafted-packet flood, so the auto-block mitigation must stay off
     # (it would end up blocking the honest primary).
     config = dc_replace(config, k=k, craft_threshold=1 << 30)
-    core = CompareCore(
-        sim, config, name=f"{name}_compare", alarm_sink=alarms, trace_bus=trace
+    core, compare_host = attach_inline_compare(
+        network, name, config, (endpoint_a, endpoint_b), alarms,
+        rate_bps=link_rate_bps, delay=link_delay,
     )
-    compare_host = CompareHost(sim, f"{name}_h3", core, trace_bus=trace)
-    network.add_node(compare_host)
     for endpoint in (endpoint_a, endpoint_b):
-        network.connect(
-            endpoint, compare_host, rate_bps=link_rate_bps, delay=link_delay
-        )
-        endpoint.assign_compare_port(
-            network.port_no_between(endpoint.name, compare_host.name)
-        )
         endpoint.set_sampling_policy_core(core)
-        compare_host.register_endpoint(
-            network.port_no_between(compare_host.name, endpoint.name), endpoint
-        )
 
     watcher = DivergenceWatcher(core)
     chain = CombinerChain(

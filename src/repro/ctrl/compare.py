@@ -38,7 +38,7 @@ from repro.core.alarms import AlarmSink
 from repro.core.membership import QuorumConfig, QuorumVoter
 from repro.core.votes import VoteEntry, VoteOutcome
 from repro.ctrl.digest import digest
-from repro.obs.metrics import active_registry
+from repro.obs.metrics import StatBlock, bind_histogram
 from repro.sim import Simulator, TraceBus
 
 __all__ = ["ControlCompareConfig", "CtrlStats", "ControlCompare"]
@@ -67,33 +67,35 @@ class ControlCompareConfig(QuorumConfig):
             raise ValueError("vote_timeout must be positive")
 
 
-@dataclass
-class CtrlStats:
+class CtrlStats(StatBlock):
     """Counters exposed by a control-plane voter."""
 
-    submissions: int = 0
-    released: int = 0
-    late_copies: int = 0
-    branch_duplicates: int = 0
-    #: decisions voided: expired without a majority
-    blocked_no_quorum: int = 0
-    #: decisions voided that only ever had probation votes
-    blocked_quarantined: int = 0
-    expired_released: int = 0
-    quarantined_copies: int = 0
-    #: released decisions whose digest a compromised replica also emitted
-    #: — the acceptance metric; must stay 0 under a minority of liars
-    malicious_released: int = 0
-    quarantines: int = 0
-    readmissions: int = 0
-    probation_resets: int = 0
+    __slots__ = (
+        "submissions",
+        "released",
+        "late_copies",
+        "branch_duplicates",
+        # decisions voided: expired without a majority
+        "blocked_no_quorum",
+        # decisions voided that only ever had probation votes
+        "blocked_quarantined",
+        "expired_released",
+        "quarantined_copies",
+        # released decisions whose digest a compromised replica also
+        # emitted — the acceptance metric; must stay 0 under a minority
+        # of liars
+        "malicious_released",
+        "quarantines",
+        "readmissions",
+        "probation_resets",
+    )
 
     @property
     def blocked(self) -> int:
         return self.blocked_no_quorum + self.blocked_quarantined
 
     def as_dict(self) -> dict:
-        data = dict(self.__dict__)
+        data = super().as_dict()
         data["blocked"] = self.blocked
         return data
 
@@ -113,7 +115,8 @@ class ControlCompare(QuorumVoter):
         replica_ids: Optional[Sequence[int]] = None,
     ) -> None:
         super().__init__(
-            sim, config, config.vote_timeout, CtrlStats(), name,
+            sim, config, config.vote_timeout,
+            CtrlStats().publish("ctrl", compare=name), name,
             alarm_sink, trace_bus, replica_ids,
         )
         #: datapath_id -> release callable (delivers one winning message)
@@ -126,27 +129,11 @@ class ControlCompare(QuorumVoter):
         # `repro obs trace` stitch control-plane spans onto a packet's
         # data-plane trajectory
         self._entry_trace: Dict[Tuple[int, bytes], int] = {}
-        registry = active_registry()
-        if registry.enabled:
-            self._c_votes = registry.counter(
-                "ctrl_votes_total",
-                "control-message copies voted on by the control-plane voter",
-                labelnames=("compare",),
-            ).labels(name)
-            self._c_blocked = registry.counter(
-                "ctrl_flowmods_blocked_total",
-                "control messages voided without reaching a majority",
-                labelnames=("compare", "reason"),
-            )
-            self._h_vote_latency = registry.histogram(
-                "ctrl_vote_latency_seconds",
-                "time from a decision's first copy arriving to its release",
-                labelnames=("compare",),
-            ).labels(name)
-        else:
-            self._c_votes = None
-            self._c_blocked = None
-            self._h_vote_latency = None
+        self._h_vote_latency = bind_histogram(
+            "ctrl_vote_latency_seconds",
+            "time from a decision's first copy arriving to its release",
+            compare=name,
+        )
 
     # ------------------------------------------------------------------
     # wiring
@@ -178,8 +165,6 @@ class ControlCompare(QuorumVoter):
         attached to the decision's span records and never affects voting.
         """
         self.stats.submissions += 1
-        if self._c_votes is not None:
-            self._c_votes.inc()
         self._vote(
             (datapath_id, digest(message)), replica, self.sim.now, message,
             note=(tainted, trace),
@@ -257,8 +242,6 @@ class ControlCompare(QuorumVoter):
         else:
             self.stats.blocked_quarantined += 1
             reason = "quarantined"
-        if self._c_blocked is not None:
-            self._c_blocked.labels(self.name, reason).inc()
         blocked_data = dict(
             dpid=entry.key[0],
             reason=reason,

@@ -176,8 +176,7 @@ async def _compare_async(config: Dict[str, Any]) -> dict:
         transitions=((t["event"], t["branch"]) for t in controller.transitions),
         submissions=submissions[0],
         timed_out=timed_out,
-        rx_errors=transport.rx_errors,
-        rx_unmatched=transport.rx_unmatched,
+        **transport.rx_counts(),
         compare=core.stats.as_dict(),
         transport_stats=transport.stats(),
     )

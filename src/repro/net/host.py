@@ -26,6 +26,7 @@ from repro.net.packet import (
     Tcp,
     Udp,
 )
+from repro.obs.metrics import StatBlock
 from repro.sim import Simulator, TraceBus
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -84,6 +85,13 @@ class Host(Node):
         self._raw_handler: Optional[PacketHandler] = None
         self._ip_ident = 0
         self.rx_foreign = 0  # frames addressed to someone else (screening)
+        StatBlock.publish_samples(
+            lambda: {
+                "host_rx_dropped_total": self.rx_dropped,
+                "host_rx_foreign_total": self.rx_foreign,
+            },
+            host=name,
+        )
         # Packet-lifecycle tracer (repro.obs.spans.PacketTracer); when set,
         # frames are marked at injection so their trajectory can be followed.
         self.tracer = None

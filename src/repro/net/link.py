@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.obs.metrics import active_registry
+from repro.obs.metrics import StatBlock, bind_histogram
 from repro.sim import RngStreams, Simulator, TraceBus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -21,7 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.net.packet import Packet
 
 
-class LinkStats:
+class LinkStats(StatBlock):
     """Per-direction link counters."""
 
     __slots__ = (
@@ -33,18 +33,6 @@ class LinkStats:
         "loss_drops",
         "fault_drops",
     )
-
-    def __init__(self) -> None:
-        self.tx_packets = 0
-        self.tx_bytes = 0
-        self.delivered_packets = 0
-        self.delivered_bytes = 0
-        self.queue_drops = 0
-        self.loss_drops = 0
-        self.fault_drops = 0
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class _Direction:
@@ -70,19 +58,13 @@ class _Direction:
         self._queue_capacity = queue_capacity
         self._busy_until = 0.0
         self._queued = 0  # packets serialised or waiting to serialise
-        self.stats = LinkStats()
-        # Metrics are bound from the registry active at construction
-        # time; a disabled registry binds None and the hot path pays one
+        self.stats = LinkStats().publish("link", link=name)
+        # None under a disabled registry: the hot path pays one
         # `is not None` test per packet.
-        registry = active_registry()
-        self._h_queue_delay = (
-            registry.histogram(
-                "link_queue_delay_seconds",
-                "time a frame waits for the transmitter before serialising",
-                labelnames=("link",),
-            ).labels(name)
-            if registry.enabled
-            else None
+        self._h_queue_delay = bind_histogram(
+            "link_queue_delay_seconds",
+            "time a frame waits for the transmitter before serialising",
+            link=name,
         )
 
     def transmit(self, packet: "Packet", deliver_to: "Port") -> None:

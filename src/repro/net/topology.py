@@ -15,6 +15,7 @@ from repro.net.addresses import IpAddress, MacAddress
 from repro.net.host import Host
 from repro.net.link import Link
 from repro.net.node import NetworkError, Node, Port
+from repro.obs.metrics import StatBlock
 from repro.sim import RngStreams, Simulator, TraceBus
 
 
@@ -43,6 +44,15 @@ class Network:
         # Optional packet-lifecycle tracer; installed by PacketTracer.attach()
         # and propagated to hosts created afterwards.
         self.tracer = None
+        StatBlock.publish_samples(
+            lambda: {
+                "sim_events_processed_total": self.sim.events_processed,
+                "sim_pending_events_peak": self.sim.peak_pending_events,
+                "sim_time_seconds": self.sim.now,
+                "trace_records_retained_total": len(self.trace.records),
+                "trace_records_dropped_total": self.trace.dropped_count,
+            }
+        )
 
     # ------------------------------------------------------------------
     # node management

@@ -4,11 +4,12 @@ The paper's evaluation is built entirely from measured rates, latencies
 and loss counts; this module gives every subsystem one vocabulary for
 those numbers.  Design constraints, in order:
 
-1. **near-zero cost when disabled** — the tier-1 suite and the hot-path
-   benchmarks run with metrics off, so a disabled registry hands out a
-   shared null instrument whose methods are no-ops, and hot paths that
-   bind instruments at construction time bind ``None`` and skip the call
-   entirely (one ``is not None`` test per packet);
+1. **near-zero cost when disabled** — counts are plain slotted ints in a
+   :class:`StatBlock` that the hot path bumps whether or not anyone is
+   watching; an enabled registry *reads* them at snapshot time.  The few
+   instruments that must be pushed (histograms, counters labelled at
+   event time) bind ``None`` under a disabled registry and cost one
+   ``is not None`` test per packet;
 2. **deterministic snapshots** — all sample values derive from simulated
    time and seeded RNG streams, so two runs of the same experiment
    produce byte-identical flattened samples (the property the
@@ -32,12 +33,14 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "StatBlock",
     "MetricsRegistry",
     "NULL_INSTRUMENT",
     "active_registry",
     "set_active_registry",
     "use_registry",
     "bind_counter",
+    "bind_histogram",
     "FARM_COUNTERS",
     "DEFAULT_LATENCY_BUCKETS",
 ]
@@ -181,6 +184,49 @@ class Histogram:
         }
 
 
+class StatBlock:
+    """One component's counts: zero-initialised slotted fields.
+
+    The hot path bumps them as plain attributes (``stats.x += 1``)
+    whether or not anyone is watching; :meth:`publish` lets the registry
+    active at construction read them at snapshot time.  A subclass
+    declares ``__slots__`` — and ``FLOAT_FIELDS`` for an accumulated
+    duration — and nothing else, so adding a counter is one word and it
+    cannot be missing from ``as_dict()``, a record or ``/metrics``.
+    """
+
+    __slots__ = ()
+    #: fields that start as ``0.0`` rather than ``0``
+    FLOAT_FIELDS: Tuple[str, ...] = ()
+
+    def __init__(self) -> None:
+        for name in self.__slots__:
+            setattr(self, name, 0.0 if name in self.FLOAT_FIELDS else 0)
+
+    def as_dict(self) -> Dict[str, Any]:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def publish(self, family: str, **labels: object) -> "StatBlock":
+        """Expose every field as ``<family>_<field>_total{labels}``."""
+        StatBlock.publish_samples(
+            lambda: {
+                f"{family}_{field}_total": value
+                for field, value in self.as_dict().items()
+            },
+            **labels,
+        )
+        return self
+
+    @staticmethod
+    def publish_samples(
+        read: Callable[[], Dict[str, float]], **labels: object
+    ) -> None:
+        """Publish counts kept outside a block: ``read()`` returns full
+        sample names (see :meth:`MetricsRegistry.add_source`, which
+        keeps nothing when the active registry is disabled)."""
+        _active.add_source(read, labels)
+
+
 class _Family:
     """One registered metric name; children are per-label-set instruments."""
 
@@ -247,17 +293,21 @@ class _Family:
 
 
 class MetricsRegistry:
-    """Registry of metric families.
+    """Registry of metric families and pull sources.
 
-    ``enabled=False`` turns every registration into the shared
-    :data:`NULL_INSTRUMENT`; callers that want to skip even the no-op
-    call in a hot loop should test :attr:`enabled` once at bind time and
-    keep ``None``.
+    Pushed instruments (:meth:`counter`, :meth:`gauge`,
+    :meth:`histogram`) hold their own value; a pull source
+    (:meth:`add_source`) is a callable read at snapshot time, which is
+    how every :class:`StatBlock` reaches a snapshot.  ``enabled=False``
+    turns every registration into the shared :data:`NULL_INSTRUMENT` and
+    keeps no source; hot paths bind through :func:`bind_counter` /
+    :func:`bind_histogram` and keep ``None`` instead.
     """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._families: Dict[str, _Family] = {}
+        self._sources: List[Tuple[Callable[[], Dict[str, float]], str]] = []
 
     # ------------------------------------------------------------------
     # registration
@@ -302,6 +352,30 @@ class MetricsRegistry:
             name, help, labelnames, lambda: Histogram(buckets), "histogram"
         )
 
+    def add_source(
+        self, read: Callable[[], Dict[str, float]], labels: Dict[str, object]
+    ) -> None:
+        """Register ``read`` as a pull source.
+
+        ``read()`` returns ``{sample name: value}`` and is called once
+        per snapshot; every sample carries ``labels``.  A name ending in
+        ``_total`` renders as a counter, anything else as a gauge.
+        Sources that yield the same name and labels are summed, like
+        components sharing one pushed child.
+        """
+        if self.enabled:
+            key = _label_key(tuple(labels), tuple(map(str, labels.values())))
+            self._sources.append((read, key))
+
+    def _pulled(self) -> Dict[str, Dict[str, float]]:
+        """Read every source once: ``name -> label key -> value``."""
+        out: Dict[str, Dict[str, float]] = {}
+        for read, key in self._sources:
+            for name, value in read().items():
+                per_key = out.setdefault(name, {})
+                per_key[key] = per_key.get(key, 0.0) + value
+        return out
+
     # ------------------------------------------------------------------
     # snapshots
     # ------------------------------------------------------------------
@@ -312,27 +386,32 @@ class MetricsRegistry:
         buckets}`` dict.  ``extra_labels`` are merged into every sample
         key (used to namespace per-scenario registries in a RunReport).
         """
+        read = [
+            (name, key, child.sample())
+            for name in sorted(self._families)
+            for key, child in self._families[name].items()
+        ] + [
+            (name, key, float(value))
+            for name, per_key in self._pulled().items()
+            for key, value in per_key.items()
+        ]
         out: Dict[str, Any] = {}
-        for name in sorted(self._families):
-            family = self._families[name]
-            for key, child in family.items():
-                if extra_labels:
-                    merged = dict(extra_labels)
-                    if key:
-                        for part in key[1:-1].split(","):
-                            k, _, v = part.partition("=")
-                            merged[k] = v.strip('"')
-                    key = "{" + ",".join(
-                        f'{k}="{v}"' for k, v in sorted(merged.items())
-                    ) + "}"
-                value = child.sample()
-                out[name + key] = (
-                    round(value, 9) if isinstance(value, float) else value
-                )
+        for name, key, value in read:
+            if extra_labels:
+                merged = dict(extra_labels)
+                if key:
+                    for part in key[1:-1].split(","):
+                        k, _, v = part.partition("=")
+                        merged[k] = v.strip('"')
+                key = "{" + ",".join(
+                    f'{k}="{v}"' for k, v in sorted(merged.items())
+                ) + "}"
+            out[name + key] = round(value, 9) if isinstance(value, float) else value
         return out
 
     def render_prometheus(self) -> str:
-        """Prometheus text exposition of the current state."""
+        """Prometheus text exposition of the current state (pushed
+        families first, then the pulled names)."""
         lines: List[str] = []
         for name in sorted(self._families):
             family = self._families[name]
@@ -352,10 +431,16 @@ class MetricsRegistry:
                     lines.append(f"{name}_count{key} {child.count}")
                 else:
                     lines.append(f"{name}{key} {child.sample():g}")
+        for name, per_key in sorted(self._pulled().items()):
+            kind = "counter" if name.endswith("_total") else "gauge"
+            lines.append(f"# TYPE {name} {kind}")
+            for key, value in sorted(per_key.items()):
+                lines.append(f"{name}{key} {value:g}")
         return "\n".join(lines) + ("\n" if lines else "")
 
     def reset(self) -> None:
         self._families.clear()
+        self._sources.clear()
 
 
 #: the farm counter trio: bound by :class:`~repro.farm.cache.ResultCache`
@@ -369,33 +454,55 @@ FARM_COUNTERS: Dict[str, str] = {
 }
 
 
-def bind_counter(name: str, help: str = "") -> Optional[Any]:
-    """Bind-at-construction helper for hot-path counters.
+def bind_counter(
+    name: str, help: str = "", labelnames: Sequence[str] = ()
+) -> Optional[Any]:
+    """Bind-at-construction helper for the counters that must be pushed.
 
-    Returns a counter from the *active* registry, or ``None`` when
-    metrics are disabled — callers keep the result and test
-    ``is not None`` before ``inc()``, skipping even the null-instrument
-    call (the established ≈1–3% disabled-overhead pattern).
+    A count whose label is known when the component is built belongs in
+    a :class:`StatBlock`; this is for the rest — a label value that only
+    exists at event time (``{kind}``, ``{reason}``) or a count shared
+    across objects (the farm trio).  Returns the counter family from the
+    *active* registry, or ``None`` when metrics are disabled — callers
+    keep the result and test ``is not None`` before ``inc()``.
     """
-    registry = active_registry()
-    if not registry.enabled:
+    if not _active.enabled:
         return None
-    return registry.counter(name, help or FARM_COUNTERS.get(name, ""))
+    return _active.counter(name, help or FARM_COUNTERS.get(name, ""), labelnames)
+
+
+def bind_histogram(
+    name: str,
+    help: str = "",
+    buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
+    **labels: object,
+) -> Optional[Histogram]:
+    """Sibling of :func:`bind_counter` for a component's histogram.
+
+    A distribution cannot be rebuilt from end-of-run counts, so it is
+    observed on the hot path.  Returns the child for ``labels`` (fixed
+    at construction) or ``None`` when metrics are disabled.
+    """
+    if not _active.enabled:
+        return None
+    return _active.histogram(name, help, tuple(labels), buckets).labels(**labels)
 
 
 # ----------------------------------------------------------------------
 # process-wide active registry
 # ----------------------------------------------------------------------
-# Components bind their instruments from the registry active at
-# *construction* time, so enable metrics (set an enabled registry active)
-# before building the network you want observed.  The default is a
-# disabled registry: the tier-1 suite and benchmarks pay nothing.
+# Components publish their counters and bind their instruments from the
+# registry active at *construction* time (transport sessions are built
+# on first use), so set an enabled registry active before building the
+# network you want observed and keep it active while it runs.  The
+# default is a disabled registry: the tier-1 suite and benchmarks pay
+# nothing.
 _active = MetricsRegistry(enabled=False)
 _active_lock = threading.Lock()
 
 
 def active_registry() -> MetricsRegistry:
-    """The registry new components bind their instruments from."""
+    """The registry new components publish to and bind instruments from."""
     return _active
 
 

@@ -8,14 +8,6 @@ streams, so the same experiment at the same seed produces an identical
 report — which is what lets ``repro obs diff`` compare a fresh run
 against a checked-in baseline and fail loudly when a watched counter
 drifts.
-
-The module also hosts the pull side of the metrics model:
-:func:`collect_network` walks a finished network once and turns the
-plain per-component counters (link stats, switch stats, flow-table
-lookup counters, hub/host counters, simulator bookkeeping) into
-registry samples.  Push instruments (latency histograms) already live
-in the registry; pull keeps the per-packet hot paths free of metric
-calls for everything countable after the fact.
 """
 
 from __future__ import annotations
@@ -25,155 +17,17 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.obs.metrics import MetricsRegistry
-
 __all__ = [
     "RunReport",
     "WatchRule",
     "DEFAULT_WATCHES",
     "DiffFinding",
-    "collect_network",
     "diff_reports",
     "dump_records_jsonl",
     "sanitise_value",
 ]
 
 REPORT_VERSION = 1
-
-
-# ----------------------------------------------------------------------
-# pull collection
-# ----------------------------------------------------------------------
-def collect_network(
-    network,
-    registry: MetricsRegistry,
-    compares: Iterable = (),
-) -> None:
-    """Pull end-of-run counters from ``network`` into ``registry``.
-
-    Everything is duck-typed: any node exposing a recognised shape
-    (``stats.as_dict`` + ``table.lookup_stats`` for switches,
-    ``duplicated``/``merged`` for hubs, ``rx_dropped`` for hosts)
-    contributes samples.  Call once per run on a registry dedicated to
-    the snapshot — the counters are absolute values, not increments.
-    """
-    sim = network.sim
-    registry.counter(
-        "sim_events_processed_total", "events executed by the simulator"
-    ).inc(sim.events_processed)
-    registry.gauge(
-        "sim_pending_events_peak", "high-water mark of the event queue"
-    ).set(sim.peak_pending_events)
-    registry.gauge("sim_time_seconds", "simulated clock at snapshot").set(sim.now)
-
-    realm = getattr(sim, "realm", None)
-    if realm is not None:
-        # the push instruments (batches_total, batch_fallback_total,
-        # batch_size_packets) bind at realm construction; pull only the
-        # remaining snapshot counters so nothing double-counts
-        registry.gauge(
-            "batch_train", "configured packets per train"
-        ).set(realm.train)
-        registry.counter(
-            "batch_packets_total", "packets carried inside trains"
-        ).inc(realm.packets_batched)
-        registry.counter(
-            "batch_splits_total", "packets split out of trains"
-        ).inc(realm.splits_total)
-        registry.counter(
-            "batch_merges_total", "trains assembled for injection"
-        ).inc(realm.merges_total)
-
-    trace = getattr(network, "trace", None)
-    if trace is not None:
-        registry.counter(
-            "trace_records_retained_total", "records retained by the trace bus"
-        ).inc(len(trace.records))
-        registry.counter(
-            "trace_records_dropped_total", "records lost to retention saturation"
-        ).inc(trace.dropped_count)
-
-    c_tx = registry.counter(
-        "link_tx_packets_total", "frames handed to a link transmitter",
-        labelnames=("link",),
-    )
-    c_txb = registry.counter(
-        "link_tx_bytes_total", "wire bytes handed to a link transmitter",
-        labelnames=("link",),
-    )
-    c_delivered = registry.counter(
-        "link_delivered_packets_total", "frames delivered to the far port",
-        labelnames=("link",),
-    )
-    c_qdrop = registry.counter(
-        "link_queue_drops_total", "frames dropped by the drop-tail queue",
-        labelnames=("link",),
-    )
-    c_ldrop = registry.counter(
-        "link_loss_drops_total", "frames dropped by random loss",
-        labelnames=("link",),
-    )
-    for link in getattr(network, "links", ()):
-        for name, stats, _depth in link.directions():
-            c_tx.labels(name).inc(stats.tx_packets)
-            c_txb.labels(name).inc(stats.tx_bytes)
-            c_delivered.labels(name).inc(stats.delivered_packets)
-            c_qdrop.labels(name).inc(stats.queue_drops)
-            c_ldrop.labels(name).inc(stats.loss_drops)
-
-    for node in network.nodes.values():
-        name = node.name
-        stats = getattr(node, "stats", None)
-        table = getattr(node, "table", None)
-        if stats is not None and hasattr(stats, "as_dict") and table is not None:
-            for key, value in stats.as_dict().items():
-                registry.counter(
-                    f"switch_{key}_total", "switch datapath counter",
-                    labelnames=("switch",),
-                ).labels(name).inc(value)
-            lookup = table.lookup_stats()
-            occupancy = lookup.pop("entries")
-            for key, value in lookup.items():
-                registry.counter(
-                    f"flowtable_{key}_total", "flow-table lookup-path counter",
-                    labelnames=("switch",),
-                ).labels(name).inc(value)
-            registry.gauge(
-                "flowtable_entries", "installed flow entries",
-                labelnames=("switch",),
-            ).labels(name).set(occupancy)
-        if hasattr(node, "duplicated") and hasattr(node, "merged"):
-            registry.counter(
-                "hub_duplicated_total", "copies fanned out by a hub",
-                labelnames=("hub",),
-            ).labels(name).inc(node.duplicated)
-            registry.counter(
-                "hub_merged_total", "frames merged upstream by a hub",
-                labelnames=("hub",),
-            ).labels(name).inc(node.merged)
-        if hasattr(node, "rx_dropped"):
-            registry.counter(
-                "host_rx_dropped_total", "frames dropped by a full receive queue",
-                labelnames=("host",),
-            ).labels(name).inc(node.rx_dropped)
-            registry.counter(
-                "host_rx_foreign_total", "frames addressed to someone else",
-                labelnames=("host",),
-            ).labels(name).inc(node.rx_foreign)
-
-    for core in compares:
-        if core is None:
-            continue
-        cname = core.name
-        for key, value in core.stats.as_dict().items():
-            registry.counter(
-                f"compare_{key}_total", "compare element counter",
-                labelnames=("compare",),
-            ).labels(cname).inc(value)
-        registry.gauge(
-            "compare_buffered_entries", "vote-book entries still buffered",
-            labelnames=("compare",),
-        ).labels(cname).set(len(core.book))
 
 
 # ----------------------------------------------------------------------

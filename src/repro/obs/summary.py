@@ -2,8 +2,8 @@
 
 ``repro obs summary`` rebuilds the Figure 5 UDP workload with the full
 observability stack switched on — an enabled metrics registry active
-while the testbed is constructed (so links and compares bind their
-histograms), a :class:`~repro.obs.spans.PacketTracer` attached to the
+while the testbed is constructed (so every component publishes its
+counters and binds its histograms), a :class:`~repro.obs.spans.PacketTracer` attached to the
 network — runs one fixed-rate UDP flow per scenario, and collects
 everything into a :class:`~repro.obs.report.RunReport`.
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.obs.report import RunReport, collect_network
+from repro.obs.report import RunReport
 from repro.obs.spans import PacketTracer
 
 #: scenario -> offered UDP rate (bit/s); fixed, not searched, so the
@@ -65,27 +65,23 @@ def run_instrumented_scenario(
     if rate_bps is None:
         rate_bps = SCENARIO_RATES.get(variant, 200e6)
     registry = MetricsRegistry(enabled=True)
-    # Components bind instruments at construction time, so the registry
-    # must be active while the testbed is built.
     params = TestbedParams(batch_train=train) if train > 1 else None
+    # Components publish their counters and bind their histograms when
+    # they are constructed — transport sessions on first use — so the
+    # registry stays active for the build and the run.
     with use_registry(registry):
         testbed = build_testbed(variant, params=params, seed=seed)
-    tracer = PacketTracer(testbed.network.trace, sample_rate=sample_rate)
-    tracer.attach(testbed.network)
-    result = run_udp_flow(
-        testbed.path(),
-        rate_bps=rate_bps,
-        duration=duration,
-        send_cost=testbed.params.udp_send_cost,
-    )
-    compare = testbed.compare_core
-    if compare is not None:
-        compare.flush()
-    collect_network(
-        testbed.network,
-        registry,
-        compares=(compare,) if compare is not None else (),
-    )
+        tracer = PacketTracer(testbed.network.trace, sample_rate=sample_rate)
+        tracer.attach(testbed.network)
+        result = run_udp_flow(
+            testbed.path(),
+            rate_bps=rate_bps,
+            duration=duration,
+            send_cost=testbed.params.udp_send_cost,
+        )
+        compare = testbed.compare_core
+        if compare is not None:
+            compare.flush()
     return ScenarioRun(
         variant=variant,
         rate_bps=rate_bps,
@@ -126,37 +122,37 @@ def run_instrumented_ctrl_scenario(
         tb = build_ctrl_testbed(
             variant, ctrl=CtrlParams(ctrl_k=ctrl_k), seed=seed
         )
-    net = tb.network
-    tracer = PacketTracer(net.trace, sample_rate=sample_rate)
-    tracer.attach(net)
+        net = tb.network
+        tracer = PacketTracer(net.trace, sample_rate=sample_rate)
+        tracer.attach(net)
 
-    schedule = _ctrl_adversary_schedule(adversary, ctrl_k)
-    if schedule is not None:
-        ChaosEngine(
-            schedule, net,
-            aliases=chaos_aliases(tb.testbed),
-            control_plane=tb.control_plane,
-        ).arm()
+        schedule = _ctrl_adversary_schedule(adversary, ctrl_k)
+        if schedule is not None:
+            ChaosEngine(
+                schedule, net,
+                aliases=chaos_aliases(tb.testbed),
+                control_plane=tb.control_plane,
+            ).arm()
 
-    base = tb.testbed.params
-    primer = UdpSender(
-        tb.h2, dst_mac=tb.h1.mac, dst_ip=tb.h1.ip, dport=5002,
-        rate_bps=rate_bps, payload_size=64, send_cost=base.udp_send_cost,
-    )
-    primer.start(1e-6, delay=2e-4)
-    warmup = 1e-3
-    receiver = UdpReceiver(tb.h2, 5001)
-    sender = UdpSender(
-        tb.h1, dst_mac=tb.h2.mac, dst_ip=tb.h2.ip, dport=5001,
-        rate_bps=rate_bps, payload_size=512, send_cost=base.udp_send_cost,
-    )
-    sender.start(duration, delay=warmup)
-    net.run(until=warmup + duration + 5e-3)
-    result = receiver.result(sender, duration)
-    receiver.close()
-    if tb.quarantine is not None:
-        tb.quarantine.detach()
-    tb.control_plane.compare.flush()
+        base = tb.testbed.params
+        primer = UdpSender(
+            tb.h2, dst_mac=tb.h1.mac, dst_ip=tb.h1.ip, dport=5002,
+            rate_bps=rate_bps, payload_size=64, send_cost=base.udp_send_cost,
+        )
+        primer.start(1e-6, delay=2e-4)
+        warmup = 1e-3
+        receiver = UdpReceiver(tb.h2, 5001)
+        sender = UdpSender(
+            tb.h1, dst_mac=tb.h2.mac, dst_ip=tb.h2.ip, dport=5001,
+            rate_bps=rate_bps, payload_size=512, send_cost=base.udp_send_cost,
+        )
+        sender.start(duration, delay=warmup)
+        net.run(until=warmup + duration + 5e-3)
+        result = receiver.result(sender, duration)
+        receiver.close()
+        if tb.quarantine is not None:
+            tb.quarantine.detach()
+        tb.control_plane.compare.flush()
     return ScenarioRun(
         variant=variant,
         rate_bps=rate_bps,

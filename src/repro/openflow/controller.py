@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
-from repro.obs.metrics import active_registry
+from repro.obs.metrics import StatBlock
 from repro.openflow.messages import (
     FlowMod,
     FlowRemoved,
@@ -52,27 +52,21 @@ class Controller:
         self._in_service = 0
         self.messages_received = 0
         self.messages_dropped = 0
+        #: messages the dispatcher had no handler for
+        self.messages_unknown = 0
         #: when set, outbound messages are handed to this callable
         #: instead of the control channel — the replicated control plane
         #: uses it to route replica output through the trusted voter
         self.outbox: Optional[
             Callable[["Controller", "OpenFlowSwitch", object], None]
         ] = None
-        registry = active_registry()
-        if registry.enabled:
-            self._c_queue_drops = registry.counter(
-                "controller_queue_drops_total",
-                "switch-to-controller messages dropped on queue overflow",
-                labelnames=("controller",),
-            ).labels(name)
-            self._c_unknown = registry.counter(
-                "controller_unknown_messages_total",
-                "control messages the dispatcher silently ignored",
-                labelnames=("controller",),
-            ).labels(name)
-        else:
-            self._c_queue_drops = None
-            self._c_unknown = None
+        StatBlock.publish_samples(
+            lambda: {
+                "controller_queue_drops_total": self.messages_dropped,
+                "controller_unknown_messages_total": self.messages_unknown,
+            },
+            controller=name,
+        )
 
     # ------------------------------------------------------------------
     # wiring
@@ -91,8 +85,6 @@ class Controller:
         self.messages_received += 1
         if self._in_service >= self.queue_capacity:
             self.messages_dropped += 1
-            if self._c_queue_drops is not None:
-                self._c_queue_drops.inc()
             self.trace("controller.drop", reason="queue")
             return
         if self.proc_time <= 0.0:
@@ -119,8 +111,7 @@ class Controller:
         elif isinstance(message, FlowStatsReply):
             self.on_flow_stats(switch, message)
         else:
-            if self._c_unknown is not None:
-                self._c_unknown.inc()
+            self.messages_unknown += 1
             self.trace("controller.unknown_message", message=type(message).__name__)
 
     # ------------------------------------------------------------------

@@ -45,6 +45,7 @@ from repro.openflow.messages import (
     PortStatsReply,
     PortStatsRequest,
 )
+from repro.obs.metrics import StatBlock
 from repro.sim import CpuResource, Simulator, TraceBus
 from repro.transport import ROLE_EGRESS, DesTransport, SessionSpec, Transport
 
@@ -56,7 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _BAD_EGRESS = object()
 
 
-class SwitchStats:
+class SwitchStats(StatBlock):
     """Datapath-level counters."""
 
     __slots__ = (
@@ -71,21 +72,6 @@ class SwitchStats:
         "flow_mods",
         "behavior_handled",
     )
-
-    def __init__(self) -> None:
-        self.rx_packets = 0
-        self.forwarded = 0
-        self.dropped_no_match = 0
-        self.dropped_no_actions = 0
-        self.dropped_service_queue = 0
-        self.dropped_failed = 0
-        self.packet_ins = 0
-        self.packet_outs = 0
-        self.flow_mods = 0
-        self.behavior_handled = 0
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class OpenFlowSwitch(Node):
@@ -126,7 +112,8 @@ class OpenFlowSwitch(Node):
         # serialises on one core.  None = this switch has its own core.
         self.cpu = cpu if cpu is not None else CpuResource(f"{name}.cpu")
         self.service_queue_capacity = service_queue_capacity
-        self.stats = SwitchStats()
+        self.stats = SwitchStats().publish("switch", switch=name)
+        StatBlock.publish_samples(self._table_samples, switch=name)
         self.behavior: Optional["AdversarialBehavior"] = None
         self._controller: Optional["Controller"] = None
         self._controller_latency = 0.0
@@ -526,6 +513,15 @@ class OpenFlowSwitch(Node):
     @property
     def failed(self) -> bool:
         return self._failed
+
+    def _table_samples(self) -> Dict[str, int]:
+        """Flow-table counts for the registry, read through ``self``
+        because :meth:`fail` replaces the table."""
+        counts = self.table.lookup_stats()
+        samples = {"flowtable_entries": counts.pop("entries")}
+        for key, value in counts.items():
+            samples[f"flowtable_{key}_total"] = value
+        return samples
 
     def fail(self, wipe_flows: bool = True) -> None:
         """Crash the datapath: every packet is dropped until ``recover``.

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.core.alarms import AlarmSink
-from repro.core.combiner import CompareHost
+from repro.core.combiner import attach_inline_compare
 from repro.core.compare import CompareConfig, CompareCore
 from repro.core.endpoint import CombinerEndpoint
 from repro.net.addresses import MacAddress
@@ -125,19 +125,9 @@ def build_transport_combiner(
     from dataclasses import replace as dc_replace
 
     config = dc_replace(config, k=k)
-    core = CompareCore(
-        sim, config, name=f"{name}_compare", alarm_sink=alarms, trace_bus=trace
+    core, _ = attach_inline_compare(
+        network, name, config, (endpoint_in, endpoint_out), alarms, **link
     )
-    compare_host = CompareHost(sim, f"{name}_h3", core, trace_bus=trace)
-    network.add_node(compare_host)
-    for endpoint in (endpoint_in, endpoint_out):
-        network.connect(endpoint, compare_host, **link)
-        endpoint.assign_compare_port(
-            network.port_no_between(endpoint.name, compare_host.name)
-        )
-        compare_host.register_endpoint(
-            network.port_no_between(compare_host.name, endpoint.name), endpoint
-        )
 
     return TransportCombiner(
         network=network,

@@ -33,7 +33,7 @@ import math
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import active_registry
+from repro.obs.metrics import StatBlock, bind_counter, bind_histogram
 from repro.sim.engine import EventHandle, Simulator
 
 #: fallback reasons tracked by :attr:`BatchRealm.fallbacks` — per-packet
@@ -62,7 +62,6 @@ class BatchRealm:
         "merges_total",
         "fallbacks",
         "size_counts",
-        "_c_batches",
         "_c_fallback",
         "_h_size",
     )
@@ -85,25 +84,25 @@ class BatchRealm:
         self.merges_total = 0
         self.fallbacks: Dict[str, int] = {}
         self.size_counts: Dict[int, int] = {}
-        registry = active_registry()
-        if registry.enabled:
-            self._c_batches = registry.counter(
-                "batches_total", "packet trains emitted into the batch tier"
-            )
-            self._c_fallback = registry.counter(
-                "batch_fallback_total",
-                "packets split out of a train for per-packet handling",
-                labelnames=("reason",),
-            )
-            self._h_size = registry.histogram(
-                "batch_size_packets",
-                "packets per emitted train",
-                buckets=(1, 2, 4, 8, 16, 32, 64, 128),
-            )
-        else:
-            self._c_batches = None
-            self._c_fallback = None
-            self._h_size = None
+        StatBlock.publish_samples(
+            lambda: {
+                "batch_train": self.train,
+                "batches_total": self.batches_total,
+                "batch_packets_total": self.packets_batched,
+                "batch_splits_total": self.splits_total,
+                "batch_merges_total": self.merges_total,
+            }
+        )
+        self._c_fallback = bind_counter(
+            "batch_fallback_total",
+            "packets split out of a train for per-packet handling",
+            labelnames=("reason",),
+        )
+        self._h_size = bind_histogram(
+            "batch_size_packets",
+            "packets per emitted train",
+            buckets=(1, 2, 4, 8, 16, 32, 64, 128),
+        )
         sim.realm = self
 
     # ------------------------------------------------------------------
@@ -114,8 +113,7 @@ class BatchRealm:
         self.batches_total += 1
         self.packets_batched += size
         self.size_counts[size] = self.size_counts.get(size, 0) + 1
-        if self._c_batches is not None:
-            self._c_batches.inc()
+        if self._h_size is not None:
             self._h_size.observe(size)
 
     def note_fallback(self, reason: str, count: int = 1) -> None:

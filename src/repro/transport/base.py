@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.obs.metrics import StatBlock
+
 ROLE_FANOUT = "fanout"
 ROLE_COLLECT = "collect"
 ROLE_RELEASE = "release"
@@ -57,6 +59,13 @@ class SessionSpec:
     role: str
     branch: Optional[int] = None
 
+    @property
+    def key(self) -> str:
+        """``role:scope[:branch]``: the stats-rollup key and metric label."""
+        return f"{self.role}:{self.scope}" + (
+            f":{self.branch}" if self.branch is not None else ""
+        )
+
     def validate(self) -> None:
         if self.role not in _ROLES:
             raise TransportError(
@@ -79,18 +88,10 @@ class TransportTrace:
     seq: Optional[int] = None
 
 
-class SessionStats:
+class SessionStats(StatBlock):
     """Per-session message counters."""
 
     __slots__ = ("tx_messages", "rx_messages", "drops")
-
-    def __init__(self) -> None:
-        self.tx_messages = 0
-        self.rx_messages = 0
-        self.drops = 0
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class Session:
@@ -100,7 +101,9 @@ class Session:
         spec.validate()
         self.transport = transport
         self.spec = spec
-        self.stats = SessionStats()
+        self.stats = SessionStats().publish(
+            "transport_session", transport=transport.name, session=spec.key
+        )
         self._receiver: Optional[Receiver] = None
 
     # -- sending --------------------------------------------------------
@@ -195,12 +198,14 @@ class Transport:
     def stats(self) -> dict:
         """Roll-up of per-session counters, keyed by spec string."""
         return {
-            f"{spec.role}:{spec.scope}"
-            + (f":{spec.branch}" if spec.branch is not None else ""):
-                session.stats.as_dict()
+            spec.key: session.stats.as_dict()
             for spec, session in sorted(
                 self.sessions.items(),
-                key=lambda kv: (kv[0].role, kv[0].scope, kv[0].branch or -1),
+                key=lambda kv: (
+                    kv[0].role,
+                    kv[0].scope,
+                    -1 if kv[0].branch is None else kv[0].branch,
+                ),
             )
         }
 

@@ -29,6 +29,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.net.packet import Packet, PacketError
+from repro.obs.metrics import StatBlock
 from repro.transport.base import (
     ROLE_COLLECT,
     Session,
@@ -112,6 +113,13 @@ class UdpTransport(Transport):
         self.rx_errors = 0
         self.rx_unmatched = 0
         self.rx_handler_errors = 0
+        StatBlock.publish_samples(
+            lambda: {
+                f"transport_{field}_total": count
+                for field, count in self.rx_counts().items()
+            },
+            transport=name,
+        )
         self._sock: Optional[socket.socket] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         #: datagrams the socket would not take yet, in send order
@@ -120,6 +128,14 @@ class UdpTransport(Transport):
         self._routes: Dict[tuple, Session] = {}
         self._control: Optional[ControlHandler] = None
         self._default_remote: Optional[Address] = None
+
+    def rx_counts(self) -> Dict[str, int]:
+        """The receive-side failure counts (see the class docstring)."""
+        return {
+            "rx_errors": self.rx_errors,
+            "rx_unmatched": self.rx_unmatched,
+            "rx_handler_errors": self.rx_handler_errors,
+        }
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> Address:

@@ -86,13 +86,18 @@ def _strip_internal(metrics: dict) -> dict:
 
     ``sim_*`` (event counts differ by construction: trains collapse
     outer events into micro-events), ``trace_records_*`` (batch.merge /
-    batch.split records exist only in batched runs) and ``batch*`` (the
-    tier's own counters) are the *only* keys allowed to differ.
+    batch.split records exist only in batched runs), ``batch*`` (the
+    tier's own counters) and ``transport_session_*`` (a train packet
+    goes port to port and never crosses a ``Session``; exported since
+    the session counters are published) are the *only* keys allowed to
+    differ.
     """
     return {
         key: value
         for key, value in metrics.items()
-        if not key.startswith(("sim_", "trace_records_", "batch"))
+        if not key.startswith(
+            ("sim_", "trace_records_", "batch", "transport_session_")
+        )
     }
 
 

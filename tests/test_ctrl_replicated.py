@@ -188,7 +188,8 @@ class TestCompromisePlan:
 
 class TestCtrlMetrics:
     """Satellites: queue-drop/unknown-message counters plus the voter's
-    vote/blocked/latency instruments, all bound at construction."""
+    vote/blocked counts and latency histogram, all published at
+    construction."""
 
     def test_controller_queue_drops_counter(self):
         with use_registry(MetricsRegistry(enabled=True)) as registry:
@@ -220,15 +221,24 @@ class TestCtrlMetrics:
             compare.submit(2, 1, _mod(port=BOGUS_PORT))  # minority lie
             sim.run(until=0.05)
         samples = registry.samples()
-        assert samples['ctrl_votes_total{compare="cc"}'] == 3
-        assert (
-            samples['ctrl_flowmods_blocked_total{compare="cc",reason="no_quorum"}']
-            == 1
-        )
+        assert samples['ctrl_submissions_total{compare="cc"}'] == 3
+        assert samples['ctrl_blocked_no_quorum_total{compare="cc"}'] == 1
         latency = samples['ctrl_vote_latency_seconds{compare="cc"}']
         assert latency["count"] == 1
 
     def test_metrics_disabled_by_default(self):
+        import gc
+        import weakref
+
+        from repro.obs.metrics import active_registry
+
         sim = Simulator()
         ctrl = Controller(sim, name="dark")
-        assert ctrl._c_queue_drops is None and ctrl._c_unknown is None
+        ctrl.receive_from_switch(None, object())
+        assert ctrl.messages_unknown == 1  # counted locally all the same
+        assert active_registry().samples() == {}
+        # the disabled registry kept no reader, so nothing pins the component
+        ref = weakref.ref(ctrl)
+        del ctrl
+        gc.collect()
+        assert ref() is None

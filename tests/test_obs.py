@@ -10,6 +10,7 @@ from repro.obs.metrics import (
     MetricsError,
     MetricsRegistry,
     NULL_INSTRUMENT,
+    StatBlock,
     active_registry,
     use_registry,
 )
@@ -17,7 +18,6 @@ from repro.obs.report import (
     DEFAULT_WATCHES,
     RunReport,
     WatchRule,
-    collect_network,
     diff_reports,
     dump_records_jsonl,
     sanitise_value,
@@ -150,6 +150,59 @@ class TestMetricsRegistry:
 
     def test_default_latency_buckets_sorted(self):
         assert list(DEFAULT_LATENCY_BUCKETS) == sorted(DEFAULT_LATENCY_BUCKETS)
+
+
+class _DemoStats(StatBlock):
+    __slots__ = ("hits", "busy_seconds")
+    FLOAT_FIELDS = ("busy_seconds",)
+
+
+class TestStatBlock:
+    def test_fields_start_at_zero_in_declared_order(self):
+        stats = _DemoStats()
+        assert stats.as_dict() == {"hits": 0, "busy_seconds": 0.0}
+        assert list(stats.as_dict()) == ["hits", "busy_seconds"]
+        assert isinstance(stats.hits, int) and isinstance(stats.busy_seconds, float)
+        with pytest.raises(AttributeError):
+            stats.undeclared = 1
+
+    def test_published_block_is_read_live_at_snapshot_time(self):
+        with use_registry(MetricsRegistry()) as reg:
+            stats = _DemoStats().publish("demo", node="a")
+        assert reg.samples()['demo_hits_total{node="a"}'] == 0
+        stats.hits += 3
+        samples = reg.samples()
+        assert samples['demo_hits_total{node="a"}'] == 3
+        assert reg.samples() == samples  # reading does not accumulate
+
+    def test_blocks_with_the_same_labels_sum_like_a_shared_counter(self):
+        with use_registry(MetricsRegistry()) as reg:
+            first = _DemoStats().publish("demo", node="a")
+            second = _DemoStats().publish("demo", node="a")
+            other = _DemoStats().publish("demo", node="b")
+        first.hits, second.hits, other.hits = 1, 2, 5
+        samples = reg.samples({"scenario": "s"})
+        assert samples['demo_hits_total{node="a",scenario="s"}'] == 3
+        assert samples['demo_hits_total{node="b",scenario="s"}'] == 5
+
+    def test_publish_samples_types_by_name_in_prometheus_text(self):
+        depth = [4]
+        with use_registry(MetricsRegistry()) as reg:
+            StatBlock.publish_samples(
+                lambda: {"queue_depth": depth[0], "queue_drops_total": 2}, q="x"
+            )
+        text = reg.render_prometheus()
+        assert "# TYPE queue_depth gauge" in text
+        assert 'queue_depth{q="x"} 4' in text
+        assert "# TYPE queue_drops_total counter" in text
+        assert 'queue_drops_total{q="x"} 2' in text
+
+    def test_disabled_registry_keeps_no_reader(self):
+        reg = MetricsRegistry(enabled=False)
+        with use_registry(reg):
+            _DemoStats().publish("demo", node="a")
+            StatBlock.publish_samples(lambda: {"x_total": 1})
+        assert reg.samples() == {} and reg._sources == []
 
 
 class TestPacketTraceId:
@@ -302,6 +355,25 @@ class TestEndToEndTracing:
         assert dups and dups[0].data["fanout"] == 3
 
 
+def _reachable_stat_blocks(root):
+    """Every StatBlock reachable from ``root`` through object references
+    (classes, modules and function bodies are not entered)."""
+    import gc
+    import types
+
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen, stack, blocks = {id(root)}, [root], []
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, StatBlock):
+            blocks.append(obj)
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, skip):
+                seen.add(id(ref))
+                stack.append(ref)
+    return blocks
+
+
 class TestCollectAndReport:
     def _mini_run(self):
         from repro.obs.summary import run_instrumented_scenario
@@ -320,6 +392,53 @@ class TestCollectAndReport:
         released = [v for k, v in samples.items()
                     if k.startswith("compare_release_latency_seconds")]
         assert released and released[0]["count"] > 0
+
+    def test_every_stat_block_field_reaches_the_snapshot(self):
+        """Completeness: no counter may exist in an object and not in the
+        export.  Walks each instrumented testbed for StatBlocks and
+        requires every field to be a sample whose values add up to the
+        objects' own."""
+        from repro.core.compare import CompareStats
+        from repro.core.endpoint import EndpointStats
+        from repro.ctrl.compare import CtrlStats
+        from repro.net.link import LinkStats
+        from repro.obs.summary import (
+            QUICK_SCENARIOS,
+            run_instrumented_ctrl_scenario,
+            run_instrumented_scenario,
+        )
+        from repro.openflow.switch import SwitchStats
+        from repro.transport.base import SessionStats
+
+        families = {
+            LinkStats: "link", SwitchStats: "switch", EndpointStats: "endpoint",
+            CompareStats: "compare", CtrlStats: "ctrl",
+            SessionStats: "transport_session",
+        }
+        runs = [
+            run_instrumented_scenario(variant, duration=2e-3, seed=5)
+            for variant in QUICK_SCENARIOS
+        ]
+        runs.append(run_instrumented_ctrl_scenario(duration=2e-3, seed=5))
+        seen = set()
+        for run in runs:
+            samples = run.registry.samples()
+            # a snapshot reads the counters, it does not add them up again
+            assert run.registry.samples() == samples
+            by_name = {}
+            for key, value in samples.items():
+                by_name.setdefault(key.partition("{")[0], []).append(value)
+            totals = {}
+            for block in _reachable_stat_blocks(run.testbed):
+                seen.add(type(block))
+                for field, value in block.as_dict().items():
+                    name = f"{families[type(block)]}_{field}_total"
+                    totals[name] = totals.get(name, 0) + value
+            assert totals
+            for name, total in totals.items():
+                assert name in by_name, f"{name} missing from the snapshot"
+                assert sum(by_name[name]) == pytest.approx(total), name
+        assert seen == set(families)
 
     def test_report_roundtrip(self, tmp_path):
         report = RunReport(

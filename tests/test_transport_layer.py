@@ -239,6 +239,18 @@ class TestSessions:
         assert a.stats()["collect:sA:0"]["tx_messages"] == 1
         assert b.stats()["collect:sA:0"]["rx_messages"] == 1
 
+    def test_stats_key_order_does_not_depend_on_opening_order(self):
+        # branch 0 and the branch-less session of one role/scope used to
+        # tie on `branch or -1` and come out in insertion order
+        specs = [SessionSpec("sA", ROLE_COLLECT, 0), SessionSpec("sA", ROLE_COLLECT)]
+        orders = []
+        for opening in (specs, specs[::-1]):
+            transport, _peer = LoopbackTransport.pair()
+            for spec in opening:
+                transport.session(spec)
+            orders.append(list(transport.stats()))
+        assert orders[0] == orders[1] == ["collect:sA", "collect:sA:0"]
+
     def test_loopback_drop_without_receiver_session(self):
         a, _b = LoopbackTransport.pair()
         session = a.session(SessionSpec("sA", ROLE_FANOUT, 1))
@@ -552,8 +564,14 @@ class TestUdpDrain:
         import asyncio
         import socket
 
+        from repro.live.verdict import Verdict
+        from repro.obs.metrics import MetricsRegistry, use_registry
+
+        registry = MetricsRegistry(enabled=True)
+
         async def scenario():
-            rx, tx, inbound, outbound = await self._pair()
+            with use_registry(registry):
+                rx, tx, inbound, outbound = await self._pair()
             loop = asyncio.get_running_loop()
             reported = []
             loop.set_exception_handler(lambda _loop, context: reported.append(context))
@@ -580,6 +598,18 @@ class TestUdpDrain:
         seen, reported, rx = asyncio.run(scenario())
         assert seen == [0, 1, 2]
         assert rx.rx_handler_errors == 1 and rx.rx_errors == 1
+        # the compare worker's verdict and /metrics read the same counts
+        verdict = Verdict.build("udp", 3, seen, (), (), **rx.rx_counts())
+        assert verdict.extras == {
+            "rx_errors": 1, "rx_unmatched": 0, "rx_handler_errors": 1,
+        }
+        samples = registry.samples()
+        assert samples['transport_rx_handler_errors_total{transport="rx"}'] == 1
+        assert samples['transport_rx_errors_total{transport="rx"}'] == 1
+        assert samples[
+            'transport_session_rx_messages_total'
+            '{session="collect:sA:0",transport="rx"}'
+        ] == 3
         assert len(reported) == 1
         assert isinstance(reported[0]["exception"], ValueError)
 
