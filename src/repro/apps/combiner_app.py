@@ -47,7 +47,7 @@ class ControlChannelReleaseSession(Session):
             self.transport._trace(
                 "tx", self.spec, packet, {"branch": branch, "claim": claim}
             )
-        self.app.send_packet_out(
+        self.app.send(
             self.endpoint, PacketOut(packet=packet, actions=[], in_port=0)
         )
 

@@ -42,19 +42,20 @@ class LearningSwitchApp(Controller):
 
     def on_packet_in(self, switch: OpenFlowSwitch, event: PacketIn) -> None:
         packet = event.packet
-        src, dst = packet.eth.src, packet.eth.dst
+        eth = packet.fields()[0]  # read-only: skip CoW materialisation
+        src, dst = eth.src, eth.dst
         if not src.is_multicast:
             self.tables[(switch.datapath_id, src)] = event.in_port
         out_port = self.tables.get((switch.datapath_id, dst))
         if out_port is None or dst.is_broadcast:
             self.floods += 1
-            self.send_packet_out(
+            self.send(
                 switch,
                 PacketOut(packet=packet, actions=[flood()], in_port=event.in_port),
             )
             return
         self.flows_installed += 1
-        self.send_flow_mod(
+        self.send(
             switch,
             FlowMod(
                 command=FLOWMOD_ADD,
@@ -65,7 +66,7 @@ class LearningSwitchApp(Controller):
                 hard_timeout=self.flow_hard_timeout,
             ),
         )
-        self.send_packet_out(
+        self.send(
             switch,
             PacketOut(packet=packet, actions=[Output(out_port)], in_port=event.in_port),
         )

@@ -10,7 +10,6 @@ dependencies), which keeps it unit- and property-testable in isolation.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, Hashable, Iterator, List, Optional
 
 from repro.net.packet import Packet
@@ -72,22 +71,42 @@ class VoteEntry:
         )
 
 
-@dataclass(frozen=True)
 class VoteOutcome:
-    """Result of observing one packet copy."""
+    """Result of observing one packet copy (one is built per copy, so
+    it is a slotted value, not a dataclass)."""
 
-    entry: VoteEntry
-    is_new_entry: bool
-    is_branch_duplicate: bool  # same branch delivered this packet before
-    newly_released: bool  # this copy completed the quorum
-    late_copy: bool  # arrived after the entry was already released
-    #: an unreleased entry whose deadline had passed when this copy
-    #: arrived; it was evicted and this copy started a fresh vote — the
-    #: bounded-waiting-time rule of Section IV, enforced strictly
-    evicted_stale: Optional[VoteEntry] = None
-    #: False when the copy came from a quarantined branch and was
-    #: recorded on probation, outside the quorum count
-    countable: bool = True
+    __slots__ = (
+        "entry",
+        "is_new_entry",
+        "is_branch_duplicate",  # same branch delivered this packet before
+        "newly_released",  # this copy completed the quorum
+        "late_copy",  # arrived after the entry was already released
+        # an unreleased entry whose deadline had passed when this copy
+        # arrived; it was evicted and this copy started a fresh vote — the
+        # bounded-waiting-time rule of Section IV, enforced strictly
+        "evicted_stale",
+        # False when the copy came from a quarantined branch and was
+        # recorded on probation, outside the quorum count
+        "countable",
+    )
+
+    def __init__(
+        self,
+        entry: VoteEntry,
+        is_new_entry: bool,
+        is_branch_duplicate: bool,
+        newly_released: bool,
+        late_copy: bool,
+        evicted_stale: Optional[VoteEntry] = None,
+        countable: bool = True,
+    ) -> None:
+        self.entry = entry
+        self.is_new_entry = is_new_entry
+        self.is_branch_duplicate = is_branch_duplicate
+        self.newly_released = newly_released
+        self.late_copy = late_copy
+        self.evicted_stale = evicted_stale
+        self.countable = countable
 
 
 class VoteBook:
@@ -161,13 +180,7 @@ class VoteBook:
             is_branch_duplicate = branch in entry.probation_counts
             entry.probation_counts[branch] = entry.probation_counts.get(branch, 0) + 1
             return VoteOutcome(
-                entry=entry,
-                is_new_entry=is_new,
-                is_branch_duplicate=is_branch_duplicate,
-                newly_released=False,
-                late_copy=late,
-                evicted_stale=evicted_stale,
-                countable=False,
+                entry, is_new, is_branch_duplicate, False, late, evicted_stale, False
             )
         if not entry.branch_counts:
             # The entry may have been opened by a probation copy; the
@@ -176,17 +189,12 @@ class VoteBook:
         is_branch_duplicate = branch in entry.branch_counts
         entry.branch_counts[branch] = entry.branch_counts.get(branch, 0) + 1
         newly_released = False
-        if not entry.released and entry.distinct_branches >= self.quorum:
+        if not entry.released and len(entry.branch_counts) >= self.quorum:
             entry.released = True
             entry.released_at = now
             newly_released = True
         return VoteOutcome(
-            entry=entry,
-            is_new_entry=is_new,
-            is_branch_duplicate=is_branch_duplicate,
-            newly_released=newly_released,
-            late_copy=late,
-            evicted_stale=evicted_stale,
+            entry, is_new, is_branch_duplicate, newly_released, late, evicted_stale
         )
 
     # ------------------------------------------------------------------

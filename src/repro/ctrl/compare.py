@@ -166,7 +166,7 @@ class ControlCompare(QuorumVoter):
         """
         self.stats.submissions += 1
         self._vote(
-            (datapath_id, digest(message)), replica, self.sim.now, message,
+            (datapath_id, digest(message)), replica, self.sim._now, message,
             note=(tainted, trace),
         )
 
@@ -186,20 +186,33 @@ class ControlCompare(QuorumVoter):
         bus = self.trace_bus
         if bus is None:
             return
-        vote_data = dict(
-            branch=replica,
-            dpid=key[0],
-            votes=entry.distinct_branches,
-            kind=type(entry.packet).__name__,
-            duplicate=outcome.is_branch_duplicate,
-            late=outcome.late_copy,
-            probation=not outcome.countable,
-        )
+        # Every copy gets a vote record, so its fields go to `emit` in
+        # one call (no `_trace` frame, no dict built and re-packed); the
+        # record differs only in whether a trace id is known.
         known_trace = self._entry_trace.get(key)
-        if known_trace is not None:
-            vote_data["trace"] = known_trace
-        # every copy gets a vote record: emit without the _trace frame
-        bus.emit(self.sim.now, "ctrl.vote", self.name, **vote_data)
+        if known_trace is None:
+            bus.emit(
+                self.sim._now, "ctrl.vote", self.name,
+                branch=replica,
+                dpid=key[0],
+                votes=len(entry.branch_counts),
+                kind=type(entry.packet).__name__,
+                duplicate=outcome.is_branch_duplicate,
+                late=outcome.late_copy,
+                probation=not outcome.countable,
+            )
+        else:
+            bus.emit(
+                self.sim._now, "ctrl.vote", self.name,
+                branch=replica,
+                dpid=key[0],
+                votes=len(entry.branch_counts),
+                kind=type(entry.packet).__name__,
+                duplicate=outcome.is_branch_duplicate,
+                late=outcome.late_copy,
+                probation=not outcome.countable,
+                trace=known_trace,
+            )
 
     def _deliver(
         self, entry: VoteEntry, now: float, ctx: object, branch: Optional[int]

@@ -36,7 +36,8 @@ clean so the honest majority's data-plane schedule is unaffected.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.core.alarms import AlarmSink
@@ -182,11 +183,7 @@ class ReplicatedControlPlane(Controller):
             replica_name = f"{name}_c{index}"
             controller = replica_factory(index, replica_name)
             handle = ReplicaHandle(index=index, name=replica_name, controller=controller)
-            controller.outbox = (
-                lambda _ctrl, switch, message, handle=handle: self._replica_emit(
-                    handle, switch, message
-                )
-            )
+            controller.outbox = partial(self._replica_emit, handle)
             self.replicas.append(handle)
         self.compare = ControlCompare(
             sim,
@@ -205,48 +202,47 @@ class ReplicatedControlPlane(Controller):
     # ------------------------------------------------------------------
     def register_switch(self, switch: "OpenFlowSwitch") -> None:
         self.switches[switch.datapath_id] = switch
-        self.compare.register_switch(
-            switch.datapath_id,
-            lambda message, switch=switch: self._deliver(switch, message),
-        )
+        # A voted message leaves like any controller's: the plane's own
+        # outbox is unset, so `send` is the plain channel post.
+        self.compare.register_switch(switch.datapath_id, partial(self.send, switch))
         for handle in self.replicas:
             # Replicas know the switch (tables, datapath ids) but their
             # output is rerouted through the voter by the outbox hook.
             handle.controller.register_switch(switch)
         self.on_switch_connected(switch)
 
-    def _deliver(self, switch: "OpenFlowSwitch", message: object) -> None:
-        """Ship a voted (or pass-through) message over the channel."""
-        latency = switch.controller_latency()
-        self.sim.schedule(latency, lambda: switch.handle_controller_message(message))
-
     # ------------------------------------------------------------------
     # fan-in (switch -> replicas)
     # ------------------------------------------------------------------
     def _dispatch(self, switch: "OpenFlowSwitch", message: object) -> None:
-        if isinstance(
-            message, (PacketIn, FlowRemoved, PortStatsReply, FlowStatsReply)
-        ):
-            if isinstance(message, PacketIn):
-                self._cause_trace = getattr(message.packet, "trace_id", None)
+        if isinstance(message, PacketIn):
+            packet = message.packet
+            self._cause_trace = packet.trace_id
             try:
                 for handle in self.replicas:
                     if handle.crashed:
                         continue
-                    if isinstance(message, PacketIn):
-                        # Each replica gets its own packet clone: a replica
-                        # that scribbles on headers must not poison the
-                        # others' view of the event.
-                        fanned: object = dataclasses.replace(
-                            message, packet=message.packet.copy()
-                        )
-                    else:
-                        fanned = message
-                    handle.controller._dispatch(switch, fanned)
+                    # Each replica gets its own packet clone: a replica
+                    # that scribbles on headers must not poison the
+                    # others' view of the event.
+                    handle.controller._dispatch(
+                        switch,
+                        PacketIn(
+                            message.datapath_id,
+                            packet.copy(),
+                            message.in_port,
+                            message.reason,
+                            message.buffer_id,
+                        ),
+                    )
             finally:
                 self._cause_trace = None
-            return
-        super()._dispatch(switch, message)
+        elif isinstance(message, (FlowRemoved, PortStatsReply, FlowStatsReply)):
+            for handle in self.replicas:
+                if not handle.crashed:
+                    handle.controller._dispatch(switch, message)
+        else:
+            super()._dispatch(switch, message)
 
     # ------------------------------------------------------------------
     # fan-out (replicas -> voter -> switch)
@@ -273,11 +269,12 @@ class ReplicatedControlPlane(Controller):
         if self.k == 1:
             # Unreplicated: straight pass-through, identical timing and
             # bytes to a plain Controller.send().
-            self._deliver(switch, message)
+            self.send(switch, message)
             return
         # A PacketOut carries its packet's own trace id; FlowMods fall
         # back to the PacketIn being fanned out right now (if marked).
-        trace = getattr(getattr(message, "packet", None), "trace_id", None)
+        packet = getattr(message, "packet", None)
+        trace = None if packet is None else packet.trace_id
         if trace is None:
             trace = self._cause_trace
         self.compare.submit(

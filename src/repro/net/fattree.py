@@ -11,11 +11,13 @@ datacenter routing-attack case study.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.net.host import Host
 from repro.net.topology import Network
-from repro.openflow.switch import OpenFlowSwitch
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.openflow.switch import OpenFlowSwitch
 
 
 @dataclass
@@ -63,6 +65,10 @@ def build_fat_tree(
     specific positions — e.g. virtual-combiner ingress/egress edges —
     or ``None`` to get the default switch.
     """
+    # Imported here, not at module level: `repro.openflow` imports
+    # `repro.net` (addresses, packets), and `repro.net` exports this module.
+    from repro.openflow.switch import OpenFlowSwitch
+
     if k < 2 or k % 2:
         raise ValueError(f"fat-tree arity must be even and >= 2, got {k}")
     net = network or Network(seed=seed)

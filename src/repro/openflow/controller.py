@@ -18,11 +18,9 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.obs.metrics import StatBlock
 from repro.openflow.messages import (
-    FlowMod,
     FlowRemoved,
     FlowStatsReply,
     PacketIn,
-    PacketOut,
     PortStatsReply,
 )
 from repro.sim import Simulator, TraceBus
@@ -54,12 +52,11 @@ class Controller:
         self.messages_dropped = 0
         #: messages the dispatcher had no handler for
         self.messages_unknown = 0
-        #: when set, outbound messages are handed to this callable
-        #: instead of the control channel — the replicated control plane
-        #: uses it to route replica output through the trusted voter
-        self.outbox: Optional[
-            Callable[["Controller", "OpenFlowSwitch", object], None]
-        ] = None
+        #: when set, outbound messages are handed to this callable as
+        #: ``outbox(switch, message)`` instead of the control channel —
+        #: the replicated control plane uses it to route replica output
+        #: through the trusted voter
+        self.outbox: Optional[Callable[["OpenFlowSwitch", object], None]] = None
         StatBlock.publish_samples(
             lambda: {
                 "controller_queue_drops_total": self.messages_dropped,
@@ -120,7 +117,7 @@ class Controller:
     def send(self, switch: "OpenFlowSwitch", message: object) -> None:
         """Send a FlowMod/PacketOut/etc. over the control channel."""
         if self.outbox is not None:
-            self.outbox(self, switch, message)
+            self.outbox(switch, message)
             return
         sim = self.sim
         sim.post(
@@ -128,12 +125,6 @@ class Controller:
             switch.handle_controller_message,
             (message,),
         )
-
-    def send_flow_mod(self, switch: "OpenFlowSwitch", mod: FlowMod) -> None:
-        self.send(switch, mod)
-
-    def send_packet_out(self, switch: "OpenFlowSwitch", out: PacketOut) -> None:
-        self.send(switch, out)
 
     # ------------------------------------------------------------------
     # application hooks

@@ -10,21 +10,24 @@ by topic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One telemetry record."""
+class TraceRecord(NamedTuple):
+    """One telemetry record (immutable; a run retains one per emit, so
+    it carries no per-instance ``__dict__``)."""
 
     time: float
     topic: str
     source: str
-    data: Dict[str, Any] = field(default_factory=dict)
+    data: Dict[str, Any]
 
 
 Listener = Callable[[TraceRecord], None]
+
+# `TraceBus.emit` builds its record with the tuple constructor directly:
+# the generated `TraceRecord.__new__` is one more Python frame per emit.
+_new_record = tuple.__new__
 
 
 class TraceBus:
@@ -101,10 +104,15 @@ class TraceBus:
         source: str,
         **data: Any,
     ) -> None:
-        record = TraceRecord(time=time, topic=topic, source=source, data=data)
+        record = _new_record(TraceRecord, (time, topic, source, data))
         if self._retain:
-            if len(self.records) < self._max_records:
-                self._retain_record(record)
+            records = self.records
+            if len(records) < self._max_records:
+                records.append(record)
+                bucket = self._by_topic.get(topic)
+                if bucket is None:
+                    bucket = self._by_topic[topic] = []
+                bucket.append(record)
             else:
                 self.dropped_count += 1
                 if not self._saturation_warned:
@@ -118,16 +126,13 @@ class TraceBus:
                             "first_dropped_topic": topic,
                         },
                     )
-                    self._retain_record(warning)
+                    records.append(warning)
+                    self._by_topic.setdefault(warning.topic, []).append(warning)
                     self._dispatch(warning)
-        self._dispatch(record)
-
-    def _retain_record(self, record: TraceRecord) -> None:
-        self.records.append(record)
-        bucket = self._by_topic.get(record.topic)
-        if bucket is None:
-            bucket = self._by_topic[record.topic] = []
-        bucket.append(record)
+        # Most topics have no listener: skip the dispatch frame for them.
+        listeners = self._listeners
+        if topic in listeners or self._prefix_listeners or "" in listeners:
+            self._dispatch(record)
 
     def _dispatch(self, record: TraceRecord) -> None:
         topic = record.topic

@@ -10,6 +10,10 @@ wire) fails tier-1 by name instead of hiding in timer noise.
 
 Calls per hop, this recipe: 70.5 before the lean hop, 44.6 with it.
 
+The control-plane decision path (PacketIn → k replicas → ``ControlCompare``
+→ release) has the same gate on one slice of the ``des_ctrl_reactive_k3``
+recipe: 181.7 calls per hop before it was made lean, 126.6 with it.
+
 The same idea gates the live receive path (``live_udp_vote``'s recipe at
 small size): per received datagram, how often the voter side serialises
 (0; it re-serialised every copy before ``Packet.parse`` kept the received
@@ -19,6 +23,7 @@ bytes), checksums (2; was 3) and builds address objects (4; was 8).
 from __future__ import annotations
 
 import cProfile
+import hashlib
 import pstats
 
 from repro.scenarios.testbed import TestbedParams, build_testbed
@@ -59,6 +64,103 @@ def test_calls_and_events_per_hop():
         f"{calls / hops:.1f} calls per hop; "
         "`python bench/run.py --workload des_udp_central3 --trace` names the layer"
     )
+
+
+# ----------------------------------------------------------------------
+# the control-plane decision path: one slice of des_ctrl_reactive_k3
+# ----------------------------------------------------------------------
+#: ``CtrlReactive.KWARGS`` of ``bench/workloads.py``
+CTRL_KWARGS = dict(
+    variant="central3",
+    ctrl_k=3,
+    adversary="lying",
+    rate_mbps=100.0,
+    payload_size=512,
+    flow_hard_timeout=1e-4,
+)
+MAX_CTRL_CALLS_PER_HOP = 133
+#: what one slice simulates (the counts of the commit before the lean
+#: decision path): hops, events, ``ctrl.submissions``, ``ctrl.released``
+CTRL_SLICE = (2_880, 7_658, 4_149, 702)
+
+
+def run_ctrl_slice(duration: float = 0.01):
+    """One ``ctrl.run`` slice of the workload; ``(record, network)``."""
+    import repro.analysis.tasks as tasks
+    from repro.farm.spec import resolve_runner
+
+    # The task returns only its record; the hop count needs the network,
+    # so the builder it calls is wrapped for the call (as the workload does).
+    built = []
+    original = tasks.build_ctrl_testbed
+
+    def capture(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    tasks.build_ctrl_testbed = capture
+    try:
+        record = resolve_runner("ctrl.run")(seed=1, duration=duration, **CTRL_KWARGS)
+    finally:
+        tasks.build_ctrl_testbed = original
+    return record, built[0].network
+
+
+def test_control_plane_calls_per_hop():
+    run_ctrl_slice(0.001)  # lazy imports and regex caches are not the path
+    profile = cProfile.Profile()
+    profile.enable()
+    record, network = run_ctrl_slice()
+    profile.disable()
+    hops = _link_hops(network)
+    assert (
+        hops,
+        network.sim.events_processed,
+        record["ctrl"]["submissions"],
+        record["ctrl"]["released"],
+    ) == CTRL_SLICE
+    calls = pstats.Stats(profile).total_calls
+    assert calls / hops <= MAX_CTRL_CALLS_PER_HOP, (
+        f"{calls / hops:.1f} calls per hop; "
+        "`python bench/run.py --workload des_ctrl_reactive_k3 --trace` names the layer"
+    )
+
+
+# ----------------------------------------------------------------------
+# the lean paths retain the telemetry the plain ones did
+# ----------------------------------------------------------------------
+#: sha256 over every retained record, in order, computed at the commit
+#: before `TraceRecord` / `TraceBus.emit` / `_note_copy` were made lean
+CTRL_SLICE_TELEMETRY = (
+    6_111, "d2ae0a2987cf1c79c93c01ac656dfa68c433cb9a31c7ce58ea9718b244ac4d14"
+)
+CENTRAL3_FLOW_TELEMETRY = (
+    172, "729b506e5e981b79102ed4fd7258e4bee0da82cf142668c8496ec5dbcac4965e"
+)
+
+
+def _telemetry(bus) -> tuple:
+    digest = hashlib.sha256()
+    for record in bus.records:
+        digest.update(
+            repr(
+                (record.time, record.topic, record.source, sorted(record.data.items()))
+            ).encode("utf-8")
+        )
+    return len(bus.records), digest.hexdigest()
+
+
+def test_retained_telemetry_is_unchanged(monkeypatch):
+    from repro.openflow.switch import OpenFlowSwitch
+
+    # datapath ids come from a process-wide counter and appear in ctrl.*
+    # records: start it where a fresh interpreter would
+    monkeypatch.setattr(OpenFlowSwitch, "_dpid_counter", 0)
+    _record, network = run_ctrl_slice()
+    assert _telemetry(network.trace) == CTRL_SLICE_TELEMETRY
+    testbed = build_testbed("central3", params=TestbedParams(batch_train=1), seed=1)
+    run_udp_flow(testbed.path(), rate_bps=200e6, duration=0.005, payload_size=1470)
+    assert _telemetry(testbed.network.trace) == CENTRAL3_FLOW_TELEMETRY
 
 
 # ----------------------------------------------------------------------

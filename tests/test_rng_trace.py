@@ -1,6 +1,8 @@
 """Tests for seeded RNG streams and the trace bus."""
 
-from repro.sim import RngStreams, TraceBus
+import pytest
+
+from repro.sim import RngStreams, TraceBus, TraceRecord
 
 
 class TestRngStreams:
@@ -243,3 +245,107 @@ class TestTraceBusSaturationContract:
         topics = [r.topic for r in bus.records]
         assert topics == ["t0", "t1", TraceBus.SATURATION_TOPIC]
         assert bus.dropped_count == 2
+
+    def test_warning_reaches_exact_and_prefix_listeners_of_its_topic(self):
+        # `emit` skips dispatch for topics nobody listens to; the warning
+        # is dispatched on its own topic, not on the dropped record's.
+        bus = TraceBus(max_records=1)
+        exact, family, dropped = [], [], []
+        bus.subscribe(TraceBus.SATURATION_TOPIC, exact.append)
+        bus.subscribe("trace.*", family.append)
+        bus.subscribe("t1", dropped.append)
+        for i in range(3):
+            bus.emit(float(i), f"t{i}", "s")
+        assert [r.topic for r in exact] == [TraceBus.SATURATION_TOPIC]
+        assert family == exact
+        assert exact[0].data == {"max_records": 1, "first_dropped_topic": "t1"}
+        assert [r.topic for r in dropped] == ["t1"]  # dropped, still delivered
+        assert bus.records[-1] is exact[0]
+        assert bus.count(TraceBus.SATURATION_TOPIC) == 1
+
+
+class TestTraceRecord:
+    def test_keyword_and_positional_construction_agree(self):
+        by_keyword = TraceRecord(time=1.0, topic="t", source="s", data={"a": 1})
+        assert by_keyword == TraceRecord(1.0, "t", "s", {"a": 1})
+        assert (by_keyword.time, by_keyword.topic, by_keyword.source) == (1.0, "t", "s")
+        assert by_keyword.data == {"a": 1}
+
+    def test_rejects_attribute_assignment(self):
+        bus = TraceBus()
+        bus.emit(1.0, "t", "s", a=1)
+        record = bus.records[0]
+        assert type(record) is TraceRecord
+        for name in ("time", "topic", "source", "data", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        assert not hasattr(record, "__dict__")
+
+
+class TestEveryMatchingListenerSeesEachRecordOnce:
+    """`emit` dispatches only when some listener can match the topic;
+    that test must never lose or repeat a delivery."""
+
+    TOPICS = ["link.drop", "link.tx", "linkish", "alarm", "ctrl.vote", "link.drop"]
+
+    def _emit_all(self, bus, start=0):
+        for i, topic in enumerate(self.TOPICS):
+            bus.emit(float(start + i), topic, "s", i=start + i)
+
+    def test_exact_prefix_and_catch_all(self):
+        bus = TraceBus()
+        exact, prefix, everything = [], [], []
+        bus.subscribe("link.drop", exact.append)
+        bus.subscribe("link.*", prefix.append)
+        bus.subscribe("", everything.append)
+        self._emit_all(bus)
+        assert [r.data["i"] for r in exact] == [0, 5]
+        assert [r.data["i"] for r in prefix] == [0, 1, 5]
+        assert everything == bus.records
+        assert len(bus.records) == len(self.TOPICS)
+
+    def test_each_shape_alone(self):
+        for pattern, expected in (
+            ("alarm", [3]),
+            ("link*", [0, 1, 2, 5]),
+            ("", [0, 1, 2, 3, 4, 5]),
+        ):
+            bus = TraceBus(retain=False)
+            seen = []
+            bus.subscribe(pattern, seen.append)
+            self._emit_all(bus)
+            assert [r.data["i"] for r in seen] == expected, pattern
+            assert bus.records == []
+
+    def test_listener_subscribed_after_earlier_emits(self):
+        bus = TraceBus()
+        self._emit_all(bus)  # nobody listening: dispatch skipped
+        for pattern, expected in (
+            ("ctrl.vote", [10]),
+            ("ctrl.*", [10]),
+            ("", [6, 7, 8, 9, 10, 11]),
+        ):
+            seen = []
+            bus.subscribe(pattern, seen.append)
+            self._emit_all(bus, start=6)
+            bus.unsubscribe(pattern, seen.append)
+            assert [r.data["i"] for r in seen] == expected, pattern
+
+    def test_listener_unsubscribed_mid_run(self):
+        bus = TraceBus()
+        exact, prefix, everything = [], [], []
+        bus.subscribe("link.drop", exact.append)
+        bus.subscribe("link.*", prefix.append)
+        bus.subscribe("", everything.append)
+        self._emit_all(bus)
+        bus.unsubscribe("link.drop", exact.append)
+        bus.unsubscribe("link.*", prefix.append)
+        bus.unsubscribe("", everything.append)
+        survivor = []
+        bus.subscribe("alarm", survivor.append)
+        self._emit_all(bus, start=6)
+        assert [r.data["i"] for r in exact] == [0, 5]
+        assert [r.data["i"] for r in prefix] == [0, 1, 5]
+        assert [r.data["i"] for r in everything] == [0, 1, 2, 3, 4, 5]
+        assert [r.data["i"] for r in survivor] == [9]
+        assert len(bus.records) == 2 * len(self.TOPICS)

@@ -235,7 +235,7 @@ class TestControlChannel:
 
         def reactive(switch, event):
             original_handler(switch, event)
-            ctl.send_packet_out(
+            ctl.send(
                 switch, PacketOut(packet=event.packet, actions=[Output(out_port)])
             )
 
@@ -254,7 +254,7 @@ class TestControlChannel:
         event = ctl.packet_ins[0]
         got = []
         h2.bind_udp(5001, got.append)
-        ctl.send_packet_out(
+        ctl.send(
             s1,
             PacketOut(
                 packet=None,
@@ -270,12 +270,12 @@ class TestControlChannel:
         ctl = RecordingController(net.sim)
         s1.connect_controller(ctl)
         match = Match(dl_dst=h2.mac)
-        ctl.send_flow_mod(
+        ctl.send(
             s1, FlowMod(FLOWMOD_ADD, match, [Output(2)], priority=5)
         )
         net.run()
         assert len(s1.table) == 1
-        ctl.send_flow_mod(s1, FlowMod(FLOWMOD_DELETE, match))
+        ctl.send(s1, FlowMod(FLOWMOD_DELETE, match))
         net.run()
         assert len(s1.table) == 0
         assert len(ctl.flow_removed) == 1
@@ -285,9 +285,9 @@ class TestControlChannel:
         ctl = RecordingController(net.sim)
         s1.connect_controller(ctl)
         match = Match.wildcard()
-        ctl.send_flow_mod(s1, FlowMod(FLOWMOD_ADD, match, [Output(1)], priority=1))
-        ctl.send_flow_mod(s1, FlowMod(FLOWMOD_ADD, match, [Output(1)], priority=2))
-        ctl.send_flow_mod(s1, FlowMod(FLOWMOD_DELETE_STRICT, match, priority=2))
+        ctl.send(s1, FlowMod(FLOWMOD_ADD, match, [Output(1)], priority=1))
+        ctl.send(s1, FlowMod(FLOWMOD_ADD, match, [Output(1)], priority=2))
+        ctl.send(s1, FlowMod(FLOWMOD_DELETE_STRICT, match, priority=2))
         net.run()
         assert len(s1.table) == 1
         assert s1.table.entries[0].priority == 1
