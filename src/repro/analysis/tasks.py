@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, replace
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.chaos import (
     AdversaryStrategy,
@@ -29,7 +29,7 @@ from repro.chaos import (
 )
 from repro.core.alarms import ALARM_DOS_SUSPECTED, ALARM_ROUTER_UNAVAILABLE
 from repro.farm.spec import register_runner
-from repro.scenarios.ctrlplane import CtrlParams, build_ctrl_testbed
+from repro.scenarios.ctrlplane import CtrlParams, CtrlTestbed, build_ctrl_testbed
 from repro.scenarios.testbed import TestbedParams, build_testbed
 from repro.traffic.iperf import (
     DRAIN_TIME,
@@ -38,7 +38,7 @@ from repro.traffic.iperf import (
     run_tcp_flow,
     run_udp_flow,
 )
-from repro.traffic.udp import UdpReceiver, UdpSender
+from repro.traffic.udp import UdpFlowResult, UdpReceiver, UdpSender
 
 
 def params_to_dict(params: Optional[TestbedParams]) -> Optional[Dict[str, Any]]:
@@ -523,6 +523,76 @@ def _ctrl_adversary_schedule(adversary: str, ctrl_k: int) -> Optional[FaultSched
     )
 
 
+def drive_ctrl_flow(
+    tb: CtrlTestbed,
+    adversary: str,
+    rate_bps: float,
+    payload_size: int,
+    duration: float,
+    drain: float,
+) -> Tuple[UdpFlowResult, List[int], List[dict]]:
+    """Run the ctrlbft traffic pattern on a built control-plane testbed.
+
+    Arms ``adversary``'s fault schedule, sends the reverse primer, then
+    one forward UDP flow h1 → h2 for ``duration``, runs ``drain`` longer,
+    detaches the quarantine loop and flushes the voter.  Returns the flow
+    result, the sorted sequence numbers h2 received and the engine's
+    applied-fault timeline (empty without an adversary).
+    """
+    net = tb.network
+    base = tb.testbed.params
+
+    schedule = _ctrl_adversary_schedule(adversary, tb.ctrl.ctrl_k)
+    engine = None
+    if schedule is not None:
+        engine = ChaosEngine(
+            schedule,
+            net,
+            aliases=chaos_aliases(tb.testbed),
+            control_plane=tb.control_plane,
+        )
+        engine.arm()
+
+    # One reverse datagram teaches every replica h2's port before the
+    # forward flow starts, so forward decisions are FlowMod installs
+    # (votable, and worth lying about) instead of endless floods.
+    primer = UdpSender(
+        tb.h2,
+        dst_mac=tb.h1.mac,
+        dst_ip=tb.h1.ip,
+        dport=5002,
+        rate_bps=rate_bps,
+        payload_size=64,
+        send_cost=base.udp_send_cost,
+    )
+    primer.start(1e-6, delay=2e-4)
+
+    warmup = 1e-3
+    dport = 5001
+    receiver = UdpReceiver(tb.h2, dport)
+    sender = UdpSender(
+        tb.h1,
+        dst_mac=tb.h2.mac,
+        dst_ip=tb.h2.ip,
+        dport=dport,
+        rate_bps=rate_bps,
+        payload_size=payload_size,
+        send_cost=base.udp_send_cost,
+    )
+    sender.start(duration, delay=warmup)
+    net.run(until=warmup + duration + drain)
+    flow = receiver.result(sender, duration)
+    receiver.close()
+    if tb.quarantine is not None:
+        tb.quarantine.detach()
+    tb.control_plane.compare.flush()
+    return (
+        flow,
+        sorted(receiver.received_sequences()),
+        engine.injections if engine is not None else [],
+    )
+
+
 @register_runner("ctrl.run")
 def ctrl_run(
     seed: int,
@@ -553,54 +623,9 @@ def ctrl_run(
         flow_hard_timeout=flow_hard_timeout,
     )
     tb = build_ctrl_testbed(variant, ctrl=ctrl, params=params_from_dict(params), seed=seed)
-    net = tb.network
-    base = tb.testbed.params
-
-    schedule = _ctrl_adversary_schedule(adversary, ctrl_k)
-    engine = None
-    if schedule is not None:
-        engine = ChaosEngine(
-            schedule,
-            net,
-            aliases=chaos_aliases(tb.testbed),
-            control_plane=tb.control_plane,
-        )
-        engine.arm()
-
-    # One reverse datagram teaches every replica h2's port before the
-    # forward flow starts, so forward decisions are FlowMod installs
-    # (votable, and worth lying about) instead of endless floods.
-    primer = UdpSender(
-        tb.h2,
-        dst_mac=tb.h1.mac,
-        dst_ip=tb.h1.ip,
-        dport=5002,
-        rate_bps=rate_mbps * 1e6,
-        payload_size=64,
-        send_cost=base.udp_send_cost,
+    flow, sequences, injections = drive_ctrl_flow(
+        tb, adversary, rate_mbps * 1e6, payload_size, duration, DRAIN_TIME
     )
-    primer.start(1e-6, delay=2e-4)
-
-    warmup = 1e-3
-    dport = 5001
-    receiver = UdpReceiver(tb.h2, dport)
-    sender = UdpSender(
-        tb.h1,
-        dst_mac=tb.h2.mac,
-        dst_ip=tb.h2.ip,
-        dport=dport,
-        rate_bps=rate_mbps * 1e6,
-        payload_size=payload_size,
-        send_cost=base.udp_send_cost,
-    )
-    sender.start(duration, delay=warmup)
-    net.run(until=warmup + duration + DRAIN_TIME)
-    flow = receiver.result(sender, duration)
-    sequences = sorted(receiver.received_sequences())
-    receiver.close()
-    if tb.quarantine is not None:
-        tb.quarantine.detach()
-    tb.control_plane.compare.flush()
 
     # The bit-identity artefact: a digest of exactly which datagrams the
     # receiver saw.  Equal fingerprints == identical data-plane outcome.
@@ -610,7 +635,6 @@ def ctrl_run(
 
     transitions = tb.quarantine.transitions if tb.quarantine is not None else []
     quarantine_times = [t["time"] for t in transitions if t["event"] == "quarantine"]
-    injections = engine.injections if engine is not None else []
     detection_latency = None
     if quarantine_times and injections:
         detection_latency = min(quarantine_times) - min(i["time"] for i in injections)

@@ -43,10 +43,6 @@ class ControlChannelReleaseSession(Session):
         claim: Optional[int] = None,
     ) -> None:
         self.stats.tx_messages += 1
-        if self.transport._tracers:
-            self.transport._trace(
-                "tx", self.spec, packet, {"branch": branch, "claim": claim}
-            )
         self.app.send(
             self.endpoint, PacketOut(packet=packet, actions=[], in_port=0)
         )
@@ -68,11 +64,10 @@ class PoxStyleCompareApp(Controller):
         name: str = "pox-compare",
         trace_bus=None,
         proc_time: float = 0.0,
-        transport: Optional[Transport] = None,
     ) -> None:
         super().__init__(sim, name, trace_bus=trace_bus, proc_time=proc_time)
         self.core = core
-        self.transport = transport or Transport(name=f"{name}.transport")
+        self.transport = Transport(name=f"{name}.transport")
         self._sessions: Dict[int, Tuple[Session, CompareContext]] = {}
 
     def _sessions_for(

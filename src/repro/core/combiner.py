@@ -55,14 +55,10 @@ class CompareHost(Node):
         name: str,
         core: CompareCore,
         trace_bus: Optional[TraceBus] = None,
-        transport: Optional[Transport] = None,
     ) -> None:
         super().__init__(sim, name, trace_bus)
         self.core = core
-        self.transport = transport or DesTransport(
-            sim, trace_bus, name=f"{name}.transport"
-        )
-        self._contexts: Dict[int, CompareContext] = {}
+        self.transport = DesTransport(sim, name=f"{name}.transport")
         self._collect_by_port: Dict[int, object] = {}
 
     def register_endpoint(self, port_no: int, endpoint: CombinerEndpoint) -> None:
@@ -81,7 +77,6 @@ class CompareHost(Node):
             ),
             block_branch=endpoint.block_branch_ingress,
         )
-        self._contexts[port_no] = context
         collect = self.transport.session(
             SessionSpec(endpoint.name, ROLE_COLLECT), port=port
         )
@@ -203,22 +198,8 @@ class CombinerChain:
 
     @property
     def transport(self) -> Transport:
-        """The collecting endpoints' transport (DES backend by default)."""
+        """Endpoint A's transport (each node of the chain builds its own)."""
         return self.endpoint_a.transport
-
-    @property
-    def transports(self) -> Dict[str, Transport]:
-        """Every node's transport, keyed by node name (one transport per
-        node attachment, as with real sockets)."""
-        nodes = [self.endpoint_a, self.endpoint_b, *self.routers]
-        if self.compare_host is not None:
-            nodes.append(self.compare_host)
-        return {node.name: node.transport for node in nodes}
-
-    def add_tracer(self, fn) -> None:
-        """Observe every transport message anywhere in the chain."""
-        for transport in self.transports.values():
-            transport.add_tracer(fn)
 
     def install_mac_route(self, mac: MacAddress, toward: str) -> None:
         """Program every untrusted router to send ``mac`` toward endpoint

@@ -344,7 +344,7 @@ class CompareCore(QuorumVoter):
             branch=branch,
             copies=entry.total_copies(),
         )
-        self._note_crafted(branch)
+        self._note_crafted(branch, entry.key[0])
 
     def _count_divergence(self, branch: int, latched: bool) -> None:
         self.stats.divergent_copies += 1
@@ -363,13 +363,14 @@ class CompareCore(QuorumVoter):
             self._dup_strikes[branch] = 0
             self._block(branch, context, reason="duplicate-flood")
 
-    def _note_crafted(self, branch: int) -> None:
+    def _note_crafted(self, branch: int, scope: str) -> None:
+        """One more single-source packet from ``branch``, collected at
+        ``scope``: past the threshold, that endpoint blocks the branch."""
         strikes = self._craft_strikes.get(branch, 0) + 1
         self._craft_strikes[branch] = strikes
         if strikes >= self.config.craft_threshold:
             self._craft_strikes[branch] = 0
-            context = self._contexts.get(next(iter(self._contexts), ""), None)
-            self._block(branch, context, reason="crafted-flood")
+            self._block(branch, self._contexts.get(scope), reason="crafted-flood")
 
     def _block(self, branch: int, context: Optional[CompareContext], reason: str) -> None:
         now = self.sim.now

@@ -81,10 +81,6 @@ class ControlChannelCollectSession(Session):
     ) -> None:
         self.stats.tx_messages += 1
         endpoint = self.endpoint
-        if self.transport._tracers:
-            self.transport._trace(
-                "tx", self.spec, packet, {"branch": branch, "claim": claim}
-            )
         endpoint.stats.packet_ins += 1
         endpoint._send_to_controller(
             PacketIn(
@@ -125,7 +121,6 @@ class CombinerEndpoint(OpenFlowSwitch):
         mark_sources: bool = False,
         alarm_sink: Optional[AlarmSink] = None,
         service_queue_capacity: int = 1000,
-        transport: Optional[Transport] = None,
     ) -> None:
         if mode not in (MODE_COMBINE, MODE_DUP):
             raise ValueError(f"unknown endpoint mode {mode!r}")
@@ -137,7 +132,6 @@ class CombinerEndpoint(OpenFlowSwitch):
             proc_per_byte=proc_per_byte,
             cpu=cpu,
             service_queue_capacity=service_queue_capacity,
-            transport=transport,
         )
         self.mode = mode
         self.mark_sources = mark_sources

@@ -25,7 +25,6 @@ from repro.transport import (
     ROLE_FANOUT,
     DesTransport,
     SessionSpec,
-    Transport,
 )
 
 UPSTREAM_PORT = 1
@@ -39,15 +38,12 @@ class Hub(Node):
         sim: Simulator,
         name: str,
         trace_bus: Optional[TraceBus] = None,
-        transport: Optional[Transport] = None,
     ) -> None:
         self._branch_ports: Optional[List[Port]] = None
         self._fan_sessions: Optional[List] = None
         self._merge_session = None
         super().__init__(sim, name, trace_bus)
-        self.transport = transport or DesTransport(
-            sim, trace_bus, name=f"{name}.transport"
-        )
+        self.transport = DesTransport(sim, name=f"{name}.transport")
         self.add_port(UPSTREAM_PORT)
         self.duplicated = 0
         self.merged = 0

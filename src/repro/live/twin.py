@@ -6,7 +6,10 @@ Index-to-time conversion places each fault *between* two departures: the
 source emits sequence ``s`` at ``warmup + s * interval``, so failing a
 router at ``warmup + (at_index - 0.5) * interval`` guarantees packets
 ``< at_index`` cleared it and packets ``>= at_index`` find it dead —
-exactly the set a live switch process drops.
+exactly the set a live switch process drops.  The faults are injected
+the way every chaos run injects them: the schedule compiles to
+:class:`~repro.chaos.schedule.RouterCrash` events armed through a
+:class:`~repro.chaos.schedule.ChaosEngine`.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import replace
 from typing import Any, Dict, Optional
 
 from repro.chaos.quarantine import QuarantineController
+from repro.chaos.schedule import ChaosEngine, FaultSchedule, RouterCrash
 from repro.live.schedule import LiveSchedule
 from repro.live.verdict import Verdict
 from repro.scenarios.testbed import build_testbed
@@ -35,7 +39,7 @@ def des_twin_run(
 ) -> Verdict:
     """Run ``schedule`` through the simulator; return the DES verdict."""
     schedule.validate()
-    from repro.analysis.tasks import params_from_dict
+    from repro.analysis.tasks import chaos_aliases, params_from_dict
 
     base = replace(
         params_from_dict(params), compare_buffer_timeout=buffer_timeout
@@ -48,17 +52,23 @@ def des_twin_run(
     controller = QuarantineController(core, net.trace)
 
     warmup = 1e-3
-    for fault in schedule.faults:
-        router = testbed.chain.routers[fault.branch]
-        net.sim.schedule_at(
-            warmup + (fault.at_index - 0.5) * interval,
-            lambda r=router: r.fail(wipe_flows=True),
+
+    def index_time(index: Optional[int]) -> Optional[float]:
+        return None if index is None else warmup + (index - 0.5) * interval
+
+    crashes = [
+        RouterCrash(
+            index_time(fault.at_index),
+            f"r{fault.branch}",
+            restart_at=index_time(fault.restart_index),
         )
-        if fault.restart_index is not None:
-            net.sim.schedule_at(
-                warmup + (fault.restart_index - 0.5) * interval,
-                lambda r=router: r.recover(restore_flows=True),
-            )
+        for fault in schedule.faults
+    ]
+    ChaosEngine(
+        FaultSchedule(crashes, name=schedule.name),
+        net,
+        aliases=chaos_aliases(testbed),
+    ).arm()
 
     # duration = (packets - 0.5) * interval makes the sender emit exactly
     # `packets` datagrams (seq n departs at n * interval < duration).

@@ -684,7 +684,8 @@ class Packet:
         field the headers do not model holds the value the serialiser
         writes, nothing trails the frame, and the checksums verify (a
         stored 0xFFFF is the other ones-complement zero, which the
-        serialiser never writes).  Any other frame is read leniently and
+        serialiser writes for the all-zero ICMP message only; that frame
+        is declined with the rest).  Any other frame is read leniently and
         re-serialises on demand, so ``parse(d).to_bytes()`` does not
         depend on whether ``d`` was kept.
         """

@@ -104,55 +104,29 @@ def run_instrumented_ctrl_scenario(
 ) -> ScenarioRun:
     """A ctrlbft-style run with the tracer attached.
 
-    Mirrors the ``ctrl.run`` farm task's traffic pattern (reverse primer
+    Drives the ``ctrl.run`` farm task's traffic pattern (reverse primer
     so forward decisions become votable FlowMods, then one forward UDP
-    flow) on a replicated control plane, with a PacketTracer subscribed —
-    so marked packets pick up ``ctrl.vote``/``ctrl.release`` spans from
-    the voter alongside their data-plane hops.  Used by ``repro obs
-    trace --ctrl``; deliberately shorter than the farm task (trajectory
-    inspection wants a handful of flows, not a benchmark).
+    flow: :func:`repro.analysis.tasks.drive_ctrl_flow`) on a replicated
+    control plane, with a PacketTracer subscribed — so marked packets
+    pick up ``ctrl.vote``/``ctrl.release`` spans from the voter alongside
+    their data-plane hops.  Used by ``repro obs trace --ctrl``;
+    deliberately shorter than the farm task (trajectory inspection wants
+    a handful of flows, not a benchmark).
     """
-    from repro.analysis.tasks import _ctrl_adversary_schedule, chaos_aliases
-    from repro.chaos import ChaosEngine
+    from repro.analysis.tasks import drive_ctrl_flow
     from repro.scenarios.ctrlplane import CtrlParams, build_ctrl_testbed
-    from repro.traffic.iperf import UdpReceiver, UdpSender
 
     registry = MetricsRegistry(enabled=True)
     with use_registry(registry):
         tb = build_ctrl_testbed(
             variant, ctrl=CtrlParams(ctrl_k=ctrl_k), seed=seed
         )
-        net = tb.network
-        tracer = PacketTracer(net.trace, sample_rate=sample_rate)
-        tracer.attach(net)
-
-        schedule = _ctrl_adversary_schedule(adversary, ctrl_k)
-        if schedule is not None:
-            ChaosEngine(
-                schedule, net,
-                aliases=chaos_aliases(tb.testbed),
-                control_plane=tb.control_plane,
-            ).arm()
-
-        base = tb.testbed.params
-        primer = UdpSender(
-            tb.h2, dst_mac=tb.h1.mac, dst_ip=tb.h1.ip, dport=5002,
-            rate_bps=rate_bps, payload_size=64, send_cost=base.udp_send_cost,
+        tracer = PacketTracer(tb.network.trace, sample_rate=sample_rate)
+        tracer.attach(tb.network)
+        result, _sequences, _injections = drive_ctrl_flow(
+            tb, adversary, rate_bps, payload_size=512, duration=duration,
+            drain=5e-3,
         )
-        primer.start(1e-6, delay=2e-4)
-        warmup = 1e-3
-        receiver = UdpReceiver(tb.h2, 5001)
-        sender = UdpSender(
-            tb.h1, dst_mac=tb.h2.mac, dst_ip=tb.h2.ip, dport=5001,
-            rate_bps=rate_bps, payload_size=512, send_cost=base.udp_send_cost,
-        )
-        sender.start(duration, delay=warmup)
-        net.run(until=warmup + duration + 5e-3)
-        result = receiver.result(sender, duration)
-        receiver.close()
-        if tb.quarantine is not None:
-            tb.quarantine.detach()
-        tb.control_plane.compare.flush()
     return ScenarioRun(
         variant=variant,
         rate_bps=rate_bps,

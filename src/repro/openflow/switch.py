@@ -47,7 +47,7 @@ from repro.openflow.messages import (
 )
 from repro.obs.metrics import StatBlock
 from repro.sim import CpuResource, Simulator, TraceBus
-from repro.transport import ROLE_EGRESS, DesTransport, SessionSpec, Transport
+from repro.transport import ROLE_EGRESS, DesTransport, SessionSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adversary.behaviors import AdversarialBehavior
@@ -90,15 +90,10 @@ class OpenFlowSwitch(Node):
         service_queue_capacity: int = 1000,
         packet_buffer_capacity: int = 256,
         datapath_id: Optional[int] = None,
-        transport: Optional[Transport] = None,
     ) -> None:
         super().__init__(sim, name, trace_bus)
-        # The byte-moving backend for this switch's egress I/O; a chain
-        # builder passes one shared transport so its tracer hooks see
-        # every element's traffic.
-        self.transport = transport or DesTransport(
-            sim, trace_bus, name=f"{name}.transport"
-        )
+        # The byte-moving backend for this switch's egress I/O.
+        self.transport = DesTransport(sim, name=f"{name}.transport")
         self._egress_sessions: Dict[int, object] = {}
         if datapath_id is None:
             OpenFlowSwitch._dpid_counter += 1

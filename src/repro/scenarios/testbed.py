@@ -128,12 +128,8 @@ class Testbed:
 
     @property
     def transport(self):
-        """The chain's compare-plane transport (DES backend)."""
+        """The chain's ingress-endpoint transport (``chain.transport``)."""
         return self.chain.transport
-
-    def add_transport_tracer(self, fn):
-        """Observe every transport message anywhere in the chain."""
-        self.chain.add_tracer(fn)
 
 
 def build_testbed(

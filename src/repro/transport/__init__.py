@@ -1,23 +1,22 @@
-"""Pluggable transports: how combiner bytes move between elements.
+"""Transports: how combiner bytes move between elements.
 
 The NetCo elements (hub, endpoints, compare) are wired to each other
 through :class:`~repro.transport.base.Transport` /
 :class:`~repro.transport.base.Session` objects instead of talking to DES
-ports directly.  Two byte-moving backends exist:
+ports directly.  A session is one directed stream for one role at one
+vote scope and counts the messages it sends and is handed; each node
+builds its own transport.  Two byte-moving backends exist:
 
 * :class:`~repro.transport.des.DesTransport` — the discrete-event
-  backend: sessions wrap :class:`~repro.net.node.Port` objects and every
-  record stays bit-identical to the pre-refactor code (the adapter is a
-  zero-behaviour shim plus tracer hooks and counters);
+  backend: sessions wrap :class:`~repro.net.node.Port` objects, frame
+  the collect/release metadata and count; every record stays
+  bit-identical to the pre-transport code;
 * :class:`~repro.transport.udp.UdpTransport` — a real-time asyncio
   backend framing the same wire images into localhost UDP datagrams, so
   the *same* ``CompareCore``/``QuarantineController`` code votes over
   actual sockets between processes (``python -m repro live``).
 
-:class:`~repro.transport.redundant.RedundantTransport` fuses k sessions
-with first-copy-wins deduplication — structurally the NetCo combiner
-expressed as a transport layer, after pycyphal's ``redundant/``
-transport.  See DESIGN.md §14 for the interface contract.
+See DESIGN.md §14 for the interface contract.
 """
 
 from repro.transport.base import (
@@ -25,15 +24,12 @@ from repro.transport.base import (
     ROLE_EGRESS,
     ROLE_FANOUT,
     ROLE_RELEASE,
-    LoopbackTransport,
     Session,
     SessionSpec,
     Transport,
     TransportError,
-    TransportTrace,
 )
 from repro.transport.des import DesTransport
-from repro.transport.redundant import RedundantTransport
 
 __all__ = [
     "ROLE_COLLECT",
@@ -41,11 +37,8 @@ __all__ = [
     "ROLE_FANOUT",
     "ROLE_RELEASE",
     "DesTransport",
-    "LoopbackTransport",
-    "RedundantTransport",
     "Session",
     "SessionSpec",
     "Transport",
     "TransportError",
-    "TransportTrace",
 ]

@@ -1,9 +1,9 @@
 """Transport interface: sessions moving wire images plus metadata.
 
 The model follows pycyphal's transport layer: a :class:`Transport` is a
-factory and registry of :class:`Session` objects, a session is one
-directed stream of messages for one *role* at one *scope*, and tracer
-hooks observe every message crossing any session of a transport.
+factory and registry of :class:`Session` objects and a session is one
+directed stream of messages for one *role* at one *scope*, counting what
+it sends and what it is handed.
 
 Roles (``SessionSpec.role``):
 
@@ -30,7 +30,7 @@ the wire carried.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.obs.metrics import StatBlock
 
@@ -43,8 +43,6 @@ _ROLES = (ROLE_FANOUT, ROLE_COLLECT, ROLE_RELEASE, ROLE_EGRESS)
 
 #: receiver callback: fn(packet, meta)
 Receiver = Callable[[object, dict], None]
-#: tracer callback: fn(TransportTrace)
-Tracer = Callable[["TransportTrace"], None]
 
 
 class TransportError(Exception):
@@ -75,23 +73,10 @@ class SessionSpec:
             raise TransportError("session scope must be non-empty")
 
 
-@dataclass(frozen=True)
-class TransportTrace:
-    """One message observed by a transport tracer hook."""
-
-    direction: str  # "tx" | "rx"
-    transport: str
-    spec: SessionSpec
-    packet: object
-    branch: Optional[int] = None
-    claim: Optional[int] = None
-    seq: Optional[int] = None
-
-
 class SessionStats(StatBlock):
     """Per-session message counters."""
 
-    __slots__ = ("tx_messages", "rx_messages", "drops")
+    __slots__ = ("tx_messages", "rx_messages")
 
 
 class Session:
@@ -122,8 +107,6 @@ class Session:
     def deliver(self, packet: object, meta: dict) -> None:
         """Called by the owning transport when a message arrives."""
         self.stats.rx_messages += 1
-        if self.transport._tracers:
-            self.transport._trace("rx", self.spec, packet, meta)
         if self._receiver is not None:
             self._receiver(packet, meta)
 
@@ -141,7 +124,6 @@ class Transport:
     def __init__(self, name: str = "transport") -> None:
         self.name = name
         self.sessions: Dict[SessionSpec, Session] = {}
-        self._tracers: List[Tracer] = []
 
     # -- session management --------------------------------------------
     def session(self, spec: SessionSpec, **options: object) -> Session:
@@ -158,7 +140,7 @@ class Transport:
 
     def adopt(self, session: "Session") -> "Session":
         """Register an externally built session (custom media, e.g. the
-        OpenFlow control channel) so tracers and stats cover it too."""
+        OpenFlow control channel) so :meth:`stats` covers it too."""
         self.sessions[session.spec] = session
         return session
 
@@ -169,30 +151,6 @@ class Transport:
         for session in list(self.sessions.values()):
             session.close()
         self.sessions.clear()
-
-    # -- tracer hooks ---------------------------------------------------
-    def add_tracer(self, fn: Tracer) -> None:
-        """Observe every message crossing any session of this transport."""
-        self._tracers.append(fn)
-
-    def remove_tracer(self, fn: Tracer) -> None:
-        if fn in self._tracers:
-            self._tracers.remove(fn)
-
-    def _trace(
-        self, direction: str, spec: SessionSpec, packet: object, meta: dict
-    ) -> None:
-        record = TransportTrace(
-            direction=direction,
-            transport=self.name,
-            spec=spec,
-            packet=packet,
-            branch=meta.get("branch"),
-            claim=meta.get("claim"),
-            seq=meta.get("seq"),
-        )
-        for fn in self._tracers:
-            fn(record)
 
     # -- stats ----------------------------------------------------------
     def stats(self) -> dict:
@@ -211,56 +169,3 @@ class Transport:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, sessions={len(self.sessions)})"
-
-
-# ----------------------------------------------------------------------
-# loopback (tests and redundant-fusion unit checks)
-# ----------------------------------------------------------------------
-class _LoopbackSession(Session):
-    def send(
-        self,
-        packet: object,
-        branch: Optional[int] = None,
-        claim: Optional[int] = None,
-    ) -> None:
-        self.stats.tx_messages += 1
-        transport: "LoopbackTransport" = self.transport  # type: ignore[assignment]
-        seq = transport._next_seq()
-        if branch is None:
-            branch = self.spec.branch
-        meta = {"branch": branch, "claim": claim, "seq": seq}
-        if transport._tracers:
-            transport._trace("tx", self.spec, packet, meta)
-        peer = transport.peer
-        if peer is None:
-            self.stats.drops += 1
-            return
-        remote = peer.sessions.get(self.spec)
-        if remote is None:
-            self.stats.drops += 1
-            return
-        remote.deliver(packet, meta)
-
-
-class LoopbackTransport(Transport):
-    """Two linked in-process transports: A's session delivers to B's
-    session of the same spec, synchronously.  For tests."""
-
-    def __init__(self, name: str = "loopback") -> None:
-        super().__init__(name)
-        self.peer: Optional["LoopbackTransport"] = None
-        self._seq = 0
-
-    @classmethod
-    def pair(cls, name: str = "loopback") -> Tuple["LoopbackTransport", "LoopbackTransport"]:
-        a, b = cls(f"{name}.a"), cls(f"{name}.b")
-        a.peer, b.peer = b, a
-        return a, b
-
-    def _next_seq(self) -> int:
-        seq = self._seq
-        self._seq += 1
-        return seq
-
-    def _make_session(self, spec: SessionSpec, **options: object) -> Session:
-        return _LoopbackSession(self, spec)

@@ -1,10 +1,11 @@
 """The discrete-event transport backend: sessions over DES ports.
 
-A :class:`DesSession` wraps one :class:`~repro.net.node.Port`; its
-``send`` reproduces exactly what the pre-transport code did at each call
+A :class:`DesSession` wraps one :class:`~repro.net.node.Port`: ``send``
+counts the message, frames the role's metadata and hands the packet to
+the port.  That is exactly what the pre-transport code did at each call
 site, so every record, span and metric of a DES run is bit-identical to
-the unrefactored tree (``tests/test_transport_layer.py`` pins this
-against ``benchmarks/transport_baseline.json``):
+that tree (``tests/test_transport_layer.py`` pins this against
+``benchmarks/transport_baseline.json``):
 
 * ``fanout``/``egress`` sessions transmit the packet object as handed in
   (the caller prepares the copy, exactly as the old ``port.send(copy)``
@@ -17,8 +18,8 @@ against ``benchmarks/transport_baseline.json``):
 
 Reception stays on the DES delivery path (links schedule
 ``node.receive``); nodes route inbound packets into
-:meth:`~repro.transport.base.Session.deliver` so tracers and counters
-see both directions.  The packet-train batch tier rides *below* this
+:meth:`~repro.transport.base.Session.deliver` so the counters see both
+directions.  The packet-train batch tier rides *below* this
 interface (shared-batch port sends), which is fine: batches never cross
 a vote boundary, and the batch fast paths are DES-only by construction.
 """
@@ -38,7 +39,7 @@ from repro.transport.base import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.node import Port
-    from repro.sim import Simulator, TraceBus
+    from repro.sim import Simulator
 
 
 def collect_meta(scope: str, branch: int, claim: Optional[int]) -> dict:
@@ -77,27 +78,18 @@ class DesSession(Session):
             dup = packet.copy()
             dup.meta = {"claim": claim}
             packet = dup
-        if self.transport._tracers:
-            self.transport._trace(
-                "tx", self.spec, packet,
-                {"branch": branch if branch is not None else self.spec.branch,
-                 "claim": claim},
-            )
         self.port.send(packet)
 
 
 class DesTransport(Transport):
-    """Session factory over an existing DES network's ports."""
+    """Session factory over an existing DES network's ports.
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        trace_bus: Optional["TraceBus"] = None,
-        name: str = "des",
-    ) -> None:
+    Sessions reach the simulator through their port, so ``sim`` only
+    says which run the transport belongs to; nothing here reads it.
+    """
+
+    def __init__(self, sim: "Simulator", name: str = "des") -> None:
         super().__init__(name)
-        self.sim = sim
-        self.trace_bus = trace_bus
 
     def attach(self, spec: SessionSpec, port: "Port") -> DesSession:
         """Bind ``spec`` to a port (wiring-time helper for builders)."""

@@ -82,13 +82,7 @@ class UdpSession(Session):
         seq = self._seq
         self._seq += 1
         self.stats.tx_messages += 1
-        transport: "UdpTransport" = self.transport  # type: ignore[assignment]
-        if transport._tracers:
-            transport._trace(
-                "tx", self.spec, packet,
-                {"branch": branch, "claim": claim, "seq": seq},
-            )
-        transport._sendto(
+        self.transport._sendto(
             self._encode(packet.to_bytes(), branch, claim, seq), self.remote
         )
 
@@ -127,7 +121,6 @@ class UdpTransport(Transport):
         #: (scope, role, branch) as decoded -> the session it matched
         self._routes: Dict[tuple, Session] = {}
         self._control: Optional[ControlHandler] = None
-        self._default_remote: Optional[Address] = None
 
     def rx_counts(self) -> Dict[str, int]:
         """The receive-side failure counts (see the class docstring)."""
@@ -176,13 +169,9 @@ class UdpTransport(Transport):
             sock.close()
 
     # -- sessions -------------------------------------------------------
-    def set_default_remote(self, remote: Address) -> None:
-        """Remote used by sessions opened without an explicit one."""
-        self._default_remote = remote
-
     def _make_session(self, spec: SessionSpec, **options: object) -> UdpSession:
         self._routes.clear()  # a new exact session outranks a memoised fallback
-        remote = options.get("remote", self._default_remote)
+        remote = options.get("remote")
         return UdpSession(self, spec, remote=remote)  # type: ignore[arg-type]
 
     def adopt(self, session: Session) -> Session:
@@ -207,7 +196,7 @@ class UdpTransport(Transport):
         if mtype not in (MSG_HELLO, MSG_BYE):
             raise TransportError(f"not a control message type: {mtype}")
         data = encode_message(mtype, ROLE_COLLECT, scope, branch=branch)
-        self._sendto(data, remote or self._default_remote)
+        self._sendto(data, remote)
 
     # -- datapath: send -------------------------------------------------
     def _sendto(self, data: bytes, remote: Optional[Address]) -> None:

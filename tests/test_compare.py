@@ -249,6 +249,27 @@ class TestDosMitigation:
         h.sim.run(until=0.1)
         assert h.core.stats.blocks_issued >= 1
 
+    def test_crafted_flood_is_blocked_at_the_endpoint_that_collected_it(self):
+        """The compare advises "the corresponding switch": a second scope
+        that happened to submit first is not the one to block."""
+        h = Harness(craft_threshold=4, block_duration=0.5)
+        blocked_at_b = []
+        context_b = CompareContext(
+            scope="sB",
+            release=h.released.append,
+            block_branch=lambda branch, dur: blocked_at_b.append((branch, dur)),
+        )
+        for branch in range(3):  # one honest packet voted through scope "s"
+            h.submit(pkt(ident=1), branch)
+        for i in range(7):  # crafted, from branch 1, collected at sB only
+            h.core.submit(pkt(ident=1000 + i), 1, context_b)
+        h.sim.run(until=0.1)
+        assert len(h.released) == 1
+        assert h.core.alarms.count(ALARM_SINGLE_SOURCE_PACKET) == 7
+        assert h.core.alarms.count(ALARM_DOS_SUSPECTED) == 1
+        assert blocked_at_b == [(1, 0.5)]
+        assert h.blocked == []
+
 
 class TestProcessingModel:
     def test_proc_time_delays_release(self):

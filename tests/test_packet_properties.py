@@ -13,7 +13,7 @@ import sys
 from array import array
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.net import (
     ETH_TYPE_IPV4,
@@ -314,6 +314,13 @@ def test_kept_image_survives_copy_and_rewrites(data, ttl_drop, new_mac):
     """A parsed packet holding the received bytes behaves, through every
     cache-patching operation, like a twin that serialises from scratch."""
     kept, twin = Packet.parse(data), reference_parse(data)
+    # The one canonical frame parse declines: the all-zero ICMP message is
+    # the only checksum the serialiser writes as 0xFFFF, and parse keeps
+    # no frame with a stored 0xFFFF (it re-serialises to the same bytes).
+    icmp = twin.l4 if isinstance(twin.l4, Icmp) else None
+    assume(icmp is None or any(
+        (icmp.icmp_type, icmp.code, icmp.ident, icmp.seqno, *twin.payload)
+    ))
     assert kept.wire_cache() is data and twin.wire_cache() is None
     assert kept.wire_len == len(data)
     assert kept.copy().to_bytes() == data

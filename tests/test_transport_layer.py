@@ -10,11 +10,13 @@
 * the UDP receive path: dispatch and counters without a socket, then the
   burst drain, timers between bursts, a close or a failing callback
   mid-burst, and ordered re-sends after ``EAGAIN``, over the loopback;
-* loopback pairs and the redundant transport (fusion + first-copy-wins
-  dedup, tracer hooks, stats rollups);
+* the session registry (memoised by spec, stable stats order) and what
+  the per-session counters count: conservation per scope on one DES flow;
 * UDP smoke: the live multi-process demo's verdict — alarms, quarantine
   transitions, released-sequence fingerprint — matches the DES twin on
-  the same packet-index fault schedule.
+  the same packet-index fault schedule;
+* the DES twin arms its faults through the ``ChaosEngine`` and still
+  produces the verdicts pinned in ``benchmarks/live_twin_baseline.json``.
 """
 
 import json
@@ -23,16 +25,17 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.tasks import chaos_run
+from repro.analysis.tasks import build_scenario, chaos_run
 from repro.chaos.schedule import builtin_battery
+from repro.live.schedule import LiveSchedule
+from repro.live.twin import des_twin_run
 from repro.net import IpAddress, MacAddress, Packet
 from repro.obs.summary import build_run_report
+from repro.traffic.iperf import run_udp_flow
 from repro.transport import (
     ROLE_COLLECT,
     ROLE_FANOUT,
     ROLE_RELEASE,
-    LoopbackTransport,
-    RedundantTransport,
     SessionSpec,
     TransportError,
 )
@@ -198,7 +201,7 @@ def _overwrite(data, edits, keep):
 
 
 # ----------------------------------------------------------------------
-# session registry, loopback, redundant fusion
+# session registry and per-session counters
 # ----------------------------------------------------------------------
 def _pkt(ident=0, payload=b"hello"):
     return Packet.udp(
@@ -210,7 +213,9 @@ def _pkt(ident=0, payload=b"hello"):
 
 class TestSessions:
     def test_session_memoised_by_spec(self):
-        transport, _peer = LoopbackTransport.pair()
+        from repro.transport.udp import UdpTransport
+
+        transport = UdpTransport(name="unit")  # opening needs no socket
         spec = SessionSpec("sA", ROLE_COLLECT, 1)
         assert transport.session(spec) is transport.session(spec)
         assert transport.session(SessionSpec("sA", ROLE_COLLECT, 2)) is not (
@@ -223,78 +228,90 @@ class TestSessions:
         with pytest.raises(TransportError):
             SessionSpec("", ROLE_COLLECT).validate()
 
-    def test_loopback_pair_delivers_and_traces(self):
-        a, b = LoopbackTransport.pair()
-        spec = SessionSpec("sA", ROLE_COLLECT, 0)
-        got, traces = [], []
-        b.session(spec).set_receiver(lambda p, m: got.append((p, m)))
-        a.add_tracer(traces.append)
-        b.add_tracer(traces.append)
-        packet = _pkt()
-        a.session(spec).send(packet, branch=0, claim=3)
-        assert len(got) == 1
-        assert got[0][0] is packet
-        assert got[0][1]["branch"] == 0 and got[0][1]["claim"] == 3
-        assert [t.direction for t in traces] == ["tx", "rx"]
-        assert a.stats()["collect:sA:0"]["tx_messages"] == 1
-        assert b.stats()["collect:sA:0"]["rx_messages"] == 1
-
     def test_stats_key_order_does_not_depend_on_opening_order(self):
         # branch 0 and the branch-less session of one role/scope used to
         # tie on `branch or -1` and come out in insertion order
+        from repro.transport.udp import UdpTransport
+
         specs = [SessionSpec("sA", ROLE_COLLECT, 0), SessionSpec("sA", ROLE_COLLECT)]
         orders = []
         for opening in (specs, specs[::-1]):
-            transport, _peer = LoopbackTransport.pair()
+            transport = UdpTransport(name="unit")
             for spec in opening:
                 transport.session(spec)
             orders.append(list(transport.stats()))
         assert orders[0] == orders[1] == ["collect:sA", "collect:sA:0"]
 
-    def test_loopback_drop_without_receiver_session(self):
-        a, _b = LoopbackTransport.pair()
-        session = a.session(SessionSpec("sA", ROLE_FANOUT, 1))
-        session.send(_pkt())
-        assert session.stats.drops == 1
 
-    def test_redundant_dedup_first_copy_wins(self):
-        k = 3
-        pairs = [LoopbackTransport.pair(f"inf{i}") for i in range(k)]
-        red = RedundantTransport([a for a, _ in pairs], name="red")
-        spec = SessionSpec("sA", ROLE_COLLECT)
-        got = []
-        fused = red.session(spec)
-        fused.set_receiver(lambda p, m: got.append(m))
-        # receivers on the far side loop each inferior straight back
-        for index, (a, b) in enumerate(pairs):
-            far = b.session(spec)
-            near = a.session(spec)
-            far.set_receiver(
-                lambda p, m, s=far, i=index: s.send(p, branch=i)
-            )
-        fused.send(_pkt(ident=1))
-        # one copy per inferior went out, exactly one was delivered up
-        assert fused.stats.tx_messages == 1
-        assert len(got) == 1
-        assert fused.deduplicated == k - 1
-        assert sum(fused.firsts.values()) == 1
+def _session_counts(transport, key):
+    counts = transport.stats()[key]
+    return counts["tx_messages"], counts["rx_messages"]
 
-    def test_redundant_straggler_after_window(self):
-        a0, _b0 = LoopbackTransport.pair("w0")
-        red = RedundantTransport([a0], window=2)
-        spec = SessionSpec("sA", ROLE_COLLECT)
-        got = []
-        fused = red.session(spec)
-        fused.set_receiver(lambda p, m: got.append(m["seq"]))
-        # drive the merge hook straight through the inferior session
-        inferior = fused.inferiors[0]
-        inferior.deliver(_pkt(), {"branch": 0, "seq": 10})
-        inferior.deliver(_pkt(), {"branch": 0, "seq": 10})
-        assert fused.deduplicated == 1
-        inferior.deliver(_pkt(), {"branch": 0, "seq": 11})
-        inferior.deliver(_pkt(), {"branch": 0, "seq": 12})  # evicts 10
-        inferior.deliver(_pkt(), {"branch": 0, "seq": 10})  # fresh again
-        assert got == [10, 11, 12, 10]
+
+class TestDesSessionCounters:
+    """Counting is the DES adapter's whole job: each count must equal the
+    element counter it shadows (one 86-datagram flow, 100 Mbit/s, seed 1)."""
+
+    @staticmethod
+    def _flow(variant):
+        testbed = build_scenario(variant, None, 1)
+        result = run_udp_flow(
+            testbed.path(), rate_bps=100e6, duration=0.01,
+            send_cost=testbed.params.udp_send_cost,
+        )
+        assert result.sent == 86
+        return testbed.chain
+
+    def test_central3_counts_are_conserved_per_scope(self):
+        chain = self._flow("central3")
+        ingress, egress = chain.endpoint_a, chain.endpoint_b
+        host, core = chain.compare_host, chain.compare_core
+        fanned = [
+            _session_counts(ingress.transport, f"fanout:nc_sA:{branch}")
+            for branch in range(3)
+        ]
+        assert fanned == [(86, 0)] * 3
+        assert sum(tx for tx, _rx in fanned) == ingress.estats.duplicated
+        assert (
+            _session_counts(egress.transport, "collect:nc_sB")[0]
+            == _session_counts(host.transport, "collect:nc_sB")[1]
+            == egress.estats.submitted
+            == core.stats.submissions
+            == 258
+        )
+        assert (
+            _session_counts(host.transport, "release:nc_sB")[0]
+            == _session_counts(egress.transport, "release:nc_sB")[1]
+            == egress.estats.released_out
+            == core.stats.released
+            == 86
+        )
+        # nothing flowed h2 -> h1: the reverse scope opened and stayed at zero
+        for transport in (ingress.transport, host.transport):
+            for key in ("collect:nc_sA", "release:nc_sA"):
+                assert _session_counts(transport, key) == (0, 0)
+
+    def test_pox3_counts_hold_on_each_side_of_the_control_channel(self):
+        """The channel may drop and the endpoint has no release session
+        there, so only the per-side identities hold."""
+        chain = self._flow("pox3")
+        egress, app, core = chain.endpoint_b, chain.controller, chain.compare_core
+        assert (
+            _session_counts(egress.transport, "collect:nc_sB")
+            == (egress.estats.submitted, 0)
+            == (258, 0)
+        )
+        assert (
+            _session_counts(app.transport, "collect:nc_sB")
+            == (0, core.stats.submissions)
+            == (0, 248)
+        )
+        assert (
+            _session_counts(app.transport, "release:nc_sB")
+            == (core.stats.released, 0)
+            == (83, 0)
+        )
+        assert "release:nc_sB" not in egress.transport.stats()
 
 
 # ----------------------------------------------------------------------
@@ -666,15 +683,18 @@ class TestUdpSmoke:
                 _pkt(ident=5), branch=2, claim=1
             )
             await asyncio.wait_for(got.wait(), timeout=5.0)
+            stats = tx.stats(), rx.stats()
             tx.close()
             rx.close()
-            return messages
+            return messages, stats
 
-        messages = asyncio.run(scenario())
+        messages, (tx_stats, rx_stats) = asyncio.run(scenario())
         assert len(messages) == 1
         packet, meta = messages[0]
         assert meta["branch"] == 2 and meta["claim"] == 1 and meta["seq"] == 0
         assert bytes(packet.to_bytes()) == bytes(_pkt(ident=5).to_bytes())
+        assert tx_stats["collect:sA:2"]["tx_messages"] == 1
+        assert rx_stats["collect:sA:2"]["rx_messages"] == 1
 
     def test_live_demo_matches_des_twin(self):
         """The multi-process UDP demo and the DES backend agree on the
@@ -682,9 +702,52 @@ class TestUdpSmoke:
         quarantine transitions, same released-sequence fingerprint."""
         from repro.live.demo import run_live_demo
 
-        report = run_live_demo(packets=120, interval=0.005)
-        assert report["live"]["sent"] == 120
-        assert report["live"]["released"] == 120  # crash masked by quorum
-        assert ["branch_quarantined", 1] in report["live"]["alarms"]
-        assert report["live"]["quarantined"] == [1]
-        assert report["match"], f"verdicts differ: {report['diffs']}"
+        # With branch 1 crashed a release needs both honest copies inside
+        # the live buffer timeout, so the timeout is also the longest stall
+        # of one worker process the run masks.  A shared 2-core host holds
+        # a process back ~100 ms in one run of ten (129 ms worst of 20
+        # full-suite runs) — too close to the demo's 0.15 s, where a 0.25 s
+        # SIGSTOP of one honest switch loses packets (`expired_unreleased`
+        # > 0); 0.5 s masks it.  No restart in this schedule, so no
+        # detectability bound (EXPERIMENTS.md) caps the timeout.
+        report = run_live_demo(
+            packets=120, interval=0.005, live_buffer_timeout=0.5
+        )
+        live = report["live"]
+        # a failure names its cause: vote-book counters (expired_unreleased,
+        # late_copies), rx_errors / rx_unmatched / rx_handler_errors,
+        # per-session tx/rx on both sides, timed_out
+        detail = json.dumps(live["extras"], sort_keys=True)
+        assert live["sent"] == 120, detail
+        assert live["released"] == 120, detail  # crash masked by quorum
+        assert ["branch_quarantined", 1] in live["alarms"], detail
+        assert live["quarantined"] == [1], detail
+        assert report["match"], f"verdicts differ: {report['diffs']}\n{detail}"
+
+
+# ----------------------------------------------------------------------
+# DES twin: faults armed through the ChaosEngine, verdicts as before
+# ----------------------------------------------------------------------
+def load_twin_baseline():
+    path = os.path.join(os.path.dirname(BASELINE_PATH), "live_twin_baseline.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)["runs"]
+
+
+class TestDesTwinVerdicts:
+    """Crash, crash/restart and a two-fault schedule on seeds 0, 1, 5:
+    every verdict field, extras included, as the hand-scheduled twin
+    produced it."""
+
+    runs = load_twin_baseline()
+
+    @pytest.mark.parametrize("run", sorted(load_twin_baseline()))
+    def test_verdict_identical(self, run):
+        pinned = self.runs[run]
+        verdict = des_twin_run(
+            LiveSchedule.from_dict(pinned["verdict"]["extras"]["schedule"]),
+            packets=pinned["packets"],
+            interval=pinned["interval"],
+            seed=pinned["seed"],
+        )
+        assert verdict.to_dict() == pinned["verdict"]
