@@ -15,7 +15,12 @@ the longest a due timer waits behind a busy socket).  A payload goes to
 packet's wire image when they are canonical, so the compare's bit-exact
 policy keys on the received buffer itself — the same bytes the DES
 backend sees — and a forwarding process re-sends it without
-serialising.  What is *not* preserved over UDP is DES timing exactness:
+serialising.  Each *distinct* payload is parsed once: the last
+:data:`RX_SHARE_FRAMES` parsed frames are kept by their bytes and every
+delivery is a ``copy()`` of the kept packet, so the k copies of an honest
+frame cost one parse and hand the vote the same ``bytes`` object, while a
+tampered copy differs in bytes and is parsed and verified on its own.
+What is *not* preserved over UDP is DES timing exactness:
 arrival times are wall-clock, so anything counted in packets (quorums,
 miss thresholds, probation credits) is comparable across backends while
 latency histograms are not — see DESIGN.md §14.
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import socket
-from collections import deque
+from collections import OrderedDict, deque
 from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.net.packet import Packet, PacketError
@@ -53,6 +58,15 @@ ControlHandler = Callable[[int, str, Optional[int], Address], None]
 #: datagrams handled per reader wakeup before the loop gets to run its
 #: timers (the voter's sweep) and other sockets again
 RX_BURST = 64
+#: distinct parsed frames kept for their other copies: four bursts, which
+#: covers a burst from each of k = 3…5 branches plus the skew between them
+RX_SHARE_FRAMES = 256
+#: datagrams queued behind a socket that answers EAGAIN; past this the
+#: newest is dropped (about 1.5 MB of full-size frames)
+TX_BACKLOG_FRAMES = 1024
+#: memoised routes; a scope-wide session matches any branch the wire
+#: names, so the memo is emptied when it gets here
+ROUTE_MEMO_ENTRIES = 256
 #: no UDP datagram is longer
 _MAX_DATAGRAM = 65536
 
@@ -94,7 +108,10 @@ class UdpTransport(Transport):
     errors the socket reported; ``rx_unmatched`` data for no open
     session; ``rx_handler_errors`` exceptions raised by a receiver or
     control callback (reported to the loop's exception handler — the
-    drain goes on with the next datagram).
+    drain goes on with the next datagram).  Of the data that matched a
+    session and parsed, ``rx_parsed`` went through ``Packet.parse`` and
+    ``rx_shared`` reused the parse of an earlier copy of the same bytes.
+    ``tx_dropped`` counts datagrams refused by a full send backlog.
     """
 
     def __init__(
@@ -107,6 +124,9 @@ class UdpTransport(Transport):
         self.rx_errors = 0
         self.rx_unmatched = 0
         self.rx_handler_errors = 0
+        self.rx_parsed = 0
+        self.rx_shared = 0
+        self.tx_dropped = 0
         StatBlock.publish_samples(
             lambda: {
                 f"transport_{field}_total": count
@@ -120,14 +140,19 @@ class UdpTransport(Transport):
         self._backlog: Deque[Tuple[bytes, Address]] = deque()
         #: (scope, role, branch) as decoded -> the session it matched
         self._routes: Dict[tuple, Session] = {}
+        #: payload bytes -> the packet parsed from them, oldest first
+        self._parsed: "OrderedDict[bytes, Packet]" = OrderedDict()
         self._control: Optional[ControlHandler] = None
 
     def rx_counts(self) -> Dict[str, int]:
-        """The receive-side failure counts (see the class docstring)."""
+        """The transport's own counts (see the class docstring)."""
         return {
             "rx_errors": self.rx_errors,
             "rx_unmatched": self.rx_unmatched,
             "rx_handler_errors": self.rx_handler_errors,
+            "rx_parsed": self.rx_parsed,
+            "rx_shared": self.rx_shared,
+            "tx_dropped": self.tx_dropped,
         }
 
     # -- lifecycle ------------------------------------------------------
@@ -160,6 +185,7 @@ class UdpTransport(Transport):
     def close(self) -> None:
         """Close sessions and socket; a backlog not yet sent is dropped."""
         super().close()
+        self._parsed.clear()
         sock = self._sock
         if sock is not None:
             self._sock = None
@@ -214,6 +240,9 @@ class UdpTransport(Transport):
             except OSError:
                 self.rx_errors += 1
                 return
+        if len(self._backlog) >= TX_BACKLOG_FRAMES:
+            self.tx_dropped += 1
+            return
         self._backlog.append((data, remote))
 
     def _flush_backlog(self) -> None:
@@ -271,15 +300,28 @@ class UdpTransport(Transport):
             if session is None:
                 self.rx_unmatched += 1
                 return
+            if len(self._routes) >= ROUTE_MEMO_ENTRIES:
+                self._routes.clear()
             self._routes[route] = session
-        try:
-            packet = Packet.parse(message.payload)
-        except PacketError:
-            self.rx_errors += 1
-            return
+        payload = message.payload
+        parsed = self._parsed
+        first = parsed.get(payload)
+        if first is None:
+            try:
+                first = Packet.parse(payload)
+            except PacketError:
+                self.rx_errors += 1
+                return
+            if len(parsed) >= RX_SHARE_FRAMES:
+                parsed.popitem(last=False)
+            parsed[payload] = first
+            self.rx_parsed += 1
+        else:
+            self.rx_shared += 1
         meta = message.meta()
         meta["peer"] = addr
-        session.deliver(packet, meta)
+        # only copies leave the map: a receiver may rewrite what it is given
+        session.deliver(first.copy(), meta)
 
     def _match(
         self, scope: str, role: str, branch: Optional[int]

@@ -15,9 +15,11 @@ The control-plane decision path (PacketIn → k replicas → ``ControlCompare``
 recipe: 181.7 calls per hop before it was made lean, 126.6 with it.
 
 The same idea gates the live receive path (``live_udp_vote``'s recipe at
-small size): per received datagram, how often the voter side serialises
-(0; it re-serialised every copy before ``Packet.parse`` kept the received
-bytes), checksums (2; was 3) and builds address objects (4; was 8).
+small size): per released packet of k = 3 copies, how often the voter
+side serialises (0; it re-serialised every copy before ``Packet.parse``
+kept the received bytes), parses (1: the copies of a frame share one
+parse; 3 before), checksums (2; 6 before, 9 before that) and builds
+address objects (4; 12 before, 24 before that).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import cProfile
 import hashlib
 import pstats
+from collections import Counter
 
 from repro.scenarios.testbed import TestbedParams, build_testbed
 from repro.traffic.iperf import run_udp_flow
@@ -180,36 +183,56 @@ def _calls(stats: pstats.Stats, module: str, *functions: str) -> int:
     )
 
 
-def test_live_receive_path_does_the_work_once():
-    """The ``live_udp_vote`` recipe of ``bench/workloads.py`` at small
-    size: k collect sessions over the loopback into a stock
-    ``CompareCore``, closed loop.  A received copy is parsed once, verified
-    once, and vote-keyed on the bytes that arrived — never re-serialised."""
-    import asyncio
-
-    from repro.core.alarms import AlarmSink
-    from repro.core.compare import CompareConfig, CompareContext, CompareCore
+def _live_packets(first: int, count: int) -> list:
     from repro.net import IpAddress, MacAddress, Packet
-    from repro.transport import ROLE_COLLECT, SessionSpec
-    from repro.transport.realtime import RealTimeScheduler
-    from repro.transport.udp import UdpTransport
 
-    packets = [
+    return [
         Packet.udp(
             MacAddress.from_index(1), MacAddress.from_index(2),
             IpAddress.from_index(1), IpAddress.from_index(2),
             50000, 5001, payload=seq.to_bytes(4, "big") * 16, ident=seq,
         )
-        for seq in range(LIVE_PACKETS)
+        for seq in range(first, first + count)
     ]
+
+
+async def _until(condition, timeout: float = 30.0) -> None:
+    import asyncio
+
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not condition():
+        assert asyncio.get_running_loop().time() < deadline, "timed out"
+        await asyncio.sleep(0.001)
+
+
+def _live_loopback(packets, expect=None, branch2=None, prelude=None):
+    """The ``live_udp_vote`` recipe of ``bench/workloads.py`` at small
+    size: k collect sessions over the loopback into a stock
+    ``CompareCore``, closed loop, ``LIVE_WINDOW`` packets in flight, until
+    ``expect`` packets (default: all of ``packets``) are released.
+    ``branch2(index, packet)`` is what the last branch sends in place of
+    ``packet``; ``prelude(branches, voter_side, released)`` is awaited
+    before the window opens.  Returns the released packets, the compare's
+    stats, its alarm sink, the voter side's counts and the profile of
+    everything between the first send and the last release."""
+    import asyncio
+
+    from repro.core.alarms import AlarmSink
+    from repro.core.compare import CompareConfig, CompareContext, CompareCore
+    from repro.transport import ROLE_COLLECT, SessionSpec
+    from repro.transport.realtime import RealTimeScheduler
+    from repro.transport.udp import UdpTransport
+
+    expect = len(packets) if expect is None else expect
 
     async def scenario() -> tuple:
         loop = asyncio.get_running_loop()
+        alarms = AlarmSink(None)
         core = CompareCore(
             RealTimeScheduler(loop),
             CompareConfig(k=LIVE_K, buffer_timeout=0.5),
             name="budget_compare",
-            alarm_sink=AlarmSink(None),
+            alarm_sink=alarms,
         )
         voter_side = UdpTransport(("127.0.0.1", 0), name="budget.compare")
         switch_side = UdpTransport(("127.0.0.1", 0), name="budget.switches")
@@ -221,20 +244,23 @@ def test_live_receive_path_does_the_work_once():
                 switch_side.session(SessionSpec("sA", ROLE_COLLECT, b), remote=voter_addr)
                 for b in range(LIVE_K)
             ]
-            pending = iter(packets)
+            pending = iter(enumerate(packets))
             released = []
             done = asyncio.Event()
 
             def send_next() -> None:
-                packet = next(pending, None)
+                index, packet = next(pending, (None, None))
                 if packet is not None:
-                    for session in branches:
+                    for session in branches[:-1]:
                         session.send(packet)
+                    branches[-1].send(
+                        packet if branch2 is None else branch2(index, packet)
+                    )
 
             def release(packet) -> None:
                 released.append(packet)
                 send_next()
-                if len(released) == LIVE_PACKETS:
+                if len(released) == expect:
                     done.set()
 
             context = CompareContext(scope="sA", release=release)
@@ -242,6 +268,8 @@ def test_live_receive_path_does_the_work_once():
                 lambda packet, meta: core.submit(packet, meta["branch"], context)
             )
             profile.enable()
+            if prelude is not None:
+                await prelude(branches, voter_side, released)
             for _ in range(LIVE_WINDOW):
                 send_next()
             await asyncio.wait_for(done.wait(), timeout=30.0)
@@ -251,18 +279,116 @@ def test_live_receive_path_does_the_work_once():
             profile.disable()
             switch_side.close()
             voter_side.close()
-        return released, core.stats.submissions, voter_side.rx_errors, profile
+        return released, core.stats, alarms, voter_side.rx_counts(), profile
 
-    released, submissions, rx_errors, profile = asyncio.run(scenario())
+    return asyncio.run(scenario())
+
+
+def test_live_receive_path_does_the_work_once():
+    """Each distinct frame is parsed once and verified once, its other
+    copies share that parse, and every copy is vote-keyed on the bytes that
+    arrived — never re-serialised."""
+    packets = _live_packets(0, LIVE_PACKETS)
+    released, core_stats, _alarms, rx, profile = _live_loopback(packets)
     assert [p.to_bytes() for p in released] == [p.to_bytes() for p in packets]
     received = LIVE_PACKETS * LIVE_K
-    assert (submissions, rx_errors) == (received, 0)
+    assert (core_stats.submissions, rx["rx_errors"]) == (received, 0)
     stats = pstats.Stats(profile)
-    assert _calls(stats, "net/packet", "parse") == received
+    assert _calls(stats, "net/packet", "parse") == LIVE_PACKETS
+    assert (rx["rx_parsed"], rx["rx_shared"]) == (LIVE_PACKETS, 2 * LIVE_PACKETS)
     # once per packet sent (its k sessions share the image), never to vote
     assert _calls(stats, "net/packet", "_serialise") == LIVE_PACKETS
     # sender: IPv4 header + UDP per serialise; voter: the same two, verifying
-    assert _calls(stats, "net/packet", "internet_checksum") <= 2 * LIVE_PACKETS + 2 * received
-    # two MACs, two IPs, each built once (the sender builds none: the
-    # packets exist before the profile starts)
-    assert _calls(stats, "net/addresses", "__init__") <= 4 * received
+    assert _calls(stats, "net/packet", "internet_checksum") <= 4 * LIVE_PACKETS
+    # two MACs, two IPs, each built once per distinct frame (the sender
+    # builds none: the packets exist before the profile starts)
+    assert _calls(stats, "net/addresses", "__init__") <= 4 * LIVE_PACKETS
+
+
+#: what the compare counts, and the alarms it raises, with branch 2
+#: rewriting every fifth packet — at the commit before copies shared a parse
+LIVE_TAMPER_STATS = {
+    "submissions": 600, "released": 200, "late_copies": 160,
+    "expired_unreleased": 40, "divergent_copies": 40, "divergence_alarms": 1,
+    "blocks_issued": 0, "copies_finalised": 600,
+}
+LIVE_TAMPER_ALARMS = {("single_source_packet", 2): 40, ("minority_divergence", 2): 1}
+
+
+def test_live_tampered_copy_is_parsed_alone_and_outvoted():
+    """Branch 2 flips one payload byte in every fifth packet: its copy
+    differs in bytes, so it shares nobody's parse, and the vote sees what
+    it saw when every copy was parsed."""
+    from repro.net import Packet
+
+    packets = _live_packets(0, LIVE_PACKETS)
+    tampered = LIVE_PACKETS // 5
+
+    def flip(index: int, packet):
+        if index % 5:
+            return packet
+        wire = bytearray(packet.to_bytes())
+        wire[-1] ^= 0x01
+        return Packet.parse(bytes(wire))  # lenient: the UDP checksum is now wrong
+
+    released, core_stats, alarms, rx, _profile = _live_loopback(packets, branch2=flip)
+    assert [p.to_bytes() for p in released] == [p.to_bytes() for p in packets]
+    assert rx["rx_parsed"] == LIVE_PACKETS + tampered
+    assert rx["rx_shared"] == 2 * LIVE_PACKETS - tampered
+    assert (rx["rx_errors"], rx["rx_unmatched"]) == (0, 0)
+    assert {
+        name: getattr(core_stats, name) for name in LIVE_TAMPER_STATS
+    } == LIVE_TAMPER_STATS
+    assert Counter(
+        (alarm.kind, alarm.branch) for alarm in alarms.alarms
+    ) == LIVE_TAMPER_ALARMS
+
+
+def test_live_flood_evicts_parses_not_votes():
+    """Branch 2 sends two capacities of distinct junk frames between
+    branch 0's copies of a window of packets and everyone else's: the
+    parses those copies left are gone, the later copies are parsed again,
+    and every packet still releases with the honest bytes."""
+    from repro.net import MacAddress, Packet
+    from repro.net.packet import Ethernet
+    from repro.transport.udp import RX_BURST, RX_SHARE_FRAMES
+
+    victims = _live_packets(10_000, LIVE_WINDOW)
+    packets = _live_packets(0, LIVE_PACKETS)
+    junk = [
+        Packet(
+            Ethernet(MacAddress.from_index(1), MacAddress.from_index(2), 0x88B5),
+            payload=index.to_bytes(4, "big"),
+        )
+        for index in range(2 * RX_SHARE_FRAMES)
+    ]
+
+    async def prelude(branches, voter_side, released) -> None:
+        def arrived() -> int:
+            return voter_side.rx_parsed + voter_side.rx_shared
+
+        for packet in victims:
+            branches[0].send(packet)
+        await _until(lambda: arrived() == len(victims))
+        for start in range(0, len(junk), RX_BURST):
+            burst = junk[start : start + RX_BURST]
+            for frame in burst:
+                branches[2].send(frame)
+            await _until(lambda: arrived() == len(victims) + start + len(burst))
+        assert len(voter_side._parsed) == RX_SHARE_FRAMES and released == []
+        for packet in victims:
+            branches[1].send(packet)
+            branches[2].send(packet)
+
+    released, core_stats, _alarms, rx, _profile = _live_loopback(
+        packets, expect=len(victims) + len(packets), prelude=prelude
+    )
+    assert [p.to_bytes() for p in released] == [
+        p.to_bytes() for p in victims + packets
+    ]
+    # a victim is parsed for branch 0, again for branch 1, shared by branch 2
+    assert rx["rx_parsed"] == 2 * len(victims) + len(junk) + LIVE_PACKETS
+    assert rx["rx_shared"] == len(victims) + 2 * LIVE_PACKETS
+    assert (rx["rx_errors"], rx["rx_unmatched"]) == (0, 0)
+    assert core_stats.released == len(victims) + LIVE_PACKETS
+    assert core_stats.expired_unreleased == len(junk)

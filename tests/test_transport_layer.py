@@ -10,6 +10,9 @@
 * the UDP receive path: dispatch and counters without a socket, then the
   burst drain, timers between bursts, a close or a failing callback
   mid-burst, and ordered re-sends after ``EAGAIN``, over the loopback;
+* the copies of a frame share one parse: what is delivered equals a
+  fresh ``Packet.parse`` of the same bytes, for mangled frames too, a
+  receiver's rewrites stay its own, and the map of parses is bounded;
 * the session registry (memoised by spec, stable stats order) and what
   the per-session counters count: conservation per scope on one DES flow;
 * UDP smoke: the live multi-process demo's verdict — alarms, quarantine
@@ -29,7 +32,7 @@ from repro.analysis.tasks import build_scenario, chaos_run
 from repro.chaos.schedule import builtin_battery
 from repro.live.schedule import LiveSchedule
 from repro.live.twin import des_twin_run
-from repro.net import IpAddress, MacAddress, Packet
+from repro.net import IpAddress, MacAddress, Packet, PacketError
 from repro.obs.summary import build_run_report
 from repro.traffic.iperf import run_udp_flow
 from repro.transport import (
@@ -46,6 +49,7 @@ from repro.transport.wire import (
     decode_message,
     encode_message,
 )
+from tests.test_packet_properties import frames, mutated_frames
 
 BASELINE_PATH = os.path.join(
     os.path.dirname(__file__), "..", "benchmarks", "transport_baseline.json"
@@ -451,6 +455,124 @@ class TestUdpDispatch:
         transport._on_datagram(_datagram(branch=2, seq=4), self.PEER)
         assert transport.rx_unmatched == 1 and len(got) == 4
 
+    def test_route_memo_is_bounded_against_hostile_branches(self):
+        """A scope-wide session matches whatever branch the wire names."""
+        from repro.transport.udp import ROUTE_MEMO_ENTRIES
+
+        transport, got = self._transport()
+        for branch in range(5000):
+            transport._on_datagram(_datagram(branch=branch, seq=branch), self.PEER)
+        assert [seq for _any, _branch, seq in got] == list(range(5000))
+        assert 0 < len(transport._routes) <= ROUTE_MEMO_ENTRIES
+
+
+def _view(packet):
+    """What a receiver can tell about a packet without changing it."""
+    return (
+        [repr(field) for field in packet.fields()],
+        packet.wire_len,
+        packet.wire_cache() is None,
+        packet.copy().to_bytes(),
+    )
+
+
+class TestUdpSharedParse:
+    """``_on_datagram`` parses each distinct payload once and delivers a
+    copy of that parse to every datagram carrying the same bytes."""
+
+    PEER = ("127.0.0.1", 9)
+
+    @staticmethod
+    def _transport():
+        from repro.transport.udp import UdpTransport
+
+        transport = UdpTransport(name="unit")
+        packets = []
+        transport.session(SessionSpec("sA", ROLE_COLLECT)).set_receiver(
+            lambda packet, _meta: packets.append(packet)
+        )
+        return transport, packets
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_delivery_equals_a_fresh_parse(self, data):
+        """Canonical, padded, wrong- and 0xFFFF-checksum, truncated frames,
+        in sequences with repeats, against a parse of each datagram."""
+        pool = data.draw(
+            st.lists(st.one_of(frames, mutated_frames()), min_size=1, max_size=5)
+        )
+        sequence = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=15))
+        transport, packets = self._transport()
+        for branch, payload in enumerate(sequence):
+            transport._on_datagram(_datagram(branch % 3, payload=payload), self.PEER)
+        accepted = [payload for payload in sequence if _parses(payload)]
+        # a malformed payload is rejected every time it comes, never kept
+        assert transport.rx_errors == len(sequence) - len(accepted)
+        assert set(transport._parsed) == set(accepted)
+        assert transport.rx_parsed == len(set(accepted))
+        assert transport.rx_parsed + transport.rx_shared == len(accepted)
+        assert len(packets) == len(accepted)
+        for packet, payload in zip(packets, accepted):
+            assert _view(packet) == _view(Packet.parse(payload))
+
+    def test_the_copies_of_a_frame_carry_one_bytes_object(self):
+        transport, packets = self._transport()
+        frame = _pkt(ident=3).to_bytes()
+        for branch in range(3):
+            transport._on_datagram(_datagram(branch, payload=bytes(frame)), self.PEER)
+        assert (transport.rx_parsed, transport.rx_shared) == (1, 2)
+        first = packets[0].wire_cache()
+        assert first == frame and all(p.wire_cache() is first for p in packets)
+        assert len({id(p) for p in packets}) == 3
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda packet: packet.decrement_ttl(),
+        lambda packet: setattr(packet, "payload", b"rewritten"),
+        lambda packet: setattr(packet.eth, "src", MacAddress.from_index(9)),
+        lambda packet: setattr(packet.l4, "dport", 6),
+        lambda packet: setattr(packet, "trace_id", 7),
+    ], ids=["ttl", "payload", "eth-src", "l4-dport", "trace-id"])
+    def test_a_receivers_rewrite_stays_its_own(self, rewrite):
+        transport, packets = self._transport()
+        frame = _pkt(ident=4).to_bytes()
+        reference = _view(Packet.parse(frame))
+        transport._on_datagram(_datagram(0, payload=frame), self.PEER)
+        rewrite(packets[0])
+        transport._on_datagram(_datagram(1, payload=frame), self.PEER)
+        rewrite(packets[1])
+        transport._on_datagram(_datagram(2, payload=frame), self.PEER)
+        assert _view(packets[2]) == reference and packets[2].trace_id is None
+        assert _view(transport._parsed[frame]) == reference
+        assert (transport.rx_parsed, transport.rx_shared) == (1, 2)
+
+    def test_the_map_is_bounded_and_an_evicted_frame_parses_again(self):
+        from repro.transport.udp import RX_SHARE_FRAMES
+
+        transport, packets = self._transport()
+        extra = 10
+        wires = [_pkt(ident=n).to_bytes() for n in range(RX_SHARE_FRAMES + extra)]
+        for frame in wires:
+            transport._on_datagram(_datagram(payload=frame), self.PEER)
+        # oldest first: the first `extra` frames went
+        assert list(transport._parsed) == wires[extra:]
+        assert transport.rx_parsed == len(wires) and transport.rx_shared == 0
+        transport._on_datagram(_datagram(payload=wires[-1]), self.PEER)  # kept
+        transport._on_datagram(_datagram(payload=wires[0]), self.PEER)   # evicted
+        assert (transport.rx_parsed, transport.rx_shared) == (len(wires) + 1, 1)
+        assert len(transport._parsed) == RX_SHARE_FRAMES
+        assert _view(packets[-1]) == _view(Packet.parse(wires[0]))
+        assert packets[-1].wire_cache() == wires[0]
+        transport.close()
+        assert not transport._parsed
+
+
+def _parses(payload):
+    try:
+        Packet.parse(payload)
+    except PacketError:
+        return False
+    return True
+
 
 class _StubbornSocket:
     """The transport's socket, refusing the first ``refusals`` sends."""
@@ -619,6 +741,8 @@ class TestUdpDrain:
         verdict = Verdict.build("udp", 3, seen, (), (), **rx.rx_counts())
         assert verdict.extras == {
             "rx_errors": 1, "rx_unmatched": 0, "rx_handler_errors": 1,
+            # three copies of one frame: parsed once, shared twice
+            "rx_parsed": 1, "rx_shared": 2, "tx_dropped": 0,
         }
         samples = registry.samples()
         assert samples['transport_rx_handler_errors_total{transport="rx"}'] == 1
@@ -653,6 +777,31 @@ class TestUdpDrain:
                 rx.close()
 
         assert asyncio.run(scenario()) == list(range(6))
+
+    def test_backlog_is_bounded_and_the_overflow_is_counted(self):
+        """A peer that never drains: the queue stops growing, the newest
+        datagrams are the ones dropped, and nothing raises."""
+        import asyncio
+
+        from repro.transport.udp import TX_BACKLOG_FRAMES
+
+        async def scenario():
+            rx, tx, _inbound, outbound = await self._pair()
+            tx._sock = _StubbornSocket(tx._sock, refusals=float("inf"))
+            packet = _pkt()
+            try:
+                for _ in range(10 * TX_BACKLOG_FRAMES):
+                    outbound.send(packet)
+                await asyncio.sleep(0.01)  # the writer callback finds it full too
+                kept = [decode_message(data).seq for data, _remote in tx._backlog]
+                return kept, tx.rx_counts()["tx_dropped"], outbound.stats.tx_messages
+            finally:
+                tx.close()
+                rx.close()
+
+        kept, dropped, offered = asyncio.run(scenario())
+        assert kept == list(range(TX_BACKLOG_FRAMES))
+        assert dropped == 9 * TX_BACKLOG_FRAMES and offered == 10 * TX_BACKLOG_FRAMES
 
 
 # ----------------------------------------------------------------------
