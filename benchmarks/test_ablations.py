@@ -107,15 +107,14 @@ def run_timeout_ablation():
     return outcome
 
 
-def test_policy_ablation(benchmark):
-    outcome = benchmark.pedantic(run_policy_ablation, rounds=1, iterations=1)
+def test_policy_ablation():
+    outcome = run_policy_ablation()
     rows = [
         [name, f"loss={loss:.3f}", f"corrupted delivered={bad}"]
         for name, (loss, bad) in outcome.items()
     ]
     emit("Ablation: compare policy vs payload corruption (Central3)\n"
          + format_table(["policy", "udp loss", "tamper leak"], rows))
-    benchmark.extra_info.update({k: str(v) for k, v in outcome.items()})
 
     # bit-exact and hash block the tampered copies entirely
     assert outcome["bit-exact"][1] == 0
@@ -126,25 +125,23 @@ def test_policy_ablation(benchmark):
     assert outcome["header-only"][1] > 0
 
 
-def test_k_sweep(benchmark):
-    rows = benchmark.pedantic(run_k_sweep, rounds=1, iterations=1)
+def test_k_sweep():
+    rows = run_k_sweep()
     emit("Ablation: redundancy degree k\n" + format_table(
         ["k", "avg RTT ms", "traitors masked"],
         [[str(k), f"{rtt:.3f}", str(t)] for k, (rtt, t) in sorted(rows.items())],
     ))
-    benchmark.extra_info.update({f"k{k}": round(v[0], 4) for k, v in rows.items()})
     rtts = [rows[k][0] for k in (1, 2, 3, 5, 7)]
     assert rtts == sorted(rtts)  # RTT grows monotonically with k
 
 
-def test_timeout_ablation(benchmark):
-    outcome = benchmark.pedantic(run_timeout_ablation, rounds=1, iterations=1)
+def test_timeout_ablation():
+    outcome = run_timeout_ablation()
     emit("Ablation: compare buffer timeout (Central3, 20 pings)\n"
          + format_table(
              ["timeout", "pings completed"],
              [[f"{t*1e6:.0f}us", str(v)] for t, v in sorted(outcome.items())],
          ))
-    benchmark.extra_info.update({f"{t*1e6:.0f}us": v for t, v in outcome.items()})
     # a timeout below the branch latency spread expires honest quorums
     assert outcome[2e-6] < 20
     # adequate timeouts are loss-free

@@ -20,10 +20,8 @@ def run_all():
     return study.run_baseline(), study.run_attack(), study.run_protected()
 
 
-def test_casestudy(benchmark):
-    baseline, attack, protected = benchmark.pedantic(
-        run_all, rounds=1, iterations=1
-    )
+def test_casestudy():
+    baseline, attack, protected = run_all()
 
     rows = []
     for result in (baseline, attack, protected):
@@ -44,8 +42,6 @@ def test_casestudy(benchmark):
             rows,
         )
     )
-    benchmark.extra_info["attack_requests_at_fw1"] = attack.requests_at_fw1
-    benchmark.extra_info["protected_cycles"] = protected.responses_at_vm1
 
     # paper scenario 1: 10 perfect cycles, no strays on two screening
     # methods

@@ -11,14 +11,10 @@ from repro.analysis import render_record
 from repro.plan.builtin import builtin_plan
 
 
-def test_fig5_max_udp_throughput(benchmark):
-    record = benchmark.pedantic(
-        builtin_plan("fig5").run, rounds=1, iterations=1
-    )
+def test_fig5_max_udp_throughput():
+    record = builtin_plan("fig5").run()
     emit(render_record(record))
     values = {row.scenario: row.value for row in record.rows}
-    for scenario, value in values.items():
-        benchmark.extra_info[scenario] = round(value, 1)
 
     # every reported point satisfies the loss criterion
     for row in record.rows:

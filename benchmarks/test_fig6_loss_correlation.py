@@ -13,10 +13,8 @@ from repro.plan.builtin import fig6_plan
 OFFERED = (60, 120, 180, 210, 230, 250, 270, 300, 350)
 
 
-def test_fig6_throughput_vs_loss(benchmark):
-    points = benchmark.pedantic(
-        fig6_plan(offered_mbps=OFFERED).run, rounds=1, iterations=1
-    )
+def test_fig6_throughput_vs_loss():
+    points = fig6_plan(offered_mbps=OFFERED).run()
     emit(
         render_series(
             "Figure 6: Central3 offered rate vs (goodput, loss)",
@@ -33,10 +31,6 @@ def test_fig6_throughput_vs_loss(benchmark):
             [(o, round(l, 4)) for o, _g, l in points],
         )
     )
-    for offered, goodput, loss in points:
-        benchmark.extra_info[f"at_{int(offered)}M"] = (
-            round(goodput, 1), round(loss, 4),
-        )
 
     offered = [p[0] for p in points]
     goodput = [p[1] for p in points]

@@ -20,12 +20,10 @@ SCENARIOS = ("linespeed", "dup3", "dup5", "central3", "central5")
 SIZES = (128, 256, 512, 1024, 1470)
 
 
-def test_fig8_jitter_vs_packet_size(benchmark):
-    series = benchmark.pedantic(
-        fig8_plan(scenarios=SCENARIOS, payload_sizes=SIZES, repetitions=2).run,
-        rounds=1,
-        iterations=1,
-    )
+def test_fig8_jitter_vs_packet_size():
+    series = fig8_plan(
+        scenarios=SCENARIOS, payload_sizes=SIZES, repetitions=2
+    ).run()
     for scenario in SCENARIOS:
         emit(
             render_series(
@@ -35,9 +33,6 @@ def test_fig8_jitter_vs_packet_size(benchmark):
                 [(size, round(j, 5)) for size, j in series[scenario]],
             )
         )
-        benchmark.extra_info[scenario] = {
-            str(size): round(j, 5) for size, j in series[scenario]
-        }
 
     by = {s: dict(series[s]) for s in SCENARIOS}
     # bigger packets -> lower jitter in the combiner scenarios

@@ -16,9 +16,10 @@ The obs stack's contract is that you only pay for what you switch on:
 
 The workload is one fixed central3 UDP flow (the fig5 operating point).
 Results go to ``BENCH_obs_overhead.json`` (override with
-``BENCH_OBS_OUT``), and the headline disabled-mode ratio is merged into
-``BENCH_hotpath.json`` when that file exists so the hot-path regression
-gate sees it.
+``BENCH_OBS_OUT``).  The modes are timed in one process and compared as
+ratios to the plain run, so host speed cancels; this is the only check
+of the disabled-mode cost, because no ``BENCHMARK.json`` metric measures
+that ratio.
 
 Run with::
 
@@ -90,10 +91,9 @@ def test_overhead_modes():
     _mode("sampled_1pct", sampled, plain)
     _mode("full_trace", full, plain)
 
-    # Loose bounds: benchmarks are not tier-1 and CI machines are noisy,
-    # but an order-of-magnitude break should still fail loudly.  The
-    # tight (5% / 15%) criteria are enforced against the cross-machine
-    # normalised hot-path baseline, not against one noisy wall-clock.
+    # Loose bounds: this is not tier-1 and CI machines are noisy, but an
+    # order-of-magnitude break should still fail loudly.  Nothing
+    # enforces a tighter criterion.
     assert armed / plain < 1.30, (
         f"disabled obs costs {armed / plain:.2f}x the plain run"
     )
@@ -106,7 +106,7 @@ def test_overhead_modes():
 
 
 def test_dump_results():
-    """Write the JSON artifacts (runs after the timing test)."""
+    """Write the JSON artifact (runs after the timing test)."""
     assert RESULTS, "timing test did not run"
     out = os.environ.get("BENCH_OBS_OUT", "BENCH_obs_overhead.json")
     payload = {
@@ -120,17 +120,3 @@ def test_dump_results():
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-    # surface the disabled-mode ratio in the hot-path bench results too
-    hotpath = os.environ.get("BENCH_HOTPATH_OUT", "BENCH_hotpath.json")
-    if os.path.exists(hotpath):
-        with open(hotpath, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        data.setdefault("results", {})["obs_disabled_ratio"] = {
-            "us": 0.0,
-            "normalised": 0.0,
-            "ratio": RESULTS["armed_disabled"]["ratio_vs_plain"],
-        }
-        with open(hotpath, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")

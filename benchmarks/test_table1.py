@@ -14,14 +14,9 @@ from repro.analysis import paper_table1_values, render_table1
 from repro.plan.builtin import builtin_plan
 
 
-def test_table1(benchmark):
-    values = benchmark.pedantic(
-        builtin_plan("table1").run, rounds=1, iterations=1
-    )
+def test_table1():
+    values = builtin_plan("table1").run()
     emit(render_table1(values, paper=paper_table1_values()))
-    for metric in ("tcp_mbps", "udp_mbps", "rtt_ms"):
-        for scenario, value in values[metric].items():
-            benchmark.extra_info[f"{scenario}.{metric}"] = round(value, 3)
 
     tcp, udp, rtt = values["tcp_mbps"], values["udp_mbps"], values["rtt_ms"]
     # security costs bandwidth (Section V-B's "first general observation")

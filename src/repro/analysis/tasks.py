@@ -15,9 +15,8 @@ pure merge recipes of :mod:`repro.plan.mergers`.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import asdict, replace
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, replace
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.chaos import (
     AdversaryStrategy,
@@ -29,16 +28,21 @@ from repro.chaos import (
 )
 from repro.core.alarms import ALARM_DOS_SUSPECTED, ALARM_ROUTER_UNAVAILABLE
 from repro.farm.spec import register_runner
+from repro.live.verdict import fingerprint
 from repro.scenarios.ctrlplane import CtrlParams, CtrlTestbed, build_ctrl_testbed
-from repro.scenarios.testbed import TestbedParams, build_testbed
+from repro.scenarios.testbed import Testbed, TestbedParams, build_testbed
 from repro.traffic.iperf import (
     DRAIN_TIME,
+    drive_udp_flow,
     find_max_udp_rate,
     run_ping,
     run_tcp_flow,
     run_udp_flow,
 )
-from repro.traffic.udp import UdpFlowResult, UdpReceiver, UdpSender
+from repro.traffic.udp import UdpFlowResult, UdpSender
+
+#: every supervised flow starts this long after t = 0
+WARMUP = 1e-3
 
 
 def params_to_dict(params: Optional[TestbedParams]) -> Optional[Dict[str, Any]]:
@@ -151,6 +155,107 @@ def chaos_aliases(testbed) -> Dict[str, str]:
     return aliases
 
 
+def transition_branches(transitions: List[dict], event: str) -> List[int]:
+    """The branches a quarantine log saw ``event`` ("quarantine" /
+    "readmit") for, sorted."""
+    return sorted({t["branch"] for t in transitions if t["event"] == event})
+
+
+def first_quarantine(
+    transitions: List[dict], branches: Optional[Sequence[int]] = None
+) -> Optional[float]:
+    """When a quarantine log first quarantined one of ``branches``
+    (default: any branch); ``None`` if it never did."""
+    times = [
+        t["time"]
+        for t in transitions
+        if t["event"] == "quarantine"
+        and (branches is None or t["branch"] in branches)
+    ]
+    return min(times) if times else None
+
+
+@dataclass
+class SupervisedFlow:
+    """What :func:`run_supervised_flow` left behind."""
+
+    flow: UdpFlowResult
+    #: sequence numbers the receiver saw at least once
+    seen: Set[int]
+    #: sequence ``s`` departed at ``WARMUP + s * interval``
+    interval: float
+    #: the quarantine loop's ordered log: dicts of time/event/branch
+    transitions: List[dict]
+    #: the armed engine: applied faults, strategy behaviours, schedule
+    engine: ChaosEngine
+
+    def undelivered(self, start: float, end: float = float("inf")) -> int:
+        """Datagrams that departed in ``[start, end)`` and never arrived.
+
+        The sender paces deterministically, so the departure time of each
+        sequence number is known without a log.
+        """
+        return sum(
+            1
+            for s in range(self.flow.sent)
+            if start <= WARMUP + s * self.interval < end and s not in self.seen
+        )
+
+
+def run_supervised_flow(
+    testbed: Testbed,
+    schedule: FaultSchedule,
+    thresholds: Dict[str, Any],
+    rate_bps: float,
+    duration: float,
+    payload_size: int,
+    trigger_kinds: Sequence[str] = (ALARM_ROUTER_UNAVAILABLE,),
+    send_cost: Optional[float] = None,
+    drain: float = DRAIN_TIME,
+) -> SupervisedFlow:
+    """One UDP flow h1 → h2 through a freshly built combiner testbed,
+    under ``schedule`` and a quarantine loop.
+
+    ``thresholds`` are :class:`~repro.core.compare.CompareConfig` knobs
+    the compare reads dynamically, so setting them after the build is
+    safe (``buffer_timeout`` is not: it goes into the testbed params).
+    The loop quarantines on ``trigger_kinds``; the engine resolves
+    ``r{i}`` / ``link_a{i}`` / ``link_b{i}`` targets and hands the compare
+    to the strategies that time themselves against it.  ``send_cost``
+    defaults to the testbed's calibrated per-datagram sender cost.
+    """
+    net = testbed.network
+    core = testbed.compare_core
+    if core is None:
+        raise ValueError(f"variant {testbed.variant!r} has no compare element")
+    for knob, value in thresholds.items():
+        setattr(core.config, knob, value)
+    controller = QuarantineController(core, net.trace, trigger_kinds=trigger_kinds)
+    engine = ChaosEngine(
+        schedule, net, aliases=chaos_aliases(testbed), compare_core=core
+    )
+    engine.arm()
+    if send_cost is None:
+        send_cost = testbed.params.udp_send_cost
+    sender, receiver = drive_udp_flow(
+        testbed.path(),
+        rate_bps,
+        duration,
+        payload_size,
+        send_cost=send_cost,
+        warmup=WARMUP,
+        drain=drain,
+    )
+    controller.detach()
+    return SupervisedFlow(
+        flow=receiver.result(sender, duration),
+        seen=receiver.received_sequences(),
+        interval=sender.interval,
+        transitions=controller.transitions,
+        engine=engine,
+    )
+
+
 @register_runner("chaos.run")
 def chaos_run(
     schedule: Dict[str, Any],
@@ -173,73 +278,37 @@ def chaos_run(
     """
     base = replace(params_from_dict(params), compare_buffer_timeout=buffer_timeout)
     testbed = build_scenario(variant, base, seed)
-    net = testbed.network
-    core = testbed.compare_core
-    # Availability knobs are read dynamically by the compare, so tuning
-    # them post-build is safe (buffer_timeout is not: set above).
-    core.config.miss_threshold = miss_threshold
-    core.config.probation_clean_target = probation_clean_target
-
-    controller = QuarantineController(core, net.trace)
-    engine = ChaosEngine(
-        FaultSchedule.from_dict(schedule), net, aliases=chaos_aliases(testbed)
-    )
-    engine.arm()
-
-    warmup = 1e-3
-    dport = 5001
-    receiver = UdpReceiver(testbed.h2, dport)
-    sender = UdpSender(
-        testbed.h1,
-        dst_mac=testbed.h2.mac,
-        dst_ip=testbed.h2.ip,
-        dport=dport,
+    run = run_supervised_flow(
+        testbed,
+        FaultSchedule.from_dict(schedule),
+        {
+            "miss_threshold": miss_threshold,
+            "probation_clean_target": probation_clean_target,
+        },
         rate_bps=rate_mbps * 1e6,
+        duration=duration,
         payload_size=payload_size,
-        send_cost=base.udp_send_cost,
     )
-    sender.start(duration, delay=warmup)
-    net.run(until=warmup + duration + DRAIN_TIME)
-    flow = receiver.result(sender, duration)
-    receiver.close()
-    controller.detach()
-
-    # Post-quarantine gap analysis: the sender paces deterministically
-    # (seq i departs at warmup + i * interval), so the datagrams offered
-    # after the first quarantine are exactly the seqs >= the cutoff.
-    quarantine_times = [
-        t["time"] for t in controller.transitions if t["event"] == "quarantine"
-    ]
-    post_quarantine_gaps = None
-    if quarantine_times:
-        first_q = min(quarantine_times)
-        seen = receiver.received_sequences()
-        interval = sender.interval
-        post = [
-            s for s in range(sender.sent) if warmup + s * interval >= first_q
-        ]
-        post_quarantine_gaps = sum(1 for s in post if s not in seen)
-
+    flow = run.flow
+    quarantined_at = first_quarantine(run.transitions)
     return {
         "variant": variant,
-        "schedule": engine.schedule.name,
+        "schedule": run.engine.schedule.name,
         "seed": seed,
         "sent": flow.sent,
         "received": flow.received_unique,
         "duplicates": flow.duplicates,
         "lost": flow.lost,
         "loss_rate": flow.loss_rate,
-        "injections": engine.injections,
-        "transitions": controller.transitions,
-        "quarantined": sorted(
-            {t["branch"] for t in controller.transitions if t["event"] == "quarantine"}
+        "injections": run.engine.injections,
+        "transitions": run.transitions,
+        "quarantined": transition_branches(run.transitions, "quarantine"),
+        "readmitted": transition_branches(run.transitions, "readmit"),
+        "post_quarantine_gaps": (
+            None if quarantined_at is None else run.undelivered(quarantined_at)
         ),
-        "readmitted": sorted(
-            {t["branch"] for t in controller.transitions if t["event"] == "readmit"}
-        ),
-        "post_quarantine_gaps": post_quarantine_gaps,
         "alarms": testbed.chain.alarms.counts(),
-        "compare": core.stats.as_dict(),
+        "compare": testbed.compare_core.stats.as_dict(),
     }
 
 
@@ -351,65 +420,36 @@ def adversary_run(
         params_from_dict(params), compare_buffer_timeout=prof["buffer_timeout"]
     )
     testbed = build_scenario(variant, base, seed)
-    net = testbed.network
-    core = testbed.compare_core
-    if core is None:
-        raise ValueError(f"variant {variant!r} has no compare element")
-    # Threshold knobs are read dynamically by the compare, so tuning
-    # them post-build is safe (buffer_timeout is not: set above).
-    core.config.miss_threshold = prof["miss_threshold"]
-    core.config.craft_threshold = prof["craft_threshold"]
-    core.config.probation_clean_target = prof["probation_clean_target"]
-    core.config.block_duration = prof["block_duration"]
     k = len(testbed.chain.routers)
-
-    warmup = 1e-3
-    until = warmup + duration
-    # A lying branch that keeps voting never goes *missing*; it surfaces
-    # through single-source expiries escalating to the crafted-flood DoS
-    # alarm, so the quarantine loop listens for both alarm kinds.
-    controller = QuarantineController(
-        core,
-        net.trace,
-        trigger_kinds=(ALARM_ROUTER_UNAVAILABLE, ALARM_DOS_SUSPECTED),
-    )
-    # An activation scheduled past the flow's end (the honest control)
-    # drops the deactivation event: the strategy never fires anyway.
-    engine = ChaosEngine(
+    until = WARMUP + duration
+    run = run_supervised_flow(
+        testbed,
+        # An activation scheduled past the flow's end (the honest control)
+        # drops the deactivation event: the strategy never fires anyway.
         advbench_schedule(
             adversary, k, activate_at,
             until=until if activate_at < until else None,
         ),
-        net,
-        aliases=chaos_aliases(testbed),
-        compare_core=core,
-    )
-    engine.arm()
-
-    dport = 5001
-    receiver = UdpReceiver(testbed.h2, dport)
-    sender = UdpSender(
-        testbed.h1,
-        dst_mac=testbed.h2.mac,
-        dst_ip=testbed.h2.ip,
-        dport=dport,
+        {knob: value for knob, value in prof.items() if knob != "buffer_timeout"},
         rate_bps=rate_mbps * 1e6,
+        duration=duration,
         payload_size=payload_size,
-        send_cost=base.udp_send_cost,
+        # A lying branch that keeps voting never goes *missing*; it
+        # surfaces through single-source expiries escalating to the
+        # crafted-flood DoS alarm, so the quarantine loop listens for
+        # both alarm kinds.
+        trigger_kinds=(ALARM_ROUTER_UNAVAILABLE, ALARM_DOS_SUSPECTED),
     )
-    sender.start(duration, delay=warmup)
-    net.run(until=warmup + duration + DRAIN_TIME)
-    flow = receiver.result(sender, duration)
-    receiver.close()
-    controller.detach()
+    flow, transitions = run.flow, run.transitions
 
-    strategies = engine.strategy_behaviors.values()
+    strategies = run.engine.strategy_behaviors.values()
     adversary_branches = sorted(s.branch for s in strategies)
     tampered = sum(s.packets_tampered for s in strategies)
     active_seconds = sum(s.active_seconds for s in strategies)
 
-    alarms = testbed.chain.alarms.alarms
-    attack_alarms = [a for a in alarms if a.time >= activate_at]
+    attack_alarms = [
+        a for a in testbed.chain.alarms.alarms if a.time >= activate_at
+    ]
     time_to_first_alarm = None
     first_alarm_kind = None
     if attack_alarms:
@@ -417,53 +457,19 @@ def adversary_run(
         time_to_first_alarm = first.time - activate_at
         first_alarm_kind = first.kind
 
-    transitions = controller.transitions
-    adversary_q_times = [
-        t["time"]
-        for t in transitions
-        if t["event"] == "quarantine" and t["branch"] in adversary_branches
-    ]
-    detection_latency = (
-        min(adversary_q_times) - activate_at if adversary_q_times else None
-    )
+    adversary_quarantined_at = first_quarantine(transitions, adversary_branches)
     honest_branches = [b for b in range(k) if b not in adversary_branches]
-    false_quarantines = sum(
-        1
+    honest_quarantines = [
+        t
         for t in transitions
         if t["event"] == "quarantine" and t["branch"] in honest_branches
-    )
-    falsely_quarantined = sorted(
-        {
-            t["branch"]
-            for t in transitions
-            if t["event"] == "quarantine" and t["branch"] in honest_branches
-        }
-    )
-    false_quarantine_rate = (
-        len(falsely_quarantined) / len(honest_branches) if honest_branches else 0.0
-    )
-
-    # Damage accounting off the receiver's sequence log.  Intact seqs are
-    # < sender.sent; a released corrupt datagram decodes as an alien seq.
-    seen = receiver.received_sequences()
-    masked_damage = sum(1 for s in seen if s >= flow.sent)
-    intact = {s for s in seen if s < flow.sent}
-    # Leaked = attack-window datagrams (sent deterministically at
-    # warmup + s * interval) not delivered intact before the first
-    # adversary-branch quarantine; with an honest quorum every one is
-    # outvoted and leaked stays 0.
-    interval = sender.interval
-    window_end = min(adversary_q_times) if adversary_q_times else until
-    leaked = sum(
-        1
-        for s in range(flow.sent)
-        if activate_at <= warmup + s * interval < window_end and s not in intact
-    )
+    ]
+    falsely_quarantined = transition_branches(honest_quarantines, "quarantine")
 
     return {
         "variant": variant,
         "k": k,
-        "quorum": core.config.effective_quorum(),
+        "quorum": testbed.compare_core.config.effective_quorum(),
         "adversary": adversary,
         "profile": profile,
         "seed": seed,
@@ -478,22 +484,33 @@ def adversary_run(
         "adversary_active_seconds": active_seconds,
         "time_to_first_alarm": time_to_first_alarm,
         "first_alarm_kind": first_alarm_kind,
-        "detection_latency": detection_latency,
-        "packets_leaked_before_quarantine": leaked,
-        "masked_damage": masked_damage,
-        "false_quarantines": false_quarantines,
+        "detection_latency": (
+            None
+            if adversary_quarantined_at is None
+            else adversary_quarantined_at - activate_at
+        ),
+        # Attack-window datagrams not delivered intact before the first
+        # adversary-branch quarantine; with an honest quorum every one is
+        # outvoted and this stays 0.
+        "packets_leaked_before_quarantine": run.undelivered(
+            activate_at,
+            until if adversary_quarantined_at is None else adversary_quarantined_at,
+        ),
+        # a released corrupt datagram decodes as an alien sequence number
+        "masked_damage": sum(1 for s in run.seen if s >= flow.sent),
+        "false_quarantines": len(honest_quarantines),
         "falsely_quarantined": falsely_quarantined,
-        "false_quarantine_rate": false_quarantine_rate,
-        "quarantined": sorted(
-            {t["branch"] for t in transitions if t["event"] == "quarantine"}
+        "false_quarantine_rate": (
+            len(falsely_quarantined) / len(honest_branches)
+            if honest_branches
+            else 0.0
         ),
-        "readmitted": sorted(
-            {t["branch"] for t in transitions if t["event"] == "readmit"}
-        ),
+        "quarantined": transition_branches(transitions, "quarantine"),
+        "readmitted": transition_branches(transitions, "readmit"),
         "transitions": transitions,
-        "injections": engine.injections,
+        "injections": run.engine.injections,
         "alarms": testbed.chain.alarms.counts(),
-        "compare": core.stats.as_dict(),
+        "compare": testbed.compare_core.stats.as_dict(),
     }
 
 
@@ -540,7 +557,6 @@ def drive_ctrl_flow(
     applied-fault timeline (empty without an adversary).
     """
     net = tb.network
-    base = tb.testbed.params
 
     schedule = _ctrl_adversary_schedule(adversary, tb.ctrl.ctrl_k)
     engine = None
@@ -553,6 +569,7 @@ def drive_ctrl_flow(
         )
         engine.arm()
 
+    send_cost = tb.testbed.params.udp_send_cost
     # One reverse datagram teaches every replica h2's port before the
     # forward flow starts, so forward decisions are FlowMod installs
     # (votable, and worth lying about) instead of endless floods.
@@ -563,31 +580,24 @@ def drive_ctrl_flow(
         dport=5002,
         rate_bps=rate_bps,
         payload_size=64,
-        send_cost=base.udp_send_cost,
+        send_cost=send_cost,
     )
     primer.start(1e-6, delay=2e-4)
 
-    warmup = 1e-3
-    dport = 5001
-    receiver = UdpReceiver(tb.h2, dport)
-    sender = UdpSender(
-        tb.h1,
-        dst_mac=tb.h2.mac,
-        dst_ip=tb.h2.ip,
-        dport=dport,
-        rate_bps=rate_bps,
-        payload_size=payload_size,
-        send_cost=base.udp_send_cost,
+    sender, receiver = drive_udp_flow(
+        tb.testbed.path(),
+        rate_bps,
+        duration,
+        payload_size,
+        send_cost=send_cost,
+        warmup=WARMUP,
+        drain=drain,
     )
-    sender.start(duration, delay=warmup)
-    net.run(until=warmup + duration + drain)
-    flow = receiver.result(sender, duration)
-    receiver.close()
     if tb.quarantine is not None:
         tb.quarantine.detach()
     tb.control_plane.compare.flush()
     return (
-        flow,
+        receiver.result(sender, duration),
         sorted(receiver.received_sequences()),
         engine.injections if engine is not None else [],
     )
@@ -627,17 +637,11 @@ def ctrl_run(
         tb, adversary, rate_mbps * 1e6, payload_size, duration, DRAIN_TIME
     )
 
-    # The bit-identity artefact: a digest of exactly which datagrams the
-    # receiver saw.  Equal fingerprints == identical data-plane outcome.
-    fingerprint = hashlib.sha256(
-        ",".join(str(s) for s in sequences).encode("ascii")
-    ).hexdigest()[:16]
-
     transitions = tb.quarantine.transitions if tb.quarantine is not None else []
-    quarantine_times = [t["time"] for t in transitions if t["event"] == "quarantine"]
+    quarantined_at = first_quarantine(transitions)
     detection_latency = None
-    if quarantine_times and injections:
-        detection_latency = min(quarantine_times) - min(i["time"] for i in injections)
+    if quarantined_at is not None and injections:
+        detection_latency = quarantined_at - min(i["time"] for i in injections)
 
     handles = tb.control_plane.replica_stats()
     malicious_emitted = sum(h["malicious_emitted"] for h in handles)
@@ -658,16 +662,15 @@ def ctrl_run(
         "duplicates": flow.duplicates,
         "lost": flow.lost,
         "loss_rate": flow.loss_rate,
-        "data_fingerprint": fingerprint,
+        # The bit-identity artefact: a digest of exactly which datagrams
+        # the receiver saw.  Equal fingerprints == identical data-plane
+        # outcome.
+        "data_fingerprint": fingerprint(sequences),
         "malicious_emitted": malicious_emitted,
         "malicious_installed": malicious_installed,
         "detection_latency": detection_latency,
-        "ctrl_quarantined": sorted(
-            {t["branch"] for t in transitions if t["event"] == "quarantine"}
-        ),
-        "ctrl_readmitted": sorted(
-            {t["branch"] for t in transitions if t["event"] == "readmit"}
-        ),
+        "ctrl_quarantined": transition_branches(transitions, "quarantine"),
+        "ctrl_readmitted": transition_branches(transitions, "readmit"),
         "transitions": transitions,
         "injections": injections,
         "alarms": tb.testbed.chain.alarms.counts(),

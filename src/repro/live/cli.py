@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 
 from repro.live.schedule import LiveFault, LiveSchedule
+from repro.plan.cli import positive_float, positive_int
 
 
 def register(subparsers) -> None:
@@ -25,10 +27,10 @@ def register(subparsers) -> None:
         help="3 switch processes + 1 compare process under a fault "
         "schedule, diffed against the DES twin",
     )
-    demo.add_argument("--packets", type=int, default=300)
-    demo.add_argument("--interval", type=float, default=0.01,
+    demo.add_argument("--packets", type=positive_int, default=300)
+    demo.add_argument("--interval", type=positive_float, default=0.01,
                       help="CBR inter-departure time in seconds")
-    demo.add_argument("--payload-size", type=int, default=256)
+    demo.add_argument("--payload-size", type=positive_int, default=256)
     demo.add_argument("--crash-branch", type=int, default=1)
     demo.add_argument("--crash-index", type=int, default=None,
                       help="packet index of the crash (default: packets/3)")
@@ -55,7 +57,7 @@ def _print_verdict(label: str, verdict: dict) -> None:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    from repro.live.demo import run_live_demo
+    from repro.live.demo import K, build_datagram, run_live_demo
 
     crash_index = args.crash_index
     if crash_index is None:
@@ -64,6 +66,12 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         name="crash_restart" if args.restart_index is not None else "crash",
         faults=(LiveFault(args.crash_branch, crash_index, args.restart_index),),
     )
+    try:
+        schedule.validate(K)
+        build_datagram(0, args.payload_size)  # must hold the probe header
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = run_live_demo(
         packets=args.packets,
         interval=args.interval,

@@ -30,6 +30,8 @@ from repro.transport.udp import UdpTransport
 from repro.transport.wire import MSG_BYE, MSG_HELLO
 
 SCOPE = "sA"
+#: branches of the stock demo: the paper's Central3
+K = 3
 _SRC_MAC, _DST_MAC = MacAddress(0x02_00_00_00_00_01), MacAddress(0x02_00_00_00_00_02)
 _SRC_IP, _DST_IP = IpAddress("10.0.0.1"), IpAddress("10.0.0.2")
 
@@ -126,7 +128,7 @@ def run_live_demo(
     interval: float = 0.01,
     payload_size: int = 256,
     schedule: Optional[LiveSchedule] = None,
-    k: int = 3,
+    k: int = K,
     miss_threshold: int = 8,
     probation_clean_target: int = 12,
     live_buffer_timeout: float = 0.15,
@@ -139,7 +141,7 @@ def run_live_demo(
     comparison report.  ``report["match"]`` is the CI gate."""
     if schedule is None:
         schedule = default_schedule(packets)
-    schedule.validate()
+    schedule.validate(k)
     ports = _free_udp_ports(2 + k)
     source_port, compare_port, switch_ports = ports[0], ports[1], ports[2:]
     send_time = packets * interval

@@ -27,9 +27,11 @@ class LiveFault:
     at_index: int
     restart_index: Optional[int] = None
 
-    def validate(self) -> None:
+    def validate(self, k: Optional[int] = None) -> None:
         if self.branch < 0:
             raise ValueError(f"branch must be >= 0, got {self.branch}")
+        if k is not None and self.branch >= k:
+            raise ValueError(f"branch must be < k = {k}, got {self.branch}")
         if self.at_index < 0:
             raise ValueError(f"at_index must be >= 0, got {self.at_index}")
         if self.restart_index is not None and self.restart_index <= self.at_index:
@@ -56,9 +58,11 @@ class LiveSchedule:
     name: str
     faults: tuple
 
-    def validate(self) -> None:
+    def validate(self, k: Optional[int] = None) -> None:
+        """Raise ``ValueError`` on a malformed fault; with ``k``, also on
+        a branch the ``k``-branch combiner does not have."""
         for fault in self.faults:
-            fault.validate()
+            fault.validate(k)
 
     def drops(self, branch: int, seq: int) -> bool:
         return any(f.branch == branch and f.drops(seq) for f in self.faults)

@@ -8,8 +8,9 @@ router at ``warmup + (at_index - 0.5) * interval`` guarantees packets
 ``< at_index`` cleared it and packets ``>= at_index`` find it dead —
 exactly the set a live switch process drops.  The faults are injected
 the way every chaos run injects them: the schedule compiles to
-:class:`~repro.chaos.schedule.RouterCrash` events armed through a
-:class:`~repro.chaos.schedule.ChaosEngine`.
+:class:`~repro.chaos.schedule.RouterCrash` events and runs through
+:func:`repro.analysis.tasks.run_supervised_flow`, the flow ``chaos.run``
+and ``adv.run`` drive.
 """
 
 from __future__ import annotations
@@ -17,12 +18,10 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Dict, Optional
 
-from repro.chaos.quarantine import QuarantineController
-from repro.chaos.schedule import ChaosEngine, FaultSchedule, RouterCrash
+from repro.chaos.schedule import FaultSchedule, RouterCrash
 from repro.live.schedule import LiveSchedule
 from repro.live.verdict import Verdict
 from repro.scenarios.testbed import build_testbed
-from repro.traffic.udp import UdpReceiver, UdpSender
 
 
 def des_twin_run(
@@ -38,23 +37,16 @@ def des_twin_run(
     params: Optional[Dict[str, Any]] = None,
 ) -> Verdict:
     """Run ``schedule`` through the simulator; return the DES verdict."""
-    schedule.validate()
-    from repro.analysis.tasks import chaos_aliases, params_from_dict
+    from repro.analysis.tasks import WARMUP, params_from_dict, run_supervised_flow
 
     base = replace(
         params_from_dict(params), compare_buffer_timeout=buffer_timeout
     )
     testbed = build_testbed(variant, base, seed)
-    net = testbed.network
-    core = testbed.compare_core
-    core.config.miss_threshold = miss_threshold
-    core.config.probation_clean_target = probation_clean_target
-    controller = QuarantineController(core, net.trace)
-
-    warmup = 1e-3
+    schedule.validate(k=len(testbed.routers))
 
     def index_time(index: Optional[int]) -> Optional[float]:
-        return None if index is None else warmup + (index - 0.5) * interval
+        return None if index is None else WARMUP + (index - 0.5) * interval
 
     crashes = [
         RouterCrash(
@@ -64,48 +56,37 @@ def des_twin_run(
         )
         for fault in schedule.faults
     ]
-    ChaosEngine(
+    run = run_supervised_flow(
+        testbed,
         FaultSchedule(crashes, name=schedule.name),
-        net,
-        aliases=chaos_aliases(testbed),
-    ).arm()
-
-    # duration = (packets - 0.5) * interval makes the sender emit exactly
-    # `packets` datagrams (seq n departs at n * interval < duration).
-    duration = (packets - 0.5) * interval
-    dport = 5001
-    receiver = UdpReceiver(testbed.h2, dport)
-    sender = UdpSender(
-        testbed.h1,
-        dst_mac=testbed.h2.mac,
-        dst_ip=testbed.h2.ip,
-        dport=dport,
+        {
+            "miss_threshold": miss_threshold,
+            "probation_clean_target": probation_clean_target,
+        },
         rate_bps=payload_size * 8.0 / interval,
+        # duration = (packets - 0.5) * interval makes the sender emit
+        # exactly `packets` datagrams (seq n departs at n * interval <
+        # duration).
+        duration=(packets - 0.5) * interval,
         payload_size=payload_size,
         send_cost=min(base.udp_send_cost, interval),
+        drain=max(10 * buffer_timeout, 0.05),
     )
-    sender.start(duration, delay=warmup)
-    drain = max(10 * buffer_timeout, 0.05)
-    net.run(until=warmup + duration + drain)
-    receiver.close()
-    controller.detach()
-    if sender.sent != packets:
+    if run.flow.sent != packets:
         raise RuntimeError(
-            f"DES twin paced {sender.sent} packets, expected {packets}"
+            f"DES twin paced {run.flow.sent} packets, expected {packets}"
         )
 
     return Verdict.build(
         backend="des",
-        sent=sender.sent,
-        released_sequences=receiver.received_sequences(),
+        sent=run.flow.sent,
+        released_sequences=run.seen,
         alarm_pairs=(
             (alarm.kind, alarm.branch) for alarm in testbed.chain.alarms.alarms
         ),
-        transitions=(
-            (t["event"], t["branch"]) for t in controller.transitions
-        ),
+        transitions=((t["event"], t["branch"]) for t in run.transitions),
         schedule=schedule.to_dict(),
-        duplicates=receiver.duplicates,
-        compare=core.stats.as_dict(),
+        duplicates=run.flow.duplicates,
+        compare=testbed.compare_core.stats.as_dict(),
         transport_stats=testbed.transport.stats(),
     )

@@ -51,6 +51,9 @@ def positive_float(text: str) -> float:
 def add_farm_arguments(parser: argparse.ArgumentParser) -> None:
     """The flags of a farm-backed command, declared once for ``plan run``,
     every figure alias and ``all``; :class:`FarmSession` reads them."""
+    # a prefix of a flag is not the flag: `--profile` (removed) must not
+    # quietly mean `--profile-shards`
+    parser.allow_abbrev = False
     parser.add_argument("--quick", action="store_true",
                         help="built-in plans only: shorter durations / "
                              "fewer repetitions")
@@ -68,14 +71,9 @@ def add_farm_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--task-timeout", type=positive_float, default=None,
                         metavar="SECONDS",
                         help="per-task wall-clock timeout on the farm")
-    parser.add_argument("--profile", action="store_true",
-                        help="run under cProfile and print the top "
-                             "cumulative-time entries (use with --jobs 1: "
-                             "subprocess work is invisible to the profiler)")
     parser.add_argument("--report", default=None, metavar="PATH",
                         help="write a RunReport JSON (plan records + farm "
-                             "progress) here; diffed against the plan's "
-                             "baseline when one is declared")
+                             "progress) here")
     parser.add_argument("--events-log", default=None, metavar="PATH",
                         help="append every farm event to a JSONL log with "
                              "gapless sequence numbers (replay with "
@@ -142,24 +140,6 @@ def plan_records(plan: ExperimentPlan, staged, combined) -> List[dict]:
     return records
 
 
-@contextlib.contextmanager
-def _profiled(name: str, top: int = 25):
-    """cProfile the body, then print its hot spots to stderr."""
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    try:
-        with profiler:
-            yield
-    finally:
-        stats = pstats.Stats(profiler, stream=sys.stderr)
-        stats.sort_stats("cumulative")
-        print(f"--- profile: {name} (top {top} by cumulative time) ---",
-              file=sys.stderr)
-        stats.print_stats(top)
-
-
 class FarmSession:
     """Everything the farm flags ask for around one command.
 
@@ -168,13 +148,12 @@ class FarmSession:
     ``[farm]`` summary, timing and report notices to ``chatter`` (stdout
     for the figure aliases, stderr for ``plan run``, whose stdout CI
     diffs).  On exit shard profiles are aggregated, telemetry is closed
-    and, if every plan ran, ``--report`` is written (:attr:`report`).
+    and, if every plan ran, ``--report`` is written.
     """
 
     def __init__(self, args: argparse.Namespace, name: str, chatter: TextIO):
         self.args, self.name, self.chatter = args, name, chatter
         self.status = 0
-        self.report = None
         self._records: List[dict] = []
         self._snapshots: Dict[str, dict] = {}
         self._telemetry = None
@@ -208,11 +187,9 @@ class FarmSession:
             telemetry.attach(farm, name=plan.name)
         start = time.time()
         try:
-            with (_profiled(plan.name) if args.profile
-                  else contextlib.nullcontext()):
-                results = farm.run(plan.expand())
-                staged = plan.merge_stages(results)
-                combined = plan.merge(results)
+            results = farm.run(plan.expand())
+            staged = plan.merge_stages(results)
+            combined = plan.merge(results)
         except FarmTaskError as exc:
             print(f"error: {exc}", file=sys.stderr)
             if farm.progress.queued:
@@ -248,14 +225,13 @@ class FarmSession:
         if args.report and exc_type is None and self.status == 0:
             from repro.obs.report import RunReport
 
-            self.report = RunReport(
+            RunReport(
                 name=self.name,
                 meta={"quick": args.quick, "jobs": args.jobs,
                       "plans": list(self._snapshots)},
                 records=self._records,
                 farm=self._snapshots,
-            )
-            self.report.save(args.report)
+            ).save(args.report)
             print(f"[run report written to {args.report}]", file=self.chatter)
 
 
@@ -264,33 +240,15 @@ def run_plan(args: argparse.Namespace, chatter: Optional[TextIO] = None,
     """``plan run PLAN`` (``chatter`` stderr) — and every figure alias,
     which presets ``PLAN`` and passes stdout as ``chatter`` and its own
     flags as ``overrides``."""
-    baseline = None
     try:
         plan = resolve_plan(args.plan, args.quick, args.train, **overrides)
         plan.validate()
-        if args.report and plan.baseline:
-            from repro.obs.report import RunReport
-
-            baseline = RunReport.load(plan.baseline)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     with FarmSession(args, plan.name, chatter or sys.stderr) as session:
         session.run(plan)
-    if baseline is None or session.report is None:
-        return session.status
-    from repro.obs.report import DEFAULT_WATCHES, diff_reports
-
-    findings = diff_reports(baseline, session.report,
-                            plan.watch_rules() or DEFAULT_WATCHES)
-    for finding in findings:
-        print(finding.describe(), file=sys.stderr)
-    breached = [f for f in findings if f.breached]
-    if breached:
-        print(f"error: {len(breached)} watched counter(s) regressed "
-              f"vs {plan.baseline}", file=sys.stderr)
-        return 1
-    return 0
+    return session.status
 
 
 def _cmd_list(args: argparse.Namespace) -> int:

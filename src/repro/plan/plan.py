@@ -4,9 +4,8 @@ An :class:`ExperimentPlan` is a JSON-serialisable description of one
 experiment — which scenarios to build (names resolved through the
 scenario registry, :mod:`repro.scenarios.registry`), which parameter
 axes to sweep, which traffic task to run at each grid point, which
-seeds/repetitions to take, an optional embedded
-:class:`~repro.chaos.schedule.FaultSchedule` battery, and obs watch
-rules / a baseline reference for regression gating.  The plan is pure
+seeds/repetitions to take, and an optional embedded
+:class:`~repro.chaos.schedule.FaultSchedule` battery.  The plan is pure
 *policy*; the *mechanisms* stay where they are:
 
 * :meth:`ExperimentPlan.expand` compiles the plan into the flat
@@ -42,7 +41,6 @@ from typing import Any, Dict, List, Optional
 from repro.chaos.schedule import FaultSchedule
 from repro.farm.executor import FarmExecutor
 from repro.farm.spec import RunSpec, resolve_runner
-from repro.obs.report import WatchRule
 from repro.plan.mergers import get_combiner, get_merger
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.testbed import TestbedParams
@@ -208,8 +206,6 @@ class ExperimentPlan:
     stages: List[PlanStage]
     description: str = ""
     combine: Optional[str] = None
-    watches: List[Dict[str, Any]] = field(default_factory=list)
-    baseline: Optional[str] = None
 
     # -- validation -----------------------------------------------------
     def validate(self) -> None:
@@ -225,13 +221,6 @@ class ExperimentPlan:
             stage.validate()
         if self.combine is not None:
             get_combiner(self.combine)  # raises on unknown name
-        for watch in self.watches:
-            try:
-                WatchRule(**watch)
-            except TypeError as exc:
-                raise ValueError(
-                    f"plan {self.name!r}: bad watch rule {watch!r}: {exc}"
-                ) from None
 
     # -- execution ------------------------------------------------------
     def expand(self) -> List[RunSpec]:
@@ -268,9 +257,6 @@ class ExperimentPlan:
         executor = farm if farm is not None else FarmExecutor()
         return self.merge(executor.run(self.expand()))
 
-    def watch_rules(self) -> List[WatchRule]:
-        return [WatchRule(**watch) for watch in self.watches]
-
     # -- serialisation --------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {
@@ -282,10 +268,6 @@ class ExperimentPlan:
             data["description"] = self.description
         if self.combine is not None:
             data["combine"] = self.combine
-        if self.watches:
-            data["watches"] = [dict(w) for w in self.watches]
-        if self.baseline is not None:
-            data["baseline"] = self.baseline
         return data
 
     @classmethod
@@ -296,7 +278,7 @@ class ExperimentPlan:
             raise ValueError(
                 f"plan version {version} is newer than {PLAN_VERSION}"
             )
-        known = {"name", "description", "stages", "combine", "watches", "baseline"}
+        known = {"name", "description", "stages", "combine"}
         unknown = set(record) - known
         _require(
             not unknown,
@@ -310,8 +292,6 @@ class ExperimentPlan:
             stages=[PlanStage.from_dict(s) for s in record["stages"]],
             description=record.get("description", ""),
             combine=record.get("combine"),
-            watches=list(record.get("watches", [])),
-            baseline=record.get("baseline"),
         )
 
     def to_json(self) -> str:

@@ -34,7 +34,7 @@ class PathEndpoints:
         return PathEndpoints(self.network, self.server, self.client)
 
 
-def run_udp_flow(
+def drive_udp_flow(
     path: PathEndpoints,
     rate_bps: float,
     duration: float = 0.2,
@@ -42,8 +42,16 @@ def run_udp_flow(
     send_cost: float = 0.0,
     dport: int = 5001,
     warmup: float = 1e-3,
-) -> UdpFlowResult:
-    """One ``iperf -u -b rate`` run from client to server."""
+    drain: float = DRAIN_TIME,
+) -> Tuple[UdpSender, UdpReceiver]:
+    """Drive one CBR flow from client to server to completion.
+
+    The sender departs sequence ``s`` at ``warmup + s * sender.interval``
+    after the call; the network then runs ``drain`` past the send window
+    and the receiver is closed.  Returns both ends, for callers that need
+    the delivered sequence set or the pacing as well as the flow summary
+    (``receiver.result(sender, duration)``).
+    """
     net = path.network
     receiver = UdpReceiver(path.server, dport)
     sender = UdpSender(
@@ -56,10 +64,25 @@ def run_udp_flow(
         send_cost=send_cost,
     )
     sender.start(duration, delay=warmup)
-    net.run(until=net.sim.now + warmup + duration + DRAIN_TIME)
-    result = receiver.result(sender, duration)
+    net.run(until=net.sim.now + warmup + duration + drain)
     receiver.close()
-    return result
+    return sender, receiver
+
+
+def run_udp_flow(
+    path: PathEndpoints,
+    rate_bps: float,
+    duration: float = 0.2,
+    payload_size: int = 1470,
+    send_cost: float = 0.0,
+    dport: int = 5001,
+    warmup: float = 1e-3,
+) -> UdpFlowResult:
+    """One ``iperf -u -b rate`` run from client to server."""
+    sender, receiver = drive_udp_flow(
+        path, rate_bps, duration, payload_size, send_cost, dport, warmup
+    )
+    return receiver.result(sender, duration)
 
 
 def run_tcp_flow(

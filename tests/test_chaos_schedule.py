@@ -365,6 +365,34 @@ def test_chaos_run_is_bit_reproducible():
     assert a == b
 
 
+class TestSupervisedFlow:
+    """``chaos.run``, ``adv.run`` and the live demo's DES twin share one
+    driver (``analysis.tasks.run_supervised_flow``)."""
+
+    def test_chaos_run_takes_the_compare_timed_strategies(self):
+        """A strategy that times itself against the compare's sweeps ran
+        only under ``adv.run``; the shared driver hands every engine the
+        compare, so a chaos schedule can carry it too."""
+        from repro.analysis.tasks import chaos_run
+
+        schedule = FaultSchedule(
+            [AdversaryStrategy(0.004, "r1", strategy="sweep_timed", until=0.02)],
+            name="sweep_timed",
+        )
+        record = chaos_run(schedule=schedule.to_dict(), seed=3, duration=0.03)
+        assert [i["kind"] for i in record["injections"]] == [
+            "adversary_strategy", "behavior_off",
+        ]
+        assert record["received"] == record["sent"]  # outvoted
+
+    def test_a_variant_without_a_compare_is_a_named_error(self):
+        from repro.analysis.tasks import chaos_run
+
+        schedule = builtin_battery()["crash_restart"].to_dict()
+        with pytest.raises(ValueError, match="'dup3' has no compare element"):
+            chaos_run(schedule=schedule, seed=1, variant="dup3")
+
+
 class TestExplicitBranchTargets:
     """adversary_strategy events may name the branch index explicitly —
     needed when the switch name carries no ``r<i>`` hint."""

@@ -3,6 +3,8 @@
 import argparse
 import json
 import os
+import sys
+import time
 
 import pytest
 
@@ -228,11 +230,22 @@ class TestFlagHygiene:
         ["fig7", "--train", "0"],
         ["casestudy", "--jobs", "2"],               # not a farm command
         ["obs", "trace", "--chaos", "crash"],       # the removed dead knob
+        ["fig5", "--profile"],                      # --profile-shards profiles
+        ["live", "demo", "--packets", "0"],
+        ["live", "demo", "--interval", "0"],
+        ["live", "demo", "--payload-size", "5"],    # no room for the probe header
+        ["live", "demo", "--packets", "60", "--crash-index", "50",
+         "--restart-index", "40"],
+        ["live", "demo", "--packets", "30", "--interval", "0.005",
+         "--crash-branch", "5"],                    # k = 3
     ], ids=" ".join)
     def test_usage_errors_exit_2_before_anything_runs(self, argv, capsys):
+        start = time.perf_counter()
         with pytest.raises(SystemExit) as excinfo:
-            main(argv)
+            sys.exit(main(argv))  # what `python -m repro` does
         assert excinfo.value.code == 2
+        # no simulation ran and no worker process was spawned
+        assert time.perf_counter() - start < 1.0
         captured = capsys.readouterr()
         assert captured.out == "" and "error:" in captured.err
 
@@ -249,8 +262,8 @@ class TestFlagHygiene:
 
 
 class TestBadPaths:
-    """An unreadable plan / report / baseline / schedule is an ``error:``
-    line and exit 2, never a traceback."""
+    """An unreadable plan / report / schedule is an ``error:`` line and
+    exit 2, never a traceback."""
 
     def test_directory_named_like_a_builtin_does_not_shadow_it(
             self, capsys, tmp_path, monkeypatch):
@@ -268,20 +281,6 @@ class TestBadPaths:
         bad.write_text("{not json")
         assert main(["plan", "run", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_plan_run_with_missing_baseline_fails_before_running(
-            self, capsys, tmp_path):
-        from repro.plan.builtin import smoke_plan
-
-        plan = smoke_plan()
-        plan.baseline = str(tmp_path / "missing.json")
-        path = tmp_path / "gated.json"
-        path.write_text(plan.to_json())
-        assert main(["plan", "run", str(path), "--no-cache",
-                     "--report", str(tmp_path / "r.json")]) == 2
-        captured = capsys.readouterr()
-        assert "error:" in captured.err and "missing.json" in captured.err
-        assert captured.out == ""
 
     def test_obs_diff_missing_report(self, capsys, tmp_path):
         assert main(["obs", "diff", str(tmp_path / "missing.json"),

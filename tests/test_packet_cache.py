@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.adversary.modify import dst_mac_rewrite, vlan_rewrite
+from repro.core.policy import BitExactPolicy, HeaderOnlyPolicy
 from repro.net.addresses import IpAddress, MacAddress
 from repro.net.packet import (
     IP_PROTO_ICMP,
@@ -189,6 +190,21 @@ class TestCopyOnWrite:
         eth, _vlan, ip, _l4, _payload = copy.fields()
         assert eth is packet.fields()[0]  # still the shared object
         assert ip is packet.fields()[2]
+
+    @pytest.mark.parametrize("vlan", [None, Vlan(vid=7)], ids=["untagged", "tagged"])
+    def test_vote_keys_of_warm_copies_never_serialise(self, monkeypatch, vlan):
+        """What the hub's fan-out hands the compare: k CoW copies of one
+        warmed packet.  Their vote keys come off the shared wire image."""
+        packet = make_packet(vlan=vlan)
+        wire = packet.to_bytes()
+        header_key = HeaderOnlyPolicy().key(make_packet(vlan=vlan))  # cold build
+        copies = [packet.copy() for _ in range(3)]
+        monkeypatch.setattr(
+            Packet, "_serialise", lambda self: pytest.fail("vote key re-serialised")
+        )
+        for copy in copies:
+            assert BitExactPolicy().key(copy) is wire
+            assert HeaderOnlyPolicy().key(copy) == header_key
 
 
 class TestMutabilityContract:

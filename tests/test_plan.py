@@ -272,15 +272,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown combine recipe"):
             plan.validate()
 
-    def test_bad_watch_rule_rejected(self):
-        plan = ExperimentPlan(name="p", stages=[self._stage()],
-                              watches=[{"not_a_field": 1}])
-        with pytest.raises(ValueError, match="bad watch rule"):
-            plan.validate()
-
     def test_unknown_plan_field_rejected(self):
         with pytest.raises(ValueError, match="unknown field"):
             ExperimentPlan.from_dict({"name": "p", "stages": [], "events": []})
+
+    @pytest.mark.parametrize("field, value", [
+        ("watches", [{"pattern": "*"}]),
+        ("baseline", "report.json"),
+    ])
+    def test_the_removed_regression_gate_fields_are_unknown(self, field, value):
+        # the plan-level gate compared a report that never carried metrics;
+        # `repro obs diff` is the gate
+        with pytest.raises(ValueError, match=f"unknown field.*{field}"):
+            ExperimentPlan.from_dict({"name": "p", "stages": [], field: value})
 
     def test_newer_plan_version_rejected(self):
         with pytest.raises(ValueError, match="newer"):

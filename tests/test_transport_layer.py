@@ -900,3 +900,30 @@ class TestDesTwinVerdicts:
             seed=pinned["seed"],
         )
         assert verdict.to_dict() == pinned["verdict"]
+
+
+class TestLiveScheduleAgainstK:
+    """A fault on a branch the combiner does not have is refused before
+    anything runs."""
+
+    bad = LiveSchedule.from_dict(
+        {"name": "crash", "faults": [{"branch": 5, "at_index": 10}]}
+    )
+
+    def test_validate_needs_k_to_see_it(self):
+        self.bad.validate()
+        self.bad.validate(k=6)
+        with pytest.raises(ValueError, match="branch must be < k = 3"):
+            self.bad.validate(k=3)
+
+    def test_live_demo_refuses_before_spawning(self, monkeypatch):
+        import multiprocessing
+
+        from repro.live.demo import run_live_demo
+
+        monkeypatch.setattr(
+            multiprocessing, "get_context",
+            lambda *_: pytest.fail("a worker process was about to be spawned"),
+        )
+        with pytest.raises(ValueError, match="branch must be < k = 3"):
+            run_live_demo(packets=30, schedule=self.bad)
