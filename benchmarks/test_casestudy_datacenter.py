@@ -12,12 +12,12 @@ Reproduces the paper's three scenario runs and their exact counts:
 from conftest import emit
 
 from repro.analysis.report import format_table
-from repro.scenarios.datacenter import DatacenterCaseStudy
+from repro.plan.builtin import builtin_plan
 
 
 def run_all():
-    study = DatacenterCaseStudy(seed=1, echo_count=10)
-    return study.run_baseline(), study.run_attack(), study.run_protected()
+    """The three ``casestudy.run`` records of the `repro casestudy` plan."""
+    return builtin_plan("casestudy").run()
 
 
 def test_casestudy():
@@ -27,12 +27,12 @@ def test_casestudy():
     for result in (baseline, attack, protected):
         rows.append(
             [
-                result.scenario,
-                str(result.requests_sent),
-                str(result.requests_at_fw1),
-                str(result.responses_at_vm1),
-                str(result.screening.strays),
-                ",".join(result.screening.stray_nodes) or "-",
+                result["scenario"],
+                str(result["requests_sent"]),
+                str(result["requests_at_fw1"]),
+                str(result["responses_at_vm1"]),
+                str(result["screening"]["strays"]),
+                ",".join(result["screening"]["stray_nodes"]) or "-",
             ]
         )
     emit(
@@ -45,19 +45,19 @@ def test_casestudy():
 
     # paper scenario 1: 10 perfect cycles, no strays on two screening
     # methods
-    assert baseline.requests_at_fw1 == 10
-    assert baseline.responses_at_vm1 == 10
-    assert baseline.screening.strays == 0
+    assert baseline["requests_at_fw1"] == 10
+    assert baseline["responses_at_vm1"] == 10
+    assert baseline["screening"]["strays"] == 0
 
     # paper scenario 2: 20 requests at fw1, 0 responses at vm1
-    assert attack.requests_at_fw1 == 20
-    assert attack.responses_at_vm1 == 0
-    assert attack.screening.stray_nodes == ["core1"]
+    assert attack["requests_at_fw1"] == 20
+    assert attack["responses_at_vm1"] == 0
+    assert attack["screening"]["stray_nodes"] == ["core1"]
 
     # paper scenario 3: NetCo masks the attack completely
-    assert protected.requests_at_fw1 == 10
-    assert protected.responses_at_vm1 == 10
-    assert protected.screening.strays == 0
-    assert protected.compare_expired_unreleased >= 10  # mirrored copies died
-    assert protected.single_source_alarms >= 10
-    assert protected.compare_released == 20  # 10 requests + 10 responses
+    assert protected["requests_at_fw1"] == 10
+    assert protected["responses_at_vm1"] == 10
+    assert protected["screening"]["strays"] == 0
+    assert protected["compare_expired_unreleased"] >= 10  # mirrored copies died
+    assert protected["single_source_alarms"] >= 10
+    assert protected["compare_released"] == 20  # 10 requests + 10 responses

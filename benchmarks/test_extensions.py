@@ -6,23 +6,32 @@ from conftest import emit
 
 from repro.adversary import PayloadCorruptionBehavior
 from repro.analysis.report import format_table
-from repro.core import ALARM_MINORITY_DIVERGENCE, build_sampling_chain
+from repro.core import (
+    ALARM_MINORITY_DIVERGENCE,
+    CombinerChainParams,
+    build_combiner_chain,
+)
 from repro.net import Network
-from repro.scenarios.transport import build_transport_scenario
 from repro.traffic.iperf import PathEndpoints, run_ping, run_udp_flow
+
+
+def build_rig(seed, **params):
+    """h1 — [one combiner chain with ``params``] — h2."""
+    net = Network(seed=seed)
+    chain = build_combiner_chain(net, "nc", CombinerChainParams(**params))
+    h1, h2 = net.add_host("h1"), net.add_host("h2")
+    net.connect(h1, chain.endpoint_a)
+    net.connect(h2, chain.endpoint_b)
+    chain.install_mac_route(h2.mac, toward="b")
+    chain.install_mac_route(h1.mac, toward="a")
+    return net, chain, h1, h2
 
 
 def run_sampling_sweep():
     """Compare load and detection count as functions of the sample rate."""
     results = {}
     for rate in (0.0, 0.05, 0.2, 0.5, 1.0):
-        net = Network(seed=41)
-        chain = build_sampling_chain(net, "sc", k=2, sample_rate=rate)
-        h1, h2 = net.add_host("h1"), net.add_host("h2")
-        net.connect(h1, chain.endpoint_a)
-        net.connect(h2, chain.endpoint_b)
-        chain.install_mac_route(h2.mac, toward="b")
-        chain.install_mac_route(h1.mac, toward="a")
+        net, chain, h1, h2 = build_rig(41, k=2, sample_rate=rate)
         PayloadCorruptionBehavior().attach(chain.router(1))
         flow = run_udp_flow(PathEndpoints(net, h1, h2), rate_bps=20e6,
                             duration=0.05)
@@ -39,9 +48,7 @@ def run_transport_sweep():
     """Whole-network replication: RTT overhead vs replica depth."""
     results = {}
     for depth in (1, 2, 4, 8):
-        net, combiner, src, dst = build_transport_scenario(
-            k=3, depth=depth, seed=42
-        )
+        net, _chain, src, dst = build_rig(42, k=3, depth=depth)
         ping = run_ping(PathEndpoints(net, src, dst), count=20, interval=1e-3)
         results[depth] = (ping.avg_rtt_ms, ping.received)
     return results

@@ -8,8 +8,8 @@ physical combiner, plus the overhead the tunnels cost.
 
 from conftest import emit
 
-from repro.adversary import BlackholeBehavior, PayloadCorruptionBehavior
 from repro.analysis.report import format_table
+from repro.plan.builtin import builtin_plan
 from repro.scenarios.virtualized import build_virtualized_scenario
 from repro.traffic.iperf import PathEndpoints, run_ping, run_udp_flow
 
@@ -32,28 +32,15 @@ def run_matrix():
         )
         results[f"benign_k{k}"] = (udp.loss_rate, ping.avg_rtt_ms, ping.received)
 
-    # prevention: k=3 with a corrupting vendor on path 1
-    scenario = build_virtualized_scenario(k=3, seed=1)
-    PayloadCorruptionBehavior().attach(scenario.transit(1))
-    ping = run_ping(
-        PathEndpoints(scenario.network, scenario.src, scenario.dst),
-        count=20, interval=1e-3,
-    )
-    scenario.compare_core.flush()
+    # the adversarial rows are the `repro virtualized` plan: one vendor's
+    # transit corrupts every payload, against k=2 and k=3 tunnels
+    detect, prevent = builtin_plan("virtualized").run()
     results["prevent_corrupt"] = (
-        ping.received, scenario.compare_core.stats.expired_unreleased
+        prevent["received"], prevent["sent"],
+        prevent["compare"]["expired_unreleased"],
     )
-
-    # detection: k=2 with a blackhole vendor on path 1
-    scenario = build_virtualized_scenario(k=2, seed=1)
-    BlackholeBehavior().attach(scenario.transit(1))
-    ping = run_ping(
-        PathEndpoints(scenario.network, scenario.src, scenario.dst),
-        count=20, interval=1e-3,
-    )
-    scenario.compare_core.flush()
-    results["detect_blackhole"] = (
-        ping.received, scenario.compare_core.alarms.count()
+    results["detect_corrupt"] = (
+        detect["received"], detect["sent"], sum(detect["alarms"].values())
     )
     return results
 
@@ -68,18 +55,12 @@ def test_virtualized_netco():
          f"pings={results[f'benign_k{k}'][2]}/20"]
         for k in (1, 2, 3)
     ]
-    rows.append([
-        "k=3 + corrupt vendor",
-        f"pings={results['prevent_corrupt'][0]}/20",
-        f"copies died={results['prevent_corrupt'][1]}",
-        "PREVENTED",
-    ])
-    rows.append([
-        "k=2 + blackhole vendor",
-        f"pings={results['detect_blackhole'][0]}/20",
-        f"alarms={results['detect_blackhole'][1]}",
-        "DETECTED",
-    ])
+    received, sent, died = results["prevent_corrupt"]
+    rows.append(["k=3 + corrupt vendor", f"datagrams={received}/{sent}",
+                 f"copies died={died}", "PREVENTED"])
+    received, sent, alarms = results["detect_corrupt"]
+    rows.append(["k=2 + corrupt vendor", f"datagrams={received}/{sent}",
+                 f"alarms={alarms}", "DETECTED"])
     emit("Section VII virtualized NetCo\n" + format_table(
         ["configuration", "a", "b", "c"], rows))
 
@@ -89,9 +70,11 @@ def test_virtualized_netco():
         assert loss == 0.0 and received == 20
     # RTT grows mildly with k (more copies to queue/serve)
     assert results["benign_k1"][1] <= results["benign_k3"][1]
-    # k=3 prevents: all cycles complete, tampered copies die unreleased
-    assert results["prevent_corrupt"][0] == 20
-    assert results["prevent_corrupt"][1] >= 20
+    # k=3 prevents: every datagram arrives, tampered copies die unreleased
+    received, sent, died = results["prevent_corrupt"]
+    assert received == sent
+    assert died >= sent
     # k=2 detects: traffic stalls but alarms fire
-    assert results["detect_blackhole"][0] == 0
-    assert results["detect_blackhole"][1] > 0
+    received, sent, alarms = results["detect_corrupt"]
+    assert received == 0
+    assert alarms > 0

@@ -19,8 +19,8 @@ Run:  python examples/crypto_transport.py
 """
 
 from repro.adversary import BlackholeBehavior, ReplayFloodBehavior
-from repro.scenarios.transport import build_transport_scenario
-from repro.traffic.iperf import PathEndpoints, run_udp_flow
+from repro.scenarios import build_testbed
+from repro.traffic.iperf import run_udp_flow
 
 
 def encrypted_payloadish() -> None:
@@ -36,28 +36,29 @@ def main() -> None:
     print("Crypto transport scenario (Figure 1, right)\n")
 
     # --- availability attack 1: blackhole inside one replica network ---
-    net, combiner, src, dst = build_transport_scenario(k=3, depth=3, seed=51)
-    BlackholeBehavior().attach(combiner.switch(1, 1))
+    # "transport3": k = 3 replica networks of three switches each
+    testbed = build_testbed("transport3", seed=51)
+    BlackholeBehavior().attach(testbed.branches[1][1])
     print("blackhole at replica network 1, hop 1:")
-    flow = run_udp_flow(PathEndpoints(net, src, dst), rate_bps=30e6, duration=0.05)
+    flow = run_udp_flow(testbed.path(), rate_bps=30e6, duration=0.05)
     print(f"  encrypted flow: {flow.throughput_mbps:.1f} Mbit/s, "
           f"loss {flow.loss_rate:.1%} -> availability preserved\n")
     assert flow.loss_rate == 0.0
 
     # --- availability attack 2: replay flood from one replica ---------
-    net, combiner, src, dst = build_transport_scenario(k=3, depth=3, seed=52)
+    testbed = build_testbed("transport3", seed=52)
     flooder = ReplayFloodBehavior(amplification=15)
-    flooder.attach(combiner.switch(2, 0))
+    flooder.attach(testbed.branches[2][0])
     print("replay flood (x15) at replica network 2, hop 0:")
-    flow = run_udp_flow(PathEndpoints(net, src, dst), rate_bps=30e6, duration=0.05)
-    stats = combiner.compare_core.stats
+    flow = run_udp_flow(testbed.path(), rate_bps=30e6, duration=0.05)
+    stats = testbed.compare_core.stats
     print(f"  encrypted flow: {flow.throughput_mbps:.1f} Mbit/s, "
           f"loss {flow.loss_rate:.1%}, duplicates delivered {flow.duplicates}")
     print(f"  compare absorbed {stats.branch_duplicates} duplicate copies, "
           f"issued {stats.blocks_issued} port block(s), "
-          f"{combiner.alarms.count('dos_suspected')} DoS alarm(s)")
+          f"{testbed.alarms.count('dos_suspected')} DoS alarm(s)")
     assert flow.duplicates == 0
-    assert combiner.alarms.count("dos_suspected") >= 1
+    assert testbed.alarms.count("dos_suspected") >= 1
     print("\nOK: with correctness guaranteed by cryptography, NetCo's "
           "remaining job is availability - and the quorum plus the DoS "
           "mitigation deliver it.")

@@ -15,21 +15,18 @@ Run:  python examples/sampling_detection.py
 """
 
 from repro.adversary import PayloadCorruptionBehavior
-from repro.core import ALARM_MINORITY_DIVERGENCE, build_sampling_chain
-from repro.net import Network
-from repro.traffic.iperf import PathEndpoints, run_udp_flow
+from repro.core import ALARM_MINORITY_DIVERGENCE
+from repro.scenarios import build_testbed, get_scenario
+from repro.traffic.iperf import run_udp_flow
 
 
-def run(sample_rate: float, corrupt_primary: bool) -> None:
-    net = Network(seed=17)
-    chain = build_sampling_chain(net, "sc", k=2, sample_rate=sample_rate)
-    h1, h2 = net.add_host("h1"), net.add_host("h2")
-    net.connect(h1, chain.endpoint_a)
-    net.connect(h2, chain.endpoint_b)
-    chain.install_mac_route(h2.mac, toward="b")
-    chain.install_mac_route(h1.mac, toward="a")
+def run(corrupt_primary: bool) -> None:
+    # the registered Section IX scenario: k = 2, branch 0 forwards
+    testbed = build_testbed("sampled2", seed=17)
+    sample_rate = get_scenario("sampled2").sample_rate
+    h2 = testbed.h2
 
-    target = chain.router(0 if corrupt_primary else 1)
+    target = testbed.routers[0 if corrupt_primary else 1]
     PayloadCorruptionBehavior(flip_offset=20).attach(target)
 
     tampered_delivered = []
@@ -38,12 +35,12 @@ def run(sample_rate: float, corrupt_primary: bool) -> None:
         if len(p.payload) > 20 and p.payload[20] != 0
         else None
     )
-    flow = run_udp_flow(PathEndpoints(net, h1, h2), rate_bps=20e6, duration=0.05)
-    chain.compare_core.flush()
+    flow = run_udp_flow(testbed.path(), rate_bps=20e6, duration=0.05)
+    testbed.compare_core.flush()
 
     role = "PRIMARY" if corrupt_primary else "secondary"
-    alarms = chain.alarms.count(ALARM_MINORITY_DIVERGENCE)
-    compare_load = chain.compare_core.stats.submissions
+    alarms = testbed.alarms.count(ALARM_MINORITY_DIVERGENCE)
+    compare_load = testbed.compare_core.stats.submissions
     print(f"sample rate {sample_rate:.0%}, corrupt {role} router:")
     print(f"  goodput {flow.throughput_mbps:.1f} Mbit/s, loss {flow.loss_rate:.1%}")
     print(f"  compare handled {compare_load} copies "
@@ -55,8 +52,8 @@ def run(sample_rate: float, corrupt_primary: bool) -> None:
 
 def main() -> None:
     print("NetCo sampling detection\n")
-    run(sample_rate=0.2, corrupt_primary=False)
-    run(sample_rate=0.2, corrupt_primary=True)
+    run(corrupt_primary=False)
+    run(corrupt_primary=True)
     print("trade-off: sampling cuts compare load ~5x and keeps the "
           "forwarding path vote-free, but a malicious *primary* is only "
           "detected, never masked — choose per the paper's threat model.")

@@ -13,26 +13,23 @@ Run:  python examples/virtualized_netco.py
 """
 
 from repro.adversary import PayloadCorruptionBehavior
-from repro.scenarios.virtualized import build_virtualized_scenario
-from repro.traffic.iperf import PathEndpoints, run_ping
+from repro.scenarios import build_testbed
+from repro.traffic.iperf import run_ping
 
 
 def attack_run(k: int) -> None:
-    scenario = build_virtualized_scenario(k=k, paths_available=3, seed=9)
+    testbed = build_testbed(f"virtual{k}", seed=9)
     print(f"k = {k}: flow split over "
-          + ", ".join("->".join(p) for p in scenario.combiner.paths))
+          + ", ".join("->".join(p) for p in testbed.chain.paths))
 
     implant = PayloadCorruptionBehavior()
-    implant.attach(scenario.transit(1))
-    print(f"  compromised transit {scenario.transit(1).name}")
+    implant.attach(testbed.routers[1])
+    print(f"  compromised transit {testbed.routers[1].name}")
 
-    result = run_ping(
-        PathEndpoints(scenario.network, scenario.src, scenario.dst),
-        count=10, interval=1e-3,
-    )
-    scenario.compare_core.flush()
-    stats = scenario.compare_core.stats
-    alarms = scenario.compare_core.alarms
+    result = run_ping(testbed.path(), count=10, interval=1e-3)
+    testbed.compare_core.flush()
+    stats = testbed.compare_core.stats
+    alarms = testbed.alarms
 
     print(f"  pings completed:      {result.received}/{result.sent}")
     print(f"  copies released:      {stats.released}")

@@ -9,8 +9,9 @@ pytest.  Useful for quick exploration and for recording results:
     python -m repro all --jobs 4
     python -m repro plan run examples/plans/fig5.json --jobs 4
 
-Every figure/table command is an alias: ``repro X [flags]`` is
-``repro plan run X [flags]`` on the built-in
+Every experiment command (the figures and Table I, ``chaos``,
+``ctrlbft``, ``advbench``, ``casestudy``, ``virtualized``) is an alias:
+``repro X [flags]`` is ``repro plan run X [flags]`` on the built-in
 :class:`~repro.plan.plan.ExperimentPlan` of that name (checked in as
 JSON under ``examples/plans/``) with the ``[farm]`` summary on stdout
 instead of stderr; the plan's merge kind (:mod:`repro.plan.mergers`)
@@ -37,9 +38,9 @@ from repro.obs import cli as obs_cli
 from repro.obs import fleet_cli
 from repro.plan import cli as plan_cli
 from repro.plan.builtin import builtin_plan_names
-from repro.scenarios.registry import scenario_names
+from repro.scenarios.registry import compare_scenarios
 
-#: figure/table commands: ``repro X`` == ``repro plan run X``
+#: every experiment command: ``repro X`` == ``repro plan run X``
 ALIASES = tuple(name for name in builtin_plan_names() if name != "smoke")
 
 
@@ -59,58 +60,10 @@ def _cmd_alias(args: argparse.Namespace) -> int:
     return plan_cli.run_plan(args, sys.stdout, **overrides)
 
 
-def _cmd_casestudy(args: argparse.Namespace) -> int:
-    from repro.analysis.report import format_table
-    from repro.scenarios.datacenter import DatacenterCaseStudy
-
-    study = DatacenterCaseStudy(seed=1, echo_count=10)
-    rows = [
-        [
-            result.scenario,
-            str(result.requests_sent),
-            str(result.requests_at_fw1),
-            str(result.responses_at_vm1),
-            str(result.screening.strays),
-        ]
-        for result in (study.run_baseline(), study.run_attack(),
-                       study.run_protected())
-    ]
-    print("Section VI case study")
-    print(format_table(["scenario", "sent", "req@fw1", "resp@vm1", "strays"], rows))
-    return 0
-
-
-def _cmd_virtualized(args: argparse.Namespace) -> int:
-    from repro.adversary import PayloadCorruptionBehavior
-    from repro.scenarios.virtualized import build_virtualized_scenario
-    from repro.traffic.iperf import PathEndpoints, run_ping
-
-    for k in (2, 3):
-        scenario = build_virtualized_scenario(k=k, paths_available=3, seed=1)
-        PayloadCorruptionBehavior().attach(scenario.transit(1))
-        result = run_ping(
-            PathEndpoints(scenario.network, scenario.src, scenario.dst),
-            count=10, interval=1e-3,
-        )
-        scenario.compare_core.flush()
-        verdict = "PREVENTED" if result.received == result.sent else "DETECTED"
-        print(f"virtualized k={k} + corrupt vendor: "
-              f"{result.received}/{result.sent} pings, "
-              f"{scenario.compare_core.alarms.count()} alarms -> {verdict}")
-    return 0
-
-
-#: the two experiments that are not farm plans
-PLAIN = {"casestudy": _cmd_casestudy, "virtualized": _cmd_virtualized}
-
-
 def _cmd_all(args: argparse.Namespace) -> int:
     with plan_cli.FarmSession(args, "all", sys.stdout) as session:
-        for name in sorted([*ALIASES, *PLAIN]):
-            if name in PLAIN:
-                PLAIN[name](args)
-                print()
-            elif not session.run(
+        for name in sorted(ALIASES):
+            if not session.run(
                     plan_cli.resolve_plan(name, args.quick, args.train)):
                 break
     return session.status
@@ -136,19 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
                      "battery",
             )
             alias.add_argument(
-                "--variant", default="central3", choices=scenario_names(),
-                help="scenario under test (choices come from the scenario "
-                     "registry)",
+                "--variant", default="central3", choices=compare_scenarios(),
+                help="scenario under test (the registered scenarios with "
+                     "a compare element)",
             )
         alias.set_defaults(func=_cmd_alias, plan=name)
-    sub.add_parser(
-        "casestudy", help="Section VI datacenter routing attack",
-    ).set_defaults(func=_cmd_casestudy)
-    sub.add_parser(
-        "virtualized", help="Section VII virtualized combiner",
-    ).set_defaults(func=_cmd_virtualized)
     everything = sub.add_parser(
-        "all", help="every alias plus casestudy and virtualized, one session")
+        "all", help="every alias, one farm session")
     plan_cli.add_farm_arguments(everything)
     everything.set_defaults(func=_cmd_all)
     plan_cli.register(sub)

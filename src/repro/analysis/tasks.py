@@ -30,6 +30,7 @@ from repro.core.alarms import ALARM_DOS_SUSPECTED, ALARM_ROUTER_UNAVAILABLE
 from repro.farm.spec import register_runner
 from repro.live.verdict import fingerprint
 from repro.scenarios.ctrlplane import CtrlParams, CtrlTestbed, build_ctrl_testbed
+from repro.scenarios.datacenter import DatacenterCaseStudy
 from repro.scenarios.testbed import Testbed, TestbedParams, build_testbed
 from repro.traffic.iperf import (
     DRAIN_TIME,
@@ -143,18 +144,6 @@ def rtt_sample(
     return run_ping(testbed.path(), count=count, interval=1e-3).avg_rtt_ms
 
 
-def chaos_aliases(testbed) -> Dict[str, str]:
-    """Schedule-target aliases for a combiner testbed: ``r{i}`` is branch
-    i's router, ``link_a{i}``/``link_b{i}`` its ingress/egress link."""
-    chain = testbed.chain
-    aliases: Dict[str, str] = {}
-    for i, router in enumerate(chain.routers):
-        aliases[f"r{i}"] = router.name
-        aliases[f"link_a{i}"] = f"{chain.endpoint_a.name}-{router.name}"
-        aliases[f"link_b{i}"] = f"{router.name}-{chain.endpoint_b.name}"
-    return aliases
-
-
 def transition_branches(transitions: List[dict], event: str) -> List[int]:
     """The branches a quarantine log saw ``event`` ("quarantine" /
     "readmit") for, sorted."""
@@ -213,15 +202,16 @@ def run_supervised_flow(
     send_cost: Optional[float] = None,
     drain: float = DRAIN_TIME,
 ) -> SupervisedFlow:
-    """One UDP flow h1 → h2 through a freshly built combiner testbed,
-    under ``schedule`` and a quarantine loop.
+    """One UDP flow h1 → h2 through a freshly built testbed of any
+    realisation with a compare element, under ``schedule`` and a
+    quarantine loop.
 
     ``thresholds`` are :class:`~repro.core.compare.CompareConfig` knobs
     the compare reads dynamically, so setting them after the build is
     safe (``buffer_timeout`` is not: it goes into the testbed params).
-    The loop quarantines on ``trigger_kinds``; the engine resolves
-    ``r{i}`` / ``link_a{i}`` / ``link_b{i}`` targets and hands the compare
-    to the strategies that time themselves against it.  ``send_cost``
+    The loop quarantines on ``trigger_kinds``; the engine resolves the
+    handle's ``r{i}`` / ``link_a{i}`` / ``link_b{i}`` aliases and hands the
+    compare to the strategies that time themselves against it.  ``send_cost``
     defaults to the testbed's calibrated per-datagram sender cost.
     """
     net = testbed.network
@@ -232,7 +222,7 @@ def run_supervised_flow(
         setattr(core.config, knob, value)
     controller = QuarantineController(core, net.trace, trigger_kinds=trigger_kinds)
     engine = ChaosEngine(
-        schedule, net, aliases=chaos_aliases(testbed), compare_core=core
+        schedule, net, aliases=testbed.aliases(), compare_core=core
     )
     engine.arm()
     if send_cost is None:
@@ -307,7 +297,7 @@ def chaos_run(
         "post_quarantine_gaps": (
             None if quarantined_at is None else run.undelivered(quarantined_at)
         ),
-        "alarms": testbed.chain.alarms.counts(),
+        "alarms": testbed.alarms.counts(),
         "compare": testbed.compare_core.stats.as_dict(),
     }
 
@@ -420,7 +410,7 @@ def adversary_run(
         params_from_dict(params), compare_buffer_timeout=prof["buffer_timeout"]
     )
     testbed = build_scenario(variant, base, seed)
-    k = len(testbed.chain.routers)
+    k = len(testbed.routers)
     until = WARMUP + duration
     run = run_supervised_flow(
         testbed,
@@ -448,7 +438,7 @@ def adversary_run(
     active_seconds = sum(s.active_seconds for s in strategies)
 
     attack_alarms = [
-        a for a in testbed.chain.alarms.alarms if a.time >= activate_at
+        a for a in testbed.alarms.alarms if a.time >= activate_at
     ]
     time_to_first_alarm = None
     first_alarm_kind = None
@@ -509,7 +499,7 @@ def adversary_run(
         "readmitted": transition_branches(transitions, "readmit"),
         "transitions": transitions,
         "injections": run.engine.injections,
-        "alarms": testbed.chain.alarms.counts(),
+        "alarms": testbed.alarms.counts(),
         "compare": testbed.compare_core.stats.as_dict(),
     }
 
@@ -564,7 +554,7 @@ def drive_ctrl_flow(
         engine = ChaosEngine(
             schedule,
             net,
-            aliases=chaos_aliases(tb.testbed),
+            aliases=tb.testbed.aliases(),
             control_plane=tb.control_plane,
         )
         engine.arm()
@@ -673,7 +663,7 @@ def ctrl_run(
         "ctrl_readmitted": transition_branches(transitions, "readmit"),
         "transitions": transitions,
         "injections": injections,
-        "alarms": tb.testbed.chain.alarms.counts(),
+        "alarms": tb.testbed.alarms.counts(),
         "ctrl": tb.compare.stats.as_dict(),
         "replicas": handles,
     }
@@ -696,3 +686,25 @@ def jitter_sample(
         payload_size=payload_size,
     )
     return result.jitter_ms
+
+
+#: the three Section VI scenario runs, in the paper's order
+CASESTUDY_RUNS = ("baseline", "attack", "protected")
+
+
+@register_runner("casestudy.run")
+def casestudy_run(
+    run: str,
+    seed: int,
+    echo_count: int = 10,
+    params: Optional[Dict[str, Any]] = None,
+) -> Dict[str, Any]:
+    """One Section VI scenario run on the fat-tree pod slice; returns the
+    ``asdict`` form of its ``CaseStudyResult``.  ``params`` is the farm's
+    uniform kwarg: the pod slice has no :class:`TestbedParams`."""
+    if run not in CASESTUDY_RUNS:
+        raise ValueError(
+            f"unknown case-study run {run!r} (known: {list(CASESTUDY_RUNS)})"
+        )
+    study = DatacenterCaseStudy(seed=seed, echo_count=echo_count)
+    return asdict(getattr(study, f"run_{run}")())

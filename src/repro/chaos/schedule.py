@@ -21,8 +21,8 @@ Schedules serialise to/from JSON so they can be checked in under
     }
 
 Targets are node names, link names (``"<a>-<b>"`` as assigned by
-``Network.connect``), or aliases supplied by the scenario (the Central3
-runner maps ``r0..r2`` to ``nc_r0..nc_r2``).
+``Network.connect``), or aliases supplied by the scenario
+(``Testbed.aliases()``: on Central3 ``r0..r2`` are ``nc_r0..nc_r2``).
 """
 
 from __future__ import annotations
@@ -714,8 +714,8 @@ class ChaosEngine:
 
 
 # ----------------------------------------------------------------------
-# built-in battery (Central3 aliases: r0..r2, link_a{i}=ingress,
-# link_b{i}=egress of branch i)
+# built-in battery (the aliases of any k >= 3 scenario: r0..r2,
+# link_a{i}=ingress, link_b{i}=egress link of branch i)
 # ----------------------------------------------------------------------
 def builtin_battery() -> Dict[str, FaultSchedule]:
     """Short named schedules used by the chaos farm runner and tests."""

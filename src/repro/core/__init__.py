@@ -53,7 +53,6 @@ from repro.core.hub import Hub
 from repro.core.sampling import (
     DivergenceWatcher,
     SamplingEndpoint,
-    build_sampling_chain,
     deterministic_sample,
 )
 from repro.core.policy import (
@@ -102,7 +101,6 @@ __all__ = [
     "Hub",
     "DivergenceWatcher",
     "SamplingEndpoint",
-    "build_sampling_chain",
     "deterministic_sample",
     "BitExactPolicy",
     "ComparePolicy",

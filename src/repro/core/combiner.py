@@ -1,13 +1,15 @@
 """Combiner assembly: wiring hubs, untrusted routers and the compare.
 
-Two builders live here:
+Two things live here:
 
 * :func:`build_combiner_chain` — the Figure 3 arrangement: two trusted
-  endpoints (``s1``, ``s2``) bracketing ``k`` untrusted routers in a
+  endpoints (``s1``, ``s2``) bracketing ``k`` untrusted branches in a
   parallel circuit, with a dedicated compare host (``h3``) attached
-  in-band to both endpoints.  This is the unit the paper's performance
-  evaluation measures (Central3/Central5/Dup3/Dup5/Linespeed are all
-  parameterisations of it).
+  in-band to both endpoints.  It is the only code that wires endpoints
+  × branches × compare: Central3/Central5/Dup3/Dup5/Linespeed/POX3, the
+  Section IX coarse-grained combiner (``depth`` switches per branch) and
+  Section IX sampled detection (``sample_rate``) are all
+  parameterisations of it.
 
 * :class:`CompareHost` — the trusted server running the compare module,
   attached to the data plane like the paper's C process: packets reach it
@@ -18,11 +20,13 @@ Two builders live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.alarms import AlarmSink
 from repro.core.compare import CompareConfig, CompareContext, CompareCore
 from repro.core.endpoint import MODE_COMBINE, MODE_DUP, CombinerEndpoint
+from repro.core.sampling import DivergenceWatcher, SamplingEndpoint
 from repro.net.addresses import MacAddress
 from repro.net.node import NetworkError, Node, Port
 from repro.net.packet import Packet
@@ -162,6 +166,12 @@ class CombinerChainParams:
     transport: str = "inline"
     controller_latency: float = 100e-6
     controller_proc_time: float = 120e-6
+    #: switches per branch; > 1 is the Section IX coarse-grained combiner
+    #: (each branch a whole replica transport network)
+    depth: int = 1
+    #: Section IX sampled detection: branch 0 forwards unvoted and this
+    #: fraction of packets is compared out of band (None = vote on all)
+    sample_rate: Optional[float] = None
 
     def for_k(self, k: int) -> "CombinerChainParams":
         return replace(self, k=k, compare=replace(self.compare, k=k))
@@ -176,21 +186,28 @@ class CombinerChain:
         name: str,
         endpoint_a: CombinerEndpoint,
         endpoint_b: CombinerEndpoint,
-        routers: List[OpenFlowSwitch],
+        branches: List[List[OpenFlowSwitch]],
         compare_host: Optional[CompareHost],
         compare_core: Optional[CompareCore],
         alarms: AlarmSink,
         controller=None,
+        watcher=None,
     ) -> None:
         self.network = network
         self.name = name
         self.endpoint_a = endpoint_a
         self.endpoint_b = endpoint_b
-        self.routers = routers
+        #: branches[i][hop] — the untrusted switches of branch i, from
+        #: endpoint A's side to endpoint B's
+        self.branches = branches
+        #: each branch's first switch (the whole branch at depth 1)
+        self.routers = [branch[0] for branch in branches]
         self.compare_host = compare_host
         self.compare_core = compare_core
         self.alarms = alarms
         self.controller = controller
+        #: the sampling compare's DivergenceWatcher (``sample_rate`` only)
+        self.watcher = watcher
 
     @property
     def k(self) -> int:
@@ -202,14 +219,19 @@ class CombinerChain:
         return self.endpoint_a.transport
 
     def install_mac_route(self, mac: MacAddress, toward: str) -> None:
-        """Program every untrusted router to send ``mac`` toward endpoint
-        'a' or 'b' (the paper routes on MAC destination only)."""
+        """Program every untrusted switch to send ``mac`` toward endpoint
+        'a' or 'b', hop by hop along its branch (the paper routes on MAC
+        destination only)."""
         if toward not in ("a", "b"):
             raise ValueError(f"toward must be 'a' or 'b', got {toward!r}")
-        endpoint = self.endpoint_a if toward == "a" else self.endpoint_b
-        for router in self.routers:
-            out_port = self.network.port_no_between(router.name, endpoint.name)
-            router.install(Match(dl_dst=mac), [Output(out_port)], priority=10)
+        for branch in self.branches:
+            if toward == "a":
+                hops = [*reversed(branch), self.endpoint_a]
+            else:
+                hops = [*branch, self.endpoint_b]
+            for here, nxt in zip(hops, hops[1:]):
+                out_port = self.network.port_no_between(here.name, nxt.name)
+                here.install(Match(dl_dst=mac), [Output(out_port)], priority=10)
 
     def router(self, index: int) -> OpenFlowSwitch:
         return self.routers[index]
@@ -227,37 +249,37 @@ def build_combiner_chain(
     chain.endpoint_a)`` — any endpoint port that is not a branch or the
     compare attachment is treated as external.
     """
-    if params.k < 1:
-        raise NetworkError(f"combiner needs at least one router, got k={params.k}")
+    if params.k < 1 or params.depth < 1:
+        raise NetworkError(
+            f"combiner needs at least one router per branch, got "
+            f"k={params.k}, depth={params.depth}"
+        )
     if params.mode not in (MODE_COMBINE, MODE_DUP):
         raise NetworkError(f"unknown combiner mode {params.mode!r}")
+    sampled = params.sample_rate is not None
+    if sampled and (params.mode != MODE_COMBINE or params.transport != "inline"):
+        raise NetworkError("sampled detection needs an inline compare to sample for")
     sim, trace = network.sim, network.trace
     alarms = alarm_sink or AlarmSink(trace)
     cpu = CpuResource(f"{name}.cpu") if params.shared_cpu else None
 
-    endpoint_a = CombinerEndpoint(
-        sim,
-        f"{name}_sA",
-        trace_bus=trace,
-        proc_time=params.endpoint_proc_time,
-        proc_per_byte=params.endpoint_proc_per_byte,
-        cpu=cpu,
-        mode=params.mode,
-        mark_sources=params.mark_sources,
-        alarm_sink=alarms,
-        service_queue_capacity=params.switch_service_queue,
-    )
-    endpoint_b = CombinerEndpoint(
-        sim,
-        f"{name}_sB",
-        trace_bus=trace,
-        proc_time=params.endpoint_proc_time,
-        proc_per_byte=params.endpoint_proc_per_byte,
-        cpu=cpu,
-        mode=params.mode,
-        mark_sources=params.mark_sources,
-        alarm_sink=alarms,
-        service_queue_capacity=params.switch_service_queue,
+    make_endpoint = CombinerEndpoint
+    if sampled:
+        make_endpoint = partial(SamplingEndpoint, sample_rate=params.sample_rate)
+    endpoint_a, endpoint_b = (
+        make_endpoint(
+            sim,
+            f"{name}_{suffix}",
+            trace_bus=trace,
+            proc_time=params.endpoint_proc_time,
+            proc_per_byte=params.endpoint_proc_per_byte,
+            cpu=cpu,
+            mode=params.mode,
+            mark_sources=params.mark_sources,
+            alarm_sink=alarms,
+            service_queue_capacity=params.switch_service_queue,
+        )
+        for suffix in ("sA", "sB")
     )
     network.add_node(endpoint_a)
     network.add_node(endpoint_b)
@@ -265,43 +287,49 @@ def build_combiner_chain(
     # administered and already share the compare host).
     endpoint_b.address_registry = endpoint_a.address_registry
 
-    routers: List[OpenFlowSwitch] = []
+    link = dict(
+        rate_bps=params.link_rate_bps,
+        delay=params.link_delay,
+        queue_capacity=params.queue_capacity,
+    )
+    branches: List[List[OpenFlowSwitch]] = []
     for i in range(params.k):
-        router = OpenFlowSwitch(
-            sim,
-            f"{name}_r{i}",
-            trace_bus=trace,
-            proc_time=params.router_proc_time,
-            proc_per_byte=params.router_proc_per_byte,
-            cpu=cpu,
-            service_queue_capacity=params.switch_service_queue,
-        )
-        network.add_node(router)
-        routers.append(router)
-        link_a = network.connect(
-            endpoint_a,
-            router,
-            rate_bps=params.link_rate_bps,
-            delay=params.link_delay,
-            queue_capacity=params.queue_capacity,
-        )
-        network.connect(
-            router,
-            endpoint_b,
-            rate_bps=params.link_rate_bps,
-            delay=params.link_delay,
-            queue_capacity=params.queue_capacity,
-        )
+        branch = [
+            OpenFlowSwitch(
+                sim,
+                # the trailing r<i> is what binds a strategy to its branch
+                f"{name}_r{i}" if hop == 0 else f"{name}_h{hop}_r{i}",
+                trace_bus=trace,
+                proc_time=params.router_proc_time,
+                proc_per_byte=params.router_proc_per_byte,
+                cpu=cpu,
+                service_queue_capacity=params.switch_service_queue,
+            )
+            for hop in range(params.depth)
+        ]
+        for switch in branch:
+            network.add_node(switch)
+        branches.append(branch)
+        link_a = network.connect(endpoint_a, branch[0], **link)
+        for here, nxt in zip(branch, branch[1:]):
+            network.connect(here, nxt, **link)
+        network.connect(branch[-1], endpoint_b, **link)
         endpoint_a.assign_branch(link_a.a.port_no, i)
         endpoint_b.assign_branch(
-            network.port_no_between(endpoint_b.name, router.name), i
+            network.port_no_between(endpoint_b.name, branch[-1].name), i
         )
 
     compare_host: Optional[CompareHost] = None
     compare_core: Optional[CompareCore] = None
-    controller = None
+    controller = watcher = None
     if params.mode == MODE_COMBINE:
         config = replace(params.compare, k=params.k)
+        if sampled:
+            # In detection mode a diverging branch makes *every* sampled
+            # packet expire as single-source entries — that is the signal,
+            # not a crafted-packet flood, so the auto-block mitigation
+            # stays off (it would end up blocking the honest primary).
+            config = replace(config, craft_threshold=1 << 30)
         if params.mark_sources:
             # Branch markers legitimately differentiate the copies'
             # dl_src, so the compare votes on src-masked bytes.
@@ -319,6 +347,9 @@ def build_combiner_chain(
                 delay=params.compare_link_delay,
                 queue_capacity=params.queue_capacity,
             )
+            if sampled:
+                endpoint_a.policy_core = endpoint_b.policy_core = compare_core
+                watcher = DivergenceWatcher(compare_core)
         elif params.transport == "controller":
             # POX3: the compare lives in a controller application; copies
             # cross the OpenFlow control channel in both directions.
@@ -349,9 +380,10 @@ def build_combiner_chain(
         name=name,
         endpoint_a=endpoint_a,
         endpoint_b=endpoint_b,
-        routers=routers,
+        branches=branches,
         compare_host=compare_host,
         compare_core=compare_core,
         alarms=alarms,
         controller=controller,
+        watcher=watcher,
     )

@@ -120,7 +120,12 @@ class VirtualEgress(OpenFlowSwitch):
 
 @dataclass
 class VirtualCombiner:
-    """Handles for one provisioned virtualized combiner."""
+    """Handles for one provisioned virtualized combiner.
+
+    Reads like a :class:`~repro.core.combiner.CombinerChain` where a
+    scenario handle needs it to: the edges are the two trusted elements
+    and the transit switches of tunnel i are branch i.
+    """
 
     network: Network
     ingress: VirtualIngress
@@ -133,6 +138,14 @@ class VirtualCombiner:
     @property
     def k(self) -> int:
         return len(self.paths)
+
+    endpoint_a = property(lambda self: self.ingress)
+    endpoint_b = property(lambda self: self.egress)
+    compare_core = property(lambda self: self.core)
+
+    @property
+    def branches(self) -> List[List[OpenFlowSwitch]]:
+        return [[self.network.node(n) for n in path[1:-1]] for path in self.paths]
 
 
 def provision_virtual_combiner(

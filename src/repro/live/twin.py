@@ -82,7 +82,7 @@ def des_twin_run(
         sent=run.flow.sent,
         released_sequences=run.seen,
         alarm_pairs=(
-            (alarm.kind, alarm.branch) for alarm in testbed.chain.alarms.alarms
+            (alarm.kind, alarm.branch) for alarm in testbed.alarms.alarms
         ),
         transitions=((t["event"], t["branch"]) for t in run.transitions),
         schedule=schedule.to_dict(),

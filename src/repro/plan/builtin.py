@@ -20,7 +20,11 @@ from dataclasses import asdict, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.plan.plan import ExperimentPlan, PlanStage
-from repro.scenarios.registry import figure_scenarios, table1_scenarios
+from repro.scenarios.registry import (
+    figure_scenarios,
+    require_compare,
+    table1_scenarios,
+)
 from repro.scenarios.testbed import TestbedParams
 
 __all__ = [
@@ -33,6 +37,8 @@ __all__ = [
     "chaos_plan",
     "ctrlbft_plan",
     "advbench_plan",
+    "casestudy_plan",
+    "virtualized_plan",
     "table1_plan",
     "smoke_plan",
     "builtin_plan",
@@ -271,6 +277,7 @@ def chaos_plan(
     ``schedules`` are FaultSchedule dicts (JSON form); defaults to the
     built-in battery.  One spec per (schedule, seed), schedule-major.
     """
+    require_compare([variant])
     if schedules is None:
         from repro.chaos import builtin_battery
 
@@ -330,7 +337,7 @@ def ctrlbft_plan(
 
 
 def advbench_plan(
-    variants: Sequence[str] = ("central3", "central5"),
+    variants: Sequence[str] = ("central3", "central5", "transport3", "virtual3"),
     adversaries: Optional[Sequence[str]] = None,
     profiles: Sequence[str] = ("balanced", "vigilant"),
     duration: float = 0.03,
@@ -338,7 +345,8 @@ def advbench_plan(
     seeds: Sequence[int] = (1, 2),
     params: Optional[Dict[str, Any]] = None,
 ) -> ExperimentPlan:
-    """Detection-latency benchmark: adversary strategy × k × compare profile.
+    """Detection-latency benchmark: adversary strategy × realisation ×
+    compare profile.
 
     Each grid point is one ``adv.run``: a UDP flow through a combiner
     while a scheduled adversary strategy (``repro.adversary.strategies``)
@@ -346,6 +354,7 @@ def advbench_plan(
     time-to-quarantine, packets leaked before quarantine, masked damage
     and the honest-branch false-quarantine rate.  Seeds fold into a
     paper-style table per (variant, adversary, profile)."""
+    require_compare(variants)
     if adversaries is None:
         from repro.analysis.tasks import ADVBENCH_ADVERSARIES
 
@@ -367,6 +376,61 @@ def advbench_plan(
             seeds=list(seeds),
             params=params,
             merge={"kind": "detection_table"},
+        )],
+    )
+
+
+def casestudy_plan(
+    seed: int = 1,
+    params: Optional[Dict[str, Any]] = None,
+) -> ExperimentPlan:
+    """Section VI: the three scenario runs on the fat-tree pod slice."""
+    from repro.analysis.tasks import CASESTUDY_RUNS
+
+    return ExperimentPlan(
+        name="casestudy",
+        description="Section VI case study: baseline, routing attack and "
+                    "NetCo-protected run of 10 echo cycles vm1 -> fw1.",
+        stages=[PlanStage(
+            name="runs",
+            task="casestudy.run",
+            sweep={"run": list(CASESTUDY_RUNS)},
+            args={"echo_count": 10},
+            seeds=[seed],
+            params=params,
+            merge={"kind": "casestudy_table"},
+        )],
+    )
+
+
+def virtualized_plan(
+    variants: Sequence[str] = ("virtual2", "virtual3"),
+    seed: int = 1,
+    params: Optional[Dict[str, Any]] = None,
+) -> ExperimentPlan:
+    """Section VII: one vendor's transit corrupts every payload from
+    t = 0; two tunnels detect it, three prevent it."""
+    from repro.chaos import BehaviorOn, FaultSchedule
+
+    require_compare(variants)
+    corrupt = FaultSchedule(
+        [BehaviorOn(0.0, "r1", behavior="payload_corruption")],
+        name="corrupt_vendor",
+    )
+    return ExperimentPlan(
+        name="virtualized",
+        description="Section VII virtualized combiner: a corrupting "
+                    "transit vendor against k = 2 (detection) and k = 3 "
+                    "(prevention) tunnels.",
+        stages=[PlanStage(
+            name="matrix",
+            task="chaos.run",
+            scenarios=list(variants),
+            schedules=[corrupt.to_dict()],
+            args={"duration": 0.01, "rate_mbps": 20.0},
+            seeds=[seed],
+            params=params,
+            merge={"kind": "virtualized_records"},
         )],
     )
 
@@ -425,6 +489,8 @@ _BUILDERS = {
     "chaos": chaos_plan,
     "ctrlbft": ctrlbft_plan,
     "advbench": advbench_plan,
+    "casestudy": casestudy_plan,
+    "virtualized": virtualized_plan,
     "table1": table1_plan,
     "smoke": smoke_plan,
 }
@@ -440,6 +506,8 @@ QUICK_SETTINGS: Dict[str, Dict[str, Any]] = {
     "chaos": {"duration": 0.04, "seeds": (1,)},
     "ctrlbft": {"variants": ("central3",), "duration": 0.04},
     "advbench": {"profiles": ("vigilant",), "duration": 0.024, "seeds": (1,)},
+    "casestudy": {},
+    "virtualized": {},
     "table1": {
         "duration_tcp": 0.06, "duration_udp": 0.04,
         "ping_count": 20, "repetitions": 1,

@@ -257,10 +257,10 @@ def _cmd_list(args: argparse.Namespace) -> int:
         specs = plan.expand()
         path = os.path.join(PLAN_DIR, f"{name}.json")
         where = path if os.path.exists(path) else "(built-in)"
-        print(f"{name:8s} stages={len(plan.stages)} specs={len(specs):3d}  "
+        print(f"{name:11s} stages={len(plan.stages)} specs={len(specs):3d}  "
               f"{where}")
         if plan.description:
-            print(f"         {plan.description}")
+            print(f"            {plan.description}")
     return 0
 
 

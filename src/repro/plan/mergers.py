@@ -303,8 +303,9 @@ register_merger(Merger(
 
 
 # ----------------------------------------------------------------------
-# chaos_records / ctrlbft_records: records_list with the one line per
-# run that CI greps (`chaos ...` / `ctrlbft ...`) as text
+# chaos_records / ctrlbft_records / virtualized_records: records_list
+# with the one line per run that CI greps (`chaos ...` / `ctrlbft ...` /
+# `virtualized ...`) as text
 # ----------------------------------------------------------------------
 def _optional(value: Optional[float]) -> str:
     return f"{value:.4f}" if value is not None else "-"
@@ -337,14 +338,53 @@ def _ctrlbft_line(r) -> str:
     )
 
 
+def _virtualized_line(r) -> str:
+    # k = 2 cannot outvote a bad copy: the flow stalls and the alarms are
+    # the result; k = 3 delivers every datagram over the honest majority
+    verdict = "PREVENTED" if r["received"] == r["sent"] else "DETECTED"
+    return (
+        f"virtualized {r['variant']} + {r['schedule']}: "
+        f"{r['received']}/{r['sent']} datagrams, "
+        f"{sum(r['alarms'].values())} alarms -> {verdict}"
+    )
+
+
 for _kind, _line in (("chaos_records", _chaos_line),
-                     ("ctrlbft_records", _ctrlbft_line)):
+                     ("ctrlbft_records", _ctrlbft_line),
+                     ("virtualized_records", _virtualized_line)):
     register_merger(Merger(
         kind=_kind,
         merge=_merge_records_list,
         records=_records_list_records,
         render=_line_per_record(_line),
     ))
+
+
+# ----------------------------------------------------------------------
+# casestudy_table: the three Section VI runs as the paper's count table
+# ----------------------------------------------------------------------
+def _casestudy_render(merged, options) -> str:
+    rows = [
+        [
+            r["scenario"],
+            str(r["requests_sent"]),
+            str(r["requests_at_fw1"]),
+            str(r["responses_at_vm1"]),
+            str(r["screening"]["strays"]),
+        ]
+        for r in merged
+    ]
+    return "Section VI case study\n" + _report_mod().format_table(
+        ["scenario", "sent", "req@fw1", "resp@vm1", "strays"], rows
+    )
+
+
+register_merger(Merger(
+    kind="casestudy_table",
+    merge=_merge_records_list,
+    records=_records_list_records,
+    render=_casestudy_render,
+))
 
 
 # ----------------------------------------------------------------------

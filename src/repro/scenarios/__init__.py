@@ -1,4 +1,4 @@
-"""Ready-made evaluation scenarios (Sections V, VI and VII)."""
+"""Ready-made evaluation scenarios (Sections V, VI, VII and IX)."""
 
 from repro.scenarios.datacenter import (
     BENIGN_PATH,
@@ -13,6 +13,7 @@ from repro.scenarios.ctrlplane import (
 )
 from repro.scenarios.registry import (
     ScenarioSpec,
+    compare_scenarios,
     figure_scenarios,
     get_scenario,
     register_scenario,
@@ -24,11 +25,6 @@ from repro.scenarios.testbed import (
     TestbedParams,
     VARIANTS,
     build_testbed,
-)
-from repro.scenarios.transport import (
-    TransportCombiner,
-    build_transport_combiner,
-    build_transport_scenario,
 )
 from repro.scenarios.virtualized import (
     VirtualizedScenario,
@@ -43,6 +39,7 @@ __all__ = [
     "DatacenterCaseStudy",
     "ScreeningReport",
     "ScenarioSpec",
+    "compare_scenarios",
     "figure_scenarios",
     "get_scenario",
     "register_scenario",
@@ -53,9 +50,6 @@ __all__ = [
     "VARIANTS",
     "build_ctrl_testbed",
     "build_testbed",
-    "TransportCombiner",
-    "build_transport_combiner",
-    "build_transport_scenario",
     "VirtualizedScenario",
     "build_virtualized_scenario",
 ]

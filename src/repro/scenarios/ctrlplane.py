@@ -97,7 +97,8 @@ def build_ctrl_testbed(
     params: Optional[TestbedParams] = None,
     seed: Optional[int] = None,
 ) -> CtrlTestbed:
-    """Build any Section V variant under reactive replicated control."""
+    """Build any chain scenario under reactive replicated control (a
+    virtual one is rejected: its tunnels are provisioned statically)."""
     ctrl = ctrl or CtrlParams()
     testbed = build_testbed(variant, params=params, seed=seed, install_routes=False)
     net = testbed.network
@@ -115,11 +116,12 @@ def build_ctrl_testbed(
         name="nc_ctrl",
         trace_bus=net.trace,
         compare_config=ctrl.compare_config(),
-        alarm_sink=testbed.chain.alarms,
+        alarm_sink=testbed.alarms,
         proc_time=ctrl.ctrl_proc_time,
     )
-    for router in testbed.chain.routers:
-        router.connect_controller(control_plane, latency=ctrl.ctrl_latency)
+    for branch in testbed.branches:
+        for switch in branch:
+            switch.connect_controller(control_plane, latency=ctrl.ctrl_latency)
 
     quarantine: Optional[QuarantineController] = None
     if ctrl.ctrl_k >= 2:

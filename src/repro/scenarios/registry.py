@@ -1,21 +1,24 @@
-"""The scenario registry: one typed record per evaluation scenario.
+"""The scenario registry: one typed record per combiner realisation.
 
-Every Section V testbed variant is registered here once, as a
+Every scenario ``build_testbed`` can build is registered here once — the
+six Section V testbed variants, the Section VII virtualized combiner and
+the Section IX coarse-grained and sampled combiners — as a
 :class:`ScenarioSpec` carrying the builder parameters (replication
-factor, endpoint mode, compare transport) *and* the presentation
-metadata the rest of the stack needs (paper-figure ordering, Table I
-membership).  Everything that used to be a hand-maintained list —
-``testbed.VARIANTS``, the figure and Table I scenario orders
-(:func:`figure_scenarios` / :func:`table1_scenarios`), CLI ``choices``
-and validation messages, experiment-plan validation —
-derives from this registry, so registering a new scenario propagates it
-everywhere at once and nothing can desynchronise.
+factor, endpoint mode, compare transport, branch depth, sample rate,
+virtual) *and* the presentation metadata the rest of the stack needs
+(paper-figure ordering, Table I membership).  Everything that used to be
+a hand-maintained list — ``testbed.VARIANTS``, the figure and Table I
+scenario orders (:func:`figure_scenarios` / :func:`table1_scenarios`),
+CLI ``choices`` (:func:`compare_scenarios`) and validation messages,
+experiment-plan validation — derives from this registry, so registering
+a new scenario propagates it everywhere at once and nothing can
+desynchronise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.endpoint import MODE_COMBINE, MODE_DUP
 
@@ -26,6 +29,8 @@ __all__ = [
     "scenario_names",
     "figure_scenarios",
     "table1_scenarios",
+    "compare_scenarios",
+    "require_compare",
     "unknown_scenario_error",
 ]
 
@@ -39,8 +44,13 @@ class ScenarioSpec:
     mode: str              # MODE_COMBINE (full NetCo) or MODE_DUP (split only)
     transport: str         # compare transport: "inline" or "controller"
     title: str = ""        # human-readable label
-    figure_order: int = 0  # column order in the paper's figures/Table I
+    #: column order in the paper's figures/Table I; None = not a §V column
+    figure_order: Optional[int] = None
     in_table1: bool = True # does the paper's Table I include this scenario?
+    depth: int = 1         # switches per branch (§IX coarse-grained: > 1)
+    #: §IX sampled detection: fraction of packets compared out of band
+    sample_rate: Optional[float] = None
+    virtual: bool = False  # §VII: k VLAN tunnels, in-band egress compare
 
     def validate(self) -> None:
         if not self.name:
@@ -52,6 +62,20 @@ class ScenarioSpec:
         if self.transport not in ("inline", "controller"):
             raise ValueError(
                 f"{self.name}: unknown compare transport {self.transport!r}"
+            )
+        if self.depth < 1:
+            raise ValueError(f"{self.name}: depth must be >= 1, got {self.depth}")
+        if self.sample_rate is not None and not 0.0 <= self.sample_rate <= 1.0:
+            raise ValueError(
+                f"{self.name}: sample rate out of range: {self.sample_rate}"
+            )
+        if self.virtual and (
+            self.mode != MODE_COMBINE or self.transport != "inline"
+            or self.depth != 1 or self.sample_rate is not None
+        ):
+            raise ValueError(
+                f"{self.name}: a virtual combiner is mode 'combine', "
+                f"transport 'inline', depth 1 and unsampled"
             )
 
 
@@ -90,19 +114,31 @@ def scenario_names() -> Tuple[str, ...]:
 
 
 def figure_scenarios() -> Tuple[str, ...]:
-    """Scenario names in the paper's figure/column order."""
-    return tuple(
-        s.name for s in sorted(_SCENARIOS.values(), key=lambda s: s.figure_order)
-    )
+    """The Section V scenario names in the paper's figure/column order."""
+    columns = [s for s in _SCENARIOS.values() if s.figure_order is not None]
+    return tuple(s.name for s in sorted(columns, key=lambda s: s.figure_order))
 
 
 def table1_scenarios() -> Tuple[str, ...]:
     """The Table I scenarios, in the paper's column order."""
-    return tuple(
-        s.name
-        for s in sorted(_SCENARIOS.values(), key=lambda s: s.figure_order)
-        if s.in_table1
-    )
+    return tuple(n for n in figure_scenarios() if _SCENARIOS[n].in_table1)
+
+
+def compare_scenarios() -> Tuple[str, ...]:
+    """The scenarios with a compare element — what a supervised flow
+    (``chaos.run``, ``adv.run``) can run on."""
+    return tuple(s.name for s in _SCENARIOS.values() if s.mode == MODE_COMBINE)
+
+
+def require_compare(names: Iterable[str]) -> None:
+    """Reject, before anything runs, a scenario that cannot host a
+    supervised flow (unknown names get the registry's usual message)."""
+    for name in names:
+        if get_scenario(name).mode != MODE_COMBINE:
+            raise ValueError(
+                f"variant {name!r} has no compare element; "
+                f"pick from {compare_scenarios()}"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -133,4 +169,25 @@ register_scenario(ScenarioSpec(
 register_scenario(ScenarioSpec(
     "dup5", k=5, mode=MODE_DUP, transport="inline",
     title="Dup5", figure_order=2,
+))
+
+
+# ----------------------------------------------------------------------
+# the other realisations of the same mechanism (no figure column)
+# ----------------------------------------------------------------------
+register_scenario(ScenarioSpec(
+    "virtual2", k=2, mode=MODE_COMBINE, transport="inline", virtual=True,
+    title="Virtualized k=2 (detection only)",
+))
+register_scenario(ScenarioSpec(
+    "virtual3", k=3, mode=MODE_COMBINE, transport="inline", virtual=True,
+    title="Virtualized k=3",
+))
+register_scenario(ScenarioSpec(
+    "transport3", k=3, mode=MODE_COMBINE, transport="inline", depth=3,
+    title="Coarse-grained k=3 (3-switch replica networks)",
+))
+register_scenario(ScenarioSpec(
+    "sampled2", k=2, mode=MODE_COMBINE, transport="inline", sample_rate=0.2,
+    title="Sampled detection k=2 (20 % compared)",
 ))

@@ -1,6 +1,9 @@
-"""The Figure 3 performance-testing topology, in all six variants.
+"""Every registered combiner realisation behind one handle.
 
-Section V-A defines the scenarios; all are derived from the same chain
+:func:`build_testbed` builds any scenario of the registry
+(:mod:`repro.scenarios.registry`) and returns a :class:`Testbed`; tasks
+read the handle, never the combiner under it.  Section V-A defines the
+six Figure 3 variants; all are derived from the same chain
 ``h1 — s1 — {r_i} — s2 — h2`` (plus ``h3``, the compare host):
 
 * **Linespeed** — h1, s1, r3, s2, h2 only: the insecure benchmark.
@@ -8,6 +11,14 @@ Section V-A defines the scenarios; all are derived from the same chain
   C-style compare attached in-band on a dedicated host.
 * **POX3** — k=3, compare as a POX controller application.
 * **Dup3 / Dup5** — hubs only; packets are split but never combined.
+
+The other realisations are the same mechanism: **transport3** (Section
+IX, each branch a chain of three switches) and **sampled2** (Section IX,
+branch 0 forwards and a fifth of the packets is compared) are
+parameterisations of that chain; **virtual2 / virtual3** (Section VII)
+are the Figure 9 ladder of :mod:`repro.scenarios.virtualized`, whose own
+link and switch constants stay — :class:`TestbedParams` contributes the
+seed and the compare configuration there.
 
 Calibration: the simulator's free parameters (per-packet costs, link
 characteristics) are set so that the *shape* of the paper's Table I /
@@ -22,7 +33,7 @@ sender cost (iperf's syscall path), and a receive path costing
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Dict, Optional, Union
 
 from repro.core.combiner import (
     CombinerChain,
@@ -30,6 +41,7 @@ from repro.core.combiner import (
     build_combiner_chain,
 )
 from repro.core.compare import CompareConfig
+from repro.core.virtual import VirtualCombiner
 from repro.net.host import Host
 from repro.net.topology import Network
 from repro.scenarios.registry import (
@@ -37,6 +49,7 @@ from repro.scenarios.registry import (
     get_scenario,
     scenario_names,
 )
+from repro.scenarios.virtualized import build_virtualized_scenario
 from repro.traffic.iperf import PathEndpoints
 
 #: all registered variant names — derived from the scenario registry
@@ -92,7 +105,9 @@ class TestbedParams:
 
 
 class Testbed:
-    """A built Figure 3 scenario: network, hosts, combiner chain."""
+    """A built scenario: network, hosts, and the combiner between them
+    (``chain``: a :class:`CombinerChain`, or the Section VII
+    :class:`VirtualCombiner` with its edges as the trusted elements)."""
 
     __test__ = False  # not a pytest class, despite the name
 
@@ -102,7 +117,7 @@ class Testbed:
         network: Network,
         h1: Host,
         h2: Host,
-        chain: CombinerChain,
+        chain: Union[CombinerChain, VirtualCombiner],
         params: TestbedParams,
     ) -> None:
         self.variant = variant
@@ -123,13 +138,35 @@ class Testbed:
         return self.chain.compare_core
 
     @property
+    def alarms(self):
+        return self.chain.alarms
+
+    @property
     def routers(self):
-        return self.chain.routers
+        """Each branch's first switch."""
+        return [branch[0] for branch in self.chain.branches]
+
+    @property
+    def branches(self):
+        """``branches[i][hop]``: every untrusted switch, by branch."""
+        return self.chain.branches
 
     @property
     def transport(self):
         """The chain's ingress-endpoint transport (``chain.transport``)."""
         return self.chain.transport
+
+    def aliases(self) -> Dict[str, str]:
+        """Fault-schedule target aliases: ``r{i}`` is the first switch of
+        branch i, ``link_a{i}`` / ``link_b{i}`` the links joining the
+        branch to the ingress / egress trusted element."""
+        chain = self.chain
+        aliases: Dict[str, str] = {}
+        for i, branch in enumerate(chain.branches):
+            aliases[f"r{i}"] = branch[0].name
+            aliases[f"link_a{i}"] = f"{chain.endpoint_a.name}-{branch[0].name}"
+            aliases[f"link_b{i}"] = f"{branch[-1].name}-{chain.endpoint_b.name}"
+        return aliases
 
 
 def build_testbed(
@@ -138,7 +175,7 @@ def build_testbed(
     seed: Optional[int] = None,
     install_routes: bool = True,
 ) -> Testbed:
-    """Build one Section V scenario from scratch.
+    """Build one registered scenario from scratch.
 
     ``install_routes=False`` leaves the untrusted routers' flow tables
     empty — for scenarios where a control plane installs routes
@@ -149,12 +186,24 @@ def build_testbed(
     params = params or TestbedParams()
     if seed is not None:
         params = replace(params, seed=seed)
-    k, mode, transport = spec.k, spec.mode, spec.transport
+    k = spec.k
+    if spec.virtual:
+        if not install_routes:
+            raise ValueError(
+                f"variant {variant!r} provisions its tunnels statically; "
+                "it cannot run under reactive control"
+            )
+        ladder = build_virtualized_scenario(
+            k=k, seed=params.seed, compare=params.compare_config(k)
+        )
+        return Testbed(
+            variant, ladder.network, ladder.src, ladder.dst, ladder.combiner, params
+        )
 
     net = Network(seed=params.seed, batch_train=params.batch_train)
     chain_params = CombinerChainParams(
         k=k,
-        mode=mode,
+        mode=spec.mode,
         link_rate_bps=params.link_rate_bps,
         link_delay=params.link_delay,
         queue_capacity=params.queue_capacity,
@@ -167,40 +216,28 @@ def build_testbed(
         compare_link_rate_bps=params.compare_link_rate_bps,
         compare_link_delay=params.compare_link_delay,
         compare=params.compare_config(k),
-        transport=transport,
+        transport=spec.transport,
         controller_latency=params.pox_channel_latency,
         controller_proc_time=params.pox_proc_time,
+        depth=spec.depth,
+        sample_rate=spec.sample_rate,
     )
     chain = build_combiner_chain(net, "nc", chain_params)
 
-    h1 = net.add_host(
-        "h1",
+    host = dict(
         stack_delay=params.host_stack_delay,
         stack_jitter=params.host_stack_jitter,
         recv_cost_base=params.host_recv_cost_base,
         recv_cost_per_byte=params.host_recv_cost_per_byte,
     )
-    h2 = net.add_host(
-        "h2",
-        stack_delay=params.host_stack_delay,
-        stack_jitter=params.host_stack_jitter,
-        recv_cost_base=params.host_recv_cost_base,
-        recv_cost_per_byte=params.host_recv_cost_per_byte,
-    )
-    net.connect(
-        h1,
-        chain.endpoint_a,
+    link = dict(
         rate_bps=params.link_rate_bps,
         delay=params.link_delay,
         queue_capacity=params.queue_capacity,
     )
-    net.connect(
-        h2,
-        chain.endpoint_b,
-        rate_bps=params.link_rate_bps,
-        delay=params.link_delay,
-        queue_capacity=params.queue_capacity,
-    )
+    h1, h2 = net.add_host("h1", **host), net.add_host("h2", **host)
+    net.connect(h1, chain.endpoint_a, **link)
+    net.connect(h2, chain.endpoint_b, **link)
     if install_routes:
         # MAC-destination routing on the untrusted routers (the paper's
         # only matched header field).

@@ -15,7 +15,7 @@ attack be mounted on any transit switch.  With ``k = 2`` misbehaviour is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.compare import CompareConfig
@@ -41,15 +41,15 @@ class VirtualizedScenario:
     dst: Host
     ingress: VirtualIngress
     egress: VirtualEgress
-    transits: List[OpenFlowSwitch] = field(default_factory=list)
-    combiner: Optional[VirtualCombiner] = None
+    #: every wired transit, spare paths beyond the combiner's k included
+    transits: List[OpenFlowSwitch]
+    combiner: VirtualCombiner
 
     def transit(self, index: int) -> OpenFlowSwitch:
         return self.transits[index]
 
     @property
     def compare_core(self):
-        assert self.combiner is not None
         return self.combiner.core
 
 
@@ -57,22 +57,22 @@ def build_virtualized_scenario(
     k: int = 3,
     paths_available: Optional[int] = None,
     seed: int = 0,
-    protect: bool = True,
-    buffer_timeout: float = 2e-3,
-    switch_proc_time: float = 5e-6,
+    compare: Optional[CompareConfig] = None,
 ) -> VirtualizedScenario:
-    """Build the ladder and (optionally) provision the virtual combiner.
+    """Build the ladder and provision the virtual combiner.
 
     ``paths_available`` transit paths are wired (default ``k``); the
     combiner uses the first ``k``.  Each transit switch stands in for a
     different vendor, so a single compromised transit models the paper's
-    non-cooperation assumption.
+    non-cooperation assumption.  ``compare`` defaults to a 5 µs compare
+    with a 2 ms buffer timeout.
     """
     paths_available = paths_available if paths_available is not None else k
     if paths_available < k:
         raise ValueError(f"need at least {k} paths, got {paths_available}")
     net = Network(seed=seed)
     link = dict(rate_bps=1e9, delay=2e-6)
+    switch_proc_time = 5e-6
 
     ingress = VirtualIngress(net.sim, "ingress", trace_bus=net.trace,
                              proc_time=switch_proc_time)
@@ -120,21 +120,12 @@ def build_virtualized_scenario(
         priority=10,
     )
 
-    scenario = VirtualizedScenario(
-        network=net,
-        src=src,
-        dst=dst,
-        ingress=ingress,
-        egress=egress,
-        transits=transits,
+    combiner = provision_virtual_combiner(
+        net,
+        ingress,
+        egress,
+        dst_mac=dst.mac,
+        k=k,
+        compare=compare or CompareConfig(k=k, proc_time=5e-6, buffer_timeout=2e-3),
     )
-    if protect:
-        scenario.combiner = provision_virtual_combiner(
-            net,
-            ingress,
-            egress,
-            dst_mac=dst.mac,
-            k=k,
-            compare=CompareConfig(k=k, proc_time=5e-6, buffer_timeout=buffer_timeout),
-        )
-    return scenario
+    return VirtualizedScenario(net, src, dst, ingress, egress, transits, combiner)

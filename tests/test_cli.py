@@ -54,6 +54,32 @@ class TestCli:
         out = capsys.readouterr().out
         assert "DETECTED" in out and "PREVENTED" in out
 
+    def test_casestudy_parallel_output_matches_serial(self, capsys):
+        assert main(["casestudy", "--no-cache", "--jobs", "2"]) == 0
+        parallel = capsys.readouterr().out
+        assert main(["casestudy", "--no-cache"]) == 0
+        serial = capsys.readouterr().out
+        assert _record_lines(parallel, "casestudy") == _record_lines(
+            serial, "casestudy")
+        # the table the hand-written command printed, byte for byte
+        assert _record_lines(serial, "casestudy") == [
+            "Section VI case study",
+            "  scenario   sent  req@fw1  resp@vm1  strays",
+            "  ---------  ----  -------  --------  ------",
+            "  baseline   10    10       10        0     ",
+            "  attack     10    20       0         10    ",
+            "  protected  10    10       10        0     ",
+        ]
+
+    def test_casestudy_and_virtualized_records_reach_the_report(
+            self, capsys, tmp_path):
+        for name, count in (("casestudy", 3), ("virtualized", 2)):
+            report = tmp_path / f"{name}.json"
+            assert main([name, "--no-cache", "--report", str(report)]) == 0
+            records = json.loads(report.read_text())["records"]
+            assert len(records) == count
+        assert [r["variant"] for r in records] == ["virtual2", "virtual3"]
+
     def test_fig7_quick(self, capsys):
         assert main(["fig7", "--quick"]) == 0
         out = capsys.readouterr().out
@@ -228,7 +254,8 @@ class TestFlagHygiene:
         ["fig7", "--task-timeout", "-1"],
         ["fig7", "--task-timeout", "0"],
         ["fig7", "--train", "0"],
-        ["casestudy", "--jobs", "2"],               # not a farm command
+        ["chaos", "--variant", "dup3"],             # no compare element
+        ["chaos", "--quick", "--no-cache", "--variant", "linespeed"],
         ["obs", "trace", "--chaos", "crash"],       # the removed dead knob
         ["fig5", "--profile"],                      # --profile-shards profiles
         ["live", "demo", "--packets", "0"],

@@ -1,6 +1,9 @@
 """Detection-latency property suite: the advbench safety contract.
 
-Three claims, each driven across 24 seeds per adversary strategy:
+Three claims, each driven across 24 seeds per adversary strategy; the
+first two on every realisation of the combiner that can outvote a
+branch (the Section V chain, the Section IX coarse-grained combiner and
+the Section VII virtualized one):
 
 1. **No masked damage below quorum.**  While an honest quorum holds, no
    tampered wire image is ever released to the receiver, no attack-window
@@ -41,11 +44,34 @@ COLLUSION = ("colluding_minority", "colluding_quorum")
 
 SUB_QUORUM = tuple(a for a in ADVBENCH_ADVERSARIES if a != "colluding_quorum")
 
+#: the realisations claims 1 and 2 run on.  "central" is central3, or
+#: central5 for the collusion rows; at k = 3 (transport3, virtual3) a
+#: colluding minority is the single branch r0.
+REALISATIONS = ("central", "transport3", "virtual3")
+
+
+def realisation_grid(adversaries):
+    """``(variant, adversary, seed)`` cases; the Section V rows keep the
+    ids they had before the other realisations joined them."""
+    return [
+        pytest.param(
+            variant, adversary, seed,
+            id=(f"{adversary}-{seed}" if variant == "central"
+                else f"{variant}-{adversary}-{seed}"),
+        )
+        for variant in REALISATIONS
+        for adversary in adversaries
+        for seed in SEEDS
+    ]
+
 
 @functools.lru_cache(maxsize=None)
-def record(adversary: str, seed: int, activate_at: float = 0.004) -> dict:
-    """One cached advbench record; each (adversary, seed) runs once."""
-    variant = "central5" if adversary in COLLUSION else "central3"
+def record(adversary: str, seed: int, activate_at: float = 0.004,
+           variant: str = "central") -> dict:
+    """One cached advbench record; each (adversary, seed, variant) runs
+    once."""
+    if variant == "central":
+        variant = "central5" if adversary in COLLUSION else "central3"
     return adversary_run(
         seed=seed,
         variant=variant,
@@ -59,10 +85,9 @@ def record(adversary: str, seed: int, activate_at: float = 0.004) -> dict:
 # ----------------------------------------------------------------------
 # 1. safety below quorum
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("adversary", SUB_QUORUM)
-def test_no_masked_damage_below_quorum(adversary, seed):
-    rec = record(adversary, seed)
+@pytest.mark.parametrize("variant, adversary, seed", realisation_grid(SUB_QUORUM))
+def test_no_masked_damage_below_quorum(variant, adversary, seed):
+    rec = record(adversary, seed, variant=variant)
     assert rec["masked_damage"] == 0
     assert rec["packets_leaked_before_quarantine"] == 0
     assert rec["false_quarantines"] == 0
@@ -83,10 +108,10 @@ def test_colluding_minority_is_silent_but_harmless(seed):
 # ----------------------------------------------------------------------
 # 2. bounded time-to-alarm above threshold
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("adversary", ABOVE_THRESHOLD)
-def test_above_threshold_alarms_within_horizon(adversary, seed):
-    rec = record(adversary, seed)
+@pytest.mark.parametrize(
+    "variant, adversary, seed", realisation_grid(ABOVE_THRESHOLD))
+def test_above_threshold_alarms_within_horizon(variant, adversary, seed):
+    rec = record(adversary, seed, variant=variant)
     assert rec["tampered"] > 0
     assert rec["time_to_first_alarm"] is not None
     assert rec["detection_latency"] is not None

@@ -35,8 +35,13 @@ from repro.plan import (
     jitter_params,
     table1_plan,
 )
-from repro.scenarios import scenario_names
-from repro.scenarios.registry import figure_scenarios, table1_scenarios
+from repro.plan.builtin import advbench_plan, virtualized_plan
+from repro.scenarios import ScenarioSpec, scenario_names
+from repro.scenarios.registry import (
+    compare_scenarios,
+    figure_scenarios,
+    table1_scenarios,
+)
 from repro.scenarios.testbed import VARIANTS
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -301,13 +306,42 @@ class TestRegistryDerivation:
     def test_variants_tuple_comes_from_registry(self):
         assert VARIANTS == scenario_names()
         assert VARIANTS == ("linespeed", "central3", "central5",
-                            "pox3", "dup3", "dup5")
+                            "pox3", "dup3", "dup5",
+                            "virtual2", "virtual3", "transport3", "sampled2")
+
+    def test_compare_scenarios_are_those_with_a_compare_element(self):
+        assert compare_scenarios() == (
+            "central3", "central5", "pox3",
+            "virtual2", "virtual3", "transport3", "sampled2")
 
     def test_figure_and_table1_orders(self):
         assert figure_scenarios() == ("linespeed", "dup3", "dup5",
                                       "central3", "central5", "pox3")
         assert table1_scenarios() == ("linespeed", "dup3", "dup5",
                                       "central3", "central5")
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"depth": 0}, "depth must be >= 1"),
+        ({"sample_rate": 1.5}, "sample rate out of range"),
+        ({"sample_rate": -0.1}, "sample rate out of range"),
+        ({"virtual": True, "mode": "dup"}, "virtual combiner"),
+        ({"virtual": True, "transport": "controller"}, "virtual combiner"),
+        ({"virtual": True, "depth": 2}, "virtual combiner"),
+        ({"virtual": True, "sample_rate": 0.5}, "virtual combiner"),
+    ])
+    def test_spec_validates_the_realisation_fields(self, fields, message):
+        spec = {"k": 3, "mode": "combine", "transport": "inline", **fields}
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec("probe", **spec).validate()
+
+    @pytest.mark.parametrize("build", [
+        lambda: chaos_plan(variant="dup3"),
+        lambda: advbench_plan(variants=("central3", "linespeed")),
+        lambda: virtualized_plan(variants=("dup5",)),
+    ])
+    def test_supervised_plans_reject_a_scenario_without_a_compare(self, build):
+        with pytest.raises(ValueError, match="has no compare element"):
+            build()
 
     def test_build_testbed_error_lists_registry_names(self):
         from repro.scenarios.testbed import build_testbed

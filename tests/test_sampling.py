@@ -4,18 +4,17 @@ import pytest
 
 from repro.adversary import BlackholeBehavior, PayloadCorruptionBehavior
 from repro.core import ALARM_MINORITY_DIVERGENCE
-from repro.core.sampling import (
-    SamplingEndpoint,
-    build_sampling_chain,
-    deterministic_sample,
-)
+from repro.core.combiner import CombinerChainParams, build_combiner_chain
+from repro.core.sampling import SamplingEndpoint, deterministic_sample
 from repro.net import Network
 from repro.traffic.iperf import PathEndpoints, run_ping, run_udp_flow
 
 
 def build_rig(sample_rate=0.25, k=2, seed=13):
     net = Network(seed=seed)
-    chain = build_sampling_chain(net, "sc", k=k, sample_rate=sample_rate)
+    chain = build_combiner_chain(
+        net, "sc", CombinerChainParams(k=k, sample_rate=sample_rate)
+    )
     h1 = net.add_host("h1")
     h2 = net.add_host("h2")
     net.connect(h1, chain.endpoint_a)
@@ -87,6 +86,25 @@ class TestBenignOperation:
         net2, chain2, h12, h22 = build_rig(sample_rate=0.0, seed=14)
         plain_rtt = run_ping(PathEndpoints(net2, h12, h22), count=5).rtts.mean
         assert sampled_rtt == pytest.approx(plain_rtt, rel=0.2)
+
+
+class TestBatchTier:
+    def test_a_train_through_sampled2_equals_the_per_packet_run(self):
+        # a branch arrival leaves its train: forward-or-sample is per packet
+        from repro.scenarios.testbed import TestbedParams, build_testbed
+
+        def run(train):
+            testbed = build_testbed(
+                "sampled2", params=TestbedParams(batch_train=train), seed=3)
+            flow = run_udp_flow(testbed.path(), rate_bps=100e6, duration=0.02)
+            egress = testbed.chain.endpoint_b
+            return (flow.sent, flow.received_unique, flow.jitter_ms,
+                    egress.sampled, egress.fast_forwarded,
+                    testbed.compare_core.stats.as_dict())
+
+        per_packet = run(1)
+        assert per_packet[1] == per_packet[0] > 0
+        assert run(32) == per_packet
 
 
 class TestDetection:

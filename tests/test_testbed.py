@@ -6,6 +6,7 @@ reduced durations, so the full benchmark suite can't silently drift.
 
 import pytest
 
+from repro.scenarios.registry import get_scenario
 from repro.scenarios.testbed import TestbedParams, VARIANTS, build_testbed
 from repro.traffic.iperf import run_ping, run_tcp_flow, run_udp_flow
 
@@ -16,6 +17,39 @@ class TestConstruction:
         testbed = build_testbed(variant, seed=1)
         result = run_ping(testbed.path(), count=3, interval=2e-3)
         assert result.received == 3
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_aliases_resolve_to_existing_nodes_and_links(self, variant):
+        testbed = build_testbed(variant)
+        aliases = testbed.aliases()
+        links = {link.name for link in testbed.network.links}
+        assert sorted(aliases) == sorted(
+            f"{kind}{i}" for i in range(len(testbed.routers))
+            for kind in ("r", "link_a", "link_b")
+        )
+        for alias, name in aliases.items():
+            assert name in (links if alias.startswith("link_")
+                            else testbed.network.nodes), (alias, name)
+        for i, branch in enumerate(testbed.branches):
+            assert aliases[f"r{i}"] == branch[0].name == testbed.routers[i].name
+
+    @pytest.mark.parametrize(
+        "variant", [v for v in VARIANTS if get_scenario(v).depth == 1])
+    def test_depth_one_branches_are_the_routers(self, variant):
+        testbed = build_testbed(variant)
+        assert testbed.branches == [[r] for r in testbed.routers]
+
+    def test_transport3_branches_are_three_switches_deep(self):
+        testbed = build_testbed("transport3")
+        assert [len(branch) for branch in testbed.branches] == [3, 3, 3]
+
+    def test_sampled2_attaches_a_divergence_watcher(self):
+        assert build_testbed("sampled2").chain.watcher is not None
+        assert build_testbed("central3").chain.watcher is None
+
+    def test_virtual_scenarios_cannot_run_under_reactive_control(self):
+        with pytest.raises(ValueError, match="reactive control"):
+            build_testbed("virtual3", install_routes=False)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
