@@ -42,7 +42,6 @@ from repro.transport import (
     SessionSpec,
     Transport,
 )
-from repro.transport.des import read_collect_meta
 
 
 class CompareHost(Node):
@@ -96,7 +95,7 @@ class CompareHost(Node):
         if session is None:
             self.trace("compare_host.unregistered_port", port=in_port.port_no)
             return
-        meta = read_collect_meta(packet)
+        meta = packet.meta or {}  # the DES collect wire format
         if meta.get("branch") is None:
             self.trace("compare_host.untagged_packet", port=in_port.port_no)
             return

@@ -23,7 +23,7 @@ arrivals are forwarded directly, duplicates and all.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.alarms import ALARM_SPOOFED_BRANCH, AlarmSink
 from repro.core.compare import CompareContext, CompareCore
@@ -42,7 +42,6 @@ from repro.transport import (
     SessionSpec,
     Transport,
 )
-from repro.transport.des import read_collect_meta
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     pass
@@ -153,21 +152,21 @@ class CombinerEndpoint(OpenFlowSwitch):
         self._compare_port_no: Optional[int] = None
         self._compare_core: Optional[CompareCore] = None
         self._mac_table: Dict[MacAddress, int] = {}
-        # Transport sessions for the three combiner directions (built on
-        # wiring; the collect session is lazy because the controller
-        # variant replaces it with a control-channel session).
-        self._fan_session_by_branch: Dict[int, Session] = {}
+        # Transport sessions for the collect and release directions (the
+        # collect session is set on wiring because the controller variant
+        # replaces it with a control-channel session).
         self._collect_session: Optional[Session] = None
         self._release_session: Optional[Session] = None
-        # Train fast-path caches (wiring and role assignments are static
-        # once the testbed is built; invalidated on any change anyway).
-        self._fan_cache: Optional[List] = None
-        self._ext_cache: Optional[tuple] = None
+        # Wiring resolved once, for the per-packet and the train paths
+        # alike (it is static once the testbed is built; any port or role
+        # change drops both): the fan-out ``(branch, session)`` pairs and
+        # the external ports ``(numbers, ports in port order)``.
+        self._fan_cache: Optional[List[Tuple[int, Session]]] = None
+        self._ext_cache: Optional[Tuple[frozenset, List]] = None
 
     def add_port(self, port_no: Optional[int] = None):
         self._fan_cache = None
         self._ext_cache = None
-        self._fan_session_by_branch.clear()
         return super().add_port(port_no)
 
     # ------------------------------------------------------------------
@@ -236,6 +235,27 @@ class CombinerEndpoint(OpenFlowSwitch):
             and no != self._compare_port_no
         ]
 
+    def _resolve_fan(self) -> List[Tuple[int, Session]]:
+        """Fill ``_fan_cache``: the hub's ``(branch, fan-out session)``
+        pairs, in branch order, over wired branch ports."""
+        fan = []
+        for branch in self.branch_ids:
+            port = self.ports.get(self._port_by_branch[branch])
+            if port is not None and port.is_wired:
+                fan.append((branch, self.transport.session(
+                    SessionSpec(self.name, ROLE_FANOUT, branch), port=port
+                )))
+        self._fan_cache = fan
+        return fan
+
+    def _resolve_externals(self) -> Tuple[frozenset, List]:
+        """Fill ``_ext_cache``: :meth:`external_ports` as
+        ``(numbers, ports in port order)``."""
+        nos = self.external_ports()
+        ext = (frozenset(nos), [self.ports[no] for no in nos])
+        self._ext_cache = ext
+        return ext
+
     # ------------------------------------------------------------------
     # datapath (replaces the OpenFlow pipeline with the trusted logic)
     # ------------------------------------------------------------------
@@ -249,7 +269,7 @@ class CombinerEndpoint(OpenFlowSwitch):
         elif in_port_no == self._compare_port_no:
             # Inbound leg of the release session: meta is the DES wire
             # format ({"claim": ...}); the receiver is handle_release.
-            self._release_session.deliver(packet, read_collect_meta(packet))
+            self._release_session.deliver(packet, packet.meta or {})
         else:
             self._from_external(packet, in_port_no)
 
@@ -307,16 +327,10 @@ class CombinerEndpoint(OpenFlowSwitch):
                 self.address_registry[ip.src] = eth.src
         fan = self._fan_cache
         if fan is None:
-            fan = [
-                self.ports[self._port_by_branch[b]]
-                for b in self.branch_ids
-                if self._port_by_branch[b] in self.ports
-                and self.ports[self._port_by_branch[b]].is_wired
-            ]
-            self._fan_cache = fan
+            fan = self._resolve_fan()
         estats = self.estats
-        for port in fan:
-            port.send_batch_packet(batch, i, now)
+        for _branch, session in fan:
+            session.port.send_batch_packet(batch, i, now)
             estats.duplicated += 1
 
     def _submit_batch_packet(
@@ -334,9 +348,7 @@ class CombinerEndpoint(OpenFlowSwitch):
         """Egress role for one train packet (dup mode: no compare)."""
         ext = self._ext_cache
         if ext is None:
-            nos = self.external_ports()
-            ext = (frozenset(nos), [self.ports[no] for no in nos])
-            self._ext_cache = ext
+            ext = self._resolve_externals()
         ext_nos, ext_ports = ext
         out_port_no = self._mac_table.get(batch.template.fields()[0].dst)
         if out_port_no is not None and out_port_no in ext_nos:
@@ -363,25 +375,20 @@ class CombinerEndpoint(OpenFlowSwitch):
             # benign copy without serialising again.  Pointless in dup
             # mode (no compare) and when source marking mutates each copy.
             packet.to_bytes()
-        fanout = 0
-        for branch in self.branch_ids:
-            port = self.ports.get(self._port_by_branch[branch])
-            if port is None or not port.is_wired:
-                continue
-            session = self._fan_session_by_branch.get(branch)
-            if session is None:
-                session = self.transport.session(
-                    SessionSpec(self.name, ROLE_FANOUT, branch), port=port
-                )
-                self._fan_session_by_branch[branch] = session
+        fan = self._fan_cache
+        if fan is None:
+            fan = self._resolve_fan()
+        estats = self.estats
+        mark = self.mark_sources
+        for branch, session in fan:
+            # a private object per branch: see transport/base.py
             copy = packet.copy()
-            if self.mark_sources:
+            if mark:
                 copy.eth.src = branch_marker(branch)
             session.send(copy)
-            self.estats.duplicated += 1
-            fanout += 1
+            estats.duplicated += 1
         if packet.trace_id is not None:
-            self.trace("endpoint.dup", trace=packet.trace_id, fanout=fanout)
+            self.trace("endpoint.dup", trace=packet.trace_id, fanout=len(fan))
 
     def _from_branch(
         self, packet: Packet, branch: int, claim: Optional[int] = None
@@ -428,26 +435,31 @@ class CombinerEndpoint(OpenFlowSwitch):
                     packet = packet.copy()  # note: clears meta; claim saved above
                     packet.eth.src = original
         if claim is not None:
-            port = self.ports.get(claim)
-            if port is not None and port.is_wired and claim in self.external_ports():
-                port.send(packet.copy())
+            ext = self._ext_cache
+            if ext is None:
+                ext = self._resolve_externals()
+            if claim in ext[0]:
+                self.ports[claim].send(packet.copy())
                 self.stats.forwarded += 1
                 return
         self._forward_external(packet)
 
     def _forward_external(self, packet: Packet) -> None:
+        ext = self._ext_cache
+        if ext is None:
+            ext = self._resolve_externals()
+        ext_nos, ext_ports = ext
         out_port_no = self._mac_table.get(packet.fields()[0].dst)
-        externals = self.external_ports()
-        if out_port_no is not None and out_port_no in externals:
+        if out_port_no is not None and out_port_no in ext_nos:
             self.ports[out_port_no].send(packet.copy())
             self.stats.forwarded += 1
             return
         # Unknown destination: flood the external side only — never back
         # into the untrusted bundle or at the compare.
         self.estats.flooded += 1
-        for no in externals:
-            self.ports[no].send(packet.copy())
-        if externals:
+        for port in ext_ports:
+            port.send(packet.copy())
+        if ext_ports:
             self.stats.forwarded += 1
 
     # ------------------------------------------------------------------

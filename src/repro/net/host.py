@@ -158,11 +158,12 @@ class Host(Node):
         tracer = self.tracer
         if tracer is not None and packet.trace_id is None:
             tracer.mark(packet, now, self.name)
-        depart = max(now, self._cpu_busy_until) + self._stack_traversal()
+        busy = self._cpu_busy_until
+        depart = (busy if busy > now else now) + self._stack_traversal()
         if depart <= now:
-            self.port(1).send(packet)
+            self.ports[1].send(packet)
         else:
-            sim.post(depart, self.port(1).send, (packet,))
+            sim.post(depart, self.ports[1].send, (packet,))
 
     # ------------------------------------------------------------------
     # receiving
@@ -183,7 +184,9 @@ class Host(Node):
             return
         # Single-server receive path: packets queue behind the stack.
         sim = self.sim
-        finish = max(sim._now, self._cpu_busy_until) + cost
+        now = sim._now
+        busy = self._cpu_busy_until
+        finish = (busy if busy > now else now) + cost
         self._cpu_busy_until = finish
         self._recv_queued += 1
         sim.post(finish + self._stack_traversal(), self._deliver, (packet,))

@@ -907,9 +907,18 @@ class Packet:
         new.trace_id = self.trace_id
         new._cow = cow
         self._cow |= cow
-        if self._wire is not None and self._cache_valid():
-            new._wire = self._wire
-            new._snap = self._snap
+        # _cache_valid(), inlined (hot): the headers are already in hand
+        wire = self._wire
+        snap = self._snap
+        if (
+            wire is not None
+            and snap[0] == eth._v
+            and snap[1] == (-1 if vlan is None else vlan._v)
+            and snap[2] == (-1 if ip is None else ip._v)
+            and snap[3] == (-1 if l4 is None else l4._v)
+        ):
+            new._wire = wire
+            new._snap = snap
         else:
             new._wire = None
             new._snap = None

@@ -1,9 +1,9 @@
 """OpenFlow 1.0 actions.
 
 Actions are small immutable objects.  Header-modifying actions mutate the
-packet *copy* being processed by the datapath (the switch copies frames
-before applying an action list, matching OF semantics where each action
-list operates on its own buffer).
+packet *copy* being processed by the datapath (the switch copies a frame
+before the first action that writes it, matching OF semantics where each
+action list operates on its own buffer).
 
 An empty action list means *drop*, as in OpenFlow 1.0.
 """

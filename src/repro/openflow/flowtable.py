@@ -3,7 +3,8 @@
 Lookup returns the highest-priority matching entry (earliest-installed on
 ties, which is deterministic and matches common switch behaviour).  Idle
 and hard timeouts are evaluated lazily against the simulated clock; the
-switch sweeps expired entries and emits *flow-removed* notifications.
+switch sweeps expired entries and emits *flow-removed* notifications.  A
+table none of whose entries has a timeout (``has_timeouts``) does neither.
 
 Lookups are served by a two-tier structure: fully-specified entries (the
 shape a reactive controller installs per flow — :meth:`Match.is_exact`)
@@ -108,9 +109,10 @@ class FlowTable:
         self.index_hits = 0
         self.scan_steps = 0
         self.misses = 0
-        # Mutation stamp + timeout flag for the packet-train lookup memo:
-        # a train may reuse its first packet's lookup only while the
-        # table is unchanged and no entry can expire between siblings.
+        # Mutation stamp + timeout flag.  A train may reuse its first
+        # packet's lookup only while the table is unchanged and no entry
+        # can expire between siblings; without timeouts a lookup skips the
+        # expiry checks and the switch skips the sweep.
         self.epoch = 0
         self.has_timeouts = False
 
@@ -158,6 +160,7 @@ class FlowTable:
     def lookup(self, packet: Packet, in_port: int, now: float) -> Optional[FlowEntry]:
         """Highest-priority live entry matching the packet, else None."""
         self.lookups += 1
+        timeouts = self.has_timeouts  # without any, no entry can expire
         best: Optional[FlowEntry] = None
         best_rank: Optional[Tuple[int, int]] = None
         if self._exact:
@@ -166,7 +169,7 @@ class FlowTable:
                 if not bucket:
                     continue
                 for entry in bucket:  # rank-sorted: first live one wins
-                    if entry.expired(now):
+                    if timeouts and entry.expired(now):
                         continue
                     rank = _rank(entry)
                     if best_rank is None or rank < best_rank:
@@ -177,7 +180,7 @@ class FlowTable:
             if best_rank is not None and _rank(entry) > best_rank:
                 break
             self.scan_steps += 1
-            if entry.expired(now):
+            if timeouts and entry.expired(now):
                 continue
             if entry.match.matches(packet, in_port):
                 best = entry

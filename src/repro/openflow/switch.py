@@ -165,21 +165,28 @@ class OpenFlowSwitch(Node):
     # datapath
     # ------------------------------------------------------------------
     def receive(self, packet: Packet, in_port: Port) -> None:
-        self.stats.rx_packets += 1
+        stats = self.stats
+        stats.rx_packets += 1
         if self._failed:
-            self.stats.dropped_failed += 1
+            stats.dropped_failed += 1
             self.trace("switch.drop", reason="failed", packet=packet)
             return
         if self._in_service >= self.service_queue_capacity:
-            self.stats.dropped_service_queue += 1
+            stats.dropped_service_queue += 1
             self.trace("switch.drop", reason="service_queue", packet=packet)
             return
         cost = self.proc_time + self.proc_per_byte * packet.wire_len
         if cost <= 0.0:
             self._process(packet, in_port.port_no)
             return
+        # cpu.acquire, inlined (hot): book `cost` seconds of FIFO service.
         sim = self.sim
-        finish = self.cpu.acquire(sim._now, cost)
+        now = sim._now
+        cpu = self.cpu
+        busy = cpu._busy_until
+        finish = (now if now > busy else busy) + cost
+        cpu._busy_until = finish
+        cpu.busy_time += cost
         self._in_service += 1
         sim.post(finish, self._serve_one, (packet, in_port.port_no))
 
@@ -330,8 +337,10 @@ class OpenFlowSwitch(Node):
             self.trace("switch.drop", reason="failed", packet=packet)
             return
         now = self.sim._now
-        for entry in self.table.sweep_expired(now):
-            self._notify_flow_removed(entry, reason=entry.expired(now) or "idle")
+        table = self.table
+        if table.has_timeouts:
+            for entry in table.sweep_expired(now):
+                self._notify_flow_removed(entry, reason=entry.expired(now) or "idle")
         if self.behavior is not None:
             handled = self.behavior.handle(self, packet, in_port_no)
             if handled:
@@ -346,7 +355,8 @@ class OpenFlowSwitch(Node):
             self.stats.dropped_no_actions += 1
             self.trace("switch.drop", reason="empty_actions", packet=packet)
             return
-        self.apply_actions(packet, entry.actions, in_port_no)
+        # the packet arrived over a link: nobody else holds it any more
+        self.apply_actions(packet, entry.actions, in_port_no, owned=True)
 
     def _table_miss(self, packet: Packet, in_port_no: int) -> None:
         if self._controller is None:
@@ -366,20 +376,33 @@ class OpenFlowSwitch(Node):
         )
 
     def apply_actions(
-        self, packet: Packet, actions: List[Action], in_port_no: int
+        self,
+        packet: Packet,
+        actions: List[Action],
+        in_port_no: int,
+        owned: bool = False,
     ) -> None:
-        """Apply an OF 1.0 action list to (a working copy of) the packet."""
-        working = packet.copy()
+        """Apply an OF 1.0 action list to the packet; ``packet`` itself is
+        never changed.
+
+        ``owned`` means the caller hands the packet over (the datapath's
+        own :meth:`_process`): a list that writes nothing then emits that
+        object on its final ``Output``.  Otherwise, and before the first
+        write in any case, the actions work on a private copy.
+        """
+        working = packet if owned else packet.copy()
         last = len(actions) - 1
         emitted = False
         for index, action in enumerate(actions):
-            if isinstance(action, Output):
-                # Nothing touches the working copy after the final action,
-                # so a final Output sends it as is (a copy of this fresh
-                # copy would be indistinguishable from it).
+            if type(action) is Output:
+                # Nothing touches the working packet after the final
+                # action, so a final Output sends it as is; an earlier one
+                # sends a copy.
                 self._output(working, action.port, in_port_no, index == last)
                 emitted = True
             else:
+                if working is packet:
+                    working = packet.copy()
                 action.apply(working)
         if emitted:
             self.stats.forwarded += 1
@@ -414,16 +437,17 @@ class OpenFlowSwitch(Node):
                     buffer_id=self._buffer_packet(packet, in_port_no),
                 )
             )
-        elif out_port == PORT_IN_PORT:
-            port = self.ports.get(in_port_no)
-            if port is not None and port.link is not None:
-                self._egress_session(port).send(packet if owned else packet.copy())
         else:
+            if out_port == PORT_IN_PORT:
+                out_port = in_port_no
             port = self.ports.get(out_port)
             if port is None or port.link is None:
                 self.trace("switch.drop", reason="bad_port", port=out_port, packet=packet)
                 return
-            self._egress_session(port).send(packet if owned else packet.copy())
+            session = self._egress_sessions.get(out_port)
+            if session is None:
+                session = self._egress_session(port)
+            session.send(packet if owned else packet.copy())
 
     # ------------------------------------------------------------------
     # controller message handling

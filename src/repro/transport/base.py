@@ -25,6 +25,20 @@ pre-transport code, which handed freshly copied packets to ports); the
 UDP backend serialises it.  Receive callbacks get ``(packet, meta)``
 where ``meta`` is a dict with whatever of ``branch``/``claim``/``seq``
 the wire carried.
+
+Ownership is only a promise between honest elements: an untrusted router
+may keep a packet it forwarded and send it again, altered or not.  So
+plain forwarding moves packets without copying, but three copies at the
+trust boundary stay, each so that nothing the trusted side decides rides
+an object an untrusted element still holds:
+
+* **hub** (``fanout``): every branch gets a private object, so what one
+  router does to its copy never reaches another branch's vote;
+* **collect**: the branch tag goes on a copy made by the trusted
+  endpoint — the vote book stores that copy, never the object the branch
+  delivered;
+* **release**: the claim rides a copy, so the packet the vote book holds
+  is never re-tagged after its vote.
 """
 
 from __future__ import annotations

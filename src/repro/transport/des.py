@@ -2,19 +2,25 @@
 
 A :class:`DesSession` wraps one :class:`~repro.net.node.Port`: ``send``
 counts the message, frames the role's metadata and hands the packet to
-the port.  That is exactly what the pre-transport code did at each call
-site, so every record, span and metric of a DES run is bit-identical to
-that tree (``tests/test_transport_layer.py`` pins this against
+the port's ``send``, bound when the session is built.  That is exactly
+what the pre-transport code did at each call site, so every record, span
+and metric of a DES run is bit-identical to that tree
+(``tests/test_transport_layer.py`` pins this against
 ``benchmarks/transport_baseline.json``):
 
-* ``fanout``/``egress`` sessions transmit the packet object as handed in
-  (the caller prepares the copy, exactly as the old ``port.send(copy)``
-  call sites did);
-* ``collect`` sessions attach the branch tag the compare host reads —
-  the DES wire format for collect metadata is the packet's ``meta``
-  dict, unchanged: ``{"branch": b, "endpoint": scope, "claim": c}``;
+* ``fanout``/``egress`` sessions transmit the packet object as handed in,
+  which is the caller's to give: the hub hands each branch a CoW copy of
+  its own, an OpenFlow switch whose action list writes nothing hands on
+  the very packet that arrived (nothing upstream holds it any more; see
+  ``OpenFlowSwitch.apply_actions``), and every other emitter a fresh copy;
+* ``collect`` sessions attach the branch tag the compare host reads, on
+  a copy, never on the object handed in — the DES wire format for collect
+  metadata is the packet's ``meta`` dict, unchanged:
+  ``{"branch": b, "endpoint": scope, "claim": c}``;
 * ``release`` sessions copy and carry the claim back:
   ``{"claim": c}``.
+
+``transport/base.py`` says why the hub, collect and release copies stay.
 
 Reception stays on the DES delivery path (links schedule
 ``node.receive``); nodes route inbound packets into
@@ -42,24 +48,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim import Simulator
 
 
-def collect_meta(scope: str, branch: int, claim: Optional[int]) -> dict:
-    """The DES collect-side wire format (a tagged packet's ``meta``)."""
-    return {"branch": branch, "endpoint": scope, "claim": claim}
-
-
-def read_collect_meta(packet) -> dict:
-    """Decode the collect metadata off a DES-delivered packet."""
-    return packet.meta or {}
-
-
 class DesSession(Session):
-    """One port-backed session (see module docstring for role framing)."""
+    """One port-backed ``fanout``/``egress`` session: the packet object
+    goes to the port as handed in.  The role's framing is fixed when the
+    session is built (:meth:`DesTransport._make_session` picks the class),
+    so a send tests nothing."""
 
     def __init__(self, transport: "DesTransport", spec: SessionSpec, port: "Port") -> None:
         super().__init__(transport, spec)
         self.port = port
-        self._is_collect = spec.role == ROLE_COLLECT
-        self._is_release = spec.role == ROLE_RELEASE
+        self._port_send = port.send
 
     def send(
         self,
@@ -68,17 +66,45 @@ class DesSession(Session):
         claim: Optional[int] = None,
     ) -> None:
         self.stats.tx_messages += 1
-        if self._is_collect:
-            if branch is None:
-                branch = self.spec.branch
-            tagged = packet.copy()
-            tagged.meta = collect_meta(self.spec.scope, branch, claim)
-            packet = tagged
-        elif self._is_release:
-            dup = packet.copy()
-            dup.meta = {"claim": claim}
-            packet = dup
-        self.port.send(packet)
+        self._port_send(packet)
+
+
+class DesCollectSession(DesSession):
+    """``collect``: a tagged copy carries ``{"branch", "endpoint", "claim"}``."""
+
+    def send(
+        self,
+        packet: object,
+        branch: Optional[int] = None,
+        claim: Optional[int] = None,
+    ) -> None:
+        self.stats.tx_messages += 1
+        spec = self.spec
+        tagged = packet.copy()
+        tagged.meta = {
+            "branch": spec.branch if branch is None else branch,
+            "endpoint": spec.scope,
+            "claim": claim,
+        }
+        self._port_send(tagged)
+
+
+class DesReleaseSession(DesSession):
+    """``release``: a copy carries the claim back, ``{"claim": c}``."""
+
+    def send(
+        self,
+        packet: object,
+        branch: Optional[int] = None,
+        claim: Optional[int] = None,
+    ) -> None:
+        self.stats.tx_messages += 1
+        dup = packet.copy()
+        dup.meta = {"claim": claim}
+        self._port_send(dup)
+
+
+_SESSION_BY_ROLE = {ROLE_COLLECT: DesCollectSession, ROLE_RELEASE: DesReleaseSession}
 
 
 class DesTransport(Transport):
@@ -101,4 +127,5 @@ class DesTransport(Transport):
             raise TransportError(
                 f"DES session {spec} needs a port= at first open"
             )
-        return DesSession(self, spec, port)  # type: ignore[arg-type]
+        session_class = _SESSION_BY_ROLE.get(spec.role, DesSession)
+        return session_class(self, spec, port)  # type: ignore[arg-type]

@@ -1,8 +1,10 @@
 """Tests for the OpenFlow switch datapath and control channel."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.net import MacAddress, Network, Packet
+from repro.net import IpAddress, MacAddress, Network, Packet
+from repro.net.packet import Vlan
 from repro.openflow import (
     Controller,
     FLOWMOD_ADD,
@@ -13,9 +15,17 @@ from repro.openflow import (
     Match,
     OpenFlowSwitch,
     Output,
+    PORT_CONTROLLER,
+    PORT_FLOOD,
+    PORT_IN_PORT,
     PacketOut,
     PortStatsRequest,
+    SetDlDst,
+    SetDlSrc,
+    SetNwDst,
+    SetTpSrc,
     SetVlanVid,
+    StripVlan,
     flood,
     to_controller,
 )
@@ -119,6 +129,120 @@ class TestForwarding:
         h1.send(udp_between(h1, h2))
         net.run()  # no crash; trace records the drop
         assert net.trace.count("switch.drop") == 1
+
+    def test_in_port_output_to_unwired_port_is_traced(self):
+        """Output(IN_PORT) toward a port with no link is the same drop as a
+        unicast to one: counted as forwarded, traced as ``bad_port``."""
+        net, s1, _hosts = three_hosts_one_switch()
+        unwired = s1.add_port(7)
+        s1.install(Match(), [Output(PORT_IN_PORT)])
+        s1.receive(Packet.udp(MAC_A, MAC_B, IP_A, IP_B, 1, 2), unwired)
+        assert bad_port_drops(net) == [7]
+        assert s1.stats.forwarded == 1
+
+    def test_train_to_unwired_port_is_traced(self):
+        """The train path resolves its egress once per train: a resolved
+        port without a link still traces ``bad_port`` for every packet."""
+        from repro.traffic.udp import UdpSender
+
+        net = Network(seed=1, batch_train=8)
+        s1 = OpenFlowSwitch(net.sim, "s1", trace_bus=net.trace)
+        net.add_node(s1)
+        h1, h2 = net.add_host("h1"), net.add_host("h2")
+        net.connect(h1, s1)
+        net.connect(h2, s1)
+        s1.add_port(9)
+        s1.install(Match(dl_dst=h2.mac), [Output(9)])
+        sender = UdpSender(h1, h2.mac, h2.ip, 5001, rate_bps=100e6)
+        sender.start(duration=0.002)
+        net.run()
+        assert sender.sent > 8  # at least one train of siblings
+        assert bad_port_drops(net) == [9] * sender.sent
+        assert s1.stats.forwarded == sender.sent
+
+
+MAC_A, MAC_B = MacAddress("02:00:00:00:00:01"), MacAddress("02:00:00:00:00:02")
+IP_A, IP_B = IpAddress("10.0.0.1"), IpAddress("10.0.0.2")
+
+
+def bad_port_drops(net) -> list:
+    return [
+        record.data["port"]
+        for record in net.trace.select("switch.drop")
+        if record.data["reason"] == "bad_port"
+    ]
+
+
+# ----------------------------------------------------------------------
+# who owns the packet: the datapath emits what it was handed only when
+# its action list writes nothing
+# ----------------------------------------------------------------------
+class RecordingSession:
+    """Stands in for a port's egress session: keeps what it is handed."""
+
+    def __init__(self, port_no: int, sent: list) -> None:
+        self.port_no = port_no
+        self.sent = sent
+
+    def send(self, packet, branch=None, claim=None) -> None:
+        self.sent.append((self.port_no, packet))
+
+
+WRITES = st.one_of(
+    st.builds(SetVlanVid, st.integers(1, 4094)),
+    st.just(StripVlan()),
+    st.builds(SetDlSrc, st.integers(0, 2**48 - 1).map(MacAddress)),
+    st.builds(SetDlDst, st.integers(0, 2**48 - 1).map(MacAddress)),
+    st.builds(SetNwDst, st.integers(0, 2**32 - 1).map(IpAddress)),
+    st.builds(SetTpSrc, st.integers(0, 0xFFFF)),
+)
+#: ports 1-3 wired, 7 unwired, 99 absent, and the three virtual ports
+OUTPUTS = st.builds(
+    Output, st.sampled_from([1, 2, 3, 7, 99, PORT_FLOOD, PORT_CONTROLLER, PORT_IN_PORT])
+)
+ACTION_LISTS = st.one_of(
+    st.lists(OUTPUTS, min_size=1, max_size=4),  # writes nothing
+    st.lists(st.one_of(OUTPUTS, WRITES), min_size=1, max_size=5),
+)
+
+
+def emitting_switch():
+    """A switch on three hosts, plus an unwired port 7, whose egress
+    sessions record instead of transmitting."""
+    net, s1, _hosts = three_hosts_one_switch()
+    s1.add_port(7)
+    sent = []
+    s1._egress_sessions = {no: RecordingSession(no, sent) for no in s1.ports}
+    return s1, sent
+
+
+@settings(max_examples=200, deadline=None)
+@given(actions=ACTION_LISTS, vlan=st.booleans())
+def test_datapath_emits_the_packet_it_owns_only_when_nothing_writes(actions, vlan):
+    packet = Packet.udp(
+        MAC_A, MAC_B, IP_A, IP_B, 1, 2, payload=b"owned",
+        vlan=Vlan(5) if vlan else None,
+    )
+    before = packet.to_bytes()
+    # the reference: the same list applied for a caller that keeps its packet
+    reference, expected = emitting_switch()
+    reference.apply_actions(packet.copy(), actions, 1)
+    owner, emitted = emitting_switch()
+    owner.install(Match(), actions)
+    owner._process(packet, 1)
+
+    assert packet.to_bytes() == before  # handed over, never written
+    assert [(no, p.to_bytes()) for no, p in emitted] == [
+        (no, p.to_bytes()) for no, p in expected
+    ]
+    assert len({id(p) for _no, p in emitted}) == len(emitted)
+    handed_on = [p for _no, p in emitted if p is packet]
+    if any(type(action) is not Output for action in actions):
+        assert handed_on == []  # every write went to a private copy
+    elif actions[-1].port in (1, 2, 3, PORT_IN_PORT):  # in_port 1 is wired
+        assert handed_on == [packet] and emitted[-1][1] is packet
+    else:  # flood, controller or a port without a link: copies only
+        assert handed_on == []
 
 
 class TestServiceModel:

@@ -1,0 +1,142 @@
+"""What an untrusted branch can do with a packet it keeps.
+
+A plain forwarding hop hands on the very object that arrived (see
+``OpenFlowSwitch.apply_actions``), so a compromised router may still hold
+a packet after it forwarded it, rewrite it through its own reference and
+send it again.  The trusted side must not care: the collecting endpoint
+tags a copy of its own (the vote book stores that copy), and the claim of
+a release rides another copy (``transport/base.py``).  These tests attack
+exactly that with a router that lets every packet pass, keeps it, and
+later forges its tag, rewrites it and re-sends it.
+"""
+
+from __future__ import annotations
+
+from repro.adversary.behaviors import AdversarialBehavior
+from repro.net import Packet
+from repro.scenarios.testbed import build_testbed
+
+PACKETS = 5
+FORGED_TAG = {"branch": 1, "endpoint": "forged", "claim": 99}
+
+
+class KeepAndResend(AdversarialBehavior):
+    """Let every packet through the genuine pipeline, keep a reference,
+    and on :meth:`resend` forge the kept objects' tags, rewrite them and
+    send them again toward the collector."""
+
+    def __init__(self) -> None:
+        super().__init__("keep-and-resend")
+        self.kept = []
+
+    def handle(self, switch, packet, in_port_no) -> bool:
+        self.packets_seen += 1
+        self.kept.append(packet)
+        return False  # the normal pipeline forwards this very object
+
+    def resend(self, switch, out_port_no: int) -> None:
+        for packet in self.kept:
+            packet.meta = dict(FORGED_TAG)
+            packet.payload = b"F" * len(packet.payload)
+            packet.ip.ttl = 1
+            switch.ports[out_port_no].send(packet)
+
+
+class Blackhole(AdversarialBehavior):
+    def handle(self, switch, packet, in_port_no) -> bool:
+        return True
+
+
+def attacked_central3(silence_others: bool = False):
+    """``central3`` with :class:`KeepAndResend` on router 0; every copy
+    the collector's session is handed is recorded with what it sent."""
+    testbed = build_testbed("central3", seed=1)
+    net = testbed.network
+    attacker = KeepAndResend()
+    attacker.attach(testbed.routers[0])
+    if silence_others:
+        for router in testbed.routers[1:]:
+            Blackhole().attach(router)
+    collect = testbed.chain.endpoint_b._collect_session
+    pairs = []  # [handed, emitted] per collect send
+    send, port_send = collect.send, collect._port_send
+
+    def spy_send(packet, branch=None, claim=None):
+        pairs.append([packet])
+        send(packet, branch=branch, claim=claim)
+
+    def spy_port_send(tagged):
+        pairs[-1].append(tagged)
+        port_send(tagged)
+
+    collect.send, collect._port_send = spy_send, spy_port_send
+    delivered = []
+    testbed.h2.bind_udp(5001, delivered.append)
+    for seq in range(PACKETS):
+        testbed.h1.send(Packet.udp(
+            testbed.h1.mac, testbed.h2.mac, testbed.h1.ip, testbed.h2.ip,
+            50000, 5001, payload=bytes([seq]) * 64, ident=seq,
+        ))
+    net.run(until=1e-3)  # every copy voted, no entry expired (5 ms)
+    router = testbed.routers[0]
+    egress = net.port_no_between(router.name, testbed.chain.endpoint_b.name)
+    return testbed, attacker, (router, egress), pairs, delivered
+
+
+def test_kept_packets_cannot_change_the_vote_book():
+    """Branches 1 and 2 are silent, so every entry is pending on branch
+    0's copies when branch 0 rewrites and re-sends the objects it kept:
+    the stored packets, their tags and their claims do not move, and the
+    forgeries vote as branch 0 (the port they came in on)."""
+    testbed, attacker, (router, egress), pairs, delivered = attacked_central3(
+        silence_others=True
+    )
+    core = testbed.compare_core
+    pending = [
+        (entry, entry.packet, entry.packet.to_bytes(), dict(entry.packet.meta))
+        for entry in core.book.entries()
+    ]
+    assert len(pending) == PACKETS and not any(e.released for e, *_ in pending)
+    assert [entry.claim for entry, *_ in pending] == [None] * PACKETS
+    assert all(
+        stored is not kept for _e, stored, *_ in pending for kept in attacker.kept
+    )
+
+    first_pass = len(pairs)
+    attacker.resend(router, egress)
+    testbed.network.run(until=2e-3)
+
+    for entry, stored, wire, meta in pending:
+        assert entry.packet is stored
+        assert stored.to_bytes() == wire and stored.meta == meta
+        assert entry.claim is None and not entry.released
+    forged = pairs[first_pass:]
+    assert len(forged) == PACKETS
+    for (handed, tagged), kept in zip(forged, attacker.kept):
+        assert handed is kept and tagged is not kept
+        assert tagged.meta == {
+            "branch": 0, "endpoint": testbed.chain.endpoint_b.name, "claim": None,
+        }
+    assert core.stats.released == 0 and delivered == []
+
+
+def test_collect_session_always_tags_a_copy():
+    """All branches forward honestly and each packet is released once;
+    branch 0's later re-sends of the objects it kept are outvoted, and
+    the collector never tags the object it was handed."""
+    testbed, attacker, (router, egress), pairs, delivered = attacked_central3()
+    assert sorted(p.payload for p in delivered) == [
+        bytes([seq]) * 64 for seq in range(PACKETS)
+    ]
+    released = testbed.compare_core.stats.released
+    assert released == PACKETS
+
+    attacker.resend(router, egress)
+    testbed.network.run(until=2e-3)
+
+    assert len(pairs) == 4 * PACKETS  # three honest copies each, five forged
+    for handed, tagged in pairs:
+        assert tagged is not handed
+        assert tagged.meta["endpoint"] == testbed.chain.endpoint_b.name
+    assert testbed.compare_core.stats.released == released
+    assert len(delivered) == PACKETS
