@@ -28,6 +28,9 @@ ALARM_MINORITY_DIVERGENCE = "minority_divergence"
 ALARM_BRANCH_QUARANTINED = "branch_quarantined"
 #: a quarantined branch completed its probation window and rejoined
 ALARM_BRANCH_READMITTED = "branch_readmitted"
+#: a stored copy no longer encodes to the bytes that were voted for it
+#: (its sender rewrote it after submitting); the release is refused
+ALARM_COPY_REWRITTEN = "copy_rewritten"
 
 
 @dataclass(frozen=True)

@@ -181,9 +181,7 @@ class QuorumVoter:
         if not self._sweeper.running:
             self._sweeper.start(self.book.timeout)
         quarantined = branch in self._quarantined
-        outcome = self.book.observe(
-            key, branch, now, payload, claim=claim, countable=not quarantined
-        )
+        outcome = self.book.observe(key, branch, now, payload, claim, not quarantined)
         if outcome.evicted_stale is not None:
             self._finalise(outcome.evicted_stale)
         if outcome.is_branch_duplicate:
@@ -224,8 +222,9 @@ class QuorumVoter:
         self._deliver(entry, now, ctx, branch)
         # Probation copies that preceded the quorum are confirmed clean
         # now that the active majority agreed on the same bytes.
-        for waiting in list(entry.probation_counts):
-            self._note_probation_clean(waiting)
+        if entry.probation_counts:
+            for waiting in list(entry.probation_counts):
+                self._note_probation_clean(waiting)
 
     # ------------------------------------------------------------------
     # adapter hooks

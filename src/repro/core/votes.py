@@ -167,13 +167,7 @@ class VoteBook:
             entry = None
         is_new = entry is None
         if entry is None:
-            entry = VoteEntry(
-                key=key,
-                packet=packet,
-                first_seen=now,
-                deadline=now + self.timeout,
-                claim=claim,
-            )
+            entry = VoteEntry(key, packet, now, now + self.timeout, claim)
             self._entries[key] = entry
         late = entry.released
         if not countable:
@@ -199,12 +193,20 @@ class VoteBook:
 
     # ------------------------------------------------------------------
     def pop_expired(self, now: float) -> List[VoteEntry]:
-        """Remove and return every entry whose deadline has passed."""
+        """Remove and return every entry whose deadline has passed.
+
+        Deadlines are insertion-ordered — each entry gets ``now +
+        timeout`` with a fixed timeout and a clock that never goes back,
+        and a stale key is re-inserted at the end — so the scan stops at
+        the first entry still inside its deadline.
+        """
         expired: List[VoteEntry] = []
-        for key, entry in list(self._entries.items()):
-            if entry.deadline <= now:
-                expired.append(entry)
-                del self._entries[key]
+        for entry in self._entries.values():
+            if entry.deadline > now:
+                break
+            expired.append(entry)
+        for _ in expired:
+            self._entries.popitem(last=False)
         return expired
 
     def evict_oldest(self, count: int) -> List[VoteEntry]:

@@ -13,9 +13,15 @@ runs, and the shared alarm kinds let the existing
 :class:`~repro.chaos.quarantine.QuarantineController` close the loop
 unchanged (pointed at this voter instead of a compare core).  What is
 the control plane's own: the vote key ``(datapath_id, digest(message))``
-(the entry's payload slot holds the message object itself), release
+(the entry's payload slot holds the first counted copy), release
 through ``register_switch``, and the taint / entry-trace / ``blocked_*``
 accounting.
+
+The copies are objects the replicas built and still hold, so what is
+released is the copy whose arrival completed the quorum — digested in
+that same call, before its replica runs again.  A quorum shrink releases
+with no copy arriving: the stored copy is encoded again and refused,
+with ``ALARM_COPY_REWRITTEN``, if its bytes moved.
 
 Two failure signatures are distinguished:
 
@@ -34,11 +40,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
-from repro.core.alarms import AlarmSink
+from repro.core.alarms import ALARM_COPY_REWRITTEN, AlarmSink
 from repro.core.membership import QuorumConfig, QuorumVoter
 from repro.core.votes import VoteEntry, VoteOutcome
-from repro.ctrl.digest import digest
+from repro.ctrl.digest import DigestError, digest
 from repro.obs.metrics import StatBlock, bind_histogram
+from repro.openflow.messages import FlowMod
 from repro.sim import Simulator, TraceBus
 
 __all__ = ["ControlCompareConfig", "CtrlStats", "ControlCompare"]
@@ -165,9 +172,11 @@ class ControlCompare(QuorumVoter):
         attached to the decision's span records and never affects voting.
         """
         self.stats.submissions += 1
+        # The copy itself rides as the release context: if it completes the
+        # quorum it is what is released, digested in this very call.
         self._vote(
             (datapath_id, digest(message)), replica, self.sim._now, message,
-            note=(tainted, trace),
+            None, message, (tainted, trace),
         )
 
     def _note_copy(
@@ -181,15 +190,16 @@ class ControlCompare(QuorumVoter):
         tainted, trace = note
         if tainted:
             self._tainted.add(key)
-        if trace is not None:
-            self._entry_trace.setdefault(key, trace)
+        if trace is None:
+            known_trace = self._entry_trace.get(key)
+        else:
+            known_trace = self._entry_trace.setdefault(key, trace)
         bus = self.trace_bus
         if bus is None:
             return
         # Every copy gets a vote record, so its fields go to `emit` in
         # one call (no `_trace` frame, no dict built and re-packed); the
         # record differs only in whether a trace id is known.
-        known_trace = self._entry_trace.get(key)
         if known_trace is None:
             bus.emit(
                 self.sim._now, "ctrl.vote", self.name,
@@ -218,6 +228,25 @@ class ControlCompare(QuorumVoter):
         self, entry: VoteEntry, now: float, ctx: object, branch: Optional[int]
     ) -> None:
         key = entry.key
+        message = ctx
+        if message is None:
+            # Released by a quorum shrink: no copy arrived with the
+            # decision, so the one the book stored goes out — only if it
+            # still encodes to the bytes that were voted.  Its replica
+            # holds it too, and may have rewritten it since.
+            message = entry.packet
+            try:
+                moved = digest(message) != key[1]
+            except DigestError:  # rewritten into something not even encodable
+                moved = True
+            if moved:
+                replica = next(iter(entry.branch_counts))
+                self.alarms.raise_alarm(
+                    now, ALARM_COPY_REWRITTEN, self.name,
+                    branch=replica, dpid=key[0], message=type(message).__name__,
+                )
+                self._trace("ctrl.release_refused", dpid=key[0], branch=replica)
+                return
         if key in self._tainted:
             # A majority confirmed bytes a compromised replica emitted:
             # either the lie found co-conspirators or it equalled the
@@ -225,21 +254,44 @@ class ControlCompare(QuorumVoter):
             # acceptance gate requires this to stay 0.
             self.stats.malicious_released += 1
             self._trace("ctrl.malicious_release", dpid=key[0])
+        latency = now - entry.first_seen
         if self._h_vote_latency is not None:
-            self._h_vote_latency.observe(now - entry.first_seen)
-        release_data = dict(
-            dpid=key[0],
-            votes=entry.distinct_branches,
-            kind=type(entry.packet).__name__,
-            latency=now - entry.first_seen,
-        )
-        release_trace = self._entry_trace.get(key)
-        if release_trace is not None:
-            release_data["trace"] = release_trace
-        self._trace("ctrl.release", **release_data)
+            self._h_vote_latency.observe(latency)
+        bus = self.trace_bus
+        if bus is not None:
+            # one record per release, handed to `emit` in one call
+            release_trace = self._entry_trace.get(key)
+            if release_trace is None:
+                bus.emit(
+                    now, "ctrl.release", self.name,
+                    dpid=key[0],
+                    votes=entry.distinct_branches,
+                    kind=type(message).__name__,
+                    latency=latency,
+                )
+            else:
+                bus.emit(
+                    now, "ctrl.release", self.name,
+                    dpid=key[0],
+                    votes=entry.distinct_branches,
+                    kind=type(message).__name__,
+                    latency=latency,
+                    trace=release_trace,
+                )
         release = self._releases.get(key[0])
         if release is not None:
-            release(entry.packet)
+            if type(message) is FlowMod:
+                # What reaches the switch holds nothing a replica can still
+                # write: actions are read-only values in a tuple, a Match is
+                # not, so the switch gets one of its own.  (A PacketOut's
+                # packet is the replica's copy-on-write clone and stays
+                # writable until packets are immutable.)
+                message = FlowMod(
+                    message.command, message.match.copy(), message.actions,
+                    message.priority, message.idle_timeout,
+                    message.hard_timeout, message.cookie,
+                )
+            release(message)
 
     def _finalise(self, entry: VoteEntry) -> None:
         """Account for a decision leaving the book (expiry/eviction)."""

@@ -17,7 +17,10 @@ voter only needs canonical equality, not interoperability.
 
 ``digest()`` returns the full canonical encoding (not a hash): vote keys
 live briefly in a :class:`~repro.core.votes.VoteBook` and exactness
-beats compactness — no collision argument needed.
+beats compactness — no collision argument needed.  Every copy a replica
+emits is digested, so a message is encoded in one pass: its parts
+(``Output`` written inline, a PacketOut's packet image as is) are joined
+once.
 """
 
 from __future__ import annotations
@@ -48,11 +51,16 @@ __all__ = [
     "digest",
 ]
 
-_I64 = struct.Struct("!q")
 _U32 = struct.Struct("!I")
 _U16 = struct.Struct("!H")
+#: an Output action: tag, port
+_OUTPUT = struct.Struct("!cI")
 #: the fixed FlowMod tail: priority, idle_timeout, hard_timeout, cookie
 _FLOW_MOD_TAIL = struct.Struct("!qddq")
+#: the PacketOut fields after its packet: buffer_id presence (and value),
+#: in_port, action count
+_PACKET_OUT_TAIL = struct.Struct("!BIH")
+_PACKET_OUT_TAIL_BUFFERED = struct.Struct("!BqIH")
 
 _ABSENT = b"\x00"
 _PRESENT = b"\x01"
@@ -62,16 +70,13 @@ class DigestError(ValueError):
     """A control message contains something we cannot canonicalise."""
 
 
-class _Encoders(dict):
-    """Exact type -> encoder.  A type not in the table is a hard error —
-    the trusted voter must never release bytes it cannot canonicalise."""
-
-    def __init__(self, what: str, table: dict) -> None:
-        super().__init__(table)
-        self.what = what
+class _ActionEncoders(dict):
+    """Exact action type -> encoder.  A type not in the table is a hard
+    error — the trusted voter must never release bytes it cannot
+    canonicalise."""
 
     def __missing__(self, kind: type):
-        raise DigestError(f"cannot canonicalise {self.what} {kind.__name__}")
+        raise DigestError(f"cannot canonicalise action {kind.__name__}")
 
 
 def encode_match(match: Match) -> bytes:
@@ -107,8 +112,8 @@ def encode_match(match: Match) -> bytes:
 
 
 #: one tag byte per action type, then the operand
-_ACTION_ENCODERS = _Encoders("action", {
-    Output: lambda a: b"O" + _U32.pack(a.port & 0xFFFFFFFF),
+_ACTION_ENCODERS = _ActionEncoders({
+    Output: lambda a: _OUTPUT.pack(b"O", a.port & 0xFFFFFFFF),
     SetDlSrc: lambda a: b"s" + a.mac.to_bytes(),
     SetDlDst: lambda a: b"d" + a.mac.to_bytes(),
     SetVlanVid: lambda a: b"v" + _U16.pack(a.vid & 0xFFFF),
@@ -124,48 +129,55 @@ def encode_action(action: object) -> bytes:
     return _ACTION_ENCODERS[type(action)](action)
 
 
+def _put_actions(parts: list, actions) -> None:
+    """Append each action's encoding to ``parts`` (nearly every action a
+    controller sends is an ``Output``: it is encoded here, not looked up)."""
+    for action in actions:
+        if type(action) is Output:
+            parts.append(_OUTPUT.pack(b"O", action.port & 0xFFFFFFFF))
+        else:
+            parts.append(_ACTION_ENCODERS[type(action)](action))
+
+
 def encode_actions(actions) -> bytes:
-    encoded = [_ACTION_ENCODERS[type(a)](a) for a in actions]
-    return _U16.pack(len(encoded)) + b"".join(encoded)
+    parts = [_U16.pack(len(actions))]
+    _put_actions(parts, actions)
+    return b"".join(parts)
 
 
 def encode_flow_mod(mod: FlowMod) -> bytes:
     command = mod.command.encode("utf-8")
-    return b"".join(
-        (
-            b"F",
-            bytes((len(command),)),
-            command,
-            encode_match(mod.match),
-            encode_actions(mod.actions),
-            _FLOW_MOD_TAIL.pack(
-                mod.priority, mod.idle_timeout, mod.hard_timeout, mod.cookie
-            ),
-        )
+    actions = mod.actions
+    parts = [
+        b"F",
+        bytes((len(command),)),
+        command,
+        encode_match(mod.match),
+        _U16.pack(len(actions)),
+    ]
+    _put_actions(parts, actions)
+    parts.append(
+        _FLOW_MOD_TAIL.pack(mod.priority, mod.idle_timeout, mod.hard_timeout, mod.cookie)
     )
+    return b"".join(parts)
 
 
 def encode_packet_out(out: PacketOut) -> bytes:
-    if out.packet is None:
-        payload = _ABSENT
-    else:
-        wire = out.packet.to_bytes()
-        payload = _PRESENT + _U32.pack(len(wire)) + wire
+    actions = out.actions
     buffer_id = out.buffer_id
-    return b"".join(
-        (
-            b"P",
-            payload,
-            _ABSENT if buffer_id is None else _PRESENT + _I64.pack(buffer_id),
-            _U32.pack(out.in_port & 0xFFFFFFFF),
-            encode_actions(out.actions),
-        )
-    )
-
-
-_MESSAGE_ENCODERS = _Encoders(
-    "control message", {FlowMod: encode_flow_mod, PacketOut: encode_packet_out}
-)
+    in_port = out.in_port & 0xFFFFFFFF
+    if buffer_id is None:
+        tail = _PACKET_OUT_TAIL.pack(0, in_port, len(actions))
+    else:
+        tail = _PACKET_OUT_TAIL_BUFFERED.pack(1, buffer_id, in_port, len(actions))
+    packet = out.packet
+    if packet is None:
+        parts = [b"P", _ABSENT, tail]
+    else:
+        wire = packet.to_bytes()
+        parts = [b"P", _PRESENT, _U32.pack(len(wire)), wire, tail]
+    _put_actions(parts, actions)
+    return b"".join(parts)
 
 
 def digest(message: object) -> bytes:
@@ -173,5 +185,12 @@ def digest(message: object) -> bytes:
 
     Two messages have equal digests iff every protocol-visible field is
     equal — the control-plane analogue of bit-exact packet comparison.
+    The type must be exactly one of the two (the trusted voter must never
+    release bytes it cannot canonicalise).
     """
-    return _MESSAGE_ENCODERS[type(message)](message)
+    kind = type(message)
+    if kind is PacketOut:
+        return encode_packet_out(message)
+    if kind is FlowMod:
+        return encode_flow_mod(message)
+    raise DigestError(f"cannot canonicalise control message {kind.__name__}")

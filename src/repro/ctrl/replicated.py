@@ -49,6 +49,7 @@ from repro.openflow.messages import (
     FlowRemoved,
     FlowStatsReply,
     PacketIn,
+    PacketOut,
     PortStatsReply,
 )
 from repro.sim import Simulator, TraceBus
@@ -214,35 +215,42 @@ class ReplicatedControlPlane(Controller):
     # ------------------------------------------------------------------
     # fan-in (switch -> replicas)
     # ------------------------------------------------------------------
-    def _dispatch(self, switch: "OpenFlowSwitch", message: object) -> None:
-        if isinstance(message, PacketIn):
-            packet = message.packet
-            self._cause_trace = packet.trace_id
-            try:
-                for handle in self.replicas:
-                    if handle.crashed:
-                        continue
-                    # Each replica gets its own packet clone: a replica
-                    # that scribbles on headers must not poison the
-                    # others' view of the event.
-                    handle.controller._dispatch(
-                        switch,
-                        PacketIn(
-                            message.datapath_id,
-                            packet.copy(),
-                            message.in_port,
-                            message.reason,
-                            message.buffer_id,
-                        ),
-                    )
-            finally:
-                self._cause_trace = None
-        elif isinstance(message, (FlowRemoved, PortStatsReply, FlowStatsReply)):
+    def on_packet_in(self, switch: "OpenFlowSwitch", event: PacketIn) -> None:
+        packet = event.packet
+        self._cause_trace = packet.trace_id
+        try:
             for handle in self.replicas:
-                if not handle.crashed:
-                    handle.controller._dispatch(switch, message)
-        else:
-            super()._dispatch(switch, message)
+                if handle.crashed:
+                    continue
+                # Each replica gets its own packet clone: a replica that
+                # scribbles on headers must not poison the others' view
+                # of the event.
+                handle.controller.on_packet_in(
+                    switch,
+                    PacketIn(
+                        event.datapath_id,
+                        packet.copy(),
+                        event.in_port,
+                        event.reason,
+                        event.buffer_id,
+                    ),
+                )
+        finally:
+            self._cause_trace = None
+
+    def _fan_out(self, switch: "OpenFlowSwitch", message: object) -> None:
+        for handle in self.replicas:
+            if not handle.crashed:
+                handle.controller._dispatch(switch, message)
+
+    def on_flow_removed(self, switch: "OpenFlowSwitch", event: FlowRemoved) -> None:
+        self._fan_out(switch, event)
+
+    def on_port_stats(self, switch: "OpenFlowSwitch", reply: PortStatsReply) -> None:
+        self._fan_out(switch, reply)
+
+    def on_flow_stats(self, switch: "OpenFlowSwitch", reply: FlowStatsReply) -> None:
+        self._fan_out(switch, reply)
 
     # ------------------------------------------------------------------
     # fan-out (replicas -> voter -> switch)
@@ -273,14 +281,12 @@ class ReplicatedControlPlane(Controller):
             return
         # A PacketOut carries its packet's own trace id; FlowMods fall
         # back to the PacketIn being fanned out right now (if marked).
-        packet = getattr(message, "packet", None)
-        trace = None if packet is None else packet.trace_id
+        trace = None
+        if type(message) is PacketOut and message.packet is not None:
+            trace = message.packet.trace_id
         if trace is None:
             trace = self._cause_trace
-        self.compare.submit(
-            handle.index, switch.datapath_id, message,
-            tainted=tainted, trace=trace,
-        )
+        self.compare.submit(handle.index, switch.datapath_id, message, tainted, trace)
 
     # ------------------------------------------------------------------
     # replica fault/compromise API (driven by the chaos engine)

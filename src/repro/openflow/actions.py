@@ -1,6 +1,8 @@
 """OpenFlow 1.0 actions.
 
-Actions are small immutable objects.  Header-modifying actions mutate the
+Actions are small read-only values: a controller replica that sent one
+cannot rewrite its operand afterwards (the control-plane voter releases
+the objects a replica built).  Header-modifying actions mutate the
 packet *copy* being processed by the datapath (the switch copies a frame
 before the first action that writes it, matching OF semantics where each
 action list operates on its own buffer).
@@ -20,14 +22,32 @@ PORT_FLOOD = 0xFFFB
 PORT_CONTROLLER = 0xFFFD
 PORT_IN_PORT = 0xFFF8
 
+_set = object.__setattr__
 
-class Output:
+
+class _ReadOnly:
+    """Slotted value whose fields are set once, by its ``__init__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__ (its one argument per slot)
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Output(_ReadOnly):
     """Forward out of a physical port or a virtual port (flood/controller)."""
 
     __slots__ = ("port",)
 
     def __init__(self, port: int) -> None:
-        self.port = port
+        _set(self, "port", port)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Output) and self.port == other.port
@@ -44,11 +64,11 @@ class Output:
         return f"Output({special.get(self.port, self.port)})"
 
 
-class SetDlSrc:
+class SetDlSrc(_ReadOnly):
     __slots__ = ("mac",)
 
     def __init__(self, mac: MacAddress) -> None:
-        self.mac = MacAddress(mac)
+        _set(self, "mac", MacAddress(mac))
 
     def apply(self, packet: Packet) -> None:
         packet.eth.src = self.mac
@@ -63,11 +83,11 @@ class SetDlSrc:
         return f"SetDlSrc({self.mac})"
 
 
-class SetDlDst:
+class SetDlDst(_ReadOnly):
     __slots__ = ("mac",)
 
     def __init__(self, mac: MacAddress) -> None:
-        self.mac = MacAddress(mac)
+        _set(self, "mac", MacAddress(mac))
 
     def apply(self, packet: Packet) -> None:
         packet.eth.dst = self.mac
@@ -82,13 +102,13 @@ class SetDlDst:
         return f"SetDlDst({self.mac})"
 
 
-class SetVlanVid:
+class SetVlanVid(_ReadOnly):
     """Set (or add) the 802.1Q VID."""
 
     __slots__ = ("vid",)
 
     def __init__(self, vid: int) -> None:
-        self.vid = vid
+        _set(self, "vid", vid)
 
     def apply(self, packet: Packet) -> None:
         if packet.vlan is None:
@@ -106,7 +126,7 @@ class SetVlanVid:
         return f"SetVlanVid({self.vid})"
 
 
-class StripVlan:
+class StripVlan(_ReadOnly):
     __slots__ = ()
 
     def apply(self, packet: Packet) -> None:
@@ -122,11 +142,11 @@ class StripVlan:
         return "StripVlan()"
 
 
-class SetNwSrc:
+class SetNwSrc(_ReadOnly):
     __slots__ = ("ip",)
 
     def __init__(self, ip: IpAddress) -> None:
-        self.ip = IpAddress(ip)
+        _set(self, "ip", IpAddress(ip))
 
     def apply(self, packet: Packet) -> None:
         if packet.ip is not None:
@@ -142,11 +162,11 @@ class SetNwSrc:
         return f"SetNwSrc({self.ip})"
 
 
-class SetNwDst:
+class SetNwDst(_ReadOnly):
     __slots__ = ("ip",)
 
     def __init__(self, ip: IpAddress) -> None:
-        self.ip = IpAddress(ip)
+        _set(self, "ip", IpAddress(ip))
 
     def apply(self, packet: Packet) -> None:
         if packet.ip is not None:
@@ -162,11 +182,11 @@ class SetNwDst:
         return f"SetNwDst({self.ip})"
 
 
-class SetTpSrc:
+class SetTpSrc(_ReadOnly):
     __slots__ = ("port",)
 
     def __init__(self, port: int) -> None:
-        self.port = port
+        _set(self, "port", port)
 
     def apply(self, packet: Packet) -> None:
         if isinstance(packet.l4, (Udp, Tcp)):
@@ -182,11 +202,11 @@ class SetTpSrc:
         return f"SetTpSrc({self.port})"
 
 
-class SetTpDst:
+class SetTpDst(_ReadOnly):
     __slots__ = ("port",)
 
     def __init__(self, port: int) -> None:
-        self.port = port
+        _set(self, "port", port)
 
     def apply(self, packet: Packet) -> None:
         if isinstance(packet.l4, (Udp, Tcp)):

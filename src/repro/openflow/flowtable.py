@@ -12,11 +12,17 @@ live in a hash index keyed by their 12-tuple, probed with the packet's
 :func:`packet_probe_keys`; everything else falls back to a linear scan in
 ``(priority desc, install order)`` rank, which stops early once it cannot
 beat the best indexed hit.  Control-plane mutations (add/remove/sweep)
-rebuild the index — they are rarer than lookups by orders of magnitude.
+update those structures in place: rank-sorted lists take an entry by
+``bisect``, and an add finds the entry it replaces by its
+``(priority, match)`` key, so an install costs O(log n) comparisons
+however full the table is.  An installed entry's match and priority are
+the table's from then on (nothing may rewrite them: the control-plane
+voter releases a copy of each FlowMod's match for this reason).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.net.packet import Packet
@@ -91,16 +97,26 @@ def _rank(entry: FlowEntry) -> Tuple[int, int]:
     return (-entry.priority, entry.seq)
 
 
+def _unrank(ranked: List[FlowEntry], entry: FlowEntry) -> None:
+    """Delete ``entry`` from a rank-sorted list (ranks are unique)."""
+    del ranked[bisect_left(ranked, _rank(entry), key=_rank)]
+
+
 class FlowTable:
     """Priority-ordered flow table with OF 1.0 add/modify/delete semantics."""
 
     def __init__(self) -> None:
+        # Every entry, rank-sorted.
         self._entries: List[FlowEntry] = []
         self._next_seq = 0
+        # (priority, match 12-tuple) -> the one entry installed under it.
+        self._installed: Dict[Tuple[int, tuple], FlowEntry] = {}
         # Exact-match index: 12-tuple key -> rank-sorted bucket.
         self._exact: Dict[tuple, List[FlowEntry]] = {}
         # Everything else, rank-sorted for the early-exit scan.
         self._wildcard: List[FlowEntry] = []
+        # entries with an idle or hard timeout
+        self._timed = 0
         # Lookup-path counters (plain ints: incremented per packet, read
         # by the observability pull collector).  ``scan_steps`` counts
         # wildcard entries examined — the quantity the index exists to
@@ -129,33 +145,44 @@ class FlowTable:
     # ------------------------------------------------------------------
     def add(self, entry: FlowEntry) -> None:
         """Install an entry; replaces an entry with identical match+priority."""
-        for i, existing in enumerate(self._entries):
-            if existing.priority == entry.priority and existing.match == entry.match:
-                entry.seq = existing.seq  # keep the replaced entry's position
-                self._entries[i] = entry
-                self._rebuild()
-                return
-        entry.seq = self._next_seq
-        self._next_seq += 1
-        self._entries.append(entry)
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        """Re-sort and re-index after any control-plane mutation."""
-        self.epoch += 1
-        self.has_timeouts = any(
-            e.idle_timeout > 0.0 or e.hard_timeout > 0.0 for e in self._entries
-        )
-        self._entries.sort(key=_rank)
-        exact: Dict[tuple, List[FlowEntry]] = {}
-        wildcard: List[FlowEntry] = []
-        for entry in self._entries:
-            if entry.match.is_exact():
-                exact.setdefault(entry.match._key(), []).append(entry)
+        key = entry.match._key()
+        replaced = self._installed.get((entry.priority, key))
+        if replaced is not None:
+            entry.seq = replaced.seq  # keep the replaced entry's position
+            self._unlink(replaced)
+        else:
+            entry.seq = self._next_seq
+            self._next_seq += 1
+        self._installed[(entry.priority, key)] = entry
+        insort(self._entries, entry, key=_rank)
+        if entry.match.is_exact():
+            bucket = self._exact.get(key)
+            if bucket is None:
+                self._exact[key] = [entry]
             else:
-                wildcard.append(entry)
-        self._exact = exact
-        self._wildcard = wildcard
+                insort(bucket, entry, key=_rank)
+        else:
+            insort(self._wildcard, entry, key=_rank)
+        if entry.idle_timeout > 0.0 or entry.hard_timeout > 0.0:
+            self._timed += 1
+            self.has_timeouts = True
+        self.epoch += 1
+
+    def _unlink(self, entry: FlowEntry) -> None:
+        """Take an installed entry out of every structure (no epoch bump)."""
+        key = entry.match._key()
+        del self._installed[(entry.priority, key)]
+        _unrank(self._entries, entry)
+        if entry.match.is_exact():
+            bucket = self._exact[key]
+            _unrank(bucket, entry)
+            if not bucket:
+                del self._exact[key]
+        else:
+            _unrank(self._wildcard, entry)
+        if entry.idle_timeout > 0.0 or entry.hard_timeout > 0.0:
+            self._timed -= 1
+            self.has_timeouts = self._timed > 0
 
     def lookup(self, packet: Packet, in_port: int, now: float) -> Optional[FlowEntry]:
         """Highest-priority live entry matching the packet, else None."""
@@ -217,27 +244,24 @@ class FlowTable:
         (DELETE_STRICT): requires the priority to match too.
         """
         removed: List[FlowEntry] = []
-        kept: List[FlowEntry] = []
         for entry in self._entries:
             hit = match is None or entry.match == match
             if strict and priority is not None and entry.priority != priority:
                 hit = False
             if hit:
                 removed.append(entry)
-            else:
-                kept.append(entry)
-        if removed:
-            self._entries = kept
-            self._rebuild()
-        return removed
+        return self._drop(removed)
 
     def sweep_expired(self, now: float) -> List[FlowEntry]:
         """Remove and return entries whose timeouts have elapsed."""
-        expired = [e for e in self._entries if e.expired(now)]
-        if expired:
-            self._entries = [e for e in self._entries if not e.expired(now)]
-            self._rebuild()
-        return expired
+        return self._drop([e for e in self._entries if e.expired(now)])
+
+    def _drop(self, removed: List[FlowEntry]) -> List[FlowEntry]:
+        for entry in removed:
+            self._unlink(entry)
+        if removed:
+            self.epoch += 1
+        return removed
 
     def total_packets(self) -> int:
         return sum(e.packet_count for e in self._entries)

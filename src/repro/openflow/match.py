@@ -58,16 +58,26 @@ class Match:
         tp_src: Optional[int] = None,
         tp_dst: Optional[int] = None,
     ) -> None:
+        # Addresses are immutable: one handed in already typed is kept,
+        # anything else (str, int, bytes) is parsed.
         self.in_port = in_port
-        self.dl_src = MacAddress(dl_src) if dl_src is not None else None
-        self.dl_dst = MacAddress(dl_dst) if dl_dst is not None else None
+        self.dl_src = (
+            dl_src if dl_src is None or type(dl_src) is MacAddress else MacAddress(dl_src)
+        )
+        self.dl_dst = (
+            dl_dst if dl_dst is None or type(dl_dst) is MacAddress else MacAddress(dl_dst)
+        )
         self.dl_vlan = dl_vlan
         self.dl_vlan_pcp = dl_vlan_pcp
         self.dl_type = dl_type
         self.nw_tos = nw_tos
         self.nw_proto = nw_proto
-        self.nw_src = IpAddress(nw_src) if nw_src is not None else None
-        self.nw_dst = IpAddress(nw_dst) if nw_dst is not None else None
+        self.nw_src = (
+            nw_src if nw_src is None or type(nw_src) is IpAddress else IpAddress(nw_src)
+        )
+        self.nw_dst = (
+            nw_dst if nw_dst is None or type(nw_dst) is IpAddress else IpAddress(nw_dst)
+        )
         self.tp_src = tp_src
         self.tp_dst = tp_dst
 
@@ -75,6 +85,10 @@ class Match:
     def wildcard(cls) -> "Match":
         """Match everything (a table-miss style entry)."""
         return cls()
+
+    def copy(self) -> "Match":
+        """An equal match that shares no mutable state with this one."""
+        return Match(*self._key())
 
     @classmethod
     def from_packet(cls, packet: Packet, in_port: Optional[int] = None) -> "Match":

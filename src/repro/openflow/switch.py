@@ -15,7 +15,7 @@ can forward, mirror, rewrite, drop or fabricate packets arbitrarily.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.node import Node, Port
 from repro.net.packet import Packet
@@ -378,7 +378,7 @@ class OpenFlowSwitch(Node):
     def apply_actions(
         self,
         packet: Packet,
-        actions: List[Action],
+        actions: Sequence[Action],
         in_port_no: int,
         owned: bool = False,
     ) -> None:
@@ -489,7 +489,7 @@ class OpenFlowSwitch(Node):
         if packet is None:
             self.trace("switch.bad_packet_out")
             return
-        self.apply_actions(packet, list(message.actions), message.in_port)
+        self.apply_actions(packet, message.actions, message.in_port)
 
     def _notify_flow_removed(self, entry: FlowEntry, reason: str) -> None:
         self._send_to_controller(
@@ -592,8 +592,9 @@ class OpenFlowSwitch(Node):
     # ------------------------------------------------------------------
     def _buffer_packet(self, packet: Packet, in_port_no: int) -> int:
         if len(self._packet_buffer) >= self._packet_buffer_capacity:
-            oldest = min(self._packet_buffer)
-            del self._packet_buffer[oldest]
+            # ids only grow and are inserted in that order: the oldest
+            # (smallest) buffered id is the first key
+            del self._packet_buffer[next(iter(self._packet_buffer))]
         self._buffer_seq += 1
         self._packet_buffer[self._buffer_seq] = (packet, in_port_no)
         return self._buffer_seq

@@ -317,27 +317,24 @@ class PeriodicTask:
         self._callback = callback
         self._jitter_fn = jitter_fn
         self._handle: Optional[EventHandle] = None
-        self._stopped = True
+        #: a plain attribute, not a property: voters test it once per copy
+        self.running = False
 
     def start(self, initial_delay: float = 0.0) -> None:
-        self._stopped = False
+        self.running = True
         self._handle = self._sim.schedule(initial_delay, self._tick)
 
     def stop(self) -> None:
-        self._stopped = True
+        self.running = False
         if self._handle is not None:
             self._handle.cancel()
             self._handle = None
 
-    @property
-    def running(self) -> bool:
-        return not self._stopped
-
     def _tick(self) -> None:
-        if self._stopped:
+        if not self.running:
             return
         self._callback()
-        if self._stopped:  # callback may stop the task
+        if not self.running:  # callback may stop the task
             return
         delay = self._period
         if self._jitter_fn is not None:

@@ -9,13 +9,14 @@ import pytest
 from repro.core.alarms import (
     ALARM_BRANCH_QUARANTINED,
     ALARM_BRANCH_READMITTED,
+    ALARM_COPY_REWRITTEN,
     ALARM_MINORITY_DIVERGENCE,
     ALARM_ROUTER_UNAVAILABLE,
 )
 from repro.ctrl.compare import ControlCompare, ControlCompareConfig
 from repro.openflow.actions import Output
 from repro.openflow.match import Match
-from repro.openflow.messages import FLOWMOD_ADD, FlowMod
+from repro.openflow.messages import FLOWMOD_ADD, FlowMod, PacketOut
 from repro.net import MacAddress
 from repro.sim import Simulator, TraceBus
 
@@ -69,11 +70,38 @@ class TestRelease:
         assert h.released[0].actions[0].port == 2
 
     def test_released_message_is_the_voted_object(self):
+        """What goes out is the copy whose arrival completed the quorum,
+        digested in that call — a PacketOut as it is, a FlowMod with a
+        match of its own — never the stored first copy, which its replica
+        still holds."""
         h = Harness()
-        first = mod()
+        first, second = mod(), mod()
         h.submit(0, first)
-        h.submit(1, mod())
-        assert h.released[0] is first
+        h.submit(1, second)
+        (released,) = h.released
+        assert released == second and released.actions is second.actions
+        assert released.match is not second.match
+        assert released.match is not first.match
+        stored = PacketOut(packet=None, actions=[Output(1)], buffer_id=3)
+        completing = PacketOut(packet=None, actions=[Output(1)], buffer_id=3)
+        h.submit(0, stored)
+        h.submit(1, completing)
+        assert h.released[1] is completing
+
+    def test_quorum_shrink_releases_the_stored_copy_only_unchanged(self):
+        """A shrink completes a pending vote with no copy arriving: the
+        stored copy goes out if it still encodes to the voted bytes, and is
+        refused with an alarm naming its replica if they moved."""
+        h = Harness()
+        kept, rewritten = mod(mac_index=2), mod(mac_index=3)
+        h.submit(0, kept)
+        h.submit(0, rewritten)
+        rewritten.match.dl_dst = MacAddress.from_index(4)
+        h.compare.quarantine_branch(1, reason="test")
+        h.compare.quarantine_branch(2, reason="test")  # quorum 2 -> 1
+        assert h.released == [kept]
+        (alarm,) = h.alarms(ALARM_COPY_REWRITTEN)
+        assert (alarm.branch, alarm.details["message"]) == (0, "FlowMod")
 
     def test_messages_for_different_switches_vote_separately(self):
         h = Harness()

@@ -1,5 +1,7 @@
 """Edge cases across modules that the mainline tests don't reach."""
 
+import random
+
 import pytest
 
 from repro.analysis.records import ExperimentRecord
@@ -65,6 +67,30 @@ class TestSwitchEdges:
         assert len(s1._packet_buffer) == 2
         assert ids[0] not in s1._packet_buffer
         assert ids[3] in s1._packet_buffer
+
+    def test_packet_buffer_evicts_the_smallest_id_across_packet_outs(self):
+        """Buffering evicts the oldest entry; with PacketOuts consuming
+        random buffered ids in between, that is still the smallest id the
+        buffer holds (a model that evicts by ``min`` agrees throughout)."""
+        net, s1, h1, h2 = pair_through_switch()
+        s1._packet_buffer_capacity = 8
+        rng = random.Random(7)
+        model = {}
+        for i in range(400):
+            if model and rng.random() < 0.4:
+                buffer_id = rng.choice(sorted(model))
+                s1.handle_controller_message(
+                    PacketOut(packet=None, actions=[Output(2)], buffer_id=buffer_id)
+                )
+                del model[buffer_id]
+            else:
+                if len(model) >= 8:
+                    del model[min(model)]
+                packet = Packet.udp(h1.mac, h2.mac, h1.ip, h2.ip, 1, 2, ident=i)
+                model[s1._buffer_packet(packet, 1)] = packet
+            assert sorted(s1._packet_buffer) == sorted(model)
+        net.run()
+        assert net.trace.count("switch.bad_buffer") == 0
 
     def test_flow_mod_with_unknown_command_traced(self):
         from repro.openflow import FlowMod

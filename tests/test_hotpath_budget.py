@@ -15,7 +15,10 @@ without timeouts) and the endpoints resolve their wiring once.
 
 The control-plane decision path (PacketIn → k replicas → ``ControlCompare``
 → release) has the same gate on one slice of the ``des_ctrl_reactive_k3``
-recipe: 181.7 calls per hop before it was made lean, 126.6 with it.
+recipe: 181.7 calls per hop before it was made lean, 120.9 with it; then
+113.8 once the messages are built without a setter per field, digested in
+one pass and handed on positionally, and the vote step lost its property
+frame and its copy of the book per sweep.
 
 The same idea gates the live receive path (``live_udp_vote``'s recipe at
 small size): per released packet of k = 3 copies, how often the voter
@@ -93,10 +96,13 @@ CTRL_KWARGS = dict(
     payload_size=512,
     flow_hard_timeout=1e-4,
 )
-MAX_CTRL_CALLS_PER_HOP = 133
+MAX_CTRL_CALLS_PER_HOP = 115.8
 #: what one slice simulates (the counts of the commit before the lean
 #: decision path): hops, events, ``ctrl.submissions``, ``ctrl.released``
 CTRL_SLICE = (2_880, 7_658, 4_149, 702)
+#: ``Packet.copy`` calls in that slice: one per replica per PacketIn plus
+#: the data plane's; a release must not add one
+CTRL_SLICE_PACKET_COPIES = 4_695
 
 
 def run_ctrl_slice(duration: float = 0.01):
@@ -134,10 +140,18 @@ def test_control_plane_calls_per_hop():
         record["ctrl"]["submissions"],
         record["ctrl"]["released"],
     ) == CTRL_SLICE
-    calls = pstats.Stats(profile).total_calls
+    stats = pstats.Stats(profile)
+    calls = stats.total_calls
     assert calls / hops <= MAX_CTRL_CALLS_PER_HOP, (
         f"{calls / hops:.1f} calls per hop; "
         "`python bench/run.py --workload des_ctrl_reactive_k3 --trace` names the layer"
+    )
+    assert _calls(stats, "net/packet", "copy") <= CTRL_SLICE_PACKET_COPIES
+    # every copy is encoded once, when it is submitted; only a release by
+    # a quorum shrink (none in this slice) encodes a stored copy again
+    assert (
+        _calls(stats, "ctrl/digest", "encode_flow_mod", "encode_packet_out")
+        == record["ctrl"]["submissions"]
     )
 
 

@@ -1,4 +1,8 @@
-"""Tests for the OF 1.0 match structure and actions."""
+"""Tests for the OF 1.0 match structure, actions and control messages."""
+
+import copy
+import dataclasses
+import pickle
 
 import pytest
 
@@ -13,6 +17,7 @@ from repro.net import (
     Vlan,
 )
 from repro.openflow import (
+    FlowMod,
     Match,
     Output,
     PORT_CONTROLLER,
@@ -116,6 +121,18 @@ class TestMatch:
         assert "dl_dst" in repr(Match(dl_dst=M2))
         assert repr(Match()) == "Match(*)"
 
+    def test_typed_addresses_are_kept_and_others_parsed(self):
+        match = Match(dl_src=M1, dl_dst=str(M2), nw_src=IP1, nw_dst=int(IP2))
+        assert match.dl_src is M1 and match.nw_src is IP1
+        assert (match.dl_dst, match.nw_dst) == (M2, IP2)
+
+    def test_copy_is_equal_and_independent(self):
+        match = Match.from_packet(udp_packet(vlan=Vlan(7)), in_port=2)
+        twin = match.copy()
+        assert twin == match and twin is not match
+        twin.dl_dst = M3
+        assert match.dl_dst == M2
+
 
 class TestActions:
     def test_set_dl_src_dst(self):
@@ -171,3 +188,33 @@ class TestActions:
         assert flood().port == PORT_FLOOD
         assert to_controller().port == PORT_CONTROLLER
         assert "FLOOD" in repr(flood())
+
+    @pytest.mark.parametrize(
+        "action",
+        [Output(1), SetDlSrc(M1), SetDlDst(M2), SetVlanVid(3), StripVlan(),
+         SetNwSrc(IP1), SetNwDst(IP2), SetTpSrc(80), SetTpDst(443)],
+        ids=lambda action: type(action).__name__,
+    )
+    def test_actions_are_read_only_values(self, action):
+        for name in (*action.__slots__, "note"):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(action, name, 9)
+        for name in action.__slots__:
+            with pytest.raises(AttributeError, match="read-only"):
+                delattr(action, name)
+        assert pickle.loads(pickle.dumps(action)) == action
+        assert copy.deepcopy(action) == action
+
+
+class TestMessages:
+    def test_flow_mod_is_a_hashable_frozen_value(self):
+        def mod(port=2):
+            return FlowMod("add", Match(dl_dst=M2), [Output(port)], priority=5)
+
+        assert mod().actions == (Output(2),)
+        assert mod() == mod() and hash(mod()) == hash(mod())
+        assert mod() != mod(port=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mod().priority = 6
+        moved = dataclasses.replace(mod(), priority=6, actions=[Output(3)])
+        assert (moved.priority, moved.actions) == (6, (Output(3),))

@@ -8,12 +8,28 @@ tags a copy of its own (the vote book stores that copy), and the claim of
 a release rides another copy (``transport/base.py``).  These tests attack
 exactly that with a router that lets every packet pass, keeps it, and
 later forges its tag, rewrites it and re-sends it.
+
+The control plane has the same boundary one layer up: the voter is handed
+message objects a controller replica built and still holds.  The last
+section attacks it with a replica that sends exactly what its siblings
+send and then rewrites what it sent.
 """
 
 from __future__ import annotations
 
+import pytest
+
 from repro.adversary.behaviors import AdversarialBehavior
-from repro.net import Packet
+from repro.analysis.tasks import DRAIN_TIME, drive_ctrl_flow
+from repro.apps.learning import LearningSwitchApp
+from repro.ctrl.digest import digest
+from repro.ctrl.replicated import BOGUS_PORT
+from repro.live.verdict import fingerprint
+from repro.net import MacAddress, Packet
+from repro.openflow.actions import Output
+from repro.openflow.messages import FlowMod
+from repro.scenarios import ctrlplane
+from repro.scenarios.ctrlplane import build_ctrl_testbed
 from repro.scenarios.testbed import build_testbed
 
 PACKETS = 5
@@ -140,3 +156,125 @@ def test_collect_session_always_tags_a_copy():
         assert tagged.meta["endpoint"] == testbed.chain.endpoint_b.name
     assert testbed.compare_core.stats.released == released
     assert len(delivered) == PACKETS
+
+
+# ----------------------------------------------------------------------
+# the control plane: a replica that rewrites what it already sent
+# ----------------------------------------------------------------------
+def _rewrite_action_list(message) -> None:
+    message.actions[0] = Output(BOGUS_PORT)
+
+
+def _rewrite_output_port(message) -> None:
+    for action in message.actions:
+        if type(action) is Output:
+            action.port = BOGUS_PORT
+
+
+def _rewrite_match(message) -> None:
+    if type(message) is FlowMod:
+        message.match.dl_dst = MacAddress.BROADCAST
+
+
+REWRITES = {
+    "actions": _rewrite_action_list,
+    "port": _rewrite_output_port,
+    "match": _rewrite_match,
+}
+
+
+class RewritingReplica(LearningSwitchApp):
+    """A learning switch that sends what its honest siblings send and
+    rewrites each message through the reference it kept: right after its
+    own submit (``after``), or just before its next one (``before``, when
+    the message may be stored, in flight or installed)."""
+
+    def __init__(self, sim, name, rewrite: str, when: str, **kwargs) -> None:
+        super().__init__(sim, name, **kwargs)
+        self.rewrite = REWRITES[rewrite]
+        self.when = when
+        self.kept = []
+        self.attempts = 0
+        self.refused = 0
+
+    def send(self, switch, message) -> None:
+        if self.when == "before":
+            self._rewrite_kept()
+        super().send(switch, message)
+        self.kept.append(message)
+        if self.when == "after":
+            self._rewrite_kept()
+
+    def _rewrite_kept(self) -> None:
+        for message in self.kept:
+            self.attempts += 1
+            try:
+                self.rewrite(message)
+            except (AttributeError, TypeError):  # read-only: the write failed
+                self.refused += 1
+        self.kept.clear()
+
+
+def ctrl_flow(monkeypatch=None, attacker=None) -> dict:
+    """A 50 Mbit/s, 10 ms flow through ``central3`` under three learning
+    replicas; ``attacker = (replica, rewrite, when)`` makes one of them a
+    :class:`RewritingReplica`.  Returns the delivery fingerprint, the
+    ``bad_port`` drops, the digests of the messages the routers received
+    (on arrival and again after the run) and the attacker."""
+    replicas = []
+    if attacker is not None:
+        index, rewrite, when = attacker
+
+        def build(sim, name, **kwargs):
+            if name.endswith(f"_c{index}"):
+                replicas.append(RewritingReplica(sim, name, rewrite, when, **kwargs))
+                return replicas[-1]
+            return LearningSwitchApp(sim, name, **kwargs)
+
+        monkeypatch.setattr(ctrlplane, "LearningSwitchApp", build)
+    tb = build_ctrl_testbed("central3", seed=1)
+    arrived = []
+    for branch in tb.testbed.branches:
+        for switch in branch:
+            def spy(message, _deliver=switch.handle_controller_message):
+                arrived.append((message, digest(message)))
+                _deliver(message)
+
+            switch.handle_controller_message = spy
+    _flow, sequences, _ = drive_ctrl_flow(tb, "none", 50e6, 512, 0.01, DRAIN_TIME)
+    drops = [
+        record for record in tb.network.trace.select(topic="switch.drop")
+        if record.data["reason"] == "bad_port"
+    ]
+    return {
+        "fingerprint": fingerprint(sequences),
+        "received": len(sequences),
+        "bad_port": len(drops),
+        "on_arrival": [voted for _message, voted in arrived],
+        "after_run": [digest(message) for message, _voted in arrived],
+        "attacker": replicas[0] if replicas else None,
+    }
+
+
+@pytest.fixture(scope="module")
+def honest_ctrl_flow():
+    return ctrl_flow()
+
+
+@pytest.mark.parametrize("replica", [0, 1], ids=["stored_copy", "quorum_copy"])
+@pytest.mark.parametrize("when", ["after", "before"])
+@pytest.mark.parametrize("rewrite", sorted(REWRITES))
+def test_replica_cannot_rewrite_a_released_decision(
+    monkeypatch, honest_ctrl_flow, rewrite, when, replica
+):
+    """Replica 0's copy is the one the vote book stores; replica 1's is the
+    one that completes each quorum.  Either way, what reaches a router is
+    what the honest run sends it and stays so: the same delivery, no
+    blackholed packet, the same messages byte for byte."""
+    attacked = ctrl_flow(monkeypatch, (replica, rewrite, when))
+    assert attacked["attacker"].attempts > 0
+    assert attacked["received"] > 0
+    assert attacked["fingerprint"] == honest_ctrl_flow["fingerprint"]
+    assert attacked["bad_port"] == 0
+    assert attacked["on_arrival"] == honest_ctrl_flow["on_arrival"]
+    assert attacked["after_run"] == honest_ctrl_flow["on_arrival"]
