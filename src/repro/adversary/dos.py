@@ -79,6 +79,7 @@ class GeneratorFloodBehavior(AdversarialBehavior):
     def start(self, initial_delay: float = 0.0) -> None:
         if self._switch is None:
             raise RuntimeError("attach() the behaviour to a switch before start()")
+        self.stop()  # a restart replaces the running flood
         self._task = PeriodicTask(self._switch.sim, 1.0 / self.rate_pps, self._emit_one)
         self._task.start(initial_delay)
 

@@ -154,6 +154,7 @@ class PacketInjectionBehavior(AdversarialBehavior):
     def start(self, initial_delay: float = 0.0) -> None:
         if self._switch is None:
             raise RuntimeError("attach() the behaviour to a switch before start()")
+        self.stop()  # a restart replaces the running injector
         self._task = PeriodicTask(self._switch.sim, self.period, self._inject)
         self._task.start(initial_delay)
 

@@ -39,6 +39,7 @@ from repro.transport import (
     ROLE_COLLECT,
     ROLE_RELEASE,
     DesTransport,
+    Session,
     SessionSpec,
     Transport,
 )
@@ -62,7 +63,9 @@ class CompareHost(Node):
         super().__init__(sim, name, trace_bus)
         self.core = core
         self.transport = DesTransport(sim, name=f"{name}.transport")
-        self._collect_by_port: Dict[int, object] = {}
+        #: per registered port: its collect session and the endpoint's
+        #: compare context
+        self._collect_by_port: Dict[int, Tuple[Session, CompareContext]] = {}
 
     def register_endpoint(self, port_no: int, endpoint: CombinerEndpoint) -> None:
         """Associate a local port with the endpoint it serves."""
@@ -75,31 +78,28 @@ class CompareHost(Node):
         )
         context = CompareContext(
             scope=endpoint.name,
-            release=lambda packet: release.send(
-                packet, claim=(packet.meta or {}).get("claim")
-            ),
+            release=release.send,
             block_branch=endpoint.block_branch_ingress,
         )
         collect = self.transport.session(
             SessionSpec(endpoint.name, ROLE_COLLECT), port=port
         )
-        collect.set_receiver(
-            lambda packet, meta, context=context: self.core.submit(
-                packet, meta["branch"], context, claim=meta.get("claim")
-            )
-        )
-        self._collect_by_port[port_no] = collect
+        self._collect_by_port[port_no] = (collect, context)
 
     def receive(self, packet: Packet, in_port: Port) -> None:
-        session = self._collect_by_port.get(in_port.port_no)
-        if session is None:
+        registered = self._collect_by_port.get(in_port.port_no)
+        if registered is None:
             self.trace("compare_host.unregistered_port", port=in_port.port_no)
             return
         meta = packet.meta or {}  # the DES collect wire format
-        if meta.get("branch") is None:
+        branch = meta.get("branch")
+        if branch is None:
             self.trace("compare_host.untagged_packet", port=in_port.port_no)
             return
-        session.deliver(packet, meta)
+        session, context = registered
+        # the collect session's receive, spelled out: count, then submit
+        session.stats.rx_messages += 1
+        self.core.submit(packet, branch, context, meta.get("claim"))
 
 
 def attach_inline_compare(

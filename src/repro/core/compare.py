@@ -220,7 +220,7 @@ class CompareCore(QuorumVoter):
         self.stats.submissions += 1
         cost = self.config.proc_time + self.config.proc_per_byte * packet.wire_len
         sim = self.sim
-        now = sim.now  # the public clock: `sim` may be a RealTimeScheduler
+        now = sim.now
         if cost <= 0.0 and now >= self._busy_until:
             self._serve(packet, branch, context, claim)
             return

@@ -196,11 +196,9 @@ class CombinerEndpoint(OpenFlowSwitch):
         self._collect_session = self.transport.session(
             SessionSpec(self.name, ROLE_COLLECT), port=port
         )
-        release = self.transport.session(
+        self._release_session = self.transport.session(
             SessionSpec(self.name, ROLE_RELEASE), port=port
         )
-        release.set_receiver(lambda packet, meta: self.handle_release(packet))
-        self._release_session = release
 
     def attach_compare_controller(self, core: CompareCore) -> None:
         """Use the control channel (packet-in/packet-out) to reach the
@@ -267,9 +265,10 @@ class CombinerEndpoint(OpenFlowSwitch):
                 claim=self._claim_by_port.get(in_port_no),
             )
         elif in_port_no == self._compare_port_no:
-            # Inbound leg of the release session: meta is the DES wire
-            # format ({"claim": ...}); the receiver is handle_release.
-            self._release_session.deliver(packet, packet.meta or {})
+            # Inbound leg of the release session: count it there, then the
+            # egress role (the claim rides in meta, the DES wire format).
+            self._release_session.stats.rx_messages += 1
+            self.handle_release(packet)
         else:
             self._from_external(packet, in_port_no)
 

@@ -85,7 +85,7 @@ class Hub(Node):
         """:meth:`receive` for one train packet: the fan-out shares the
         batch across branches (nothing downstream mutates it), so no
         per-branch copies are materialised."""
-        now = self.sim._now
+        now = self.sim.now
         if in_port.port_no == UPSTREAM_PORT:
             for port in self._branches():
                 if port.is_wired:

@@ -175,7 +175,7 @@ class ControlCompare(QuorumVoter):
         # The copy itself rides as the release context: if it completes the
         # quorum it is what is released, digested in this very call.
         self._vote(
-            (datapath_id, digest(message)), replica, self.sim._now, message,
+            (datapath_id, digest(message)), replica, self.sim.now, message,
             None, message, (tainted, trace),
         )
 
@@ -202,7 +202,7 @@ class ControlCompare(QuorumVoter):
         # record differs only in whether a trace id is known.
         if known_trace is None:
             bus.emit(
-                self.sim._now, "ctrl.vote", self.name,
+                self.sim.now, "ctrl.vote", self.name,
                 branch=replica,
                 dpid=key[0],
                 votes=len(entry.branch_counts),
@@ -213,7 +213,7 @@ class ControlCompare(QuorumVoter):
             )
         else:
             bus.emit(
-                self.sim._now, "ctrl.vote", self.name,
+                self.sim.now, "ctrl.vote", self.name,
                 branch=replica,
                 dpid=key[0],
                 votes=len(entry.branch_counts),

@@ -154,7 +154,7 @@ class Host(Node):
         busy serving queued arrivals.
         """
         sim = self.sim
-        now = sim._now
+        now = sim.now
         tracer = self.tracer
         if tracer is not None and packet.trace_id is None:
             tracer.mark(packet, now, self.name)
@@ -184,7 +184,7 @@ class Host(Node):
             return
         # Single-server receive path: packets queue behind the stack.
         sim = self.sim
-        now = sim._now
+        now = sim.now
         busy = self._cpu_busy_until
         finish = (busy if busy > now else now) + cost
         self._cpu_busy_until = finish
@@ -217,7 +217,7 @@ class Host(Node):
             self.rx_dropped += 1
             self.trace("host.rx_drop", packet=batch.packet_at(i))
             return
-        now = self.sim._now
+        now = self.sim.now
         start = self._cpu_busy_until
         if start < now:
             start = now
@@ -314,15 +314,15 @@ class Host(Node):
         port = self.port(1)
         n = len(idxs)
         while True:
-            port.send_batch_packet(batch, idxs[j], sim._now)
+            port.send_batch_packet(batch, idxs[j], sim.now)
             j += 1
             if j >= n:
                 return
             t = departs[j]
-            if t <= sim._now:
+            if t <= sim.now:
                 continue
             if realm.runnable(t):
-                sim._now = t
+                sim.now = t
                 continue
             realm.post(t, self._batch_egress, (batch, idxs, departs, j))
             return

@@ -161,12 +161,14 @@ class Ethernet(_Header):
         ethertype: int = ETH_TYPE_IPV4,
     ) -> None:
         s = self._init()
-        s(self, "dst", MacAddress(dst))
-        s(self, "src", MacAddress(src))
+        # an address is kept as itself, with no constructor call
+        s(self, "dst", dst if type(dst) is MacAddress else MacAddress(dst))
+        s(self, "src", src if type(src) is MacAddress else MacAddress(src))
         s(self, "ethertype", ethertype)
 
     def to_bytes(self) -> bytes:
-        return self.dst.to_bytes() + self.src.to_bytes() + struct.pack("!H", self.ethertype)
+        # the addresses are ints: the header is one 112-bit big-endian word
+        return ((self.dst << 64) | (self.src << 16) | self.ethertype).to_bytes(14, "big")
 
     def copy(self) -> "Ethernet":
         return Ethernet(self.dst, self.src, self.ethertype)
@@ -215,8 +217,8 @@ class Ipv4(_Header):
         tos: int = 0,
     ) -> None:
         s = self._init()
-        s(self, "src", IpAddress(src))
-        s(self, "dst", IpAddress(dst))
+        s(self, "src", src if type(src) is IpAddress else IpAddress(src))
+        s(self, "dst", dst if type(dst) is IpAddress else IpAddress(dst))
         s(self, "proto", proto)
         s(self, "ttl", ttl)
         s(self, "ident", ident & 0xFFFF)
@@ -230,7 +232,7 @@ class Ipv4(_Header):
         # (serialising a CoW-shared header must stay legal and cheap).
         object.__setattr__(self, "total_length", IPV4_HEADER_LEN + payload_len)
         header = struct.pack(
-            "!BBHHHBBH4s4s",
+            "!BBHHHBBHII",
             (4 << 4) | 5,  # version=4, ihl=5
             self.tos,
             self.total_length,
@@ -239,8 +241,8 @@ class Ipv4(_Header):
             self.ttl,
             self.proto,
             0,  # checksum placeholder
-            self.src.to_bytes(),
-            self.dst.to_bytes(),
+            self.src,
+            self.dst,
         )
         checksum = internet_checksum(header)
         return header[:10] + struct.pack("!H", checksum) + header[12:]
@@ -270,9 +272,7 @@ class Udp(_Header):
     def to_bytes(self, ip: Ipv4, payload: bytes) -> bytes:
         length = UDP_HEADER_LEN + len(payload)
         header = struct.pack("!HHHH", self.sport, self.dport, length, 0)
-        pseudo = ip.src.to_bytes() + ip.dst.to_bytes() + struct.pack(
-            "!BBH", 0, IP_PROTO_UDP, length
-        )
+        pseudo = struct.pack("!IIBBH", ip.src, ip.dst, 0, IP_PROTO_UDP, length)
         checksum = internet_checksum(pseudo + header + payload)
         return header[:6] + struct.pack("!H", checksum)
 
@@ -324,8 +324,8 @@ class Tcp(_Header):
             0,  # checksum placeholder
             0,  # urgent pointer
         )
-        pseudo = ip.src.to_bytes() + ip.dst.to_bytes() + struct.pack(
-            "!BBH", 0, IP_PROTO_TCP, TCP_HEADER_LEN + len(payload)
+        pseudo = struct.pack(
+            "!IIBBH", ip.src, ip.dst, 0, IP_PROTO_TCP, TCP_HEADER_LEN + len(payload)
         )
         checksum = internet_checksum(pseudo + header + payload)
         return header[:16] + struct.pack("!H", checksum) + header[18:]

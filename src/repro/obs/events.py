@@ -119,8 +119,9 @@ class FleetEvent:
 
 
 def _jsonable(value: Any) -> Any:
-    """Best-effort JSON projection of one event data value."""
-    if value is None or isinstance(value, (bool, int, float, str)):
+    """Best-effort JSON projection of one event data value (an address,
+    an ``int`` subclass, is its ``repr``, never its number)."""
+    if value is None or isinstance(value, (bool, float, str)) or type(value) is int:
         return value
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]

@@ -190,9 +190,10 @@ def sanitise_value(value: Any) -> Any:
     """Make one trace-record data value JSON-safe.
 
     Packets collapse to their one-line ``summary()``; anything else
-    non-JSON falls back to ``repr``.
+    non-JSON falls back to ``repr``.  MAC and IP addresses are ``int``
+    subclasses: they take the ``repr`` too, never their number.
     """
-    if value is None or isinstance(value, (bool, int, float, str)):
+    if value is None or isinstance(value, (bool, float, str)) or type(value) is int:
         return value
     summary = getattr(value, "summary", None)
     if callable(summary):

@@ -88,7 +88,7 @@ class Controller:
             self._dispatch(switch, message)
             return
         sim = self.sim
-        finish = max(sim._now, self._busy_until) + self.proc_time
+        finish = max(sim.now, self._busy_until) + self.proc_time
         self._busy_until = finish
         self._in_service += 1
         sim.post(finish, self._serve_one, (switch, message))
@@ -121,7 +121,7 @@ class Controller:
             return
         sim = self.sim
         sim.post(
-            sim._now + switch.controller_latency(),
+            sim.now + switch.controller_latency(),
             switch.handle_controller_message,
             (message,),
         )

@@ -140,7 +140,7 @@ class OpenFlowSwitch(Node):
             return
         sim = self.sim
         sim.post(
-            sim._now + self._controller_latency,
+            sim.now + self._controller_latency,
             controller.receive_from_switch,
             (self, message),
         )
@@ -181,7 +181,7 @@ class OpenFlowSwitch(Node):
             return
         # cpu.acquire, inlined (hot): book `cost` seconds of FIFO service.
         sim = self.sim
-        now = sim._now
+        now = sim.now
         cpu = self.cpu
         busy = cpu._busy_until
         finish = (now if now > busy else busy) + cost
@@ -211,7 +211,7 @@ class OpenFlowSwitch(Node):
             self.trace("switch.drop", reason="service_queue", packet=batch.packet_at(i))
             return
         cost = self.proc_time + self.proc_per_byte * batch.wire_len
-        now = self.sim._now
+        now = self.sim.now
         if cost <= 0.0:
             self._serve_batch_packet(batch, i, in_port.port_no, now)
             return
@@ -229,7 +229,7 @@ class OpenFlowSwitch(Node):
     def _serve_batch_micro(self, batch, i: int, in_port_no: int) -> None:
         """Micro-event: CPU service of one train packet completes."""
         self._in_service -= 1
-        self._serve_batch_packet(batch, i, in_port_no, self.sim._now)
+        self._serve_batch_packet(batch, i, in_port_no, self.sim.now)
 
     def _serve_batch_packet(self, batch, i: int, in_port_no: int, now: float) -> None:
         """:meth:`_process` for one train packet, with a train-granular
@@ -336,7 +336,7 @@ class OpenFlowSwitch(Node):
             self.stats.dropped_failed += 1
             self.trace("switch.drop", reason="failed", packet=packet)
             return
-        now = self.sim._now
+        now = self.sim.now
         table = self.table
         if table.has_timeouts:
             for entry in table.sweep_expired(now):

@@ -64,7 +64,9 @@ class Simulator:
     _COMPACT_MIN_DEAD = 64
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: current simulated time in seconds: a plain attribute, written
+        #: by the run loop (and the batch realm) and read on every hop
+        self.now = 0.0
         #: heap of ``(when, seq, fn, args, handle-or-None)``: ordering is
         #: decided by the float/int prefix, so simultaneous events fire in
         #: scheduling order (``seq`` is unique; later fields never compare)
@@ -83,14 +85,6 @@ class Simulator:
         #: realm must not advance virtual time past it
         self._horizon = math.inf
 
-    # ------------------------------------------------------------------
-    # clock
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     @property
     def events_processed(self) -> int:
         """Number of events executed so far (telemetry/debugging)."""
@@ -107,14 +101,14 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback)
+        return self.schedule_at(self.now + delay, callback)
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at absolute simulated time ``when``."""
         # `not >=` rather than `<`: it rejects NaN as well as the past.
-        if not when >= self._now:
+        if not when >= self.now:
             raise SimulationError(
-                f"cannot schedule into the past (now={self._now}, when={when})"
+                f"cannot schedule into the past (now={self.now}, when={when})"
             )
         handle = EventHandle(when, self)
         heappush(self._queue, (when, self._seq, callback, (), handle))
@@ -132,9 +126,9 @@ class Simulator:
         attached the event goes to its micro heap, so single packets
         interleave with train packets in global time order.
         """
-        if not when >= self._now:
+        if not when >= self.now:
             raise SimulationError(
-                f"cannot schedule into the past (now={self._now}, when={when})"
+                f"cannot schedule into the past (now={self.now}, when={when})"
             )
         if self.realm is not None:
             self.realm.post(when, fn, args)
@@ -181,7 +175,7 @@ class Simulator:
                     break
                 heappop(queue)
                 self._live -= 1
-                self._now = when
+                self.now = when
                 if handle is not None:
                     handle._sim = None  # fired: a late cancel() is a no-op
                 fn(*args)
@@ -191,8 +185,8 @@ class Simulator:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; runaway event loop?"
                     )
-            if until is not None and not self._stop_requested and self._now < until:
-                self._now = until
+            if until is not None and not self._stop_requested and self.now < until:
+                self.now = until
         finally:
             self._running = False
             self._horizon = math.inf
@@ -321,6 +315,10 @@ class PeriodicTask:
         self.running = False
 
     def start(self, initial_delay: float = 0.0) -> None:
+        """(Re)start the task: a pending tick is cancelled, as
+        :meth:`Timer.start` does, so one chain of ticks runs."""
+        if self._handle is not None:
+            self._handle.cancel()
         self.running = True
         self._handle = self._sim.schedule(initial_delay, self._tick)
 
@@ -331,10 +329,13 @@ class PeriodicTask:
             self._handle = None
 
     def _tick(self) -> None:
+        self._handle = None
         if not self.running:
             return
         self._callback()
-        if not self.running:  # callback may stop the task
+        # the callback may stop the task, or restart it (which scheduled
+        # the next tick already)
+        if not self.running or self._handle is not None:
             return
         delay = self._period
         if self._jitter_fn is not None:

@@ -12,7 +12,7 @@ trick is a second, much cheaper event queue:
   pinned at the earliest micro-event time.  When the tick fires, the
   realm drains every micro-event that is due strictly before the next
   outer event (and no later than the active ``run(until=...)`` horizon).
-* While draining, the realm **advances ``sim._now`` to each
+* While draining, the realm **advances ``sim.now`` to each
   micro-event's virtual timestamp**.  Any unmodified legacy handler
   invoked from micro context therefore sees exactly the clock it would
   have seen as an outer event — per-packet fallbacks are ordinary calls
@@ -203,7 +203,7 @@ class BatchRealm:
             if when > horizon or when >= nxt:
                 break
             when, _seq, fn, args = heappop(heap)
-            sim._now = when
+            sim.now = when
             fn(*args)
             if sim._seq != mark:
                 nxt = self._nxt = sim.peek_time()

@@ -90,7 +90,8 @@ class DesCollectSession(DesSession):
 
 
 class DesReleaseSession(DesSession):
-    """``release``: a copy carries the claim back, ``{"claim": c}``."""
+    """``release``: a copy carries the claim back, ``{"claim": c}``; with
+    no ``claim`` given, the one the packet's collect tag carries."""
 
     def send(
         self,
@@ -99,6 +100,10 @@ class DesReleaseSession(DesSession):
         claim: Optional[int] = None,
     ) -> None:
         self.stats.tx_messages += 1
+        if claim is None:
+            # the compare's release hook (``CompareContext.release``) hands
+            # over the voted copy alone: its collect tag holds the claim
+            claim = (packet.meta or {}).get("claim")
         dup = packet.copy()
         dup.meta = {"claim": claim}
         self._port_send(dup)

@@ -2,12 +2,11 @@
 
 :class:`CompareCore`, :class:`~repro.sim.PeriodicTask` and the
 quarantine machinery only touch ``sim.now``, ``sim.schedule``,
-``sim.schedule_at``, ``sim.post`` and ``sim.realm`` (never the DES
-clock's private ``_now``); this adapter maps those onto an
-asyncio event loop so the *same* voting code runs unmodified in a
-real-time process.  ``now`` is seconds since the scheduler was created
-(``loop.time()`` is monotonic), which keeps compare timestamps small and
-comparable with DES run timelines.
+``sim.schedule_at``, ``sim.post`` and ``sim.realm``; this adapter maps
+those onto an asyncio event loop so the *same* voting code runs
+unmodified in a real-time process.  ``now`` is seconds since the
+scheduler was created (``loop.time()`` is monotonic), which keeps
+compare timestamps small and comparable with DES run timelines.
 """
 
 from __future__ import annotations

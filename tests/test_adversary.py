@@ -250,6 +250,25 @@ class TestModify:
         assert behavior.injected == 6  # t=0..5ms inclusive
         assert len(rx["h2"]) == 6
 
+    def test_restarted_injection_keeps_its_period(self):
+        net, s1, h1, h2, h3, rx = rig()
+
+        def factory(i):
+            return Packet.udp(h3.mac, h2.mac, h3.ip, h2.ip, 6, 6, ident=i)
+
+        behavior = PacketInjectionBehavior(
+            factory, inject_port=net.port_no_between("s1", "h2"), period=1e-3
+        )
+        behavior.attach(s1)
+        behavior.start()
+        net.run(until=2.5e-3)
+        behavior.start()  # restarts the timer at t = 2.5 ms
+        net.run(until=5.5e-3)
+        behavior.stop()
+        net.run(until=0.02)
+        assert behavior.injected == 6  # t = 0, 1, 2, then 2.5, 3.5, 4.5 ms
+        assert len(rx["h2"]) == 6
+
     def test_injection_requires_attach(self):
         behavior = PacketInjectionBehavior(lambda i: None, 1, 1e-3)
         with pytest.raises(RuntimeError):
@@ -284,6 +303,25 @@ class TestDos:
         net.run(until=0.0105)
         behavior.stop()
         assert 10 <= behavior.generated <= 11
+
+    def test_restarted_generator_flood_keeps_its_rate(self):
+        net, s1, h1, h2, h3, rx = rig()
+
+        def factory(i):
+            return Packet.udp(h1.mac, h2.mac, h1.ip, h2.ip, 9, 9, ident=i)
+
+        behavior = GeneratorFloodBehavior(
+            factory, out_port=net.port_no_between("s1", "h2"), rate_pps=1000
+        )
+        behavior.attach(s1)
+        behavior.start()
+        behavior.start()
+        net.run(until=0.0095)
+        assert behavior.generated == 10  # t = 0 .. 9 ms
+        behavior.stop()
+        net.run(until=0.03)
+        assert behavior.generated == 10
+        assert len(rx["h2"]) == 10
 
     def test_generator_flood_validation(self):
         with pytest.raises(ValueError):

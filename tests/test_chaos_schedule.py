@@ -244,6 +244,14 @@ class TestLinkFaults:
     def test_loss_burst_installs_and_clears_model(self):
         net, *_ = two_switch_net()
         link = next(l for l in net.links if l.name == "s1-s2")
+        installed = []
+        set_loss_model = link.set_loss_model
+
+        def spy(model):
+            installed.append((net.sim.now, model))
+            set_loss_model(model)
+
+        link.set_loss_model = spy
         engine = ChaosEngine(
             FaultSchedule(
                 [LossBurst(0.001, "s1-s2", until=0.002, loss_bad=1.0)]
@@ -252,9 +260,9 @@ class TestLinkFaults:
         )
         engine.arm()
         net.run(until=0.0015)
-        assert link._a_to_b._loss_model is not None
+        assert [(t, callable(m)) for t, m in installed] == [(0.001, True)]
         net.run(until=0.003)
-        assert link._a_to_b._loss_model is None
+        assert installed[1:] == [(0.002, None)]
 
 
 class TestSwitchFaults:

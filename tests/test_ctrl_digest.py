@@ -169,15 +169,17 @@ class TestMutationDistinctness:
         "field,value",
         [
             ("in_port", 2),
-            ("dl_src", MAC2),
-            ("dl_dst", MAC1),
+            # addresses are ints, which pytest would name by value: these
+            # keep the ids the cases have always had
+            pytest.param("dl_src", MAC2, id="dl_src-value1"),
+            pytest.param("dl_dst", MAC1, id="dl_dst-value2"),
             ("dl_vlan", 11),
             ("dl_vlan_pcp", 2),
             ("dl_type", 0x0806),
             ("nw_tos", 5),
             ("nw_proto", 6),
-            ("nw_src", IP2),
-            ("nw_dst", IP1),
+            pytest.param("nw_src", IP2, id="nw_src-value8"),
+            pytest.param("nw_dst", IP1, id="nw_dst-value9"),
             ("tp_src", 5002),
             ("tp_dst", 5003),
         ],

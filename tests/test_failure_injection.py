@@ -48,22 +48,20 @@ def build_rig(
     chain.install_mac_route(h1.mac, toward="a")
 
     if branch_loss > 0.0:
-        # lossy branch links (cheap hardware, bad cables): rebuild the
-        # loss on the per-direction RNG by patching the link attributes
+        # lossy branch links (cheap hardware, bad cables), drawn from
+        # each link's own loss RNG stream
         for router in chain.routers:
             for link in net.links:
                 names = {link.a.node.name, link.b.node.name}
                 if router.name in names and (
                     chain.endpoint_a.name in names or chain.endpoint_b.name in names
                 ):
-                    link._a_to_b._loss = branch_loss
-                    link._b_to_a._loss = branch_loss
+                    link.set_loss(branch_loss)
     if compare_link_loss > 0.0 and chain.compare_host is not None:
         for link in net.links:
             names = {link.a.node.name, link.b.node.name}
             if chain.compare_host.name in names:
-                link._a_to_b._loss = compare_link_loss
-                link._b_to_a._loss = compare_link_loss
+                link.set_loss(compare_link_loss)
     return net, chain, h1, h2
 
 

@@ -11,20 +11,27 @@ wire) fails tier-1 by name instead of hiding in timer noise.
 Calls per hop, this recipe: 70.5 before the lean hop, 44.6 with it; then
 44.0 → 37.7 once a router forwards the packet it owns (no working copy
 for an action list that writes nothing, no expiry checks in a table
-without timeouts) and the endpoints resolve their wiring once.
+without timeouts) and the endpoints resolve their wiring once; then
+37.5 → 30.7 once the sending port owns its link direction (a hop is two
+frames: ``Port.send`` and the arrival), addresses are ints (C-level
+hashing and equality, serialised without a frame), ``Simulator.now`` is
+a plain attribute and the compare host hands copies to the core and
+releases through its session without a ``lambda`` in between.
 
 The control-plane decision path (PacketIn → k replicas → ``ControlCompare``
 → release) has the same gate on one slice of the ``des_ctrl_reactive_k3``
 recipe: 181.7 calls per hop before it was made lean, 120.9 with it; then
 113.8 once the messages are built without a setter per field, digested in
 one pass and handed on positionally, and the vote step lost its property
-frame and its copy of the book per sweep.
+frame and its copy of the book per sweep; then 101.3 with the two-frame
+hop, int addresses (the learning app's MAC table hashes and compares in C)
+and the plain clock attribute.
 
 The same idea gates the live receive path (``live_udp_vote``'s recipe at
 small size): per released packet of k = 3 copies, how often the voter
 side serialises (0; it re-serialised every copy before ``Packet.parse``
 kept the received bytes), parses (1: the copies of a frame share one
-parse; 3 before), checksums (2; 6 before, 9 before that) and builds
+parse; 3 before), checksums (2; 6 before, 9 before that) and constructs
 address objects (4; 12 before, 24 before that).
 """
 
@@ -39,7 +46,7 @@ from repro.scenarios.testbed import TestbedParams, build_testbed
 from repro.traffic.iperf import run_udp_flow
 
 #: budget, in profiled calls (built-ins included) per link hop
-MAX_CALLS_PER_HOP = 39.7
+MAX_CALLS_PER_HOP = 31.4
 #: what the recipe simulates; any change here is a change of simulated
 #: behaviour, not of speed, and must be explained (the counts are those
 #: of the commit before `Simulator.post` existed)
@@ -82,6 +89,13 @@ def test_calls_and_events_per_hop():
     assert _calls(stats, "net/packet", "copy") == 8 * datagrams
     # no entry of these tables has a timeout: nothing to sweep
     assert _calls(stats, "openflow/flowtable", "sweep_expired") == 0
+    # a hop is two frames, `Port.send` and the arrival event; the rest of
+    # net.link and net.node is wiring, resolved once
+    hop_frames = _calls(stats, "net/node", "send", "_arrive")
+    assert hop_frames == 2 * hops
+    assert _calls(stats, "net/link") + _calls(stats, "net/node") - hop_frames < 0.01 * hops
+    # addresses hash, compare and serialise as ints, without a frame
+    assert _calls(stats, "net/addresses") <= 0.25 * hops
 
 
 # ----------------------------------------------------------------------
@@ -96,7 +110,7 @@ CTRL_KWARGS = dict(
     payload_size=512,
     flow_hard_timeout=1e-4,
 )
-MAX_CTRL_CALLS_PER_HOP = 115.8
+MAX_CTRL_CALLS_PER_HOP = 103.3
 #: what one slice simulates (the counts of the commit before the lean
 #: decision path): hops, events, ``ctrl.submissions``, ``ctrl.released``
 CTRL_SLICE = (2_880, 7_658, 4_149, 702)
@@ -201,11 +215,13 @@ LIVE_WINDOW = 16
 
 
 def _calls(stats: pstats.Stats, module: str, *functions: str) -> int:
-    """Profiled calls of ``functions`` defined in ``repro/<module>.py``."""
+    """Profiled calls of ``functions`` (default: every function) defined
+    in ``repro/<module>.py``."""
     return sum(
         ncalls
         for (filename, _line, name), (_cc, ncalls, *_rest) in stats.stats.items()
-        if filename.endswith(f"/repro/{module}.py") and name in functions
+        if filename.endswith(f"/repro/{module}.py")
+        and (not functions or name in functions)
     )
 
 
@@ -326,9 +342,9 @@ def test_live_receive_path_does_the_work_once():
     assert _calls(stats, "net/packet", "_serialise") == LIVE_PACKETS
     # sender: IPv4 header + UDP per serialise; voter: the same two, verifying
     assert _calls(stats, "net/packet", "internet_checksum") <= 4 * LIVE_PACKETS
-    # two MACs, two IPs, each built once per distinct frame (the sender
-    # builds none: the packets exist before the profile starts)
-    assert _calls(stats, "net/addresses", "__init__") <= 4 * LIVE_PACKETS
+    # two MACs, two IPs, each constructed once per distinct frame (the
+    # sender constructs none: the packets exist before the profile starts)
+    assert _calls(stats, "net/addresses", "__new__") <= 4 * LIVE_PACKETS
 
 
 #: what the compare counts, and the alarms it raises, with branch 2

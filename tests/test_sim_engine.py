@@ -304,6 +304,33 @@ class TestPeriodicTask:
         with pytest.raises(SimulationError):
             PeriodicTask(sim, 0.0, lambda: None)
 
+    def test_restart_replaces_the_pending_tick(self):
+        sim = Simulator()
+        times = []
+        task = PeriodicTask(sim, 0.5, lambda: times.append(sim.now))
+        task.start()
+        task.start(initial_delay=0.25)
+        sim.run(until=1.6)
+        assert times == [0.25, 0.75, 1.25]
+        task.stop()
+        sim.run(until=3.0)
+        assert times == [0.25, 0.75, 1.25]
+        assert sim.pending_events() == 0
+
+    def test_callback_may_restart_task(self):
+        sim = Simulator()
+        times = []
+
+        def tick():
+            times.append(sim.now)
+            if len(times) == 2:
+                task.start(initial_delay=0.1)
+
+        task = PeriodicTask(sim, 0.5, tick)
+        task.start()
+        sim.run(until=1.7)
+        assert times == [0.0, 0.5, 0.6, 1.1, 1.6]
+
 
 class TestCpuResource:
     def test_idle_acquire_runs_immediately(self):
