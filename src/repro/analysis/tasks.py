@@ -30,7 +30,7 @@ from repro.core.alarms import ALARM_DOS_SUSPECTED, ALARM_ROUTER_UNAVAILABLE
 from repro.farm.spec import register_runner
 from repro.live.verdict import fingerprint
 from repro.scenarios.ctrlplane import CtrlParams, CtrlTestbed, build_ctrl_testbed
-from repro.scenarios.datacenter import DatacenterCaseStudy
+from repro.scenarios.datacenter import build_pod_slice, mount_attack, run_echo_test
 from repro.scenarios.testbed import Testbed, TestbedParams, build_testbed
 from repro.traffic.iperf import (
     DRAIN_TIME,
@@ -700,11 +700,19 @@ def casestudy_run(
     params: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """One Section VI scenario run on the fat-tree pod slice; returns the
-    ``asdict`` form of its ``CaseStudyResult``.  ``params`` is the farm's
-    uniform kwarg: the pod slice has no :class:`TestbedParams`."""
+    ``asdict`` form of its ``CaseStudyResult``.  The protected run is the
+    registered ``fattree_shielded3`` with replica r2 compromised.
+    ``params`` is the farm's uniform kwarg, unused: the slice keeps its
+    own constants."""
     if run not in CASESTUDY_RUNS:
         raise ValueError(
             f"unknown case-study run {run!r} (known: {list(CASESTUDY_RUNS)})"
         )
-    study = DatacenterCaseStudy(seed=seed, echo_count=echo_count)
-    return asdict(getattr(study, f"run_{run}")())
+    if run == "protected":
+        testbed = build_testbed("fattree_shielded3", seed=seed)
+        network, agg1 = testbed.network, testbed.chain
+    else:
+        network, agg1 = build_pod_slice(seed)
+    if run != "baseline":
+        mount_attack(network, agg1)
+    return asdict(run_echo_test(network, agg1, run, echo_count))

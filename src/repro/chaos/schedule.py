@@ -41,6 +41,7 @@ from repro.adversary import (
 from repro.adversary.strategies import STRATEGIES, ScheduledStrategy, build_strategy
 from repro.ctrl.replicated import CTRL_STRATEGIES
 from repro.net.link import Link
+from repro.net.node import NetworkError
 from repro.net.topology import Network
 from repro.obs.metrics import bind_counter
 from repro.openflow.switch import OpenFlowSwitch
@@ -474,7 +475,6 @@ class ChaosEngine:
         self.strategy_behaviors: Dict[str, ScheduledStrategy] = {}
         #: applied faults, in injection order: dicts of time/kind/target
         self.injections: List[dict] = []
-        self._links_by_name = {link.name: link for link in network.links}
         # pre-compromise behaviors, for behavior_off restoration
         self._saved_behaviors: Dict[str, object] = {}
         # original per-direction rates, for bandwidth restoration
@@ -489,13 +489,13 @@ class ChaosEngine:
     # -- target resolution ---------------------------------------------
     def resolve_link(self, target: str) -> Link:
         name = self.aliases.get(target, target)
-        link = self._links_by_name.get(name)
-        if link is None:
+        try:
+            return self.network.link(name)
+        except NetworkError:
             raise ValueError(
                 f"no link named {name!r} (target {target!r}); "
-                f"known: {sorted(self._links_by_name)}"
-            )
-        return link
+                f"known: {sorted(link.name for link in self.network.links)}"
+            ) from None
 
     def resolve_switch(self, target: str) -> OpenFlowSwitch:
         name = self.aliases.get(target, target)

@@ -39,7 +39,6 @@ from repro.core.compare import (
 )
 from repro.core.deployment import (
     ShieldedRouter,
-    ShieldedRouterParams,
     build_shielded_router,
 )
 from repro.core.endpoint import (
@@ -91,7 +90,6 @@ __all__ = [
     "CompareCore",
     "CompareStats",
     "ShieldedRouter",
-    "ShieldedRouterParams",
     "build_shielded_router",
     "MODE_COMBINE",
     "MODE_DUP",

@@ -14,44 +14,32 @@ replacement as a drop-in unit for an n-port router:
 * the compare runs on a dedicated host attached in-band, exactly like
   ``h3`` in the prototype.
 
-The Section VI datacenter case study shields the malicious aggregation
-switch with this unit.
+The unit keeps its own link and datapath constants; only the compare
+configuration (and with it ``k``) is the caller's.  The Section VI pod
+slice (:mod:`repro.scenarios.datacenter`, registered as
+``fattree_shielded3``) shields its aggregation switch with this unit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Tuple
 
 from repro.core.alarms import AlarmSink
 from repro.core.combiner import CompareHost, attach_inline_compare
 from repro.core.compare import CompareConfig, CompareCore
 from repro.core.endpoint import MODE_COMBINE, CombinerEndpoint
 from repro.net.addresses import MacAddress
+from repro.net.link import Link
 from repro.net.node import NetworkError, Node
 from repro.net.topology import Network
 from repro.openflow.actions import Output
 from repro.openflow.match import Match
 from repro.openflow.switch import OpenFlowSwitch
-from repro.sim import CpuResource
 
-
-@dataclass
-class ShieldedRouterParams:
-    """Tunables for a shielded router deployment."""
-
-    k: int = 3
-    link_rate_bps: float = 1e9
-    link_delay: float = 2e-6
-    queue_capacity: int = 100
-    router_proc_time: float = 5e-6
-    router_proc_per_byte: float = 2.5e-9
-    endpoint_proc_time: float = 1e-6
-    endpoint_proc_per_byte: float = 2e-9
-    compare_link_rate_bps: float = 1e9
-    compare_link_delay: float = 5e-6
-    compare: CompareConfig = field(default_factory=CompareConfig)
-    shared_cpu: Optional[CpuResource] = None
+#: every external and claim-link: 1 Gbit/s, 2 µs
+_LINK = dict(rate_bps=1e9, delay=2e-6, queue_capacity=100)
+#: the in-band link to the compare host
+_COMPARE_LINK = dict(rate_bps=1e9, delay=5e-6, queue_capacity=100)
 
 
 class ShieldedRouter:
@@ -59,7 +47,10 @@ class ShieldedRouter:
 
     Build with :func:`build_shielded_router`, then wire each neighbour of
     the original router to an external port via :meth:`attach_neighbor`,
-    and program routes with :meth:`install_mac_route`.
+    and program routes with :meth:`install_mac_route`.  Reads like a
+    :class:`~repro.core.combiner.CombinerChain` wherever a scenario
+    handle needs it to: the one endpoint is both trusted elements and
+    replica i is branch i.
     """
 
     def __init__(
@@ -71,7 +62,6 @@ class ShieldedRouter:
         compare_host: CompareHost,
         compare_core: CompareCore,
         alarms: AlarmSink,
-        params: ShieldedRouterParams,
     ) -> None:
         self.network = network
         self.name = name
@@ -80,139 +70,114 @@ class ShieldedRouter:
         self.compare_host = compare_host
         self.compare_core = compare_core
         self.alarms = alarms
-        self.params = params
-        # external port number -> (replica index -> replica-side port no)
-        self._replica_port_for_claim: Dict[int, Dict[int, int]] = {}
-        self._next_external = 0
+        # external port number -> each replica's port on its claim-link
+        self._replica_port_for_claim: Dict[int, List[int]] = {}
 
     @property
     def k(self) -> int:
         return len(self.replicas)
 
+    endpoint_a = property(lambda self: self.endpoint)
+    endpoint_b = property(lambda self: self.endpoint)
+
+    @property
+    def branches(self) -> List[List[OpenFlowSwitch]]:
+        return [[replica] for replica in self.replicas]
+
     # ------------------------------------------------------------------
-    def attach_neighbor(
-        self,
-        neighbor: Node,
-        rate_bps: Optional[float] = None,
-        delay: Optional[float] = None,
-    ) -> int:
+    def attach_neighbor(self, neighbor: Node) -> int:
         """Wire ``neighbor`` to a fresh external port (as it was wired to
         the original router).  Returns the external port number.
 
         For each replica, a parallel branch link is created so the
         replica can claim this egress.
         """
-        params = self.params
-        link = self.network.connect(
-            self.endpoint,
-            neighbor,
-            rate_bps=rate_bps if rate_bps is not None else params.link_rate_bps,
-            delay=delay if delay is not None else params.link_delay,
-            queue_capacity=params.queue_capacity,
-        )
+        link = self.network.connect(self.endpoint, neighbor, **_LINK)
         external_port = link.a.port_no
-        self._next_external += 1
-        claim_map: Dict[int, int] = {}
+        claim_ports: List[int] = []
         for i, replica in enumerate(self.replicas):
-            branch_link = self.network.connect(
-                self.endpoint,
-                replica,
-                rate_bps=params.link_rate_bps,
-                delay=params.link_delay,
-                queue_capacity=params.queue_capacity,
-            )
+            branch_link = self.network.connect(self.endpoint, replica, **_LINK)
             self.endpoint.assign_branch(
                 branch_link.a.port_no, branch=i, claim=external_port
             )
-            claim_map[i] = branch_link.b.port_no
-        self._replica_port_for_claim[external_port] = claim_map
+            claim_ports.append(branch_link.b.port_no)
+        self._replica_port_for_claim[external_port] = claim_ports
         return external_port
 
     def external_port_of(self, neighbor_name: str) -> int:
         return self.network.port_no_between(self.endpoint.name, neighbor_name)
+
+    def claim_port(self, replica: int, external_port: int) -> int:
+        """Replica ``replica``'s port on the claim-link that stands for
+        ``external_port``: sending there claims that egress."""
+        ports = self._replica_port_for_claim.get(external_port)
+        if ports is None:
+            raise NetworkError(
+                f"{self.name}: external port {external_port} not attached"
+            )
+        return ports[replica]
+
+    def claim_links(self) -> Iterator[Tuple[int, str, Link]]:
+        """``(replica, neighbour name, claim-link)`` for every claim-link,
+        in external-port order."""
+        for external_port, ports in self._replica_port_for_claim.items():
+            neighbour = self.endpoint.port(external_port).peer.node.name
+            for i, port_no in enumerate(ports):
+                yield i, neighbour, self.replicas[i].port(port_no).link
 
     # ------------------------------------------------------------------
     def install_mac_route(self, mac: MacAddress, egress_external_port: int) -> None:
         """Program every replica to route ``mac`` toward the given
         original egress port (each replica outputs on its own link that
         claims that egress)."""
-        claim_map = self._replica_port_for_claim.get(egress_external_port)
-        if claim_map is None:
-            raise NetworkError(
-                f"{self.name}: external port {egress_external_port} not attached"
-            )
         for i, replica in enumerate(self.replicas):
             replica.install(
                 Match(dl_dst=MacAddress(mac)),
-                [Output(claim_map[i])],
+                [Output(self.claim_port(i, egress_external_port))],
                 priority=10,
             )
 
-    def replica(self, index: int) -> OpenFlowSwitch:
-        return self.replicas[index]
-
 
 def build_shielded_router(
-    network: Network,
-    name: str,
-    params: Optional[ShieldedRouterParams] = None,
-    alarm_sink: Optional[AlarmSink] = None,
+    network: Network, name: str, compare: CompareConfig
 ) -> ShieldedRouter:
-    """Create the endpoint, replicas and compare of a shielded router.
+    """Create the endpoint, ``compare.k`` replicas and the compare of a
+    shielded router.
 
     Neighbours are attached afterwards with :meth:`ShieldedRouter.
     attach_neighbor`.
     """
-    params = params or ShieldedRouterParams()
-    if params.k < 1:
-        raise NetworkError(f"shielded router needs k >= 1, got {params.k}")
+    if compare.k < 1:
+        raise NetworkError(f"shielded router needs k >= 1, got {compare.k}")
     sim, trace = network.sim, network.trace
-    alarms = alarm_sink or AlarmSink(trace)
+    alarms = AlarmSink(trace)
 
     endpoint = CombinerEndpoint(
         sim,
         f"{name}_e",
         trace_bus=trace,
-        proc_time=params.endpoint_proc_time,
-        proc_per_byte=params.endpoint_proc_per_byte,
-        cpu=params.shared_cpu,
+        proc_time=1e-6,
+        proc_per_byte=2e-9,
         mode=MODE_COMBINE,
         alarm_sink=alarms,
     )
     network.add_node(endpoint)
 
     replicas: List[OpenFlowSwitch] = []
-    for i in range(params.k):
+    for i in range(compare.k):
         replica = OpenFlowSwitch(
             sim,
             f"{name}_r{i}",
             trace_bus=trace,
-            proc_time=params.router_proc_time,
-            proc_per_byte=params.router_proc_per_byte,
-            cpu=params.shared_cpu,
+            proc_time=5e-6,
+            proc_per_byte=2.5e-9,
         )
         network.add_node(replica)
         replicas.append(replica)
 
-    config = replace(params.compare, k=params.k)
     core, compare_host = attach_inline_compare(
-        network,
-        name,
-        config,
-        (endpoint,),
-        alarms,
-        rate_bps=params.compare_link_rate_bps,
-        delay=params.compare_link_delay,
-        queue_capacity=params.queue_capacity,
+        network, name, compare, (endpoint,), alarms, **_COMPARE_LINK
     )
-
     return ShieldedRouter(
-        network=network,
-        name=name,
-        endpoint=endpoint,
-        replicas=replicas,
-        compare_host=compare_host,
-        compare_core=core,
-        alarms=alarms,
-        params=params,
+        network, name, endpoint, replicas, compare_host, core, alarms
     )

@@ -38,6 +38,9 @@ class Network:
             raise NetworkError(f"batch_train must be >= 1, got {batch_train}")
         self.nodes: Dict[str, Node] = {}
         self.links: List[Link] = []
+        self._links_by_name: Dict[str, Link] = {}
+        # links wired so far per ordered (a, b) pair: names parallel links
+        self._pair_links: Dict[Tuple[str, str], int] = {}
         # adjacency[(a, b)] -> port on a that faces b (first such link wins)
         self._adjacency: Dict[Tuple[str, str], Port] = {}
         self._host_count = 0
@@ -125,8 +128,15 @@ class Network:
         """Wire a duplex link between ``a`` and ``b``.
 
         Hosts use their fixed port 1; other nodes get auto-numbered ports
-        unless explicit port numbers are given.
+        unless explicit port numbers are given.  The link is named
+        ``"<a>-<b>"``; the n-th parallel link between the same pair is
+        ``"<a>-<b>#<n>"``, so every link stays addressable by name.
         """
+        pair = (a.name, b.name)
+        count = self._pair_links.get(pair, 0) + 1
+        name = f"{a.name}-{b.name}" + (f"#{count}" if count > 1 else "")
+        if name in self._links_by_name:
+            raise NetworkError(f"duplicate link name {name!r}")
         pa = self._pick_port(a, port_a)
         pb = self._pick_port(b, port_b)
         link = Link(
@@ -139,9 +149,11 @@ class Network:
             queue_capacity=queue_capacity,
             trace_bus=self.trace,
             rng_streams=self.rng,
-            name=f"{a.name}-{b.name}",
+            name=name,
         )
         self.links.append(link)
+        self._links_by_name[name] = link
+        self._pair_links[pair] = count
         self._adjacency.setdefault((a.name, b.name), pa)
         self._adjacency.setdefault((b.name, a.name), pb)
         return link
@@ -171,6 +183,12 @@ class Network:
 
     def port_no_between(self, a: str, b: str) -> int:
         return self.port_between(a, b).port_no
+
+    def link(self, name: str) -> Link:
+        try:
+            return self._links_by_name[name]
+        except KeyError:
+            raise NetworkError(f"no link named {name!r}") from None
 
     def neighbors(self, name: str) -> List[str]:
         return sorted({b for (a, b) in self._adjacency if a == name})

@@ -337,7 +337,9 @@ def ctrlbft_plan(
 
 
 def advbench_plan(
-    variants: Sequence[str] = ("central3", "central5", "transport3", "virtual3"),
+    variants: Sequence[str] = (
+        "central3", "central5", "transport3", "virtual3", "fattree_shielded3",
+    ),
     adversaries: Optional[Sequence[str]] = None,
     profiles: Sequence[str] = ("balanced", "vigilant"),
     duration: float = 0.03,

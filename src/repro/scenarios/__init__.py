@@ -3,8 +3,8 @@
 from repro.scenarios.datacenter import (
     BENIGN_PATH,
     CaseStudyResult,
-    DatacenterCaseStudy,
     ScreeningReport,
+    build_pod_slice,
 )
 from repro.scenarios.ctrlplane import (
     CtrlParams,
@@ -36,8 +36,8 @@ __all__ = [
     "CaseStudyResult",
     "CtrlParams",
     "CtrlTestbed",
-    "DatacenterCaseStudy",
     "ScreeningReport",
+    "build_pod_slice",
     "ScenarioSpec",
     "compare_scenarios",
     "figure_scenarios",

@@ -17,28 +17,36 @@ Three scenarios, exactly as Section VI runs them:
    NetCo shielded router with two benign replicas: the mirrored copies
    reach the compare but never win a majority, responses arrive with
    2-of-3 votes, and all 10 cycles complete.
+
+Each run is a slice from :func:`build_pod_slice` (for the protected run
+the registered scenario ``fattree_shielded3``), :func:`mount_attack` on
+``agg1`` and :func:`run_echo_test`; the ``casestudy.run`` task puts them
+together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.adversary.behaviors import match_dst_mac
 from repro.adversary.mirror import MirrorAndDropBehavior
 from repro.core.compare import CompareConfig
-from repro.core.deployment import ShieldedRouter, ShieldedRouterParams, build_shielded_router
+from repro.core.deployment import ShieldedRouter, build_shielded_router
 from repro.net.host import Host
 from repro.net.packet import Icmp, Packet
 from repro.net.topology import Network
+from repro.obs.spans import PacketTracer
 from repro.openflow.actions import Output
 from repro.openflow.match import Match
-from repro.obs.spans import PacketTracer
 from repro.openflow.switch import OpenFlowSwitch
 from repro.traffic.ping import Pinger
 
-#: nodes on the benign path of tunnel 2 (hosts included)
+#: nodes on the benign path of tunnel 2 (hosts included); a shielded
+#: ``agg1``'s own nodes (``agg1_*``) are on it too
 BENIGN_PATH = ("vm1", "edge2", "agg1", "edge1", "fw1")
+
+Agg1 = Union[OpenFlowSwitch, ShieldedRouter]
 
 
 @dataclass
@@ -70,232 +78,176 @@ class CaseStudyResult:
     compare_expired_unreleased: int = 0
     single_source_alarms: int = 0
 
-    @property
-    def cycles_completed(self) -> int:
-        return self.responses_at_vm1
 
+# ----------------------------------------------------------------------
+# topology
+# ----------------------------------------------------------------------
+def build_pod_slice(
+    seed: int = 0, compare: Optional[CompareConfig] = None
+) -> Tuple[Network, Agg1]:
+    """Build the pod slice with every route installed.
 
-class DatacenterCaseStudy:
-    """Builder/runner for the three Section VI scenarios."""
+    ``agg1`` is a plain switch, or with ``compare`` a shielded router of
+    ``compare.k`` replicas.  The slice keeps its own link and switch
+    constants.
+    """
+    net = Network(seed=seed)
+    for name in ("edge1", "edge2", "agg2", "core1", "core2"):
+        net.add_node(
+            OpenFlowSwitch(net.sim, name, trace_bus=net.trace, proc_time=5e-6)
+        )
+    fw1 = net.add_host("fw1", stack_delay=10e-6)
+    vm1 = net.add_host("vm1", stack_delay=10e-6)
+    vm2 = net.add_host("vm2", stack_delay=10e-6)
+    link = dict(rate_bps=1e9, delay=2e-6)
+    node = net.node
+    net.connect(node("edge1"), fw1, **link)
+    net.connect(node("edge2"), vm1, **link)
+    net.connect(node("edge2"), vm2, **link)
+    # agg2 connects both edges (the pod's second aggregation layer)
+    net.connect(node("agg2"), node("edge1"), **link)
+    net.connect(node("agg2"), node("edge2"), **link)
+    net.connect(node("core2"), node("agg2"), **link)
 
-    def __init__(self, seed: int = 0, echo_count: int = 10) -> None:
-        self.seed = seed
-        self.echo_count = echo_count
-
-    # ------------------------------------------------------------------
-    # topology
-    # ------------------------------------------------------------------
-    def _base_network(self) -> Network:
-        net = Network(seed=self.seed)
-        for name in ("edge1", "edge2", "agg2", "core1", "core2"):
-            net.add_node(
-                OpenFlowSwitch(net.sim, name, trace_bus=net.trace, proc_time=5e-6)
-            )
-        net.add_host("fw1", stack_delay=10e-6)
-        net.add_host("vm1", stack_delay=10e-6)
-        net.add_host("vm2", stack_delay=10e-6)
-        link = dict(rate_bps=1e9, delay=2e-6)
-        net.connect(net.node("edge1"), net.host("fw1"), **link)
-        net.connect(net.node("edge2"), net.host("vm1"), **link)
-        net.connect(net.node("edge2"), net.host("vm2"), **link)
-        # agg2 connects both edges (the pod's second aggregation layer)
-        net.connect(net.node("agg2"), net.node("edge1"), **link)
-        net.connect(net.node("agg2"), net.node("edge2"), **link)
-        net.connect(net.node("core2"), net.node("agg2"), **link)
-        return net
-
-    def _wire_plain_agg1(self, net: Network) -> OpenFlowSwitch:
+    agg1: Agg1
+    if compare is None:
         agg1 = OpenFlowSwitch(net.sim, "agg1", trace_bus=net.trace, proc_time=5e-6)
         net.add_node(agg1)
-        link = dict(rate_bps=1e9, delay=2e-6)
-        net.connect(agg1, net.node("edge1"), **link)
-        net.connect(agg1, net.node("edge2"), **link)
-        net.connect(net.node("core1"), agg1, **link)
-        return agg1
+        net.connect(agg1, node("edge1"), **link)
+        net.connect(agg1, node("edge2"), **link)
+        net.connect(node("core1"), agg1, **link)
+        hop = agg1.name
+    else:
+        agg1 = build_shielded_router(net, "agg1", compare)
+        for neighbour in ("edge1", "edge2", "core1"):
+            agg1.attach_neighbor(node(neighbour))
+        hop = agg1.endpoint.name
 
-    def _install_routes(self, net: Network, agg1_name: str = "agg1") -> None:
-        """MAC-destination routes for tunnel 2 plus the core's downlinks."""
-        fw1, vm1 = net.host("fw1"), net.host("vm1")
-
-        def route(node_name: str, dst_host: Host, next_hop: str) -> None:
-            node = net.node(node_name)
-            assert isinstance(node, OpenFlowSwitch)
-            node.install(
-                Match(dl_dst=dst_host.mac),
-                [Output(net.port_no_between(node_name, next_hop))],
-                priority=10,
-            )
-
-        # toward fw1 (tunnel 2 forward direction)
-        route("edge2", fw1, agg1_name)
-        route("edge1", fw1, "fw1")
-        # the core forwards fw1-bound packets back down through agg1 —
-        # this is how the mirrored copies reach fw1 in the attack run
-        route("core1", fw1, agg1_name)
-        route("agg2", fw1, "edge1")
-        route("core2", fw1, "agg2")
-        # toward vm1 (tunnel 2 reverse direction)
-        route("edge2", vm1, "vm1")
-        route("edge1", vm1, agg1_name)
-        route("core1", vm1, agg1_name)
-        route("agg2", vm1, "edge2")
-        route("core2", vm1, "agg2")
-
-    def _install_agg1_routes(self, net: Network, agg1: OpenFlowSwitch) -> None:
-        fw1, vm1 = net.host("fw1"), net.host("vm1")
-        agg1.install(
-            Match(dl_dst=fw1.mac),
-            [Output(net.port_no_between("agg1", "edge1"))],
-            priority=10,
-        )
-        agg1.install(
-            Match(dl_dst=vm1.mac),
-            [Output(net.port_no_between("agg1", "edge2"))],
+    def route(node_name: str, dst: Host, next_hop: str) -> None:
+        node(node_name).install(
+            Match(dl_dst=dst.mac),
+            [Output(net.port_no_between(node_name, next_hop))],
             priority=10,
         )
 
-    # ------------------------------------------------------------------
-    # screening (tcpdump taps + flow counters)
-    # ------------------------------------------------------------------
-    def _install_taps(self, net: Network, counters: Dict[str, int]) -> None:
-        def tap_for(node_name: str):
-            def tap(packet: Packet) -> None:
-                if isinstance(packet.l4, Icmp):
-                    counters[node_name] = counters.get(node_name, 0) + 1
+    # toward fw1 (tunnel 2 forward direction)
+    route("edge2", fw1, hop)
+    route("edge1", fw1, "fw1")
+    # the core forwards fw1-bound packets back down through agg1 —
+    # this is how the mirrored copies reach fw1 in the attack run
+    route("core1", fw1, hop)
+    route("agg2", fw1, "edge1")
+    route("core2", fw1, "agg2")
+    # toward vm1 (tunnel 2 reverse direction)
+    route("edge2", vm1, "vm1")
+    route("edge1", vm1, hop)
+    route("core1", vm1, hop)
+    route("agg2", vm1, "edge2")
+    route("core2", vm1, "agg2")
+    # agg1 itself: a shielded one routes on every replica, toward the
+    # egress its replicas claim
+    for dst, neighbour in ((fw1, "edge1"), (vm1, "edge2")):
+        if isinstance(agg1, ShieldedRouter):
+            agg1.install_mac_route(dst.mac, agg1.external_port_of(neighbour))
+        else:
+            route("agg1", dst, neighbour)
+    return net, agg1
 
-            return tap
 
-        for name, node in net.nodes.items():
-            for port in node.ports.values():
-                port.taps.append(tap_for(name))
+def mount_attack(network: Network, agg1: Agg1, replica: int = 2) -> None:
+    """Compromise ``agg1``: mirror fw1-bound packets toward core1 and drop
+    every packet addressed to vm1.
 
-    @staticmethod
-    def _screening(counters: Dict[str, int], benign: tuple) -> ScreeningReport:
-        report = ScreeningReport(per_node=dict(counters))
-        for node_name, count in counters.items():
-            if node_name not in benign and count > 0:
-                report.strays += count
-                report.stray_nodes.append(node_name)
-        report.stray_nodes.sort()
-        return report
+    In a shielded ``agg1`` the compromised switch is replica ``replica``,
+    and its "port to the core switch" is its claim-link for that egress.
+    """
+    fw1, vm1 = network.host("fw1"), network.host("vm1")
+    if isinstance(agg1, ShieldedRouter):
+        switch = agg1.replicas[replica]
+        mirror_port = agg1.claim_port(replica, agg1.external_port_of("core1"))
+        mirror_in_ports = None
+    else:
+        switch = agg1
+        mirror_port = network.port_no_between("agg1", "core1")
+        mirror_in_ports = frozenset({network.port_no_between("agg1", "edge2")})
+    MirrorAndDropBehavior(
+        mirror_port=mirror_port,
+        mirror_selector=match_dst_mac(fw1.mac),
+        drop_selector=match_dst_mac(vm1.mac),
+        mirror_in_ports=mirror_in_ports,
+    ).attach(switch)
 
-    @staticmethod
-    def screening_from_spans(tracer: PacketTracer, benign: tuple) -> ScreeningReport:
-        """The tap screening, re-expressed over packet-lifecycle spans.
 
-        ``span.hop`` fires on every port delivery before the
-        administrative block is applied — exactly where the tcpdump
-        taps sit — so counting ICMP hop events per node reproduces the
-        tap counters for every traced packet.
-        """
-        counters: Dict[str, int] = {}
-        for spans in tracer.trajectories().values():
-            for record in spans:
-                if record.topic == "span.hop" and record.data.get("kind") == "Icmp":
-                    counters[record.source] = counters.get(record.source, 0) + 1
-        return DatacenterCaseStudy._screening(counters, benign)
+# ----------------------------------------------------------------------
+# screening (tcpdump taps + packet-lifecycle spans)
+# ----------------------------------------------------------------------
+def _screening(counters: Dict[str, int]) -> ScreeningReport:
+    report = ScreeningReport(per_node=dict(counters))
+    for node_name, count in counters.items():
+        on_path = node_name in BENIGN_PATH or node_name.startswith("agg1_")
+        if not on_path and count > 0:
+            report.strays += count
+            report.stray_nodes.append(node_name)
+    report.stray_nodes.sort()
+    return report
 
-    # ------------------------------------------------------------------
-    # the three scenario runs
-    # ------------------------------------------------------------------
-    def run_baseline(self) -> CaseStudyResult:
-        net = self._base_network()
-        agg1 = self._wire_plain_agg1(net)
-        self._install_routes(net)
-        self._install_agg1_routes(net, agg1)
-        return self._run_echo_test(net, scenario="baseline", benign=BENIGN_PATH)
 
-    def run_attack(self) -> CaseStudyResult:
-        net = self._base_network()
-        agg1 = self._wire_plain_agg1(net)
-        self._install_routes(net)
-        self._install_agg1_routes(net, agg1)
-        fw1, vm1 = net.host("fw1"), net.host("vm1")
-        behavior = MirrorAndDropBehavior(
-            mirror_port=net.port_no_between("agg1", "core1"),
-            mirror_selector=match_dst_mac(fw1.mac),
-            drop_selector=match_dst_mac(vm1.mac),
-            mirror_in_ports=frozenset({net.port_no_between("agg1", "edge2")}),
-        )
-        behavior.attach(agg1)
-        result = self._run_echo_test(net, scenario="attack", benign=BENIGN_PATH)
-        return result
+def screening_from_spans(tracer: PacketTracer) -> ScreeningReport:
+    """The tap screening, re-expressed over packet-lifecycle spans.
 
-    def run_protected(
-        self, malicious_replica: int = 2, k: int = 3
-    ) -> CaseStudyResult:
-        net = self._base_network()
-        shield = build_shielded_router(
-            net,
-            "agg1",
-            params=ShieldedRouterParams(
-                k=k,
-                compare=CompareConfig(k=k, proc_time=5e-6, buffer_timeout=2e-3),
-            ),
-        )
-        p_edge1 = shield.attach_neighbor(net.node("edge1"), rate_bps=1e9, delay=2e-6)
-        p_edge2 = shield.attach_neighbor(net.node("edge2"), rate_bps=1e9, delay=2e-6)
-        p_core1 = shield.attach_neighbor(net.node("core1"), rate_bps=1e9, delay=2e-6)
-        self._install_routes(net, agg1_name="agg1_e")
-        fw1, vm1 = net.host("fw1"), net.host("vm1")
-        shield.install_mac_route(fw1.mac, p_edge1)
-        shield.install_mac_route(vm1.mac, p_edge2)
+    ``span.hop`` fires on every port delivery before the administrative
+    block is applied — exactly where the tcpdump taps sit — so counting
+    ICMP hop events per node reproduces the tap counters for every
+    traced packet.
+    """
+    counters: Dict[str, int] = {}
+    for spans in tracer.trajectories().values():
+        for record in spans:
+            if record.topic == "span.hop" and record.data.get("kind") == "Icmp":
+                counters[record.source] = counters.get(record.source, 0) + 1
+    return _screening(counters)
 
-        # The compromised replica mounts the same mirror+drop attack; its
-        # "port to the core switch" is its claim-link for that egress.
-        replica = shield.replica(malicious_replica)
-        mirror_port = self._replica_claim_port(shield, malicious_replica, p_core1)
-        behavior = MirrorAndDropBehavior(
-            mirror_port=mirror_port,
-            mirror_selector=match_dst_mac(fw1.mac),
-            drop_selector=match_dst_mac(vm1.mac),
-        )
-        behavior.attach(replica)
 
-        benign = BENIGN_PATH + ("agg1_e", "agg1_r0", "agg1_r1", "agg1_r2", "agg1_h3")
-        result = self._run_echo_test(net, scenario="protected", benign=benign)
-        core = shield.compare_core
+# ----------------------------------------------------------------------
+# the echo test every run ends in
+# ----------------------------------------------------------------------
+def run_echo_test(
+    network: Network, agg1: Agg1, scenario: str, echo_count: int = 10
+) -> CaseStudyResult:
+    """``echo_count`` pings vm1 -> fw1, 1 ms apart, screened by taps on
+    every interface and by spans."""
+    counters: Dict[str, int] = {}
+
+    def tap_for(node_name: str):
+        def tap(packet: Packet) -> None:
+            if isinstance(packet.l4, Icmp):
+                counters[node_name] = counters.get(node_name, 0) + 1
+
+        return tap
+
+    for name, node in network.nodes.items():
+        for port in node.ports.values():
+            port.taps.append(tap_for(name))
+    tracer = PacketTracer(network.trace, sample_rate=1.0)
+    tracer.attach(network)
+
+    fw1, vm1 = network.host("fw1"), network.host("vm1")
+    pinger = Pinger(vm1, dst_mac=fw1.mac, dst_ip=fw1.ip)
+    pinger.run(echo_count, interval=1e-3)
+    network.run(until=network.sim.now + echo_count * 1e-3 + 30e-3)
+
+    result = CaseStudyResult(
+        scenario=scenario,
+        requests_sent=pinger.sent,
+        # fw1 only ever receives echo requests: its tap count is theirs
+        requests_at_fw1=counters.get("fw1", 0),
+        responses_at_vm1=pinger.received,
+        screening=_screening(counters),
+        span_screening=screening_from_spans(tracer),
+    )
+    if isinstance(agg1, ShieldedRouter):
+        core = agg1.compare_core
         result.compare_released = core.stats.released
         result.compare_expired_unreleased = core.stats.expired_unreleased
         result.single_source_alarms = core.alarms.count("single_source_packet")
-        return result
-
-    @staticmethod
-    def _replica_claim_port(
-        shield: ShieldedRouter, replica_index: int, external_port: int
-    ) -> int:
-        return shield._replica_port_for_claim[external_port][replica_index]
-
-    # ------------------------------------------------------------------
-    def _run_echo_test(
-        self, net: Network, scenario: str, benign: tuple
-    ) -> CaseStudyResult:
-        counters: Dict[str, int] = {}
-        self._install_taps(net, counters)
-        tracer = PacketTracer(net.trace, sample_rate=1.0)
-        tracer.attach(net)
-        fw1, vm1 = net.host("fw1"), net.host("vm1")
-        requests_at_fw1 = [0]
-
-        original_responder = fw1._echo_responder
-
-        def counting_responder(packet: Packet) -> None:
-            icmp = packet.l4
-            if isinstance(icmp, Icmp) and icmp.is_echo_request:
-                requests_at_fw1[0] += 1
-            original_responder(packet)
-
-        fw1.bind_icmp(counting_responder)
-
-        pinger = Pinger(vm1, dst_mac=fw1.mac, dst_ip=fw1.ip)
-        pinger.run(self.echo_count, interval=1e-3)
-        net.run(until=net.sim.now + self.echo_count * 1e-3 + 30e-3)
-
-        return CaseStudyResult(
-            scenario=scenario,
-            requests_sent=pinger.sent,
-            requests_at_fw1=requests_at_fw1[0],
-            responses_at_vm1=pinger.received,
-            screening=self._screening(counters, benign),
-            span_screening=self.screening_from_spans(tracer, benign),
-        )
+    return result

@@ -1,12 +1,13 @@
 """The scenario registry: one typed record per combiner realisation.
 
 Every scenario ``build_testbed`` can build is registered here once — the
-six Section V testbed variants, the Section VII virtualized combiner and
-the Section IX coarse-grained and sampled combiners — as a
-:class:`ScenarioSpec` carrying the builder parameters (replication
-factor, endpoint mode, compare transport, branch depth, sample rate,
-virtual) *and* the presentation metadata the rest of the stack needs
-(paper-figure ordering, Table I membership).  Everything that used to be
+six Section V testbed variants, the Section VI shielded router, the
+Section VII virtualized combiner and the Section IX coarse-grained and
+sampled combiners — as a :class:`ScenarioSpec` carrying the builder
+parameters (topology, replication factor, endpoint mode, compare
+transport, branch depth, sample rate) *and* the presentation metadata
+the rest of the stack needs (paper-figure ordering, Table I
+membership).  Everything that used to be
 a hand-maintained list — ``testbed.VARIANTS``, the figure and Table I
 scenario orders (:func:`figure_scenarios` / :func:`table1_scenarios`),
 CLI ``choices`` (:func:`compare_scenarios`) and validation messages,
@@ -35,6 +36,15 @@ __all__ = [
 ]
 
 
+#: the builders ``build_testbed`` dispatches on, and what each builds:
+#: only the chain takes the mode, transport, depth and sampling knobs
+TOPOLOGIES = {
+    "chain": "Figure 3 combiner chain",  # §V and §IX
+    "ladder": "virtual combiner",        # §VII: the Figure 9 tunnels
+    "pod": "shielded router",            # §VI: the fat-tree pod slice
+}
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Typed builder parameters + metadata for one testbed variant."""
@@ -50,7 +60,8 @@ class ScenarioSpec:
     depth: int = 1         # switches per branch (§IX coarse-grained: > 1)
     #: §IX sampled detection: fraction of packets compared out of band
     sample_rate: Optional[float] = None
-    virtual: bool = False  # §VII: k VLAN tunnels, in-band egress compare
+    #: which builder: a key of :data:`TOPOLOGIES`
+    topology: str = "chain"
 
     def validate(self) -> None:
         if not self.name:
@@ -69,13 +80,18 @@ class ScenarioSpec:
             raise ValueError(
                 f"{self.name}: sample rate out of range: {self.sample_rate}"
             )
-        if self.virtual and (
+        if self.topology not in TOPOLOGIES:
+            raise ValueError(
+                f"{self.name}: unknown topology {self.topology!r}; "
+                f"pick from {tuple(TOPOLOGIES)}"
+            )
+        if self.topology != "chain" and (
             self.mode != MODE_COMBINE or self.transport != "inline"
             or self.depth != 1 or self.sample_rate is not None
         ):
             raise ValueError(
-                f"{self.name}: a virtual combiner is mode 'combine', "
-                f"transport 'inline', depth 1 and unsampled"
+                f"{self.name}: a {TOPOLOGIES[self.topology]} is mode "
+                f"'combine', transport 'inline', depth 1 and unsampled"
             )
 
 
@@ -176,11 +192,11 @@ register_scenario(ScenarioSpec(
 # the other realisations of the same mechanism (no figure column)
 # ----------------------------------------------------------------------
 register_scenario(ScenarioSpec(
-    "virtual2", k=2, mode=MODE_COMBINE, transport="inline", virtual=True,
+    "virtual2", k=2, mode=MODE_COMBINE, transport="inline", topology="ladder",
     title="Virtualized k=2 (detection only)",
 ))
 register_scenario(ScenarioSpec(
-    "virtual3", k=3, mode=MODE_COMBINE, transport="inline", virtual=True,
+    "virtual3", k=3, mode=MODE_COMBINE, transport="inline", topology="ladder",
     title="Virtualized k=3",
 ))
 register_scenario(ScenarioSpec(
@@ -190,4 +206,8 @@ register_scenario(ScenarioSpec(
 register_scenario(ScenarioSpec(
     "sampled2", k=2, mode=MODE_COMBINE, transport="inline", sample_rate=0.2,
     title="Sampled detection k=2 (20 % compared)",
+))
+register_scenario(ScenarioSpec(
+    "fattree_shielded3", k=3, mode=MODE_COMBINE, transport="inline",
+    topology="pod", title="Shielded fat-tree aggregation switch k=3",
 ))

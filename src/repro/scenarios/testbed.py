@@ -15,10 +15,14 @@ six Figure 3 variants; all are derived from the same chain
 The other realisations are the same mechanism: **transport3** (Section
 IX, each branch a chain of three switches) and **sampled2** (Section IX,
 branch 0 forwards and a fifth of the packets is compared) are
-parameterisations of that chain; **virtual2 / virtual3** (Section VII)
-are the Figure 9 ladder of :mod:`repro.scenarios.virtualized`, whose own
-link and switch constants stay — :class:`TestbedParams` contributes the
-seed and the compare configuration there.
+parameterisations of that chain (``topology`` ``chain``).  Two have a
+builder of their own, whose own link and switch constants stay —
+:class:`TestbedParams` contributes the seed and the compare
+configuration there: **virtual2 / virtual3** (Section VII, ``ladder``)
+are the Figure 9 ladder of :mod:`repro.scenarios.virtualized`, and
+**fattree_shielded3** (Section VI, ``pod``) is the fat-tree pod slice of
+:mod:`repro.scenarios.datacenter` with its aggregation switch shielded
+(``h1`` is ``vm1``, ``h2`` is ``fw1``).
 
 Calibration: the simulator's free parameters (per-packet costs, link
 characteristics) are set so that the *shape* of the paper's Table I /
@@ -41,9 +45,11 @@ from repro.core.combiner import (
     build_combiner_chain,
 )
 from repro.core.compare import CompareConfig
+from repro.core.deployment import ShieldedRouter
 from repro.core.virtual import VirtualCombiner
 from repro.net.host import Host
 from repro.net.topology import Network
+from repro.scenarios.datacenter import build_pod_slice
 from repro.scenarios.registry import (
     ScenarioSpec,
     get_scenario,
@@ -106,8 +112,10 @@ class TestbedParams:
 
 class Testbed:
     """A built scenario: network, hosts, and the combiner between them
-    (``chain``: a :class:`CombinerChain`, or the Section VII
-    :class:`VirtualCombiner` with its edges as the trusted elements)."""
+    (``chain``: a :class:`CombinerChain`, the Section VII
+    :class:`VirtualCombiner` with its edges as the trusted elements, or
+    the Section VI :class:`ShieldedRouter` with its one endpoint as
+    both)."""
 
     __test__ = False  # not a pytest class, despite the name
 
@@ -117,7 +125,7 @@ class Testbed:
         network: Network,
         h1: Host,
         h2: Host,
-        chain: Union[CombinerChain, VirtualCombiner],
+        chain: Union[CombinerChain, VirtualCombiner, ShieldedRouter],
         params: TestbedParams,
     ) -> None:
         self.variant = variant
@@ -159,13 +167,20 @@ class Testbed:
     def aliases(self) -> Dict[str, str]:
         """Fault-schedule target aliases: ``r{i}`` is the first switch of
         branch i, ``link_a{i}`` / ``link_b{i}`` the links joining the
-        branch to the ingress / egress trusted element."""
-        chain = self.chain
+        branch to the ingress / egress trusted element (the first one,
+        where there are several), and ``link_a{i}.<neighbour>`` each of
+        a shielded router's claim-links."""
+        chain, port_between = self.chain, self.network.port_between
         aliases: Dict[str, str] = {}
         for i, branch in enumerate(chain.branches):
             aliases[f"r{i}"] = branch[0].name
-            aliases[f"link_a{i}"] = f"{chain.endpoint_a.name}-{branch[0].name}"
-            aliases[f"link_b{i}"] = f"{branch[-1].name}-{chain.endpoint_b.name}"
+            aliases[f"link_a{i}"] = port_between(
+                chain.endpoint_a.name, branch[0].name).link.name
+            aliases[f"link_b{i}"] = port_between(
+                branch[-1].name, chain.endpoint_b.name).link.name
+        if isinstance(chain, ShieldedRouter):
+            for i, neighbour, link in chain.claim_links():
+                aliases[f"link_a{i}.{neighbour}"] = link.name
         return aliases
 
 
@@ -175,30 +190,34 @@ def build_testbed(
     seed: Optional[int] = None,
     install_routes: bool = True,
 ) -> Testbed:
-    """Build one registered scenario from scratch.
+    """Build one registered scenario from scratch, with the builder its
+    spec's ``topology`` names.
 
     ``install_routes=False`` leaves the untrusted routers' flow tables
     empty — for scenarios where a control plane installs routes
     reactively (:mod:`repro.scenarios.ctrlplane`) instead of the static
-    provisioning below.
+    provisioning below; only a chain has routes to leave out.
     """
     spec: ScenarioSpec = get_scenario(variant)
     params = params or TestbedParams()
     if seed is not None:
         params = replace(params, seed=seed)
+    if spec.topology != "chain" and not install_routes:
+        raise ValueError(
+            f"variant {variant!r} provisions its routes statically; "
+            "it cannot run under reactive control"
+        )
     k = spec.k
-    if spec.virtual:
-        if not install_routes:
-            raise ValueError(
-                f"variant {variant!r} provisions its tunnels statically; "
-                "it cannot run under reactive control"
-            )
+    if spec.topology == "ladder":
         ladder = build_virtualized_scenario(
             k=k, seed=params.seed, compare=params.compare_config(k)
         )
         return Testbed(
             variant, ladder.network, ladder.src, ladder.dst, ladder.combiner, params
         )
+    if spec.topology == "pod":
+        net, shield = build_pod_slice(params.seed, params.compare_config(k))
+        return Testbed(variant, net, net.host("vm1"), net.host("fw1"), shield, params)
 
     net = Network(seed=params.seed, batch_train=params.batch_train)
     chain_params = CombinerChainParams(

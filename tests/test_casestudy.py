@@ -2,27 +2,39 @@
 
 import pytest
 
-from repro.scenarios.datacenter import BENIGN_PATH, DatacenterCaseStudy
+from repro.analysis.tasks import casestudy_run
+from repro.scenarios import TestbedParams, build_testbed
+from repro.scenarios.datacenter import (
+    BENIGN_PATH,
+    CaseStudyResult,
+    ScreeningReport,
+    build_pod_slice,
+    mount_attack,
+    run_echo_test,
+)
+
+
+def run(name, seed=1, echo_count=10):
+    """One ``casestudy.run`` record, back in its dataclass form."""
+    record = casestudy_run(run=name, seed=seed, echo_count=echo_count)
+    for key in ("screening", "span_screening"):
+        record[key] = ScreeningReport(**record[key])
+    return CaseStudyResult(**record)
 
 
 @pytest.fixture(scope="module")
-def study():
-    return DatacenterCaseStudy(seed=1, echo_count=10)
+def baseline():
+    return run("baseline")
 
 
 @pytest.fixture(scope="module")
-def baseline(study):
-    return study.run_baseline()
+def attack():
+    return run("attack")
 
 
 @pytest.fixture(scope="module")
-def attack(study):
-    return study.run_attack()
-
-
-@pytest.fixture(scope="module")
-def protected(study):
-    return study.run_protected()
+def protected():
+    return run("protected")
 
 
 class TestBaseline:
@@ -83,16 +95,27 @@ class TestProtected:
 
 class TestVariants:
     def test_malicious_replica_position_irrelevant(self):
-        study = DatacenterCaseStudy(seed=3, echo_count=5)
         for position in (0, 1, 2):
-            result = study.run_protected(malicious_replica=position)
+            testbed = build_testbed("fattree_shielded3", seed=3)
+            mount_attack(testbed.network, testbed.chain, replica=position)
+            result = run_echo_test(
+                testbed.network, testbed.chain, "protected", echo_count=5
+            )
             assert result.responses_at_vm1 == 5, f"replica {position}"
 
     def test_k5_shield_also_protects(self):
-        study = DatacenterCaseStudy(seed=4, echo_count=5)
-        result = study.run_protected(k=5)
+        network, shield = build_pod_slice(4, TestbedParams().compare_config(5))
+        assert shield.k == 5
+        mount_attack(network, shield)
+        result = run_echo_test(network, shield, "protected", echo_count=5)
         assert result.responses_at_vm1 == 5
         assert result.requests_at_fw1 == 5
 
     def test_benign_path_constant(self):
         assert BENIGN_PATH == ("vm1", "edge2", "agg1", "edge1", "fw1")
+
+    def test_the_protected_run_is_the_registered_scenario(self):
+        testbed = build_testbed("fattree_shielded3", seed=1)
+        assert (testbed.h1.name, testbed.h2.name) == ("vm1", "fw1")
+        assert testbed.routers == testbed.chain.replicas
+        assert testbed.chain.endpoint_a is testbed.chain.endpoint_b

@@ -174,6 +174,28 @@ class TestEngine:
             {"time": 0.01, "kind": "router_crash", "target": "victim"}
         ]
 
+    def test_parallel_links_get_distinct_names_the_engine_resolves(self):
+        net, _, _, s1, s2 = two_switch_net()
+        parallel = [net.link("s1-s2"), net.connect(s1, s2), net.connect(s1, s2)]
+        assert [link.name for link in parallel] == ["s1-s2", "s1-s2#2", "s1-s2#3"]
+        engine = ChaosEngine(FaultSchedule([]), net)
+        for link in parallel:
+            assert engine.resolve_link(link.name) is link
+
+    def test_network_refuses_a_duplicate_link_name(self):
+        from repro.net import NetworkError
+        from repro.openflow.switch import OpenFlowSwitch
+
+        net = Network()
+        a, ab, c, bc = (
+            net.add_node(OpenFlowSwitch(net.sim, name))
+            for name in ("a", "a-b", "c", "b-c")
+        )
+        net.connect(ab, c)
+        with pytest.raises(NetworkError, match="duplicate link name 'a-b-c'"):
+            net.connect(a, bc)
+        assert not a.ports and not bc.ports  # refused before wiring
+
     def test_arm_twice_rejected(self):
         net, *_ = two_switch_net()
         engine = ChaosEngine(FaultSchedule([]), net)

@@ -2,8 +2,8 @@
 
 Three claims, each driven across 24 seeds per adversary strategy; the
 first two on every realisation of the combiner that can outvote a
-branch (the Section V chain, the Section IX coarse-grained combiner and
-the Section VII virtualized one):
+branch (the Section V chain, the Section IX coarse-grained combiner, the
+Section VII virtualized one and the Section VI shielded router):
 
 1. **No masked damage below quorum.**  While an honest quorum holds, no
    tampered wire image is ever released to the receiver, no attack-window
@@ -45,9 +45,9 @@ COLLUSION = ("colluding_minority", "colluding_quorum")
 SUB_QUORUM = tuple(a for a in ADVBENCH_ADVERSARIES if a != "colluding_quorum")
 
 #: the realisations claims 1 and 2 run on.  "central" is central3, or
-#: central5 for the collusion rows; at k = 3 (transport3, virtual3) a
-#: colluding minority is the single branch r0.
-REALISATIONS = ("central", "transport3", "virtual3")
+#: central5 for the collusion rows; at k = 3 (transport3, virtual3,
+#: fattree_shielded3) a colluding minority is the single branch r0.
+REALISATIONS = ("central", "transport3", "virtual3", "fattree_shielded3")
 
 
 def realisation_grid(adversaries):

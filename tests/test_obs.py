@@ -597,16 +597,15 @@ class TestObsCli:
 
 class TestCaseStudySpanScreening:
     def test_span_screening_matches_tap_screening_all_scenarios(self):
-        from repro.scenarios.datacenter import DatacenterCaseStudy
+        from repro.analysis.tasks import CASESTUDY_RUNS, casestudy_run
 
-        study = DatacenterCaseStudy(seed=1, echo_count=5)
-        for result in (study.run_baseline(), study.run_attack(),
-                       study.run_protected()):
-            tap, span = result.screening, result.span_screening
-            assert span is not None, result.scenario
-            assert span.per_node == tap.per_node, result.scenario
-            assert span.strays == tap.strays, result.scenario
-            assert span.stray_nodes == tap.stray_nodes, result.scenario
+        for run in CASESTUDY_RUNS:
+            result = casestudy_run(run=run, seed=1, echo_count=5)
+            tap, span = result["screening"], result["span_screening"]
+            assert span is not None, run
+            assert span["per_node"] == tap["per_node"], run
+            assert span["strays"] == tap["strays"], run
+            assert span["stray_nodes"] == tap["stray_nodes"], run
 
 
 class TestEnginePeakPending:

@@ -307,12 +307,14 @@ class TestRegistryDerivation:
         assert VARIANTS == scenario_names()
         assert VARIANTS == ("linespeed", "central3", "central5",
                             "pox3", "dup3", "dup5",
-                            "virtual2", "virtual3", "transport3", "sampled2")
+                            "virtual2", "virtual3", "transport3", "sampled2",
+                            "fattree_shielded3")
 
     def test_compare_scenarios_are_those_with_a_compare_element(self):
         assert compare_scenarios() == (
             "central3", "central5", "pox3",
-            "virtual2", "virtual3", "transport3", "sampled2")
+            "virtual2", "virtual3", "transport3", "sampled2",
+            "fattree_shielded3")
 
     def test_figure_and_table1_orders(self):
         assert figure_scenarios() == ("linespeed", "dup3", "dup5",
@@ -324,10 +326,13 @@ class TestRegistryDerivation:
         ({"depth": 0}, "depth must be >= 1"),
         ({"sample_rate": 1.5}, "sample rate out of range"),
         ({"sample_rate": -0.1}, "sample rate out of range"),
-        ({"virtual": True, "mode": "dup"}, "virtual combiner"),
-        ({"virtual": True, "transport": "controller"}, "virtual combiner"),
-        ({"virtual": True, "depth": 2}, "virtual combiner"),
-        ({"virtual": True, "sample_rate": 0.5}, "virtual combiner"),
+        ({"topology": "ladder", "mode": "dup"}, "virtual combiner"),
+        ({"topology": "ladder", "transport": "controller"}, "virtual combiner"),
+        ({"topology": "ladder", "depth": 2}, "virtual combiner"),
+        ({"topology": "ladder", "sample_rate": 0.5}, "virtual combiner"),
+        ({"topology": "pod", "mode": "dup"}, "shielded router"),
+        ({"topology": "pod", "depth": 3}, "shielded router"),
+        ({"topology": "tree"}, "unknown topology"),
     ])
     def test_spec_validates_the_realisation_fields(self, fields, message):
         spec = {"k": 3, "mode": "combine", "transport": "inline", **fields}

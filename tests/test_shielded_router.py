@@ -7,29 +7,27 @@ from repro.adversary import (
     HeaderRewriteBehavior,
     MirrorAndDropBehavior,
     PayloadCorruptionBehavior,
+    RerouteBehavior,
     dst_mac_rewrite,
     match_dst_mac,
-    match_none,
 )
 from repro.core import (
+    ALARM_DOS_SUSPECTED,
+    ALARM_MINORITY_DIVERGENCE,
     ALARM_SINGLE_SOURCE_PACKET,
     CompareConfig,
-    ShieldedRouterParams,
     build_shielded_router,
 )
-from repro.net import Network, NetworkError, Packet
-from repro.traffic.iperf import PathEndpoints, run_ping
+from repro.net import Network, NetworkError
+from repro.scenarios import build_testbed
+from repro.traffic.iperf import PathEndpoints, run_ping, run_udp_flow
 
 
 def build_rig(k=3):
     """Three hosts hang off the shielded router, as off a 3-port switch."""
     net = Network(seed=4)
     shield = build_shielded_router(
-        net,
-        "sr",
-        params=ShieldedRouterParams(
-            k=k, compare=CompareConfig(k=k, buffer_timeout=2e-3)
-        ),
+        net, "sr", CompareConfig(k=k, buffer_timeout=2e-3)
     )
     hosts = [net.add_host(f"h{i}") for i in (1, 2, 3)]
     ports = {h.name: shield.attach_neighbor(h) for h in hosts}
@@ -68,15 +66,15 @@ class TestAttacks:
         # replica 0 claims the wrong egress: vote (bytes, claim) fails
         # for its copy, the two honest claims win
         net, shield, (h1, h2, h3), ports = build_rig()
-        HeaderRewriteBehavior(dst_mac_rewrite(h3.mac)).attach(shield.replica(0))
+        HeaderRewriteBehavior(dst_mac_rewrite(h3.mac)).attach(shield.replicas[0])
         result = run_ping(PathEndpoints(net, h1, h2), count=5, interval=1e-3)
         assert result.received == 5
         assert h3.rx_foreign == 0  # nothing leaked toward h3
 
     def test_mirror_and_drop_is_fully_masked(self):
         net, shield, (h1, h2, h3), ports = build_rig()
-        replica = shield.replica(2)
-        mirror_port = shield._replica_port_for_claim[ports["h3"]][2]
+        replica = shield.replicas[2]
+        mirror_port = shield.claim_port(2, ports["h3"])
         MirrorAndDropBehavior(
             mirror_port=mirror_port,
             mirror_selector=match_dst_mac(h2.mac),
@@ -90,13 +88,13 @@ class TestAttacks:
 
     def test_corruption_masked(self):
         net, shield, (h1, h2, _h3), _ = build_rig()
-        PayloadCorruptionBehavior().attach(shield.replica(1))
+        PayloadCorruptionBehavior().attach(shield.replicas[1])
         result = run_ping(PathEndpoints(net, h1, h2), count=5, interval=1e-3)
         assert result.received == 5
 
     def test_blackhole_masked(self):
         net, shield, (h1, h2, _h3), _ = build_rig()
-        BlackholeBehavior().attach(shield.replica(0))
+        BlackholeBehavior().attach(shield.replicas[0])
         result = run_ping(PathEndpoints(net, h1, h2), count=5, interval=1e-3)
         assert result.received == 5
 
@@ -114,10 +112,49 @@ class TestWiring:
     def test_k_zero_rejected(self):
         net = Network()
         with pytest.raises(NetworkError):
-            build_shielded_router(net, "x", params=ShieldedRouterParams(k=0))
+            build_shielded_router(net, "x", CompareConfig(k=0))
 
     def test_replica_has_one_port_per_external(self):
         net, shield, hosts, _ = build_rig()
         # 3 externals -> each replica has 3 links to the endpoint
         for replica in shield.replicas:
             assert len(replica.ports) == 3
+
+    def test_parallel_claim_links_are_each_addressable(self):
+        net, shield, hosts, ports = build_rig()
+        names = [link.name for link in net.links]
+        assert len(names) == len(set(names)) == 1 + 3 * 4  # compare + 3 x (1 + k)
+        claims = list(shield.claim_links())
+        assert len(claims) == 9
+        for replica, neighbour, link in claims:
+            port = shield.claim_port(replica, ports[neighbour])
+            assert shield.replicas[replica].port(port).link is link
+
+
+# ----------------------------------------------------------------------
+# the registered scenario: the vote covers the egress port
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("seed", range(24))
+def test_right_bytes_out_the_wrong_port_is_outvoted(seed):
+    # replica 1 sends every fw1-bound datagram, bytes untouched, out its
+    # claim-link for core1: a routing lie a bytes-only vote cannot see
+    testbed = build_testbed("fattree_shielded3", seed=seed)
+    shield, fw1 = testbed.chain, testbed.h2
+    RerouteBehavior(
+        shield.claim_port(1, shield.external_port_of("core1")),
+        selector=match_dst_mac(fw1.mac),
+    ).attach(shield.replicas[1])
+    flow = run_udp_flow(
+        testbed.path(), rate_bps=20e6, duration=0.02, payload_size=512,
+        send_cost=testbed.params.udp_send_cost,
+    )
+    assert flow.sent > 0
+    assert flow.received_unique == flow.sent
+    assert flow.duplicates == 0
+    core1 = testbed.network.node("core1")
+    assert sum(port.rx_packets for port in core1.ports.values()) == 0
+    alarms = testbed.alarms.counts()
+    # every lying copy is a claim no other replica made
+    assert alarms[ALARM_SINGLE_SOURCE_PACKET] == flow.sent
+    assert alarms[ALARM_MINORITY_DIVERGENCE] > 0
+    assert alarms[ALARM_DOS_SUSPECTED] > 0

@@ -22,14 +22,26 @@ class TestConstruction:
     def test_aliases_resolve_to_existing_nodes_and_links(self, variant):
         testbed = build_testbed(variant)
         aliases = testbed.aliases()
-        links = {link.name for link in testbed.network.links}
-        assert sorted(aliases) == sorted(
+        links = [link.name for link in testbed.network.links]
+        claim_aliases = {a for a in aliases if "." in a}
+        assert sorted(set(aliases) - claim_aliases) == sorted(
             f"{kind}{i}" for i in range(len(testbed.routers))
             for kind in ("r", "link_a", "link_b")
         )
         for alias, name in aliases.items():
-            assert name in (links if alias.startswith("link_")
-                            else testbed.network.nodes), (alias, name)
+            if alias.startswith("link_"):
+                assert links.count(name) == 1, (alias, name)
+            else:
+                assert name in testbed.network.nodes, (alias, name)
+        # one claim-link alias per (replica, neighbour): the shielded router
+        if variant == "fattree_shielded3":
+            assert sorted(claim_aliases) == sorted(
+                f"link_a{i}.{n}" for i in range(3)
+                for n in ("edge1", "edge2", "core1")
+            )
+            assert aliases["link_a1.edge1"] == aliases["link_a1"]
+        else:
+            assert not claim_aliases
         for i, branch in enumerate(testbed.branches):
             assert aliases[f"r{i}"] == branch[0].name == testbed.routers[i].name
 
@@ -47,9 +59,11 @@ class TestConstruction:
         assert build_testbed("sampled2").chain.watcher is not None
         assert build_testbed("central3").chain.watcher is None
 
-    def test_virtual_scenarios_cannot_run_under_reactive_control(self):
+    @pytest.mark.parametrize(
+        "variant", [v for v in VARIANTS if get_scenario(v).topology != "chain"])
+    def test_non_chain_scenarios_cannot_run_under_reactive_control(self, variant):
         with pytest.raises(ValueError, match="reactive control"):
-            build_testbed("virtual3", install_routes=False)
+            build_testbed(variant, install_routes=False)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
