@@ -31,6 +31,7 @@ from repro.net.addresses import MacAddress
 from repro.net.node import NetworkError, Node, Port
 from repro.net.packet import Packet
 from repro.net.topology import Network
+from repro.obs.metrics import StatBlock
 from repro.openflow.actions import Output
 from repro.openflow.match import Match
 from repro.openflow.switch import OpenFlowSwitch
@@ -43,6 +44,12 @@ from repro.transport import (
     SessionSpec,
     Transport,
 )
+
+
+class CompareHostStats(StatBlock):
+    """Copies the compare host refuses before they reach the core."""
+
+    __slots__ = ("dropped_unregistered_port", "dropped_untagged")
 
 
 class CompareHost(Node):
@@ -63,6 +70,7 @@ class CompareHost(Node):
         super().__init__(sim, name, trace_bus)
         self.core = core
         self.transport = DesTransport(sim, name=f"{name}.transport")
+        self.stats = CompareHostStats().publish("compare_host", host=name)
         #: per registered port: its collect session and the endpoint's
         #: compare context
         self._collect_by_port: Dict[int, Tuple[Session, CompareContext]] = {}
@@ -89,11 +97,13 @@ class CompareHost(Node):
     def receive(self, packet: Packet, in_port: Port) -> None:
         registered = self._collect_by_port.get(in_port.port_no)
         if registered is None:
+            self.stats.dropped_unregistered_port += 1
             self.trace("compare_host.unregistered_port", port=in_port.port_no)
             return
         meta = packet.meta or {}  # the DES collect wire format
         branch = meta.get("branch")
         if branch is None:
+            self.stats.dropped_untagged += 1
             self.trace("compare_host.untagged_packet", port=in_port.port_no)
             return
         session, context = registered

@@ -99,7 +99,7 @@ async def _compare_async(config: Dict[str, Any]) -> dict:
     scope = config["scope"]
     loop = asyncio.get_running_loop()
     scheduler = RealTimeScheduler(loop)
-    trace_bus = TraceBus(retain=False)
+    trace_bus = TraceBus()
     alarms = AlarmSink(trace_bus)
     core = CompareCore(
         scheduler,

@@ -50,7 +50,7 @@ class Port:
 
     __slots__ = (
         "node", "port_no", "link", "peer", "rx_packets", "rx_bytes",
-        "tx_packets", "tx_bytes", "taps", "blocked_until",
+        "tx_packets", "tx_bytes", "taps", "blocked_until", "blocked_drops",
         # the egress direction of the attached link
         "wire_name", "wire_stats", "_rate_bps", "_delay", "_loss",
         "_loss_model", "_queue_capacity", "_busy_until", "_queued",
@@ -69,8 +69,10 @@ class Port:
         self.tx_bytes = 0
         # tcpdump-style observers: called on every received packet.
         self.taps: List[Callable[["Packet"], None]] = []
-        # A port may be administratively blocked (compare DoS mitigation).
+        # A port may be administratively blocked (compare DoS mitigation);
+        # frames it refuses to send or to receive meanwhile are counted.
         self.blocked_until: float = 0.0
+        self.blocked_drops = 0
         #: name and counters of the link direction this port transmits into
         self.wire_name: Optional[str] = None
         self.wire_stats: Optional[LinkStats] = None
@@ -127,6 +129,7 @@ class Port:
         sim = node.sim
         now = sim.now
         if now < self.blocked_until:
+            self.blocked_drops += 1
             node.trace("port.blocked_drop", port=self.port_no, packet=packet)
             return
         wire_len = packet.wire_len
@@ -200,6 +203,7 @@ class Port:
         if packet.trace_id is not None:
             far._span(packet, "span.hop", now)
         if now < far.blocked_until:
+            far.blocked_drops += 1
             node.trace("port.blocked_drop", port=far.port_no, packet=packet)
             return
         node.receive(packet, far)
@@ -218,6 +222,7 @@ class Port:
         if link is None:
             return
         if now < self.blocked_until:
+            self.blocked_drops += 1
             self.node.trace(
                 "port.blocked_drop", port=self.port_no, packet=batch.packet_at(i)
             )
@@ -285,6 +290,7 @@ class Port:
             for tap in far.taps:
                 tap(pkt)
         if now < far.blocked_until:
+            far.blocked_drops += 1
             node.trace(
                 "port.blocked_drop", port=far.port_no, packet=batch.packet_at(i)
             )

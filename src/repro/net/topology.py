@@ -24,6 +24,7 @@ class Network:
 
     def __init__(self, seed: int = 0, batch_train: int = 1) -> None:
         self.sim = Simulator()
+        # Keeps no record until a reader calls `trace.start_retaining()`.
         self.trace = TraceBus()
         self.rng = RngStreams(seed)
         # Packet-train batching: train >= 2 attaches a BatchRealm so CBR

@@ -4,8 +4,9 @@
 observability stack switched on — an enabled metrics registry active
 while the testbed is constructed (so every component publishes its
 counters and binds its histograms), a :class:`~repro.obs.spans.PacketTracer` attached to the
-network — runs one fixed-rate UDP flow per scenario, and collects
-everything into a :class:`~repro.obs.report.RunReport`.
+network, its trace bus retaining every record — runs one fixed-rate UDP
+flow per scenario, and collects everything into a
+:class:`~repro.obs.report.RunReport`.
 
 Because the offered rates and durations are fixed (not searched) and all
 randomness is seeded, the resulting report is byte-stable for a given
@@ -71,6 +72,7 @@ def run_instrumented_scenario(
     # registry stays active for the build and the run.
     with use_registry(registry):
         testbed = build_testbed(variant, params=params, seed=seed)
+        testbed.network.trace.start_retaining()
         tracer = PacketTracer(testbed.network.trace, sample_rate=sample_rate)
         tracer.attach(testbed.network)
         result = run_udp_flow(
@@ -121,6 +123,7 @@ def run_instrumented_ctrl_scenario(
         tb = build_ctrl_testbed(
             variant, ctrl=CtrlParams(ctrl_k=ctrl_k), seed=seed
         )
+        tb.network.trace.start_retaining()
         tracer = PacketTracer(tb.network.trace, sample_rate=sample_rate)
         tracer.attach(tb.network)
         result, _sequences, _injections = drive_ctrl_flow(

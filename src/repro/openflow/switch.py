@@ -67,6 +67,7 @@ class SwitchStats(StatBlock):
         "dropped_no_actions",
         "dropped_service_queue",
         "dropped_failed",
+        "dropped_bad_port",
         "packet_ins",
         "packet_outs",
         "flow_mods",
@@ -269,13 +270,14 @@ class OpenFlowSwitch(Node):
                 entry.last_matched = now
                 fast = memo[9]
                 if fast is not None:
-                    # forwarded counts before the bad-port check, exactly
+                    # an unwired egress is a drop, not a forward, exactly
                     # as in the per-packet pipeline
-                    self.stats.forwarded += 1
                     if fast is _BAD_EGRESS:
+                        self.stats.dropped_bad_port += 1
                         self.trace("switch.drop", reason="bad_port",
                                    port=memo[10], packet=batch.packet_at(i))
                     else:
+                        self.stats.forwarded += 1
                         fast.send_batch_packet(batch, i, now)
                     return
         else:
@@ -310,11 +312,12 @@ class OpenFlowSwitch(Node):
                 out_no,
             )
             if fast is not None:
-                self.stats.forwarded += 1
                 if fast is _BAD_EGRESS:
+                    self.stats.dropped_bad_port += 1
                     self.trace("switch.drop", reason="bad_port", port=out_no,
                                packet=batch.packet_at(i))
                 else:
+                    self.stats.forwarded += 1
                     fast.send_batch_packet(batch, i, now)
                 return
         if entry is None:
@@ -398,8 +401,8 @@ class OpenFlowSwitch(Node):
                 # Nothing touches the working packet after the final
                 # action, so a final Output sends it as is; an earlier one
                 # sends a copy.
-                self._output(working, action.port, in_port_no, index == last)
-                emitted = True
+                if self._output(working, action.port, in_port_no, index == last):
+                    emitted = True
             else:
                 if working is packet:
                     working = packet.copy()
@@ -419,9 +422,10 @@ class OpenFlowSwitch(Node):
 
     def _output(
         self, packet: Packet, out_port: int, in_port_no: int, owned: bool = False
-    ) -> None:
+    ) -> bool:
         """Emit ``packet`` on ``out_port``; ``owned`` means the caller is
-        done with it, so a unicast output need not copy it again."""
+        done with it, so a unicast output need not copy it again.  False
+        when ``out_port`` has no link: the copy is counted and dropped."""
         if out_port == PORT_FLOOD:
             for port_no, port in sorted(self.ports.items()):
                 if port_no != in_port_no and port.is_wired:
@@ -442,12 +446,14 @@ class OpenFlowSwitch(Node):
                 out_port = in_port_no
             port = self.ports.get(out_port)
             if port is None or port.link is None:
+                self.stats.dropped_bad_port += 1
                 self.trace("switch.drop", reason="bad_port", port=out_port, packet=packet)
-                return
+                return False
             session = self._egress_sessions.get(out_port)
             if session is None:
                 session = self._egress_session(port)
             session.send(packet if owned else packet.copy())
+        return True
 
     # ------------------------------------------------------------------
     # controller message handling

@@ -5,7 +5,9 @@ The case study in Section VI of the paper verifies routing behaviour with
 table counters.  :class:`TraceBus` is the simulator-native equivalent: any
 component can ``emit`` a typed record, and observers (tests, the case-study
 screening harness, the packet-lifecycle tracer, debugging tools) subscribe
-by topic.
+by topic.  Like a ``tcpdump`` tap, it keeps records only where someone is
+looking: a bus retains nothing until :meth:`TraceBus.start_retaining` is
+called, and a record nobody subscribed to and nobody keeps is never built.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 
 class TraceRecord(NamedTuple):
-    """One telemetry record (immutable; a run retains one per emit, so
-    it carries no per-instance ``__dict__``)."""
+    """One telemetry record (immutable; a retaining run keeps one per
+    emit, so it carries no per-instance ``__dict__``)."""
 
     time: float
     topic: str
@@ -46,9 +48,14 @@ class TraceBus:
     registration-shape order: exact listeners first, then prefix
     listeners, then catch-all listeners.
 
-    Records are also retained in memory (bounded) for post-run
-    assertions, with a per-topic index so :meth:`select`/:meth:`count`
-    on an exact topic do not scan the full retained list.
+    **Retention is opt-in.**  A bus built with ``retain=False`` (the
+    default) keeps nothing, and when no listener matches a topic
+    ``emit`` returns before it builds a record.  :meth:`start_retaining`
+    turns retention on for a bus that already exists (nodes hold their
+    network's bus from construction); from then on records are kept in
+    memory (bounded) for post-run reads, with a per-topic index so
+    :meth:`select`/:meth:`count` on an exact topic do not scan the full
+    retained list.
 
     **Saturation contract.**  When retention saturates (``max_records``
     reached), further records are still *delivered* to listeners but no
@@ -73,7 +80,7 @@ class TraceBus:
     #: topic of the one-time retention-saturation warning record
     SATURATION_TOPIC = "trace.saturation"
 
-    def __init__(self, retain: bool = True, max_records: int = 1_000_000) -> None:
+    def __init__(self, retain: bool = False, max_records: int = 1_000_000) -> None:
         self._listeners: Dict[str, List[Listener]] = {}
         self._prefix_listeners: Dict[str, List[Listener]] = {}
         self._retain = retain
@@ -82,6 +89,10 @@ class TraceBus:
         self.dropped_count = 0
         self.records: List[TraceRecord] = []
         self._by_topic: Dict[str, List[TraceRecord]] = {}
+
+    def start_retaining(self) -> None:
+        """Keep every record emitted from now on (earlier ones are gone)."""
+        self._retain = True
 
     def subscribe(self, topic: str, listener: Listener) -> None:
         """Subscribe to an exact topic, a ``prefix*`` pattern, or ``""``."""
@@ -96,6 +107,17 @@ class TraceBus:
         listeners = table.get(key, [])
         if listener in listeners:
             listeners.remove(listener)
+            if not listeners and table is self._listeners:
+                # `emit` asks `topic in listeners`; the prefix table stays
+                # as it is, since `_dispatch` may be iterating it
+                del table[key]
+
+    def _prefix_match(self, topic: str) -> bool:
+        """Whether some prefix listener takes ``topic``."""
+        return any(
+            topic.startswith(prefix) and prefix_listeners
+            for prefix, prefix_listeners in self._prefix_listeners.items()
+        )
 
     def emit(
         self,
@@ -104,31 +126,40 @@ class TraceBus:
         source: str,
         **data: Any,
     ) -> None:
+        if not self._retain:
+            # Nobody keeps it: build the record only for a listener of it.
+            listeners = self._listeners
+            if (
+                topic in listeners
+                or "" in listeners
+                or (self._prefix_listeners and self._prefix_match(topic))
+            ):
+                self._dispatch(_new_record(TraceRecord, (time, topic, source, data)))
+            return
         record = _new_record(TraceRecord, (time, topic, source, data))
-        if self._retain:
-            records = self.records
-            if len(records) < self._max_records:
-                records.append(record)
-                bucket = self._by_topic.get(topic)
-                if bucket is None:
-                    bucket = self._by_topic[topic] = []
-                bucket.append(record)
-            else:
-                self.dropped_count += 1
-                if not self._saturation_warned:
-                    self._saturation_warned = True
-                    warning = TraceRecord(
-                        time=time,
-                        topic=self.SATURATION_TOPIC,
-                        source="TraceBus",
-                        data={
-                            "max_records": self._max_records,
-                            "first_dropped_topic": topic,
-                        },
-                    )
-                    records.append(warning)
-                    self._by_topic.setdefault(warning.topic, []).append(warning)
-                    self._dispatch(warning)
+        records = self.records
+        if len(records) < self._max_records:
+            records.append(record)
+            bucket = self._by_topic.get(topic)
+            if bucket is None:
+                bucket = self._by_topic[topic] = []
+            bucket.append(record)
+        else:
+            self.dropped_count += 1
+            if not self._saturation_warned:
+                self._saturation_warned = True
+                warning = TraceRecord(
+                    time=time,
+                    topic=self.SATURATION_TOPIC,
+                    source="TraceBus",
+                    data={
+                        "max_records": self._max_records,
+                        "first_dropped_topic": topic,
+                    },
+                )
+                records.append(warning)
+                self._by_topic.setdefault(warning.topic, []).append(warning)
+                self._dispatch(warning)
         # Most topics have no listener: skip the dispatch frame for them.
         listeners = self._listeners
         if topic in listeners or self._prefix_listeners or "" in listeners:

@@ -205,6 +205,7 @@ class TestEngine:
 
     def test_injection_log_and_traces(self):
         net, _, _, s1, _ = two_switch_net()
+        net.trace.start_retaining()
         schedule = FaultSchedule(
             [LinkDown(0.005, "s1-s2", until=0.010), RouterCrash(0.015, "s1")],
             name="probe",

@@ -80,6 +80,20 @@ class TestBenignOperation:
         assert stats.submissions == 24
         assert stats.released == 8
 
+    def test_compare_host_counts_the_copies_it_refuses(self):
+        net, chain, h1, h2 = build_rig()
+        host = chain.compare_host
+        packet = Packet.udp(h1.mac, h2.mac, h1.ip, h2.ip, 1, 5001, payload=b"x")
+        host.receive(packet, host.add_port())  # no endpoint behind it
+        registered = host.port(net.port_no_between(host.name, chain.endpoint_a.name))
+        host.receive(packet.copy(), registered)  # no branch tag
+        assert host.stats.as_dict() == {
+            "dropped_unregistered_port": 1,
+            "dropped_untagged": 1,
+        }
+        assert chain.compare_core.stats.submissions == 0
+        assert net.trace.records == []  # counted, with nobody reading traces
+
     def test_controller_transport_works(self):
         net, chain, h1, h2 = build_rig(transport="controller")
         assert chain.compare_host is None

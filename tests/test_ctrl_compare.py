@@ -177,7 +177,7 @@ class TestTaint:
         under its own key starts a fresh decision; finalising the old one
         must not discard the fresh one's taint mark and trace id."""
         sim = Simulator()
-        bus = TraceBus()
+        bus = TraceBus(retain=True)
         compare = ControlCompare(
             sim, ControlCompareConfig(k=3, vote_timeout=0.01), trace_bus=bus
         )

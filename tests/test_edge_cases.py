@@ -17,6 +17,7 @@ from repro.openflow import (
 
 def pair_through_switch():
     net = Network(seed=61)
+    net.trace.start_retaining()  # the switch cases read its records
     s1 = OpenFlowSwitch(net.sim, "s1", trace_bus=net.trace)
     net.add_node(s1)
     h1 = net.add_host("h1", promiscuous=True)

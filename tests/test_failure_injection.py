@@ -156,6 +156,7 @@ class TestSelfHealingLifecycle:
 
     def run_crash_flow(self, restart=True, rate_bps=20e6):
         net, chain, h1, h2 = build_rig(k=3)
+        net.trace.start_retaining()  # the alarm-ordering case reads it
         core = chain.compare_core
         core.config.probation_clean_target = 10
         controller = QuarantineController(core, net.trace)

@@ -255,7 +255,7 @@ class TestFarmExecutor:
 # ----------------------------------------------------------------------
 class TestFarmProgress:
     def test_counters_and_bus_records(self):
-        progress = FarmProgress(bus=TraceBus())
+        progress = FarmProgress(bus=TraceBus(retain=True))
         farm = FarmExecutor(jobs=1, progress=progress)
         specs = [RunSpec("test.echo", {"value": i}, seed=i) for i in range(2)]
         farm.run(specs)

@@ -259,7 +259,7 @@ class TestFarmIntegration:
         """The TraceBus saturation contract: subscribed listeners get
         every record even after the retained log truncates, so a tiny
         ``max_records`` cannot corrupt the event log."""
-        bus = TraceBus(max_records=2)
+        bus = TraceBus(retain=True, max_records=2)
         specs = [RunSpec("fleet.echo", {"value": i}, seed=i) for i in range(5)]
         path, _ = _run_farm(tmp_path, specs, bus=bus, name="tinybus")
         events = read_events(path)
@@ -344,7 +344,7 @@ def test_property_gapless_and_replayable(tmp_path, seed):
     if rng.random() < 0.5:
         specs.append(RunSpec("fleet.alarmed", {}, seed=seed))
     # a tiny retained bus on odd seeds exercises the saturation contract
-    bus = TraceBus(max_records=3) if seed % 2 else None
+    bus = TraceBus(retain=True, max_records=3) if seed % 2 else None
 
     path_serial, results_serial = _run_farm(
         tmp_path, specs, jobs=1, bus=bus, name=f"serial-{seed}"

@@ -218,6 +218,7 @@ class TestPorts:
         h1.send(Packet.udp(h1.mac, h2.mac, h1.ip, h2.ip, 1, 5001))
         net.run(until=0.5)
         assert got == []
+        assert h2.port(1).blocked_drops == 1
 
     def test_block_expires(self):
         net, h1, h2 = two_hosts()

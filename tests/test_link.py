@@ -203,7 +203,7 @@ class TestWiring:
 
     def test_drop_trace_emitted(self):
         sim = Simulator()
-        bus = TraceBus()
+        bus = TraceBus(retain=True)
         a, b = Sink(sim, "a"), Sink(sim, "b")
         Link(
             sim, a.port(1), b.port(1), rate_bps=1e3, queue_capacity=1,
@@ -253,7 +253,7 @@ class LinkMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.sim = Simulator()
-        self.bus = TraceBus()
+        self.bus = TraceBus(retain=True)
         self.nodes = (Recorder(self.sim, "a", self.bus), Recorder(self.sim, "b", self.bus))
         self.link = Link(
             self.sim, self.nodes[0].port(1), self.nodes[1].port(1),
@@ -399,6 +399,10 @@ class LinkMachine(RuleBasedStateMachine):
                 stats.delivered_packets, stats.delivered_bytes
             )
             assert sender.blocked_until == self.blocked_until[side]
+            # a blocked port counts what it refuses, either way
+            assert sender.blocked_drops == (
+                counts["blocked"] + self.counts[1 - side]["blocked_arrivals"]
+            )
 
     @invariant()
     def telemetry_matches_the_model(self):

@@ -219,7 +219,7 @@ class TestPacketTraceId:
 
 class TestPacketTracer:
     def test_mark_assigns_incrementing_ids_and_emits_inject(self):
-        bus = TraceBus()
+        bus = TraceBus(retain=True)
         tracer = PacketTracer(bus)
         a, b = _packet(), _packet()
         assert tracer.mark(a, 0.0, "h1") == 1
@@ -398,6 +398,7 @@ class TestCollectAndReport:
         export.  Walks each instrumented testbed for StatBlocks and
         requires every field to be a sample whose values add up to the
         objects' own."""
+        from repro.core.combiner import CompareHostStats
         from repro.core.compare import CompareStats
         from repro.core.endpoint import EndpointStats
         from repro.ctrl.compare import CtrlStats
@@ -413,7 +414,7 @@ class TestCollectAndReport:
         families = {
             LinkStats: "link", SwitchStats: "switch", EndpointStats: "endpoint",
             CompareStats: "compare", CtrlStats: "ctrl",
-            SessionStats: "transport_session",
+            SessionStats: "transport_session", CompareHostStats: "compare_host",
         }
         runs = [
             run_instrumented_scenario(variant, duration=2e-3, seed=5)
@@ -518,7 +519,7 @@ class TestJsonlDump:
         assert sanitise_value({"k": [p, 1, None]})["k"][1] == 1
 
     def test_dump_records_jsonl(self, tmp_path):
-        bus = TraceBus()
+        bus = TraceBus(retain=True)
         bus.emit(0.5, "link.drop", "l1", reason="queue", packet=_packet())
         path = tmp_path / "t.jsonl"
         with open(path, "w") as fh:

@@ -46,7 +46,7 @@ class TestRngStreams:
 
 class TestTraceBus:
     def test_emit_retains_records(self):
-        bus = TraceBus()
+        bus = TraceBus(retain=True)
         bus.emit(1.0, "link.drop", "link1", reason="queue")
         assert len(bus.records) == 1
         record = bus.records[0]
@@ -78,7 +78,7 @@ class TestTraceBus:
         assert seen == []
 
     def test_select_filters_topic_and_source(self):
-        bus = TraceBus()
+        bus = TraceBus(retain=True)
         bus.emit(0.0, "a", "s1")
         bus.emit(0.0, "a", "s2")
         bus.emit(0.0, "b", "s1")
@@ -87,14 +87,14 @@ class TestTraceBus:
         assert len(bus.select(topic="a", source="s1")) == 1
 
     def test_count(self):
-        bus = TraceBus()
+        bus = TraceBus(retain=True)
         for _ in range(3):
             bus.emit(0.0, "x", "s")
         assert bus.count("x") == 3
         assert bus.count("y") == 0
 
     def test_retention_bound(self):
-        bus = TraceBus(max_records=5)
+        bus = TraceBus(retain=True, max_records=5)
         for i in range(10):
             bus.emit(float(i), "t", "s")
         # 5 data records + the one-time saturation warning
@@ -102,7 +102,7 @@ class TestTraceBus:
         assert len(bus.select(topic="t")) == 5
 
     def test_saturation_warning_and_dropped_count(self):
-        bus = TraceBus(max_records=3)
+        bus = TraceBus(retain=True, max_records=3)
         for i in range(3):
             bus.emit(float(i), "t", "s")
         assert bus.dropped_count == 0
@@ -118,7 +118,7 @@ class TestTraceBus:
         assert warnings[0].data["first_dropped_topic"] == "t"
 
     def test_saturation_warning_reaches_listeners(self):
-        bus = TraceBus(max_records=1)
+        bus = TraceBus(retain=True, max_records=1)
         seen = []
         bus.subscribe(TraceBus.SATURATION_TOPIC, seen.append)
         bus.emit(0.0, "t", "s")
@@ -134,13 +134,13 @@ class TestTraceBus:
         assert len(seen) == 5  # delivery is never truncated, only retention
 
     def test_retention_disabled(self):
-        bus = TraceBus(retain=False)
+        bus = TraceBus(retain=False)  # the explicit spelling stays accepted
         bus.emit(0.0, "t", "s")
         assert bus.records == []
         assert bus.dropped_count == 0  # disabling retention is not a drop
 
     def test_clear(self):
-        bus = TraceBus(max_records=2)
+        bus = TraceBus(retain=True, max_records=2)
         for i in range(4):
             bus.emit(float(i), "t", "s")
         bus.clear()
@@ -152,7 +152,7 @@ class TestTraceBus:
         assert bus.count(TraceBus.SATURATION_TOPIC) == 1
 
     def test_clear_resets_topic_index(self):
-        bus = TraceBus()
+        bus = TraceBus(retain=True)
         bus.emit(0.0, "a", "s")
         bus.clear()
         assert bus.select(topic="a") == []
@@ -160,6 +160,92 @@ class TestTraceBus:
         assert bus.topics() == []
         bus.emit(1.0, "a", "s")
         assert bus.count("a") == 1
+
+
+class TestOptInRetention:
+    """A bus keeps records only once a reader asks for them."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Counts every record `emit` builds (a spy on its constructor)."""
+        import repro.sim.trace as trace
+
+        calls = []
+        real = trace._new_record
+
+        def spy(cls, fields):
+            calls.append(fields[1])
+            return real(cls, fields)
+
+        monkeypatch.setattr(trace, "_new_record", spy)
+        return calls
+
+    def test_default_bus_retains_nothing(self):
+        bus = TraceBus()
+        for i in range(5):
+            bus.emit(float(i), "t", "s", i=i)
+        assert bus.records == []
+        assert bus.topics() == []
+        assert bus.count("t") == 0
+        assert bus.dropped_count == 0
+
+    def test_no_matching_listener_builds_no_record(self, built):
+        bus = TraceBus()
+        bus.emit(0.0, "link.drop", "l1")
+        bus.subscribe("alarm", lambda r: None)
+        bus.subscribe("compare.*", lambda r: None)
+        bus.emit(1.0, "link.drop", "l1")
+        listener = lambda r: None  # noqa: E731
+        bus.subscribe("link.drop", listener)
+        bus.unsubscribe("link.drop", listener)
+        bus.emit(2.0, "link.drop", "l1")
+        assert built == []
+
+    def test_matching_listener_gets_records_built_for_it(self, built):
+        for pattern in ("link.drop", "link.*", ""):
+            bus = TraceBus()
+            seen = []
+            bus.subscribe(pattern, seen.append)
+            bus.emit(0.0, "link.drop", "l1", reason="queue")
+            bus.emit(0.0, "alarm", "c")
+            expected = ["link.drop"] if pattern != "" else ["link.drop", "alarm"]
+            assert [r.topic for r in seen] == expected, pattern
+            assert built == expected, pattern
+            assert seen[0].data == {"reason": "queue"}
+            assert bus.records == []
+            built.clear()
+
+    def test_retention_started_mid_run_keeps_records_from_then_on(self):
+        bus = TraceBus()
+        seen = []
+        bus.subscribe("", seen.append)
+        bus.emit(0.0, "a", "s", i=0)
+        bus.emit(1.0, "b", "s", i=1)
+        bus.start_retaining()
+        bus.emit(2.0, "a", "s", i=2)
+        bus.emit(3.0, "b", "s", i=3)
+        assert [r.data["i"] for r in bus.records] == [2, 3]
+        assert [r.data["i"] for r in bus.select(topic="a")] == [2]
+        assert bus.topics() == ["a", "b"]
+        assert [r.data["i"] for r in seen] == [0, 1, 2, 3]
+
+    def test_saturation_contract_after_a_late_start(self):
+        bus = TraceBus(max_records=2)
+        seen = []
+        bus.subscribe("", seen.append)
+        for i in range(3):
+            bus.emit(float(i), f"early{i}", "s")
+        assert bus.dropped_count == 0  # nothing kept yet, nothing lost
+        bus.start_retaining()
+        for i in range(4):
+            bus.emit(float(3 + i), f"t{i}", "s")
+        assert [r.topic for r in bus.records] == ["t0", "t1", TraceBus.SATURATION_TOPIC]
+        assert bus.dropped_count == 2
+        assert bus.records[-1].data == {"max_records": 2, "first_dropped_topic": "t2"}
+        assert [r.topic for r in seen] == [
+            "early0", "early1", "early2",
+            "t0", "t1", TraceBus.SATURATION_TOPIC, "t2", "t3",
+        ]
 
 
 class TestTraceBusPrefixSubscriptions:
@@ -198,7 +284,7 @@ class TestTraceBusPrefixSubscriptions:
         assert seen == []
 
     def test_select_with_prefix_pattern_preserves_global_order(self):
-        bus = TraceBus()
+        bus = TraceBus(retain=True)
         bus.emit(0.0, "link.tx", "a")
         bus.emit(1.0, "compare.release", "c")
         bus.emit(2.0, "link.drop", "b")
@@ -206,14 +292,14 @@ class TestTraceBusPrefixSubscriptions:
         assert [(r.topic, r.source) for r in out] == [("link.tx", "a"), ("link.drop", "b")]
 
     def test_count_with_prefix_pattern(self):
-        bus = TraceBus()
+        bus = TraceBus(retain=True)
         bus.emit(0.0, "link.tx", "a")
         bus.emit(0.0, "link.drop", "a")
         bus.emit(0.0, "other", "a")
         assert bus.count("link.*") == 2
 
     def test_indexed_select_matches_scan(self):
-        bus = TraceBus()
+        bus = TraceBus(retain=True)
         for i in range(20):
             bus.emit(float(i), "a" if i % 3 else "b", f"s{i % 2}")
         indexed = bus.select(topic="a")
@@ -227,7 +313,7 @@ class TestTraceBusSaturationContract:
     def test_listener_stream_warning_precedes_first_dropped_record(self):
         # Listeners see every record; the warning is injected immediately
         # BEFORE the first dropped record (it announces the drop).
-        bus = TraceBus(max_records=2)
+        bus = TraceBus(retain=True, max_records=2)
         seen = []
         bus.subscribe("", seen.append)
         for i in range(4):
@@ -239,7 +325,7 @@ class TestTraceBusSaturationContract:
         # Retention diverges from the listener stream at the first drop:
         # the warning is the final retained entry and the dropped record
         # itself is gone.
-        bus = TraceBus(max_records=2)
+        bus = TraceBus(retain=True, max_records=2)
         for i in range(4):
             bus.emit(float(i), f"t{i}", "s")
         topics = [r.topic for r in bus.records]
@@ -249,7 +335,7 @@ class TestTraceBusSaturationContract:
     def test_warning_reaches_exact_and_prefix_listeners_of_its_topic(self):
         # `emit` skips dispatch for topics nobody listens to; the warning
         # is dispatched on its own topic, not on the dropped record's.
-        bus = TraceBus(max_records=1)
+        bus = TraceBus(retain=True, max_records=1)
         exact, family, dropped = [], [], []
         bus.subscribe(TraceBus.SATURATION_TOPIC, exact.append)
         bus.subscribe("trace.*", family.append)
@@ -272,7 +358,7 @@ class TestTraceRecord:
         assert by_keyword.data == {"a": 1}
 
     def test_rejects_attribute_assignment(self):
-        bus = TraceBus()
+        bus = TraceBus(retain=True)
         bus.emit(1.0, "t", "s", a=1)
         record = bus.records[0]
         assert type(record) is TraceRecord
@@ -293,7 +379,7 @@ class TestEveryMatchingListenerSeesEachRecordOnce:
             bus.emit(float(start + i), topic, "s", i=start + i)
 
     def test_exact_prefix_and_catch_all(self):
-        bus = TraceBus()
+        bus = TraceBus(retain=True)
         exact, prefix, everything = [], [], []
         bus.subscribe("link.drop", exact.append)
         bus.subscribe("link.*", prefix.append)
@@ -332,7 +418,7 @@ class TestEveryMatchingListenerSeesEachRecordOnce:
             assert [r.data["i"] for r in seen] == expected, pattern
 
     def test_listener_unsubscribed_mid_run(self):
-        bus = TraceBus()
+        bus = TraceBus(retain=True)
         exact, prefix, everything = [], [], []
         bus.subscribe("link.drop", exact.append)
         bus.subscribe("link.*", prefix.append)

@@ -125,27 +125,47 @@ class TestForwarding:
 
     def test_bad_port_output_drops(self):
         net, s1, (h1, h2, _) = three_hosts_one_switch()
+        net.trace.start_retaining()
         s1.install(Match(dl_dst=h2.mac), [Output(99)])
         h1.send(udp_between(h1, h2))
-        net.run()  # no crash; trace records the drop
+        net.run()  # no crash; the drop is counted and traced
+        assert s1.stats.dropped_bad_port == 1
+        assert s1.stats.forwarded == 0
         assert net.trace.count("switch.drop") == 1
+
+    def test_one_bad_output_of_several_still_forwards(self):
+        net, s1, (h1, h2, _) = three_hosts_one_switch()
+        s1.install(
+            Match(dl_dst=h2.mac), [Output(99), Output(net.port_no_between("s1", "h2"))]
+        )
+        got = []
+        h2.bind_udp(5001, got.append)
+        h1.send(udp_between(h1, h2))
+        net.run()
+        assert len(got) == 1
+        assert (s1.stats.forwarded, s1.stats.dropped_bad_port) == (1, 1)
 
     def test_in_port_output_to_unwired_port_is_traced(self):
         """Output(IN_PORT) toward a port with no link is the same drop as a
-        unicast to one: counted as forwarded, traced as ``bad_port``."""
+        unicast to one: counted as ``dropped_bad_port`` (not forwarded)
+        and traced as ``bad_port``."""
         net, s1, _hosts = three_hosts_one_switch()
+        net.trace.start_retaining()
         unwired = s1.add_port(7)
         s1.install(Match(), [Output(PORT_IN_PORT)])
         s1.receive(Packet.udp(MAC_A, MAC_B, IP_A, IP_B, 1, 2), unwired)
+        assert s1.stats.dropped_bad_port == 1
+        assert s1.stats.forwarded == 0
         assert bad_port_drops(net) == [7]
-        assert s1.stats.forwarded == 1
 
     def test_train_to_unwired_port_is_traced(self):
         """The train path resolves its egress once per train: a resolved
-        port without a link still traces ``bad_port`` for every packet."""
+        port without a link still counts (and traces) ``bad_port`` for
+        every packet, exactly as the per-packet path does."""
         from repro.traffic.udp import UdpSender
 
         net = Network(seed=1, batch_train=8)
+        net.trace.start_retaining()
         s1 = OpenFlowSwitch(net.sim, "s1", trace_bus=net.trace)
         net.add_node(s1)
         h1, h2 = net.add_host("h1"), net.add_host("h2")
@@ -157,7 +177,34 @@ class TestForwarding:
         sender.start(duration=0.002)
         net.run()
         assert sender.sent > 8  # at least one train of siblings
+        assert s1.stats.dropped_bad_port == sender.sent
+        assert s1.stats.forwarded == 0
         assert bad_port_drops(net) == [9] * sender.sent
+
+    @pytest.mark.parametrize("train", [1, 8])
+    @pytest.mark.parametrize("blocked", ["egress", "ingress"])
+    def test_blocked_port_counts_every_refused_frame(self, train, blocked):
+        """A blocked port counts what it refuses to send (the switch's
+        egress) or to receive (the host's ingress), on both tiers."""
+        from repro.traffic.udp import UdpSender
+
+        net = Network(seed=1, batch_train=train)
+        s1 = OpenFlowSwitch(net.sim, "s1", trace_bus=net.trace)
+        net.add_node(s1)
+        h1, h2 = net.add_host("h1"), net.add_host("h2")
+        net.connect(h1, s1)
+        net.connect(h2, s1)
+        out_no = net.port_no_between("s1", "h2")
+        s1.install(Match(dl_dst=h2.mac), [Output(out_no)])
+        port = s1.ports[out_no] if blocked == "egress" else h2.port(1)
+        port.block_for(1.0)
+        got = []
+        h2.bind_udp(5001, got.append)
+        sender = UdpSender(h1, h2.mac, h2.ip, 5001, rate_bps=100e6)
+        sender.start(duration=0.002)
+        net.run()
+        assert sender.sent > 8 and got == []
+        assert port.blocked_drops == sender.sent
         assert s1.stats.forwarded == sender.sent
 
 

@@ -242,14 +242,15 @@ def ctrl_flow(monkeypatch=None, attacker=None) -> dict:
 
             switch.handle_controller_message = spy
     _flow, sequences, _ = drive_ctrl_flow(tb, "none", 50e6, 512, 0.01, DRAIN_TIME)
-    drops = [
-        record for record in tb.network.trace.select(topic="switch.drop")
-        if record.data["reason"] == "bad_port"
-    ]
+    bad_port = sum(
+        switch.stats.dropped_bad_port
+        for branch in tb.testbed.branches
+        for switch in branch
+    )
     return {
         "fingerprint": fingerprint(sequences),
         "received": len(sequences),
-        "bad_port": len(drops),
+        "bad_port": bad_port,
         "on_arrival": [voted for _message, voted in arrived],
         "after_run": [digest(message) for message, _voted in arrived],
         "attacker": replicas[0] if replicas else None,
