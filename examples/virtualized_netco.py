@@ -19,8 +19,11 @@ from repro.traffic.iperf import run_ping
 
 def attack_run(k: int) -> None:
     testbed = build_testbed(f"virtual{k}", seed=9)
-    print(f"k = {k}: flow split over "
-          + ", ".join("->".join(p) for p in testbed.chain.paths))
+    chain = testbed.chain
+    print(f"k = {k}: flow split over " + ", ".join(
+        "->".join([chain.endpoint_a.name, *(s.name for s in branch),
+                   chain.endpoint_b.name])
+        for branch in chain.branches))
 
     implant = PayloadCorruptionBehavior()
     implant.attach(testbed.routers[1])

@@ -7,11 +7,13 @@ The primary contribution of the paper, as a library:
 * :class:`~repro.core.compare.CompareCore` — majority voting with
   bounded buffering, DoS mitigation and liveness alarms;
 * :func:`~repro.core.combiner.build_combiner_chain` — the Figure 3
-  evaluation unit;
-* :func:`~repro.core.deployment.build_shielded_router` — Figure 2's
-  drop-in replacement for one n-port router;
+  evaluation unit and, with one endpoint, Figure 2's drop-in shielded
+  router for one n-port router;
 * :func:`~repro.core.virtual.provision_virtual_combiner` — the Section
   VII virtualized combiner over diverse paths.
+
+Both return one handle, :class:`~repro.core.combiner.CombinerChain`; in
+each a copy's branch is the trusted port it arrived on.
 """
 
 from repro.core.alarms import (
@@ -37,10 +39,6 @@ from repro.core.compare import (
     CompareCore,
     CompareStats,
 )
-from repro.core.deployment import (
-    ShieldedRouter,
-    build_shielded_router,
-)
 from repro.core.endpoint import (
     MODE_COMBINE,
     MODE_DUP,
@@ -64,7 +62,6 @@ from repro.core.policy import (
     strip_vlan_policy,
 )
 from repro.core.virtual import (
-    VirtualCombiner,
     VirtualEgress,
     VirtualIngress,
     provision_virtual_combiner,
@@ -89,8 +86,6 @@ __all__ = [
     "CompareContext",
     "CompareCore",
     "CompareStats",
-    "ShieldedRouter",
-    "build_shielded_router",
     "MODE_COMBINE",
     "MODE_DUP",
     "CombinerEndpoint",
@@ -107,7 +102,6 @@ __all__ = [
     "MaskedPolicy",
     "mask_src_mac_policy",
     "strip_vlan_policy",
-    "VirtualCombiner",
     "VirtualEgress",
     "VirtualIngress",
     "provision_virtual_combiner",

@@ -7,9 +7,10 @@ Two things live here:
   parallel circuit, with a dedicated compare host (``h3``) attached
   in-band to both endpoints.  It is the only code that wires endpoints
   × branches × compare: Central3/Central5/Dup3/Dup5/Linespeed/POX3, the
-  Section IX coarse-grained combiner (``depth`` switches per branch) and
-  Section IX sampled detection (``sample_rate``) are all
-  parameterisations of it.
+  Section IX coarse-grained combiner (``depth`` switches per branch),
+  Section IX sampled detection (``sample_rate``) and Figure 2's shielded
+  router (``endpoints=1``: one endpoint, one *claim-link* per replica and
+  external port) are all parameterisations of it.
 
 * :class:`CompareHost` — the trusted server running the compare module,
   attached to the data plane like the paper's C process: packets reach it
@@ -21,13 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.alarms import AlarmSink
 from repro.core.compare import CompareConfig, CompareContext, CompareCore
 from repro.core.endpoint import MODE_COMBINE, MODE_DUP, CombinerEndpoint
 from repro.core.sampling import DivergenceWatcher, SamplingEndpoint
 from repro.net.addresses import MacAddress
+from repro.net.link import Link
 from repro.net.node import NetworkError, Node, Port
 from repro.net.packet import Packet
 from repro.net.topology import Network
@@ -42,7 +44,6 @@ from repro.transport import (
     DesTransport,
     Session,
     SessionSpec,
-    Transport,
 )
 
 
@@ -112,37 +113,6 @@ class CompareHost(Node):
         self.core.submit(packet, branch, context, meta.get("claim"))
 
 
-def attach_inline_compare(
-    network: Network,
-    name: str,
-    config: CompareConfig,
-    endpoints: Sequence[CombinerEndpoint],
-    alarms: AlarmSink,
-    **link: object,
-) -> Tuple[CompareCore, CompareHost]:
-    """Build ``<name>_compare`` on its dedicated host ``<name>_h3`` and
-    wire the host in-band to each of ``endpoints`` (``link`` are the
-    :meth:`Network.connect` options of those links)."""
-    core = CompareCore(
-        network.sim,
-        config,
-        name=f"{name}_compare",
-        alarm_sink=alarms,
-        trace_bus=network.trace,
-    )
-    host = CompareHost(network.sim, f"{name}_h3", core, trace_bus=network.trace)
-    network.add_node(host)
-    for endpoint in endpoints:
-        network.connect(endpoint, host, **link)
-        endpoint.assign_compare_port(
-            network.port_no_between(endpoint.name, host.name)
-        )
-        host.register_endpoint(
-            network.port_no_between(host.name, endpoint.name), endpoint
-        )
-    return core, host
-
-
 @dataclass
 class CombinerChainParams:
     """All tunables of a Figure 3 combiner chain.
@@ -153,6 +123,9 @@ class CombinerChainParams:
     """
 
     k: int = 3
+    #: 2 = a Figure 3 chain (one external port per endpoint); 1 = a
+    #: Figure 2 shielded router (one endpoint, neighbours attached later)
+    endpoints: int = 2
     mode: str = MODE_COMBINE  # 'combine' (CentralK) or 'dup' (DupK)
     link_rate_bps: float = 1e9
     link_delay: float = 2e-6
@@ -187,20 +160,23 @@ class CombinerChainParams:
 
 
 class CombinerChain:
-    """Handles to every element of a built Figure 3 chain."""
+    """Handles to every element of a built combiner: the trusted
+    ingress and egress elements (one object for a shielded router), the
+    untrusted branches and the compare."""
 
     def __init__(
         self,
         network: Network,
         name: str,
-        endpoint_a: CombinerEndpoint,
-        endpoint_b: CombinerEndpoint,
+        endpoint_a: OpenFlowSwitch,
+        endpoint_b: OpenFlowSwitch,
         branches: List[List[OpenFlowSwitch]],
         compare_host: Optional[CompareHost],
         compare_core: Optional[CompareCore],
         alarms: AlarmSink,
         controller=None,
         watcher=None,
+        link: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.network = network
         self.name = name
@@ -217,22 +193,64 @@ class CombinerChain:
         self.controller = controller
         #: the sampling compare's DivergenceWatcher (``sample_rate`` only)
         self.watcher = watcher
+        #: Network.connect options of the links attach_neighbor makes
+        self._link = link or {}
+        #: external port -> each replica's port on its claim-link
+        self._claim_ports: Dict[int, List[int]] = {}
 
     @property
     def k(self) -> int:
         return len(self.routers)
 
-    @property
-    def transport(self) -> Transport:
-        """Endpoint A's transport (each node of the chain builds its own)."""
-        return self.endpoint_a.transport
+    def attach_neighbor(self, neighbor: Node) -> int:
+        """Wire ``neighbor`` to a fresh external port of a one-endpoint
+        combiner, as it was wired to the router the combiner replaces,
+        with one claim-link per replica standing for that port.  Returns
+        the external port number."""
+        endpoint = self.endpoint_a
+        if endpoint is not self.endpoint_b:
+            raise NetworkError(f"{self.name}: only a one-endpoint combiner "
+                               "attaches neighbours")
+        external_port = self.network.connect(endpoint, neighbor, **self._link).a.port_no
+        claim_ports: List[int] = []
+        for i, replica in enumerate(self.routers):
+            link = self.network.connect(endpoint, replica, **self._link)
+            endpoint.assign_branch(link.a.port_no, branch=i, claim=external_port)
+            claim_ports.append(link.b.port_no)
+        self._claim_ports[external_port] = claim_ports
+        return external_port
 
-    def install_mac_route(self, mac: MacAddress, toward: str) -> None:
+    def claim_port(self, replica: int, external_port: int) -> int:
+        """Replica ``replica``'s port on the claim-link that stands for
+        ``external_port``: sending there claims that egress."""
+        ports = self._claim_ports.get(external_port)
+        if ports is None:
+            raise NetworkError(
+                f"{self.name}: external port {external_port} not attached"
+            )
+        return ports[replica]
+
+    def claim_links(self) -> Iterator[Tuple[int, str, Link]]:
+        """``(replica, neighbour name, claim-link)`` for every claim-link,
+        in external-port order (none on a two-endpoint chain)."""
+        for external_port, ports in self._claim_ports.items():
+            neighbour = self.endpoint_a.port(external_port).peer.node.name
+            for i, port_no in enumerate(ports):
+                yield i, neighbour, self.routers[i].port(port_no).link
+
+    def install_mac_route(self, mac: MacAddress, toward: Union[str, int]) -> None:
         """Program every untrusted switch to send ``mac`` toward endpoint
         'a' or 'b', hop by hop along its branch (the paper routes on MAC
-        destination only)."""
+        destination only) — or, on a one-endpoint combiner, out the
+        claim-link for external port ``toward``."""
+        if isinstance(toward, int):
+            for i, replica in enumerate(self.routers):
+                replica.install(
+                    Match(dl_dst=mac), [Output(self.claim_port(i, toward))], priority=10
+                )
+            return
         if toward not in ("a", "b"):
-            raise ValueError(f"toward must be 'a' or 'b', got {toward!r}")
+            raise ValueError(f"toward must be 'a', 'b' or a port, got {toward!r}")
         for branch in self.branches:
             if toward == "a":
                 hops = [*reversed(branch), self.endpoint_a]
@@ -268,6 +286,16 @@ def build_combiner_chain(
     sampled = params.sample_rate is not None
     if sampled and (params.mode != MODE_COMBINE or params.transport != "inline"):
         raise NetworkError("sampled detection needs an inline compare to sample for")
+    if params.endpoints not in (1, 2):
+        raise NetworkError(f"a combiner has 1 or 2 endpoints, got {params.endpoints}")
+    if params.endpoints == 1 and (
+        params.mode != MODE_COMBINE or params.transport != "inline"
+        or params.depth > 1 or sampled or params.mark_sources
+    ):
+        raise NetworkError(
+            "a one-endpoint combiner votes on an inline compare over "
+            "one-switch branches, unsampled and unmarked"
+        )
     sim, trace = network.sim, network.trace
     alarms = alarm_sink or AlarmSink(trace)
     cpu = CpuResource(f"{name}.cpu") if params.shared_cpu else None
@@ -275,7 +303,7 @@ def build_combiner_chain(
     make_endpoint = CombinerEndpoint
     if sampled:
         make_endpoint = partial(SamplingEndpoint, sample_rate=params.sample_rate)
-    endpoint_a, endpoint_b = (
+    endpoints = [
         make_endpoint(
             sim,
             f"{name}_{suffix}",
@@ -288,10 +316,11 @@ def build_combiner_chain(
             alarm_sink=alarms,
             service_queue_capacity=params.switch_service_queue,
         )
-        for suffix in ("sA", "sB")
-    )
-    network.add_node(endpoint_a)
-    network.add_node(endpoint_b)
+        for suffix in (("sA", "sB") if params.endpoints == 2 else ("e",))
+    ]
+    for endpoint in endpoints:
+        network.add_node(endpoint)
+    endpoint_a, endpoint_b = endpoints[0], endpoints[-1]
     # Trusted endpoints share their address registry (they are jointly
     # administered and already share the compare host).
     endpoint_b.address_registry = endpoint_a.address_registry
@@ -319,6 +348,8 @@ def build_combiner_chain(
         for switch in branch:
             network.add_node(switch)
         branches.append(branch)
+        if params.endpoints == 1:
+            continue  # the claim-links come with attach_neighbor
         link_a = network.connect(endpoint_a, branch[0], **link)
         for here, nxt in zip(branch, branch[1:]):
             network.connect(here, nxt, **link)
@@ -345,17 +376,27 @@ def build_combiner_chain(
             from repro.core.policy import mask_src_mac_policy
 
             config = replace(config, policy=mask_src_mac_policy(config.policy))
+        compare_core = CompareCore(
+            sim, config, name=f"{name}_compare", alarm_sink=alarms, trace_bus=trace
+        )
         if params.transport == "inline":
-            compare_core, compare_host = attach_inline_compare(
-                network,
-                name,
-                config,
-                (endpoint_a, endpoint_b),
-                alarms,
-                rate_bps=params.compare_link_rate_bps,
-                delay=params.compare_link_delay,
-                queue_capacity=params.queue_capacity,
-            )
+            # the compare's dedicated host, wired in-band to each endpoint
+            compare_host = CompareHost(sim, f"{name}_h3", compare_core, trace_bus=trace)
+            network.add_node(compare_host)
+            for endpoint in endpoints:
+                network.connect(
+                    endpoint,
+                    compare_host,
+                    rate_bps=params.compare_link_rate_bps,
+                    delay=params.compare_link_delay,
+                    queue_capacity=params.queue_capacity,
+                )
+                endpoint.assign_compare_port(
+                    network.port_no_between(endpoint.name, compare_host.name)
+                )
+                compare_host.register_endpoint(
+                    network.port_no_between(compare_host.name, endpoint.name), endpoint
+                )
             if sampled:
                 endpoint_a.policy_core = endpoint_b.policy_core = compare_core
                 watcher = DivergenceWatcher(compare_core)
@@ -364,13 +405,6 @@ def build_combiner_chain(
             # cross the OpenFlow control channel in both directions.
             from repro.apps.combiner_app import PoxStyleCompareApp
 
-            compare_core = CompareCore(
-                sim,
-                config,
-                name=f"{name}_compare",
-                alarm_sink=alarms,
-                trace_bus=trace,
-            )
             controller = PoxStyleCompareApp(
                 sim,
                 compare_core,
@@ -395,4 +429,5 @@ def build_combiner_chain(
         alarms=alarms,
         controller=controller,
         watcher=watcher,
+        link=link,
     )

@@ -23,10 +23,10 @@ arrivals are forwarded directly, duplicates and all.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.alarms import ALARM_SPOOFED_BRANCH, AlarmSink
-from repro.core.compare import CompareContext, CompareCore
+from repro.core.compare import CompareCore
 from repro.net.addresses import MacAddress
 from repro.net.node import NetworkError
 from repro.net.packet import Packet
@@ -42,9 +42,6 @@ from repro.transport import (
     SessionSpec,
     Transport,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
 MODE_COMBINE = "combine"
 MODE_DUP = "dup"
@@ -105,7 +102,64 @@ class EndpointStats(StatBlock):
     )
 
 
-class CombinerEndpoint(OpenFlowSwitch):
+class BranchPorts:
+    """Branch identity read off the trusted side's own ports, for the
+    switches that collect copies for a vote (:class:`CombinerEndpoint`,
+    :class:`~repro.core.virtual.VirtualEgress`): a copy's branch is the
+    port it arrived on, never something the branch wrote."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._branch_by_port: Dict[int, int] = {}
+        self._port_by_branch: Dict[int, int] = {}
+        # Optional egress claim per branch port: for an n-port shielded
+        # router each replica has one link per original egress port, so a
+        # copy's arrival port encodes "replica i claims egress m".  The
+        # vote is then over (packet bytes, claimed egress) — the majority
+        # must agree on the forwarding decision too, as in Figure 2.
+        self._claim_by_port: Dict[int, int] = {}
+
+    def _rewired(self) -> None:  # the port roles changed
+        pass
+
+    def assign_branch(
+        self, port_no: int, branch: int, claim: Optional[int] = None
+    ) -> None:
+        """Mark ``port_no`` as a branch port toward untrusted router
+        ``branch``; ``claim`` optionally names the external egress port
+        this branch link stands for (one-endpoint combiner wiring)."""
+        if port_no in self._branch_by_port:
+            raise NetworkError(f"{self.name}: port {port_no} already a branch")
+        self._branch_by_port[port_no] = branch
+        self._port_by_branch.setdefault(branch, port_no)
+        if claim is not None:
+            self._claim_by_port[port_no] = claim
+        self._rewired()
+
+    @property
+    def branch_ports(self) -> List[int]:
+        return sorted(self._branch_by_port)
+
+    @property
+    def branch_ids(self) -> List[int]:
+        return sorted(self._port_by_branch)
+
+    def port_of_branch(self, branch: int) -> int:
+        return self._port_by_branch[branch]
+
+    def branch_of_port(self, port_no: int) -> Optional[int]:
+        return self._branch_by_port.get(port_no)
+
+    def block_branch_ingress(self, branch: int, duration: float) -> None:
+        """Block every port belonging to ``branch`` (a replica may have
+        several links in the one-endpoint wiring); a blocked port refuses
+        traffic in both directions."""
+        for port_no, port_branch in self._branch_by_port.items():
+            if port_branch == branch:
+                self.block_port(port_no, duration)
+
+
+class CombinerEndpoint(BranchPorts, OpenFlowSwitch):
     """One trusted bracket of a NetCo combiner (see module docstring)."""
 
     def __init__(
@@ -141,14 +195,6 @@ class CombinerEndpoint(OpenFlowSwitch):
         self.address_registry: Dict = {}
         self.alarms = alarm_sink or AlarmSink(trace_bus)
         self.estats = EndpointStats().publish("endpoint", endpoint=name)
-        self._branch_by_port: Dict[int, int] = {}
-        self._port_by_branch: Dict[int, int] = {}
-        # Optional egress claim per branch port: for an n-port shielded
-        # router each replica has one link per original egress port, so a
-        # copy's arrival port encodes "replica i claims egress m".  The
-        # vote is then over (packet bytes, claimed egress) — the majority
-        # must agree on the forwarding decision too, as in Figure 2.
-        self._claim_by_port: Dict[int, int] = {}
         self._compare_port_no: Optional[int] = None
         self._compare_core: Optional[CompareCore] = None
         self._mac_table: Dict[MacAddress, int] = {}
@@ -165,33 +211,20 @@ class CombinerEndpoint(OpenFlowSwitch):
         self._ext_cache: Optional[Tuple[frozenset, List]] = None
 
     def add_port(self, port_no: Optional[int] = None):
+        self._rewired()
+        return super().add_port(port_no)
+
+    def _rewired(self) -> None:
         self._fan_cache = None
         self._ext_cache = None
-        return super().add_port(port_no)
 
     # ------------------------------------------------------------------
     # wiring (done by the combiner builder)
     # ------------------------------------------------------------------
-    def assign_branch(
-        self, port_no: int, branch: int, claim: Optional[int] = None
-    ) -> None:
-        """Mark ``port_no`` as a branch port toward untrusted router
-        ``branch``; ``claim`` optionally names the external egress port
-        this branch link stands for (n-port shielded-router wiring)."""
-        if port_no in self._branch_by_port:
-            raise NetworkError(f"{self.name}: port {port_no} already a branch")
-        self._branch_by_port[port_no] = branch
-        self._port_by_branch.setdefault(branch, port_no)
-        self._fan_cache = None
-        self._ext_cache = None
-        if claim is not None:
-            self._claim_by_port[port_no] = claim
-
     def assign_compare_port(self, port_no: int) -> None:
         """Mark ``port_no`` as the in-band attachment to the compare host."""
         self._compare_port_no = port_no
-        self._fan_cache = None
-        self._ext_cache = None
+        self._rewired()
         port = self.port(port_no)
         self._collect_session = self.transport.session(
             SessionSpec(self.name, ROLE_COLLECT), port=port
@@ -208,20 +241,6 @@ class CombinerEndpoint(OpenFlowSwitch):
         self._collect_session = self.transport.adopt(
             ControlChannelCollectSession(self.transport, self)
         )
-
-    @property
-    def branch_ports(self) -> List[int]:
-        return sorted(self._branch_by_port)
-
-    @property
-    def branch_ids(self) -> List[int]:
-        return sorted(self._port_by_branch)
-
-    def port_of_branch(self, branch: int) -> int:
-        return self._port_by_branch[branch]
-
-    def branch_of_port(self, port_no: int) -> Optional[int]:
-        return self._branch_by_port.get(port_no)
 
     def external_ports(self) -> List[int]:
         """Every wired port that is neither a branch nor the compare port."""
@@ -462,26 +481,10 @@ class CombinerEndpoint(OpenFlowSwitch):
             self.stats.forwarded += 1
 
     # ------------------------------------------------------------------
-    # control-plane release path (POX3) and DoS mitigation hook
+    # control-plane release path (POX3)
     # ------------------------------------------------------------------
     def _apply_packet_out(self, message: PacketOut) -> None:
         """A packet-out from the compare app is a release decision."""
         self.stats.packet_outs += 1
         if message.packet is not None:
             self.handle_release(message.packet)
-
-    def compare_context(self, core_name: str = "") -> CompareContext:
-        """Build this endpoint's :class:`CompareContext` (scope + return
-        path + block hook)."""
-        return CompareContext(
-            scope=self.name,
-            release=self.handle_release,
-            block_branch=self.block_branch_ingress,
-        )
-
-    def block_branch_ingress(self, branch: int, duration: float) -> None:
-        """Block every port belonging to ``branch`` (a replica may have
-        several links in the shielded-router wiring)."""
-        for port_no, port_branch in self._branch_by_port.items():
-            if port_branch == branch:
-                self.block_port(port_no, duration)

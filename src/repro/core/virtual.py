@@ -5,7 +5,8 @@ flow is split at its ingress edge into ``k`` copies, each tunnelled over
 a node-disjoint path through heterogeneous (differently-vendored)
 devices, and recombined by an **in-band** compare at the egress edge.
 SDN traffic-engineering supplies the tunnels: each copy carries a VLAN
-tag naming its path, and the transit switches forward on ``dl_vlan``.
+tag that routes it, and the transit switches forward on ``dl_vlan``.  The
+tag does not name the copy's branch: the egress port it arrives on does.
 
 Two copies suffice for detection, three for prevention — same quorum
 arithmetic as the physical combiner, same :class:`CompareCore`.
@@ -13,11 +14,13 @@ arithmetic as the physical combiner, same :class:`CompareCore`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.alarms import AlarmSink
+from repro.core.alarms import ALARM_SPOOFED_BRANCH, AlarmSink
+from repro.core.combiner import CombinerChain
 from repro.core.compare import CompareConfig, CompareContext, CompareCore
+from repro.core.endpoint import BranchPorts
 from repro.net.addresses import MacAddress
 from repro.net.node import NetworkError
 from repro.net.packet import Packet, Vlan
@@ -25,6 +28,10 @@ from repro.net.topology import Network
 from repro.openflow.actions import Output
 from repro.openflow.match import Match
 from repro.openflow.switch import OpenFlowSwitch
+
+
+#: tunnel i's VLAN id is VID_BASE + i
+VID_BASE = 100
 
 
 class VirtualIngress(OpenFlowSwitch):
@@ -59,28 +66,32 @@ class VirtualIngress(OpenFlowSwitch):
                 port.send(copy)
 
 
-class VirtualEgress(OpenFlowSwitch):
+class VirtualEgress(BranchPorts, OpenFlowSwitch):
     """Edge switch hosting the in-band compare for tunnelled flows.
 
-    Copies arriving with a protected VLAN tag are stripped and voted on;
-    the released packet continues through the normal pipeline (so the
-    egress needs an ordinary route to the destination).
+    A copy's branch is the port it arrived on (each node-disjoint tunnel
+    ends on a port of its own); its VLAN tag only routed it here.  A
+    protected tag on another tunnel's port is a spoofed branch and never
+    reaches the vote.  Copies that pass are stripped and voted on; the
+    released packet continues through the normal pipeline (so the egress
+    needs an ordinary route to the destination).
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._core: Optional[CompareCore] = None
-        self._vid_to_branch: Dict[int, int] = {}
+        self._branch_by_vid: Dict[int, int] = {}
         self._context: Optional[CompareContext] = None
         self.recombined = 0
+        self.spoof_drops = 0
 
     def attach_compare(self, core: CompareCore, vids: List[int]) -> None:
         """Use ``core`` to vote on copies tagged with ``vids`` (in branch
-        order)."""
+        order); each tunnel's port is recorded with :meth:`assign_branch`."""
         if self._core is not None and self._core is not core:
             raise NetworkError(f"{self.name}: a compare is already attached")
         self._core = core
-        self._vid_to_branch = {vid: branch for branch, vid in enumerate(vids)}
+        self._branch_by_vid = {vid: branch for branch, vid in enumerate(vids)}
 
         def release(packet: Packet) -> None:
             self.recombined += 1
@@ -93,59 +104,25 @@ class VirtualEgress(OpenFlowSwitch):
                 self.trace("virtual_egress.no_route", packet=packet)
 
         self._context = CompareContext(
-            scope=self.name, release=release, block_branch=self._block_tunnel
+            scope=self.name, release=release, block_branch=self.block_branch_ingress
         )
-
-    def _block_tunnel(self, branch: int, duration: float) -> None:
-        # In-band: we cannot block a whole path, but we can ignore its
-        # tag for a while by blocking the port it arrives on — left as a
-        # trace-visible decision.
-        self.trace("virtual_egress.block_tunnel", branch=branch, duration=duration)
 
     def _process(self, packet: Packet, in_port_no: int) -> None:
         vlan = packet.vlan
-        if (
-            self._core is not None
-            and vlan is not None
-            and vlan.vid in self._vid_to_branch
-        ):
-            branch = self._vid_to_branch[vlan.vid]
-            stripped = packet.copy()
-            stripped.vlan = None
-            assert self._context is not None
-            self._core.submit(stripped, branch, self._context)
+        if vlan is None or vlan.vid not in self._branch_by_vid:
+            super()._process(packet, in_port_no)
             return
-        super()._process(packet, in_port_no)
-
-
-@dataclass
-class VirtualCombiner:
-    """Handles for one provisioned virtualized combiner.
-
-    Reads like a :class:`~repro.core.combiner.CombinerChain` where a
-    scenario handle needs it to: the edges are the two trusted elements
-    and the transit switches of tunnel i are branch i.
-    """
-
-    network: Network
-    ingress: VirtualIngress
-    egress: VirtualEgress
-    core: CompareCore
-    paths: List[List[str]] = field(default_factory=list)
-    vids: List[int] = field(default_factory=list)
-    alarms: Optional[AlarmSink] = None
-
-    @property
-    def k(self) -> int:
-        return len(self.paths)
-
-    endpoint_a = property(lambda self: self.ingress)
-    endpoint_b = property(lambda self: self.egress)
-    compare_core = property(lambda self: self.core)
-
-    @property
-    def branches(self) -> List[List[OpenFlowSwitch]]:
-        return [[self.network.node(n) for n in path[1:-1]] for path in self.paths]
+        branch = self._branch_by_port.get(in_port_no)
+        if branch != self._branch_by_vid[vlan.vid]:
+            self.spoof_drops += 1
+            self._core.alarms.raise_alarm(
+                self.sim.now, ALARM_SPOOFED_BRANCH, self.name,
+                branch=branch, claimed=vlan.vid,
+            )
+            return
+        stripped = packet.copy()
+        stripped.vlan = None
+        self._core.submit(stripped, branch, self._context)
 
 
 def provision_virtual_combiner(
@@ -154,47 +131,38 @@ def provision_virtual_combiner(
     egress: VirtualEgress,
     dst_mac: MacAddress,
     k: int = 3,
-    vid_base: int = 100,
     compare: Optional[CompareConfig] = None,
-    alarm_sink: Optional[AlarmSink] = None,
-    paths: Optional[List[List[str]]] = None,
-) -> VirtualCombiner:
+) -> CombinerChain:
     """Split traffic for ``dst_mac`` from ``ingress`` to ``egress`` over
     ``k`` node-disjoint tunnels and recombine in-band at the egress.
 
     Installs ``dl_vlan`` forwarding rules on every transit switch; the
     caller is responsible for the egress' normal route to the final
     destination (e.g. via :class:`~repro.apps.static_routing.
-    StaticMacRouter`).
+    StaticMacRouter`).  The handle's trusted elements are the two edges,
+    branch i is tunnel i's transit switches, and it has no compare host.
     """
-    if paths is None:
-        paths = network.disjoint_paths(ingress.name, egress.name, k)
+    paths = network.disjoint_paths(ingress.name, egress.name, k)
     if len(paths) < k:
         raise NetworkError(
             f"only {len(paths)} disjoint paths between {ingress.name} and "
             f"{egress.name}; need {k}"
         )
     paths = paths[:k]
-    alarms = alarm_sink or AlarmSink(network.trace)
-    config = compare or CompareConfig(k=k)
-    if config.k != k:
-        from dataclasses import replace as dc_replace
-
-        config = dc_replace(config, k=k)
+    alarms = AlarmSink(network.trace)
     core = CompareCore(
         network.sim,
-        config,
+        replace(compare or CompareConfig(), k=k),
         name=f"{egress.name}_inband_compare",
         alarm_sink=alarms,
         trace_bus=network.trace,
     )
 
-    vids = [vid_base + i for i in range(k)]
+    vids = [VID_BASE + i for i in range(k)]
     tunnels: List[Tuple[int, int]] = []
-    for i, path in enumerate(paths):
-        vid = vids[i]
-        first_hop_port = network.port_no_between(ingress.name, path[1])
-        tunnels.append((vid, first_hop_port))
+    for branch, (vid, path) in enumerate(zip(vids, paths)):
+        tunnels.append((vid, network.port_no_between(ingress.name, path[1])))
+        egress.assign_branch(network.port_no_between(egress.name, path[-2]), branch)
         # Program the transit switches (everything strictly between the
         # two edges) to forward this tag along the path.
         for here, nxt in zip(path[1:-1], path[2:]):
@@ -209,12 +177,13 @@ def provision_virtual_combiner(
     ingress.protect_flow(dst_mac, tunnels)
     egress.attach_compare(core, vids)
 
-    return VirtualCombiner(
-        network=network,
-        ingress=ingress,
-        egress=egress,
-        core=core,
-        paths=paths,
-        vids=vids,
+    return CombinerChain(
+        network,
+        f"{egress.name}_inband",
+        ingress,
+        egress,
+        [[network.node(n) for n in path[1:-1]] for path in paths],
+        compare_host=None,
+        compare_core=core,
         alarms=alarms,
     )

@@ -1,17 +1,21 @@
 """On-disk JSON result cache for the experiment farm.
 
 One file per :class:`~repro.farm.spec.RunSpec`, under
-``.repro-cache/<key[:2]>/<key>.json``, holding the spec's identity plus
-the task's JSON value.  Corrupt or mismatched files are treated as
-misses and removed.  Hit/miss/store/corrupt counters are kept so runs
-can report their cache effectiveness (``python -m repro`` prints them).
+``.repro-cache/<key[:2]>/<key>.json``, holding the spec's identity, the
+fingerprint of the ``repro`` sources that computed it, and the task's
+JSON value.  Corrupt or mismatched files (another key, other sources)
+are treated as misses and removed.  Hit/miss/store/corrupt counters are
+kept so runs can report their cache effectiveness (``python -m repro``
+prints them).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import warnings
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
@@ -22,6 +26,19 @@ from repro.obs.metrics import bind_counter
 DEFAULT_CACHE_ROOT = ".repro-cache"
 
 _MISS = (False, None)
+
+
+@lru_cache(maxsize=None)
+def source_fingerprint() -> str:
+    """sha256 over every ``src/repro/**/*.py`` (relative path and bytes),
+    computed once per process: an entry is served only to the sources
+    that stored it."""
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 class ResultCache:
@@ -55,8 +72,12 @@ class ResultCache:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-            if payload.get("key") != spec.key or "value" not in payload:
-                raise ValueError("cache entry does not match its key")
+            if (
+                payload.get("key") != spec.key
+                or payload.get("source") != source_fingerprint()
+                or "value" not in payload
+            ):
+                raise ValueError("cache entry does not match its key or sources")
         except FileNotFoundError:
             self.misses += 1
             if self._misses_counter is not None:
@@ -91,6 +112,7 @@ class ResultCache:
             "runner": spec.runner,
             "seed": spec.seed,
             "kwargs": spec.kwargs,
+            "source": source_fingerprint(),
             "value": value,
         }
         try:

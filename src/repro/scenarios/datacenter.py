@@ -26,13 +26,17 @@ together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.adversary.behaviors import match_dst_mac
 from repro.adversary.mirror import MirrorAndDropBehavior
+from repro.core.combiner import (
+    CombinerChain,
+    CombinerChainParams,
+    build_combiner_chain,
+)
 from repro.core.compare import CompareConfig
-from repro.core.deployment import ShieldedRouter, build_shielded_router
 from repro.net.host import Host
 from repro.net.packet import Icmp, Packet
 from repro.net.topology import Network
@@ -46,7 +50,19 @@ from repro.traffic.ping import Pinger
 #: ``agg1``'s own nodes (``agg1_*``) are on it too
 BENIGN_PATH = ("vm1", "edge2", "agg1", "edge1", "fw1")
 
-Agg1 = Union[OpenFlowSwitch, ShieldedRouter]
+Agg1 = Union[OpenFlowSwitch, CombinerChain]
+
+#: the shielded ``agg1`` (1 Gbit/s 2 µs external and claim-links, a 5 µs
+#: in-band compare link); only the compare is the caller's
+SHIELD = CombinerChainParams(
+    endpoints=1,
+    router_proc_time=5e-6,
+    router_proc_per_byte=2.5e-9,
+    endpoint_proc_per_byte=2e-9,
+    shared_cpu=False,
+    switch_service_queue=1000,
+    compare_link_delay=5e-6,
+)
 
 
 @dataclass
@@ -118,10 +134,14 @@ def build_pod_slice(
         net.connect(node("core1"), agg1, **link)
         hop = agg1.name
     else:
-        agg1 = build_shielded_router(net, "agg1", compare)
-        for neighbour in ("edge1", "edge2", "core1"):
-            agg1.attach_neighbor(node(neighbour))
-        hop = agg1.endpoint.name
+        agg1 = build_combiner_chain(
+            net, "agg1", replace(SHIELD, k=compare.k, compare=compare)
+        )
+        external = {
+            neighbour: agg1.attach_neighbor(node(neighbour))
+            for neighbour in ("edge1", "edge2", "core1")
+        }
+        hop = agg1.endpoint_a.name
 
     def route(node_name: str, dst: Host, next_hop: str) -> None:
         node(node_name).install(
@@ -147,10 +167,10 @@ def build_pod_slice(
     # agg1 itself: a shielded one routes on every replica, toward the
     # egress its replicas claim
     for dst, neighbour in ((fw1, "edge1"), (vm1, "edge2")):
-        if isinstance(agg1, ShieldedRouter):
-            agg1.install_mac_route(dst.mac, agg1.external_port_of(neighbour))
-        else:
+        if compare is None:
             route("agg1", dst, neighbour)
+        else:
+            agg1.install_mac_route(dst.mac, external[neighbour])
     return net, agg1
 
 
@@ -162,14 +182,15 @@ def mount_attack(network: Network, agg1: Agg1, replica: int = 2) -> None:
     and its "port to the core switch" is its claim-link for that egress.
     """
     fw1, vm1 = network.host("fw1"), network.host("vm1")
-    if isinstance(agg1, ShieldedRouter):
-        switch = agg1.replicas[replica]
-        mirror_port = agg1.claim_port(replica, agg1.external_port_of("core1"))
-        mirror_in_ports = None
-    else:
+    if isinstance(agg1, OpenFlowSwitch):
         switch = agg1
         mirror_port = network.port_no_between("agg1", "core1")
         mirror_in_ports = frozenset({network.port_no_between("agg1", "edge2")})
+    else:
+        switch = agg1.router(replica)
+        core1 = network.port_no_between(agg1.endpoint_a.name, "core1")
+        mirror_port = agg1.claim_port(replica, core1)
+        mirror_in_ports = None
     MirrorAndDropBehavior(
         mirror_port=mirror_port,
         mirror_selector=match_dst_mac(fw1.mac),
@@ -245,7 +266,7 @@ def run_echo_test(
         screening=_screening(counters),
         span_screening=screening_from_spans(tracer),
     )
-    if isinstance(agg1, ShieldedRouter):
+    if not isinstance(agg1, OpenFlowSwitch):
         core = agg1.compare_core
         result.compare_released = core.stats.released
         result.compare_expired_unreleased = core.stats.expired_unreleased

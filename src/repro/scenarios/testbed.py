@@ -37,7 +37,7 @@ sender cost (iperf's syscall path), and a receive path costing
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from repro.core.combiner import (
     CombinerChain,
@@ -45,8 +45,6 @@ from repro.core.combiner import (
     build_combiner_chain,
 )
 from repro.core.compare import CompareConfig
-from repro.core.deployment import ShieldedRouter
-from repro.core.virtual import VirtualCombiner
 from repro.net.host import Host
 from repro.net.topology import Network
 from repro.scenarios.datacenter import build_pod_slice
@@ -112,10 +110,9 @@ class TestbedParams:
 
 class Testbed:
     """A built scenario: network, hosts, and the combiner between them
-    (``chain``: a :class:`CombinerChain`, the Section VII
-    :class:`VirtualCombiner` with its edges as the trusted elements, or
-    the Section VI :class:`ShieldedRouter` with its one endpoint as
-    both)."""
+    (``chain``, a :class:`CombinerChain` in every realisation: for the
+    Section VII ladder its trusted elements are the two edges, for the
+    Section VI shield one endpoint is both)."""
 
     __test__ = False  # not a pytest class, despite the name
 
@@ -125,7 +122,7 @@ class Testbed:
         network: Network,
         h1: Host,
         h2: Host,
-        chain: Union[CombinerChain, VirtualCombiner, ShieldedRouter],
+        chain: CombinerChain,
         params: TestbedParams,
     ) -> None:
         self.variant = variant
@@ -161,8 +158,8 @@ class Testbed:
 
     @property
     def transport(self):
-        """The chain's ingress-endpoint transport (``chain.transport``)."""
-        return self.chain.transport
+        """The ingress trusted element's transport (each node has its own)."""
+        return self.chain.endpoint_a.transport
 
     def aliases(self) -> Dict[str, str]:
         """Fault-schedule target aliases: ``r{i}`` is the first switch of
@@ -178,9 +175,8 @@ class Testbed:
                 chain.endpoint_a.name, branch[0].name).link.name
             aliases[f"link_b{i}"] = port_between(
                 branch[-1].name, chain.endpoint_b.name).link.name
-        if isinstance(chain, ShieldedRouter):
-            for i, neighbour, link in chain.claim_links():
-                aliases[f"link_a{i}.{neighbour}"] = link.name
+        for i, neighbour, link in chain.claim_links():
+            aliases[f"link_a{i}.{neighbour}"] = link.name
         return aliases
 
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.core.combiner import CombinerChain
 from repro.core.compare import CompareConfig
 from repro.core.virtual import (
-    VirtualCombiner,
     VirtualEgress,
     VirtualIngress,
     provision_virtual_combiner,
@@ -34,23 +34,14 @@ from repro.openflow.switch import OpenFlowSwitch
 
 @dataclass
 class VirtualizedScenario:
-    """A built Figure 9 ladder with a provisioned virtual combiner."""
+    """A built Figure 9 ladder (edges and compare are on ``combiner``)."""
 
     network: Network
     src: Host
     dst: Host
-    ingress: VirtualIngress
-    egress: VirtualEgress
     #: every wired transit, spare paths beyond the combiner's k included
     transits: List[OpenFlowSwitch]
-    combiner: VirtualCombiner
-
-    def transit(self, index: int) -> OpenFlowSwitch:
-        return self.transits[index]
-
-    @property
-    def compare_core(self):
-        return self.combiner.core
+    combiner: CombinerChain
 
 
 def build_virtualized_scenario(
@@ -128,4 +119,4 @@ def build_virtualized_scenario(
         k=k,
         compare=compare or CompareConfig(k=k, proc_time=5e-6, buffer_timeout=2e-3),
     )
-    return VirtualizedScenario(net, src, dst, ingress, egress, transits, combiner)
+    return VirtualizedScenario(net, src, dst, transits, combiner)

@@ -117,5 +117,7 @@ class TestVariants:
     def test_the_protected_run_is_the_registered_scenario(self):
         testbed = build_testbed("fattree_shielded3", seed=1)
         assert (testbed.h1.name, testbed.h2.name) == ("vm1", "fw1")
-        assert testbed.routers == testbed.chain.replicas
+        assert [r.name for r in testbed.routers] == [
+            "agg1_r0", "agg1_r1", "agg1_r2"]
+        assert testbed.routers == testbed.chain.routers
         assert testbed.chain.endpoint_a is testbed.chain.endpoint_b

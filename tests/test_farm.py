@@ -16,6 +16,7 @@ from repro.farm import (
     register_runner,
     resolve_runner,
 )
+from repro.farm.cache import source_fingerprint
 from repro.sim import TraceBus
 
 # ----------------------------------------------------------------------
@@ -141,6 +142,20 @@ class TestResultCache:
         path.write_text(json.dumps({"key": "somebody-else", "value": 1}))
         assert cache.get(spec) == (False, None)
         assert cache.corrupt == 1
+
+    def test_entry_from_other_sources_is_a_miss(self, tmp_path):
+        cache = ResultCache(root=tmp_path)
+        spec = RunSpec("test.echo", {"value": 6}, seed=0)
+        cache.put(spec, "stale")
+        path = cache.path_for(spec.key)
+        payload = json.loads(path.read_text())
+        assert payload["source"] == source_fingerprint()
+        payload["source"] = "0" * 64  # stored by another tree
+        path.write_text(json.dumps(payload))
+        assert cache.get(spec) == (False, None)
+        assert cache.misses == 1 and not path.exists()
+        cache.put(spec, "fresh")
+        assert cache.get(spec) == (True, "fresh")
 
     def test_disabled_cache_never_hits(self, tmp_path):
         cache = ResultCache(root=tmp_path, enabled=False)

@@ -5,6 +5,7 @@ import pytest
 from repro.core import (
     ALARM_SPOOFED_BRANCH,
     CompareConfig,
+    CompareContext,
     CompareCore,
     CombinerEndpoint,
     Hub,
@@ -148,7 +149,11 @@ class TestEndpointCombineMode:
             net.sim, CompareConfig(k=3, buffer_timeout=0.01), trace_bus=net.trace
         )
         # in-process attachment (as the virtualized egress uses it)
-        context = endpoint.compare_context()
+        context = CompareContext(
+            scope=endpoint.name,
+            release=endpoint.handle_release,
+            block_branch=endpoint.block_branch_ingress,
+        )
         endpoint._submit_to_compare = (  # route submissions directly
             lambda packet, branch, claim=None: core.submit(
                 packet, branch, context, claim=claim

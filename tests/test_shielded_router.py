@@ -1,4 +1,7 @@
-"""Tests for the n-port shielded router (Figure 2 deployment unit)."""
+"""Tests for the n-port shielded router (Figure 2 deployment unit): the
+one-endpoint :class:`CombinerChain`."""
+
+from dataclasses import replace
 
 import pytest
 
@@ -15,20 +18,27 @@ from repro.core import (
     ALARM_DOS_SUSPECTED,
     ALARM_MINORITY_DIVERGENCE,
     ALARM_SINGLE_SOURCE_PACKET,
+    CombinerChainParams,
     CompareConfig,
-    build_shielded_router,
+    build_combiner_chain,
 )
 from repro.net import Network, NetworkError
 from repro.scenarios import build_testbed
+from repro.scenarios.datacenter import SHIELD
 from repro.traffic.iperf import PathEndpoints, run_ping, run_udp_flow
+
+
+def shield_params(k=3, **overrides):
+    """The pod slice's shield constants with a 2 ms compare buffer."""
+    return replace(
+        SHIELD, k=k, compare=CompareConfig(k=k, buffer_timeout=2e-3), **overrides
+    )
 
 
 def build_rig(k=3):
     """Three hosts hang off the shielded router, as off a 3-port switch."""
     net = Network(seed=4)
-    shield = build_shielded_router(
-        net, "sr", CompareConfig(k=k, buffer_timeout=2e-3)
-    )
+    shield = build_combiner_chain(net, "sr", shield_params(k))
     hosts = [net.add_host(f"h{i}") for i in (1, 2, 3)]
     ports = {h.name: shield.attach_neighbor(h) for h in hosts}
     for h in hosts:
@@ -66,14 +76,14 @@ class TestAttacks:
         # replica 0 claims the wrong egress: vote (bytes, claim) fails
         # for its copy, the two honest claims win
         net, shield, (h1, h2, h3), ports = build_rig()
-        HeaderRewriteBehavior(dst_mac_rewrite(h3.mac)).attach(shield.replicas[0])
+        HeaderRewriteBehavior(dst_mac_rewrite(h3.mac)).attach(shield.routers[0])
         result = run_ping(PathEndpoints(net, h1, h2), count=5, interval=1e-3)
         assert result.received == 5
         assert h3.rx_foreign == 0  # nothing leaked toward h3
 
     def test_mirror_and_drop_is_fully_masked(self):
         net, shield, (h1, h2, h3), ports = build_rig()
-        replica = shield.replicas[2]
+        replica = shield.routers[2]
         mirror_port = shield.claim_port(2, ports["h3"])
         MirrorAndDropBehavior(
             mirror_port=mirror_port,
@@ -88,13 +98,13 @@ class TestAttacks:
 
     def test_corruption_masked(self):
         net, shield, (h1, h2, _h3), _ = build_rig()
-        PayloadCorruptionBehavior().attach(shield.replicas[1])
+        PayloadCorruptionBehavior().attach(shield.routers[1])
         result = run_ping(PathEndpoints(net, h1, h2), count=5, interval=1e-3)
         assert result.received == 5
 
     def test_blackhole_masked(self):
         net, shield, (h1, h2, _h3), _ = build_rig()
-        BlackholeBehavior().attach(shield.replicas[0])
+        BlackholeBehavior().attach(shield.routers[0])
         result = run_ping(PathEndpoints(net, h1, h2), count=5, interval=1e-3)
         assert result.received == 5
 
@@ -107,17 +117,42 @@ class TestWiring:
 
     def test_external_port_lookup(self):
         net, shield, (h1, _h2, _h3), ports = build_rig()
-        assert shield.external_port_of("h1") == ports["h1"]
+        assert net.port_no_between(shield.endpoint_a.name, "h1") == ports["h1"]
 
     def test_k_zero_rejected(self):
         net = Network()
         with pytest.raises(NetworkError):
-            build_shielded_router(net, "x", CompareConfig(k=0))
+            build_combiner_chain(net, "x", shield_params(k=0))
+
+    @pytest.mark.parametrize("override", [
+        {"mode": "dup"},
+        {"transport": "controller"},
+        {"depth": 2},
+        {"sample_rate": 0.2},
+        {"mark_sources": True},
+        {"endpoints": 3},
+    ])
+    def test_one_endpoint_refuses_what_it_cannot_wire(self, override):
+        with pytest.raises(NetworkError):
+            build_combiner_chain(Network(), "x", shield_params(**override))
+
+    def test_a_two_endpoint_chain_attaches_no_neighbour(self):
+        net = Network()
+        chain = build_combiner_chain(net, "c", CombinerChainParams(k=3))
+        with pytest.raises(NetworkError):
+            chain.attach_neighbor(net.add_host("h9"))
+        assert list(chain.claim_links()) == []
+
+    def test_one_node_is_both_trusted_elements(self):
+        net, shield, hosts, _ = build_rig()
+        assert shield.endpoint_a is shield.endpoint_b
+        assert shield.endpoint_a.name == "sr_e"
+        assert [r.name for r in shield.routers] == ["sr_r0", "sr_r1", "sr_r2"]
 
     def test_replica_has_one_port_per_external(self):
         net, shield, hosts, _ = build_rig()
         # 3 externals -> each replica has 3 links to the endpoint
-        for replica in shield.replicas:
+        for replica in shield.routers:
             assert len(replica.ports) == 3
 
     def test_parallel_claim_links_are_each_addressable(self):
@@ -128,7 +163,7 @@ class TestWiring:
         assert len(claims) == 9
         for replica, neighbour, link in claims:
             port = shield.claim_port(replica, ports[neighbour])
-            assert shield.replicas[replica].port(port).link is link
+            assert shield.routers[replica].port(port).link is link
 
 
 # ----------------------------------------------------------------------
@@ -140,10 +175,10 @@ def test_right_bytes_out_the_wrong_port_is_outvoted(seed):
     # claim-link for core1: a routing lie a bytes-only vote cannot see
     testbed = build_testbed("fattree_shielded3", seed=seed)
     shield, fw1 = testbed.chain, testbed.h2
+    core1 = testbed.network.port_no_between(shield.endpoint_a.name, "core1")
     RerouteBehavior(
-        shield.claim_port(1, shield.external_port_of("core1")),
-        selector=match_dst_mac(fw1.mac),
-    ).attach(shield.replicas[1])
+        shield.claim_port(1, core1), selector=match_dst_mac(fw1.mac),
+    ).attach(shield.routers[1])
     flow = run_udp_flow(
         testbed.path(), rate_bps=20e6, duration=0.02, payload_size=512,
         send_cost=testbed.params.udp_send_cost,

@@ -6,7 +6,8 @@ reduced durations, so the full benchmark suite can't silently drift.
 
 import pytest
 
-from repro.scenarios.registry import get_scenario
+from repro.core.combiner import CombinerChain
+from repro.scenarios.registry import get_scenario, scenario_names
 from repro.scenarios.testbed import TestbedParams, VARIANTS, build_testbed
 from repro.traffic.iperf import run_ping, run_tcp_flow, run_udp_flow
 
@@ -18,9 +19,10 @@ class TestConstruction:
         result = run_ping(testbed.path(), count=3, interval=2e-3)
         assert result.received == 3
 
-    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("variant", scenario_names())
     def test_aliases_resolve_to_existing_nodes_and_links(self, variant):
         testbed = build_testbed(variant)
+        assert isinstance(testbed.chain, CombinerChain)
         aliases = testbed.aliases()
         links = [link.name for link in testbed.network.links]
         claim_aliases = {a for a in aliases if "." in a}
@@ -34,14 +36,19 @@ class TestConstruction:
             else:
                 assert name in testbed.network.nodes, (alias, name)
         # one claim-link alias per (replica, neighbour): the shielded router
+        claims = list(testbed.chain.claim_links())
+        assert {a: aliases[a] for a in claim_aliases} == {
+            f"link_a{i}.{n}": link.name for i, n, link in claims
+        }
         if variant == "fattree_shielded3":
             assert sorted(claim_aliases) == sorted(
                 f"link_a{i}.{n}" for i in range(3)
                 for n in ("edge1", "edge2", "core1")
             )
+            assert len({link.name for _i, _n, link in claims}) == 9
             assert aliases["link_a1.edge1"] == aliases["link_a1"]
         else:
-            assert not claim_aliases
+            assert not claim_aliases and not claims
         for i, branch in enumerate(testbed.branches):
             assert aliases[f"r{i}"] == branch[0].name == testbed.routers[i].name
 

@@ -9,6 +9,11 @@ a release rides another copy (``transport/base.py``).  These tests attack
 exactly that with a router that lets every packet pass, keeps it, and
 later forges its tag, rewrites it and re-sends it.
 
+The Section VII virtual combiner draws the same line at its egress: a
+copy's branch is the egress port its tunnel ends on, so a transit that
+copies its forgery into a neighbour tunnel's VLAN votes as itself once and
+is refused as a spoof the other time.
+
 The control plane has the same boundary one layer up: the voter is handed
 message objects a controller replica built and still holds.  The last
 section attacks it with a replica that sends exactly what its siblings
@@ -25,12 +30,15 @@ from repro.apps.learning import LearningSwitchApp
 from repro.ctrl.digest import digest
 from repro.ctrl.replicated import BOGUS_PORT
 from repro.live.verdict import fingerprint
+from repro.core.alarms import ALARM_SPOOFED_BRANCH
 from repro.net import MacAddress, Packet
+from repro.net.packet import Vlan
 from repro.openflow.actions import Output
 from repro.openflow.messages import FlowMod
 from repro.scenarios import ctrlplane
 from repro.scenarios.ctrlplane import build_ctrl_testbed
 from repro.scenarios.testbed import build_testbed
+from repro.traffic.iperf import run_udp_flow
 
 PACKETS = 5
 FORGED_TAG = {"branch": 1, "endpoint": "forged", "claim": 99}
@@ -156,6 +164,59 @@ def test_collect_session_always_tags_a_copy():
         assert tagged.meta["endpoint"] == testbed.chain.endpoint_b.name
     assert testbed.compare_core.stats.released == released
     assert len(delivered) == PACKETS
+
+
+# ----------------------------------------------------------------------
+# the virtual combiner: a transit that writes another tunnel's label
+# ----------------------------------------------------------------------
+class CopyIntoNeighbourTunnel(AdversarialBehavior):
+    """Corrupt every tunnelled copy and send it twice toward the egress:
+    under this transit's own VLAN and under ``neighbour_vid``."""
+
+    def __init__(self, neighbour_vid: int, egress_port: int) -> None:
+        super().__init__("copy-into-neighbour-tunnel")
+        self.neighbour_vid = neighbour_vid
+        self.egress_port = egress_port
+
+    def handle(self, switch, packet, in_port_no) -> bool:
+        if packet.vlan is None:
+            return False
+        for vid in (packet.vlan.vid, self.neighbour_vid):
+            forged = packet.copy()
+            forged.payload = packet.payload[:-1] + b"\xff"
+            forged.vlan = Vlan(vid)
+            switch.ports[self.egress_port].send(forged)
+        return True
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("variant", ["virtual3", "virtual2"])
+def test_transit_cannot_vote_in_a_neighbour_tunnel(variant, seed):
+    """Transit 1 votes once as itself and once under the next tunnel's
+    label: the second copy arrives on transit 1's egress port, so it is a
+    spoofed branch and never reaches the vote.  Nothing forged reaches
+    ``dst``; ``virtual3`` still releases every honest datagram, and
+    ``virtual2`` withholds (detects) rather than delivering forgeries."""
+    testbed = build_testbed(variant, seed=seed)
+    net, k = testbed.network, len(testbed.routers)
+    transit, neighbour = testbed.routers[1], testbed.routers[2 % k]
+    (neighbour_vid,) = [e.match.dl_vlan for e in neighbour.table
+                        if e.match.dl_vlan is not None]
+    CopyIntoNeighbourTunnel(
+        neighbour_vid, net.port_no_between(transit.name, "egress")
+    ).attach(transit)
+    arrived = {"honest": 0, "forged": 0}
+
+    def tap(packet) -> None:
+        if packet.payload:
+            arrived["forged" if packet.payload[-1] else "honest"] += 1
+
+    net.port_between(testbed.h2.name, "egress").taps.append(tap)
+    flow = run_udp_flow(testbed.path(), rate_bps=10e6, duration=0.02)
+    assert flow.sent == 18
+    assert arrived["forged"] == 0
+    assert testbed.alarms.count(ALARM_SPOOFED_BRANCH) == flow.sent
+    assert arrived["honest"] == (flow.sent if variant == "virtual3" else 0)
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,16 @@ from repro.adversary import (
     ReplayFloodBehavior,
     vlan_rewrite,
 )
-from repro.core import ALARM_ROUTER_UNAVAILABLE, ALARM_SINGLE_SOURCE_PACKET
+from repro.core import (
+    ALARM_ROUTER_UNAVAILABLE,
+    ALARM_SINGLE_SOURCE_PACKET,
+    ALARM_SPOOFED_BRANCH,
+    CombinerChain,
+)
 from repro.net import NetworkError, Packet
+from repro.openflow.actions import Output
+from repro.openflow.match import Match
+from repro.core.virtual import VID_BASE, VirtualEgress, VirtualIngress
 from repro.scenarios.virtualized import build_virtualized_scenario
 from repro.traffic.iperf import PathEndpoints, run_ping, run_udp_flow
 
@@ -18,17 +26,35 @@ from repro.traffic.iperf import PathEndpoints, run_ping, run_udp_flow
 class TestProvisioning:
     def test_paths_are_node_disjoint(self):
         scenario = build_virtualized_scenario(k=3)
-        paths = scenario.combiner.paths
-        assert len(paths) == 3
-        interiors = [set(p[1:-1]) for p in paths]
+        branches = scenario.combiner.branches
+        assert len(branches) == 3
+        interiors = [set(branch) for branch in branches]
         assert not (interiors[0] & interiors[1])
         assert not (interiors[0] & interiors[2])
+
+    def test_the_handle_is_a_combiner_chain(self):
+        scenario = build_virtualized_scenario(k=3)
+        chain = scenario.combiner
+        assert isinstance(chain, CombinerChain)
+        assert isinstance(chain.endpoint_a, VirtualIngress)
+        assert isinstance(chain.endpoint_b, VirtualEgress)
+        assert chain.routers == scenario.transits
+        assert chain.compare_host is None
+        assert list(chain.claim_links()) == []
+
+    def test_each_tunnel_ends_on_a_branch_port(self):
+        scenario = build_virtualized_scenario(k=3)
+        net, egress = scenario.network, scenario.combiner.endpoint_b
+        for i, transit in enumerate(scenario.transits):
+            port = net.port_no_between("egress", transit.name)
+            assert egress.branch_of_port(port) == i
+        assert egress.branch_of_port(net.port_no_between("egress", "dst")) is None
 
     def test_vlan_rules_installed_on_transits(self):
         scenario = build_virtualized_scenario(k=3)
         for i, transit in enumerate(scenario.transits):
             vids = [e.match.dl_vlan for e in transit.table]
-            assert scenario.combiner.vids[i] in vids
+            assert VID_BASE + i in vids
 
     def test_insufficient_paths_rejected(self):
         with pytest.raises((NetworkError, ValueError)):
@@ -43,7 +69,7 @@ class TestProvisioning:
         dst.send(Packet.udp(dst.mac, src.mac, dst.ip, src.ip, 1, 7))
         net.run()
         assert len(got) == 1
-        assert scenario.ingress.split_packets == 0
+        assert scenario.combiner.endpoint_a.split_packets == 0
 
 
 class TestBenignFlow:
@@ -55,8 +81,8 @@ class TestBenignFlow:
         )
         assert result.received == 5
         assert result.duplicates == 0
-        assert scenario.ingress.split_packets == 5
-        assert scenario.egress.recombined == 5
+        assert scenario.combiner.endpoint_a.split_packets == 5
+        assert scenario.combiner.endpoint_b.recombined == 5
 
     def test_udp_through_tunnels_no_duplicates(self):
         scenario = build_virtualized_scenario(k=3)
@@ -96,7 +122,7 @@ class TestBenignFlow:
 class TestAttacksPrevention:
     def test_k3_masks_payload_corruption(self):
         scenario = build_virtualized_scenario(k=3)
-        PayloadCorruptionBehavior().attach(scenario.transit(1))
+        PayloadCorruptionBehavior().attach(scenario.transits[1])
         result = run_ping(
             PathEndpoints(scenario.network, scenario.src, scenario.dst),
             count=10, interval=1e-3,
@@ -107,43 +133,56 @@ class TestAttacksPrevention:
         # transit 0 also carries the unprotected reverse path, so attack
         # transit 2, which only carries protected copies
         scenario = build_virtualized_scenario(k=3)
-        BlackholeBehavior().attach(scenario.transit(2))
+        BlackholeBehavior().attach(scenario.transits[2])
         result = run_ping(
             PathEndpoints(scenario.network, scenario.src, scenario.dst),
             count=12, interval=1e-3,
         )
         assert result.received == 12
-        scenario.compare_core.flush()
-        assert scenario.compare_core.alarms.count(ALARM_ROUTER_UNAVAILABLE) >= 1
+        core = scenario.combiner.compare_core
+        core.flush()
+        assert core.alarms.count(ALARM_ROUTER_UNAVAILABLE) >= 1
 
     def test_k3_masks_tunnel_label_rewrite(self):
-        # a transit moving its copy into another tunnel's VLAN produces a
-        # duplicate vote on that branch, not a majority
+        # a transit moving its copy into another tunnel's VLAN (and
+        # forwarding that label on) still arrives on its own tunnel's
+        # egress port: a spoofed branch, dropped before the vote, and the
+        # other two copies are a majority
         scenario = build_virtualized_scenario(k=3)
-        victim_vid = scenario.combiner.vids[0]
-        HeaderRewriteBehavior(vlan_rewrite(victim_vid)).attach(scenario.transit(1))
+        victim_vid = VID_BASE + 0
+        transit = scenario.transits[1]
+        transit.install(
+            Match(dl_vlan=victim_vid),
+            [Output(scenario.network.port_no_between(transit.name, "egress"))],
+            priority=20,
+        )
+        HeaderRewriteBehavior(vlan_rewrite(victim_vid)).attach(transit)
         result = run_ping(
             PathEndpoints(scenario.network, scenario.src, scenario.dst),
             count=5, interval=1e-3,
         )
         assert result.received == 5
+        assert scenario.combiner.endpoint_b.spoof_drops == 5
+        alarms = scenario.combiner.compare_core.alarms
+        assert alarms.count(ALARM_SPOOFED_BRANCH) == 5
 
 
 class TestAttacksDetection:
     def test_k2_detects_corruption_by_stalling(self):
         scenario = build_virtualized_scenario(k=2)
-        PayloadCorruptionBehavior().attach(scenario.transit(0))
+        PayloadCorruptionBehavior().attach(scenario.transits[0])
         result = run_ping(
             PathEndpoints(scenario.network, scenario.src, scenario.dst),
             count=5, interval=1e-3,
         )
         assert result.received == 0
-        scenario.compare_core.flush()
-        assert scenario.compare_core.alarms.count(ALARM_SINGLE_SOURCE_PACKET) > 0
+        core = scenario.combiner.compare_core
+        core.flush()
+        assert core.alarms.count(ALARM_SINGLE_SOURCE_PACKET) > 0
 
     def test_k2_detects_blackhole(self):
         scenario = build_virtualized_scenario(k=2)
-        BlackholeBehavior().attach(scenario.transit(1))
+        BlackholeBehavior().attach(scenario.transits[1])
         result = run_ping(
             PathEndpoints(scenario.network, scenario.src, scenario.dst),
             count=5, interval=1e-3,
@@ -152,9 +191,32 @@ class TestAttacksDetection:
 
     def test_replay_flood_detected(self):
         scenario = build_virtualized_scenario(k=3)
-        ReplayFloodBehavior(amplification=20).attach(scenario.transit(0))
+        ReplayFloodBehavior(amplification=20).attach(scenario.transits[0])
         run_udp_flow(
             PathEndpoints(scenario.network, scenario.src, scenario.dst),
             rate_bps=5e6, duration=0.02,
         )
-        assert scenario.compare_core.stats.branch_duplicates > 0
+        assert scenario.combiner.compare_core.stats.branch_duplicates > 0
+
+    def test_a_block_closes_the_tunnels_egress_port(self):
+        # the compare's duplicate-flood block is a real port block on the
+        # egress, as on a chain endpoint (transit 0 would also carry the
+        # unprotected reverse path, so flood from transit 2)
+        scenario = build_virtualized_scenario(k=3)
+        net, egress = scenario.network, scenario.combiner.endpoint_b
+        net.trace.start_retaining()
+        ReplayFloodBehavior(amplification=20).attach(scenario.transits[2])
+        flow = run_udp_flow(
+            PathEndpoints(net, scenario.src, scenario.dst),
+            rate_bps=5e6, duration=0.02,
+        )
+        assert scenario.combiner.compare_core.stats.blocks_issued >= 1
+        drops = [
+            egress.port(net.port_no_between("egress", t.name)).blocked_drops
+            for t in scenario.transits
+        ]
+        assert drops[0] == drops[1] == 0 and drops[2] > 0
+        assert flow.received_unique == flow.sent  # two tunnels are a quorum
+        topics = {record.topic for record in net.trace.records}
+        assert "switch.port_blocked" in topics
+        assert "virtual_egress.block_tunnel" not in topics

@@ -62,12 +62,12 @@ def build(k_paths=2, seed=91):
 class TestProvisioning:
     def test_paths_are_disjoint_through_the_fabric(self):
         tree, combiner, src, dst = build(k_paths=2)
-        assert len(combiner.paths) == 2
-        interiors = [set(p[1:-1]) for p in combiner.paths]
+        assert len(combiner.branches) == 2
+        interiors = [set(branch) for branch in combiner.branches]
         assert not (interiors[0] & interiors[1])
         # each path crosses agg -> core -> agg
-        for path in combiner.paths:
-            assert len(path) == 5
+        for branch in combiner.branches:
+            assert len(branch) == 3
 
     def test_benign_ping_and_udp(self):
         tree, combiner, src, dst = build(k_paths=2)
@@ -83,8 +83,7 @@ class TestProvisioning:
 
 class TestFabricAttacks:
     def _interior_switch(self, tree, combiner, path_index, hop):
-        name = combiner.paths[path_index][1 + hop]
-        return tree.network.node(name)
+        return combiner.branches[path_index][hop]
 
     def test_corrupt_core_switch_detected_at_k2(self):
         tree, combiner, src, dst = build(k_paths=2, seed=92)
@@ -93,9 +92,9 @@ class TestFabricAttacks:
         ping = run_ping(
             PathEndpoints(tree.network, src, dst), count=8, interval=1e-3
         )
-        combiner.core.flush()
+        combiner.compare_core.flush()
         assert ping.received == 0  # k=2: detection, not prevention
-        assert combiner.core.alarms.count() > 0
+        assert combiner.compare_core.alarms.count() > 0
 
     def test_blackholed_agg_masked_with_three_paths(self):
         # k=4 fat-tree has only 2 aggs per pod, so 2 fully disjoint
@@ -103,7 +102,7 @@ class TestFabricAttacks:
         # remaining one when the quorum allows it (k=2 quorum=2 cannot,
         # quorum=1-of-2 'any' mode can)
         tree, combiner, src, dst = build(k_paths=2, seed=93)
-        combiner.core.book.quorum = 1  # operator dials detection-only
+        combiner.compare_core.book.quorum = 1  # operator dials detection-only
         agg = self._interior_switch(tree, combiner, 1, 0)
         BlackholeBehavior().attach(agg)
         ping = run_ping(
@@ -121,4 +120,4 @@ class TestFabricAttacks:
             interval=1e-3,
         )
         assert ping.received == 5
-        assert combiner.core.stats.submissions == 0  # not our flow
+        assert combiner.compare_core.stats.submissions == 0  # not our flow
