@@ -24,7 +24,12 @@ Hot-path machinery (see DESIGN.md "Per-packet hot path"):
   the TTL-decrement path of a routed hop patches the cached image in place;
 * :meth:`Packet.parse` keeps the bytes it was given as the wire image when
   they are provably what serialising the parsed headers would rebuild, so
-  a received copy is vote-keyed and forwarded without re-serialising.
+  a received copy is vote-keyed and forwarded without re-serialising;
+* a packet holds its payload bytes once: in ``_payload`` while it has no
+  wire image, inside the image (its tail, from ``_hlen`` on) once it has
+  one.  ``payload``/``fields()`` slice it back out as ``bytes``, and every
+  site that replaces the image moves the span into the new one, or
+  materialises it first when no image is left.
 
 **Mutability contract**: packets are mutable, but equality and hashing are
 defined over the serialised bytes.  Mutating a header *after* using the
@@ -399,6 +404,10 @@ _COW_VLAN = 2
 _COW_IP = 4
 _COW_L4 = 8
 
+#: a snapshot no header stack matches: marks a wire image as stale for
+#: good (it is then only where the payload bytes live)
+_STALE = (-2, -2, -2, -2)
+
 
 class Packet:
     """A full frame: Ethernet, optional VLAN tag, optional IPv4+transport.
@@ -412,9 +421,13 @@ class Packet:
     The serialised frame is memoised: ``to_bytes`` returns a cached wire
     image until a header version counter or the payload changes.  See the
     module docstring for the mutability contract.
+
+    Exactly one of ``_payload`` and ``_wire`` is ``None``: once there is
+    an image (valid, or stale after a header-field write), the payload
+    is ``_wire[_hlen:]`` and nowhere else.
     """
 
-    __slots__ = ("_eth", "_vlan", "_ip", "_l4", "_payload", "meta",
+    __slots__ = ("_eth", "_vlan", "_ip", "_l4", "_payload", "_hlen", "meta",
                  "_wire", "_snap", "_cow", "trace_id", "wire_len")
 
     def __init__(
@@ -431,12 +444,14 @@ class Packet:
         self._vlan = vlan
         self._ip = ip
         self._l4 = l4
-        self._payload = payload
-        #: frame length in bytes on the wire.  It depends only on which
-        #: headers exist and on ``len(payload)`` — never on a field value —
-        #: so it is a plain attribute, rewritten by the four setters that
-        #: can change it and carried over by :meth:`copy`.
-        self.wire_len = self._frame_len()
+        self._payload: Optional[bytes] = payload
+        #: header bytes before the payload, and the frame length in bytes
+        #: on the wire.  Both depend only on which headers exist (and on
+        #: ``len(payload)``) — never on a field value — so they are plain
+        #: attributes, rewritten by the setters that can change them and
+        #: carried over by :meth:`copy`.
+        self._hlen = hlen = self._header_len()
+        self.wire_len = hlen + len(payload)
         self._wire: Optional[bytes] = None
         self._snap: Optional[tuple] = None
         self._cow = 0
@@ -459,9 +474,23 @@ class Packet:
         if old is not None:
             cache_ok = self._cache_valid()
             setattr(self, slot, old.copy())
-            if cache_ok:
-                self._snap = self._snapshot()  # wire bytes are unchanged
+            # the private copy's version restarts at 0: re-stamp a valid
+            # image (its bytes are unchanged), and keep a stale one from
+            # ever matching the restarted counter
+            self._snap = self._snapshot() if cache_ok else _STALE
         self._cow &= ~bit
+
+    def _drop_wire(self) -> None:
+        """Forget the wire image, moving the payload out of it first."""
+        if self._payload is None:
+            self._payload = self._wire[self._hlen:]
+        self._wire = None
+
+    def _restack(self) -> None:
+        """Re-derive the lengths after a header was added or removed
+        (the image is already dropped, so the payload is ``_payload``)."""
+        self._hlen = hlen = self._header_len()
+        self.wire_len = hlen + len(self._payload)
 
     @property
     def eth(self) -> Ethernet:
@@ -471,9 +500,9 @@ class Packet:
 
     @eth.setter
     def eth(self, value: Ethernet) -> None:
+        self._drop_wire()
         self._eth = value
         self._cow &= ~_COW_ETH
-        self._wire = None
 
     @property
     def vlan(self) -> Optional[Vlan]:
@@ -483,10 +512,10 @@ class Packet:
 
     @vlan.setter
     def vlan(self, value: Optional[Vlan]) -> None:
+        self._drop_wire()
         self._vlan = value
         self._cow &= ~_COW_VLAN
-        self._wire = None
-        self.wire_len = self._frame_len()
+        self._restack()
 
     @property
     def ip(self) -> Optional[Ipv4]:
@@ -496,10 +525,10 @@ class Packet:
 
     @ip.setter
     def ip(self, value: Optional[Ipv4]) -> None:
+        self._drop_wire()
         self._ip = value
         self._cow &= ~_COW_IP
-        self._wire = None
-        self.wire_len = self._frame_len()
+        self._restack()
 
     @property
     def l4(self) -> Optional[TransportHeader]:
@@ -509,20 +538,23 @@ class Packet:
 
     @l4.setter
     def l4(self, value: Optional[TransportHeader]) -> None:
+        self._drop_wire()
         self._l4 = value
         self._cow &= ~_COW_L4
-        self._wire = None
-        self.wire_len = self._frame_len()
+        self._restack()
 
     @property
     def payload(self) -> bytes:
-        return self._payload
+        payload = self._payload
+        if payload is None:  # it lives in the wire image
+            return self._wire[self._hlen:]
+        return payload
 
     @payload.setter
     def payload(self, value: bytes) -> None:
         self._payload = value
         self._wire = None
-        self.wire_len = self._frame_len()
+        self.wire_len = self._hlen + len(value)
 
     def fields(self) -> tuple:
         """Read-only view ``(eth, vlan, ip, l4, payload)`` of the stack.
@@ -533,7 +565,10 @@ class Packet:
         headers — they may be shared with sibling copies, and the
         headers' own guard raises :class:`PacketError` on the attempt.
         """
-        return self._eth, self._vlan, self._ip, self._l4, self._payload
+        payload = self._payload
+        if payload is None:  # it lives in the wire image
+            payload = self._wire[self._hlen:]
+        return self._eth, self._vlan, self._ip, self._l4, payload
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -642,6 +677,7 @@ class Packet:
         wire = self._serialise()
         self._wire = wire
         self._snap = self._snapshot()
+        self._payload = None  # the new image holds it
         return wire
 
     def _serialise(self) -> bytes:
@@ -649,6 +685,8 @@ class Packet:
         eth, vlan, ip, l4, payload = (
             self._eth, self._vlan, self._ip, self._l4, self._payload,
         )
+        if payload is None:  # a stale image still holds it
+            payload = self._wire[self._hlen:]
         parts: List[bytes] = []
         inner_type = eth.ethertype
         if vlan is not None:
@@ -791,15 +829,17 @@ class Packet:
                 )
                 exact = l4_csum != 0xFFFF and internet_checksum(covered) == 0
         packet = cls(eth, ip, l4, payload, vlan=vlan)
-        # bytes past a header's own length field were dropped on the way
+        # bytes past a header's own length field were dropped on the way;
+        # a kept frame ends in the payload, which then lives only there
         if exact and packet.wire_len == size:
             packet._wire = data
             packet._snap = packet._snapshot()
+            packet._payload = None
         return packet
 
-    def _frame_len(self) -> int:
-        """Length :meth:`_serialise` would produce for the current stack."""
-        length = ETHERNET_HEADER_LEN + len(self._payload)
+    def _header_len(self) -> int:
+        """Bytes :meth:`_serialise` writes before the payload."""
+        length = ETHERNET_HEADER_LEN
         if self._vlan is not None:
             length += VLAN_TAG_LEN
         if self._ip is not None:
@@ -821,7 +861,8 @@ class Packet:
 
         When the cache is valid this costs a TTL byte rewrite plus an
         RFC 1624 incremental checksum update instead of a full
-        re-serialisation; the result is bit-identical either way.
+        re-serialisation; the result is bit-identical either way.  The
+        payload span moves into the new image with the rest of the frame.
         """
         if self._ip is None:
             raise PacketError("decrement_ttl on a packet without an IPv4 header")
@@ -880,8 +921,9 @@ class Packet:
         Headers and payload are shared with the original and marked
         shared; the first mutating access on either side (through the
         packet's header properties) materialises a private header copy.
-        A valid cached wire image is shared too, so a k-way fan-out
-        serialises — and the compare element vote-keys — the frame once.
+        The wire image is shared too, so a k-way fan-out serialises — and
+        the compare element vote-keys — the frame once; a stale one is
+        shared as the place the payload lives.
         """
         new = Packet.__new__(Packet)
         eth, vlan, ip, l4 = self._eth, self._vlan, self._ip, self._l4
@@ -902,26 +944,17 @@ class Packet:
         new._ip = ip
         new._l4 = l4
         new._payload = self._payload
+        new._hlen = self._hlen
         new.wire_len = self.wire_len
         new.meta = None
         new.trace_id = self.trace_id
         new._cow = cow
         self._cow |= cow
-        # _cache_valid(), inlined (hot): the headers are already in hand
-        wire = self._wire
-        snap = self._snap
-        if (
-            wire is not None
-            and snap[0] == eth._v
-            and snap[1] == (-1 if vlan is None else vlan._v)
-            and snap[2] == (-1 if ip is None else ip._v)
-            and snap[3] == (-1 if l4 is None else l4._v)
-        ):
-            new._wire = wire
-            new._snap = snap
-        else:
-            new._wire = None
-            new._snap = None
+        # the snapshot is judged against the same (shared) headers on both
+        # sides: a stale image stays stale, since only a materialisation
+        # can restart a version and it stamps a stale image _STALE
+        new._wire = self._wire
+        new._snap = self._snap
         return new
 
     def __eq__(self, other: object) -> bool:
@@ -999,7 +1032,7 @@ class PacketBatch:
             raise PacketError("empty packet batch")
         if len(idents) != count:
             raise PacketError("idents/heads length mismatch")
-        payload = template._payload
+        payload = template.payload
         for head in heads:
             if len(head) > len(payload):
                 raise PacketError("payload head longer than template payload")
@@ -1035,8 +1068,10 @@ class PacketBatch:
         if not self._patchable:
             # generic (rare) shape: serialise each packet independently
             parts = [wire0]
+            payload = self.template.payload
             for i in range(1, self.count):
-                parts.append(self._construct(i).to_bytes())
+                head = self.heads[i]
+                parts.append(self._construct(i, head + payload[len(head) :]).to_bytes())
             return bytearray(b"".join(parts))
         buf = bytearray(wire0 * self.count)
         ident0 = (wire0[18] << 8) | wire0[19]
@@ -1087,19 +1122,22 @@ class PacketBatch:
             if i == 0:
                 pkt = self.template
             else:
-                pkt = self._construct(i)
+                # the train's image holds packet i's payload: build the
+                # stack around none and hand the packet its image
                 wl = self.wire_len
                 buf = self.wire_buffer()
+                pkt = self._construct(i, b"")
                 pkt._wire = bytes(buf[i * wl : (i + 1) * wl])
                 pkt._snap = pkt._snapshot()
+                pkt._payload = None
+                pkt.wire_len = wl
             pkts[i] = pkt
         return pkt
 
-    def _construct(self, i: int) -> Packet:
-        """Build packet ``i``'s header stack (no wire cache)."""
+    def _construct(self, i: int, payload: bytes) -> Packet:
+        """Build packet ``i``'s header stack around ``payload`` (no wire cache)."""
         t = self.template
-        eth, vlan, ip, l4, payload = t.fields()
-        head = self.heads[i]
+        eth, vlan, ip, l4 = t._eth, t._vlan, t._ip, t._l4
         new_ip = ip.copy() if ip is not None else None
         if new_ip is not None:
             new_ip.ident = self.idents[i]
@@ -1107,7 +1145,7 @@ class PacketBatch:
             eth.copy(),
             new_ip,
             l4.copy() if l4 is not None else None,
-            head + payload[len(head) :],
+            payload,
             vlan=vlan.copy() if vlan is not None else None,
         )
 

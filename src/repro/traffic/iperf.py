@@ -10,13 +10,13 @@ directions can be reversed as in the paper's 10+10 design.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.net.host import Host
 from repro.net.topology import Network
 from repro.traffic.ping import Pinger, PingResult
 from repro.traffic.tcp import TcpFlowResult, TcpReceiver, TcpSender
-from repro.traffic.udp import UdpFlowResult, UdpReceiver, UdpSender
+from repro.traffic.udp import UdpFlowResult, UdpReceiver, UdpSender, send_interval
 
 #: grace period after the send window for in-flight packets to drain
 DRAIN_TIME = 20e-3
@@ -148,31 +148,37 @@ def find_max_udp_rate(
     This is the paper's "adjusting the -b flag value until a maximum is
     reached" with the Figure 5 criterion "loss rates below 0.5%".  Each
     probe uses a *fresh* scenario instance so probes don't contaminate
-    each other.
+    each other.  A probe's flow depends on its rate only through the
+    sender's interval (:func:`send_interval`), so a probe whose interval
+    an earlier probe already ran — every probe above the ``send_cost``
+    cap — reuses that run's result instead of repeating it.
     """
+    runs: Dict[float, UdpFlowResult] = {}
+
+    def run(rate: float) -> UdpFlowResult:
+        interval = send_interval(payload_size, rate, send_cost)
+        result = runs.get(interval)
+        if result is None:
+            result = runs[interval] = run_udp_flow(
+                path_factory(),
+                rate_bps=rate,
+                duration=duration,
+                payload_size=payload_size,
+                send_cost=send_cost,
+            )
+        return result
+
     best_rate = rate_lo
     best_result: Optional[UdpFlowResult] = None
     lo, hi = rate_lo, rate_hi
     for _ in range(iterations):
         probe = (lo + hi) / 2.0
-        result = run_udp_flow(
-            path_factory(),
-            rate_bps=probe,
-            duration=duration,
-            payload_size=payload_size,
-            send_cost=send_cost,
-        )
+        result = run(probe)
         if result.loss_rate <= loss_target:
             best_rate, best_result = probe, result
             lo = probe
         else:
             hi = probe
     if best_result is None:
-        best_result = run_udp_flow(
-            path_factory(),
-            rate_bps=rate_lo,
-            duration=duration,
-            payload_size=payload_size,
-            send_cost=send_cost,
-        )
+        best_result = run(rate_lo)
     return best_rate, best_result

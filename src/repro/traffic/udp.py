@@ -39,6 +39,13 @@ def _decode_payload(payload: bytes) -> Optional[tuple]:
     return seq, send_ns / 1e9
 
 
+def send_interval(payload_size: int, rate_bps: float, send_cost: float) -> float:
+    """Inter-departure time of a CBR sender: the slower of pacing and
+    sender CPU.  The flow a sender offers depends on its rate only
+    through this value."""
+    return max(payload_size * 8.0 / rate_bps, send_cost)
+
+
 @dataclass
 class UdpFlowResult:
     """End-of-run report for one UDP flow (iperf server-side summary)."""
@@ -104,14 +111,11 @@ class UdpSender:
         self.rate_bps = rate_bps
         self.payload_size = payload_size
         self.send_cost = send_cost
+        #: inter-departure time (:func:`send_interval`)
+        self.interval = send_interval(payload_size, rate_bps, send_cost)
         self.sent = 0
         self._running = False
         self._end_time = 0.0
-
-    @property
-    def interval(self) -> float:
-        """Inter-departure time: the slower of pacing and sender CPU."""
-        return max(self.payload_size * 8.0 / self.rate_bps, self.send_cost)
 
     def start(self, duration: float, delay: float = 0.0) -> None:
         """Begin sending; stops once ``duration`` of sending has elapsed."""
@@ -223,7 +227,8 @@ class UdpReceiver:
         self.host.unbind_udp(self.port)
 
     def _on_packet(self, packet: Packet) -> None:
-        decoded = _decode_payload(packet.payload)
+        payload = packet.payload
+        decoded = _decode_payload(payload)
         if decoded is None:
             return
         seq, send_time = decoded
@@ -232,11 +237,11 @@ class UdpReceiver:
             return
         self._seen.add(seq)
         now = self.host.sim.now
-        self.payload_size = max(self.payload_size, len(packet.payload))
+        self.payload_size = max(self.payload_size, len(payload))
         if seq < self.highest_seq:
             self.reordered += 1
         self.highest_seq = max(self.highest_seq, seq)
-        self.meter.observe(len(packet.payload), now)
+        self.meter.observe(len(payload), now)
         self.jitter.observe(send_time, now)
 
     def _on_batch_packet(self, batch, i: int) -> None:

@@ -178,6 +178,20 @@ class TestCopyOnWrite:
         assert copy.eth.src == packet.fields()[0].src
         assert copy.to_bytes() is wire
 
+    @pytest.mark.parametrize("slot,field", [("eth", "dst"), ("ip", "ttl"), ("l4", "dport")])
+    def test_materialising_never_revives_a_stale_image(self, slot, field):
+        """A private header copy restarts its version at 0, which a stale
+        image's snapshot recorded for that header: the image must stay
+        stale."""
+        packet = make_packet()
+        packet.to_bytes()
+        setattr(getattr(packet, slot), field, 9)
+        twin = packet.copy()  # shares every header
+        getattr(packet, slot)  # materialises that one
+        assert packet.wire_cache() is None
+        assert packet.to_bytes() == packet._serialise()
+        assert twin.to_bytes() == twin._serialise()
+
     def test_meta_never_survives_copy(self):
         packet = make_packet()
         packet.meta = {"branch": 3}
@@ -322,17 +336,26 @@ class TestIncrementalChecksum:
 
 # ----------------------------------------------------------------------
 # wire_len is a maintained attribute: it must track the frame through
-# every mutation path without ever consulting the wire cache
+# every mutation path without ever consulting the wire cache; and the
+# payload, which lives inside the wire image once there is one, must come
+# back as the same bytes through every path that replaces that image
 # ----------------------------------------------------------------------
 _small = st.integers(0, 255)
 _payloads = st.binary(max_size=64)
 
 
-_OPS = ("field", "vlan", "ip", "l4", "payload", "copy", "warm", "ttl", "eth", "parse")
+_OPS = ("field", "eth-set", "vlan", "ip", "l4", "payload", "copy", "warm-copy",
+        "stale-copy", "warm", "ttl", "eth", "parse")
 
 
-def _apply(packet: Packet, op: str, n: int, data: bytes) -> Packet:
-    """Apply one mutation path; return the packet to carry on with."""
+def _shape(packet: Packet) -> tuple:
+    _eth, vlan, ip, l4, _payload = packet.fields()
+    return vlan is None, ip is None, type(l4)
+
+
+def _apply(packet: Packet, payload: bytes, op: str, n: int, data: bytes):
+    """Apply one mutation path; return the packet to carry on with and
+    the payload it must hold (``payload`` is the reference before)."""
     _eth, vlan, ip, l4, _payload = packet.fields()
     if op == "field":  # a header-field write through the owning packet
         packet.eth.src = MacAddress.from_index(n)
@@ -342,6 +365,8 @@ def _apply(packet: Packet, op: str, n: int, data: bytes) -> Packet:
             packet.l4.sport = 1000 + n
         if vlan is not None:
             packet.vlan.vid = n
+    elif op == "eth-set":
+        packet.eth = Ethernet(MacAddress.from_index(n), MacAddress.from_index(n + 1))
     elif op == "vlan":
         packet.vlan = Vlan(n) if n % 3 else None
     elif op == "ip":
@@ -353,8 +378,16 @@ def _apply(packet: Packet, op: str, n: int, data: bytes) -> Packet:
         packet.l4 = (None, Udp(1, 2), Tcp(3, 4, seq=n), Icmp(8, ident=n))[n % 4]
     elif op == "payload":
         packet.payload = data
+        return packet, data
     elif op == "copy":
-        return packet.copy()
+        return packet.copy(), payload
+    elif op == "warm-copy":
+        packet.to_bytes()
+        return packet.copy(), payload
+    elif op == "stale-copy":  # a header write after serialising, then the copy
+        packet.to_bytes()
+        packet.eth.dst = MacAddress.from_index(n)
+        return packet.copy(), payload
     elif op == "warm":
         packet.to_bytes()
     elif op == "ttl":
@@ -364,10 +397,21 @@ def _apply(packet: Packet, op: str, n: int, data: bytes) -> Packet:
         packet.rewrite_eth(dst=MacAddress.from_index(n))
     elif op == "parse":
         try:
-            return Packet.parse(packet.to_bytes())
+            parsed = Packet.parse(packet.to_bytes())
         except PacketError:  # e.g. an l4 header that contradicts ip.proto
-            pass
-    return packet
+            return packet, payload
+        if _shape(parsed) == _shape(packet):  # a consistent stack round-trips
+            return parsed, payload
+        # the frame reads as another stack (an ip.proto the l4 header
+        # contradicts): its payload is the frame after that stack's headers
+        frame = packet.to_bytes()
+        return parsed, frame[len(frame) - len(parsed.fields()[4]):]
+    return packet, payload
+
+
+def _assert_holds(packet: Packet, payload: bytes, name: str) -> None:
+    for read in (packet.payload, packet.fields()[4]):
+        assert type(read) is bytes and read == payload, name
 
 
 class TestWireLenAttribute:
@@ -381,30 +425,48 @@ class TestWireLenAttribute:
     @settings(max_examples=200, deadline=None)
     def test_wire_len_tracks_every_mutation_path(self, payload, vlan, ops):
         packet = make_packet(payload, vlan)
-        seen = [packet]  # every packet ever produced, CoW siblings included
+        # every packet ever produced (CoW siblings included), with the
+        # payload it must hold
+        seen = [[packet, payload]]
         for name, n, data in ops:
-            packet = _apply(packet, name, n, data)
-            seen.append(packet)
-            for each in seen:
+            packet, payload = _apply(packet, payload, name, n, data)
+            if packet is seen[-1][0]:
+                seen[-1][1] = payload
+            else:
+                seen.append([packet, payload])
+            for each, held in seen:
+                _assert_holds(each, held, name)
                 assert each.wire_len == len(each._serialise()), name
                 assert each.wire_len == len(each.to_bytes()), name
+                _assert_holds(each, held, name)  # now read out of the image
 
     @given(
         payload=st.binary(min_size=12, max_size=64),
         vlan=st.one_of(st.none(), st.integers(0, 4095).map(Vlan)),
         count=st.integers(1, 6),
         warm=st.booleans(),
+        hop=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_every_batch_packet_has_the_train_wire_len(self, payload, vlan, count, warm):
+    def test_every_batch_packet_has_the_train_wire_len(
+        self, payload, vlan, count, warm, hop
+    ):
         template = make_packet(payload, vlan)
         if warm:
             template.to_bytes()
         heads = [payload[:12] if i == 0 else bytes([i]) * 12 for i in range(count)]
         batch = PacketBatch(template, heads, list(range(count)))
+        half = count // 2
+        for i in range(half):  # some materialised before the hop, some after
+            batch.packet_at(i)
+        if hop:
+            batch.decrement_ttl()
+            batch.rewrite_eth(dst=MacAddress.from_index(7))
         for i in range(count):
             packet = batch.packet_at(i)
+            _assert_holds(packet, heads[i] + payload[12:], f"packet_at({i})")
             assert packet.wire_len == batch.wire_len == len(packet.to_bytes())
+            _assert_holds(packet, heads[i] + payload[12:], f"packet_at({i}) warm")
 
     def test_length_reads_never_validate_the_cache(self, monkeypatch):
         packet = make_packet()

@@ -2,8 +2,9 @@
 
 import pytest
 
+import repro.traffic.iperf as iperf
 from repro.net import Network
-from repro.scenarios.testbed import build_testbed
+from repro.scenarios.testbed import TestbedParams, build_testbed
 from repro.traffic import Pinger
 from repro.traffic.iperf import (
     PathEndpoints,
@@ -123,3 +124,55 @@ class TestIperfRunners:
             factory, duration=0.04, iterations=6, send_cost=42e-6
         )
         assert result.loss_rate <= 0.005
+
+
+def _search_every_probe(path_factory, loss_target=0.005, rate_lo=10e6,
+                        rate_hi=1e9, iterations=9, duration=0.15,
+                        payload_size=1470, send_cost=0.0):
+    """The max-rate search as it ran before probes were shared: one flow
+    per probe, on a fresh testbed each."""
+    best_rate, best_result = rate_lo, None
+    lo, hi = rate_lo, rate_hi
+    for _ in range(iterations):
+        probe = (lo + hi) / 2.0
+        result = run_udp_flow(path_factory(), rate_bps=probe, duration=duration,
+                              payload_size=payload_size, send_cost=send_cost)
+        if result.loss_rate <= loss_target:
+            best_rate, best_result = probe, result
+            lo = probe
+        else:
+            hi = probe
+    if best_result is None:
+        best_result = run_udp_flow(path_factory(), rate_bps=rate_lo,
+                                   duration=duration, payload_size=payload_size,
+                                   send_cost=send_cost)
+    return best_rate, best_result
+
+
+#: the UDP stage of ``table1 --quick``
+QUICK_SEARCH = dict(duration=0.04, iterations=8,
+                    send_cost=TestbedParams().udp_send_cost)
+
+
+class TestMaxRateSearchSharesProbes:
+    def test_probes_past_the_send_cost_cap_run_once(self, monkeypatch):
+        runs = []
+
+        def counted(*args, **kwargs):
+            runs.append(kwargs["rate_bps"])
+            return run_udp_flow(*args, **kwargs)
+
+        monkeypatch.setattr(iperf, "run_udp_flow", counted)
+        # every linespeed probe offers more than the 42 us sender cap
+        find_max_udp_rate(lambda: build_testbed("linespeed", seed=1).path(),
+                          **QUICK_SEARCH)
+        assert len(runs) == 1
+
+    @pytest.mark.parametrize("variant", ["linespeed", "central3"])
+    def test_result_equals_one_flow_per_probe(self, variant):
+        def factory():
+            return build_testbed(variant, seed=1).path()
+
+        assert find_max_udp_rate(factory, **QUICK_SEARCH) == _search_every_probe(
+            factory, **QUICK_SEARCH
+        )
