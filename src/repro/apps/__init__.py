@@ -1,15 +1,11 @@
 """Controller applications: learning switch, static routing, POX compare."""
 
 from repro.apps.combiner_app import PoxStyleCompareApp
-from repro.apps.hubs import hub_rule_count, install_hub_rules, install_mux_rules
 from repro.apps.learning import LearningSwitchApp
 from repro.apps.static_routing import StaticMacRouter
 
 __all__ = [
     "PoxStyleCompareApp",
-    "hub_rule_count",
-    "install_hub_rules",
-    "install_mux_rules",
     "LearningSwitchApp",
     "StaticMacRouter",
 ]

@@ -2,8 +2,8 @@
 
 The primary contribution of the paper, as a library:
 
-* :class:`~repro.core.hub.Hub` and :class:`~repro.core.endpoint.
-  CombinerEndpoint` — the trusted, simple components;
+* :class:`~repro.core.endpoint.CombinerEndpoint` — the trusted, simple
+  component: hub one way, collector and egress the other;
 * :class:`~repro.core.compare.CompareCore` — majority voting with
   bounded buffering, DoS mitigation and liveness alarms;
 * :func:`~repro.core.combiner.build_combiner_chain` — the Figure 3
@@ -46,7 +46,6 @@ from repro.core.endpoint import (
     EndpointStats,
     branch_marker,
 )
-from repro.core.hub import Hub
 from repro.core.sampling import (
     DivergenceWatcher,
     SamplingEndpoint,
@@ -91,7 +90,6 @@ __all__ = [
     "CombinerEndpoint",
     "EndpointStats",
     "branch_marker",
-    "Hub",
     "DivergenceWatcher",
     "SamplingEndpoint",
     "deterministic_sample",

@@ -72,26 +72,34 @@ class VirtualEgress(BranchPorts, OpenFlowSwitch):
     A copy's branch is the port it arrived on (each node-disjoint tunnel
     ends on a port of its own); its VLAN tag only routed it here.  A
     protected tag on another tunnel's port is a spoofed branch and never
-    reaches the vote.  Copies that pass are stripped and voted on; the
-    released packet continues through the normal pipeline (so the egress
-    needs an ordinary route to the destination).
+    reaches the vote, and so is a frame for the protected destination on
+    a tunnel port without that tunnel's tag: a transit that strips or
+    swaps the label is refused, not routed.  Copies that pass are
+    stripped and voted on; the released packet continues through the
+    normal pipeline (so the egress needs an ordinary route to the
+    destination).
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._core: Optional[CompareCore] = None
         self._branch_by_vid: Dict[int, int] = {}
+        self._protected_dst: Optional[MacAddress] = None
         self._context: Optional[CompareContext] = None
         self.recombined = 0
         self.spoof_drops = 0
 
-    def attach_compare(self, core: CompareCore, vids: List[int]) -> None:
-        """Use ``core`` to vote on copies tagged with ``vids`` (in branch
-        order); each tunnel's port is recorded with :meth:`assign_branch`."""
+    def attach_compare(
+        self, core: CompareCore, vids: List[int], dst_mac: MacAddress
+    ) -> None:
+        """Use ``core`` to vote on copies for ``dst_mac`` tagged with
+        ``vids`` (in branch order); each tunnel's port is recorded with
+        :meth:`assign_branch`."""
         if self._core is not None and self._core is not core:
             raise NetworkError(f"{self.name}: a compare is already attached")
         self._core = core
         self._branch_by_vid = {vid: branch for branch, vid in enumerate(vids)}
+        self._protected_dst = MacAddress(dst_mac)
 
         def release(packet: Packet) -> None:
             self.recombined += 1
@@ -109,15 +117,18 @@ class VirtualEgress(BranchPorts, OpenFlowSwitch):
 
     def _process(self, packet: Packet, in_port_no: int) -> None:
         vlan = packet.vlan
-        if vlan is None or vlan.vid not in self._branch_by_vid:
+        vid = None if vlan is None else vlan.vid
+        branch = self._branch_by_port.get(in_port_no)
+        if vid not in self._branch_by_vid and (
+            branch is None or packet.eth.dst != self._protected_dst
+        ):
             super()._process(packet, in_port_no)
             return
-        branch = self._branch_by_port.get(in_port_no)
-        if branch != self._branch_by_vid[vlan.vid]:
+        if branch != self._branch_by_vid.get(vid):
             self.spoof_drops += 1
             self._core.alarms.raise_alarm(
                 self.sim.now, ALARM_SPOOFED_BRANCH, self.name,
-                branch=branch, claimed=vlan.vid,
+                branch=branch, claimed=vid,
             )
             return
         stripped = packet.copy()
@@ -175,7 +186,7 @@ def provision_virtual_combiner(
                 priority=20,
             )
     ingress.protect_flow(dst_mac, tunnels)
-    egress.attach_compare(core, vids)
+    egress.attach_compare(core, vids, dst_mac)
 
     return CombinerChain(
         network,

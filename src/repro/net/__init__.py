@@ -1,15 +1,12 @@
 """Network substrate: packets, links, nodes, hosts, topologies."""
 
 from repro.net.addresses import IpAddress, MacAddress
-from repro.net.arp import ARP_REPLY, ARP_REQUEST, ArpPayload, ArpService, attach_arp
 from repro.net.fattree import FatTree, build_fat_tree
 from repro.net.host import Host
 from repro.net.legacy import ICMP_TIME_EXCEEDED, LegacyRouter, RouteEntry
 from repro.net.link import Link, LinkStats
 from repro.net.node import NetworkError, Node, Port
-from repro.net.pcap import PcapWriter, read_pcap
 from repro.net.packet import (
-    ETH_TYPE_ARP,
     ETH_TYPE_IPV4,
     ETH_TYPE_VLAN,
     Ethernet,
@@ -38,11 +35,6 @@ from repro.net.topology import Network
 __all__ = [
     "IpAddress",
     "MacAddress",
-    "ARP_REPLY",
-    "ARP_REQUEST",
-    "ArpPayload",
-    "ArpService",
-    "attach_arp",
     "FatTree",
     "build_fat_tree",
     "Host",
@@ -52,11 +44,8 @@ __all__ = [
     "Link",
     "LinkStats",
     "NetworkError",
-    "PcapWriter",
-    "read_pcap",
     "Node",
     "Port",
-    "ETH_TYPE_ARP",
     "ETH_TYPE_IPV4",
     "ETH_TYPE_VLAN",
     "Ethernet",

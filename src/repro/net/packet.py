@@ -51,7 +51,6 @@ from repro.net.addresses import IpAddress, MacAddress
 
 # EtherTypes
 ETH_TYPE_IPV4 = 0x0800
-ETH_TYPE_ARP = 0x0806
 ETH_TYPE_VLAN = 0x8100
 
 # IP protocol numbers

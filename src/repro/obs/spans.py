@@ -11,7 +11,7 @@ is that substrate for the simulator:
   stream so runs stay reproducible;
 * every instrumented component emits per-hop records *only for marked
   packets* (``span.hop`` / ``span.send`` at ports, ``link.tx`` at
-  transmitters, ``hub.dup`` at hubs, ``compare.vote`` at the compare;
+  transmitters, ``endpoint.dup`` at hubs, ``compare.vote`` at the compare;
   drop topics carry the packet and are picked up too), so the cost of an
   unmarked packet is a single attribute test per hop;
 * the tracer subscribes to the relevant topic prefixes on the network's
@@ -38,7 +38,6 @@ from repro.sim.trace import TraceBus, TraceRecord
 SPAN_TOPIC_PATTERNS = (
     "span.*",
     "link.*",
-    "hub.*",
     "endpoint.*",
     "switch.*",
     "compare.*",

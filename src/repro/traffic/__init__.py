@@ -16,7 +16,6 @@ from repro.traffic.stats import (
     mbits,
 )
 from repro.traffic.tcp import TcpFlowResult, TcpReceiver, TcpSender
-from repro.traffic.traceroute import Traceroute, TracerouteHop, TracerouteResult, run_traceroute
 from repro.traffic.udp import UdpFlowResult, UdpReceiver, UdpSender
 
 __all__ = [
@@ -35,10 +34,6 @@ __all__ = [
     "TcpFlowResult",
     "TcpReceiver",
     "TcpSender",
-    "Traceroute",
-    "TracerouteHop",
-    "TracerouteResult",
-    "run_traceroute",
     "UdpFlowResult",
     "UdpReceiver",
     "UdpSender",

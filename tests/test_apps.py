@@ -1,14 +1,10 @@
-"""Tests for controller applications: learning switch, static routing,
-hub rule installers."""
+"""Tests for controller applications: learning switch, static routing."""
 
 import pytest
 
 from repro.apps import (
     LearningSwitchApp,
     StaticMacRouter,
-    hub_rule_count,
-    install_hub_rules,
-    install_mux_rules,
 )
 from repro.net import Network, Packet
 from repro.openflow import OpenFlowSwitch
@@ -140,64 +136,3 @@ class TestStaticMacRouter:
         h1.send(udp(h1, h3))
         net.run()
         assert len(got) == 1
-
-
-class TestHubRules:
-    def test_hub_rules_duplicate_upstream_traffic(self):
-        net = Network(seed=1)
-        s1 = OpenFlowSwitch(net.sim, "s1", trace_bus=net.trace)
-        net.add_node(s1)
-        h_up = net.add_host("up", promiscuous=True)
-        sinks = [net.add_host(f"d{i}", promiscuous=True) for i in range(3)]
-        net.connect(h_up, s1)
-        for sink in sinks:
-            net.connect(s1, sink)
-        upstream_port = net.port_no_between("s1", "up")
-        branch_ports = [net.port_no_between("s1", f"d{i}") for i in range(3)]
-        install_hub_rules(s1, upstream_port, branch_ports)
-        counts = {i: [] for i in range(3)}
-        for i, sink in enumerate(sinks):
-            sink.bind_raw(counts[i].append)
-        h_up.send(udp(h_up, sinks[0]))
-        net.run()
-        assert all(len(counts[i]) == 1 for i in range(3))
-
-    def test_hub_rules_merge_reverse_traffic(self):
-        net = Network(seed=1)
-        s1 = OpenFlowSwitch(net.sim, "s1", trace_bus=net.trace)
-        net.add_node(s1)
-        h_up = net.add_host("up", promiscuous=True)
-        d0 = net.add_host("d0")
-        net.connect(h_up, s1)
-        net.connect(s1, d0)
-        install_hub_rules(
-            s1, net.port_no_between("s1", "up"), [net.port_no_between("s1", "d0")]
-        )
-        got = []
-        h_up.bind_raw(got.append)
-        d0.send(udp(d0, h_up))
-        net.run()
-        assert len(got) == 1
-
-    def test_mux_rules_forward_to_compare_port(self):
-        net = Network(seed=1)
-        s1 = OpenFlowSwitch(net.sim, "s1", trace_bus=net.trace)
-        net.add_node(s1)
-        source = net.add_host("src")
-        compare = net.add_host("cmp", promiscuous=True)
-        net.connect(source, s1)
-        net.connect(s1, compare)
-        install_mux_rules(
-            s1,
-            [net.port_no_between("s1", "src")],
-            net.port_no_between("s1", "cmp"),
-        )
-        got = []
-        compare.bind_raw(got.append)
-        source.send(udp(source, compare))
-        net.run()
-        assert len(got) == 1
-
-    def test_hub_rule_count_is_small(self):
-        # the paper's cost argument: trusted components stay simple
-        assert hub_rule_count([2, 3, 4]) == 4

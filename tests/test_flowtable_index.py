@@ -15,7 +15,6 @@ import random
 
 from repro.net.addresses import IpAddress, MacAddress
 from repro.net.packet import (
-    ETH_TYPE_ARP,
     ETH_TYPE_IPV4,
     Ethernet,
     Ipv4,
@@ -27,6 +26,9 @@ from repro.net.packet import (
 from repro.openflow.actions import Output
 from repro.openflow.flowtable import FlowEntry, FlowTable, _rank
 from repro.openflow.match import Match, packet_probe_keys
+
+#: a non-IP EtherType (ARP's)
+ETH_TYPE_ARP = 0x0806
 
 
 def reference_lookup(table, packet, in_port, now):

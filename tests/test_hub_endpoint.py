@@ -1,4 +1,5 @@
-"""Tests for the pure hub and the trusted combiner endpoints."""
+"""Tests for the trusted combiner endpoints (the one hub is an
+endpoint's hub role)."""
 
 import pytest
 
@@ -8,7 +9,6 @@ from repro.core import (
     CompareContext,
     CompareCore,
     CombinerEndpoint,
-    Hub,
     MODE_COMBINE,
     MODE_DUP,
     branch_marker,
@@ -19,51 +19,6 @@ from repro.net.node import NetworkError
 
 def udp(a, b, ident=0):
     return Packet.udp(a.mac, b.mac, a.ip, b.ip, 1, 5001, ident=ident)
-
-
-class TestHub:
-    def build(self, branches=3):
-        net = Network(seed=1)
-        hub = Hub(net.sim, "hub", trace_bus=net.trace)
-        net.add_node(hub)
-        up = net.add_host("up", promiscuous=True)
-        net.connect(up, hub, port_b=1)
-        sinks = []
-        for i in range(branches):
-            sink = net.add_host(f"d{i}", promiscuous=True)
-            net.connect(hub, sink)
-            sinks.append(sink)
-        return net, hub, up, sinks
-
-    def test_duplicates_to_every_branch(self):
-        net, hub, up, sinks = self.build()
-        got = {i: [] for i in range(3)}
-        for i, sink in enumerate(sinks):
-            sink.bind_raw(got[i].append)
-        up.send(udp(up, sinks[0]))
-        net.run()
-        assert all(len(got[i]) == 1 for i in range(3))
-        assert hub.duplicated == 3
-        assert hub.branch_count == 3
-
-    def test_copies_are_independent_objects(self):
-        net, hub, up, sinks = self.build(branches=2)
-        received = []
-        for sink in sinks:
-            sink.bind_raw(received.append)
-        up.send(udp(up, sinks[0]))
-        net.run()
-        assert received[0] is not received[1]
-        assert received[0] == received[1]
-
-    def test_merges_reverse_direction(self):
-        net, hub, up, sinks = self.build()
-        got = []
-        up.bind_raw(got.append)
-        sinks[1].send(udp(sinks[1], up))
-        net.run()
-        assert len(got) == 1
-        assert hub.merged == 1
 
 
 def build_endpoint_rig(mode=MODE_COMBINE, mark_sources=False, k=3):
@@ -95,6 +50,16 @@ class TestEndpointHubRole:
         net.run()
         assert all(len(got[i]) == 1 for i in range(3))
         assert endpoint.estats.duplicated == 3
+
+    def test_copies_are_independent_objects(self):
+        net, endpoint, ext, branches = build_endpoint_rig(mode=MODE_DUP, k=2)
+        received = []
+        for sink in branches:
+            sink.bind_raw(received.append)
+        ext.send(udp(ext, branches[0]))
+        net.run()
+        assert received[0] is not received[1]
+        assert received[0] == received[1]
 
     def test_source_marking_rewrites_dl_src(self):
         net, endpoint, ext, branches = build_endpoint_rig(

@@ -1,6 +1,4 @@
-"""Tests for the PCAP writer and the operator health monitor."""
-
-import io
+"""Tests for the operator health monitor."""
 
 import pytest
 
@@ -10,85 +8,7 @@ from repro.core.alarms import (
     ALARM_SINGLE_SOURCE_PACKET,
     AlarmSink,
 )
-from repro.net import Network, Packet
-from repro.net.pcap import PCAP_MAGIC, PcapWriter, read_pcap
-
-
-class TestPcap:
-    def make_frames(self, count=3):
-        net = Network(seed=71)
-        h1 = net.add_host("h1")
-        h2 = net.add_host("h2")
-        return net, h1, h2, [
-            Packet.udp(h1.mac, h2.mac, h1.ip, h2.ip, 1, 5001,
-                       payload=bytes([i]) * 10, ident=i)
-            for i in range(count)
-        ]
-
-    def test_write_and_read_roundtrip(self):
-        net, h1, h2, frames = self.make_frames()
-        buffer = io.BytesIO()
-        writer = PcapWriter(buffer)
-        for i, frame in enumerate(frames):
-            writer.write(frame, timestamp=1.5 + i * 0.25)
-        writer.close()
-        buffer.seek(0)
-        restored = read_pcap(buffer)
-        assert len(restored) == 3
-        assert [t for t, _p in restored] == pytest.approx([1.5, 1.75, 2.0])
-        assert [p for _t, p in restored] == frames
-
-    def test_global_header_magic(self):
-        buffer = io.BytesIO()
-        PcapWriter(buffer).close()
-        assert int.from_bytes(buffer.getvalue()[:4], "little") == PCAP_MAGIC
-
-    def test_snaplen_truncates(self):
-        net, h1, h2, _ = self.make_frames()
-        big = Packet.udp(h1.mac, h2.mac, h1.ip, h2.ip, 1, 2, payload=b"x" * 500)
-        buffer = io.BytesIO()
-        writer = PcapWriter(buffer, snaplen=60)
-        writer.write(big, 0.0)
-        writer.close()
-        # record header says incl_len=60, orig_len=full
-        record = buffer.getvalue()[24:40]
-        incl = int.from_bytes(record[8:12], "little")
-        orig = int.from_bytes(record[12:16], "little")
-        assert incl == 60 and orig == big.wire_len
-
-    def test_attach_captures_port_traffic(self, tmp_path):
-        net = Network(seed=72)
-        h1 = net.add_host("h1")
-        h2 = net.add_host("h2")
-        net.connect(h1, h2)
-        path = tmp_path / "run.pcap"
-        with PcapWriter(str(path)) as writer:
-            writer.attach(h2.port(1))
-            h2.bind_udp(5001, lambda p: None)
-            for i in range(5):
-                net.sim.schedule(
-                    i * 1e-3,
-                    lambda i=i: h1.send(
-                        Packet.udp(h1.mac, h2.mac, h1.ip, h2.ip, 1, 5001, ident=i)
-                    ),
-                )
-            net.run()
-            assert writer.frames_written == 5
-        frames = read_pcap(str(path))
-        assert len(frames) == 5
-        times = [t for t, _p in frames]
-        assert times == sorted(times)
-
-    def test_write_after_close_rejected(self):
-        writer = PcapWriter(io.BytesIO())
-        writer.close()
-        net, h1, h2, frames = self.make_frames(1)
-        with pytest.raises(ValueError):
-            writer.write(frames[0], 0.0)
-
-    def test_read_rejects_garbage(self):
-        with pytest.raises(Exception):
-            read_pcap(io.BytesIO(b"\x00" * 64))
+from repro.net import Network
 
 
 class TestHealthMonitor:

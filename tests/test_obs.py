@@ -335,25 +335,6 @@ class TestEndToEndTracing:
         hop_sources = tracer.hop_sources(tid)
         assert len([s for s in hop_sources if s.startswith("nc_r")]) >= 3
 
-    def test_bare_hub_emits_dup_span_for_traced_packets(self):
-        from repro.core.hub import Hub
-        from repro.net import Network
-
-        net = Network(seed=11)
-        hub = net.add_node(Hub(net.sim, "hub", trace_bus=net.trace))
-        h_up = net.add_host("up")
-        downs = [net.add_host(f"d{i}") for i in range(3)]
-        net.connect(h_up, hub, port_b=1)  # port 1 is the hub's upstream
-        for host in downs:
-            net.connect(hub, host)
-        tracer = PacketTracer(net.trace)
-        tracer.attach(net)
-        h_up.send(Packet.udp(h_up.mac, downs[0].mac, h_up.ip, downs[0].ip, 1, 2))
-        net.run()
-        tid = tracer.trace_ids()[0]
-        dups = [r for r in tracer.trajectory(tid) if r.topic == "hub.dup"]
-        assert dups and dups[0].data["fanout"] == 3
-
 
 def _reachable_stat_blocks(root):
     """Every StatBlock reachable from ``root`` through object references

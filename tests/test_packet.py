@@ -4,7 +4,6 @@ identity semantics (bit-exact equality, deep copies, out-of-band meta)."""
 import pytest
 
 from repro.net import (
-    ETH_TYPE_ARP,
     ETH_TYPE_IPV4,
     ETH_TYPE_VLAN,
     Ethernet,
@@ -26,6 +25,9 @@ from repro.net import (
     Vlan,
     internet_checksum,
 )
+
+#: any EtherType the packet layer does not parse (ARP's)
+ETH_TYPE_ARP = 0x0806
 
 M1 = MacAddress.from_index(1)
 M2 = MacAddress.from_index(2)

@@ -128,23 +128,25 @@ class TestLossRecovery:
 
 class TestDuplicationResilience:
     def duplicate_rig(self, copies=3):
-        """Hosts joined by a hub that duplicates every frame ``copies``
-        times in both directions — a Dup-style path."""
-        from repro.core import Hub
+        """Hosts joined by two endpoints in dup mode (a Dup-style path):
+        each duplicates every frame onto ``copies`` parallel branch links
+        and merges what the other sent back out, in both directions."""
+        from repro.core import MODE_DUP, CombinerEndpoint
 
         net = Network(seed=7)
         h1 = net.add_host("h1")
         h2 = net.add_host("h2")
-        hub_out = Hub(net.sim, "hubx", trace_bus=net.trace)
+        hub_out = CombinerEndpoint(net.sim, "hubx", trace_bus=net.trace, mode=MODE_DUP)
+        merge = CombinerEndpoint(net.sim, "merge", trace_bus=net.trace, mode=MODE_DUP)
         net.add_node(hub_out)
-        link = dict(rate_bps=100e6, delay=50e-6, queue_capacity=1000)
-        net.connect(h1, hub_out, port_b=1, **link)
-        # wire 'copies' parallel loops back to a merge hub
-        merge = Hub(net.sim, "merge", trace_bus=net.trace)
         net.add_node(merge)
-        net.connect(h2, merge, port_b=1, **link)
-        for _ in range(copies):
-            net.connect(hub_out, merge, **link)
+        link = dict(rate_bps=100e6, delay=50e-6, queue_capacity=1000)
+        net.connect(h1, hub_out, **link)
+        net.connect(h2, merge, **link)
+        for branch in range(copies):
+            wire = net.connect(hub_out, merge, **link)
+            hub_out.assign_branch(wire.a.port_no, branch)
+            merge.assign_branch(wire.b.port_no, branch)
         receiver = TcpReceiver(h2, 5001)
         sender = TcpSender(h1, h2.mac, h2.ip, 5001, min_rto=0.01)
         return net, sender, receiver

@@ -219,6 +219,54 @@ def test_transit_cannot_vote_in_a_neighbour_tunnel(variant, seed):
     assert arrived["honest"] == (flow.sent if variant == "virtual3" else 0)
 
 
+class StripTunnelLabel(AdversarialBehavior):
+    """Corrupt every tunnelled copy and send it on toward the egress
+    relabelled ``vid``: ``None`` strips the tag, an unprotected VID hides
+    it."""
+
+    def __init__(self, vid, egress_port: int) -> None:
+        super().__init__("strip-tunnel-label")
+        self.vid = vid
+        self.egress_port = egress_port
+
+    def handle(self, switch, packet, in_port_no) -> bool:
+        if packet.vlan is None:
+            return False
+        forged = packet.copy()
+        forged.payload = packet.payload[:-1] + b"\xff"
+        forged.vlan = None if self.vid is None else Vlan(self.vid)
+        switch.ports[self.egress_port].send(forged)
+        return True
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("vid", [None, 999], ids=["untagged", "vid999"])
+@pytest.mark.parametrize("variant", ["virtual3", "virtual2"])
+def test_transit_cannot_strip_its_label(variant, vid, seed):
+    """Transit 1 sends its corrupted copy on without its tunnel's label.
+    A frame for the protected destination on a tunnel port is a branch
+    copy whatever it carries, so it is refused as a spoofed branch rather
+    than routed to ``dst``; ``virtual3`` still releases every honest
+    datagram."""
+    testbed = build_testbed(variant, seed=seed)
+    net, transit = testbed.network, testbed.routers[1]
+    StripTunnelLabel(vid, net.port_no_between(transit.name, "egress")).attach(transit)
+    arrived = {"honest": 0, "forged": 0}
+
+    def tap(packet) -> None:
+        if packet.payload:
+            arrived["forged" if packet.payload[-1] else "honest"] += 1
+
+    net.port_between(testbed.h2.name, "egress").taps.append(tap)
+    flow = run_udp_flow(testbed.path(), rate_bps=10e6, duration=0.02)
+    assert flow.sent == 18
+    assert arrived["forged"] == 0
+    spoofs = testbed.alarms.of_kind(ALARM_SPOOFED_BRANCH)
+    assert len(spoofs) == flow.sent
+    assert {alarm.details["claimed"] for alarm in spoofs} == {vid}
+    assert arrived["honest"] == (flow.sent if variant == "virtual3" else 0)
+
+
 # ----------------------------------------------------------------------
 # the control plane: a replica that rewrites what it already sent
 # ----------------------------------------------------------------------

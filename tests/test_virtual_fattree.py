@@ -11,6 +11,7 @@ those paths and attacks individual fabric switches.
 import pytest
 
 from repro.adversary import BlackholeBehavior, PayloadCorruptionBehavior
+from repro.core.alarms import ALARM_SPOOFED_BRANCH
 from repro.apps import StaticMacRouter
 from repro.core.compare import CompareConfig
 from repro.core.virtual import (
@@ -121,3 +122,25 @@ class TestFabricAttacks:
         )
         assert ping.received == 5
         assert combiner.compare_core.stats.submissions == 0  # not our flow
+
+    def test_protected_destination_is_reached_only_through_the_tunnels(self):
+        # The egress' uplinks are its tunnel ports, and a frame for the
+        # protected destination on a tunnel port is a branch copy: without
+        # its tunnel's tag it is refused as a spoofed branch, never routed.
+        # So unprotected traffic to ``dst`` from another pod is refused;
+        # a neighbour under the egress itself still reaches it.
+        tree, combiner, src, dst = build(k_paths=2, seed=95)
+        remote, neighbour = tree.host(1, 0, 0), tree.host(2, 0, 1)
+        for host in (remote, neighbour):
+            StaticMacRouter(tree.network).install_pair(host, dst)
+        refused = run_ping(
+            PathEndpoints(tree.network, remote, dst), count=5, interval=1e-3
+        )
+        assert refused.received == 0
+        alarms = combiner.compare_core.alarms.of_kind(ALARM_SPOOFED_BRANCH)
+        assert len(alarms) == 5 and {a.details["claimed"] for a in alarms} == {None}
+        local = run_ping(
+            PathEndpoints(tree.network, neighbour, dst), count=5, interval=1e-3
+        )
+        assert local.received == 5
+        assert combiner.compare_core.stats.submissions == 0
