@@ -15,7 +15,6 @@ from repro.adversary import (
     ReplayFloodBehavior,
     dst_mac_rewrite,
 )
-from repro.analysis.monitor import HealthMonitor
 from repro.analysis.report import format_table
 from repro.core import CombinerChainParams, CompareConfig, build_combiner_chain
 from repro.net import Network
@@ -54,12 +53,11 @@ def measure(attack_name: str, seed: int = 81):
     net.sim.schedule(
         COMPROMISE_AT, lambda: make_behavior().attach(chain.router(1))
     )
-    monitor = HealthMonitor()
-    monitor.watch(chain.alarms)
     result = run_ping(PathEndpoints(net, h1, h2), count=60, interval=1e-3)
     chain.compare_core.flush()
-    monitor.refresh()
-    return monitor.detection_latency(COMPROMISE_AT), result.received
+    after = [a.time for a in chain.alarms.alarms if a.time >= COMPROMISE_AT]
+    latency = min(after) - COMPROMISE_AT if after else None
+    return latency, result.received
 
 
 def run_all():

@@ -11,7 +11,6 @@ from repro.analysis.records import (
     paper_table1_values,
     paper_value,
 )
-from repro.analysis.monitor import BranchHealth, HealthMonitor, SEVERITIES
 from repro.analysis.report import (
     format_table,
     render_farm_summary,
@@ -26,9 +25,6 @@ __all__ = [
     "PAPER_TABLE1",
     "paper_table1_values",
     "paper_value",
-    "BranchHealth",
-    "HealthMonitor",
-    "SEVERITIES",
     "format_table",
     "render_farm_summary",
     "render_record",

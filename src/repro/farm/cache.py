@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.farm.spec import RunSpec
-from repro.obs.metrics import bind_counter
+from repro.obs.metrics import StatBlock
 
 #: default cache location, relative to the working directory
 DEFAULT_CACHE_ROOT = ".repro-cache"
@@ -56,10 +56,9 @@ class ResultCache:
         self.stores = 0
         self.corrupt = 0
         self.write_errors = 0
-        # bound from the registry active at construction; None when
-        # metrics are disabled so get() pays one is-not-None test
-        self._hits_counter = bind_counter("cache_hits_total")
-        self._misses_counter = bind_counter("cache_misses_total")
+        StatBlock.publish_samples(
+            lambda: {"cache_hits_total": self.hits, "cache_misses_total": self.misses}
+        )
 
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
@@ -80,22 +79,16 @@ class ResultCache:
                 raise ValueError("cache entry does not match its key or sources")
         except FileNotFoundError:
             self.misses += 1
-            if self._misses_counter is not None:
-                self._misses_counter.inc()
             return _MISS
         except (ValueError, OSError):
             self.corrupt += 1
             self.misses += 1
-            if self._misses_counter is not None:
-                self._misses_counter.inc()
             try:
                 path.unlink()
             except OSError:  # pragma: no cover - best effort
                 pass
             return _MISS
         self.hits += 1
-        if self._hits_counter is not None:
-            self._hits_counter.inc()
         return True, payload["value"]
 
     def put(self, spec: RunSpec, value: Any) -> None:

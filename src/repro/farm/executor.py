@@ -33,7 +33,7 @@ from repro.farm.cache import ResultCache
 from repro.farm.progress import FarmProgress
 from repro.farm.spec import RunSpec
 from repro.obs.events import run_digest
-from repro.obs.metrics import bind_counter
+from repro.obs.metrics import StatBlock
 
 
 class TaskTimeout(Exception):
@@ -111,7 +111,9 @@ class FarmExecutor:
         self.retries = max(0, int(retries))
         self.progress = progress if progress is not None else FarmProgress()
         self.profile_dir = profile_dir
-        self._retries_counter = bind_counter("farm_task_retries_total")
+        StatBlock.publish_samples(
+            lambda: {"farm_task_retries_total": self.progress.retried}
+        )
 
     def run(self, specs: Sequence[RunSpec]) -> Dict[str, Any]:
         """Execute every spec; return ``{spec.key: value}``."""
@@ -192,8 +194,6 @@ class FarmExecutor:
                         )
                         if attempts[spec.key] <= self.retries:
                             self.progress.task_retried(spec, reason)
-                            if self._retries_counter is not None:
-                                self._retries_counter.inc()
                             retry.append(spec)
                         else:
                             self.progress.task_failed(spec, reason)

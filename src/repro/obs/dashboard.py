@@ -5,12 +5,11 @@ on a daemon thread serving:
 
 * ``GET /metrics`` — the Prometheus text exposition of the attached
   :class:`~repro.obs.metrics.MetricsRegistry` (the farm counter trio,
-  plus whatever else bound instruments from it);
-* ``GET /fleet``   — the JSON snapshot from the attached
-  :class:`~repro.obs.fleet.FleetState` (progress, per-runner throughput,
-  cache hit rate, in-flight specs, EWMA ETA, recent alarm feed);
-* ``GET /events?after=N`` — a bounded tail of raw farm bus records with
-  sequence numbers greater than ``N`` (the ``watch`` CLI polls this);
+  plus whatever else published to it);
+* ``GET /fleet``   — the JSON picture the attached ``fleet`` callable
+  returns (:func:`~repro.obs.fleet.fleet_snapshot`: progress,
+  per-runner tallies, cache hit rate, in-flight specs, EWMA ETA, digest
+  feed); ``fleet watch --url`` polls this;
 * ``GET /``        — a tiny index naming the endpoints.
 
 ``port=0`` binds an ephemeral port (CI uses this); :meth:`start` returns
@@ -25,15 +24,14 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import urlparse
 
 __all__ = ["DashboardServer"]
 
 _INDEX = (
     "repro fleet dashboard\n"
-    "  /metrics        Prometheus text exposition\n"
-    "  /fleet          JSON fleet snapshot\n"
-    "  /events?after=N bounded tail of farm events\n"
+    "  /metrics  Prometheus text exposition\n"
+    "  /fleet    JSON fleet snapshot\n"
 )
 
 
@@ -72,26 +70,18 @@ class _Handler(BaseHTTPRequestHandler):
             if fleet is None:
                 self._send(503, '{"error": "no fleet attached"}\n', "application/json")
                 return
-            body = json.dumps(fleet.snapshot(), sort_keys=True, indent=1)
-            self._send(200, body + "\n", "application/json")
-        elif url.path == "/events":
-            fleet = dashboard.fleet
-            if fleet is None:
-                self._send(503, '{"error": "no fleet attached"}\n', "application/json")
-                return
-            query = parse_qs(url.query)
-            try:
-                after = int(query.get("after", ["0"])[0])
-            except ValueError:
-                after = 0
-            body = json.dumps(fleet.recent_events(after=after), sort_keys=True)
+            body = json.dumps(fleet(), sort_keys=True, indent=1)
             self._send(200, body + "\n", "application/json")
         else:
             self._send(404, "not found\n", "text/plain; charset=utf-8")
 
 
 class DashboardServer:
-    """Daemon-threaded HTTP server over a fleet state and a registry."""
+    """Daemon-threaded HTTP server over a fleet picture and a registry.
+
+    ``fleet`` is a zero-argument callable returning the ``/fleet``
+    payload, or ``None`` (``/fleet`` then answers 503).
+    """
 
     def __init__(
         self,

@@ -19,10 +19,11 @@ Design constraints:
 * **typed** — every event kind declares its required data fields in
   :data:`EVENT_SCHEMA`; the writer refuses malformed events, so a log
   that exists always validates.
-* **replayable** — :func:`replay_rollup` reconstructs the final
-  :class:`FarmProgress` rollup from the individual task events alone,
-  and :func:`check_replay` proves it equals the ``farm.summary`` event
-  the run recorded (gapless sequence numbers make truncation loud).
+* **replayable** — :meth:`FarmProgress.from_events` folds the task
+  events with the same method the live farm folds them with, and
+  :func:`check_replay` proves the result equals the ``farm.summary``
+  event the run recorded (gapless sequence numbers make truncation
+  loud).
 
 Wall-clock timestamps (``ts``) are seconds since the writer opened; they
 order the log but carry no simulation meaning — simulated-time telemetry
@@ -45,8 +46,8 @@ __all__ = [
     "run_digest",
     "read_events",
     "validate_events",
-    "replay_rollup",
     "check_replay",
+    "sanitise_value",
     "ROLLUP_FIELDS",
 ]
 
@@ -118,18 +119,23 @@ class FleetEvent:
             raise EventLogError(f"malformed event line: {exc}") from exc
 
 
-def _jsonable(value: Any) -> Any:
-    """Best-effort JSON projection of one event data value (an address,
-    an ``int`` subclass, is its ``repr``, never its number)."""
+def sanitise_value(value: Any) -> Any:
+    """The one JSON projection of a trace-record or event data value
+    (``repro obs dump``, RunReports and the event log).
+
+    Packets collapse to their one-line ``summary()``; anything else
+    non-JSON falls back to ``repr``.  MAC and IP addresses are ``int``
+    subclasses: they take the ``repr`` too, never their number.
+    """
     if value is None or isinstance(value, (bool, float, str)) or type(value) is int:
         return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
     summary = getattr(value, "summary", None)
     if callable(summary):
         return summary()
+    if isinstance(value, (list, tuple)):
+        return [sanitise_value(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): sanitise_value(v) for k, v in value.items()}
     return repr(value)
 
 
@@ -183,7 +189,7 @@ class EventLogWriter:
             ts=round(time.time() - self._t0, 6),
             kind=kind,
             source=source,
-            data={k: _jsonable(v) for k, v in data.items()},
+            data={k: sanitise_value(v) for k, v in data.items()},
         )
         self._fh.write(json.dumps(event.to_dict(), sort_keys=True))
         self._fh.write("\n")
@@ -267,9 +273,9 @@ class FarmEventLogger:
     TraceBus, so it sees **every** record in emit order — including
     records past the bus's retention saturation point (listeners are
     exempt from truncation; see the TraceBus saturation contract).  The
-    record topic doubles as the event kind; unknown farm topics are
-    forwarded as their nearest schema kind or dropped with a count, so a
-    newer farm cannot corrupt an older log.
+    record topic doubles as the event kind; a farm topic the schema does
+    not know is dropped and counted in :attr:`skipped`, so a newer farm
+    cannot corrupt an older log.
     """
 
     def __init__(self, writer: EventLogWriter, progress) -> None:
@@ -346,45 +352,13 @@ def validate_events(events: Iterable[FleetEvent]) -> List[str]:
     return errors
 
 
-def replay_rollup(events: Iterable[FleetEvent]) -> Dict[str, Any]:
-    """Reconstruct the final farm rollup from individual task events.
+def _replayed(events: List[FleetEvent]) -> Dict[str, Any]:
+    """The :data:`ROLLUP_FIELDS` of the fold of ``events``' last battery."""
+    # function-local: the farm package imports this module
+    from repro.farm.progress import FarmProgress
 
-    Mirrors :meth:`repro.farm.progress.FarmProgress.snapshot` counter
-    for counter (minus ``elapsed_s``): if the log is complete, the
-    result equals the run's own ``farm.summary`` event on every
-    :data:`ROLLUP_FIELDS` entry — which :func:`check_replay` asserts.
-    """
-    queued = running = done = failed = retried = cache_hits = 0
-    wall_times: List[float] = []
-    for event in events:
-        kind = event.kind
-        if kind == "farm.task.queued":
-            queued += 1
-        elif kind == "farm.task.cached":
-            cache_hits += 1
-            done += 1
-        elif kind == "farm.task.started":
-            running += 1
-        elif kind == "farm.task.done":
-            running -= 1
-            done += 1
-            wall_times.append(float(event.data["wall_time"]))
-        elif kind == "farm.task.retried":
-            running -= 1
-            retried += 1
-        elif kind == "farm.task.failed":
-            running -= 1
-            failed += 1
-    return {
-        "queued": queued,
-        "running": running,
-        "done": done,
-        "failed": failed,
-        "retried": retried,
-        "cache_hits": cache_hits,
-        "executed": done - cache_hits,
-        "task_wall_s": round(sum(wall_times), 4),
-    }
+    counters = FarmProgress.from_events(events).snapshot()
+    return {fname: counters[fname] for fname in ROLLUP_FIELDS}
 
 
 def check_replay(events: Iterable[FleetEvent]) -> Tuple[Dict[str, Any], List[str]]:
@@ -393,28 +367,25 @@ def check_replay(events: Iterable[FleetEvent]) -> Tuple[Dict[str, Any], List[str
     Returns ``(replayed_rollup, errors)``.  A log whose farm run never
     finished (no summary event) is an error — the stream is truncated.
     When a log spans several farm batteries (``python -m repro all``),
-    the *final* summary is compared against the replay of the events
-    after the previous summary, so every battery must reconcile.
+    each summary is compared against the fold of the events after the
+    previous one, so every battery must reconcile.
     """
     events = list(events)
     errors = validate_events(events)
-    summaries = [
-        (i, e) for i, e in enumerate(events) if e.kind == "farm.summary"
-    ]
-    if not summaries:
+    ends = [i for i, e in enumerate(events) if e.kind == "farm.summary"]
+    if not ends:
         errors.append("no farm.summary event: log is truncated mid-run")
-        return replay_rollup(events), errors
+        return _replayed(events), errors
     start = 0
-    replayed: Dict[str, Any] = {}
-    for index, summary in summaries:
-        replayed = replay_rollup(events[start:index])
+    for end in ends:
+        replayed = _replayed(events[start:end + 1])
+        summary = events[end]
         for fname in ROLLUP_FIELDS:
             expected = summary.data.get(fname)
-            got = replayed.get(fname)
-            if got != expected:
+            if replayed[fname] != expected:
                 errors.append(
                     f"replay mismatch at seq {summary.seq}: "
-                    f"{fname} replayed={got} recorded={expected}"
+                    f"{fname} replayed={replayed[fname]} recorded={expected}"
                 )
-        start = index + 1
+        start = end + 1
     return replayed, errors

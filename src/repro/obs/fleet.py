@@ -1,157 +1,57 @@
-"""Live fleet state: the in-memory model behind ``/fleet`` and ``watch``.
+"""The fleet picture: the ``/fleet`` payload and ``fleet watch``'s frame.
 
-:class:`FleetState` subscribes to a farm's progress bus (``farm.*``) and
-keeps a thread-safe rolling picture of the run: per-runner throughput,
-cache hit rate, in-flight specs with their attempt numbers, an EWMA of
-task wall time driving an ETA estimate, and a bounded feed of recent
-alarms/digests and raw events.  The dashboard thread reads snapshots
-under the same lock the bus listener writes under, so a mid-run ``GET
-/fleet`` always sees a consistent picture.
-
-Like the event log, the fleet state is strictly pull/append-only: it
-observes the bus and never feeds anything back into the farm, so result
-dicts and spec hashes are bit-identical with the dashboard on or off.
+:func:`fleet_snapshot` reads one :class:`~repro.farm.progress.FarmProgress`
+— the live one a farm folds as it runs, or one folded from a JSONL log
+with :meth:`~repro.farm.progress.FarmProgress.from_events` — so the
+dashboard and the log agree on every key but the live cache's
+``stats()`` and wall-clock times.  It never feeds anything back into the
+farm: result dicts and spec hashes are bit-identical with the dashboard
+on or off.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from operator import itemgetter
+from typing import Any, Dict, Optional
 
-__all__ = ["FleetState", "EWMA_ALPHA", "DEFAULT_FEED"]
-
-#: smoothing factor for the task-wall-time EWMA (recent tasks dominate,
-#: but one outlier shard does not whipsaw the ETA)
-EWMA_ALPHA = 0.3
-
-#: bounded length of the alarm feed and the recent-event ring
-DEFAULT_FEED = 50
+__all__ = ["fleet_snapshot"]
 
 
-class FleetState:
-    """Rolling fleet picture fed by one farm's progress bus."""
+def fleet_snapshot(
+    progress, cache=None, jobs: Optional[int] = None, name: str = ""
+) -> Dict[str, Any]:
+    """One JSON-ready fleet picture.
 
-    def __init__(
-        self,
-        progress,
-        cache=None,
-        jobs: int = 1,
-        name: str = "",
-        max_feed: int = DEFAULT_FEED,
-    ) -> None:
-        self.progress = progress
-        self.cache = cache
-        self.jobs = max(1, int(jobs))
-        self.name = name
-        self._lock = threading.Lock()
-        self._inflight: Dict[str, Dict[str, Any]] = {}
-        self._per_runner: Dict[str, Dict[str, int]] = {}
-        self._ewma_wall: Optional[float] = None
-        self._alarm_feed: Deque[Dict[str, Any]] = deque(maxlen=max_feed)
-        self._recent: Deque[Dict[str, Any]] = deque(maxlen=max_feed)
-        self._seq = 0
-        self.finished = False
-        progress.bus.subscribe("farm.*", self._on_record)
-
-    def detach(self) -> None:
-        self.progress.bus.unsubscribe("farm.*", self._on_record)
-
-    # ------------------------------------------------------------------
-    # bus listener (runs on the emitting thread)
-    # ------------------------------------------------------------------
-    def _on_record(self, record) -> None:
-        topic = record.topic
-        data = record.data
-        key = data.get("key")
-        runner = data.get("runner")
-        with self._lock:
-            self._seq += 1
-            self._recent.append(
-                {"seq": self._seq, "time": record.time, "topic": topic, "data": data}
-            )
-            if runner is not None:
-                counts = self._per_runner.setdefault(
-                    runner, {"queued": 0, "done": 0, "cached": 0, "failed": 0}
-                )
-            if topic == "farm.task.queued":
-                counts["queued"] += 1
-            elif topic == "farm.task.cached":
-                counts["cached"] += 1
-                counts["done"] += 1
-            elif topic == "farm.task.started":
-                self._inflight[key] = {
-                    "runner": runner,
-                    "key": key,
-                    "attempt": data.get("attempt", 1),
-                    "since": record.time,
-                }
-            elif topic == "farm.task.done":
-                self._inflight.pop(key, None)
-                counts["done"] += 1
-                wall = float(data.get("wall_time", 0.0))
-                if self._ewma_wall is None:
-                    self._ewma_wall = wall
-                else:
-                    self._ewma_wall += EWMA_ALPHA * (wall - self._ewma_wall)
-            elif topic in ("farm.task.retried", "farm.task.failed"):
-                self._inflight.pop(key, None)
-                if topic == "farm.task.failed":
-                    counts["failed"] += 1
-            elif topic == "farm.task.digest":
-                entry = {"time": record.time, "runner": runner, "key": key}
-                for field in (
-                    "alarms", "quarantined", "readmitted", "ctrl_quarantined",
-                    "ctrl_readmitted", "detection_latency", "faults",
-                    "ctrl_blocked", "ctrl_malicious_released",
-                    "malicious_installed", "batch_fallbacks",
-                ):
-                    if field in data:
-                        entry[field] = data[field]
-                self._alarm_feed.append(entry)
-            elif topic == "farm.summary":
-                self.finished = True
-
-    # ------------------------------------------------------------------
-    # snapshots (read by the dashboard thread / the watch CLI)
-    # ------------------------------------------------------------------
-    def eta_seconds(self) -> Optional[float]:
-        """EWMA-based remaining-wall estimate; None before the first
-        completion or once the queue is drained."""
-        snap = self.progress.snapshot()
-        remaining = snap["queued"] - snap["done"] - snap["failed"]
-        if remaining <= 0 or self._ewma_wall is None:
-            return None
-        return round(remaining * self._ewma_wall / self.jobs, 3)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """One JSON-ready fleet picture (the ``/fleet`` payload)."""
-        with self._lock:
-            inflight = [dict(v) for v in self._inflight.values()]
-            per_runner = {k: dict(v) for k, v in self._per_runner.items()}
-            alarms = [dict(a) for a in self._alarm_feed]
-            ewma = self._ewma_wall
-            finished = self.finished
-        progress = self.progress.snapshot()
-        elapsed = progress.get("elapsed_s") or 0.0
-        cache_stats = self.cache.stats() if self.cache is not None else None
-        return {
-            "name": self.name,
-            "jobs": self.jobs,
-            "finished": finished,
-            "progress": progress,
-            "throughput_tasks_per_s": (
-                round(progress["done"] / elapsed, 3) if elapsed > 0 else None
-            ),
-            "per_runner": per_runner,
-            "in_flight": sorted(inflight, key=lambda e: e["since"]),
-            "ewma_task_wall_s": round(ewma, 6) if ewma is not None else None,
-            "eta_s": self.eta_seconds(),
-            "cache": cache_stats,
-            "alarm_feed": alarms,
-        }
-
-    def recent_events(self, after: int = 0, limit: int = DEFAULT_FEED) -> List[Dict[str, Any]]:
-        """Bounded tail of raw bus records with seq > ``after``."""
-        with self._lock:
-            return [dict(e) for e in self._recent if e["seq"] > after][:limit]
+    ``jobs`` stands in until the ``farm.summary`` records the battery's
+    own; ``cache`` is the live :class:`~repro.farm.cache.ResultCache`
+    (a log cannot rebuild its stats).
+    """
+    with progress.lock:
+        counters = progress.snapshot()
+        per_runner = {k: dict(v) for k, v in progress.per_runner.items()}
+        inflight = [dict(v) for v in progress.in_flight.values()]
+        digests = [dict(d) for d in progress.digests]
+        ewma = progress.ewma_wall
+        finished = progress.finished
+        if progress.jobs is not None:
+            jobs = progress.jobs
+    elapsed = counters["elapsed_s"]
+    remaining = counters["queued"] - counters["done"] - counters["failed"]
+    eta = None
+    if remaining > 0 and ewma is not None and jobs:
+        eta = round(remaining * ewma / jobs, 3)
+    return {
+        "name": name,
+        "jobs": jobs,
+        "finished": finished,
+        "progress": counters,
+        "throughput_tasks_per_s": (
+            round(counters["done"] / elapsed, 3) if elapsed > 0 else None
+        ),
+        "per_runner": per_runner,
+        "in_flight": sorted(inflight, key=itemgetter("since")),
+        "ewma_task_wall_s": round(ewma, 6) if ewma is not None else None,
+        "eta_s": eta,
+        "cache": cache.stats() if cache is not None else None,
+        "alarm_feed": digests,
+    }

@@ -4,13 +4,14 @@ Subcommands:
 
 * ``watch``   — tail a live run, updating one ANSI frame in place.
   Sources: ``--url http://host:port`` (polls the dashboard's ``/fleet``
-  endpoint) or ``--events PATH`` (re-reads a JSONL event log and
-  reconstructs the picture, so a run without ``--serve`` is still
-  watchable).  ``--once`` prints a single frame and exits (useful from
-  scripts and CI).
-* ``replay``  — validate a JSONL event log against the schema and
-  reconstruct the final farm rollup; ``--check`` exits non-zero unless
-  the replay matches the recorded ``farm.summary`` exactly.
+  endpoint) or ``--events PATH`` (re-reads a JSONL event log and folds
+  its last battery with the farm's own fold, so a run without
+  ``--serve`` is still watchable and reads as ``/fleet`` did).
+  ``--once`` prints a single frame and exits (useful from scripts and
+  CI).
+* ``replay``  — validate a JSONL event log against the schema and fold
+  each battery; ``--check`` exits non-zero unless every fold matches
+  its recorded ``farm.summary`` exactly.
 * ``profile`` — aggregate ``--profile-shards`` cProfile dumps into one
   top-N cumulative table.
 
@@ -27,15 +28,11 @@ import argparse
 import json
 import sys
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from repro.obs.events import (
-    FleetEvent,
-    read_events,
-    replay_rollup,
-    check_replay,
-    EventLogError,
-)
+from repro.farm.progress import FarmProgress
+from repro.obs.events import EventLogError, check_replay, read_events
+from repro.obs.fleet import fleet_snapshot
 
 __all__ = ["register"]
 
@@ -51,52 +48,12 @@ def _fetch_url_snapshot(url: str) -> Dict[str, Any]:
         return json.loads(response.read().decode("utf-8"))
 
 
-def _snapshot_from_events(events: List[FleetEvent]) -> Dict[str, Any]:
-    """Reconstruct a /fleet-shaped snapshot from a JSONL log."""
-    rollup = replay_rollup(events)
-    name = ""
-    jobs = None
-    finished = False
-    inflight: Dict[str, Dict[str, Any]] = {}
-    alarms: List[Dict[str, Any]] = []
-    elapsed: Optional[float] = None
-    for event in events:
-        data = event.data
-        if event.kind == "log.open":
-            name = data.get("name", "")
-        elif event.kind == "farm.task.started":
-            inflight[data["key"]] = {
-                "runner": data["runner"],
-                "key": data["key"],
-                "attempt": data.get("attempt", 1),
-                "since": event.ts,
-            }
-        elif event.kind in ("farm.task.done", "farm.task.retried", "farm.task.failed"):
-            inflight.pop(data.get("key"), None)
-        elif event.kind == "farm.task.digest":
-            alarms.append(dict(data))
-        elif event.kind == "farm.summary":
-            finished = True
-            jobs = data.get("jobs")
-            elapsed = data.get("elapsed_s")
-    if elapsed is None and events:
-        elapsed = events[-1].ts
-    rollup["elapsed_s"] = elapsed
-    return {
-        "name": name,
-        "jobs": jobs,
-        "finished": finished,
-        "progress": rollup,
-        "throughput_tasks_per_s": (
-            round(rollup["done"] / elapsed, 3) if elapsed else None
-        ),
-        "per_runner": None,
-        "in_flight": sorted(inflight.values(), key=lambda e: e["since"]),
-        "ewma_task_wall_s": None,
-        "eta_s": None,
-        "cache": None,
-        "alarm_feed": alarms[-10:],
-    }
+def _events_snapshot(path: str) -> Dict[str, Any]:
+    """The ``/fleet`` picture of a JSONL log's last battery."""
+    events = read_events(path)
+    opened = events[0].data if events and events[0].kind == "log.open" else {}
+    progress = FarmProgress.from_events(events)
+    return fleet_snapshot(progress, name=opened.get("name", ""))
 
 
 # ----------------------------------------------------------------------
@@ -175,7 +132,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             if args.url:
                 snap = _fetch_url_snapshot(args.url)
             else:
-                snap = _snapshot_from_events(read_events(args.events))
+                snap = _events_snapshot(args.events)
         except (OSError, EventLogError, json.JSONDecodeError) as exc:
             print(f"fleet watch: cannot read {source}: {exc}", file=sys.stderr)
             return 1

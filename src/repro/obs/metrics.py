@@ -1,4 +1,4 @@
-"""Unified metrics model: counters, gauges and histograms with labels.
+"""Unified metrics model: pushed counters and histograms, pulled samples.
 
 The paper's evaluation is built entirely from measured rates, latencies
 and loss counts; this module gives every subsystem one vocabulary for
@@ -31,17 +31,14 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "StatBlock",
     "MetricsRegistry",
-    "NULL_INSTRUMENT",
     "active_registry",
     "set_active_registry",
     "use_registry",
     "bind_counter",
     "bind_histogram",
-    "FARM_COUNTERS",
     "DEFAULT_LATENCY_BUCKETS",
 ]
 
@@ -68,33 +65,6 @@ def _label_key(labelnames: Sequence[str], values: Tuple[str, ...]) -> str:
     return "{" + ",".join(f'{k}="{v}"' for k, v in pairs) + "}"
 
 
-class _NullInstrument:
-    """Shared no-op stand-in handed out by a disabled registry."""
-
-    __slots__ = ()
-
-    def labels(self, *values: object, **kv: object) -> "_NullInstrument":
-        return self
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def set_function(self, fn: Callable[[], float]) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-NULL_INSTRUMENT = _NullInstrument()
-
-
 class Counter:
     """Monotonically increasing count."""
 
@@ -110,36 +80,6 @@ class Counter:
         self.value += amount
 
     def sample(self) -> float:
-        return self.value
-
-
-class Gauge:
-    """A value that can go up and down, or be computed on demand."""
-
-    __slots__ = ("value", "_fn")
-    kind = "gauge"
-
-    def __init__(self) -> None:
-        self.value = 0.0
-        self._fn: Optional[Callable[[], float]] = None
-
-    def set(self, value: float) -> None:
-        self._fn = None
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
-    def set_function(self, fn: Callable[[], float]) -> None:
-        """Pull-style gauge: ``fn`` is called at snapshot time."""
-        self._fn = fn
-
-    def sample(self) -> float:
-        if self._fn is not None:
-            return float(self._fn())
         return self.value
 
 
@@ -159,18 +99,6 @@ class Histogram:
         self.counts[bisect.bisect_left(self.buckets, value)] += 1
         self.sum += value
         self.count += 1
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile: upper bound of the bucket holding it."""
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        seen = 0
-        for i, n in enumerate(self.counts):
-            seen += n
-            if seen >= target:
-                return self.buckets[i] if i < len(self.buckets) else float("inf")
-        return float("inf")
 
     def sample(self) -> Dict[str, Any]:
         return {
@@ -244,8 +172,6 @@ class _Family:
         self.kind = kind
         self._factory = factory
         self._children: Dict[Tuple[str, ...], Any] = {}
-        if not labelnames:
-            self._children[()] = factory()
 
     def labels(self, *values: object, **kv: object) -> Any:
         if kv:
@@ -266,27 +192,6 @@ class _Family:
             child = self._children[values] = self._factory()
         return child
 
-    # Unlabelled families act as the instrument itself for convenience.
-    def _solo(self) -> Any:
-        if self.labelnames:
-            raise MetricsError(f"{self.name} requires labels {self.labelnames}")
-        return self._children[()]
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._solo().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._solo().dec(amount)
-
-    def set(self, value: float) -> None:
-        self._solo().set(value)
-
-    def set_function(self, fn: Callable[[], float]) -> None:
-        self._solo().set_function(fn)
-
-    def observe(self, value: float) -> None:
-        self._solo().observe(value)
-
     def items(self) -> Iterable[Tuple[str, Any]]:
         for values in sorted(self._children):
             yield _label_key(self.labelnames, values), self._children[values]
@@ -295,13 +200,12 @@ class _Family:
 class MetricsRegistry:
     """Registry of metric families and pull sources.
 
-    Pushed instruments (:meth:`counter`, :meth:`gauge`,
-    :meth:`histogram`) hold their own value; a pull source
-    (:meth:`add_source`) is a callable read at snapshot time, which is
-    how every :class:`StatBlock` reaches a snapshot.  ``enabled=False``
-    turns every registration into the shared :data:`NULL_INSTRUMENT` and
-    keeps no source; hot paths bind through :func:`bind_counter` /
-    :func:`bind_histogram` and keep ``None`` instead.
+    Pushed instruments (:meth:`counter`, :meth:`histogram`) hold their
+    own value; a pull source (:meth:`add_source`) is a callable read at
+    snapshot time, which is how every :class:`StatBlock` and every
+    gauge reaches a snapshot.  ``enabled=False`` keeps no source, and
+    components reach it only through :func:`bind_counter` /
+    :func:`bind_histogram`, which then return ``None``.
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -320,8 +224,6 @@ class MetricsRegistry:
         factory: Callable[[], Any],
         kind: str,
     ) -> Any:
-        if not self.enabled:
-            return NULL_INSTRUMENT
         family = self._families.get(name)
         if family is not None:
             if family.kind != kind or family.labelnames != tuple(labelnames):
@@ -337,9 +239,6 @@ class MetricsRegistry:
 
     def counter(self, name: str, help: str = "", labelnames: Sequence[str] = ()) -> Any:
         return self._register(name, help, labelnames, Counter, "counter")
-
-    def gauge(self, name: str, help: str = "", labelnames: Sequence[str] = ()) -> Any:
-        return self._register(name, help, labelnames, Gauge, "gauge")
 
     def histogram(
         self,
@@ -438,21 +337,6 @@ class MetricsRegistry:
                 lines.append(f"{name}{key} {value:g}")
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def reset(self) -> None:
-        self._families.clear()
-        self._sources.clear()
-
-
-#: the farm counter trio: bound by :class:`~repro.farm.cache.ResultCache`
-#: and :class:`~repro.farm.executor.FarmExecutor` at construction, so the
-#: Prometheus text and the ``/fleet`` snapshot agree with
-#: ``render_farm_summary`` (same underlying counts, same moment).
-FARM_COUNTERS: Dict[str, str] = {
-    "cache_hits_total": "farm result-cache hits",
-    "cache_misses_total": "farm result-cache misses (corrupt entries count as misses)",
-    "farm_task_retries_total": "farm task retry attempts (worker crash / timeout reruns)",
-}
-
 
 def bind_counter(
     name: str, help: str = "", labelnames: Sequence[str] = ()
@@ -460,15 +344,16 @@ def bind_counter(
     """Bind-at-construction helper for the counters that must be pushed.
 
     A count whose label is known when the component is built belongs in
-    a :class:`StatBlock`; this is for the rest — a label value that only
-    exists at event time (``{kind}``, ``{reason}``) or a count shared
-    across objects (the farm trio).  Returns the counter family from the
-    *active* registry, or ``None`` when metrics are disabled — callers
-    keep the result and test ``is not None`` before ``inc()``.
+    a :class:`StatBlock`, and a count kept elsewhere is read with
+    :meth:`StatBlock.publish_samples`; this is for the rest — a label
+    value that only exists at event time (``{kind}``, ``{reason}``).
+    Returns the counter family from the *active* registry, or ``None``
+    when metrics are disabled — callers keep the result and test ``is
+    not None`` before ``labels(...).inc()``.
     """
     if not _active.enabled:
         return None
-    return _active.counter(name, help or FARM_COUNTERS.get(name, ""), labelnames)
+    return _active.counter(name, help, labelnames)
 
 
 def bind_histogram(

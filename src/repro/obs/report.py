@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from typing import Any, Dict, Iterable, List, Optional
 
+from repro.obs.events import sanitise_value
+
 __all__ = [
     "RunReport",
     "WatchRule",
@@ -24,7 +26,6 @@ __all__ = [
     "DiffFinding",
     "diff_reports",
     "dump_records_jsonl",
-    "sanitise_value",
 ]
 
 REPORT_VERSION = 1
@@ -186,25 +187,6 @@ def diff_reports(
 # ----------------------------------------------------------------------
 # JSONL trace dumps
 # ----------------------------------------------------------------------
-def sanitise_value(value: Any) -> Any:
-    """Make one trace-record data value JSON-safe.
-
-    Packets collapse to their one-line ``summary()``; anything else
-    non-JSON falls back to ``repr``.  MAC and IP addresses are ``int``
-    subclasses: they take the ``repr`` too, never their number.
-    """
-    if value is None or isinstance(value, (bool, float, str)) or type(value) is int:
-        return value
-    summary = getattr(value, "summary", None)
-    if callable(summary):
-        return summary()
-    if isinstance(value, (list, tuple)):
-        return [sanitise_value(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): sanitise_value(v) for k, v in value.items()}
-    return repr(value)
-
-
 def dump_records_jsonl(records: Iterable, fh) -> int:
     """Write trace records as JSON lines; returns the line count."""
     count = 0

@@ -4,11 +4,11 @@ Both experiment CLIs (``python -m repro <experiment>`` and ``python -m
 repro plan run``) accept ``--events-log``, ``--serve`` and
 ``--profile-shards``; this module gives them one object that owns the
 optional pieces — event-log writer, metrics registry, dashboard server —
-and attaches a :class:`~repro.obs.fleet.FleetState` + event logger to
-each farm battery as it starts.
+and points the dashboard's ``/fleet`` and an event logger at each farm
+battery as it starts.
 
 Determinism note: the telemetry registry is activated **only around farm
-construction** (so the cache/executor bind the farm counter trio), never
+construction** (so the cache/executor publish the farm counter trio), never
 around task execution — simulations keep binding from the process-wide
 disabled default, so result dicts and spec hashes are bit-identical with
 telemetry on or off.  All status chatter goes to stderr; stdout stays
@@ -18,12 +18,13 @@ byte-stable for the CI serial-vs-parallel diffs.
 from __future__ import annotations
 
 import contextlib
+import functools
 import sys
 import time
 from typing import Iterator, Optional
 
 from repro.obs.events import EventLogWriter, FarmEventLogger
-from repro.obs.fleet import FleetState
+from repro.obs.fleet import fleet_snapshot
 from repro.obs.metrics import MetricsRegistry, use_registry
 
 __all__ = ["FleetTelemetry"]
@@ -40,11 +41,11 @@ class FleetTelemetry:
         name: str = "",
     ) -> None:
         self.serve_grace = serve_grace
+        self.name = name
         self.registry: Optional[MetricsRegistry] = None
         self.writer: Optional[EventLogWriter] = None
         self.server = None
         self._logger: Optional[FarmEventLogger] = None
-        self._fleet: Optional[FleetState] = None
         if events_log:
             self.writer = EventLogWriter(events_log, name=name)
         if serve is not None:
@@ -52,14 +53,9 @@ class FleetTelemetry:
 
             self.registry = MetricsRegistry(enabled=True)
             self.server = DashboardServer(registry=self.registry, port=serve)
-            port = self.server.start()
-            print(f"[fleet dashboard on {self.server.url} "
-                  f"(/metrics /fleet /events)]", file=sys.stderr)
-            del port
-
-    @property
-    def enabled(self) -> bool:
-        return self.writer is not None or self.server is not None
+            self.server.start()
+            print(f"[fleet dashboard on {self.server.url} (/metrics /fleet)]",
+                  file=sys.stderr)
 
     @contextlib.contextmanager
     def farm_registry(self) -> Iterator[None]:
@@ -70,23 +66,21 @@ class FleetTelemetry:
             with use_registry(self.registry):
                 yield
 
-    def attach(self, farm, name: str = "") -> Optional[FleetState]:
-        """Point the telemetry at a new farm battery (detaching the last)."""
-        if not self.enabled:
-            return None
+    def attach(self, farm) -> None:
+        """Point the telemetry at a new farm battery (detaching the last).
+
+        ``/fleet`` is named after the run, as the log's ``log.open`` is,
+        so ``fleet watch --events`` reads what the dashboard served.
+        """
         if self._logger is not None:
             self._logger.detach()
             self._logger = None
-        if self._fleet is not None:
-            self._fleet.detach()
-        self._fleet = FleetState(
-            farm.progress, cache=farm.cache, jobs=farm.jobs, name=name
-        )
         if self.server is not None:
-            self.server.fleet = self._fleet
+            self.server.fleet = functools.partial(
+                fleet_snapshot, farm.progress, farm.cache, farm.jobs, self.name
+            )
         if self.writer is not None:
             self._logger = FarmEventLogger(self.writer, farm.progress)
-        return self._fleet
 
     def close(self) -> None:
         """Flush the log and (after any grace window) stop the server."""

@@ -80,9 +80,9 @@ def add_farm_arguments(parser: argparse.ArgumentParser) -> None:
                              "`repro fleet replay PATH`)")
     parser.add_argument("--serve", type=int, default=None, metavar="PORT",
                         nargs="?", const=0,
-                        help="serve the live dashboard (/metrics /fleet "
-                             "/events) on PORT; omit PORT for an ephemeral "
-                             "one (URL printed to stderr)")
+                        help="serve the live dashboard (/metrics /fleet) "
+                             "on PORT; omit PORT for an ephemeral one (URL "
+                             "printed to stderr)")
     parser.add_argument("--serve-grace", type=float, default=0.0,
                         metavar="SECONDS",
                         help="keep the dashboard up this long after the run "
@@ -184,7 +184,7 @@ class FarmSession:
                 profile_dir=args.profile_shards,
             )
         if telemetry is not None:
-            telemetry.attach(farm, name=plan.name)
+            telemetry.attach(farm)
         start = time.time()
         try:
             results = farm.run(plan.expand())

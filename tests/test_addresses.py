@@ -156,7 +156,7 @@ class TestAddressesAreInts:
         import json
 
         from repro.obs.events import EventLogWriter
-        from repro.obs.report import sanitise_value
+        from repro.obs.events import sanitise_value
 
         mac, ip = MacAddress.from_index(1), IpAddress.from_index(1)
         assert sanitise_value(mac) == repr(mac)

@@ -28,7 +28,6 @@ from repro.obs.events import (
     ROLLUP_FIELDS,
     check_replay,
     read_events,
-    replay_rollup,
     run_digest,
     validate_events,
 )
@@ -162,7 +161,7 @@ class TestValidation:
         _, errors = check_replay(events)
         assert any("replay mismatch" in e for e in errors)
 
-    def test_replay_rollup_counts_cached_as_done(self):
+    def test_replay_counts_cached_as_done(self):
         events = [
             _event(0, "farm.task.queued", runner="r", key="a"),
             _event(1, "farm.task.cached", runner="r", key="a"),
@@ -170,7 +169,7 @@ class TestValidation:
             _event(3, "farm.task.started", runner="r", key="b", attempt=1),
             _event(4, "farm.task.done", runner="r", key="b", wall_time=0.25),
         ]
-        rollup = replay_rollup(events)
+        rollup = FarmProgress.from_events(events).snapshot()
         assert rollup["queued"] == 2
         assert rollup["done"] == 2
         assert rollup["cache_hits"] == 1
@@ -305,13 +304,21 @@ class TestFarmCounters:
         assert samples["farm_task_retries_total"] == 0.0
         text = registry.render_prometheus()
         assert "cache_hits_total 2" in text
+        # read, not pushed: the sample is the progress's own count
+        executor.progress.task_started(specs[0], attempt=1)
+        executor.progress.task_retried(specs[0], "worker crashed")
+        assert registry.samples()["farm_task_retries_total"] == 1.0
 
     def test_disabled_registry_binds_nothing(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        assert cache._hits_counter is None
-        assert cache._misses_counter is None
-        executor = FarmExecutor(jobs=1, cache=cache)
-        assert executor._retries_counter is None
+        registry = MetricsRegistry(enabled=False)
+        with use_registry(registry):
+            cache = ResultCache(tmp_path / "cache")
+            FarmExecutor(jobs=1, cache=cache).run(
+                [RunSpec("fleet.echo", {"value": 1}, seed=1)]
+            )
+        assert cache.misses == 1
+        assert registry.samples() == {}
+        assert registry.render_prometheus() == ""
 
 
 # ----------------------------------------------------------------------

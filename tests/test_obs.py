@@ -9,18 +9,19 @@ from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsError,
     MetricsRegistry,
-    NULL_INSTRUMENT,
     StatBlock,
     active_registry,
+    bind_counter,
+    bind_histogram,
     use_registry,
 )
+from repro.obs.events import sanitise_value
 from repro.obs.report import (
     DEFAULT_WATCHES,
     RunReport,
     WatchRule,
     diff_reports,
     dump_records_jsonl,
-    sanitise_value,
 )
 from repro.obs.spans import PacketTracer
 from repro.sim import Simulator, TraceBus
@@ -54,29 +55,17 @@ class TestMetricsRegistry:
     def test_counter_rejects_negative(self):
         reg = MetricsRegistry()
         with pytest.raises(MetricsError):
-            reg.counter("x_total").inc(-1)
+            reg.counter("x_total").labels().inc(-1)
 
-    def test_gauge_set_inc_dec_and_pull(self):
+    def test_histogram_observe_and_sample(self):
         reg = MetricsRegistry()
-        g = reg.gauge("depth")
-        g.set(5)
-        g.inc()
-        g.dec(2)
-        assert reg.samples()["depth"] == 4
-        g.set_function(lambda: 42.0)
-        assert reg.samples()["depth"] == 42
-
-    def test_histogram_observe_and_quantile(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat_seconds", buckets=(1.0, 2.0, 4.0))
+        h = reg.histogram("lat_seconds", buckets=(1.0, 2.0, 4.0)).labels()
         for v in (0.5, 1.5, 1.5, 3.0):
             h.observe(v)
         sample = reg.samples()["lat_seconds"]
         assert sample["count"] == 4
         assert sample["sum"] == pytest.approx(6.5)
-        solo = reg.histogram("lat_seconds")._solo()
-        assert solo.quantile(0.5) == 2.0
-        assert solo.quantile(1.0) == 4.0
+        assert sample["buckets"] == {"1.0": 1, "2.0": 2, "4.0": 1}
 
     def test_labels_by_keyword(self):
         reg = MetricsRegistry()
@@ -100,23 +89,22 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         reg.counter("x_total", labelnames=("l",))
         with pytest.raises(MetricsError):
-            reg.gauge("x_total", labelnames=("l",))
+            reg.histogram("x_total", labelnames=("l",))
         with pytest.raises(MetricsError):
             reg.counter("x_total", labelnames=("other",))
 
-    def test_unlabelled_family_requires_no_labels_call(self):
+    def test_unlabelled_family_is_reached_through_empty_labels(self):
         reg = MetricsRegistry()
-        reg.counter("plain_total").inc(7)
+        family = reg.counter("plain_total")
+        assert reg.samples() == {}  # no child until one is asked for
+        family.labels().inc(7)
         assert reg.samples()["plain_total"] == 7
 
-    def test_disabled_registry_hands_out_null_instrument(self):
-        reg = MetricsRegistry(enabled=False)
-        c = reg.counter("x_total", labelnames=("l",))
-        assert c is NULL_INSTRUMENT
-        # every op is a silent no-op, labels() chains to itself
-        c.labels("a").inc()
-        c.observe(1.0)
-        c.set(3)
+    def test_disabled_registry_binds_none(self):
+        with use_registry(MetricsRegistry(enabled=False)) as reg:
+            assert bind_counter("x_total", labelnames=("l",)) is None
+            assert bind_histogram("h_seconds", node="a") is None
+            StatBlock.publish_samples(lambda: {"x_total": 1})
         assert reg.samples() == {}
 
     def test_samples_with_extra_labels_merge_sorted(self):
@@ -128,7 +116,7 @@ class TestMetricsRegistry:
     def test_render_prometheus(self):
         reg = MetricsRegistry()
         reg.counter("x_total", "help text", labelnames=("l",)).labels("a").inc(2)
-        reg.histogram("h_seconds", buckets=(1.0,)).observe(0.5)
+        reg.histogram("h_seconds", buckets=(1.0,)).labels().observe(0.5)
         text = reg.render_prometheus()
         assert "# HELP x_total help text" in text
         assert "# TYPE x_total counter" in text
