@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from conftest import emit
 
-from repro.adversary import PayloadCorruptionBehavior
+from repro.adversary.modify import PayloadCorruptionBehavior
 from repro.analysis.report import format_table
 from repro.core.policy import BitExactPolicy, HashPolicy, HeaderOnlyPolicy
 from repro.scenarios.testbed import TestbedParams, build_testbed
@@ -57,7 +57,7 @@ def run_k_sweep():
         if variant is None:
             # build a custom central-k testbed via the chain params
             from repro.core.combiner import CombinerChainParams, build_combiner_chain
-            from repro.net import Network
+            from repro.net.topology import Network
 
             net = Network(seed=1)
             chain_params = CombinerChainParams(

@@ -8,16 +8,16 @@ measured under steady ping traffic (1 ms cycle).
 
 from conftest import emit
 
-from repro.adversary import (
-    BlackholeBehavior,
+from repro.adversary.dos import BlackholeBehavior, ReplayFloodBehavior
+from repro.adversary.modify import (
     HeaderRewriteBehavior,
     PayloadCorruptionBehavior,
-    ReplayFloodBehavior,
     dst_mac_rewrite,
 )
 from repro.analysis.report import format_table
-from repro.core import CombinerChainParams, CompareConfig, build_combiner_chain
-from repro.net import Network
+from repro.core.combiner import CombinerChainParams, build_combiner_chain
+from repro.core.compare import CompareConfig
+from repro.net.topology import Network
 from repro.traffic.iperf import PathEndpoints, run_ping
 
 COMPROMISE_AT = 0.01

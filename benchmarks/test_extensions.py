@@ -4,14 +4,11 @@ paper's prototype: sampling detection and the coarse-granular
 
 from conftest import emit
 
-from repro.adversary import PayloadCorruptionBehavior
+from repro.adversary.modify import PayloadCorruptionBehavior
 from repro.analysis.report import format_table
-from repro.core import (
-    ALARM_MINORITY_DIVERGENCE,
-    CombinerChainParams,
-    build_combiner_chain,
-)
-from repro.net import Network
+from repro.core.alarms import ALARM_MINORITY_DIVERGENCE
+from repro.core.combiner import CombinerChainParams, build_combiner_chain
+from repro.net.topology import Network
 from repro.traffic.iperf import PathEndpoints, run_ping, run_udp_flow
 
 

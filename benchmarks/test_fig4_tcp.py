@@ -7,7 +7,7 @@ the POX controller compare is far slower than the C compare.
 
 from conftest import emit
 
-from repro.analysis import render_record
+from repro.analysis.report import render_record
 from repro.plan.builtin import builtin_plan
 
 

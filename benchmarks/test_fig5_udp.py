@@ -7,7 +7,7 @@ and adjusting the -b flag value until a maximum is reached", with the
 
 from conftest import emit
 
-from repro.analysis import render_record
+from repro.analysis.report import render_record
 from repro.plan.builtin import builtin_plan
 
 

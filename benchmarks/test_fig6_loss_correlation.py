@@ -7,7 +7,7 @@ rate climbs while goodput saturates.
 
 from conftest import emit
 
-from repro.analysis import render_series
+from repro.analysis.report import render_series
 from repro.plan.builtin import fig6_plan
 
 OFFERED = (60, 120, 180, 210, 230, 250, 270, 300, 350)

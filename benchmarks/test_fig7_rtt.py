@@ -7,7 +7,7 @@ dup3 0.189, dup5 0.26, central3 0.319, central5 0.415.
 
 from conftest import emit
 
-from repro.analysis import render_record
+from repro.analysis.report import render_record
 from repro.plan.builtin import fig7_plan
 
 

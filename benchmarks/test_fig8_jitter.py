@@ -13,7 +13,7 @@ stalls surface as RFC 3550 jitter; at large sizes the cache never fills.
 
 from conftest import emit
 
-from repro.analysis import render_series
+from repro.analysis.report import render_series
 from repro.plan.builtin import fig8_plan
 
 SCENARIOS = ("linespeed", "dup3", "dup5", "central3", "central5")

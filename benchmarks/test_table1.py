@@ -10,7 +10,8 @@ Paper values (Mbit/s, Mbit/s, ms):
 
 from conftest import emit
 
-from repro.analysis import paper_table1_values, render_table1
+from repro.analysis.records import paper_table1_values
+from repro.analysis.report import render_table1
 from repro.plan.builtin import builtin_plan
 
 

@@ -18,8 +18,8 @@ combiner of Section IX) and shows that
 Run:  python examples/crypto_transport.py
 """
 
-from repro.adversary import BlackholeBehavior, ReplayFloodBehavior
-from repro.scenarios import build_testbed
+from repro.adversary.dos import BlackholeBehavior, ReplayFloodBehavior
+from repro.scenarios.testbed import build_testbed
 from repro.traffic.iperf import run_udp_flow
 
 

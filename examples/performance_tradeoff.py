@@ -14,8 +14,9 @@ Run:  python examples/performance_tradeoff.py           (about a minute)
 
 import sys
 
-from repro.analysis import paper_table1_values, render_table1
-from repro.farm import FarmExecutor
+from repro.analysis.records import paper_table1_values
+from repro.analysis.report import render_table1
+from repro.farm.executor import FarmExecutor
 from repro.plan.builtin import builtin_plan
 
 

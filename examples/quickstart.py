@@ -9,9 +9,10 @@ through it.  The corrupted copies lose every vote; traffic is unharmed.
 Run:  python examples/quickstart.py
 """
 
-from repro.adversary import PayloadCorruptionBehavior
-from repro.core import CombinerChainParams, CompareConfig, build_combiner_chain
-from repro.net import Network
+from repro.adversary.modify import PayloadCorruptionBehavior
+from repro.core.combiner import CombinerChainParams, build_combiner_chain
+from repro.core.compare import CompareConfig
+from repro.net.topology import Network
 from repro.traffic.iperf import PathEndpoints, run_ping, run_udp_flow
 
 

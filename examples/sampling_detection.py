@@ -14,9 +14,10 @@ delivered traffic and is still caught; the price is that a tampering
 Run:  python examples/sampling_detection.py
 """
 
-from repro.adversary import PayloadCorruptionBehavior
-from repro.core import ALARM_MINORITY_DIVERGENCE
-from repro.scenarios import build_testbed, get_scenario
+from repro.adversary.modify import PayloadCorruptionBehavior
+from repro.core.alarms import ALARM_MINORITY_DIVERGENCE
+from repro.scenarios.registry import get_scenario
+from repro.scenarios.testbed import build_testbed
 from repro.traffic.iperf import run_udp_flow
 
 

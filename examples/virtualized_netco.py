@@ -12,8 +12,8 @@ difference.
 Run:  python examples/virtualized_netco.py
 """
 
-from repro.adversary import PayloadCorruptionBehavior
-from repro.scenarios import build_testbed
+from repro.adversary.modify import PayloadCorruptionBehavior
+from repro.scenarios.testbed import build_testbed
 from repro.traffic.iperf import run_ping
 
 

@@ -8,8 +8,9 @@ Packages:
 * :mod:`repro.openflow` — OpenFlow 1.0 match-action substrate;
 * :mod:`repro.apps` — controller applications (learning switch, static
   routing, POX-style compare);
-* :mod:`repro.core` — the NetCo contribution: hubs, compare, combiner
-  chains, shielded routers, virtualized combiners;
+* :mod:`repro.core` — the NetCo contribution: endpoints, compare and
+  the combiner chain (a shielded router is its one-endpoint case), and
+  virtualized combiners;
 * :mod:`repro.adversary` — the Section II threat model as pluggable
   router behaviours;
 * :mod:`repro.traffic` — iperf/ping analogues with full TCP Reno;
@@ -17,10 +18,13 @@ Packages:
 * :mod:`repro.analysis` — farm tasks, records and reporting for every
   table and figure (the grids themselves are :mod:`repro.plan` plans).
 
+A package is a namespace and exports nothing: import a name from the
+module that defines it (DESIGN.md §6).
+
 Quickstart::
 
-    from repro.net import Network
-    from repro.core import CombinerChainParams, build_combiner_chain
+    from repro.core.combiner import CombinerChainParams, build_combiner_chain
+    from repro.net.topology import Network
 
     net = Network(seed=1)
     chain = build_combiner_chain(net, "nc", CombinerChainParams(k=3))

@@ -1,85 +1,1 @@
 """Adversarial router models for the NetCo threat model."""
-
-from repro.adversary.behaviors import (
-    AdversarialBehavior,
-    BenignBehavior,
-    CompositeBehavior,
-    Selector,
-    match_all,
-    match_all_of,
-    match_any_of,
-    match_dst_ip,
-    match_dst_mac,
-    match_icmp,
-    match_none,
-    match_proto,
-    match_src_mac,
-    match_tcp,
-    match_udp,
-)
-from repro.adversary.dos import (
-    BlackholeBehavior,
-    GeneratorFloodBehavior,
-    ReplayFloodBehavior,
-)
-from repro.adversary.mirror import MirrorAndDropBehavior, MirrorBehavior
-from repro.adversary.modify import (
-    DropBehavior,
-    HeaderRewriteBehavior,
-    PacketInjectionBehavior,
-    PayloadCorruptionBehavior,
-    dst_mac_rewrite,
-    vlan_rewrite,
-)
-from repro.adversary.reroute import PortSwapBehavior, RerouteBehavior
-from repro.adversary.strategies import (
-    STRATEGIES,
-    CollusionCorruption,
-    PathInconsistency,
-    ProbationEvader,
-    SampledCorruption,
-    ScheduledStrategy,
-    SweepTimedCorruption,
-    build_strategy,
-    corrupt_payload,
-)
-
-__all__ = [
-    "AdversarialBehavior",
-    "BenignBehavior",
-    "CompositeBehavior",
-    "Selector",
-    "match_all",
-    "match_all_of",
-    "match_any_of",
-    "match_dst_ip",
-    "match_dst_mac",
-    "match_icmp",
-    "match_none",
-    "match_proto",
-    "match_src_mac",
-    "match_tcp",
-    "match_udp",
-    "BlackholeBehavior",
-    "GeneratorFloodBehavior",
-    "ReplayFloodBehavior",
-    "MirrorAndDropBehavior",
-    "MirrorBehavior",
-    "DropBehavior",
-    "HeaderRewriteBehavior",
-    "PacketInjectionBehavior",
-    "PayloadCorruptionBehavior",
-    "dst_mac_rewrite",
-    "vlan_rewrite",
-    "PortSwapBehavior",
-    "RerouteBehavior",
-    "STRATEGIES",
-    "CollusionCorruption",
-    "PathInconsistency",
-    "ProbationEvader",
-    "SampledCorruption",
-    "ScheduledStrategy",
-    "SweepTimedCorruption",
-    "build_strategy",
-    "corrupt_payload",
-]

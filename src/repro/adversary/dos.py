@@ -12,7 +12,7 @@ from typing import Callable, Optional
 from repro.adversary.behaviors import AdversarialBehavior, Selector, match_all
 from repro.net.packet import Packet
 from repro.openflow.switch import OpenFlowSwitch
-from repro.sim import PeriodicTask
+from repro.sim.engine import PeriodicTask
 
 
 class ReplayFloodBehavior(AdversarialBehavior):

@@ -13,7 +13,7 @@ from repro.adversary.behaviors import AdversarialBehavior, Selector, match_all
 from repro.net.addresses import MacAddress
 from repro.net.packet import Packet, Vlan
 from repro.openflow.switch import OpenFlowSwitch
-from repro.sim import PeriodicTask
+from repro.sim.engine import PeriodicTask
 
 
 class DropBehavior(AdversarialBehavior):

@@ -49,7 +49,7 @@ def _cmd_alias(args: argparse.Namespace) -> int:
     if args.plan == "chaos":
         overrides["variant"] = args.variant
         if args.chaos is not None:
-            from repro.chaos import FaultSchedule
+            from repro.chaos.schedule import FaultSchedule
 
             try:
                 schedule = FaultSchedule.from_json_file(args.chaos)

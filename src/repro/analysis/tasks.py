@@ -18,13 +18,13 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.chaos import (
+from repro.chaos.quarantine import QuarantineController
+from repro.chaos.schedule import (
     AdversaryStrategy,
     ChaosEngine,
     ControllerCompromise,
     ControllerCrash,
     FaultSchedule,
-    QuarantineController,
 )
 from repro.core.alarms import ALARM_DOS_SUSPECTED, ALARM_ROUTER_UNAVAILABLE
 from repro.farm.spec import register_runner

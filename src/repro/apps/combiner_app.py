@@ -19,7 +19,13 @@ from repro.core.endpoint import CombinerEndpoint
 from repro.openflow.controller import Controller
 from repro.openflow.messages import PacketIn, PacketOut
 from repro.openflow.switch import OpenFlowSwitch
-from repro.transport import ROLE_COLLECT, ROLE_RELEASE, Session, SessionSpec, Transport
+from repro.transport.base import (
+    ROLE_COLLECT,
+    ROLE_RELEASE,
+    Session,
+    SessionSpec,
+    Transport,
+)
 
 
 class ControlChannelReleaseSession(Session):

@@ -1,58 +1,12 @@
 """Deterministic fault injection and self-healing for NetCo combiners.
 
 ``repro.chaos`` answers the question every other experiment leaves open:
-*does it survive?*  :class:`FaultSchedule` declares typed faults (link
-cuts, Gilbert–Elliott bursts, bandwidth brownouts, router crashes,
-mid-run compromises) in JSON; :class:`ChaosEngine` compiles them onto a
-live network deterministically; :class:`QuarantineController` closes the
-loop the paper leaves to the administrator, quarantining a persistently
+*does it survive?*  :class:`~repro.chaos.schedule.FaultSchedule`
+declares typed faults (link cuts, Gilbert–Elliott bursts, bandwidth
+brownouts, router crashes, mid-run compromises) in JSON;
+:class:`~repro.chaos.schedule.ChaosEngine` compiles them onto a live
+network deterministically;
+:class:`~repro.chaos.quarantine.QuarantineController` closes the loop
+the paper leaves to the administrator, quarantining a persistently
 missing branch and re-admitting it after probation.
 """
-
-from repro.chaos.quarantine import QuarantineController
-from repro.chaos.schedule import (
-    BEHAVIOR_FACTORIES,
-    AdversaryStrategy,
-    BandwidthDegrade,
-    BehaviorOff,
-    BehaviorOn,
-    ChaosEngine,
-    ControllerCompromise,
-    ControllerCrash,
-    ControllerRestart,
-    ControllerRestore,
-    EVENT_KINDS,
-    FaultEvent,
-    FaultSchedule,
-    GilbertElliottLoss,
-    LinkDown,
-    LinkUp,
-    LossBurst,
-    RouterCrash,
-    RouterRestart,
-    builtin_battery,
-)
-
-__all__ = [
-    "BEHAVIOR_FACTORIES",
-    "AdversaryStrategy",
-    "BandwidthDegrade",
-    "BehaviorOff",
-    "BehaviorOn",
-    "ChaosEngine",
-    "ControllerCompromise",
-    "ControllerCrash",
-    "ControllerRestart",
-    "ControllerRestore",
-    "EVENT_KINDS",
-    "FaultEvent",
-    "FaultSchedule",
-    "GilbertElliottLoss",
-    "LinkDown",
-    "LinkUp",
-    "LossBurst",
-    "QuarantineController",
-    "RouterCrash",
-    "RouterRestart",
-    "builtin_battery",
-]

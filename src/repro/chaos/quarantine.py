@@ -25,7 +25,7 @@ from repro.core.alarms import (
     ALARM_ROUTER_UNAVAILABLE,
 )
 from repro.obs.metrics import bind_counter
-from repro.sim import TraceBus, TraceRecord
+from repro.sim.trace import TraceBus, TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.compare import CompareCore

@@ -32,12 +32,9 @@ import re
 from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Type
 
-from repro.adversary import (
-    BenignBehavior,
-    BlackholeBehavior,
-    DropBehavior,
-    PayloadCorruptionBehavior,
-)
+from repro.adversary.behaviors import BenignBehavior
+from repro.adversary.dos import BlackholeBehavior
+from repro.adversary.modify import DropBehavior, PayloadCorruptionBehavior
 from repro.adversary.strategies import STRATEGIES, ScheduledStrategy, build_strategy
 from repro.ctrl.replicated import CTRL_STRATEGIES
 from repro.net.link import Link

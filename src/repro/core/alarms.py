@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.sim import TraceBus
+from repro.sim.trace import TraceBus
 
 ALARM_ROUTER_UNAVAILABLE = "router_unavailable"
 ALARM_DOS_SUSPECTED = "dos_suspected"

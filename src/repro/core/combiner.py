@@ -37,14 +37,15 @@ from repro.obs.metrics import StatBlock
 from repro.openflow.actions import Output
 from repro.openflow.match import Match
 from repro.openflow.switch import OpenFlowSwitch
-from repro.sim import CpuResource, Simulator, TraceBus
-from repro.transport import (
+from repro.sim.engine import CpuResource, Simulator
+from repro.sim.trace import TraceBus
+from repro.transport.base import (
     ROLE_COLLECT,
     ROLE_RELEASE,
-    DesTransport,
     Session,
     SessionSpec,
 )
+from repro.transport.des import DesTransport
 
 
 class CompareHostStats(StatBlock):

@@ -43,7 +43,8 @@ from repro.core.policy import BitExactPolicy, ComparePolicy
 from repro.core.votes import VoteEntry, VoteOutcome
 from repro.net.packet import Packet
 from repro.obs.metrics import StatBlock, bind_counter, bind_histogram
-from repro.sim import Simulator, TraceBus
+from repro.sim.engine import Simulator
+from repro.sim.trace import TraceBus
 
 
 @dataclass

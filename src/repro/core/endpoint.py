@@ -33,8 +33,9 @@ from repro.net.packet import Packet
 from repro.obs.metrics import StatBlock
 from repro.openflow.messages import PACKETIN_NO_MATCH, PacketIn, PacketOut
 from repro.openflow.switch import OpenFlowSwitch
-from repro.sim import Simulator, TraceBus
-from repro.transport import (
+from repro.sim.engine import Simulator
+from repro.sim.trace import TraceBus
+from repro.transport.base import (
     ROLE_COLLECT,
     ROLE_FANOUT,
     ROLE_RELEASE,

@@ -14,7 +14,8 @@ from typing import Optional
 
 from repro.core.endpoint import MODE_DUP, CombinerEndpoint
 from repro.net.node import Port
-from repro.sim import Simulator, TraceBus
+from repro.sim.engine import Simulator
+from repro.sim.trace import TraceBus
 
 UPSTREAM_PORT = 1
 

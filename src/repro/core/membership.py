@@ -50,7 +50,8 @@ from repro.core.alarms import (
     AlarmSink,
 )
 from repro.core.votes import VoteBook, VoteEntry, VoteOutcome
-from repro.sim import PeriodicTask, Simulator, TraceBus
+from repro.sim.engine import PeriodicTask, Simulator
+from repro.sim.trace import TraceBus
 
 __all__ = ["QuorumConfig", "QuorumVoter"]
 

@@ -25,7 +25,7 @@ from repro.core.alarms import ALARM_MINORITY_DIVERGENCE
 from repro.core.compare import CompareCore
 from repro.core.endpoint import CombinerEndpoint
 from repro.net.packet import Packet
-from repro.sim import Simulator
+from repro.sim.engine import Simulator
 
 
 def deterministic_sample(key: bytes, rate: float) -> bool:

@@ -2,39 +2,3 @@
 controller): k app replicas, fan-in of switch events, majority vote over
 canonical byte encodings of outbound control messages, quarantine and
 probation for divergent or silent replicas."""
-
-from repro.ctrl.compare import ControlCompare, ControlCompareConfig, CtrlStats
-from repro.ctrl.digest import (
-    DigestError,
-    digest,
-    encode_action,
-    encode_actions,
-    encode_flow_mod,
-    encode_match,
-    encode_packet_out,
-)
-from repro.ctrl.replicated import (
-    BOGUS_PORT,
-    CTRL_STRATEGIES,
-    CompromisePlan,
-    ReplicaHandle,
-    ReplicatedControlPlane,
-)
-
-__all__ = [
-    "BOGUS_PORT",
-    "CTRL_STRATEGIES",
-    "CompromisePlan",
-    "ControlCompare",
-    "ControlCompareConfig",
-    "CtrlStats",
-    "DigestError",
-    "ReplicaHandle",
-    "ReplicatedControlPlane",
-    "digest",
-    "encode_action",
-    "encode_actions",
-    "encode_flow_mod",
-    "encode_match",
-    "encode_packet_out",
-]

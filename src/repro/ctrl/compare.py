@@ -46,7 +46,8 @@ from repro.core.votes import VoteEntry, VoteOutcome
 from repro.ctrl.digest import DigestError, digest
 from repro.obs.metrics import StatBlock, bind_histogram
 from repro.openflow.messages import FlowMod
-from repro.sim import Simulator, TraceBus
+from repro.sim.engine import Simulator
+from repro.sim.trace import TraceBus
 
 __all__ = ["ControlCompareConfig", "CtrlStats", "ControlCompare"]
 

@@ -52,7 +52,8 @@ from repro.openflow.messages import (
     PacketOut,
     PortStatsReply,
 )
-from repro.sim import Simulator, TraceBus
+from repro.sim.engine import Simulator
+from repro.sim.trace import TraceBus
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.openflow.switch import OpenFlowSwitch

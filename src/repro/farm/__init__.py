@@ -2,31 +2,9 @@
 
 Every table/figure of the reproduction is a sweep of *independent*
 simulations (scenario x seed x repetition x offered rate).  The farm
-turns such a sweep into a list of :class:`RunSpec` work items, shards
+turns such a sweep into a list of :class:`~repro.farm.spec.RunSpec` work items, shards
 them across worker processes, caches results on disk keyed by a stable
 content hash, and hands the results back *keyed by spec, not by
 completion order* — so a parallel run merges to a record bit-identical
 to the serial one.
 """
-
-from repro.farm.cache import ResultCache
-from repro.farm.executor import FarmExecutor, FarmTaskError, TaskTimeout
-from repro.farm.progress import FarmProgress
-from repro.farm.spec import (
-    RunSpec,
-    register_runner,
-    registered_runners,
-    resolve_runner,
-)
-
-__all__ = [
-    "FarmExecutor",
-    "FarmProgress",
-    "FarmTaskError",
-    "ResultCache",
-    "RunSpec",
-    "TaskTimeout",
-    "register_runner",
-    "registered_runners",
-    "resolve_runner",
-]

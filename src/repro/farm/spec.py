@@ -47,10 +47,7 @@ def resolve_runner(name: str) -> Callable[..., Any]:
     if name in _REGISTRY:
         return _REGISTRY[name]
     for module in _DEFAULT_TASK_MODULES:
-        try:
-            importlib.import_module(module)
-        except ImportError:  # pragma: no cover - defensive
-            continue
+        importlib.import_module(module)
         if name in _REGISTRY:
             return _REGISTRY[name]
     if ":" in name:

@@ -14,15 +14,3 @@ same fault at the same point of the packet stream, making the two
 backends' verdicts — alarms, quarantine transitions, released-sequence
 fingerprint — directly comparable (see DESIGN.md §14).
 """
-
-from repro.live.schedule import LiveFault, LiveSchedule, default_schedule
-from repro.live.verdict import Verdict, fingerprint, verdicts_match
-
-__all__ = [
-    "LiveFault",
-    "LiveSchedule",
-    "Verdict",
-    "default_schedule",
-    "fingerprint",
-    "verdicts_match",
-]

@@ -25,7 +25,7 @@ from repro.live.verdict import Verdict, verdicts_match
 from repro.net.addresses import IpAddress, MacAddress
 from repro.net.packet import Packet
 from repro.traffic.udp import _encode_payload
-from repro.transport import ROLE_FANOUT, SessionSpec
+from repro.transport.base import ROLE_FANOUT, SessionSpec
 from repro.transport.udp import UdpTransport
 from repro.transport.wire import MSG_BYE, MSG_HELLO
 

@@ -31,9 +31,9 @@ from repro.core.alarms import AlarmSink
 from repro.core.compare import CompareConfig, CompareContext, CompareCore
 from repro.live.schedule import LiveSchedule
 from repro.live.verdict import Verdict
-from repro.sim import TraceBus
+from repro.sim.trace import TraceBus
 from repro.traffic.udp import _decode_payload
-from repro.transport import ROLE_COLLECT, ROLE_FANOUT, SessionSpec
+from repro.transport.base import ROLE_COLLECT, ROLE_FANOUT, SessionSpec
 from repro.transport.realtime import RealTimeScheduler
 from repro.transport.udp import UdpTransport
 from repro.transport.wire import MSG_BYE, MSG_HELLO

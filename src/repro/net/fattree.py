@@ -11,13 +11,11 @@ datacenter routing-attack case study.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 from repro.net.host import Host
 from repro.net.topology import Network
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.openflow.switch import OpenFlowSwitch
+from repro.openflow.switch import OpenFlowSwitch
 
 
 @dataclass
@@ -65,10 +63,6 @@ def build_fat_tree(
     specific positions — e.g. virtual-combiner ingress/egress edges —
     or ``None`` to get the default switch.
     """
-    # Imported here, not at module level: `repro.openflow` imports
-    # `repro.net` (addresses, packets), and `repro.net` exports this module.
-    from repro.openflow.switch import OpenFlowSwitch
-
     if k < 2 or k % 2:
         raise ValueError(f"fat-tree arity must be even and >= 2, got {k}")
     net = network or Network(seed=seed)

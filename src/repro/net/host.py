@@ -27,7 +27,8 @@ from repro.net.packet import (
     Udp,
 )
 from repro.obs.metrics import StatBlock
-from repro.sim import Simulator, TraceBus
+from repro.sim.engine import Simulator
+from repro.sim.trace import TraceBus
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     pass

@@ -25,7 +25,8 @@ from repro.net.packet import (
     Ipv4,
     Packet,
 )
-from repro.sim import CpuResource, Simulator, TraceBus
+from repro.sim.engine import CpuResource, Simulator
+from repro.sim.trace import TraceBus
 
 #: ICMP type 11 = Time Exceeded
 ICMP_TIME_EXCEEDED = 11

@@ -20,7 +20,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.net.node import LinkStats
-from repro.sim import RngStreams, Simulator, TraceBus
+from repro.sim.engine import Simulator
+from repro.sim.rng import RngStreams
+from repro.sim.trace import TraceBus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.net.node import Port

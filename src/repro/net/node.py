@@ -10,7 +10,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.obs.metrics import StatBlock, bind_histogram
-from repro.sim import Simulator, TraceBus
+from repro.sim.engine import Simulator
+from repro.sim.trace import TraceBus
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.link import Link

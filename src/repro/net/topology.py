@@ -16,7 +16,9 @@ from repro.net.host import Host
 from repro.net.link import Link
 from repro.net.node import NetworkError, Node, Port
 from repro.obs.metrics import StatBlock
-from repro.sim import RngStreams, Simulator, TraceBus
+from repro.sim.engine import Simulator
+from repro.sim.rng import RngStreams
+from repro.sim.trace import TraceBus
 
 
 class Network:

@@ -2,25 +2,7 @@
 
 Import discipline: hot-path modules (``repro.net.link``,
 ``repro.core.compare``) import :mod:`repro.obs.metrics` at module load,
-so this package must stay import-light — only the dependency-free
-pillars are re-exported here.  The heavier layers
+so that module stays dependency-free.  The heavier layers
 (:mod:`repro.obs.report`, :mod:`repro.obs.summary`,
-:mod:`repro.obs.cli`) import scenario/traffic code and are imported
-lazily by their callers.
+:mod:`repro.obs.cli`) import scenario/traffic code.
 """
-
-from repro.obs.metrics import (
-    MetricsRegistry,
-    active_registry,
-    set_active_registry,
-    use_registry,
-)
-from repro.obs.spans import PacketTracer
-
-__all__ = [
-    "MetricsRegistry",
-    "PacketTracer",
-    "active_registry",
-    "set_active_registry",
-    "use_registry",
-]

@@ -1,75 +1,1 @@
 """OpenFlow 1.0 substrate: match-action switches and controllers."""
-
-from repro.openflow.actions import (
-    Action,
-    Output,
-    PORT_CONTROLLER,
-    PORT_FLOOD,
-    PORT_IN_PORT,
-    SetDlDst,
-    SetDlSrc,
-    SetNwDst,
-    SetNwSrc,
-    SetTpDst,
-    SetTpSrc,
-    SetVlanVid,
-    StripVlan,
-    flood,
-    to_controller,
-)
-from repro.openflow.controller import Controller
-from repro.openflow.flowtable import FlowEntry, FlowTable
-from repro.openflow.match import Match
-from repro.openflow.messages import (
-    FLOWMOD_ADD,
-    FLOWMOD_DELETE,
-    FLOWMOD_DELETE_STRICT,
-    FlowMod,
-    FlowRemoved,
-    FlowStatsReply,
-    FlowStatsRequest,
-    PACKETIN_ACTION,
-    PACKETIN_NO_MATCH,
-    PacketIn,
-    PacketOut,
-    PortStatsReply,
-    PortStatsRequest,
-)
-from repro.openflow.switch import OpenFlowSwitch, SwitchStats
-
-__all__ = [
-    "Action",
-    "Output",
-    "PORT_CONTROLLER",
-    "PORT_FLOOD",
-    "PORT_IN_PORT",
-    "SetDlDst",
-    "SetDlSrc",
-    "SetNwDst",
-    "SetNwSrc",
-    "SetTpDst",
-    "SetTpSrc",
-    "SetVlanVid",
-    "StripVlan",
-    "flood",
-    "to_controller",
-    "Controller",
-    "FlowEntry",
-    "FlowTable",
-    "Match",
-    "FLOWMOD_ADD",
-    "FLOWMOD_DELETE",
-    "FLOWMOD_DELETE_STRICT",
-    "FlowMod",
-    "FlowRemoved",
-    "FlowStatsReply",
-    "FlowStatsRequest",
-    "PACKETIN_ACTION",
-    "PACKETIN_NO_MATCH",
-    "PacketIn",
-    "PacketOut",
-    "PortStatsReply",
-    "PortStatsRequest",
-    "OpenFlowSwitch",
-    "SwitchStats",
-]

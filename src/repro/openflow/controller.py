@@ -23,7 +23,8 @@ from repro.openflow.messages import (
     PacketIn,
     PortStatsReply,
 )
-from repro.sim import Simulator, TraceBus
+from repro.sim.engine import Simulator
+from repro.sim.trace import TraceBus
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.openflow.switch import OpenFlowSwitch

@@ -46,8 +46,10 @@ from repro.openflow.messages import (
     PortStatsRequest,
 )
 from repro.obs.metrics import StatBlock
-from repro.sim import CpuResource, Simulator, TraceBus
-from repro.transport import ROLE_EGRESS, DesTransport, SessionSpec
+from repro.sim.engine import CpuResource, Simulator
+from repro.sim.trace import TraceBus
+from repro.transport.base import ROLE_EGRESS, SessionSpec
+from repro.transport.des import DesTransport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adversary.behaviors import AdversarialBehavior

@@ -6,51 +6,3 @@ watch rules; ``expand()`` compiles it to farm work items and the merge
 registry folds results back into figure records, bit-identically to the
 historical per-figure wiring.
 """
-
-from repro.plan.builtin import (
-    QUICK_SETTINGS,
-    builtin_plan,
-    builtin_plan_names,
-    chaos_plan,
-    fig4_plan,
-    fig5_plan,
-    fig6_plan,
-    fig7_plan,
-    fig8_plan,
-    jitter_params,
-    smoke_plan,
-    table1_plan,
-)
-from repro.plan.mergers import (
-    Combiner,
-    Merger,
-    combiner_names,
-    get_combiner,
-    get_merger,
-    merger_kinds,
-)
-from repro.plan.plan import PLAN_VERSION, ExperimentPlan, PlanStage
-
-__all__ = [
-    "PLAN_VERSION",
-    "ExperimentPlan",
-    "PlanStage",
-    "Merger",
-    "Combiner",
-    "get_merger",
-    "get_combiner",
-    "merger_kinds",
-    "combiner_names",
-    "QUICK_SETTINGS",
-    "builtin_plan",
-    "builtin_plan_names",
-    "chaos_plan",
-    "fig4_plan",
-    "fig5_plan",
-    "fig6_plan",
-    "fig7_plan",
-    "fig8_plan",
-    "jitter_params",
-    "smoke_plan",
-    "table1_plan",
-]

@@ -279,7 +279,7 @@ def chaos_plan(
     """
     require_compare([variant])
     if schedules is None:
-        from repro.chaos import builtin_battery
+        from repro.chaos.schedule import builtin_battery
 
         schedules = [s.to_dict() for s in builtin_battery().values()]
     return ExperimentPlan(
@@ -412,7 +412,7 @@ def virtualized_plan(
 ) -> ExperimentPlan:
     """Section VII: one vendor's transit corrupts every payload from
     t = 0; two tunnels detect it, three prevent it."""
-    from repro.chaos import BehaviorOn, FaultSchedule
+    from repro.chaos.schedule import BehaviorOn, FaultSchedule
 
     require_compare(variants)
     corrupt = FaultSchedule(

@@ -25,7 +25,8 @@ import time
 from typing import Any, Dict, List, Optional, TextIO
 
 from repro.analysis.report import render_farm_summary
-from repro.farm import FarmExecutor, FarmTaskError, ResultCache
+from repro.farm.cache import ResultCache
+from repro.farm.executor import FarmExecutor, FarmTaskError
 from repro.plan.builtin import builtin_plan, builtin_plan_names
 from repro.plan.mergers import get_combiner, get_merger
 from repro.plan.plan import ExperimentPlan

@@ -9,17 +9,20 @@ bytes as a serial one.
 
 :class:`Combiner` recipes fold *multi-stage* plans one step further
 (Table I folds three metric records into one scenario × metric table).
-
-The :mod:`repro.analysis` imports are deliberately function-local:
-``repro.plan`` must be importable without touching the analysis
-package, whose CLI imports the plan builders (the cycle is broken
-here, at the data edge, where the import only happens at merge time).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
+
+from repro.analysis.records import PAPER_TABLE1, ExperimentRecord, paper_value
+from repro.analysis.report import (
+    format_table,
+    render_record,
+    render_series,
+    render_table1,
+)
 
 __all__ = [
     "Merger",
@@ -29,18 +32,6 @@ __all__ = [
     "merger_kinds",
     "combiner_names",
 ]
-
-
-def _records_mod():
-    from repro.analysis import records
-
-    return records
-
-
-def _report_mod():
-    from repro.analysis import report
-
-    return report
 
 
 @dataclass(frozen=True)
@@ -137,8 +128,7 @@ def group_by_variant(specs, results) -> Dict[str, List[Any]]:
 # mean_record: per-scenario sample mean -> ExperimentRecord (figs 4, 7)
 # ----------------------------------------------------------------------
 def _merge_mean_record(specs, results, options):
-    records = _records_mod()
-    record = records.ExperimentRecord(options["experiment"], options["description"])
+    record = ExperimentRecord(options["experiment"], options["description"])
     metric, unit = options["metric"], options["unit"]
     for variant, samples in group_by_variant(specs, results).items():
         record.add(
@@ -146,7 +136,7 @@ def _merge_mean_record(specs, results, options):
             metric,
             sum(samples) / len(samples),
             unit,
-            paper_value=records.paper_value(variant, metric),
+            paper_value=paper_value(variant, metric),
         )
     return record
 
@@ -156,7 +146,7 @@ def _record_records(merged, options) -> List[Dict[str, Any]]:
 
 
 def _record_render(merged, options) -> str:
-    return _report_mod().render_record(merged)
+    return render_record(merged)
 
 
 register_merger(Merger(
@@ -172,8 +162,7 @@ register_merger(Merger(
 # udp_max_record: one rate-search sample per scenario (fig 5)
 # ----------------------------------------------------------------------
 def _merge_udp_max_record(specs, results, options):
-    records = _records_mod()
-    record = records.ExperimentRecord(options["experiment"], options["description"])
+    record = ExperimentRecord(options["experiment"], options["description"])
     metric, unit = options["metric"], options["unit"]
     for variant, (sample,) in group_by_variant(specs, results).items():
         record.add(
@@ -181,7 +170,7 @@ def _merge_udp_max_record(specs, results, options):
             metric,
             sample["mbps"],
             unit,
-            paper_value=records.paper_value(variant, metric),
+            paper_value=paper_value(variant, metric),
             loss_rate=sample["loss_rate"],
         )
     return record
@@ -218,7 +207,7 @@ def _points_render(merged, options) -> str:
         return _json_text(_points_records(merged, options))
     x_label, *y_labels = fields
     return "\n".join(
-        _report_mod().render_series(
+        render_series(
             y_label, x_label, y_label, [(p[0], p[column]) for p in merged]
         )
         for column, y_label in enumerate(y_labels, start=1)
@@ -259,11 +248,10 @@ def _size_series_records(merged, options) -> List[Dict[str, Any]]:
 
 
 def _size_series_render(merged, options) -> str:
-    report = _report_mod()
     axis = options.get("axis", "payload_size")
     unit = options.get("unit", "")
     blocks = [
-        report.render_series(
+        render_series(
             variant, axis, unit, [(size, round(value, 5)) for size, value in points]
         )
         for variant, points in merged.items()
@@ -374,7 +362,7 @@ def _casestudy_render(merged, options) -> str:
         ]
         for r in merged
     ]
-    return "Section VI case study\n" + _report_mod().format_table(
+    return "Section VI case study\n" + format_table(
         ["scenario", "sent", "req@fw1", "resp@vm1", "strays"], rows
     )
 
@@ -500,12 +488,10 @@ def _metric_table_records(values) -> List[Dict[str, Any]]:
 
 
 def _metric_table_render(values) -> str:
-    records = _records_mod()
-    report = _report_mod()
     paper: Dict[str, Dict[str, float]] = {}
-    for (scenario, metric), value in records.PAPER_TABLE1.items():
+    for (scenario, metric), value in PAPER_TABLE1.items():
         paper.setdefault(metric, {})[scenario] = value
-    return report.render_table1(values, paper=paper)
+    return render_table1(values, paper=paper)
 
 
 register_combiner(Combiner(

@@ -47,13 +47,11 @@ from repro.core.combiner import (
 from repro.core.compare import CompareConfig
 from repro.net.host import Host
 from repro.net.topology import Network
-from repro.scenarios.datacenter import build_pod_slice
 from repro.scenarios.registry import (
     ScenarioSpec,
     get_scenario,
     scenario_names,
 )
-from repro.scenarios.virtualized import build_virtualized_scenario
 from repro.traffic.iperf import PathEndpoints
 
 #: all registered variant names — derived from the scenario registry
@@ -204,7 +202,11 @@ def build_testbed(
             "it cannot run under reactive control"
         )
     k = spec.k
+    # the ladder and pod builders are imported in their own branch, so a
+    # chain run does not load them (tests/test_import_order.py pins it)
     if spec.topology == "ladder":
+        from repro.scenarios.virtualized import build_virtualized_scenario
+
         ladder = build_virtualized_scenario(
             k=k, seed=params.seed, compare=params.compare_config(k)
         )
@@ -212,6 +214,8 @@ def build_testbed(
             variant, ladder.network, ladder.src, ladder.dst, ladder.combiner, params
         )
     if spec.topology == "pod":
+        from repro.scenarios.datacenter import build_pod_slice
+
         net, shield = build_pod_slice(params.seed, params.compare_config(k))
         return Testbed(variant, net, net.host("vm1"), net.host("fw1"), shield, params)
 

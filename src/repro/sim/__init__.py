@@ -1,24 +1,4 @@
 """Discrete-event simulation kernel for the NetCo reproduction."""
 
-from repro.sim.engine import (
-    CpuResource,
-    EventHandle,
-    PeriodicTask,
-    SimulationError,
-    Simulator,
-    Timer,
-)
-from repro.sim.rng import RngStreams
-from repro.sim.trace import TraceBus, TraceRecord
-
-__all__ = [
-    "CpuResource",
-    "EventHandle",
-    "PeriodicTask",
-    "SimulationError",
-    "Simulator",
-    "Timer",
-    "RngStreams",
-    "TraceBus",
-    "TraceRecord",
-]
+# The one name frozen ``bench/`` imports from the package (DESIGN §6).
+from repro.sim.trace import TraceBus

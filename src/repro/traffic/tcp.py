@@ -35,7 +35,7 @@ from repro.net.packet import (
     TCP_SYN,
     Tcp,
 )
-from repro.sim import Timer
+from repro.sim.engine import Timer
 
 MSS_DEFAULT = 1460
 

@@ -19,26 +19,6 @@ builds its own transport.  Two byte-moving backends exist:
 See DESIGN.md §14 for the interface contract.
 """
 
-from repro.transport.base import (
-    ROLE_COLLECT,
-    ROLE_EGRESS,
-    ROLE_FANOUT,
-    ROLE_RELEASE,
-    Session,
-    SessionSpec,
-    Transport,
-    TransportError,
-)
+# The names frozen ``bench/`` imports from the package (DESIGN §6).
+from repro.transport.base import ROLE_COLLECT, SessionSpec
 from repro.transport.des import DesTransport
-
-__all__ = [
-    "ROLE_COLLECT",
-    "ROLE_EGRESS",
-    "ROLE_FANOUT",
-    "ROLE_RELEASE",
-    "DesTransport",
-    "Session",
-    "SessionSpec",
-    "Transport",
-    "TransportError",
-]

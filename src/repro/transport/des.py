@@ -45,7 +45,7 @@ from repro.transport.base import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.node import Port
-    from repro.sim import Simulator
+    from repro.sim.engine import Simulator
 
 
 class DesSession(Session):

@@ -1,6 +1,6 @@
 """Wall-clock scheduler with the DES ``Simulator`` surface.
 
-:class:`CompareCore`, :class:`~repro.sim.PeriodicTask` and the
+:class:`CompareCore`, :class:`~repro.sim.engine.PeriodicTask` and the
 quarantine machinery only touch ``sim.now``, ``sim.schedule``,
 ``sim.schedule_at``, ``sim.post`` and ``sim.realm``; this adapter maps
 those onto an asyncio event loop so the *same* voting code runs

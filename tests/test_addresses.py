@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from repro.net import IpAddress, MacAddress
+from repro.net.addresses import IpAddress, MacAddress
 
 
 class TestMacAddress:

@@ -2,21 +2,9 @@
 
 import pytest
 
-from repro.adversary import (
+from repro.adversary.behaviors import (
     BenignBehavior,
-    BlackholeBehavior,
     CompositeBehavior,
-    DropBehavior,
-    GeneratorFloodBehavior,
-    HeaderRewriteBehavior,
-    MirrorAndDropBehavior,
-    MirrorBehavior,
-    PacketInjectionBehavior,
-    PayloadCorruptionBehavior,
-    PortSwapBehavior,
-    ReplayFloodBehavior,
-    RerouteBehavior,
-    dst_mac_rewrite,
     match_all,
     match_all_of,
     match_any_of,
@@ -26,10 +14,27 @@ from repro.adversary import (
     match_none,
     match_tcp,
     match_udp,
+)
+from repro.adversary.dos import (
+    BlackholeBehavior,
+    GeneratorFloodBehavior,
+    ReplayFloodBehavior,
+)
+from repro.adversary.mirror import MirrorAndDropBehavior, MirrorBehavior
+from repro.adversary.modify import (
+    DropBehavior,
+    HeaderRewriteBehavior,
+    PacketInjectionBehavior,
+    PayloadCorruptionBehavior,
+    dst_mac_rewrite,
     vlan_rewrite,
 )
-from repro.net import Network, Packet
-from repro.openflow import Match, OpenFlowSwitch, Output
+from repro.adversary.reroute import PortSwapBehavior, RerouteBehavior
+from repro.net.packet import Packet
+from repro.net.topology import Network
+from repro.openflow.actions import Output
+from repro.openflow.match import Match
+from repro.openflow.switch import OpenFlowSwitch
 
 
 def rig():

@@ -18,7 +18,7 @@ from repro.adversary.strategies import (
     build_strategy,
     corrupt_payload,
 )
-from repro.net import Packet
+from repro.net.packet import Packet
 from repro.obs.metrics import MetricsRegistry, use_registry
 
 

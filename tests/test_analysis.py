@@ -2,17 +2,19 @@
 
 import pytest
 
-from repro.analysis import (
-    ExperimentRecord,
-    PAPER_TABLE1,
+from repro.analysis.report import (
     format_table,
-    paper_table1_values,
-    paper_value,
     render_record,
     render_series,
     render_table1,
 )
-from repro.analysis.records import MeasurementRow
+from repro.analysis.records import (
+    PAPER_TABLE1,
+    ExperimentRecord,
+    MeasurementRow,
+    paper_table1_values,
+    paper_value,
+)
 from repro.plan.builtin import fig4_plan, fig6_plan, jitter_params
 
 

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.apps import (
-    LearningSwitchApp,
-    StaticMacRouter,
-)
-from repro.net import Network, Packet
-from repro.openflow import OpenFlowSwitch
+from repro.apps.learning import LearningSwitchApp
+from repro.apps.static_routing import StaticMacRouter
+from repro.net.packet import Packet
+from repro.net.topology import Network
+from repro.openflow.switch import OpenFlowSwitch
 
 
 def line_topology(n_switches=1, n_hosts=2):

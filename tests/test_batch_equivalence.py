@@ -13,7 +13,7 @@ windows, per-packet loss draws) are all exercised at once.
 import pytest
 
 from repro.analysis.tasks import chaos_run
-from repro.chaos import FaultSchedule, LossBurst, RouterCrash
+from repro.chaos.schedule import FaultSchedule, LossBurst, RouterCrash
 
 SEEDS = list(range(24))
 

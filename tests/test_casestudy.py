@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.tasks import casestudy_run
-from repro.scenarios import TestbedParams, build_testbed
+from repro.scenarios.testbed import TestbedParams, build_testbed
 from repro.scenarios.datacenter import (
     BENIGN_PATH,
     CaseStudyResult,

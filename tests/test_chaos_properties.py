@@ -17,9 +17,10 @@ import random
 
 import pytest
 
-from repro.core import CompareConfig, CompareContext, CompareCore
-from repro.net import IpAddress, MacAddress, Packet
-from repro.sim import Simulator
+from repro.core.compare import CompareConfig, CompareContext, CompareCore
+from repro.net.addresses import IpAddress, MacAddress
+from repro.net.packet import Packet
+from repro.sim.engine import Simulator
 
 SEEDS = list(range(24))
 K = 3

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.chaos import (
+from repro.chaos.schedule import (
     AdversaryStrategy,
     BandwidthDegrade,
     BehaviorOn,
@@ -17,9 +17,11 @@ from repro.chaos import (
     RouterCrash,
     builtin_battery,
 )
-from repro.net import IpAddress, MacAddress, Network, Packet
-from repro.openflow import Match, Output
-from repro.sim import RngStreams
+from repro.net.packet import Packet
+from repro.net.topology import Network
+from repro.openflow.actions import Output
+from repro.openflow.match import Match
+from repro.sim.rng import RngStreams
 
 
 def two_switch_net(seed=5, rate_bps=None, loss=0.0):
@@ -183,7 +185,7 @@ class TestEngine:
             assert engine.resolve_link(link.name) is link
 
     def test_network_refuses_a_duplicate_link_name(self):
-        from repro.net import NetworkError
+        from repro.net.node import NetworkError
         from repro.openflow.switch import OpenFlowSwitch
 
         net = Network()
@@ -437,7 +439,7 @@ class TestExplicitBranchTargets:
         return net
 
     def compare_core(self, net):
-        from repro.core import CompareConfig, CompareCore
+        from repro.core.compare import CompareConfig, CompareCore
 
         return CompareCore(net.sim, CompareConfig(k=3))
 

@@ -2,23 +2,23 @@
 
 import pytest
 
-from repro.adversary import (
-    BlackholeBehavior,
+from repro.adversary.behaviors import match_udp
+from repro.adversary.dos import BlackholeBehavior, ReplayFloodBehavior
+from repro.adversary.modify import (
     DropBehavior,
     HeaderRewriteBehavior,
     PayloadCorruptionBehavior,
-    ReplayFloodBehavior,
     dst_mac_rewrite,
-    match_udp,
 )
-from repro.core import (
+from repro.core.alarms import (
     ALARM_ROUTER_UNAVAILABLE,
     ALARM_SINGLE_SOURCE_PACKET,
-    CombinerChainParams,
-    CompareConfig,
-    build_combiner_chain,
 )
-from repro.net import Network, NetworkError, Packet
+from repro.core.combiner import CombinerChainParams, build_combiner_chain
+from repro.core.compare import CompareConfig
+from repro.net.node import NetworkError
+from repro.net.packet import Packet
+from repro.net.topology import Network
 from repro.traffic.iperf import PathEndpoints, run_ping, run_udp_flow
 
 

@@ -7,17 +7,16 @@ contract) is tested against both in ``test_voter_contract.py``.
 
 import pytest
 
-from repro.core import (
+from repro.core.alarms import (
     ALARM_DOS_SUSPECTED,
     ALARM_MINORITY_DIVERGENCE,
     ALARM_ROUTER_UNAVAILABLE,
     ALARM_SINGLE_SOURCE_PACKET,
-    CompareConfig,
-    CompareContext,
-    CompareCore,
 )
-from repro.net import IpAddress, MacAddress, Packet
-from repro.sim import Simulator
+from repro.core.compare import CompareConfig, CompareContext, CompareCore
+from repro.net.addresses import IpAddress, MacAddress
+from repro.net.packet import Packet
+from repro.sim.engine import Simulator
 
 
 def pkt(ident=0, payload=b"x"):

@@ -17,8 +17,9 @@ from repro.ctrl.compare import ControlCompare, ControlCompareConfig
 from repro.openflow.actions import Output
 from repro.openflow.match import Match
 from repro.openflow.messages import FLOWMOD_ADD, FlowMod, PacketOut
-from repro.net import MacAddress
-from repro.sim import Simulator, TraceBus
+from repro.net.addresses import MacAddress
+from repro.sim.engine import Simulator
+from repro.sim.trace import TraceBus
 
 DPID = 7
 

@@ -18,7 +18,8 @@ from repro.ctrl.digest import (
     encode_actions,
     encode_match,
 )
-from repro.net import IpAddress, MacAddress, Packet
+from repro.net.addresses import IpAddress, MacAddress
+from repro.net.packet import Packet
 from repro.openflow.actions import (
     Output,
     SetDlDst,

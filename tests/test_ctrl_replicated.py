@@ -15,14 +15,14 @@ from repro.ctrl.replicated import (
     CompromisePlan,
     ReplicatedControlPlane,
 )
-from repro.net import MacAddress
+from repro.net.addresses import MacAddress
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.openflow.actions import Output
 from repro.openflow.controller import Controller
 from repro.openflow.match import Match
 from repro.openflow.messages import FLOWMOD_ADD, FlowMod, PacketOut
-from repro.scenarios import CtrlParams, build_ctrl_testbed
-from repro.sim import Simulator
+from repro.scenarios.ctrlplane import CtrlParams, build_ctrl_testbed
+from repro.sim.engine import Simulator
 
 SEED = 1
 RUN_KW = dict(variant="central3", duration=0.03, rate_mbps=10.0)

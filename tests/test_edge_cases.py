@@ -5,14 +5,13 @@ import random
 import pytest
 
 from repro.analysis.records import ExperimentRecord
-from repro.net import MacAddress, Network, Packet
-from repro.openflow import (
-    Match,
-    OpenFlowSwitch,
-    Output,
-    PacketOut,
-    PORT_IN_PORT,
-)
+from repro.net.addresses import MacAddress
+from repro.net.packet import Packet
+from repro.net.topology import Network
+from repro.openflow.actions import PORT_IN_PORT, Output
+from repro.openflow.match import Match
+from repro.openflow.messages import PacketOut
+from repro.openflow.switch import OpenFlowSwitch
 
 
 def pair_through_switch():
@@ -94,7 +93,7 @@ class TestSwitchEdges:
         assert net.trace.count("switch.bad_buffer") == 0
 
     def test_flow_mod_with_unknown_command_traced(self):
-        from repro.openflow import FlowMod
+        from repro.openflow.messages import FlowMod
 
         net, s1, h1, h2 = pair_through_switch()
         s1.handle_controller_message(
@@ -105,7 +104,7 @@ class TestSwitchEdges:
 
 class TestNodeEdges:
     def test_send_on_unwired_port_is_noop(self):
-        from repro.net import IpAddress
+        from repro.net.addresses import IpAddress
 
         net = Network(seed=62)
         s1 = OpenFlowSwitch(net.sim, "s1")
@@ -118,7 +117,7 @@ class TestNodeEdges:
         assert not port.is_wired
 
     def test_duplicate_port_number_rejected(self):
-        from repro.net import NetworkError
+        from repro.net.node import NetworkError
 
         net = Network(seed=63)
         s1 = OpenFlowSwitch(net.sim, "s1")
@@ -127,7 +126,7 @@ class TestNodeEdges:
             s1.add_port(3)
 
     def test_port_lookup_error(self):
-        from repro.net import NetworkError
+        from repro.net.node import NetworkError
 
         net = Network(seed=64)
         s1 = OpenFlowSwitch(net.sim, "s1")

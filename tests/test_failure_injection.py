@@ -7,22 +7,17 @@ alarm on what it cannot.
 
 import pytest
 
-from repro.adversary import BlackholeBehavior
-from repro.chaos import (
-    ChaosEngine,
-    FaultSchedule,
-    QuarantineController,
-    RouterCrash,
-)
-from repro.core import (
+from repro.adversary.dos import BlackholeBehavior
+from repro.chaos.quarantine import QuarantineController
+from repro.chaos.schedule import ChaosEngine, FaultSchedule, RouterCrash
+from repro.core.alarms import (
     ALARM_BRANCH_QUARANTINED,
     ALARM_BRANCH_READMITTED,
     ALARM_ROUTER_UNAVAILABLE,
-    CombinerChainParams,
-    CompareConfig,
-    build_combiner_chain,
 )
-from repro.net import Network
+from repro.core.combiner import CombinerChainParams, build_combiner_chain
+from repro.core.compare import CompareConfig
+from repro.net.topology import Network
 from repro.traffic.iperf import PathEndpoints, run_ping, run_udp_flow
 from repro.traffic.udp import UdpSender, _decode_payload
 

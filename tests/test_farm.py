@@ -7,17 +7,11 @@ import time
 import pytest
 
 from repro.plan.builtin import chaos_plan, fig7_plan
-from repro.farm import (
-    FarmExecutor,
-    FarmProgress,
-    FarmTaskError,
-    ResultCache,
-    RunSpec,
-    register_runner,
-    resolve_runner,
-)
-from repro.farm.cache import source_fingerprint
-from repro.sim import TraceBus
+from repro.farm.executor import FarmExecutor, FarmTaskError
+from repro.farm.progress import FarmProgress
+from repro.farm.spec import RunSpec, register_runner, resolve_runner
+from repro.farm.cache import ResultCache, source_fingerprint
+from repro.sim.trace import TraceBus
 
 # ----------------------------------------------------------------------
 # module-level task functions (worker processes must be able to run them)
@@ -100,6 +94,13 @@ class TestRunSpec:
         assert resolve_runner("test.echo") is echo_task
         assert resolve_runner("tests.test_farm:plain_fn") is plain_fn
         with pytest.raises(KeyError):
+            resolve_runner("nope.not.registered")
+
+    def test_a_task_module_that_fails_to_import_is_not_hidden(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.farm.spec._DEFAULT_TASK_MODULES", ("repro.analysis.no_such_tasks",)
+        )
+        with pytest.raises(ModuleNotFoundError):
             resolve_runner("nope.not.registered")
 
     def test_execute_passes_seed_and_kwargs(self):
@@ -331,7 +332,7 @@ class TestChaosDeterminism:
     byte-identical RunReport a serial run produces."""
 
     def _battery(self):
-        from repro.chaos import builtin_battery
+        from repro.chaos.schedule import builtin_battery
 
         battery = builtin_battery()
         return [

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.apps import StaticMacRouter
-from repro.net import build_fat_tree
+from repro.apps.static_routing import StaticMacRouter
+from repro.net.fattree import build_fat_tree
 from repro.traffic.iperf import PathEndpoints, run_ping
 
 

@@ -9,7 +9,10 @@ import urllib.request
 import pytest
 
 from repro.analysis.cli import main
-from repro.farm import FarmExecutor, FarmProgress, ResultCache, RunSpec, register_runner
+from repro.farm.cache import ResultCache
+from repro.farm.executor import FarmExecutor
+from repro.farm.progress import FarmProgress
+from repro.farm.spec import RunSpec, register_runner
 from repro.obs.dashboard import DashboardServer
 from repro.obs.events import EventLogWriter, FarmEventLogger
 from repro.obs.fleet import fleet_snapshot

@@ -13,13 +13,10 @@ import os
 
 import pytest
 
-from repro.farm import (
-    FarmExecutor,
-    FarmProgress,
-    ResultCache,
-    RunSpec,
-    register_runner,
-)
+from repro.farm.cache import ResultCache
+from repro.farm.executor import FarmExecutor
+from repro.farm.progress import FarmProgress
+from repro.farm.spec import RunSpec, register_runner
 from repro.obs.events import (
     EventLogError,
     EventLogWriter,
@@ -32,7 +29,7 @@ from repro.obs.events import (
     validate_events,
 )
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.sim import TraceBus
+from repro.sim.trace import TraceBus
 
 # ----------------------------------------------------------------------
 # module-level task functions (spawn-started workers must resolve them)

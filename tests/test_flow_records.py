@@ -23,7 +23,7 @@ from functools import partial
 from typing import Any, Callable, Dict
 
 from repro.analysis.tasks import ADVBENCH_ADVERSARIES, CTRL_ADVERSARIES
-from repro.chaos import builtin_battery
+from repro.chaos.schedule import builtin_battery
 from repro.farm.spec import resolve_runner
 from repro.live.schedule import LiveSchedule
 from repro.live.twin import des_twin_run

@@ -1,7 +1,10 @@
 """Tests for the OF 1.0 flow table: priorities, counters, timeouts."""
 
-from repro.net import IpAddress, MacAddress, Packet
-from repro.openflow import FlowEntry, FlowTable, Match, Output
+from repro.net.addresses import IpAddress, MacAddress
+from repro.net.packet import Packet
+from repro.openflow.actions import Output
+from repro.openflow.flowtable import FlowEntry, FlowTable
+from repro.openflow.match import Match
 
 M1, M2 = MacAddress.from_index(1), MacAddress.from_index(2)
 IP1, IP2 = IpAddress.from_index(1), IpAddress.from_index(2)

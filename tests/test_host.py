@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.net import Network, Packet
+from repro.net.packet import Packet
+from repro.net.topology import Network
 from repro.net.node import NetworkError
 
 
@@ -76,7 +77,7 @@ class TestDemux:
         assert len(got) == 1
 
     def test_broadcast_accepted(self):
-        from repro.net import MacAddress
+        from repro.net.addresses import MacAddress
 
         net, h1, h2 = two_hosts()
         got = []

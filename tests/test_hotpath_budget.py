@@ -243,7 +243,8 @@ def _calls(stats: pstats.Stats, module: str, *functions: str) -> int:
 
 
 def _live_packets(first: int, count: int) -> list:
-    from repro.net import IpAddress, MacAddress, Packet
+    from repro.net.addresses import IpAddress, MacAddress
+    from repro.net.packet import Packet
 
     return [
         Packet.udp(
@@ -278,7 +279,7 @@ def _live_loopback(packets, expect=None, branch2=None, prelude=None):
 
     from repro.core.alarms import AlarmSink
     from repro.core.compare import CompareConfig, CompareContext, CompareCore
-    from repro.transport import ROLE_COLLECT, SessionSpec
+    from repro.transport.base import ROLE_COLLECT, SessionSpec
     from repro.transport.realtime import RealTimeScheduler
     from repro.transport.udp import UdpTransport
 
@@ -378,7 +379,7 @@ def test_live_tampered_copy_is_parsed_alone_and_outvoted():
     """Branch 2 flips one payload byte in every fifth packet: its copy
     differs in bytes, so it shares nobody's parse, and the vote sees what
     it saw when every copy was parsed."""
-    from repro.net import Packet
+    from repro.net.packet import Packet
 
     packets = _live_packets(0, LIVE_PACKETS)
     tampered = LIVE_PACKETS // 5
@@ -408,8 +409,8 @@ def test_live_flood_evicts_parses_not_votes():
     branch 0's copies of a window of packets and everyone else's: the
     parses those copies left are gone, the later copies are parsed again,
     and every packet still releases with the honest bytes."""
-    from repro.net import MacAddress, Packet
-    from repro.net.packet import Ethernet
+    from repro.net.addresses import MacAddress
+    from repro.net.packet import Ethernet, Packet
     from repro.transport.udp import RX_BURST, RX_SHARE_FRAMES
 
     victims = _live_packets(10_000, LIVE_WINDOW)
@@ -487,7 +488,8 @@ def _held_bytes(make, payload_size: int) -> float:
 
 
 def _held_built(payload_size: int) -> list:
-    from repro.net import IpAddress, MacAddress, Packet
+    from repro.net.addresses import IpAddress, MacAddress
+    from repro.net.packet import Packet
 
     ends = (MacAddress.from_index(1), MacAddress.from_index(2),
             IpAddress.from_index(1), IpAddress.from_index(2))
@@ -506,7 +508,7 @@ def _held_serialised(payload_size: int) -> list:
 
 
 def _held_hopped(payload_size: int) -> list:
-    from repro.net import MacAddress
+    from repro.net.addresses import MacAddress
 
     packets = _held_serialised(payload_size)
     for packet in packets:
@@ -516,7 +518,7 @@ def _held_hopped(payload_size: int) -> list:
 
 
 def _held_parsed(payload_size: int) -> list:
-    from repro.net import Packet
+    from repro.net.packet import Packet
 
     # the sending packets are gone by the count: each frame is held only
     # by the packet parsed from it, as an arrived datagram is

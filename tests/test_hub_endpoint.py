@@ -3,17 +3,16 @@ endpoint's hub role)."""
 
 import pytest
 
-from repro.core import (
-    ALARM_SPOOFED_BRANCH,
-    CompareConfig,
-    CompareContext,
-    CompareCore,
-    CombinerEndpoint,
+from repro.core.alarms import ALARM_SPOOFED_BRANCH
+from repro.core.compare import CompareConfig, CompareContext, CompareCore
+from repro.core.endpoint import (
     MODE_COMBINE,
     MODE_DUP,
+    CombinerEndpoint,
     branch_marker,
 )
-from repro.net import Network, Packet
+from repro.net.packet import Packet
+from repro.net.topology import Network
 from repro.net.node import NetworkError
 
 

@@ -9,21 +9,20 @@ adversary model in the library.
 
 import pytest
 
-from repro.adversary import (
-    BenignBehavior,
-    BlackholeBehavior,
+from repro.adversary.behaviors import BenignBehavior, match_udp
+from repro.adversary.dos import BlackholeBehavior, ReplayFloodBehavior
+from repro.adversary.mirror import MirrorBehavior
+from repro.adversary.modify import (
     DropBehavior,
     HeaderRewriteBehavior,
-    MirrorBehavior,
     PayloadCorruptionBehavior,
-    PortSwapBehavior,
-    ReplayFloodBehavior,
     dst_mac_rewrite,
-    match_udp,
     vlan_rewrite,
 )
-from repro.core import CombinerChainParams, CompareConfig, build_combiner_chain
-from repro.net import Network, Packet
+from repro.adversary.reroute import PortSwapBehavior
+from repro.core.combiner import CombinerChainParams, build_combiner_chain
+from repro.core.compare import CompareConfig
+from repro.net.topology import Network
 from repro.traffic.iperf import PathEndpoints, run_ping, run_udp_flow
 
 
@@ -180,7 +179,8 @@ class TestSourceMarking:
 class TestMixedWorkloads:
     def test_concurrent_udp_and_ping(self):
         net, chain, h1, h2 = build_rig()
-        from repro.traffic import Pinger, UdpReceiver, UdpSender
+        from repro.traffic.ping import Pinger
+        from repro.traffic.udp import UdpReceiver, UdpSender
 
         receiver = UdpReceiver(h2, 5001)
         sender = UdpSender(h1, h2.mac, h2.ip, 5001, rate_bps=20e6)
@@ -193,7 +193,7 @@ class TestMixedWorkloads:
 
     def test_bidirectional_pings(self):
         net, chain, h1, h2 = build_rig()
-        from repro.traffic import Pinger
+        from repro.traffic.ping import Pinger
 
         forward = Pinger(h1, h2.mac, h2.ip)
         backward = Pinger(h2, h1.mac, h1.ip)

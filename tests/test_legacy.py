@@ -4,7 +4,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net import IpAddress, MacAddress, Network, Packet
+from repro.net.addresses import IpAddress, MacAddress
+from repro.net.packet import Packet
+from repro.net.topology import Network
 from repro.net.legacy import ICMP_TIME_EXCEEDED, LegacyRouter, RouteEntry
 
 
@@ -169,7 +171,7 @@ class TestForwarding:
         assert r1.dropped_not_for_us == 1
 
     def test_non_ip_dropped(self):
-        from repro.net import Ethernet
+        from repro.net.packet import Ethernet
 
         net, h1, h2, r1, r2 = self.rig()
         h1.send(Packet(Ethernet(r1.mac, h1.mac, 0x88B5), payload=b"x"))
@@ -186,13 +188,9 @@ class TestLegacyCombiner:
     """
 
     def build(self, k=3):
-        from repro.core import (
-            CombinerEndpoint,
-            CompareConfig,
-            CompareCore,
-            mask_src_mac_policy,
-            BitExactPolicy,
-        )
+        from repro.core.compare import CompareConfig, CompareCore
+        from repro.core.endpoint import CombinerEndpoint
+        from repro.core.policy import BitExactPolicy, mask_src_mac_policy
         from repro.core.combiner import CompareHost
 
         net = Network(seed=22)

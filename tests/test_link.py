@@ -8,9 +8,13 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.net import IpAddress, Link, MacAddress, Packet
+from repro.net.addresses import IpAddress, MacAddress
+from repro.net.link import Link
+from repro.net.packet import Packet
 from repro.net.node import Node, Port
-from repro.sim import RngStreams, Simulator, TraceBus
+from repro.sim.engine import Simulator
+from repro.sim.rng import RngStreams
+from repro.sim.trace import TraceBus
 
 M1, M2 = MacAddress.from_index(1), MacAddress.from_index(2)
 IP1, IP2 = IpAddress("10.0.0.1"), IpAddress("10.0.0.2")

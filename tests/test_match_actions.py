@@ -6,22 +6,18 @@ import pickle
 
 import pytest
 
-from repro.net import (
+from repro.net.addresses import IpAddress, MacAddress
+from repro.net.packet import (
     ICMP_ECHO_REQUEST,
-    IP_PROTO_ICMP,
     IP_PROTO_TCP,
     IP_PROTO_UDP,
-    IpAddress,
-    MacAddress,
     Packet,
     Vlan,
 )
-from repro.openflow import (
-    FlowMod,
-    Match,
-    Output,
+from repro.openflow.actions import (
     PORT_CONTROLLER,
     PORT_FLOOD,
+    Output,
     SetDlDst,
     SetDlSrc,
     SetNwDst,
@@ -33,6 +29,8 @@ from repro.openflow import (
     flood,
     to_controller,
 )
+from repro.openflow.match import Match
+from repro.openflow.messages import FlowMod
 
 M1, M2, M3 = (MacAddress.from_index(i) for i in (1, 2, 3))
 IP1, IP2, IP3 = (IpAddress.from_index(i) for i in (1, 2, 3))
@@ -78,7 +76,7 @@ class TestMatch:
         assert Match(nw_tos=4).matches(udp_packet(tos=4), 1)
 
     def test_nw_fields_require_ip(self):
-        from repro.net import Ethernet
+        from repro.net.packet import Ethernet
 
         raw = Packet(Ethernet(M2, M1, 0x88B5), payload=b"x")
         assert not Match(nw_src=IP1).matches(raw, 1)
@@ -93,7 +91,7 @@ class TestMatch:
         assert not Match(tp_src=0).matches(ping, 1)
 
     def test_tp_fields_require_transport(self):
-        from repro.net import Ethernet, Ipv4
+        from repro.net.packet import Ethernet, Ipv4
 
         packet = Packet(Ethernet(M2, M1), Ipv4(IP1, IP2, 99), None, b"")
         assert not Match(tp_src=1).matches(packet, 1)
@@ -160,7 +158,7 @@ class TestActions:
         assert packet.ip.src == IP3 and packet.ip.dst == IP1
 
     def test_set_nw_noop_on_non_ip(self):
-        from repro.net import Ethernet
+        from repro.net.packet import Ethernet
 
         packet = Packet(Ethernet(M2, M1, 0x88B5), payload=b"")
         SetNwSrc(IP3).apply(packet)  # must not crash

@@ -2,8 +2,11 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.net import IpAddress, MacAddress, Packet, Vlan
-from repro.openflow import FlowEntry, FlowTable, Match, Output
+from repro.net.addresses import IpAddress, MacAddress
+from repro.net.packet import Packet, Vlan
+from repro.openflow.actions import Output
+from repro.openflow.flowtable import FlowEntry, FlowTable
+from repro.openflow.match import Match
 
 macs = st.integers(0, (1 << 48) - 1).map(MacAddress)
 ips = st.integers(0, (1 << 32) - 1).map(IpAddress)

@@ -24,7 +24,8 @@ from repro.obs.report import (
     dump_records_jsonl,
 )
 from repro.obs.spans import PacketTracer
-from repro.sim import Simulator, TraceBus
+from repro.sim.engine import Simulator
+from repro.sim.trace import TraceBus
 
 
 def _packet(payload=b"x"):

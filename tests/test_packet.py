@@ -3,23 +3,22 @@ identity semantics (bit-exact equality, deep copies, out-of-band meta)."""
 
 import pytest
 
-from repro.net import (
+from repro.net.addresses import IpAddress, MacAddress
+from repro.net.packet import (
     ETH_TYPE_IPV4,
     ETH_TYPE_VLAN,
-    Ethernet,
     ICMP_ECHO_REPLY,
     ICMP_ECHO_REQUEST,
     IP_PROTO_ICMP,
     IP_PROTO_TCP,
     IP_PROTO_UDP,
-    Icmp,
-    IpAddress,
-    Ipv4,
-    MacAddress,
-    Packet,
-    PacketError,
     TCP_ACK,
     TCP_SYN,
+    Ethernet,
+    Icmp,
+    Ipv4,
+    Packet,
+    PacketError,
     Tcp,
     Udp,
     Vlan,

@@ -15,23 +15,22 @@ from array import array
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.net import (
+from repro.net.addresses import IpAddress, MacAddress
+from repro.net.packet import (
     ETH_TYPE_IPV4,
     ETH_TYPE_VLAN,
     IP_PROTO_ICMP,
     IP_PROTO_TCP,
     IP_PROTO_UDP,
-    Ethernet,
-    Icmp,
-    IpAddress,
-    Ipv4,
-    MacAddress,
-    Packet,
-    PacketError,
     TCP_ACK,
     TCP_FIN,
     TCP_PSH,
     TCP_SYN,
+    Ethernet,
+    Icmp,
+    Ipv4,
+    Packet,
+    PacketError,
     Tcp,
     Udp,
     Vlan,

@@ -3,9 +3,9 @@
 import pytest
 
 import repro.traffic.iperf as iperf
-from repro.net import Network
+from repro.net.topology import Network
 from repro.scenarios.testbed import TestbedParams, build_testbed
-from repro.traffic import Pinger
+from repro.traffic.ping import Pinger
 from repro.traffic.iperf import (
     PathEndpoints,
     find_max_udp_rate,

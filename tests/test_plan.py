@@ -18,12 +18,12 @@ import pytest
 
 from repro.analysis.cli import main
 from repro.analysis.tasks import params_to_dict
-from repro.chaos import FaultSchedule, builtin_battery
+from repro.chaos.schedule import FaultSchedule, builtin_battery
 from repro.farm.executor import FarmExecutor
 from repro.farm.spec import RunSpec
-from repro.plan import (
-    ExperimentPlan,
-    PlanStage,
+from repro.plan.plan import ExperimentPlan, PlanStage
+from repro.plan.builtin import (
+    advbench_plan,
     builtin_plan,
     builtin_plan_names,
     chaos_plan,
@@ -34,12 +34,13 @@ from repro.plan import (
     fig8_plan,
     jitter_params,
     table1_plan,
+    virtualized_plan,
 )
-from repro.plan.builtin import advbench_plan, virtualized_plan
-from repro.scenarios import ScenarioSpec, scenario_names
 from repro.scenarios.registry import (
+    ScenarioSpec,
     compare_scenarios,
     figure_scenarios,
+    scenario_names,
     table1_scenarios,
 )
 from repro.scenarios.testbed import VARIANTS

@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.core import (
+from repro.core.policy import (
     BitExactPolicy,
     HashPolicy,
     HeaderOnlyPolicy,
     mask_src_mac_policy,
     strip_vlan_policy,
 )
-from repro.net import IpAddress, MacAddress, Packet, Vlan
+from repro.net.addresses import IpAddress, MacAddress
+from repro.net.packet import Packet, Vlan
 
 M1, M2, M3 = (MacAddress.from_index(i) for i in (1, 2, 3))
 IP1, IP2 = IpAddress.from_index(1), IpAddress.from_index(2)

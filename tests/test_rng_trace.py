@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import RngStreams, TraceBus, TraceRecord
+from repro.sim.rng import RngStreams
+from repro.sim.trace import TraceBus, TraceRecord
 
 
 class TestRngStreams:

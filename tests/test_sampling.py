@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.adversary import BlackholeBehavior, PayloadCorruptionBehavior
-from repro.core import ALARM_MINORITY_DIVERGENCE
+from repro.adversary.dos import BlackholeBehavior
+from repro.adversary.modify import PayloadCorruptionBehavior
+from repro.core.alarms import ALARM_MINORITY_DIVERGENCE
 from repro.core.combiner import CombinerChainParams, build_combiner_chain
 from repro.core.sampling import SamplingEndpoint, deterministic_sample
-from repro.net import Network
+from repro.net.topology import Network
 from repro.traffic.iperf import PathEndpoints, run_ping, run_udp_flow
 
 

@@ -5,25 +5,25 @@ from dataclasses import replace
 
 import pytest
 
-from repro.adversary import (
-    BlackholeBehavior,
+from repro.adversary.behaviors import match_dst_mac
+from repro.adversary.dos import BlackholeBehavior
+from repro.adversary.mirror import MirrorAndDropBehavior
+from repro.adversary.modify import (
     HeaderRewriteBehavior,
-    MirrorAndDropBehavior,
     PayloadCorruptionBehavior,
-    RerouteBehavior,
     dst_mac_rewrite,
-    match_dst_mac,
 )
-from repro.core import (
+from repro.adversary.reroute import RerouteBehavior
+from repro.core.alarms import (
     ALARM_DOS_SUSPECTED,
     ALARM_MINORITY_DIVERGENCE,
     ALARM_SINGLE_SOURCE_PACKET,
-    CombinerChainParams,
-    CompareConfig,
-    build_combiner_chain,
 )
-from repro.net import Network, NetworkError
-from repro.scenarios import build_testbed
+from repro.core.combiner import CombinerChainParams, build_combiner_chain
+from repro.core.compare import CompareConfig
+from repro.net.node import NetworkError
+from repro.net.topology import Network
+from repro.scenarios.testbed import build_testbed
 from repro.scenarios.datacenter import SHIELD
 from repro.traffic.iperf import PathEndpoints, run_ping, run_udp_flow
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import (
+from repro.sim.engine import (
     CpuResource,
     PeriodicTask,
     SimulationError,

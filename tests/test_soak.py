@@ -9,13 +9,14 @@ check the books balance.
 
 import pytest
 
-from repro.adversary import (
-    PayloadCorruptionBehavior,
-    ReplayFloodBehavior,
-)
-from repro.core import CombinerChainParams, CompareConfig, build_combiner_chain
-from repro.net import Network
-from repro.traffic import Pinger, TcpReceiver, TcpSender, UdpReceiver, UdpSender
+from repro.adversary.dos import ReplayFloodBehavior
+from repro.adversary.modify import PayloadCorruptionBehavior
+from repro.core.combiner import CombinerChainParams, build_combiner_chain
+from repro.core.compare import CompareConfig
+from repro.net.topology import Network
+from repro.traffic.ping import Pinger
+from repro.traffic.tcp import TcpReceiver, TcpSender
+from repro.traffic.udp import UdpReceiver, UdpSender
 from repro.traffic.iperf import PathEndpoints, run_udp_flow
 
 

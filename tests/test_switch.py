@@ -3,23 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net import IpAddress, MacAddress, Network, Packet
-from repro.net.packet import Vlan
-from repro.openflow import (
-    Controller,
-    FLOWMOD_ADD,
-    FLOWMOD_DELETE,
-    FLOWMOD_DELETE_STRICT,
-    FlowMod,
-    FlowStatsRequest,
-    Match,
-    OpenFlowSwitch,
-    Output,
+from repro.net.addresses import IpAddress, MacAddress
+from repro.net.topology import Network
+from repro.net.packet import Packet, Vlan
+from repro.openflow.actions import (
     PORT_CONTROLLER,
     PORT_FLOOD,
     PORT_IN_PORT,
-    PacketOut,
-    PortStatsRequest,
+    Output,
     SetDlDst,
     SetDlSrc,
     SetNwDst,
@@ -29,7 +20,19 @@ from repro.openflow import (
     flood,
     to_controller,
 )
-from repro.sim import CpuResource
+from repro.openflow.controller import Controller
+from repro.openflow.match import Match
+from repro.openflow.messages import (
+    FLOWMOD_ADD,
+    FLOWMOD_DELETE,
+    FLOWMOD_DELETE_STRICT,
+    FlowMod,
+    FlowStatsRequest,
+    PacketOut,
+    PortStatsRequest,
+)
+from repro.openflow.switch import OpenFlowSwitch
+from repro.sim.engine import CpuResource
 
 
 def three_hosts_one_switch(proc_time=0.0, **switch_kwargs):

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.net import Network, Packet
-from repro.traffic import TcpReceiver, TcpSender
+from repro.net.packet import Packet
+from repro.net.topology import Network
+from repro.traffic.tcp import TcpReceiver, TcpSender
 
 
 def rig(rate_bps=100e6, delay=100e-6, loss=0.0, queue_capacity=1000, seed=6):
@@ -131,7 +132,7 @@ class TestDuplicationResilience:
         """Hosts joined by two endpoints in dup mode (a Dup-style path):
         each duplicates every frame onto ``copies`` parallel branch links
         and merges what the other sent back out, in both directions."""
-        from repro.core import MODE_DUP, CombinerEndpoint
+        from repro.core.endpoint import MODE_DUP, CombinerEndpoint
 
         net = Network(seed=7)
         h1 = net.add_host("h1")
@@ -252,8 +253,12 @@ class TestBoundedTransfer:
         assert sender.fin_acked
 
     def test_bounded_transfer_through_combiner(self):
-        from repro.core import CombinerChainParams, CompareConfig, build_combiner_chain
-        from repro.net import Network
+        from repro.core.combiner import (
+            CombinerChainParams,
+            build_combiner_chain,
+        )
+        from repro.core.compare import CompareConfig
+        from repro.net.topology import Network
 
         net = Network(seed=10)
         chain = build_combiner_chain(

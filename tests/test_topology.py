@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.net import Network, NetworkError
-from repro.openflow import OpenFlowSwitch
+from repro.net.node import NetworkError
+from repro.net.topology import Network
+from repro.openflow.switch import OpenFlowSwitch
 
 
 def switch(net, name):

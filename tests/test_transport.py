@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.adversary import (
-    BlackholeBehavior,
+from repro.adversary.dos import BlackholeBehavior
+from repro.adversary.modify import (
     HeaderRewriteBehavior,
     PayloadCorruptionBehavior,
     dst_mac_rewrite,
 )
 from repro.core.combiner import CombinerChainParams, build_combiner_chain
-from repro.net import Network, NetworkError
+from repro.net.node import NetworkError
+from repro.net.topology import Network
 from repro.traffic.iperf import PathEndpoints, run_ping, run_udp_flow
 
 

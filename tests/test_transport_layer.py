@@ -32,10 +32,11 @@ from repro.analysis.tasks import build_scenario, chaos_run
 from repro.chaos.schedule import builtin_battery
 from repro.live.schedule import LiveSchedule
 from repro.live.twin import des_twin_run
-from repro.net import IpAddress, MacAddress, Packet, PacketError
+from repro.net.addresses import IpAddress, MacAddress
+from repro.net.packet import Packet, PacketError
 from repro.obs.summary import build_run_report
 from repro.traffic.iperf import run_udp_flow
-from repro.transport import (
+from repro.transport.base import (
     ROLE_COLLECT,
     ROLE_FANOUT,
     ROLE_RELEASE,

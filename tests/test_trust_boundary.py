@@ -31,8 +31,8 @@ from repro.ctrl.digest import digest
 from repro.ctrl.replicated import BOGUS_PORT
 from repro.live.verdict import fingerprint
 from repro.core.alarms import ALARM_SPOOFED_BRANCH
-from repro.net import MacAddress, Packet
-from repro.net.packet import Vlan
+from repro.net.addresses import MacAddress
+from repro.net.packet import Packet, Vlan
 from repro.openflow.actions import Output
 from repro.openflow.messages import FlowMod
 from repro.scenarios import ctrlplane

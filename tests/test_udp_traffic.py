@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.net import Network
-from repro.traffic import UdpReceiver, UdpSender
+from repro.net.topology import Network
+from repro.traffic.udp import UdpReceiver, UdpSender
 
 
 def rig(rate_bps=1e6, payload_size=100, send_cost=0.0, loss=0.0):
@@ -77,7 +77,7 @@ class TestReceiver:
     def test_duplicates_counted_once(self):
         net, sender, receiver = rig()
         h1, h2 = net.host("h1"), net.host("h2")
-        from repro.net import Packet
+        from repro.net.packet import Packet
         import struct
 
         payload = struct.pack("!IQ", 1, 1000) + b"\x00" * 88
@@ -92,7 +92,7 @@ class TestReceiver:
     def test_reordering_counted(self):
         net, sender, receiver = rig()
         h1, h2 = net.host("h1"), net.host("h2")
-        from repro.net import Packet
+        from repro.net.packet import Packet
         import struct
 
         def mk(seq):
@@ -108,7 +108,7 @@ class TestReceiver:
     def test_malformed_payload_ignored(self):
         net, sender, receiver = rig()
         h1, h2 = net.host("h1"), net.host("h2")
-        from repro.net import Packet
+        from repro.net.packet import Packet
 
         h1.send(Packet.udp(h1.mac, h2.mac, h1.ip, h2.ip, 5, 5001, payload=b"xx"))
         net.run()

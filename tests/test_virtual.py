@@ -2,20 +2,20 @@
 
 import pytest
 
-from repro.adversary import (
-    BlackholeBehavior,
+from repro.adversary.dos import BlackholeBehavior, ReplayFloodBehavior
+from repro.adversary.modify import (
     HeaderRewriteBehavior,
     PayloadCorruptionBehavior,
-    ReplayFloodBehavior,
     vlan_rewrite,
 )
-from repro.core import (
+from repro.core.alarms import (
     ALARM_ROUTER_UNAVAILABLE,
     ALARM_SINGLE_SOURCE_PACKET,
     ALARM_SPOOFED_BRANCH,
-    CombinerChain,
 )
-from repro.net import NetworkError, Packet
+from repro.core.combiner import CombinerChain
+from repro.net.node import NetworkError
+from repro.net.packet import Packet
 from repro.openflow.actions import Output
 from repro.openflow.match import Match
 from repro.core.virtual import VID_BASE, VirtualEgress, VirtualIngress

@@ -10,16 +10,17 @@ those paths and attacks individual fabric switches.
 
 import pytest
 
-from repro.adversary import BlackholeBehavior, PayloadCorruptionBehavior
+from repro.adversary.dos import BlackholeBehavior
+from repro.adversary.modify import PayloadCorruptionBehavior
 from repro.core.alarms import ALARM_SPOOFED_BRANCH
-from repro.apps import StaticMacRouter
+from repro.apps.static_routing import StaticMacRouter
 from repro.core.compare import CompareConfig
 from repro.core.virtual import (
     VirtualEgress,
     VirtualIngress,
     provision_virtual_combiner,
 )
-from repro.net import build_fat_tree
+from repro.net.fattree import build_fat_tree
 from repro.traffic.iperf import PathEndpoints, run_ping, run_udp_flow
 
 

@@ -9,7 +9,7 @@ cleanup, DoS blocks; taint, blocked reasons) is tested in
 
 import pytest
 
-from repro.core import CompareConfig, CompareContext, CompareCore
+from repro.core.compare import CompareConfig, CompareContext, CompareCore
 from repro.core.alarms import (
     ALARM_BRANCH_QUARANTINED,
     ALARM_BRANCH_READMITTED,
@@ -18,11 +18,12 @@ from repro.core.alarms import (
 )
 from repro.core.membership import QuorumVoter
 from repro.ctrl.compare import ControlCompare, ControlCompareConfig
-from repro.net import IpAddress, MacAddress, Packet
+from repro.net.addresses import IpAddress, MacAddress
+from repro.net.packet import Packet
 from repro.openflow.actions import Output
 from repro.openflow.match import Match
 from repro.openflow.messages import FLOWMOD_ADD, FlowMod
-from repro.sim import Simulator
+from repro.sim.engine import Simulator
 
 TIMEOUT = 0.01
 

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import VoteBook
-from repro.net import IpAddress, MacAddress, Packet
+from repro.core.votes import VoteBook
+from repro.net.addresses import IpAddress, MacAddress
+from repro.net.packet import Packet
 
 
 def pkt(ident=0):

@@ -8,8 +8,9 @@ liveness invariants under arbitrary arrival interleavings.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import VoteBook
-from repro.net import IpAddress, MacAddress, Packet
+from repro.core.votes import VoteBook
+from repro.net.addresses import IpAddress, MacAddress
+from repro.net.packet import Packet
 
 
 def pkt(ident=0):
