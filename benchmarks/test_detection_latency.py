@@ -8,19 +8,17 @@ measured under steady ping traffic (1 ms cycle).
 
 from conftest import emit
 
-from repro.adversary.dos import BlackholeBehavior, ReplayFloodBehavior
-from repro.adversary.modify import (
-    HeaderRewriteBehavior,
-    PayloadCorruptionBehavior,
-    dst_mac_rewrite,
-)
 from repro.analysis.report import format_table
+from repro.chaos.schedule import BehaviorOn, ChaosEngine, FaultSchedule
 from repro.core.combiner import CombinerChainParams, build_combiner_chain
 from repro.core.compare import CompareConfig
 from repro.net.topology import Network
 from repro.traffic.iperf import PathEndpoints, run_ping
 
 COMPROMISE_AT = 0.01
+
+#: data-plane entries of the adversary catalogue, one per kind of alarm
+ATTACKS = ("payload_corruption", "blackhole", "reroute", "replay_flood")
 
 
 def measure(attack_name: str, seed: int = 81):
@@ -39,20 +37,13 @@ def measure(attack_name: str, seed: int = 81):
     chain.install_mac_route(h2.mac, toward="b")
     chain.install_mac_route(h1.mac, toward="a")
 
-    def make_behavior():
-        if attack_name == "payload-corrupt":
-            return PayloadCorruptionBehavior()
-        if attack_name == "blackhole":
-            return BlackholeBehavior()
-        if attack_name == "reroute":
-            return HeaderRewriteBehavior(dst_mac_rewrite(h1.mac))
-        if attack_name == "replay-flood":
-            return ReplayFloodBehavior(amplification=10)
-        raise ValueError(attack_name)
-
-    net.sim.schedule(
-        COMPROMISE_AT, lambda: make_behavior().attach(chain.router(1))
-    )
+    ChaosEngine(
+        FaultSchedule(
+            [BehaviorOn(COMPROMISE_AT, chain.router(1).name, behavior=attack_name)]
+        ),
+        net,
+        compare_core=chain.compare_core,
+    ).arm()
     result = run_ping(PathEndpoints(net, h1, h2), count=60, interval=1e-3)
     chain.compare_core.flush()
     after = [a.time for a in chain.alarms.alarms if a.time >= COMPROMISE_AT]
@@ -61,10 +52,7 @@ def measure(attack_name: str, seed: int = 81):
 
 
 def run_all():
-    return {
-        name: measure(name)
-        for name in ("payload-corrupt", "blackhole", "reroute", "replay-flood")
-    }
+    return {name: measure(name) for name in ATTACKS}
 
 
 def test_detection_latency():
@@ -83,7 +71,7 @@ def test_detection_latency():
         assert received == 60, f"{name} broke liveness"
     # tamper-style attacks are caught within a few buffer timeouts; the
     # blackhole needs miss_threshold consecutive packets
-    assert results["payload-corrupt"][0] < 0.01
+    assert results["payload_corruption"][0] < 0.01
     assert results["reroute"][0] < 0.01
-    assert results["replay-flood"][0] < 0.01
+    assert results["replay_flood"][0] < 0.01
     assert results["blackhole"][0] < 0.02

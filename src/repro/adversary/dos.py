@@ -2,17 +2,18 @@
 
 "An adversarial router may also generate a very large number of packets
 in order to overload the network ... A DoS attack can also be performed
-by dropping packets."
+by dropping packets."  A flood of fabricated packets out of one port is
+:class:`~repro.adversary.modify.PacketInjectionBehavior` on a short
+period.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.adversary.behaviors import AdversarialBehavior, Selector, match_all
 from repro.net.packet import Packet
 from repro.openflow.switch import OpenFlowSwitch
-from repro.sim.engine import PeriodicTask
 
 
 class ReplayFloodBehavior(AdversarialBehavior):
@@ -46,56 +47,6 @@ class ReplayFloodBehavior(AdversarialBehavior):
                 self.replayed += 1
             self.trace_tamper(switch, "replay", packet)
         return True
-
-
-class GeneratorFloodBehavior(AdversarialBehavior):
-    """Generate a high-rate stream of fabricated packets out of a port.
-
-    ``factory(i)`` builds the i-th flood packet; rate is packets/second.
-    Normal traffic continues to be forwarded (the flood rides alongside).
-    """
-
-    def __init__(
-        self,
-        factory: Callable[[int], Packet],
-        out_port: int,
-        rate_pps: float,
-        name: str = "",
-    ) -> None:
-        super().__init__(name or "generator-flood")
-        if rate_pps <= 0:
-            raise ValueError("rate_pps must be positive")
-        self.factory = factory
-        self.out_port = out_port
-        self.rate_pps = rate_pps
-        self.generated = 0
-        self._task: Optional[PeriodicTask] = None
-        self._switch: Optional[OpenFlowSwitch] = None
-
-    def attach(self, switch: OpenFlowSwitch) -> None:
-        super().attach(switch)
-        self._switch = switch
-
-    def start(self, initial_delay: float = 0.0) -> None:
-        if self._switch is None:
-            raise RuntimeError("attach() the behaviour to a switch before start()")
-        self.stop()  # a restart replaces the running flood
-        self._task = PeriodicTask(self._switch.sim, 1.0 / self.rate_pps, self._emit_one)
-        self._task.start(initial_delay)
-
-    def stop(self) -> None:
-        if self._task is not None:
-            self._task.stop()
-
-    def _emit_one(self) -> None:
-        assert self._switch is not None
-        packet = self.factory(self.generated)
-        self.generated += 1
-        self.emit(self._switch, packet, self.out_port)
-
-    def handle(self, switch: OpenFlowSwitch, packet: Packet, in_port_no: int) -> bool:
-        self.packets_seen += 1
-        return self.forward_normally(switch, packet, in_port_no)
 
 
 class BlackholeBehavior(AdversarialBehavior):

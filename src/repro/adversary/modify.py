@@ -90,6 +90,20 @@ def dst_mac_rewrite(mac: MacAddress) -> Callable[[Packet], None]:
     return mutate
 
 
+def corrupt_payload(packet: Packet, offset: int = 0) -> Packet:
+    """The canonical wrong wire image: XOR 0xFF into one payload byte.
+
+    Deterministic in the input packet, so two colluding branches that
+    apply it independently emit *identical* corrupt copies without any
+    coordination channel — the worst case for a bit-exact voter.
+    """
+    mutated = packet.copy()
+    data = bytearray(mutated.payload)
+    data[offset % len(data)] ^= 0xFF
+    mutated.payload = bytes(data)
+    return mutated
+
+
 class PayloadCorruptionBehavior(AdversarialBehavior):
     """Flip bytes in the payload of selected packets and forward them.
 
@@ -113,11 +127,7 @@ class PayloadCorruptionBehavior(AdversarialBehavior):
         self.packets_seen += 1
         if not self.selector(packet) or not packet.payload:
             return self.forward_normally(switch, packet, in_port_no)
-        mutated = packet.copy()
-        offset = self.flip_offset % len(mutated.payload)
-        corrupted = bytearray(mutated.payload)
-        corrupted[offset] ^= 0xFF
-        mutated.payload = bytes(corrupted)
+        mutated = corrupt_payload(packet, self.flip_offset)
         self.corrupted += 1
         self.trace_tamper(switch, "corrupt", mutated)
         self.forward_normally(switch, mutated, in_port_no)

@@ -18,14 +18,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.adversary.catalogue import CONTROL, DATA, row
 from repro.chaos.quarantine import QuarantineController
-from repro.chaos.schedule import (
-    AdversaryStrategy,
-    ChaosEngine,
-    ControllerCompromise,
-    ControllerCrash,
-    FaultSchedule,
-)
+from repro.chaos.schedule import ChaosEngine, FaultSchedule, row_schedule
 from repro.core.alarms import ALARM_DOS_SUSPECTED, ALARM_ROUTER_UNAVAILABLE
 from repro.farm.spec import register_runner
 from repro.live.verdict import fingerprint
@@ -302,22 +297,6 @@ def chaos_run(
     }
 
 
-#: the adversary axis of the advbench sweep.  ``sampled_p<digits>``
-#: encodes the corruption probability (p001 -> 0.001, p1 -> 0.1);
-#: ``colluding_minority`` compromises quorum-1 branches with identical
-#: wrong wire images, ``colluding_quorum`` compromises a full quorum —
-#: the negative-control row where the voter *must* admit damage.
-ADVBENCH_ADVERSARIES = (
-    "sampled_p001",
-    "sampled_p01",
-    "sampled_p1",
-    "probation_evader",
-    "sweep_timed",
-    "path_inconsistency",
-    "colluding_minority",
-    "colluding_quorum",
-)
-
 #: compare timing/threshold profiles swept by advbench.  Only *when*
 #: detection triggers varies — the vote policy stays bit-exact in every
 #: profile, so sub-quorum masked damage must be 0 in all rows.
@@ -341,44 +320,6 @@ COMPARE_PROFILES: Dict[str, Dict[str, Any]] = {
 }
 
 
-def advbench_schedule(
-    adversary: str,
-    k: int,
-    activate_at: float,
-    until: Optional[float] = None,
-) -> FaultSchedule:
-    """The fault schedule behind one advbench adversary row.
-
-    Single-branch strategies target ``r1``; collusion rows target
-    ``r0..r{m-1}`` with m = quorum-1 (minority) or m = quorum (the
-    negative control).
-    """
-    quorum = k // 2 + 1
-    if adversary.startswith("sampled_p"):
-        rate = float("0." + adversary[len("sampled_p"):])
-        spec = [("r1", {"strategy": "sampled_corruption", "rate": rate})]
-    elif adversary == "probation_evader":
-        spec = [("r1", {"strategy": "probation_evader"})]
-    elif adversary == "sweep_timed":
-        spec = [("r1", {"strategy": "sweep_timed"})]
-    elif adversary == "path_inconsistency":
-        spec = [("r1", {"strategy": "path_inconsistency", "pace": 3})]
-    elif adversary == "colluding_minority":
-        spec = [(f"r{i}", {"strategy": "colluding_minority"}) for i in range(quorum - 1)]
-    elif adversary == "colluding_quorum":
-        spec = [(f"r{i}", {"strategy": "colluding_minority"}) for i in range(quorum)]
-    else:
-        raise ValueError(
-            f"unknown advbench adversary {adversary!r} "
-            f"(known: {list(ADVBENCH_ADVERSARIES)})"
-        )
-    events = [
-        AdversaryStrategy(activate_at, target, until=until, **kwargs)
-        for target, kwargs in spec
-    ]
-    return FaultSchedule(events, name=adversary)
-
-
 @register_runner("adv.run")
 def adversary_run(
     seed: int,
@@ -391,15 +332,17 @@ def adversary_run(
     activate_at: float = 0.005,
     params: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """One UDP flow through a combiner testbed under one adversary strategy.
+    """One UDP flow through a combiner testbed under one advbench row (a
+    data-plane row of ``repro.adversary.catalogue.ROWS``).
 
     The detection-latency record behind the advbench table:
     time-to-first-alarm, time-to-quarantine, packets leaked before the
     first quarantine, masked damage (corrupted datagrams the voter
     released — the canonical corruption lands in the UDP sequence
     header, so any tampered datagram that reaches the receiver decodes
-    to an alien sequence number far above anything actually sent), and
-    the false-quarantine count over honest branches.
+    to an alien sequence number far above anything actually sent; only
+    payload corruption shows there), and the false-quarantine count over
+    honest branches.
     """
     prof = COMPARE_PROFILES.get(profile)
     if prof is None:
@@ -416,8 +359,8 @@ def adversary_run(
         testbed,
         # An activation scheduled past the flow's end (the honest control)
         # drops the deactivation event: the strategy never fires anyway.
-        advbench_schedule(
-            adversary, k, activate_at,
+        row_schedule(
+            row(DATA, adversary), k, activate_at,
             until=until if activate_at < until else None,
         ),
         {knob: value for knob, value in prof.items() if knob != "buffer_timeout"},
@@ -432,10 +375,10 @@ def adversary_run(
     )
     flow, transitions = run.flow, run.transitions
 
-    strategies = run.engine.strategy_behaviors.values()
-    adversary_branches = sorted(s.branch for s in strategies)
-    tampered = sum(s.packets_tampered for s in strategies)
-    active_seconds = sum(s.active_seconds for s in strategies)
+    armed = run.engine.adversaries.values()
+    adversary_branches = sorted(a.branch for a in armed)
+    tampered = sum(a.packets_tampered for a in armed)
+    active_seconds = sum(a.active_seconds for a in armed)
 
     attack_alarms = [
         a for a in testbed.alarms.alarms if a.time >= activate_at
@@ -504,32 +447,6 @@ def adversary_run(
     }
 
 
-#: the adversary axis of the ctrlbft sweep.  The fault always targets
-#: replica ``c1`` when it exists (c0 at ctrl_k=1, giving the
-#: *unprotected* baseline: a lone lying controller installs its lies).
-CTRL_ADVERSARIES = ("none", "crash", "lying")
-
-
-def _ctrl_adversary_schedule(adversary: str, ctrl_k: int) -> Optional[FaultSchedule]:
-    target = f"c{min(1, ctrl_k - 1)}"
-    if adversary == "none":
-        return None
-    if adversary == "crash":
-        return FaultSchedule(
-            [ControllerCrash(0.012, target, restart_at=0.030)],
-            name="ctrl_crash",
-        )
-    if adversary == "lying":
-        return FaultSchedule(
-            [ControllerCompromise(0.010, target, strategy="blackhole")],
-            name="ctrl_lying",
-        )
-    raise ValueError(
-        f"unknown control-plane adversary {adversary!r} "
-        f"(known: {list(CTRL_ADVERSARIES)})"
-    )
-
-
 def drive_ctrl_flow(
     tb: CtrlTestbed,
     adversary: str,
@@ -548,7 +465,7 @@ def drive_ctrl_flow(
     """
     net = tb.network
 
-    schedule = _ctrl_adversary_schedule(adversary, tb.ctrl.ctrl_k)
+    schedule = row_schedule(row(CONTROL, adversary), tb.ctrl.ctrl_k)
     engine = None
     if schedule is not None:
         engine = ChaosEngine(

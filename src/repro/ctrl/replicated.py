@@ -26,8 +26,9 @@ entirely — a quorum-of-1 VoteBook would still tombstone-deduplicate
 identical messages within the vote timeout, which a real controller
 does not.)
 
-The compromise hooks (:data:`CTRL_STRATEGIES`) model a *lying* replica:
-its flow-mods are mutated before submission, so it keeps voting — and
+The compromise hooks (the control-plane entries of
+:mod:`repro.adversary.catalogue`) model a *lying* replica: its flow-mods
+are mutated before submission, so it keeps voting — and
 keeps failing to assemble a majority — which is the divergence signature
 the voter alarms on.  Strategies mutate FlowMods only; PacketOuts pass
 clean so the honest majority's data-plane schedule is unaffected.
@@ -36,13 +37,13 @@ clean so the honest majority's data-plane schedule is unaffected.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
+from repro.adversary.catalogue import lie
 from repro.core.alarms import AlarmSink
 from repro.ctrl.compare import ControlCompare, ControlCompareConfig
-from repro.openflow.actions import Output
 from repro.openflow.controller import Controller
 from repro.openflow.messages import (
     FlowMod,
@@ -59,51 +60,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.openflow.switch import OpenFlowSwitch
 
 __all__ = [
-    "CTRL_STRATEGIES",
-    "BOGUS_PORT",
     "CompromisePlan",
     "ReplicaHandle",
     "ReplicatedControlPlane",
 ]
-
-#: nonexistent switch port a blackholing liar rewrites outputs to; the
-#: switch drops such packets with a ``switch.drop reason=bad_port`` trace
-BOGUS_PORT = 9999
-
-
-def _lie_blackhole(mod: FlowMod) -> Optional[FlowMod]:
-    """Rewrite every output to a nonexistent port (traffic blackhole)."""
-    actions = tuple(
-        Output(BOGUS_PORT) if isinstance(a, Output) else a for a in mod.actions
-    )
-    return dataclasses.replace(mod, actions=actions)
-
-
-def _lie_suppress(mod: FlowMod) -> Optional[FlowMod]:
-    """Withhold the flow-mod entirely (silent sabotage)."""
-    return None
-
-
-def _lie_priority(mod: FlowMod) -> Optional[FlowMod]:
-    """A subtle lie: same route, different priority (shadow rules)."""
-    return dataclasses.replace(mod, priority=mod.priority + 1)
-
-
-#: compromise strategy name -> FlowMod mutator (None return = withhold)
-CTRL_STRATEGIES: Dict[str, Callable[[FlowMod], Optional[FlowMod]]] = {
-    "blackhole": _lie_blackhole,
-    "suppress": _lie_suppress,
-    "priority": _lie_priority,
-}
 
 
 @dataclass
 class CompromisePlan:
     """An active lie campaign against one replica.
 
-    ``lie_every`` > 1 models an adversary pacing its lies to stretch out
-    detection (and, against a probation window, to evade re-admission
-    resets); ``until`` bounds the campaign in simulated time.
+    ``strategy`` names a control-plane catalogue entry; its mutator is
+    resolved here, once.  ``lie_every`` > 1 models an adversary pacing
+    its lies to stretch out detection (and, against a probation window,
+    to evade re-admission resets); ``until`` bounds the campaign in
+    simulated time.
     """
 
     strategy: str
@@ -111,6 +82,12 @@ class CompromisePlan:
     until: Optional[float] = None
     flow_mods_seen: int = 0
     lies_told: int = 0
+    _mutate: Callable = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.lie_every < 1:
+            raise ValueError(f"lie_every must be >= 1, got {self.lie_every}")
+        self._mutate = lie(self.strategy)
 
     def apply(self, message: object, now: float) -> "tuple[object | None, bool]":
         """Return (possibly mutated message, tainted?)."""
@@ -121,7 +98,7 @@ class CompromisePlan:
         self.flow_mods_seen += 1
         if self.flow_mods_seen % self.lie_every != 0:
             return message, False
-        mutated = CTRL_STRATEGIES[self.strategy](message)
+        mutated = self._mutate(message)
         self.lies_told += 1
         if mutated is message:
             return message, False
@@ -333,15 +310,9 @@ class ReplicatedControlPlane(Controller):
         until: Optional[float] = None,
     ) -> None:
         """Turn one replica into a liar (its output is mutated)."""
-        if strategy not in CTRL_STRATEGIES:
-            known = ", ".join(sorted(CTRL_STRATEGIES))
-            raise ValueError(f"unknown compromise strategy {strategy!r} (known: {known})")
-        if lie_every < 1:
-            raise ValueError(f"lie_every must be >= 1, got {lie_every}")
+        plan = CompromisePlan(strategy=strategy, lie_every=lie_every, until=until)
         handle = self.replicas[self.replica_index(target)]
-        handle.compromise = CompromisePlan(
-            strategy=strategy, lie_every=lie_every, until=until
-        )
+        handle.compromise = plan
         self.trace(
             "ctrl.replica_compromise",
             replica=handle.index,

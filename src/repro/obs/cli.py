@@ -176,6 +176,8 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
 
 def register(subparsers) -> None:
     """Declare ``obs summary|dump|diff|trace`` on the one command tree."""
+    from repro.adversary.catalogue import CONTROL, row_names
+
     obs = subparsers.add_parser(
         "obs", help="observability: metric summaries, trace dumps, report diffs",
         description="Observability: metric summaries, trace dumps, report diffs.",
@@ -244,7 +246,7 @@ def register(subparsers) -> None:
     p_trace.add_argument("--ctrl-k", type=int, default=3,
                          help="controller replicas for --ctrl (default 3)")
     p_trace.add_argument("--adversary", default="none",
-                         choices=("none", "crash", "lying"),
+                         choices=row_names(CONTROL),
                          help="chaos adversary for --ctrl (default none)")
     _add_run_arguments(p_trace)
     p_trace.add_argument("--list", action="store_true",

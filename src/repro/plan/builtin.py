@@ -302,7 +302,7 @@ def chaos_plan(
 def ctrlbft_plan(
     variants: Sequence[str] = ("linespeed", "central3"),
     ctrl_ks: Sequence[int] = (1, 3),
-    adversaries: Sequence[str] = ("none", "crash", "lying"),
+    adversaries: Optional[Sequence[str]] = None,
     duration: float = 0.06,
     rate_mbps: float = 10.0,
     seeds: Sequence[int] = (1,),
@@ -315,7 +315,12 @@ def ctrlbft_plan(
     reactive control plane with an optional replica crash or lying
     compromise, recording blocked flow-mods, detection latency, the
     quarantine timeline and a data-plane delivery fingerprint (the
-    bit-identity artefact: ``ctrl_k`` must not change it)."""
+    bit-identity artefact: ``ctrl_k`` must not change it).  The adversary
+    axis defaults to the catalogue's control-plane rows."""
+    if adversaries is None:
+        from repro.adversary.catalogue import CONTROL, row_names
+
+        adversaries = row_names(CONTROL)
     return ExperimentPlan(
         name="ctrlbft",
         description="Replicated control plane: data-plane k x control-"
@@ -351,16 +356,17 @@ def advbench_plan(
     compare profile.
 
     Each grid point is one ``adv.run``: a UDP flow through a combiner
-    while a scheduled adversary strategy (``repro.adversary.strategies``)
-    runs on one or more branches, recording time-to-first-alarm,
-    time-to-quarantine, packets leaked before quarantine, masked damage
-    and the honest-branch false-quarantine rate.  Seeds fold into a
-    paper-style table per (variant, adversary, profile)."""
+    while an adversary runs on one or more branches, recording
+    time-to-first-alarm, time-to-quarantine, packets leaked before
+    quarantine, masked damage and the honest-branch false-quarantine
+    rate.  Seeds fold into a paper-style table per (variant, adversary,
+    profile).  The adversary axis defaults to the catalogue's data-plane
+    rows (``repro.adversary.catalogue``)."""
     require_compare(variants)
     if adversaries is None:
-        from repro.analysis.tasks import ADVBENCH_ADVERSARIES
+        from repro.adversary.catalogue import DATA, row_names
 
-        adversaries = ADVBENCH_ADVERSARIES
+        adversaries = row_names(DATA)
     return ExperimentPlan(
         name="advbench",
         description="Adversary strategies vs the combiner: detection "

@@ -1,5 +1,5 @@
-"""Unit tests for the scheduled adversary strategies: registry wiring,
-constructor contracts, each strategy's decision state machine (driven
+"""Unit tests for the scheduled adversary strategies: catalogue wiring,
+build contracts, each strategy's decision state machine (driven
 directly, no network needed), the deterministic collusion wire image,
 and the metrics binding."""
 
@@ -8,22 +8,24 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.adversary.behaviors import Target
+from repro.adversary.catalogue import DATA, build, entry
+from repro.adversary.modify import corrupt_payload
 from repro.adversary.strategies import (
-    STRATEGIES,
     CollusionCorruption,
     PathInconsistency,
     ProbationEvader,
     SampledCorruption,
+    ScheduledStrategy,
     SweepTimedCorruption,
-    build_strategy,
-    corrupt_payload,
 )
 from repro.net.packet import Packet
 from repro.obs.metrics import MetricsRegistry, use_registry
 
 
-def fake_sim(now=0.0):
-    return SimpleNamespace(now=now)
+def fake_switch():
+    """Just what a strategy reads off its switch: the clock."""
+    return SimpleNamespace(sim=SimpleNamespace(now=0.0))
 
 
 class FakeCompare:
@@ -54,10 +56,9 @@ def packet(payload=b"hello adversary"):
     )
 
 
-def build(strategy, **kwargs):
-    kwargs.setdefault("sim", fake_sim())
-    kwargs.setdefault("rng", random.Random(7))
-    return build_strategy(strategy, **kwargs)
+def from_catalogue(strategy, **kwargs):
+    """Build a catalogue entry on a fake switch."""
+    return build(strategy, Target(fake_switch(), random.Random(7), **kwargs))
 
 
 # ----------------------------------------------------------------------
@@ -65,29 +66,32 @@ def build(strategy, **kwargs):
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_all_strategies_registered(self):
-        assert sorted(STRATEGIES) == [
-            "colluding_minority",
-            "path_inconsistency",
-            "probation_evader",
-            "sampled_corruption",
-            "sweep_timed",
-        ]
-        for name, cls in STRATEGIES.items():
-            assert cls.STRATEGY == name
+        for cls in (
+            CollusionCorruption,
+            PathInconsistency,
+            ProbationEvader,
+            SampledCorruption,
+            SweepTimedCorruption,
+        ):
+            found = entry(DATA, cls.STRATEGY)
+            assert found.cls is cls
+            assert isinstance(from_catalogue(
+                cls.STRATEGY, compare=FakeCompare(), branch=1), cls)
+            assert issubclass(cls, ScheduledStrategy)
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="unknown adversary strategy"):
-            build("quantum_tunneling")
+        with pytest.raises(ValueError, match="unknown data-plane adversary"):
+            from_catalogue("quantum_tunneling")
 
     def test_sweep_timed_requires_compare(self):
         with pytest.raises(ValueError, match="compare core"):
-            build("sweep_timed")
+            from_catalogue("sweep_timed")
 
     def test_probation_evader_requires_compare_and_branch(self):
         with pytest.raises(ValueError, match="compare core"):
-            build("probation_evader")
+            from_catalogue("probation_evader")
         with pytest.raises(ValueError, match="branch index"):
-            build("probation_evader", compare=FakeCompare())
+            from_catalogue("probation_evader", compare=FakeCompare())
 
 
 # ----------------------------------------------------------------------
@@ -99,16 +103,16 @@ class TestSampledCorruption:
             def random(self):  # pragma: no cover - must not be reached
                 raise AssertionError("rate >= 1 must not consume the stream")
 
-        s = SampledCorruption(fake_sim(), Poisoned(), rate=1.0)
+        s = SampledCorruption(Target(fake_switch(), Poisoned(), rate=1.0))
         assert all(s.decide(packet(), 0.0) for _ in range(5))
 
     def test_rate_zero_never_lies(self):
-        s = build("sampled_corruption", rate=0.0)
+        s = from_catalogue("sampled_corruption", rate=0.0)
         assert not any(s.decide(packet(), 0.0) for _ in range(50))
 
     def test_rate_is_deterministic_per_stream(self):
-        a = SampledCorruption(fake_sim(), random.Random(11), rate=0.3)
-        b = SampledCorruption(fake_sim(), random.Random(11), rate=0.3)
+        a = SampledCorruption(Target(fake_switch(), random.Random(11), rate=0.3))
+        b = SampledCorruption(Target(fake_switch(), random.Random(11), rate=0.3))
         draws_a = [a.decide(packet(), 0.0) for _ in range(100)]
         draws_b = [b.decide(packet(), 0.0) for _ in range(100)]
         assert draws_a == draws_b
@@ -117,7 +121,7 @@ class TestSampledCorruption:
 
 class TestPathInconsistency:
     def test_pace_selects_one_phase_per_cycle(self):
-        s = build("path_inconsistency", pace=3)
+        s = from_catalogue("path_inconsistency", pace=3)
         decisions = [s.decide(packet(), 0.0) for _ in range(12)]
         assert sum(decisions) == 4  # one per cycle of 3
         first = decisions.index(True)
@@ -125,28 +129,28 @@ class TestPathInconsistency:
         assert 0 <= s._phase < 3
 
     def test_pace_one_lies_every_packet(self):
-        s = build("path_inconsistency", pace=1)
+        s = from_catalogue("path_inconsistency", pace=1)
         assert all(s.decide(packet(), 0.0) for _ in range(5))
 
 
 class TestSweepTimed:
     def test_window_defaults_to_half_sweep_period(self):
-        s = build("sweep_timed", compare=FakeCompare(buffer_timeout=2e-3))
+        s = from_catalogue("sweep_timed", compare=FakeCompare(buffer_timeout=2e-3))
         assert s.window == pytest.approx(1e-3)
 
     def test_subscription_lifecycle(self):
         compare = FakeCompare()
-        s = build("sweep_timed", compare=compare)
+        s = from_catalogue("sweep_timed", compare=compare)
         assert compare.sweep_listeners == []
-        s.activate()
+        s.activate(0.0)
         assert compare.sweep_listeners == [s._on_sweep]
-        s.deactivate()
+        s.deactivate(0.0)
         assert compare.sweep_listeners == []
 
     def test_lies_only_inside_post_sweep_window(self):
-        s = build("sweep_timed", compare=FakeCompare(buffer_timeout=2e-3),
+        s = from_catalogue("sweep_timed", compare=FakeCompare(buffer_timeout=2e-3),
                   rate=1.0)
-        s.activate()
+        s.activate(0.0)
         assert not s.decide(packet(), 0.005)  # no sweep seen yet
         s._on_sweep(0.010)
         assert s.decide(packet(), 0.0105)     # inside the 1 ms window
@@ -158,8 +162,8 @@ class TestSweepTimed:
 class TestProbationEvader:
     def build_evader(self, **kwargs):
         compare = FakeCompare()
-        s = build("probation_evader", compare=compare, branch=1, **kwargs)
-        s.activate()
+        s = from_catalogue("probation_evader", compare=compare, branch=1, **kwargs)
+        s.activate(0.0)
         return s, compare
 
     def test_goes_quiet_on_own_quarantine_and_resumes_on_readmit(self):
@@ -205,7 +209,7 @@ class TestCorruptPayload:
         img_a = corrupt_payload(p.copy())
         img_b = corrupt_payload(p.copy())
         assert img_a.payload == img_b.payload
-        assert isinstance(build("colluding_minority"), CollusionCorruption)
+        assert isinstance(from_catalogue("colluding_minority"), CollusionCorruption)
 
 
 # ----------------------------------------------------------------------
@@ -213,35 +217,28 @@ class TestCorruptPayload:
 # ----------------------------------------------------------------------
 class TestLifecycle:
     def test_active_seconds_accumulate_across_activations(self):
-        sim = fake_sim()
-        s = build("sampled_corruption", sim=sim)
-        sim.now = 0.010
-        s.activate()
-        sim.now = 0.015
-        s.deactivate()
-        sim.now = 0.020
-        s.activate()
-        sim.now = 0.022
-        s.deactivate()
+        s = from_catalogue("sampled_corruption")
+        s.activate(0.010)
+        s.deactivate(0.015)
+        s.activate(0.020)
+        s.deactivate(0.022)
         assert s.active_seconds == pytest.approx(0.007)
         assert s.activated_at is None
 
     def test_deactivate_without_activate_is_a_noop(self):
-        s = build("sampled_corruption")
-        s.deactivate()
+        s = from_catalogue("sampled_corruption")
+        s.deactivate(0.0)
         assert s.active_seconds == 0.0
 
     def test_metrics_bind_when_registry_enabled(self):
         registry = MetricsRegistry(enabled=True)
-        sim = fake_sim()
         with use_registry(registry):
-            s = build("sampled_corruption", sim=sim)
+            s = from_catalogue("sampled_corruption")
         fake_switch = SimpleNamespace(trace=lambda *a, **k: None)
         s.trace_tamper(fake_switch, "corrupt", packet())
         s.trace_tamper(fake_switch, "corrupt", packet())
-        s.activate()
-        sim.now = 0.5
-        s.deactivate()
+        s.activate(0.0)
+        s.deactivate(0.5)
         samples = registry.samples()
         assert samples[
             'adversary_packets_tampered_total{strategy="sampled_corruption"}'
@@ -254,7 +251,7 @@ class TestLifecycle:
     def test_metrics_absent_when_registry_disabled(self):
         from repro.obs.metrics import active_registry
 
-        s = build("sampled_corruption")
+        s = from_catalogue("sampled_corruption")
         assert active_registry().samples() == {}
         # the hot path still counts locally
         s.trace_tamper(SimpleNamespace(trace=lambda *a, **k: None),

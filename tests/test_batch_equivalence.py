@@ -57,14 +57,28 @@ def test_chaos_run_identical_across_train(seed):
     assert batched == legacy
 
 
+#: the advbench rows each seed has always run (seed % 8), spelled out so
+#: that rows joining the sweep do not move a seed onto another adversary
+PINNED_ADV_ROWS = (
+    "sampled_p001",
+    "sampled_p01",
+    "sampled_p1",
+    "probation_evader",
+    "sweep_timed",
+    "path_inconsistency",
+    "colluding_minority",
+    "colluding_quorum",
+)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_adversary_run_identical_across_train(seed):
     """The batch tier must not perturb detection-latency records either:
     alarm times, quarantine transitions, leak/masked-damage accounting
     are bit-identical with 32-packet trains, for every strategy."""
-    from repro.analysis.tasks import ADVBENCH_ADVERSARIES, adversary_run
+    from repro.analysis.tasks import adversary_run
 
-    adversary = ADVBENCH_ADVERSARIES[seed % len(ADVBENCH_ADVERSARIES)]
+    adversary = PINNED_ADV_ROWS[seed % len(PINNED_ADV_ROWS)]
     variant = "central5" if adversary.startswith("colluding") else "central3"
 
     def run(train):

@@ -8,13 +8,10 @@ unreplicated run on the same seed.
 
 import pytest
 
+from repro.adversary.catalogue import BOGUS_PORT
 from repro.analysis.tasks import ctrl_run
 from repro.ctrl.compare import ControlCompare, ControlCompareConfig
-from repro.ctrl.replicated import (
-    BOGUS_PORT,
-    CompromisePlan,
-    ReplicatedControlPlane,
-)
+from repro.ctrl.replicated import CompromisePlan, ReplicatedControlPlane
 from repro.net.addresses import MacAddress
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.openflow.actions import Output

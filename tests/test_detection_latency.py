@@ -1,6 +1,7 @@
 """Detection-latency property suite: the advbench safety contract.
 
-Three claims, each driven across 24 seeds per adversary strategy; the
+Three claims, each driven across 24 seeds per adversary strategy (4 per
+static Section II behaviour, whose only randomness is the flow's); the
 first two on every realisation of the combiner that can outvote a
 branch (the Section V chain, the Section IX coarse-grained combiner, the
 Section VII virtualized one and the Section VI shielded router):
@@ -8,8 +9,8 @@ Section VII virtualized one and the Section VI shielded router):
 1. **No masked damage below quorum.**  While an honest quorum holds, no
    tampered wire image is ever released to the receiver, no attack-window
    packet is lost to the adversary before quarantine, and no honest
-   branch is quarantined — for *every* strategy in the library, including
-   the colluding minority that stays forever silent.
+   branch is quarantined — for *every* advbench row below quorum,
+   including the colluding minority that stays forever silent.
 2. **Bounded time-to-alarm.**  Strategies whose tamper volume exceeds the
    vigilant profile's thresholds (probation evader, sweep-timed,
    path-inconsistency) are alarmed on and quarantined within a fixed
@@ -27,7 +28,9 @@ import functools
 
 import pytest
 
-from repro.analysis.tasks import ADVBENCH_ADVERSARIES, adversary_run
+from repro.adversary.catalogue import DATA, ONE, QUORUM, ROWS, entry
+from repro.adversary.strategies import ScheduledStrategy
+from repro.analysis.tasks import adversary_run
 
 SEEDS = list(range(24))
 
@@ -39,10 +42,20 @@ HORIZON = 0.015
 #: caught within HORIZON
 ABOVE_THRESHOLD = ("probation_evader", "sweep_timed", "path_inconsistency")
 
-#: collusion rows need k=5 so a >1-branch minority exists below quorum
-COLLUSION = ("colluding_minority", "colluding_quorum")
+ADVBENCH_ROWS = ROWS[DATA].values()
 
-SUB_QUORUM = tuple(a for a in ADVBENCH_ADVERSARIES if a != "colluding_quorum")
+#: collusion rows need k=5 so a >1-branch minority exists below quorum
+COLLUSION = tuple(row.name for row in ADVBENCH_ROWS if row.placement != ONE)
+
+SUB_QUORUM = tuple(row.name for row in ADVBENCH_ROWS if row.placement != QUORUM)
+
+#: a scheduled strategy draws from its own stream: 24 seeds; a static
+#: behaviour is deterministic given the flow: 4
+SEEDS_OF = {
+    row.name: SEEDS
+    if issubclass(entry(DATA, row.entry).cls, ScheduledStrategy) else SEEDS[:4]
+    for row in ADVBENCH_ROWS
+}
 
 #: the realisations claims 1 and 2 run on.  "central" is central3, or
 #: central5 for the collusion rows; at k = 3 (transport3, virtual3,
@@ -61,7 +74,7 @@ def realisation_grid(adversaries):
         )
         for variant in REALISATIONS
         for adversary in adversaries
-        for seed in SEEDS
+        for seed in SEEDS_OF[adversary]
     ]
 
 

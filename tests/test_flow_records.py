@@ -22,7 +22,6 @@ from dataclasses import asdict
 from functools import partial
 from typing import Any, Callable, Dict
 
-from repro.analysis.tasks import ADVBENCH_ADVERSARIES, CTRL_ADVERSARIES
 from repro.chaos.schedule import builtin_battery
 from repro.farm.spec import resolve_runner
 from repro.live.schedule import LiveSchedule
@@ -67,6 +66,21 @@ def _instrumented(run: Callable[..., Any], **kwargs: Any) -> dict:
     }
 
 
+#: the advbench and ctrlbft rows the pins were written with, spelled out
+#: so that rows joining the sweeps do not join the grid
+ADV_ROWS = (
+    "sampled_p001",
+    "sampled_p01",
+    "sampled_p1",
+    "probation_evader",
+    "sweep_timed",
+    "path_inconsistency",
+    "colluding_minority",
+    "colluding_quorum",
+)
+CTRL_ROWS = ("none", "crash", "lying")
+
+
 def grid() -> Dict[str, Callable[[], Any]]:
     """The pinned runs, by name (the sizes of each command's ``--quick``)."""
     chaos = resolve_runner("chaos.run")
@@ -81,7 +95,7 @@ def grid() -> Dict[str, Callable[[], Any]]:
                 chaos, schedule=schedule.to_dict(), seed=seed, duration=0.04
             )
     for variant in ("central3", "central5"):
-        for adversary in ADVBENCH_ADVERSARIES:
+        for adversary in ADV_ROWS:
             runs[f"adv/{variant}/{adversary}"] = partial(
                 adv, variant=variant, adversary=adversary
             )
@@ -90,7 +104,7 @@ def grid() -> Dict[str, Callable[[], Any]]:
         adv, variant="central3", adversary="sampled_p1", activate_at=1.0
     )
     for ctrl_k in (1, 3):
-        for adversary in CTRL_ADVERSARIES:
+        for adversary in CTRL_ROWS:
             runs[f"ctrl/central3/k{ctrl_k}/{adversary}"] = partial(
                 ctrl, variant="central3", ctrl_k=ctrl_k, adversary=adversary
             )

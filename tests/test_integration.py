@@ -4,22 +4,19 @@ The central safety invariant (Section III): with at most ⌊k/2⌋ malicious
 routers, every frame delivered out of the combiner is bit-identical to a
 frame that entered it, and every frame that entered it is delivered
 exactly once.  The attack matrix exercises that invariant against every
-adversary model in the library.
+data-plane entry of the adversary catalogue.
 """
 
 import pytest
 
-from repro.adversary.behaviors import BenignBehavior, match_udp
-from repro.adversary.dos import BlackholeBehavior, ReplayFloodBehavior
-from repro.adversary.mirror import MirrorBehavior
+from repro.adversary.catalogue import DATA, names
+from repro.adversary.dos import ReplayFloodBehavior
 from repro.adversary.modify import (
-    DropBehavior,
     HeaderRewriteBehavior,
     PayloadCorruptionBehavior,
     dst_mac_rewrite,
-    vlan_rewrite,
 )
-from repro.adversary.reroute import PortSwapBehavior
+from repro.chaos.schedule import AdversaryStrategy, ChaosEngine, FaultSchedule
 from repro.core.combiner import CombinerChainParams, build_combiner_chain
 from repro.core.compare import CompareConfig
 from repro.net.topology import Network
@@ -43,45 +40,17 @@ def build_rig(k=3, mark_sources=False, seed=11):
     return net, chain, h1, h2
 
 
-def attack_factory(name, net, chain, h1, h2):
-    """Build one attack behaviour for the matrix."""
-    if name == "benign":
-        return BenignBehavior()
-    if name == "corrupt":
-        return PayloadCorruptionBehavior()
-    if name == "blackhole":
-        return BlackholeBehavior()
-    if name == "drop-udp":
-        return DropBehavior(selector=match_udp())
-    if name == "rewrite-dst":
-        return HeaderRewriteBehavior(dst_mac_rewrite(h1.mac))
-    if name == "rewrite-vlan":
-        return HeaderRewriteBehavior(vlan_rewrite(666))
-    if name == "replay":
-        return ReplayFloodBehavior(amplification=5)
-    if name == "mirror":
-        router = chain.router(0)
-        back_port = net.port_no_between(router.name, chain.endpoint_a.name)
-        return MirrorBehavior(back_port)
-    if name == "port-swap":
-        router = chain.router(0)
-        a_port = net.port_no_between(router.name, chain.endpoint_a.name)
-        b_port = net.port_no_between(router.name, chain.endpoint_b.name)
-        return PortSwapBehavior({a_port: b_port, b_port: a_port})
-    raise ValueError(name)
+#: the ids the hand-built matrix gave the entries it covered
+CASE_IDS = {
+    "payload_corruption": "corrupt",
+    "drop": "drop-udp",
+    "header_rewrite": "rewrite-vlan",
+    "replay_flood": "replay",
+    "port_swap": "port-swap",
+}
 
-
-ATTACKS = (
-    "benign",
-    "corrupt",
-    "blackhole",
-    "drop-udp",
-    "rewrite-dst",
-    "rewrite-vlan",
-    "replay",
-    "mirror",
-    "port-swap",
-)
+#: every data-plane entry of the adversary catalogue
+ATTACKS = [pytest.param(name, id=CASE_IDS.get(name, name)) for name in names(DATA)]
 
 
 class TestAttackMatrix:
@@ -89,8 +58,11 @@ class TestAttackMatrix:
     @pytest.mark.parametrize("k", (3, 5))
     def test_single_traitor_is_masked(self, attack, k):
         net, chain, h1, h2 = build_rig(k=k)
-        behavior = attack_factory(attack, net, chain, h1, h2)
-        behavior.attach(chain.router(0))
+        ChaosEngine(
+            FaultSchedule([AdversaryStrategy(0.0, chain.router(0).name, strategy=attack)]),
+            net,
+            compare_core=chain.compare_core,
+        ).arm()
 
         sent_frames = set()
         delivered = []
@@ -119,7 +91,11 @@ class TestAttackMatrix:
         # never receives a frame h1 did not send
         net, chain, h1, h2 = build_rig(k=3)
         # traitor 0: the parametrised attack; traitor 1: a different one
-        attack_factory(attack, net, chain, h1, h2).attach(chain.router(0))
+        if attack == "rewrite-dst":
+            traitor = HeaderRewriteBehavior(dst_mac_rewrite(h1.mac))
+        else:
+            traitor = ReplayFloodBehavior(amplification=5)
+        traitor.attach(chain.router(0))
         PayloadCorruptionBehavior(flip_offset=3).attach(chain.router(1))
 
         sent_frames = set()

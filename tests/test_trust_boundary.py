@@ -25,10 +25,10 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary.behaviors import AdversarialBehavior
+from repro.adversary.catalogue import BOGUS_PORT
 from repro.analysis.tasks import DRAIN_TIME, drive_ctrl_flow
 from repro.apps.learning import LearningSwitchApp
 from repro.ctrl.digest import digest
-from repro.ctrl.replicated import BOGUS_PORT
 from repro.live.verdict import fingerprint
 from repro.core.alarms import ALARM_SPOOFED_BRANCH
 from repro.net.addresses import MacAddress
