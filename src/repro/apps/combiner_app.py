@@ -103,11 +103,13 @@ class PoxStyleCompareApp(Controller):
 
     def on_packet_in(self, switch: OpenFlowSwitch, event: PacketIn) -> None:
         if not isinstance(switch, CombinerEndpoint):
-            self.trace("pox_compare.not_an_endpoint", datapath=switch.datapath_id)
+            if self.tracing("pox_compare.not_an_endpoint"):
+                self.trace("pox_compare.not_an_endpoint", datapath=switch.datapath_id)
             return
         branch = switch.branch_of_port(event.in_port)
         if branch is None:
-            self.trace("pox_compare.unknown_branch", in_port=event.in_port)
+            if self.tracing("pox_compare.unknown_branch"):
+                self.trace("pox_compare.unknown_branch", in_port=event.in_port)
             return
         collect, _context = self._sessions_for(switch)
         collect.deliver(event.packet, {"branch": branch})

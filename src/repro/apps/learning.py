@@ -17,6 +17,9 @@ from repro.openflow.match import Match
 from repro.openflow.messages import FLOWMOD_ADD, FlowMod, PacketIn, PacketOut
 from repro.openflow.switch import OpenFlowSwitch
 
+#: addresses are ints: the decision compares against this one in C
+_BROADCAST = MacAddress.BROADCAST
+
 
 class LearningSwitchApp(Controller):
     """Reactive MAC learning over any number of switches."""
@@ -44,32 +47,31 @@ class LearningSwitchApp(Controller):
         packet = event.packet
         eth = packet.fields()[0]  # read-only: skip CoW materialisation
         src, dst = eth.src, eth.dst
-        if not src.is_multicast:
-            self.tables[(switch.datapath_id, src)] = event.in_port
-        out_port = self.tables.get((switch.datapath_id, dst))
-        if out_port is None or dst.is_broadcast:
+        in_port = event.in_port
+        dpid = switch.datapath_id
+        tables = self.tables
+        if not (src >> 40) & 1:  # the group bit: never learn a multicast source
+            tables[(dpid, src)] = in_port
+        out_port = tables.get((dpid, dst))
+        if out_port is None or dst == _BROADCAST:
             self.floods += 1
-            self.send(
-                switch,
-                PacketOut(packet=packet, actions=[flood()], in_port=event.in_port),
-            )
+            self.send(switch, PacketOut(packet, (flood(),), in_port))
             return
         self.flows_installed += 1
+        # actions are read-only values: both messages may hold one tuple
+        actions = (Output(out_port),)
         self.send(
             switch,
             FlowMod(
-                command=FLOWMOD_ADD,
-                match=Match(dl_dst=dst),
-                actions=[Output(out_port)],
-                priority=self.flow_priority,
-                idle_timeout=self.flow_idle_timeout,
-                hard_timeout=self.flow_hard_timeout,
+                FLOWMOD_ADD,
+                Match(dl_dst=dst),
+                actions,
+                self.flow_priority,
+                self.flow_idle_timeout,
+                self.flow_hard_timeout,
             ),
         )
-        self.send(
-            switch,
-            PacketOut(packet=packet, actions=[Output(out_port)], in_port=event.in_port),
-        )
+        self.send(switch, PacketOut(packet, actions, in_port))
 
     def learned_port(self, switch: OpenFlowSwitch, mac: MacAddress) -> int:
         return self.tables.get((switch.datapath_id, MacAddress(mac)), -1)

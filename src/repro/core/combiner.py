@@ -100,13 +100,15 @@ class CompareHost(Node):
         registered = self._collect_by_port.get(in_port.port_no)
         if registered is None:
             self.stats.dropped_unregistered_port += 1
-            self.trace("compare_host.unregistered_port", port=in_port.port_no)
+            if self.tracing("compare_host.unregistered_port"):
+                self.trace("compare_host.unregistered_port", port=in_port.port_no)
             return
         meta = packet.meta or {}  # the DES collect wire format
         branch = meta.get("branch")
         if branch is None:
             self.stats.dropped_untagged += 1
-            self.trace("compare_host.untagged_packet", port=in_port.port_no)
+            if self.tracing("compare_host.untagged_packet"):
+                self.trace("compare_host.untagged_packet", port=in_port.port_no)
             return
         session, context = registered
         # the collect session's receive, spelled out: count, then submit

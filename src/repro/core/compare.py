@@ -227,7 +227,8 @@ class CompareCore(QuorumVoter):
             return
         if self._in_service >= self.config.service_queue_capacity:
             self.stats.queue_drops += 1
-            self._trace("compare.queue_drop", branch=branch)
+            if self._tracing("compare.queue_drop"):
+                self._trace("compare.queue_drop", branch=branch)
             return
         finish = max(now, self._busy_until) + cost
         self._busy_until = finish
@@ -263,11 +264,17 @@ class CompareCore(QuorumVoter):
             self._note_duplicate(branch, context)
         else:
             self._dup_strikes[branch] = 0
-        if outcome.late_copy and outcome.countable:
+        if (
+            outcome.late_copy
+            and outcome.countable
+            and self._tracing("compare.late_copy")
+        ):
             self._trace("compare.late_copy", branch=branch)
 
     def _note_copy(self, outcome: VoteOutcome, branch: int, note: object) -> None:
         # ``note`` is the copy's trace id: only sampled packets get a span
+        if not self._tracing("compare.vote"):
+            return
         self._trace(
             "compare.vote",
             trace=note,
@@ -288,13 +295,14 @@ class CompareCore(QuorumVoter):
         if self._h_release_latency is not None:
             self._h_release_latency.observe(now - entry.first_seen)
             self._h_quorum_votes.observe(entry.distinct_branches)
-        self._trace(
-            "compare.release",
-            branch=branch,
-            votes=entry.distinct_branches,
-            trace=entry.packet.trace_id,
-            latency=now - entry.first_seen,
-        )
+        if self._tracing("compare.release"):
+            self._trace(
+                "compare.release",
+                branch=branch,
+                votes=entry.distinct_branches,
+                trace=entry.packet.trace_id,
+                latency=now - entry.first_seen,
+            )
         if ctx is None:
             # released by a quorum shrink, not by a copy arriving
             ctx = self._contexts.get(entry.key[0])
@@ -319,7 +327,10 @@ class CompareCore(QuorumVoter):
         self._busy_until = max(self._busy_until, now) + stall
         self.stats.cleanups += 1
         self.stats.cleanup_stall_time += stall
-        self._trace("compare.cleanup", scanned=scanned, expired=len(expired), stall=stall)
+        if self._tracing("compare.cleanup"):
+            self._trace(
+                "compare.cleanup", scanned=scanned, expired=len(expired), stall=stall
+            )
 
     def _finalise(self, entry: VoteEntry) -> None:
         """Account for an entry leaving the cache (expiry or eviction)."""
@@ -329,12 +340,13 @@ class CompareCore(QuorumVoter):
             return
         self.stats.expired_unreleased += 1
         self._finalise_unreleased(entry)
-        self._trace(
-            "compare.drop_unreleased",
-            votes=entry.distinct_branches,
-            copies=entry.total_copies(),
-            trace=entry.packet.trace_id,
-        )
+        if self._tracing("compare.drop_unreleased"):
+            self._trace(
+                "compare.drop_unreleased",
+                votes=entry.distinct_branches,
+                copies=entry.total_copies(),
+                trace=entry.packet.trace_id,
+            )
 
     def _on_single_source(self, entry: VoteEntry) -> None:
         branch = entry.branches()[0]

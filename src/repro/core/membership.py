@@ -405,11 +405,9 @@ class QuorumVoter:
         if branch not in self.branch_ids or branch in self._quarantined:
             return False
         if len(self.active_branches()) - 1 < self.config.min_active_branches:
-            self._trace(
-                f"{self.trace_prefix}.quarantine_refused",
-                branch=branch,
-                active=len(self.active_branches()),
-            )
+            topic = f"{self.trace_prefix}.quarantine_refused"
+            if self._tracing(topic):
+                self._trace(topic, branch=branch, active=len(self.active_branches()))
             return False
         now = self.sim.now
         self._quarantined[branch] = now
@@ -427,13 +425,12 @@ class QuorumVoter:
             quorum=self.book.quorum,
             masking_margin=active - self.book.quorum,
         )
-        self._trace(
-            f"{self.trace_prefix}.quarantine",
-            branch=branch,
-            reason=reason,
-            active=active,
-            quorum=self.book.quorum,
-        )
+        topic = f"{self.trace_prefix}.quarantine"
+        if self._tracing(topic):
+            self._trace(
+                topic, branch=branch, reason=reason, active=active,
+                quorum=self.book.quorum,
+            )
         self._notify_membership("quarantine", branch, now)
         return True
 
@@ -464,12 +461,9 @@ class QuorumVoter:
             active_branches=len(self.active_branches()),
             quorum=self.book.quorum,
         )
-        self._trace(
-            f"{self.trace_prefix}.readmit",
-            branch=branch,
-            clean=clean,
-            quorum=self.book.quorum,
-        )
+        topic = f"{self.trace_prefix}.readmit"
+        if self._tracing(topic):
+            self._trace(topic, branch=branch, clean=clean, quorum=self.book.quorum)
         self._notify_membership("readmit", branch, now)
         return True
 
@@ -511,7 +505,15 @@ class QuorumVoter:
         if self._probation_clean.get(branch):
             self._probation_clean[branch] = 0
             self.stats.probation_resets += 1
-            self._trace(f"{self.trace_prefix}.probation_reset", branch=branch)
+            topic = f"{self.trace_prefix}.probation_reset"
+            if self._tracing(topic):
+                self._trace(topic, branch=branch)
+
+    def _tracing(self, topic: str) -> bool:
+        """Whether a record on ``topic`` would be kept or delivered: a
+        record site asks before it builds the record's fields."""
+        bus = self.trace_bus
+        return bus is not None and bus.wants(topic)
 
     def _trace(self, topic: str, **data: object) -> None:
         if self.trace_bus is not None:

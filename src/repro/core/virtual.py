@@ -109,7 +109,8 @@ class VirtualEgress(BranchPorts, OpenFlowSwitch):
                 self.apply_actions(packet, entry.actions, 0)
             else:
                 self.stats.dropped_no_match += 1
-                self.trace("virtual_egress.no_route", packet=packet)
+                if self.tracing("virtual_egress.no_route"):
+                    self.trace("virtual_egress.no_route", packet=packet)
 
         self._context = CompareContext(
             scope=self.name, release=release, block_branch=self.block_branch_ingress

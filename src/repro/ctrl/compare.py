@@ -191,17 +191,17 @@ class ControlCompare(QuorumVoter):
         tainted, trace = note
         if tainted:
             self._tainted.add(key)
-        if trace is None:
-            known_trace = self._entry_trace.get(key)
-        else:
-            known_trace = self._entry_trace.setdefault(key, trace)
+        if trace is not None:
+            trace = self._entry_trace.setdefault(key, trace)
         bus = self.trace_bus
-        if bus is None:
+        if bus is None or not bus.wants("ctrl.vote"):
             return
-        # Every copy gets a vote record, so its fields go to `emit` in
-        # one call (no `_trace` frame, no dict built and re-packed); the
-        # record differs only in whether a trace id is known.
-        if known_trace is None:
+        if trace is None:
+            trace = self._entry_trace.get(key)
+        # A vote record's fields go to `emit` in one call (no `_trace`
+        # frame, no dict built and re-packed); the record differs only in
+        # whether a trace id is known.
+        if trace is None:
             bus.emit(
                 self.sim.now, "ctrl.vote", self.name,
                 branch=replica,
@@ -222,7 +222,7 @@ class ControlCompare(QuorumVoter):
                 duplicate=outcome.is_branch_duplicate,
                 late=outcome.late_copy,
                 probation=not outcome.countable,
-                trace=known_trace,
+                trace=trace,
             )
 
     def _deliver(
@@ -246,7 +246,8 @@ class ControlCompare(QuorumVoter):
                     now, ALARM_COPY_REWRITTEN, self.name,
                     branch=replica, dpid=key[0], message=type(message).__name__,
                 )
-                self._trace("ctrl.release_refused", dpid=key[0], branch=replica)
+                if self._tracing("ctrl.release_refused"):
+                    self._trace("ctrl.release_refused", dpid=key[0], branch=replica)
                 return
         if key in self._tainted:
             # A majority confirmed bytes a compromised replica emitted:
@@ -254,12 +255,13 @@ class ControlCompare(QuorumVoter):
             # honest output (not a lie at all); count it — the ctrlbft
             # acceptance gate requires this to stay 0.
             self.stats.malicious_released += 1
-            self._trace("ctrl.malicious_release", dpid=key[0])
+            if self._tracing("ctrl.malicious_release"):
+                self._trace("ctrl.malicious_release", dpid=key[0])
         latency = now - entry.first_seen
         if self._h_vote_latency is not None:
             self._h_vote_latency.observe(latency)
         bus = self.trace_bus
-        if bus is not None:
+        if bus is not None and bus.wants("ctrl.release"):
             # one record per release, handed to `emit` in one call
             release_trace = self._entry_trace.get(key)
             if release_trace is None:
@@ -308,15 +310,16 @@ class ControlCompare(QuorumVoter):
         else:
             self.stats.blocked_quarantined += 1
             reason = "quarantined"
-        blocked_data = dict(
-            dpid=entry.key[0],
-            reason=reason,
-            votes=entry.distinct_branches,
-            kind=type(entry.packet).__name__,
-        )
-        if entry_trace is not None:
-            blocked_data["trace"] = entry_trace
-        self._trace("ctrl.blocked", **blocked_data)
+        if self._tracing("ctrl.blocked"):
+            blocked_data = dict(
+                dpid=entry.key[0],
+                reason=reason,
+                votes=entry.distinct_branches,
+                kind=type(entry.packet).__name__,
+            )
+            if entry_trace is not None:
+                blocked_data["trace"] = entry_trace
+            self._trace("ctrl.blocked", **blocked_data)
         self._finalise_unreleased(entry)
 
     def __repr__(self) -> str:

@@ -39,7 +39,13 @@ from repro.openflow.actions import (
     StripVlan,
 )
 from repro.openflow.match import Match
-from repro.openflow.messages import FlowMod, PacketOut
+from repro.openflow.messages import (
+    FLOWMOD_ADD,
+    FLOWMOD_DELETE,
+    FLOWMOD_DELETE_STRICT,
+    FlowMod,
+    PacketOut,
+)
 
 __all__ = [
     "DigestError",
@@ -55,6 +61,8 @@ _U32 = struct.Struct("!I")
 _U16 = struct.Struct("!H")
 #: an Output action: tag, port
 _OUTPUT = struct.Struct("!cI")
+#: an action list of one Output: count, tag, port
+_LONE_OUTPUT = struct.Struct("!HcI")
 #: the fixed FlowMod tail: priority, idle_timeout, hard_timeout, cookie
 _FLOW_MOD_TAIL = struct.Struct("!qddq")
 #: the PacketOut fields after its packet: buffer_id presence (and value),
@@ -145,20 +153,40 @@ def encode_actions(actions) -> bytes:
     return b"".join(parts)
 
 
+def _flow_mod_head(command: str) -> bytes:
+    """``F``, then the command, length-prefixed."""
+    encoded = command.encode("utf-8")
+    return b"F" + bytes((len(encoded),)) + encoded
+
+
+#: the head of a FlowMod with a standard command (a lying replica may send
+#: any other string: it is encoded on the spot)
+_FLOW_MOD_HEADS = {
+    command: _flow_mod_head(command)
+    for command in (FLOWMOD_ADD, FLOWMOD_DELETE, FLOWMOD_DELETE_STRICT)
+}
+
+
 def encode_flow_mod(mod: FlowMod) -> bytes:
-    command = mod.command.encode("utf-8")
+    command = mod.command
+    head = _FLOW_MOD_HEADS.get(command)
+    if head is None:
+        head = _flow_mod_head(command)
     actions = mod.actions
-    parts = [
-        b"F",
-        bytes((len(command),)),
-        command,
-        encode_match(mod.match),
-        _U16.pack(len(actions)),
-    ]
-    _put_actions(parts, actions)
-    parts.append(
-        _FLOW_MOD_TAIL.pack(mod.priority, mod.idle_timeout, mod.hard_timeout, mod.cookie)
+    tail = _FLOW_MOD_TAIL.pack(
+        mod.priority, mod.idle_timeout, mod.hard_timeout, mod.cookie
     )
+    if len(actions) == 1 and type(actions[0]) is Output:
+        # nearly every FlowMod a controller sends: one Output
+        return b"".join((
+            head,
+            encode_match(mod.match),
+            _LONE_OUTPUT.pack(1, b"O", actions[0].port & 0xFFFFFFFF),
+            tail,
+        ))
+    parts = [head, encode_match(mod.match), _U16.pack(len(actions))]
+    _put_actions(parts, actions)
+    parts.append(tail)
     return b"".join(parts)
 
 

@@ -244,12 +244,13 @@ class ReplicatedControlPlane(Controller):
                 handle.malicious_emitted += 1
                 if handle.first_tainted_at is None:
                     handle.first_tainted_at = self.sim.now
-                self.trace(
-                    "ctrl.replica_lie",
-                    replica=handle.index,
-                    strategy=handle.compromise.strategy,
-                    dpid=switch.datapath_id,
-                )
+                if self.tracing("ctrl.replica_lie"):
+                    self.trace(
+                        "ctrl.replica_lie",
+                        replica=handle.index,
+                        strategy=handle.compromise.strategy,
+                        dpid=switch.datapath_id,
+                    )
             if message is None:
                 return
         if self.k == 1:

@@ -173,7 +173,8 @@ class Host(Node):
         dst = packet.fields()[0].dst  # read-only: skip CoW materialisation
         if dst != self.mac and not dst.is_broadcast and not self.promiscuous:
             self.rx_foreign += 1
-            self.trace("host.foreign_frame", packet=packet)
+            if self.tracing("host.foreign_frame"):
+                self.trace("host.foreign_frame", packet=packet)
             return
         cost = self.recv_cost_base + self.recv_cost_per_byte * packet.wire_len
         if cost <= 0 and self.stack_delay <= 0:
@@ -181,7 +182,8 @@ class Host(Node):
             return
         if self._recv_queued >= self.recv_queue_capacity:
             self.rx_dropped += 1
-            self.trace("host.rx_drop", packet=packet)
+            if self.tracing("host.rx_drop"):
+                self.trace("host.rx_drop", packet=packet)
             return
         # Single-server receive path: packets queue behind the stack.
         sim = self.sim
@@ -208,7 +210,8 @@ class Host(Node):
         dst = batch.template.fields()[0].dst
         if dst != self.mac and not dst.is_broadcast and not self.promiscuous:
             self.rx_foreign += 1
-            self.trace("host.foreign_frame", packet=batch.packet_at(i))
+            if self.tracing("host.foreign_frame"):
+                self.trace("host.foreign_frame", packet=batch.packet_at(i))
             return
         cost = self.recv_cost_base + self.recv_cost_per_byte * batch.wire_len
         if cost <= 0 and self.stack_delay <= 0:
@@ -216,7 +219,8 @@ class Host(Node):
             return
         if self._recv_queued >= self.recv_queue_capacity:
             self.rx_dropped += 1
-            self.trace("host.rx_drop", packet=batch.packet_at(i))
+            if self.tracing("host.rx_drop"):
+                self.trace("host.rx_drop", packet=batch.packet_at(i))
             return
         now = self.sim.now
         start = self._cpu_busy_until
@@ -269,7 +273,7 @@ class Host(Node):
         port = self.port(1)
         idxs = []
         departs = []
-        if bus is not None:
+        if bus is not None and bus.wants("batch.merge"):
             bus.emit(times[0], "batch.merge", self.name,
                      train=batch.count, wire_len=batch.wire_len)
         for i in range(batch.count):
@@ -353,7 +357,7 @@ class Host(Node):
         if self._raw_handler is not None:
             self._raw_handler(packet)
             handled = True
-        if not handled:
+        if not handled and self.tracing("host.unhandled"):
             self.trace("host.unhandled", packet=packet)
 
     # ------------------------------------------------------------------

@@ -125,21 +125,25 @@ class LegacyRouter(Node):
             and not eth.dst.is_broadcast
         ):
             self.dropped_not_for_us += 1
-            self.trace("legacy.not_for_us", packet=packet)
+            if self.tracing("legacy.not_for_us"):
+                self.trace("legacy.not_for_us", packet=packet)
             return
         if ip is None:
             self.dropped_no_route += 1
-            self.trace("legacy.non_ip", packet=packet)
+            if self.tracing("legacy.non_ip"):
+                self.trace("legacy.non_ip", packet=packet)
             return
         if ip.ttl <= 1:
             self.dropped_ttl += 1
-            self.trace("legacy.ttl_exceeded", packet=packet)
+            if self.tracing("legacy.ttl_exceeded"):
+                self.trace("legacy.ttl_exceeded", packet=packet)
             self._send_time_exceeded(packet, in_port_no)
             return
         route = self.lookup(ip.dst)
         if route is None:
             self.dropped_no_route += 1
-            self.trace("legacy.no_route", dst=str(ip.dst))
+            if self.tracing("legacy.no_route"):
+                self.trace("legacy.no_route", dst=str(ip.dst))
             return
         out = self.ports.get(route.out_port)
         if out is None or not out.is_wired:

@@ -146,6 +146,12 @@ class Link:
             return src_port.wire_stats
         raise ValueError(f"port {src_port.full_name} is not an endpoint of {self.name}")
 
+    def tracing(self, topic: str) -> bool:
+        """Whether a record on ``topic`` would be kept or delivered: a
+        per-frame site asks before it builds the record's fields."""
+        bus = self._trace_bus
+        return bus is not None and bus.wants(topic)
+
     def trace(self, time: float, topic: str, source: str, **data: object) -> None:
         if self._trace_bus is not None:
             self._trace_bus.emit(time, topic, source, **data)

@@ -131,7 +131,8 @@ class Port:
         now = sim.now
         if now < self.blocked_until:
             self.blocked_drops += 1
-            node.trace("port.blocked_drop", port=self.port_no, packet=packet)
+            if node.tracing("port.blocked_drop"):
+                node.trace("port.blocked_drop", port=self.port_no, packet=packet)
             return
         wire_len = packet.wire_len
         self.tx_packets += 1
@@ -141,11 +142,17 @@ class Port:
         stats = self.wire_stats
         if link._down:
             stats.fault_drops += 1
-            link.trace(now, "link.drop", self.wire_name, reason="down", packet=packet)
+            if link.tracing("link.drop"):
+                link.trace(
+                    now, "link.drop", self.wire_name, reason="down", packet=packet
+                )
             return
         if self._queued >= self._queue_capacity:
             stats.queue_drops += 1
-            link.trace(now, "link.drop", self.wire_name, reason="queue", packet=packet)
+            if link.tracing("link.drop"):
+                link.trace(
+                    now, "link.drop", self.wire_name, reason="queue", packet=packet
+                )
             return
         stats.tx_packets += 1
         stats.tx_bytes += wire_len
@@ -184,10 +191,11 @@ class Port:
         stats = self.wire_stats
         if lost:
             stats.loss_drops += 1
-            self.link.trace(
-                self.node.sim.now, "link.drop", self.wire_name, reason="loss",
-                packet=packet,
-            )
+            if self.link.tracing("link.drop"):
+                self.link.trace(
+                    self.node.sim.now, "link.drop", self.wire_name, reason="loss",
+                    packet=packet,
+                )
             return
         stats.delivered_packets += 1
         stats.delivered_bytes += wire_len
@@ -205,7 +213,8 @@ class Port:
             far._span(packet, "span.hop", now)
         if now < far.blocked_until:
             far.blocked_drops += 1
-            node.trace("port.blocked_drop", port=far.port_no, packet=packet)
+            if node.tracing("port.blocked_drop"):
+                node.trace("port.blocked_drop", port=far.port_no, packet=packet)
             return
         node.receive(packet, far)
 
@@ -224,9 +233,10 @@ class Port:
             return
         if now < self.blocked_until:
             self.blocked_drops += 1
-            self.node.trace(
-                "port.blocked_drop", port=self.port_no, packet=batch.packet_at(i)
-            )
+            if self.node.tracing("port.blocked_drop"):
+                self.node.trace(
+                    "port.blocked_drop", port=self.port_no, packet=batch.packet_at(i)
+                )
             return
         wire_len = batch.wire_len
         self.tx_packets += 1
@@ -234,13 +244,15 @@ class Port:
         stats = self.wire_stats
         if link._down:
             stats.fault_drops += 1
-            link.trace(now, "link.drop", self.wire_name, reason="down",
-                       packet=batch.packet_at(i))
+            if link.tracing("link.drop"):
+                link.trace(now, "link.drop", self.wire_name, reason="down",
+                           packet=batch.packet_at(i))
             return
         if self._queued >= self._queue_capacity:
             stats.queue_drops += 1
-            link.trace(now, "link.drop", self.wire_name, reason="queue",
-                       packet=batch.packet_at(i))
+            if link.tracing("link.drop"):
+                link.trace(now, "link.drop", self.wire_name, reason="queue",
+                           packet=batch.packet_at(i))
             return
         stats.tx_packets += 1
         stats.tx_bytes += wire_len
@@ -278,8 +290,9 @@ class Port:
         now = node.sim.now
         if lost:
             stats.loss_drops += 1
-            self.link.trace(now, "link.drop", self.wire_name, reason="loss",
-                            packet=batch.packet_at(i))
+            if self.link.tracing("link.drop"):
+                self.link.trace(now, "link.drop", self.wire_name, reason="loss",
+                                packet=batch.packet_at(i))
             return
         wire_len = batch.wire_len
         stats.delivered_packets += 1
@@ -292,9 +305,10 @@ class Port:
                 tap(pkt)
         if now < far.blocked_until:
             far.blocked_drops += 1
-            node.trace(
-                "port.blocked_drop", port=far.port_no, packet=batch.packet_at(i)
-            )
+            if node.tracing("port.blocked_drop"):
+                node.trace(
+                    "port.blocked_drop", port=far.port_no, packet=batch.packet_at(i)
+                )
             return
         node.receive_batch_packet(batch, i, far)
 
@@ -364,6 +378,12 @@ class Node:
         """
         self.sim.realm.note_fallback("mixed-headers")
         self.receive(batch.packet_at(i), in_port)
+
+    def tracing(self, topic: str) -> bool:
+        """Whether a record on ``topic`` would be kept or delivered: a
+        per-packet site asks before it builds the record's fields."""
+        bus = self.trace_bus
+        return bus is not None and bus.wants(topic)
 
     def trace(self, topic: str, **data: object) -> None:
         if self.trace_bus is not None:

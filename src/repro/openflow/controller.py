@@ -83,7 +83,8 @@ class Controller:
         self.messages_received += 1
         if self._in_service >= self.queue_capacity:
             self.messages_dropped += 1
-            self.trace("controller.drop", reason="queue")
+            if self.tracing("controller.drop"):
+                self.trace("controller.drop", reason="queue")
             return
         if self.proc_time <= 0.0:
             self._dispatch(switch, message)
@@ -110,7 +111,8 @@ class Controller:
             self.on_flow_stats(switch, message)
         else:
             self.messages_unknown += 1
-            self.trace("controller.unknown_message", message=type(message).__name__)
+            if self.tracing("controller.unknown_message"):
+                self.trace("controller.unknown_message", message=type(message).__name__)
 
     # ------------------------------------------------------------------
     # send path (controller -> switch)
@@ -144,6 +146,12 @@ class Controller:
 
     def on_flow_stats(self, switch: "OpenFlowSwitch", reply: FlowStatsReply) -> None:
         """Called on flow-stats replies."""
+
+    def tracing(self, topic: str) -> bool:
+        """Whether a record on ``topic`` would be kept or delivered: a
+        per-decision site asks before it builds the record's fields."""
+        bus = self.trace_bus
+        return bus is not None and bus.wants(topic)
 
     def trace(self, topic: str, **data: object) -> None:
         if self.trace_bus is not None:

@@ -150,16 +150,19 @@ class OpenFlowSwitch(Node):
 
     def handle_controller_message(self, message: object) -> None:
         """Entry point for messages arriving from the controller."""
-        if isinstance(message, FlowMod):
-            self._apply_flow_mod(message)
-        elif isinstance(message, PacketOut):
+        # by exact type, the common release first (the voter, too, only
+        # canonicalises these exact types)
+        kind = type(message)
+        if kind is PacketOut:
             self._apply_packet_out(message)
-        elif isinstance(message, PortStatsRequest):
+        elif kind is FlowMod:
+            self._apply_flow_mod(message)
+        elif kind is PortStatsRequest:
             self._send_to_controller(self._port_stats_reply())
-        elif isinstance(message, FlowStatsRequest):
+        elif kind is FlowStatsRequest:
             self._send_to_controller(self._flow_stats_reply())
         else:
-            self.trace("switch.unknown_message", message=type(message).__name__)
+            self.trace("switch.unknown_message", message=kind.__name__)
 
     def controller_latency(self) -> float:
         return self._controller_latency
@@ -172,11 +175,13 @@ class OpenFlowSwitch(Node):
         stats.rx_packets += 1
         if self._failed:
             stats.dropped_failed += 1
-            self.trace("switch.drop", reason="failed", packet=packet)
+            if self.tracing("switch.drop"):
+                self.trace("switch.drop", reason="failed", packet=packet)
             return
         if self._in_service >= self.service_queue_capacity:
             stats.dropped_service_queue += 1
-            self.trace("switch.drop", reason="service_queue", packet=packet)
+            if self.tracing("switch.drop"):
+                self.trace("switch.drop", reason="service_queue", packet=packet)
             return
         cost = self.proc_time + self.proc_per_byte * packet.wire_len
         if cost <= 0.0:
@@ -207,11 +212,15 @@ class OpenFlowSwitch(Node):
         stats.rx_packets += 1
         if self._failed:
             stats.dropped_failed += 1
-            self.trace("switch.drop", reason="failed", packet=batch.packet_at(i))
+            if self.tracing("switch.drop"):
+                self.trace("switch.drop", reason="failed", packet=batch.packet_at(i))
             return
         if self._in_service >= self.service_queue_capacity:
             stats.dropped_service_queue += 1
-            self.trace("switch.drop", reason="service_queue", packet=batch.packet_at(i))
+            if self.tracing("switch.drop"):
+                self.trace(
+                    "switch.drop", reason="service_queue", packet=batch.packet_at(i)
+                )
             return
         cost = self.proc_time + self.proc_per_byte * batch.wire_len
         now = self.sim.now
@@ -244,7 +253,8 @@ class OpenFlowSwitch(Node):
         timeout)."""
         if self._failed:
             self.stats.dropped_failed += 1
-            self.trace("switch.drop", reason="failed", packet=batch.packet_at(i))
+            if self.tracing("switch.drop"):
+                self.trace("switch.drop", reason="failed", packet=batch.packet_at(i))
             return
         table = self.table
         if self.behavior is not None or table.has_timeouts:
@@ -276,8 +286,9 @@ class OpenFlowSwitch(Node):
                     # as in the per-packet pipeline
                     if fast is _BAD_EGRESS:
                         self.stats.dropped_bad_port += 1
-                        self.trace("switch.drop", reason="bad_port",
-                                   port=memo[10], packet=batch.packet_at(i))
+                        if self.tracing("switch.drop"):
+                            self.trace("switch.drop", reason="bad_port",
+                                       port=memo[10], packet=batch.packet_at(i))
                     else:
                         self.stats.forwarded += 1
                         fast.send_batch_packet(batch, i, now)
@@ -316,8 +327,9 @@ class OpenFlowSwitch(Node):
             if fast is not None:
                 if fast is _BAD_EGRESS:
                     self.stats.dropped_bad_port += 1
-                    self.trace("switch.drop", reason="bad_port", port=out_no,
-                               packet=batch.packet_at(i))
+                    if self.tracing("switch.drop"):
+                        self.trace("switch.drop", reason="bad_port", port=out_no,
+                                   packet=batch.packet_at(i))
                 else:
                     self.stats.forwarded += 1
                     fast.send_batch_packet(batch, i, now)
@@ -329,7 +341,10 @@ class OpenFlowSwitch(Node):
         actions = entry.actions
         if not actions:
             self.stats.dropped_no_actions += 1
-            self.trace("switch.drop", reason="empty_actions", packet=batch.packet_at(i))
+            if self.tracing("switch.drop"):
+                self.trace(
+                    "switch.drop", reason="empty_actions", packet=batch.packet_at(i)
+                )
             return
         # flood / controller output or a mutating action list: materialise
         self.sim.realm.note_fallback("mixed-headers")
@@ -339,7 +354,8 @@ class OpenFlowSwitch(Node):
         if self._failed:
             # crashed while the packet was in the service queue
             self.stats.dropped_failed += 1
-            self.trace("switch.drop", reason="failed", packet=packet)
+            if self.tracing("switch.drop"):
+                self.trace("switch.drop", reason="failed", packet=packet)
             return
         now = self.sim.now
         table = self.table
@@ -358,25 +374,28 @@ class OpenFlowSwitch(Node):
             return
         if not entry.actions:
             self.stats.dropped_no_actions += 1
-            self.trace("switch.drop", reason="empty_actions", packet=packet)
+            if self.tracing("switch.drop"):
+                self.trace("switch.drop", reason="empty_actions", packet=packet)
             return
         # the packet arrived over a link: nobody else holds it any more
         self.apply_actions(packet, entry.actions, in_port_no, owned=True)
 
     def _table_miss(self, packet: Packet, in_port_no: int) -> None:
         if self._controller is None:
-            self.trace("switch.drop", reason="no_match", packet=packet)
+            if self.tracing("switch.drop"):
+                self.trace("switch.drop", reason="no_match", packet=packet)
             return
         buffer_id = self._buffer_packet(packet, in_port_no)
         self.stats.packet_ins += 1
-        self.trace("switch.packet_in", in_port=in_port_no, packet=packet)
+        bus = self.trace_bus
+        if bus is not None and bus.wants("switch.packet_in"):
+            bus.emit(
+                self.sim.now, "switch.packet_in", self.name,
+                in_port=in_port_no, packet=packet,
+            )
         self._send_to_controller(
             PacketIn(
-                datapath_id=self.datapath_id,
-                packet=packet,
-                in_port=in_port_no,
-                reason=PACKETIN_NO_MATCH,
-                buffer_id=buffer_id,
+                self.datapath_id, packet, in_port_no, PACKETIN_NO_MATCH, buffer_id
             )
         )
 
@@ -449,7 +468,10 @@ class OpenFlowSwitch(Node):
             port = self.ports.get(out_port)
             if port is None or port.link is None:
                 self.stats.dropped_bad_port += 1
-                self.trace("switch.drop", reason="bad_port", port=out_port, packet=packet)
+                if self.tracing("switch.drop"):
+                    self.trace(
+                        "switch.drop", reason="bad_port", port=out_port, packet=packet
+                    )
                 return False
             session = self._egress_sessions.get(out_port)
             if session is None:

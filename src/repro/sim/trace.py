@@ -12,7 +12,7 @@ called, and a record nobody subscribed to and nobody keeps is never built.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, NamedTuple, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 
 class TraceRecord(NamedTuple):
@@ -32,6 +32,21 @@ Listener = Callable[[TraceRecord], None]
 _new_record = tuple.__new__
 
 
+class _Memo(dict):
+    """A per-topic answer, worked out by ``compute`` on the first ask and
+    forgotten (``clear``) whenever retention or a subscription changes."""
+
+    __slots__ = ("_compute",)
+
+    def __init__(self, compute: Callable[[str], Any]) -> None:
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, topic: str) -> Any:
+        value = self[topic] = self._compute(topic)
+        return value
+
+
 class TraceBus:
     """Publish/subscribe bus for simulation telemetry.
 
@@ -46,7 +61,11 @@ class TraceBus:
 
     A record is delivered at most once per subscribed listener entry, in
     registration-shape order: exact listeners first, then prefix
-    listeners, then catch-all listeners.
+    listeners, then catch-all listeners.  A topic's listeners are worked
+    out once, as a tuple, and again after any subscription changes: a
+    listener that subscribes or unsubscribes while a record is being
+    delivered changes who gets the *next* record, never who gets this
+    one.
 
     **Retention is opt-in.**  A bus built with ``retain=False`` (the
     default) keeps nothing, and when no listener matches a topic
@@ -56,6 +75,14 @@ class TraceBus:
     memory (bounded) for post-run reads, with a per-topic index so
     :meth:`select`/:meth:`count` on an exact topic do not scan the full
     retained list.
+
+    **Ask before you build.**  ``wants(topic)`` answers whether a record
+    on ``topic`` would be kept or delivered right now: true while the
+    bus retains, or when an exact, prefix or ``""`` listener takes the
+    topic.  A record site on a per-packet, per-copy or per-decision path
+    asks it before it builds the record's fields, so on a quiet bus that
+    site costs one C-level dict lookup.  The answer follows every
+    :meth:`subscribe`, :meth:`unsubscribe` and :meth:`start_retaining`.
 
     **Saturation contract.**  When retention saturates (``max_records``
     reached), further records are still *delivered* to listeners but no
@@ -89,10 +116,16 @@ class TraceBus:
         self.dropped_count = 0
         self.records: List[TraceRecord] = []
         self._by_topic: Dict[str, List[TraceRecord]] = {}
+        #: topic -> the listeners that take it, in delivery order
+        self._routes = _Memo(self._route)
+        #: topic -> would a record on it be kept or delivered
+        self._gate = _Memo(self._answer)
+        self.wants: Callable[[str], bool] = self._gate.__getitem__
 
     def start_retaining(self) -> None:
         """Keep every record emitted from now on (earlier ones are gone)."""
         self._retain = True
+        self._gate.clear()
 
     def subscribe(self, topic: str, listener: Listener) -> None:
         """Subscribe to an exact topic, a ``prefix*`` pattern, or ``""``."""
@@ -100,6 +133,8 @@ class TraceBus:
             self._prefix_listeners.setdefault(topic[:-1], []).append(listener)
         else:
             self._listeners.setdefault(topic, []).append(listener)
+        self._routes.clear()
+        self._gate.clear()
 
     def unsubscribe(self, topic: str, listener: Listener) -> None:
         table = self._prefix_listeners if topic.endswith("*") else self._listeners
@@ -107,17 +142,28 @@ class TraceBus:
         listeners = table.get(key, [])
         if listener in listeners:
             listeners.remove(listener)
-            if not listeners and table is self._listeners:
-                # `emit` asks `topic in listeners`; the prefix table stays
-                # as it is, since `_dispatch` may be iterating it
+            if not listeners:
                 del table[key]
+            self._routes.clear()
+            self._gate.clear()
 
-    def _prefix_match(self, topic: str) -> bool:
-        """Whether some prefix listener takes ``topic``."""
-        return any(
-            topic.startswith(prefix) and prefix_listeners
-            for prefix, prefix_listeners in self._prefix_listeners.items()
+    def _route(self, topic: str) -> Tuple[Listener, ...]:
+        """The listeners that take ``topic``: exact, prefix, catch-all."""
+        listeners = self._listeners
+        return (
+            *listeners.get(topic, ()),
+            *(
+                listener
+                for prefix, prefix_listeners in self._prefix_listeners.items()
+                if topic.startswith(prefix)
+                for listener in prefix_listeners
+            ),
+            *listeners.get("", ()),
         )
+
+    def _answer(self, topic: str) -> bool:
+        """Whether a record on ``topic`` would be kept or delivered."""
+        return self._retain or bool(self._routes[topic])
 
     def emit(
         self,
@@ -126,15 +172,13 @@ class TraceBus:
         source: str,
         **data: Any,
     ) -> None:
+        listeners = self._routes[topic]
         if not self._retain:
             # Nobody keeps it: build the record only for a listener of it.
-            listeners = self._listeners
-            if (
-                topic in listeners
-                or "" in listeners
-                or (self._prefix_listeners and self._prefix_match(topic))
-            ):
-                self._dispatch(_new_record(TraceRecord, (time, topic, source, data)))
+            if listeners:
+                record = _new_record(TraceRecord, (time, topic, source, data))
+                for listener in listeners:
+                    listener(record)
             return
         record = _new_record(TraceRecord, (time, topic, source, data))
         records = self.records
@@ -159,22 +203,9 @@ class TraceBus:
                 )
                 records.append(warning)
                 self._by_topic.setdefault(warning.topic, []).append(warning)
-                self._dispatch(warning)
-        # Most topics have no listener: skip the dispatch frame for them.
-        listeners = self._listeners
-        if topic in listeners or self._prefix_listeners or "" in listeners:
-            self._dispatch(record)
-
-    def _dispatch(self, record: TraceRecord) -> None:
-        topic = record.topic
-        for listener in self._listeners.get(topic, ()):
-            listener(record)
-        if self._prefix_listeners:
-            for prefix, listeners in self._prefix_listeners.items():
-                if topic.startswith(prefix):
-                    for listener in listeners:
-                        listener(record)
-        for listener in self._listeners.get("", ()):
+                for listener in self._routes[warning.topic]:
+                    listener(warning)
+        for listener in listeners:
             listener(record)
 
     # ------------------------------------------------------------------

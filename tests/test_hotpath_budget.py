@@ -30,7 +30,11 @@ frame and its copy of the book per sweep; then 101.3 with the two-frame
 hop, int addresses (the learning app's MAC table hashes and compares in C)
 and the plain clock attribute; then 90.7 once the ``ctrl.vote`` and
 ``switch.packet_in`` records are no longer kept by default; then 90.3
-with the sender's interval attribute.
+with the sender's interval attribute; then 80.1 once every per-copy and
+per-decision record site asks the bus before it builds its fields (a
+quiet bus: 4 ``emit`` calls in the slice, 6,111 before) and the learning
+app, the switch's message dispatch and the FlowMod encoder lost their
+leftover per-decision work.
 
 The same idea gates the live receive path (``live_udp_vote``'s recipe at
 small size): per released packet of k = 3 copies, how often the voter
@@ -122,7 +126,7 @@ CTRL_KWARGS = dict(
     payload_size=512,
     flow_hard_timeout=1e-4,
 )
-MAX_CTRL_CALLS_PER_HOP = 92.7
+MAX_CTRL_CALLS_PER_HOP = 82.5
 #: what one slice simulates (the counts of the commit before the lean
 #: decision path): hops, events, ``ctrl.submissions``, ``ctrl.released``
 CTRL_SLICE = (2_880, 7_658, 4_149, 702)
@@ -131,9 +135,9 @@ CTRL_SLICE = (2_880, 7_658, 4_149, 702)
 CTRL_SLICE_PACKET_COPIES = 4_695
 
 
-def run_ctrl_slice(duration: float = 0.01, retain: bool = False):
+def run_ctrl_slice(duration: float = 0.01, prepare=None):
     """One ``ctrl.run`` slice of the workload; ``(record, network)``.
-    ``retain`` turns the network's trace retention on before the run."""
+    ``prepare(network)`` runs between the build and the run."""
     import repro.analysis.tasks as tasks
     from repro.farm.spec import resolve_runner
 
@@ -144,8 +148,8 @@ def run_ctrl_slice(duration: float = 0.01, retain: bool = False):
 
     def capture(*args, **kwargs):
         built.append(original(*args, **kwargs))
-        if retain:
-            built[-1].network.trace.start_retaining()
+        if prepare is not None:
+            prepare(built[-1].network)
         return built[-1]
 
     tasks.build_ctrl_testbed = capture
@@ -209,18 +213,137 @@ def _telemetry(bus) -> tuple:
     return len(bus.records), digest.hexdigest()
 
 
+def _retain(network) -> None:
+    network.trace.start_retaining()
+
+
 def test_retained_telemetry_is_unchanged(monkeypatch):
     from repro.openflow.switch import OpenFlowSwitch
 
     # datapath ids come from a process-wide counter and appear in ctrl.*
     # records: start it where a fresh interpreter would
     monkeypatch.setattr(OpenFlowSwitch, "_dpid_counter", 0)
-    _record, network = run_ctrl_slice(retain=True)
+    _record, network = run_ctrl_slice(prepare=_retain)
     assert _telemetry(network.trace) == CTRL_SLICE_TELEMETRY
     testbed = build_testbed("central3", params=TestbedParams(batch_train=1), seed=1)
     testbed.network.trace.start_retaining()
     run_udp_flow(testbed.path(), rate_bps=200e6, duration=0.005, payload_size=1470)
     assert _telemetry(testbed.network.trace) == CENTRAL3_FLOW_TELEMETRY
+
+
+# ----------------------------------------------------------------------
+# a quiet bus builds nothing, and a listener gets what retention keeps
+# ----------------------------------------------------------------------
+#: one listener of each shape per run: exact, ``prefix*`` and catch-all
+CTRL_LISTENERS = ("ctrl.vote", "ctrl.*", "")
+CENTRAL3_LISTENERS = ("compare.release", "compare.*", "")
+
+
+def _central3_flow(prepare) -> object:
+    """The retained-telemetry ``central3`` flow; ``prepare(network)`` runs
+    between the build and the flow."""
+    testbed = build_testbed("central3", params=TestbedParams(batch_train=1), seed=1)
+    prepare(testbed.network)
+    run_udp_flow(testbed.path(), rate_bps=200e6, duration=0.005, payload_size=1470)
+    return testbed.network
+
+
+def _ctrl_slice(prepare) -> object:
+    return run_ctrl_slice(prepare=prepare)[1]
+
+
+def _takes(pattern: str, topic: str) -> bool:
+    if pattern.endswith("*"):
+        return topic.startswith(pattern[:-1])
+    return pattern in ("", topic)
+
+
+def _comparable(records) -> list:
+    return [
+        (r.time, r.topic, r.source, repr(sorted(r.data.items()))) for r in records
+    ]
+
+
+def _stream(run, pattern: str, retain: bool, at: "float | None" = None) -> tuple:
+    """What a ``pattern`` listener receives over ``run``, and what the bus
+    retained from the listener's subscription on; ``at`` subscribes it at
+    that simulated time instead of before the run."""
+    seen, subscribed_at = [], []
+
+    def prepare(network) -> None:
+        bus = network.trace
+        if retain:
+            bus.start_retaining()
+
+        def subscribe() -> None:
+            subscribed_at.append(len(bus.records))
+            bus.subscribe(pattern, seen.append)
+
+        if at is None:
+            subscribe()
+        else:
+            network.sim.post(at, subscribe)
+
+    network = run(prepare)
+    return _comparable(seen), _comparable(network.trace.records[subscribed_at[0] :])
+
+
+def _check_listeners_get_the_retained_stream(run, patterns, mid_run: float) -> None:
+    """Each listener on an otherwise quiet bus receives what it receives
+    on a retaining bus, in the same order, and that is exactly what the
+    retained log keeps for its topics.  (A record that another listener
+    emits while one is delivered, such as the quarantine alarm raised by
+    the quarantine controller, reaches a later listener before the one
+    that caused it: the log alone is in emit order.)"""
+    everything = None
+    for pattern, at in [(pattern, None) for pattern in patterns] + [("", mid_run)]:
+        quiet, kept_quiet = _stream(run, pattern, retain=False, at=at)
+        listened, kept = _stream(run, pattern, retain=True, at=at)
+        assert kept_quiet == []
+        assert quiet and quiet == listened, (pattern, at)
+        assert Counter(quiet) == Counter(r for r in kept if _takes(pattern, r[1]))
+        if pattern == "" and at is None:
+            everything = quiet
+    # the late listener really joined mid-run
+    assert 0 < len(quiet) < len(everything)
+
+
+def test_ctrl_slice_listeners_get_the_retained_stream(monkeypatch):
+    from repro.openflow.switch import OpenFlowSwitch
+
+    def run(prepare):
+        # datapath ids appear in ctrl.* records: every run starts them at 1
+        monkeypatch.setattr(OpenFlowSwitch, "_dpid_counter", 0)
+        return _ctrl_slice(prepare)
+
+    _check_listeners_get_the_retained_stream(run, CTRL_LISTENERS, mid_run=0.005)
+
+
+def test_central3_flow_listeners_get_the_retained_stream():
+    _check_listeners_get_the_retained_stream(
+        _central3_flow, CENTRAL3_LISTENERS, mid_run=0.0025
+    )
+
+
+#: ``TraceBus.emit`` calls of the quiet runs: only the sites no per-packet
+#: or per-copy path reaches (two alarms and the compromise that arms the
+#: adversary, as a chaos record and a control-plane one) still emit;
+#: 6,111 and 172 when every site built its record for `emit` to drop
+QUIET_CTRL_SLICE_EMITS = 4
+QUIET_CENTRAL3_FLOW_EMITS = 0
+
+
+def test_a_quiet_bus_is_asked_not_emitted_to():
+    for run, emits in (
+        (_ctrl_slice, QUIET_CTRL_SLICE_EMITS),
+        (_central3_flow, QUIET_CENTRAL3_FLOW_EMITS),
+    ):
+        profile = cProfile.Profile()
+        profile.enable()
+        network = run(lambda network: None)
+        profile.disable()
+        assert network.trace.records == []
+        assert _calls(pstats.Stats(profile), "sim/trace", "emit") == emits, run
 
 
 # ----------------------------------------------------------------------

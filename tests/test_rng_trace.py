@@ -436,3 +436,102 @@ class TestEveryMatchingListenerSeesEachRecordOnce:
         assert [r.data["i"] for r in everything] == [0, 1, 2, 3, 4, 5]
         assert [r.data["i"] for r in survivor] == [9]
         assert len(bus.records) == 2 * len(self.TOPICS)
+
+
+class TestAskBeforeBuilding:
+    """`wants(topic)`: would a record on ``topic`` be kept or delivered?
+    The answer follows every change of retention and subscription."""
+
+    def test_a_quiet_bus_wants_nothing(self):
+        bus = TraceBus()
+        assert not bus.wants("ctrl.vote")
+        assert not bus.wants("")
+
+    def test_a_retaining_bus_wants_everything(self):
+        assert TraceBus(retain=True).wants("ctrl.vote")
+        bus = TraceBus()
+        assert not bus.wants("ctrl.vote")
+        bus.start_retaining()
+        assert bus.wants("ctrl.vote")
+
+    def test_each_shape_opens_its_own_topics(self):
+        for pattern, wanted, unwanted in (
+            ("ctrl.vote", ["ctrl.vote"], ["ctrl.release", "ctrl.vote.x"]),
+            ("ctrl.*", ["ctrl.vote", "ctrl.release"], ["compare.release", "ctrl"]),
+            ("", ["ctrl.vote", "alarm"], []),
+        ):
+            bus = TraceBus()
+            # answers given before the subscription must not outlive it
+            assert not any(bus.wants(topic) for topic in wanted + unwanted)
+            listener = lambda record: None  # noqa: E731
+            bus.subscribe(pattern, listener)
+            assert all(bus.wants(topic) for topic in wanted), pattern
+            assert not any(bus.wants(topic) for topic in unwanted), pattern
+            bus.unsubscribe(pattern, listener)
+            assert not any(bus.wants(topic) for topic in wanted + unwanted), pattern
+
+    def test_one_of_two_listeners_leaving_keeps_the_topic_open(self):
+        bus = TraceBus()
+        first, second = (lambda record: None), (lambda record: None)
+        bus.subscribe("link.*", first)
+        bus.subscribe("link.*", second)
+        bus.unsubscribe("link.*", first)
+        assert bus.wants("link.drop")
+        bus.unsubscribe("link.*", second)
+        assert not bus.wants("link.drop")
+
+    def test_a_detached_tracer_leaves_no_prefix_behind(self):
+        from repro.obs.spans import PacketTracer
+        from repro.scenarios.testbed import build_testbed
+
+        network = build_testbed("central3", seed=1).network
+        bus = network.trace
+        tracer = PacketTracer(bus, sample_rate=0.0)
+        tracer.attach(network)
+        assert bus.wants("span.hop")
+        tracer.detach()
+        assert not bus.wants("span.hop")
+        assert bus._prefix_listeners == {}
+
+
+class TestListenersChangingDuringDispatch:
+    """Listener lists are copied on write: who gets a record is settled
+    before its first listener runs."""
+
+    PATTERNS = ("t", "t*", "")
+
+    def test_a_listener_leaving_does_not_hide_the_record_from_the_next(self):
+        for pattern in self.PATTERNS:
+            bus = TraceBus()
+            got = []
+
+            def leaving(record):
+                got.append("a")
+                bus.unsubscribe(pattern, leaving)
+
+            bus.subscribe(pattern, leaving)
+            bus.subscribe(pattern, lambda record: got.append("b"))
+            bus.emit(0.0, "t", "s")
+            assert got == ["a", "b"], pattern
+            bus.emit(1.0, "t", "s")
+            assert got == ["a", "b", "b"], pattern
+
+    def test_a_listener_joining_gets_the_next_record_not_this_one(self):
+        for pattern in self.PATTERNS:
+            bus = TraceBus()
+            got = []
+
+            def joining(record):
+                got.append(("b", record.time))
+
+            def inviting(record):
+                got.append(("a", record.time))
+                if record.time == 0.0:
+                    bus.subscribe(pattern, joining)
+                    # a new prefix, while the prefix table may be iterated
+                    bus.subscribe("other.*", joining)
+
+            bus.subscribe(pattern, inviting)
+            bus.emit(0.0, "t", "s")
+            bus.emit(1.0, "t", "s")
+            assert got == [("a", 0.0), ("a", 1.0), ("b", 1.0)], pattern
