@@ -36,6 +36,7 @@ from typing import Callable, Dict, Optional, Sequence
 from repro.core.alarms import (
     ALARM_DOS_SUSPECTED,
     ALARM_SINGLE_SOURCE_PACKET,
+    ALARM_SPOOFED_BRANCH,
     AlarmSink,
 )
 from repro.core.membership import QuorumConfig, QuorumVoter
@@ -173,6 +174,14 @@ class CompareCore(QuorumVoter):
             alarm_sink, trace_bus, branch_ids,
         )
         self._contexts: Dict[str, CompareContext] = {}
+        #: the context stored last: copies of one attachment point store
+        #: it once, not once each
+        self._last_context: Optional[CompareContext] = None
+        #: the branches whose copies vote; a copy tagged with any other
+        #: (or with none) is refused where it enters and counted in
+        #: ``spoof_drops``
+        self._owned = frozenset(self.branch_ids)
+        self.spoof_drops = 0
         self._busy_until = 0.0
         self._in_service = 0
         # DoS bookkeeping
@@ -180,7 +189,11 @@ class CompareCore(QuorumVoter):
         self._craft_strikes: Dict[int, int] = {}
         self._blocked_branches: Dict[int, float] = {}
         StatBlock.publish_samples(
-            lambda: {"compare_buffered_entries": len(self.book)}, compare=name
+            lambda: {
+                "compare_buffered_entries": len(self.book),
+                "compare_spoof_drops_total": self.spoof_drops,
+            },
+            compare=name,
         )
         # Bound from the registry active at construction time; None when
         # metrics are disabled so the release path pays a single test
@@ -215,17 +228,31 @@ class CompareCore(QuorumVoter):
         """Accept one copy from ``branch`` collected by ``context``.
 
         The copy is queued behind the compare's single-server processor
-        (``proc_time`` per copy); voting happens when it is served.
+        (``proc_time`` per copy); voting happens when it is served.  A
+        copy from a branch this compare does not own is refused here.
+        The clock is read once per copy and handed down.
         """
-        self._contexts[context.scope] = context
+        if branch not in self._owned:
+            # Over the live wire the tag is the sender's own claim, so one
+            # branch could otherwise vote as several (ROADMAP 1(a)), and a
+            # tag of None would make the expiry sweep raise.
+            self.spoof_drops += 1
+            self.alarms.raise_alarm(
+                self.sim.now, ALARM_SPOOFED_BRANCH, self.name, claimed=branch
+            )
+            return
+        if context is not self._last_context:
+            self._contexts[context.scope] = context
+            self._last_context = context
         self.stats.submissions += 1
-        cost = self.config.proc_time + self.config.proc_per_byte * packet.wire_len
+        config = self.config
+        cost = config.proc_time + config.proc_per_byte * packet.wire_len
         sim = self.sim
         now = sim.now
         if cost <= 0.0 and now >= self._busy_until:
-            self._serve(packet, branch, context, claim)
+            self._serve(packet, branch, context, claim, now)
             return
-        if self._in_service >= self.config.service_queue_capacity:
+        if self._in_service >= config.service_queue_capacity:
             self.stats.queue_drops += 1
             if self._tracing("compare.queue_drop"):
                 self._trace("compare.queue_drop", branch=branch)
@@ -244,7 +271,7 @@ class CompareCore(QuorumVoter):
     ) -> None:
         """Event: the single-server processor finishes one queued copy."""
         self._in_service -= 1
-        self._serve(packet, branch, context, claim)
+        self._serve(packet, branch, context, claim, self.sim.now)
 
     def _serve(
         self,
@@ -252,24 +279,23 @@ class CompareCore(QuorumVoter):
         branch: int,
         context: CompareContext,
         claim: Optional[int],
+        now: float,
     ) -> None:
-        now = self.sim.now
-        if len(self.book) >= self.config.cache_capacity:
+        config = self.config
+        if len(self.book.by_key) >= config.cache_capacity:
             self._cleanup(now)
         outcome = self._vote(
-            (context.scope, claim, self.config.policy.key(packet)),
+            (context.scope, claim, config.policy.key(packet)),
             branch, now, packet, claim, context, packet.trace_id,
         )
         if outcome.is_branch_duplicate:
             self._note_duplicate(branch, context)
-        else:
-            self._dup_strikes[branch] = 0
-        if (
-            outcome.late_copy
-            and outcome.countable
-            and self._tracing("compare.late_copy")
-        ):
-            self._trace("compare.late_copy", branch=branch)
+        elif branch in self._dup_strikes:
+            del self._dup_strikes[branch]
+        if outcome.late_copy and outcome.countable:
+            bus = self.trace_bus
+            if bus is not None and bus.wants("compare.late_copy"):
+                self._trace("compare.late_copy", branch=branch)
 
     def _note_copy(self, outcome: VoteOutcome, branch: int, note: object) -> None:
         # ``note`` is the copy's trace id: only sampled packets get a span
@@ -295,7 +321,8 @@ class CompareCore(QuorumVoter):
         if self._h_release_latency is not None:
             self._h_release_latency.observe(now - entry.first_seen)
             self._h_quorum_votes.observe(entry.distinct_branches)
-        if self._tracing("compare.release"):
+        bus = self.trace_bus
+        if bus is not None and bus.wants("compare.release"):
             self._trace(
                 "compare.release",
                 branch=branch,

@@ -191,11 +191,13 @@ class QuorumVoter:
             # First clean vote after an outage heals the liveness
             # bookkeeping right here, not at entry-finalise time:
             # otherwise outage-era entries expiring after the branch
-            # recovered would re-alarm a healed router.
+            # recovered would re-alarm a healed router.  A branch is
+            # flagged unavailable only while misses are counted against
+            # it (every site that zeroes the count clears the flag), so
+            # one probe finds the branches to heal.
             self._last_clean_vote[branch] = now
             if self._miss_counts.get(branch):
                 self._miss_counts[branch] = 0
-            if self._unavailable.get(branch):
                 self._unavailable[branch] = False
         if note is not None:
             self._note_copy(outcome, branch, note)
@@ -273,7 +275,7 @@ class QuorumVoter:
                 fn(now)
         for entry in self.book.pop_expired(self.sim.now):
             self._finalise(entry)
-        if not len(self.book):
+        if not self.book.by_key:
             self._sweeper.stop()
 
     def flush(self) -> None:

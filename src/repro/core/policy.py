@@ -46,8 +46,9 @@ class BitExactPolicy(ComparePolicy):
 
     name = "bit-exact"
 
-    def key(self, packet: Packet) -> bytes:
-        return packet.to_bytes()
+    #: the key is the frame itself: ``policy.key(packet)`` is
+    #: ``packet.to_bytes()``, with no frame of the policy's own per copy
+    key = staticmethod(Packet.to_bytes)
 
 
 class HeaderOnlyPolicy(ComparePolicy):

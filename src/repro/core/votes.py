@@ -10,7 +10,7 @@ dependencies), which keeps it unit- and property-testable in isolation.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Hashable, Iterator, List, Optional
+from typing import Dict, Hashable, Iterator, List, NamedTuple, Optional
 
 from repro.net.packet import Packet
 
@@ -71,42 +71,29 @@ class VoteEntry:
         )
 
 
-class VoteOutcome:
-    """Result of observing one packet copy (one is built per copy, so
-    it is a slotted value, not a dataclass)."""
+class VoteOutcome(NamedTuple):
+    """Result of observing one packet copy.  One is built per copy, so it
+    is a tuple, and :meth:`VoteBook.observe` builds it with
+    ``tuple.__new__`` rather than through a constructor frame."""
 
-    __slots__ = (
-        "entry",
-        "is_new_entry",
-        "is_branch_duplicate",  # same branch delivered this packet before
-        "newly_released",  # this copy completed the quorum
-        "late_copy",  # arrived after the entry was already released
-        # an unreleased entry whose deadline had passed when this copy
-        # arrived; it was evicted and this copy started a fresh vote — the
-        # bounded-waiting-time rule of Section IV, enforced strictly
-        "evicted_stale",
-        # False when the copy came from a quarantined branch and was
-        # recorded on probation, outside the quorum count
-        "countable",
-    )
+    entry: VoteEntry
+    is_new_entry: bool
+    #: same branch delivered this packet before
+    is_branch_duplicate: bool
+    #: this copy completed the quorum
+    newly_released: bool
+    #: arrived after the entry was already released
+    late_copy: bool
+    #: an unreleased entry whose deadline had passed when this copy
+    #: arrived; it was evicted and this copy started a fresh vote — the
+    #: bounded-waiting-time rule of Section IV, enforced strictly
+    evicted_stale: Optional[VoteEntry] = None
+    #: False when the copy came from a quarantined branch and was
+    #: recorded on probation, outside the quorum count
+    countable: bool = True
 
-    def __init__(
-        self,
-        entry: VoteEntry,
-        is_new_entry: bool,
-        is_branch_duplicate: bool,
-        newly_released: bool,
-        late_copy: bool,
-        evicted_stale: Optional[VoteEntry] = None,
-        countable: bool = True,
-    ) -> None:
-        self.entry = entry
-        self.is_new_entry = is_new_entry
-        self.is_branch_duplicate = is_branch_duplicate
-        self.newly_released = newly_released
-        self.late_copy = late_copy
-        self.evicted_stale = evicted_stale
-        self.countable = countable
+
+_outcome = tuple.__new__
 
 
 class VoteBook:
@@ -124,19 +111,22 @@ class VoteBook:
             raise ValueError(f"timeout must be positive, got {timeout}")
         self.quorum = quorum
         self.timeout = timeout
-        self._entries: "OrderedDict[Hashable, VoteEntry]" = OrderedDict()
+        #: vote key -> entry, oldest first.  Read it freely (the voter's
+        #: per-copy size check is ``len(book.by_key)``, with no frame of
+        #: the book's own); change it only through the book.
+        self.by_key: "OrderedDict[Hashable, VoteEntry]" = OrderedDict()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.by_key)
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
+        return key in self.by_key
 
     def get(self, key: Hashable) -> Optional[VoteEntry]:
-        return self._entries.get(key)
+        return self.by_key.get(key)
 
     def entries(self) -> Iterator[VoteEntry]:
-        return iter(list(self._entries.values()))
+        return iter(list(self.by_key.values()))
 
     # ------------------------------------------------------------------
     def observe(
@@ -157,39 +147,41 @@ class VoteBook:
         Returns the outcome; the caller (the compare element) decides what
         to do about releases, duplicates and alarms.
         """
-        entry = self._entries.get(key)
+        entries = self.by_key
+        entry = entries.get(key)
         evicted_stale: Optional[VoteEntry] = None
         if entry is not None and not entry.released and entry.deadline <= now:
             # The deadline passed before this copy arrived: the old vote
             # must not be completable any more (bounded waiting time).
             evicted_stale = entry
-            del self._entries[key]
+            del entries[key]
             entry = None
         is_new = entry is None
-        if entry is None:
+        if is_new:
             entry = VoteEntry(key, packet, now, now + self.timeout, claim)
-            self._entries[key] = entry
+            entries[key] = entry
         late = entry.released
         if not countable:
             is_branch_duplicate = branch in entry.probation_counts
             entry.probation_counts[branch] = entry.probation_counts.get(branch, 0) + 1
-            return VoteOutcome(
+            return _outcome(VoteOutcome, (
                 entry, is_new, is_branch_duplicate, False, late, evicted_stale, False
-            )
-        if not entry.branch_counts:
+            ))
+        counts = entry.branch_counts
+        if not counts:
             # The entry may have been opened by a probation copy; the
             # released instance must come from a counted branch.
             entry.packet = packet
-        is_branch_duplicate = branch in entry.branch_counts
-        entry.branch_counts[branch] = entry.branch_counts.get(branch, 0) + 1
-        newly_released = False
-        if not entry.released and len(entry.branch_counts) >= self.quorum:
+        is_branch_duplicate = branch in counts
+        counts[branch] = counts[branch] + 1 if is_branch_duplicate else 1
+        newly_released = not late and len(counts) >= self.quorum
+        if newly_released:
             entry.released = True
             entry.released_at = now
-            newly_released = True
-        return VoteOutcome(
-            entry, is_new, is_branch_duplicate, newly_released, late, evicted_stale
-        )
+        return _outcome(VoteOutcome, (
+            entry, is_new, is_branch_duplicate, newly_released, late,
+            evicted_stale, True,
+        ))
 
     # ------------------------------------------------------------------
     def pop_expired(self, now: float) -> List[VoteEntry]:
@@ -201,28 +193,28 @@ class VoteBook:
         the first entry still inside its deadline.
         """
         expired: List[VoteEntry] = []
-        for entry in self._entries.values():
+        for entry in self.by_key.values():
             if entry.deadline > now:
                 break
             expired.append(entry)
         for _ in expired:
-            self._entries.popitem(last=False)
+            self.by_key.popitem(last=False)
         return expired
 
     def evict_oldest(self, count: int) -> List[VoteEntry]:
         """Forcibly remove the ``count`` oldest entries (cache pressure)."""
         evicted: List[VoteEntry] = []
-        for _ in range(min(count, len(self._entries))):
-            _key, entry = self._entries.popitem(last=False)
+        for _ in range(min(count, len(self.by_key))):
+            _key, entry = self.by_key.popitem(last=False)
             evicted.append(entry)
         return evicted
 
     def pending(self) -> List[VoteEntry]:
         """Entries that have not reached quorum (suspicious if they expire)."""
-        return [e for e in self._entries.values() if not e.released]
+        return [e for e in self.by_key.values() if not e.released]
 
     def released(self) -> List[VoteEntry]:
-        return [e for e in self._entries.values() if e.released]
+        return [e for e in self.by_key.values() if e.released]
 
     def clear(self) -> None:
-        self._entries.clear()
+        self.by_key.clear()

@@ -119,9 +119,11 @@ class FarmExecutor:
         """Execute every spec; return ``{spec.key: value}``."""
         results: Dict[str, Any] = {}
         pending: List[RunSpec] = []
+        seen = set()
         for spec in specs:
-            if spec.key in results or any(s.key == spec.key for s in pending):
+            if spec.key in seen:
                 continue  # duplicate work item, one execution serves both
+            seen.add(spec.key)
             self.progress.task_queued(spec)
             if self.cache is not None:
                 hit, value = self.cache.get(spec)

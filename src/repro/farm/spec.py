@@ -14,6 +14,7 @@ import hashlib
 import importlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, List
 
 #: runner name -> callable, filled by :func:`register_runner`
@@ -88,9 +89,9 @@ class RunSpec:
             separators=(",", ":"),
         )
 
-    @property
+    @cached_property
     def key(self) -> str:
-        """Stable content hash (sha256 hex) of the spec."""
+        """Stable content hash (sha256 hex) of the spec, computed once."""
         return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
 
     @property

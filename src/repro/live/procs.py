@@ -131,12 +131,11 @@ async def _compare_async(config: Dict[str, Any]) -> dict:
     submissions = [0]
 
     def on_collect(packet: object, meta: dict) -> None:
-        branch = meta.get("branch")
-        if branch is None:
-            return
+        # the branch is the sender's claim: the compare refuses (and
+        # counts, as spoof_drops) any it does not own, None included
         saw_data.set()
         submissions[0] += 1
-        core.submit(packet, branch, context, claim=meta.get("claim"))
+        core.submit(packet, meta["branch"], context, claim=meta["claim"])
 
     collect = transport.session(SessionSpec(scope, ROLE_COLLECT))
     collect.set_receiver(on_collect)
@@ -178,6 +177,7 @@ async def _compare_async(config: Dict[str, Any]) -> dict:
         timed_out=timed_out,
         **transport.rx_counts(),
         compare=core.stats.as_dict(),
+        spoof_drops=core.spoof_drops,
         transport_stats=transport.stats(),
     )
     transport.close()

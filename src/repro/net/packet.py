@@ -88,17 +88,37 @@ class PacketError(Exception):
     """Raised on malformed packet construction or parsing."""
 
 
-def internet_checksum(data: bytes) -> int:
-    """RFC 1071 ones-complement checksum over ``data``.
+#: a checksummed payload is read in slices of up to this many bytes (an
+#: even number): the reduction mod 0xFFFF costs per digit of the number
+#: it reduces, so it reduces the slices' sum, a slice-sized number
+_CHECKSUM_SLICE = 512
+
+
+def internet_checksum(data: bytes, tail: bytes = b"") -> int:
+    """RFC 1071 ones-complement checksum over ``data`` followed by ``tail``.
 
     ``2**16 ≡ 1 (mod 0xFFFF)``, so the ones-complement sum of the
     big-endian 16-bit words is the whole buffer read as one big integer,
-    reduced mod 0xFFFF — one C-level conversion and one C-level division.
+    reduced mod 0xFFFF — C-level conversions and one C-level division.
     The reduction yields 0 where the folded sum is 0xFFFF (a non-zero
     multiple of 0xFFFF); only an all-zero buffer sums to a true zero.
+    For the same reason pieces that start at even offsets sum apart and
+    add up: an even-length ``data`` and the ``tail`` behind it (a header
+    and its payload are never joined into one buffer), and the slices of
+    a long tail.
     """
     total = int.from_bytes(data, "big")
-    if len(data) & 1:
+    if tail:
+        size = len(tail)
+        at = 0
+        while size - at > _CHECKSUM_SLICE:
+            total += int.from_bytes(tail[at : at + _CHECKSUM_SLICE], "big")
+            at += _CHECKSUM_SLICE
+        rest = int.from_bytes(tail[at:], "big")
+        if size & 1:
+            rest <<= 8  # pad the odd trailing byte to a word
+        total += rest
+    elif len(data) & 1:
         total <<= 8  # pad the odd trailing byte to a word
     folded = total % 0xFFFF
     return 0xFFFF - folded if folded or not total else 0
@@ -261,7 +281,8 @@ class Ipv4(_Header):
 
 
 class Udp(_Header):
-    """UDP header.  Checksum computed over the standard pseudo-header."""
+    """UDP header.  Checksum computed over the standard pseudo-header;
+    :meth:`Packet._serialise` writes it and its IPv4 header together."""
 
     __slots__ = ("sport", "dport")
 
@@ -272,13 +293,6 @@ class Udp(_Header):
         s = self._init()
         s(self, "sport", sport)
         s(self, "dport", dport)
-
-    def to_bytes(self, ip: Ipv4, payload: bytes) -> bytes:
-        length = UDP_HEADER_LEN + len(payload)
-        header = struct.pack("!HHHH", self.sport, self.dport, length, 0)
-        pseudo = struct.pack("!IIBBH", ip.src, ip.dst, 0, IP_PROTO_UDP, length)
-        checksum = internet_checksum(pseudo + header + payload)
-        return header[:6] + struct.pack("!H", checksum)
 
     def copy(self) -> "Udp":
         return Udp(self.sport, self.dport)
@@ -331,7 +345,7 @@ class Tcp(_Header):
         pseudo = struct.pack(
             "!IIBBH", ip.src, ip.dst, 0, IP_PROTO_TCP, TCP_HEADER_LEN + len(payload)
         )
-        checksum = internet_checksum(pseudo + header + payload)
+        checksum = internet_checksum(pseudo + header, payload)
         return header[:16] + struct.pack("!H", checksum) + header[18:]
 
     def copy(self) -> "Tcp":
@@ -376,7 +390,7 @@ class Icmp(_Header):
 
     def to_bytes(self, payload: bytes) -> bytes:
         header = struct.pack("!BBHHH", self.icmp_type, self.code, 0, self.ident, self.seqno)
-        checksum = internet_checksum(header + payload)
+        checksum = internet_checksum(header, payload)
         return header[:2] + struct.pack("!H", checksum) + header[4:]
 
     def copy(self) -> "Icmp":
@@ -396,6 +410,12 @@ _UDP_FIELDS = struct.Struct("!HHHH").unpack_from
 _TCP_FIELDS = struct.Struct("!HHIIBBHHH").unpack_from
 _ICMP_FIELDS = struct.Struct("!BBHHH").unpack_from
 _PSEUDO_TAIL = struct.Struct("!BBH").pack  # zero, protocol, L4 length
+# Packet._serialise writes IPv4 + UDP in one pack: the IPv4 header as
+# checksummed (its checksum field zero), the UDP pseudo-header and header
+# as checksummed, and both headers as sent
+_IPV4_HEAD = struct.Struct("!BBHHHBBHII").pack
+_UDP_PSEUDO = struct.Struct("!IIxBHHHHxx").pack
+_IPV4_UDP = struct.Struct("!BBHHHBBHIIHHHH").pack
 
 # CoW bitmask positions for Packet._cow
 _COW_ETH = 1
@@ -671,8 +691,18 @@ class Packet:
 
     def to_bytes(self) -> bytes:
         """Serialise the full frame deterministically (cached)."""
-        if self._wire is not None and self._cache_valid():
-            return self._wire
+        wire = self._wire
+        if wire is not None:
+            # ``_cache_valid``, inline: every copy's vote key comes here
+            snap = self._snap
+            vlan, ip, l4 = self._vlan, self._ip, self._l4
+            if (
+                snap[0] == self._eth._v
+                and snap[1] == (-1 if vlan is None else vlan._v)
+                and snap[2] == (-1 if ip is None else ip._v)
+                and snap[3] == (-1 if l4 is None else l4._v)
+            ):
+                return wire
         wire = self._serialise()
         self._wire = wire
         self._snap = self._snapshot()
@@ -686,31 +716,39 @@ class Packet:
         )
         if payload is None:  # a stale image still holds it
             payload = self._wire[self._hlen:]
-        parts: List[bytes] = []
-        inner_type = eth.ethertype
         if vlan is not None:
-            parts.append(
-                eth.dst.to_bytes()
-                + eth.src.to_bytes()
-                + struct.pack("!H", ETH_TYPE_VLAN)
+            head = (
+                eth.dst.to_bytes() + eth.src.to_bytes()
+                + struct.pack("!H", ETH_TYPE_VLAN) + vlan.to_bytes(eth.ethertype)
             )
-            parts.append(vlan.to_bytes(inner_type))
         else:
-            parts.append(eth.to_bytes())
-        if ip is not None:
-            l4_bytes = b""
-            if isinstance(l4, Udp):
-                l4_bytes = l4.to_bytes(ip, payload)
-            elif isinstance(l4, Tcp):
-                l4_bytes = l4.to_bytes(ip, payload)
-            elif isinstance(l4, Icmp):
-                l4_bytes = l4.to_bytes(payload)
-            parts.append(ip.to_bytes(len(l4_bytes) + len(payload)))
-            parts.append(l4_bytes)
-            parts.append(payload)
-        else:
-            parts.append(payload)
-        return b"".join(parts)
+            head = eth.to_bytes()
+        if ip is None:
+            return head + payload
+        if isinstance(l4, Udp):
+            # the common frame: both headers in one pack, the payload
+            # checksummed where it lies
+            length = UDP_HEADER_LEN + len(payload)
+            total = IPV4_HEADER_LEN + length
+            # derived from the buffer being built, as in Ipv4.to_bytes
+            object.__setattr__(ip, "total_length", total)
+            src, dst, sport, dport = ip.src, ip.dst, l4.sport, l4.dport
+            fields = (0x45, ip.tos, total, ip.ident, 0, ip.ttl, ip.proto)
+            return head + _IPV4_UDP(
+                *fields,
+                internet_checksum(_IPV4_HEAD(*fields, 0, src, dst)),
+                src, dst, sport, dport, length,
+                internet_checksum(
+                    _UDP_PSEUDO(src, dst, IP_PROTO_UDP, length, sport, dport, length),
+                    payload,
+                ),
+            ) + payload
+        l4_bytes = b""
+        if isinstance(l4, Tcp):
+            l4_bytes = l4.to_bytes(ip, payload)
+        elif isinstance(l4, Icmp):
+            l4_bytes = l4.to_bytes(payload)
+        return head + ip.to_bytes(len(l4_bytes) + len(payload)) + l4_bytes + payload
 
     @classmethod
     def parse(cls, data: bytes) -> "Packet":
@@ -729,14 +767,19 @@ class Packet:
         size = len(data)
         if size < ETHERNET_HEADER_LEN:
             raise PacketError("truncated Ethernet header")
-        # headers are built without their constructors' conversions and
-        # range checks: a fixed-width wire field is in range as read
+        # headers and addresses are built without their constructors'
+        # conversions and range checks: a fixed-width wire field is in
+        # range as read
         new = object.__new__
+        address = int.__new__
+        s = object.__setattr__
         eth = new(Ethernet)
-        s = eth._init()
-        s(eth, "dst", MacAddress(data[0:6]))
-        s(eth, "src", MacAddress(data[6:12]))
-        s(eth, "ethertype", (data[12] << 8) | data[13])
+        s(eth, "_shared", False)
+        s(eth, "_v", 0)
+        head = int.from_bytes(data[:ETHERNET_HEADER_LEN], "big")
+        s(eth, "dst", address(MacAddress, head >> 64))
+        s(eth, "src", address(MacAddress, (head >> 16) & 0xFFFFFFFFFFFF))
+        s(eth, "ethertype", head & 0xFFFF)
         off = ETHERNET_HEADER_LEN
         exact = type(data) is bytes
         vlan = ip = l4 = None
@@ -746,7 +789,8 @@ class Packet:
             tci, eth.ethertype = _VLAN_FIELDS(data, off)
             off += VLAN_TAG_LEN
             vlan = new(Vlan)
-            vlan._init()
+            s(vlan, "_shared", False)
+            s(vlan, "_v", 0)
             s(vlan, "vid", tci & 0x0FFF)
             s(vlan, "pcp", tci >> 13)
             exact = exact and not tci & 0x1000  # DEI is not modelled
@@ -762,9 +806,9 @@ class Packet:
             if internet_checksum(data[off : off + IPV4_HEADER_LEN]) != 0:
                 raise PacketError("bad IPv4 header checksum")
             ip = new(Ipv4)
-            ip._init()
-            s(ip, "src", IpAddress(src))
-            s(ip, "dst", IpAddress(dst))
+            s(ip, "_shared", False)
+            s(ip, "src", address(IpAddress, src))
+            s(ip, "dst", address(IpAddress, dst))
             s(ip, "proto", proto)
             s(ip, "ttl", ttl)
             s(ip, "ident", ident)
@@ -788,7 +832,8 @@ class Packet:
                 if length < UDP_HEADER_LEN or length > seg_len:
                     raise PacketError(f"bad UDP length {length}")
                 l4 = new(Udp)
-                l4._init()
+                s(l4, "_shared", False)
+                s(l4, "_v", 0)
                 s(l4, "sport", sport)
                 s(l4, "dport", dport)
                 payload = seg[UDP_HEADER_LEN:length]
@@ -801,7 +846,8 @@ class Packet:
                 if data_offset < TCP_HEADER_LEN or data_offset > seg_len:
                     raise PacketError(f"bad TCP data offset {data_offset}")
                 l4 = new(Tcp)
-                l4._init()
+                s(l4, "_shared", False)
+                s(l4, "_v", 0)
                 s(l4, "sport", sport)
                 s(l4, "dport", dport)
                 s(l4, "seq", seq)
@@ -815,18 +861,21 @@ class Packet:
                     raise PacketError("truncated ICMP header")
                 icmp_type, code, l4_csum, icmp_ident, seqno = _ICMP_FIELDS(seg)
                 l4 = new(Icmp)
-                l4._init()
+                s(l4, "_shared", False)
+                s(l4, "_v", 0)
                 s(l4, "icmp_type", icmp_type)
                 s(l4, "code", code)
                 s(l4, "ident", icmp_ident)
                 s(l4, "seqno", seqno)
                 payload = seg[ICMP_HEADER_LEN:]
             if exact and l4 is not None:
-                covered = seg if proto == IP_PROTO_ICMP else (
+                # ICMP covers its segment alone, UDP and TCP a pseudo-header
+                # before it; the segment is summed where it lies
+                pseudo = b"" if proto == IP_PROTO_ICMP else (
                     data[off + 12 : off + IPV4_HEADER_LEN]
-                    + _PSEUDO_TAIL(0, proto, seg_len) + seg
+                    + _PSEUDO_TAIL(0, proto, seg_len)
                 )
-                exact = l4_csum != 0xFFFF and internet_checksum(covered) == 0
+                exact = l4_csum != 0xFFFF and internet_checksum(pseudo, seg) == 0
         packet = cls(eth, ip, l4, payload, vlan=vlan)
         # bytes past a header's own length field were dropped on the way;
         # a kept frame ends in the payload, which then lives only there
@@ -926,18 +975,25 @@ class Packet:
         """
         new = Packet.__new__(Packet)
         eth, vlan, ip, l4 = self._eth, self._vlan, self._ip, self._l4
-        hset = object.__setattr__
         cow = _COW_ETH
-        hset(eth, "_shared", True)
         if vlan is not None:
             cow |= _COW_VLAN
-            hset(vlan, "_shared", True)
         if ip is not None:
             cow |= _COW_IP
-            hset(ip, "_shared", True)
         if l4 is not None:
             cow |= _COW_L4
-            hset(l4, "_shared", True)
+        if self._cow != cow:
+            # a header whose bit is set is marked already: only the first
+            # copy since a header was replaced has any marking to do
+            hset = object.__setattr__
+            hset(eth, "_shared", True)
+            if vlan is not None:
+                hset(vlan, "_shared", True)
+            if ip is not None:
+                hset(ip, "_shared", True)
+            if l4 is not None:
+                hset(l4, "_shared", True)
+            self._cow = cow
         new._eth = eth
         new._vlan = vlan
         new._ip = ip
@@ -948,7 +1004,6 @@ class Packet:
         new.meta = None
         new.trace_id = self.trace_id
         new._cow = cow
-        self._cow |= cow
         # the snapshot is judged against the same (shared) headers on both
         # sides: a stale image stays stale, since only a materialisation
         # can restart a version and it stamps a stale image _STALE

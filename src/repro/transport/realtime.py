@@ -12,6 +12,7 @@ compare timestamps small and comparable with DES run timelines.
 from __future__ import annotations
 
 import asyncio
+import time
 from typing import Callable, Optional
 
 
@@ -40,12 +41,21 @@ class RealTimeScheduler:
     realm = None
 
     def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
-        self._loop = loop or asyncio.get_event_loop()
-        self._t0 = self._loop.time()
+        self._loop = loop = loop or asyncio.get_event_loop()
+        # asyncio's own loops answer ``time()`` with ``time.monotonic()``
+        # from a Python-level method: read the clock itself then
+        self._clock = (
+            time.monotonic
+            if type(loop).time is asyncio.BaseEventLoop.time
+            else loop.time
+        )
+        self._t0 = self._clock()
 
     @property
     def now(self) -> float:
-        return self._loop.time() - self._t0
+        """Seconds since the scheduler was created, on the loop's clock:
+        a voter reads it once per copy and hands it down."""
+        return self._clock() - self._t0
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> _Handle:
         return _Handle(self._loop.call_later(max(0.0, delay), callback))

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import struct
 from collections import OrderedDict, deque
 from typing import Callable, Deque, Dict, Optional, Tuple
 
@@ -43,12 +44,14 @@ from repro.transport.base import (
     TransportError,
 )
 from repro.transport.wire import (
+    MESSAGE_FIELDS,
     MSG_BYE,
     MSG_DATA,
     MSG_HELLO,
     decode_message,
     encode_message,
-    message_encoder,
+    message_parts,
+    out_of_range,
 )
 
 Address = Tuple[str, int]
@@ -70,6 +73,8 @@ ROUTE_MEMO_ENTRIES = 256
 #: no UDP datagram is longer
 _MAX_DATAGRAM = 65536
 
+_pack_fields = MESSAGE_FIELDS.pack
+
 
 class UdpSession(Session):
     """One directed message stream over the owning socket."""
@@ -83,7 +88,7 @@ class UdpSession(Session):
         super().__init__(transport, spec)
         self.remote = remote
         self._seq = 0
-        self._encode = message_encoder(MSG_DATA, spec.role, spec.scope)
+        self._lead, self._scope_field = message_parts(MSG_DATA, spec.role, spec.scope)
 
     def send(
         self,
@@ -94,10 +99,19 @@ class UdpSession(Session):
         if branch is None:
             branch = self.spec.branch
         seq = self._seq
-        self._seq += 1
+        self._seq = seq + 1
         self.stats.tx_messages += 1
+        try:
+            fields = _pack_fields(
+                -1 if branch is None else branch,
+                -1 if claim is None else claim,
+                seq & 0xFFFFFFFF,
+                0,
+            )
+        except struct.error:
+            raise out_of_range(branch, claim) from None
         self.transport._sendto(
-            self._encode(packet.to_bytes(), branch, claim, seq), self.remote
+            self._lead + fields + self._scope_field + packet.to_bytes(), self.remote
         )
 
 
@@ -142,6 +156,10 @@ class UdpTransport(Transport):
         self._routes: Dict[tuple, Session] = {}
         #: payload bytes -> the packet parsed from them, oldest first
         self._parsed: "OrderedDict[bytes, Packet]" = OrderedDict()
+        #: the newest entry of ``_parsed``, which a frame's next copy
+        #: usually repeats: compared before the map is probed
+        self._last_payload: Optional[bytes] = None
+        self._last_parsed: Optional[Packet] = None
         self._control: Optional[ControlHandler] = None
 
     def rx_counts(self) -> Dict[str, int]:
@@ -186,6 +204,7 @@ class UdpTransport(Transport):
         """Close sessions and socket; a backlog not yet sent is dropped."""
         super().close()
         self._parsed.clear()
+        self._last_payload = self._last_parsed = None
         sock = self._sock
         if sock is not None:
             self._sock = None
@@ -304,24 +323,32 @@ class UdpTransport(Transport):
                 self._routes.clear()
             self._routes[route] = session
         payload = message.payload
-        parsed = self._parsed
-        first = parsed.get(payload)
-        if first is None:
-            try:
-                first = Packet.parse(payload)
-            except PacketError:
-                self.rx_errors += 1
-                return
-            if len(parsed) >= RX_SHARE_FRAMES:
-                parsed.popitem(last=False)
-            parsed[payload] = first
-            self.rx_parsed += 1
-        else:
+        if payload == self._last_payload:
+            # the newest frame is always in the map: this is its hit
+            first = self._last_parsed
             self.rx_shared += 1
-        meta = message.meta()
-        meta["peer"] = addr
+        else:
+            parsed = self._parsed
+            first = parsed.get(payload)
+            if first is None:
+                try:
+                    first = Packet.parse(payload)
+                except PacketError:
+                    self.rx_errors += 1
+                    return
+                if len(parsed) >= RX_SHARE_FRAMES:
+                    parsed.popitem(last=False)
+                parsed[payload] = first
+                self._last_payload, self._last_parsed = payload, first
+                self.rx_parsed += 1
+            else:
+                self.rx_shared += 1
         # only copies leave the map: a receiver may rewrite what it is given
-        session.deliver(first.copy(), meta)
+        session.deliver(
+            first.copy(),
+            {"branch": message.branch, "claim": message.claim,
+             "seq": message.seq, "peer": addr},
+        )
 
     def _match(
         self, scope: str, role: str, branch: Optional[int]

@@ -22,13 +22,18 @@ session-lifecycle control messages (no payload): a sender announces
 itself and signals end-of-stream so the receiver can stop without
 guessing.  Datagrams come from the network: :func:`decode_message`
 raises :class:`TransportError` for every malformed one, nothing else.
+
+Both directions run once per datagram, so neither builds more than it
+must: a sender lays out a session's constant bytes once
+(:func:`message_parts`) and packs only the per-message fields; the
+decoder builds its :class:`WireMessage` as one tuple and decodes each
+distinct scope once.
 """
 
 from __future__ import annotations
 
 import struct
-from functools import partial
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.transport.base import (
     ROLE_COLLECT,
@@ -55,6 +60,13 @@ _ROLE_CODES = {
 _CODE_ROLES = {code: role for role, code in _ROLE_CODES.items()}
 
 _FIXED = struct.Struct("!2sBBBhhIQ")
+#: what a sender fills in per message: branch, claim, seq, t_ns (-1 is
+#: "none" for the first two)
+MESSAGE_FIELDS = struct.Struct("!hhIQ")
+#: decoded scopes, by their wire bytes; emptied when it gets here (the
+#: bytes come from the network)
+SCOPE_MEMO_ENTRIES = 256
+_scopes: Dict[bytes, str] = {}
 
 
 class WireMessage(NamedTuple):
@@ -69,8 +81,8 @@ class WireMessage(NamedTuple):
     t_ns: int
     payload: bytes
 
-    def meta(self) -> dict:
-        return {"branch": self.branch, "claim": self.claim, "seq": self.seq}
+
+_message = tuple.__new__
 
 
 def _constant_part(mtype: int, role: str, scope: str) -> Tuple[int, int, bytes]:
@@ -86,35 +98,20 @@ def _constant_part(mtype: int, role: str, scope: str) -> Tuple[int, int, bytes]:
     return mtype, role_code, bytes((len(scope_bytes),)) + scope_bytes
 
 
-def _frame(
-    mtype: int,
-    role_code: int,
-    scope_field: bytes,
-    payload: bytes = b"",
-    branch: Optional[int] = None,
-    claim: Optional[int] = None,
-    seq: int = 0,
-    t_ns: int = 0,
-) -> bytes:
-    try:
-        head = _FIXED.pack(
-            MAGIC, VERSION, mtype, role_code,
-            -1 if branch is None else branch,
-            -1 if claim is None else claim,
-            seq & 0xFFFFFFFF,
-            t_ns & 0xFFFFFFFFFFFFFFFF,
-        )
-    except struct.error:
-        raise TransportError(
-            f"branch={branch} claim={claim} outside the int16 frame fields"
-        ) from None
-    return head + scope_field + payload
+def message_parts(mtype: int, role: str, scope: str) -> Tuple[bytes, bytes]:
+    """``(lead, scope_field)`` of every ``(mtype, role, scope)`` message,
+    validated and laid out once: a datagram is ``lead +
+    MESSAGE_FIELDS.pack(branch, claim, seq, t_ns) + scope_field +
+    payload``, so a session packs only the fields that change."""
+    mtype, role_code, scope_field = _constant_part(mtype, role, scope)
+    return MAGIC + bytes((VERSION, mtype, role_code)), scope_field
 
 
-def message_encoder(mtype: int, role: str, scope: str) -> Callable[..., bytes]:
-    """``encode(payload, branch, claim, seq, t_ns) -> datagram`` for one
-    ``(mtype, role, scope)``: a session validates and lays them out once."""
-    return partial(_frame, *_constant_part(mtype, role, scope))
+def out_of_range(branch: Optional[int], claim: Optional[int]) -> TransportError:
+    """The error for a branch or claim ``MESSAGE_FIELDS`` cannot hold."""
+    return TransportError(
+        f"branch={branch} claim={claim} outside the int16 frame fields"
+    )
 
 
 def encode_message(
@@ -127,9 +124,17 @@ def encode_message(
     seq: int = 0,
     t_ns: int = 0,
 ) -> bytes:
-    return _frame(
-        *_constant_part(mtype, role, scope), payload, branch, claim, seq, t_ns
-    )
+    lead, scope_field = message_parts(mtype, role, scope)
+    try:
+        fields = MESSAGE_FIELDS.pack(
+            -1 if branch is None else branch,
+            -1 if claim is None else claim,
+            seq & 0xFFFFFFFF,
+            t_ns & 0xFFFFFFFFFFFFFFFF,
+        )
+    except struct.error:
+        raise out_of_range(branch, claim) from None
+    return lead + fields + scope_field + payload
 
 
 def decode_message(data: bytes) -> WireMessage:
@@ -151,13 +156,19 @@ def decode_message(data: bytes) -> WireMessage:
     end = offset + data[offset - 1]
     if len(data) < end:
         raise TransportError("truncated scope")
-    try:
-        scope = data[offset:end].decode("utf-8")
-    except UnicodeDecodeError:
-        raise TransportError("scope is not UTF-8") from None
-    return WireMessage(
+    raw = data[offset:end]
+    scope = _scopes.get(raw)
+    if scope is None:
+        try:
+            scope = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise TransportError("scope is not UTF-8") from None
+        if len(_scopes) >= SCOPE_MEMO_ENTRIES:
+            _scopes.clear()
+        _scopes[raw] = scope
+    return _message(WireMessage, (
         mtype, role, scope,
         None if branch < 0 else branch,
         None if claim < 0 else claim,
         seq, t_ns, data[end:],
-    )
+    ))

@@ -206,6 +206,29 @@ class TestFarmExecutor:
         assert len(results) == 1
         assert farm.progress.queued == 1
 
+    def test_duplicates_are_found_without_rehashing(self, monkeypatch):
+        """Each spec's key is hashed once and a duplicate is found in a
+        set, not by re-hashing every spec queued before it (quadratic:
+        the 320 specs of advbench took about a second to queue)."""
+        specs = [
+            RunSpec("test.echo", {"value": i % 8}, seed=0) for i in range(40)
+        ]
+        hashed = []
+        canonical = RunSpec.canonical
+
+        def counted(spec):
+            hashed.append(spec)
+            return canonical(spec)
+
+        monkeypatch.setattr(RunSpec, "canonical", counted)
+        farm = FarmExecutor(jobs=1)
+        results = farm.run(specs)
+        assert len(hashed) == len(specs)
+        assert results == {
+            spec.key: {"value": i, "seed": 0} for i, spec in enumerate(specs[:8])
+        }
+        assert farm.progress.queued == farm.progress.executed == 8
+
     def test_cache_hits_skip_execution(self, tmp_path):
         specs = [RunSpec("test.echo", {"value": i}, seed=i) for i in range(3)]
         first = FarmExecutor(jobs=1, cache=ResultCache(root=tmp_path))

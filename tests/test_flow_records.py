@@ -42,7 +42,8 @@ def _twin(run: dict) -> dict:
 
 
 #: Samples the metrics snapshot gained after the pins were written: the
-#: drop counters of sites that used to leave only a trace record.  Both
+#: drop counters of sites that used to leave only a trace record, and the
+#: compare's count of copies refused for a branch it does not own.  Both
 #: instrumented runs drop nothing there, so each must read 0; every other
 #: sample stays under the pinned digest, so none of the samples the pins
 #: were written with can move.
@@ -51,6 +52,7 @@ ADDED_ZERO_SAMPLES = [
       for name in ("sA", "sB", "r0", "r1", "r2")),
     'compare_host_dropped_unregistered_port_total{host="nc_h3"}',
     'compare_host_dropped_untagged_total{host="nc_h3"}',
+    'compare_spoof_drops_total{compare="nc_compare"}',
 ]
 
 

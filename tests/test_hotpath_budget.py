@@ -19,7 +19,11 @@ a plain attribute and the compare host hands copies to the core and
 releases through its session without a ``lambda`` in between; then
 30.7 → 29.9 once a trace bus keeps no record nobody asked for (``emit``
 returns before it builds one); then 29.6 once a UDP sender's interval is
-an attribute, not a property.
+an attribute, not a property; then 27.1 once the vote step and the
+packet lost their repeated per-copy work (the outcome is a tuple, the
+wire-image check and the bit-exact key have no frames of their own, a
+copy re-marks no header already shared, a UDP frame is serialised in
+one pack).
 
 The control-plane decision path (PacketIn → k replicas → ``ControlCompare``
 → release) has the same gate on one slice of the ``des_ctrl_reactive_k3``
@@ -34,14 +38,20 @@ with the sender's interval attribute; then 80.1 once every per-copy and
 per-decision record site asks the bus before it builds its fields (a
 quiet bus: 4 ``emit`` calls in the slice, 6,111 before) and the learning
 app, the switch's message dispatch and the FlowMod encoder lost their
-leftover per-decision work.
+leftover per-decision work; then 74.7 with the same shared packet and
+voter trims.
 
 The same idea gates the live receive path (``live_udp_vote``'s recipe at
 small size): per released packet of k = 3 copies, how often the voter
 side serialises (0; it re-serialised every copy before ``Packet.parse``
 kept the received bytes), parses (1: the copies of a frame share one
 parse; 3 before), checksums (2; 6 before, 9 before that) and constructs
-address objects (4; 12 before, 24 before that).
+address objects (0: parse builds them with ``int.__new__``; 4 before,
+12 before that, 24 before that).  The whole recipe has a ceiling in
+calls per released packet (216.1 before each copy's work was done once:
+two clock reads per copy, three Python frames per address, a namedtuple
+``__new__`` and a meta dict rebuilt per datagram, a vote outcome built
+through ``__init__``), and reads the clock once per copy.
 
 Memory has a clock-free gate too: ``tracemalloc`` counts the bytes a
 held packet retains — serialised, parsed from a canonical frame, or
@@ -60,7 +70,7 @@ from repro.scenarios.testbed import TestbedParams, build_testbed
 from repro.traffic.iperf import run_udp_flow
 
 #: budget, in profiled calls (built-ins included) per link hop
-MAX_CALLS_PER_HOP = 30.6
+MAX_CALLS_PER_HOP = 28.3
 #: what the recipe simulates; any change here is a change of simulated
 #: behaviour, not of speed, and must be explained (the counts are those
 #: of the commit before `Simulator.post` existed)
@@ -126,7 +136,7 @@ CTRL_KWARGS = dict(
     payload_size=512,
     flow_hard_timeout=1e-4,
 )
-MAX_CTRL_CALLS_PER_HOP = 82.5
+MAX_CTRL_CALLS_PER_HOP = 77.1
 #: what one slice simulates (the counts of the commit before the lean
 #: decision path): hops, events, ``ctrl.submissions``, ``ctrl.released``
 CTRL_SLICE = (2_880, 7_658, 4_149, 702)
@@ -352,6 +362,9 @@ def test_a_quiet_bus_is_asked_not_emitted_to():
 LIVE_PACKETS = 200
 LIVE_K = 3
 LIVE_WINDOW = 16
+#: budget, in profiled calls (built-ins and the recipe's own included)
+#: per released packet of k = 3 copies: sender, sockets, loop and voter
+MAX_LIVE_CALLS_PER_RELEASE = 150.0
 
 
 def _calls(stats: pstats.Stats, module: str, *functions: str) -> int:
@@ -483,9 +496,16 @@ def test_live_receive_path_does_the_work_once():
     assert _calls(stats, "net/packet", "_serialise") == LIVE_PACKETS
     # sender: IPv4 header + UDP per serialise; voter: the same two, verifying
     assert _calls(stats, "net/packet", "internet_checksum") <= 4 * LIVE_PACKETS
-    # two MACs, two IPs, each constructed once per distinct frame (the
-    # sender constructs none: the packets exist before the profile starts)
-    assert _calls(stats, "net/addresses", "__new__") <= 4 * LIVE_PACKETS
+    # no address constructor runs: parse builds the two MACs and two IPs
+    # of a frame without one (and the packets exist before the profile)
+    assert _calls(stats, "net/addresses", "__new__") == 0
+    # one clock read per copy, handed from submit to the vote
+    assert _calls(stats, "transport/realtime", "now") == received
+    calls = stats.total_calls / len(released)
+    assert calls <= MAX_LIVE_CALLS_PER_RELEASE, (
+        f"{calls:.1f} calls per released packet; "
+        "`python bench/run.py --workload live_udp_vote --trace` names the layer"
+    )
 
 
 #: what the compare counts, and the alarms it raises, with branch 2

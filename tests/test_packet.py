@@ -1,6 +1,8 @@
 """Tests for packet headers, serialisation and the compare-relevant
 identity semantics (bit-exact equality, deep copies, out-of-band meta)."""
 
+import struct
+
 import pytest
 
 from repro.net.addresses import IpAddress, MacAddress
@@ -108,8 +110,9 @@ class TestHeaderRoundTrips:
 
     def test_udp_roundtrip(self):
         ip = Ipv4(IP1, IP2, IP_PROTO_UDP)
-        udp = Udp(1234, 5678)
-        parsed = Packet.parse(frame(ip, udp.to_bytes(ip, b"payload") + b"payload"))
+        # ports, length and a zero ("none") checksum
+        udp = struct.pack("!HHHH", 1234, 5678, 8 + len(b"payload"), 0)
+        parsed = Packet.parse(frame(ip, udp + b"payload"))
         assert (parsed.l4.sport, parsed.l4.dport) == (1234, 5678)
         assert parsed.payload == b"payload"
 

@@ -163,10 +163,13 @@ def reference_checksum(data):
     st.binary(min_size=1400, max_size=1600),
     st.integers(0, 1600).map(bytes),                   # all-zero
     st.integers(0, 1600).map(lambda n: b"\xff" * n),   # every word the other zero
-))
+), st.integers(0, 800))
 @settings(max_examples=400)
-def test_checksum_equals_word_sum(data):
+def test_checksum_equals_word_sum(data, words):
     assert internet_checksum(data) == reference_checksum(data)
+    # an even-length header and the tail behind it, summed apart
+    head = 2 * min(words, len(data) // 2)
+    assert internet_checksum(data[:head], data[head:]) == reference_checksum(data)
 
 
 # ----------------------------------------------------------------------

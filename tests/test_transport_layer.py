@@ -128,7 +128,6 @@ class TestWireFraming:
         assert msg.seq == 41
         assert msg.t_ns == 123456789
         assert msg.payload == payload
-        assert msg.meta() == {"branch": 2, "claim": 7, "seq": 41}
 
     def test_none_branch_and_claim(self):
         msg = decode_message(encode_message(MSG_HELLO, ROLE_FANOUT, "compare"))
@@ -629,6 +628,8 @@ class TestUdpDrain:
                 session.send(_pkt())  # not started
             address = await transport.start()
             assert address[0] == "127.0.0.1" and address[1] > 0
+            with pytest.raises(TransportError):  # int16 on the wire
+                session.send(_pkt(), branch=1 << 15)
             assert await transport.start() == address == transport.local_address()
             transport.close()
             transport.close()  # idempotent

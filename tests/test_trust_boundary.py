@@ -14,6 +14,10 @@ copy's branch is the egress port its tunnel ends on, so a transit that
 copies its forgery into a neighbour tunnel's VLAN votes as itself once and
 is refused as a spoof the other time.
 
+The data-plane compare itself counts only the branches it owns: a copy
+tagged with any other id (over the live wire the tag is the sender's own
+claim) is refused where it enters, as a spoof.
+
 The control plane has the same boundary one layer up: the voter is handed
 message objects a controller replica built and still holds.  The last
 section attacks it with a replica that sends exactly what its siblings
@@ -21,6 +25,8 @@ send and then rewrites what it sent.
 """
 
 from __future__ import annotations
+
+import asyncio
 
 import pytest
 
@@ -30,15 +36,21 @@ from repro.analysis.tasks import DRAIN_TIME, drive_ctrl_flow
 from repro.apps.learning import LearningSwitchApp
 from repro.ctrl.digest import digest
 from repro.live.verdict import fingerprint
-from repro.core.alarms import ALARM_SPOOFED_BRANCH
-from repro.net.addresses import MacAddress
+from repro.core.alarms import ALARM_SPOOFED_BRANCH, AlarmSink
+from repro.core.compare import CompareConfig, CompareContext, CompareCore
+from repro.net.addresses import IpAddress, MacAddress
 from repro.net.packet import Packet, Vlan
 from repro.openflow.actions import Output
 from repro.openflow.messages import FlowMod
 from repro.scenarios import ctrlplane
 from repro.scenarios.ctrlplane import build_ctrl_testbed
 from repro.scenarios.testbed import build_testbed
+from repro.sim.engine import Simulator
 from repro.traffic.iperf import run_udp_flow
+from repro.transport.base import ROLE_COLLECT, SessionSpec
+from repro.transport.realtime import RealTimeScheduler
+from repro.transport.udp import UdpTransport
+from repro.transport.wire import MSG_DATA, encode_message
 
 PACKETS = 5
 FORGED_TAG = {"branch": 1, "endpoint": "forged", "claim": 99}
@@ -164,6 +176,93 @@ def test_collect_session_always_tags_a_copy():
         assert tagged.meta["endpoint"] == testbed.chain.endpoint_b.name
     assert testbed.compare_core.stats.released == released
     assert len(delivered) == PACKETS
+
+
+# ----------------------------------------------------------------------
+# the compare: copies tagged with a branch it does not own
+# ----------------------------------------------------------------------
+def _datagram(seq: int) -> Packet:
+    return Packet.udp(
+        MacAddress.from_index(1), MacAddress.from_index(2),
+        IpAddress.from_index(1), IpAddress.from_index(2),
+        50000, 5001, payload=bytes([seq]) * 64, ident=seq,
+    )
+
+
+def test_foreign_branch_ids_cannot_forge_a_quorum():
+    """Two copies tagged 7 and 9 make no quorum at a k = 3 compare that
+    owns branches 0..2: both are refused and alarmed as spoofs."""
+    sim = Simulator()
+    alarms = AlarmSink()
+    core = CompareCore(sim, CompareConfig(k=3), alarm_sink=alarms)
+    released = []
+    context = CompareContext("s", released.append)
+    packet = _datagram(1)
+    core.submit(packet, 7, context)
+    core.submit(packet.copy(), 9, context)
+    sim.run(until=0.1)
+    assert released == [] and core.stats.released == 0
+    assert (core.spoof_drops, core.stats.submissions) == (2, 0)
+    assert [(a.kind, a.details) for a in alarms.alarms] == [
+        (ALARM_SPOOFED_BRANCH, {"claimed": 7}),
+        (ALARM_SPOOFED_BRANCH, {"claimed": 9}),
+    ]
+
+
+def test_a_branchless_datagram_cannot_stop_the_expiry_sweep():
+    """A DATA datagram whose branch field is negative decodes to no
+    branch.  Voted as a branch of its own, it made up a quorum with one
+    honest copy, and its entry's expiry raised inside the sweep, which
+    never ran again: no later entry expired.  Refused, it leaves the
+    sweep running."""
+    timeout = 0.02
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        errors = []
+        loop.set_exception_handler(lambda _loop, context: errors.append(context))
+        alarms = AlarmSink()
+        core = CompareCore(
+            RealTimeScheduler(loop), CompareConfig(k=3, buffer_timeout=timeout),
+            alarm_sink=alarms,
+        )
+        voter_side = UdpTransport(name="boundary.compare")
+        switch_side = UdpTransport(name="boundary.switch")
+        released = []
+        context = CompareContext("sA", released.append)
+        try:
+            voter_addr = await voter_side.start()
+            await switch_side.start()
+            voter_side.session(SessionSpec("sA", ROLE_COLLECT)).set_receiver(
+                lambda packet, meta: core.submit(packet, meta["branch"], context)
+            )
+            honest = switch_side.session(
+                SessionSpec("sA", ROLE_COLLECT, 0), remote=voter_addr
+            )
+            first = _datagram(1)
+            honest.send(first)
+            switch_side._sendto(
+                encode_message(MSG_DATA, ROLE_COLLECT, "sA", first.to_bytes()),
+                voter_addr,
+            )
+            honest.send(_datagram(2))
+            await asyncio.sleep(10 * timeout)
+            # the sweep still runs: an entry opened after the first expiry
+            # expires too
+            honest.send(_datagram(3))
+            await asyncio.sleep(10 * timeout)
+        finally:
+            switch_side.close()
+            voter_side.close()
+        return core, released, alarms, errors, voter_side.rx_counts()
+
+    core, released, alarms, errors, rx = asyncio.run(scenario())
+    assert errors == []
+    assert (rx["rx_parsed"], rx["rx_shared"], rx["rx_errors"]) == (3, 1, 0)
+    assert released == [] and len(core.book) == 0
+    assert core.spoof_drops == 1
+    assert core.stats.expired_unreleased == 3
+    assert alarms.count(ALARM_SPOOFED_BRANCH) == 1
 
 
 # ----------------------------------------------------------------------
