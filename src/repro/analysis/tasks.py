@@ -25,7 +25,13 @@ from repro.core.alarms import ALARM_DOS_SUSPECTED, ALARM_ROUTER_UNAVAILABLE
 from repro.farm.spec import register_runner
 from repro.live.verdict import fingerprint
 from repro.scenarios.ctrlplane import CtrlParams, CtrlTestbed, build_ctrl_testbed
-from repro.scenarios.datacenter import build_pod_slice, mount_attack, run_echo_test
+from repro.scenarios.datacenter import (
+    ECHO_DRAIN,
+    ECHO_INTERVAL,
+    build_pod_slice,
+    mount_attack,
+    run_echo_test,
+)
 from repro.scenarios.testbed import Testbed, TestbedParams, build_testbed
 from repro.traffic.iperf import (
     DRAIN_TIME,
@@ -39,6 +45,18 @@ from repro.traffic.udp import UdpFlowResult, UdpSender
 
 #: every supervised flow starts this long after t = 0
 WARMUP = 1e-3
+
+#: echo requests of one ``fig7.rtt`` sequence leave this far apart
+PING_INTERVAL = 1e-3
+
+
+def flow_span(duration: float, **_: Any) -> float:
+    """The simulated seconds one flow covers: warm-up, send window, drain.
+
+    This and the other ``span=`` declarations below tell the farm how
+    long a spec runs, so a pool batch hands out the longest first.
+    """
+    return WARMUP + duration + DRAIN_TIME
 
 
 def params_to_dict(params: Optional[TestbedParams]) -> Optional[Dict[str, Any]]:
@@ -69,7 +87,7 @@ def build_scenario(
     return build_testbed(variant, params=params, seed=seed)
 
 
-@register_runner("fig4.tcp")
+@register_runner("fig4.tcp", span=flow_span)
 def tcp_throughput_sample(
     variant: str,
     duration: float,
@@ -83,7 +101,11 @@ def tcp_throughput_sample(
     return run_tcp_flow(path, duration=duration).throughput_mbps
 
 
-@register_runner("fig5.udp_max")
+@register_runner(
+    "fig5.udp_max",
+    # an upper bound: a probe that repeats an earlier interval does not run
+    span=lambda iterations, duration, **_: iterations * flow_span(duration),
+)
 def udp_max_rate_search(
     variant: str,
     duration: float,
@@ -107,7 +129,7 @@ def udp_max_rate_search(
     }
 
 
-@register_runner("fig6.udp_point")
+@register_runner("fig6.udp_point", span=flow_span)
 def udp_offered_point(
     rate_mbps: float,
     duration: float,
@@ -127,7 +149,9 @@ def udp_offered_point(
     return [rate_mbps, result.throughput_mbps, result.loss_rate]
 
 
-@register_runner("fig7.rtt")
+@register_runner(
+    "fig7.rtt", span=lambda count, **_: count * PING_INTERVAL + DRAIN_TIME
+)
 def rtt_sample(
     variant: str,
     count: int,
@@ -136,7 +160,8 @@ def rtt_sample(
 ) -> float:
     """One sequence of ``count`` echo cycles; returns average RTT (ms)."""
     testbed = build_scenario(variant, params, seed)
-    return run_ping(testbed.path(), count=count, interval=1e-3).avg_rtt_ms
+    result = run_ping(testbed.path(), count=count, interval=PING_INTERVAL)
+    return result.avg_rtt_ms
 
 
 def transition_branches(transitions: List[dict], event: str) -> List[int]:
@@ -241,7 +266,7 @@ def run_supervised_flow(
     )
 
 
-@register_runner("chaos.run")
+@register_runner("chaos.run", span=flow_span)
 def chaos_run(
     schedule: Dict[str, Any],
     seed: int,
@@ -320,7 +345,7 @@ COMPARE_PROFILES: Dict[str, Dict[str, Any]] = {
 }
 
 
-@register_runner("adv.run")
+@register_runner("adv.run", span=flow_span)
 def adversary_run(
     seed: int,
     variant: str = "central3",
@@ -510,7 +535,7 @@ def drive_ctrl_flow(
     )
 
 
-@register_runner("ctrl.run")
+@register_runner("ctrl.run", span=flow_span)
 def ctrl_run(
     seed: int,
     variant: str = "central3",
@@ -586,7 +611,7 @@ def ctrl_run(
     }
 
 
-@register_runner("fig8.jitter")
+@register_runner("fig8.jitter", span=flow_span)
 def jitter_sample(
     variant: str,
     payload_size: int,
@@ -609,7 +634,10 @@ def jitter_sample(
 CASESTUDY_RUNS = ("baseline", "attack", "protected")
 
 
-@register_runner("casestudy.run")
+@register_runner(
+    "casestudy.run",
+    span=lambda echo_count, **_: echo_count * ECHO_INTERVAL + ECHO_DRAIN,
+)
 def casestudy_run(
     run: str,
     seed: int,

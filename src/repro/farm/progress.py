@@ -111,10 +111,11 @@ class FarmProgress:
                 self.retried += 1
                 self.in_flight.pop(key, None)
             elif kind == "farm.task.failed":
-                self.running -= 1
+                # a runner that does not resolve fails before its hand-off
+                if self.in_flight.pop(key, None) is not None:
+                    self.running -= 1
                 self.failed += 1
                 counts["failed"] += 1
-                self.in_flight.pop(key, None)
             elif kind == "farm.task.digest":
                 self.digests.append({"time": t, **data})
             elif kind == "farm.summary":

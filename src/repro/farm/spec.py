@@ -12,28 +12,40 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import inspect
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Optional
 
 #: runner name -> callable, filled by :func:`register_runner`
 _REGISTRY: Dict[str, Callable[..., Any]] = {}
+
+#: runner name -> its declared span, filled by :func:`register_runner`
+_SPANS: Dict[str, Callable[..., float]] = {}
 
 #: modules auto-imported on a registry miss (they register their
 #: runners at import time); keeps spawn-started workers working.
 _DEFAULT_TASK_MODULES = ("repro.analysis.tasks",)
 
 
-def register_runner(name: str) -> Callable[[Callable], Callable]:
+def register_runner(
+    name: str, span: Optional[Callable[..., float]] = None
+) -> Callable[[Callable], Callable]:
     """Decorator registering a task function under a stable name.
 
     The name — not the function's identity — enters the content hash,
     so refactoring a task's module keeps its cache entries valid.
+    ``span`` declares the simulated seconds one run covers: it is called
+    with the runner's arguments (a spec's kwargs and seed, defaults
+    applied) and only orders a pool batch, longest first
+    (:func:`spec_span`); it never reaches a result or a key.
     """
 
     def decorator(fn: Callable) -> Callable:
         _REGISTRY[name] = fn
+        if span is not None:
+            _SPANS[name] = span
         return fn
 
     return decorator
@@ -57,6 +69,23 @@ def resolve_runner(name: str) -> Callable[..., Any]:
     raise KeyError(
         f"unknown farm runner {name!r}; registered: {registered_runners()}"
     )
+
+
+def spec_span(spec: RunSpec) -> Optional[float]:
+    """The simulated seconds ``spec`` covers, from its runner's declared
+    span; ``None`` when the runner declares none or the spec's kwargs do
+    not fit it (the run itself then reports the error)."""
+    span = _SPANS.get(spec.runner)
+    if span is None:
+        return None
+    try:
+        bound = inspect.signature(_REGISTRY[spec.runner]).bind(
+            seed=spec.seed, **spec.kwargs
+        )
+        bound.apply_defaults()
+        return span(**bound.arguments)
+    except TypeError:
+        return None
 
 
 @dataclass(frozen=True)

@@ -232,6 +232,12 @@ def screening_from_spans(tracer: PacketTracer) -> ScreeningReport:
 # ----------------------------------------------------------------------
 # the echo test every run ends in
 # ----------------------------------------------------------------------
+#: echo requests leave this far apart; the run ends ``ECHO_DRAIN`` after
+#: the last one is due
+ECHO_INTERVAL = 1e-3
+ECHO_DRAIN = 30e-3
+
+
 def run_echo_test(
     network: Network, agg1: Agg1, scenario: str, echo_count: int = 10
 ) -> CaseStudyResult:
@@ -254,8 +260,8 @@ def run_echo_test(
 
     fw1, vm1 = network.host("fw1"), network.host("vm1")
     pinger = Pinger(vm1, dst_mac=fw1.mac, dst_ip=fw1.ip)
-    pinger.run(echo_count, interval=1e-3)
-    network.run(until=network.sim.now + echo_count * 1e-3 + 30e-3)
+    pinger.run(echo_count, interval=ECHO_INTERVAL)
+    network.run(until=network.sim.now + echo_count * ECHO_INTERVAL + ECHO_DRAIN)
 
     result = CaseStudyResult(
         scenario=scenario,

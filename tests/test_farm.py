@@ -6,11 +6,19 @@ import time
 
 import pytest
 
-from repro.plan.builtin import chaos_plan, fig7_plan
-from repro.farm.executor import FarmExecutor, FarmTaskError
+from repro.chaos.schedule import builtin_battery
+from repro.plan.builtin import builtin_plan, chaos_plan, fig7_plan
+from repro.farm.executor import FarmExecutor, FarmTaskError, longest_first
 from repro.farm.progress import FarmProgress
-from repro.farm.spec import RunSpec, register_runner, resolve_runner
+from repro.farm.spec import (
+    RunSpec,
+    register_runner,
+    registered_runners,
+    resolve_runner,
+    spec_span,
+)
 from repro.farm.cache import ResultCache, source_fingerprint
+from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus
 
 # ----------------------------------------------------------------------
@@ -42,6 +50,20 @@ def crash_always_task(seed=0):
 def sleepy_task(duration, seed=0):
     time.sleep(duration)
     return "done"
+
+
+@register_runner("test.nap_or_crash")
+def nap_or_crash_task(n, crash, seed=0):
+    """Kill the worker when ``n == crash``; otherwise nap and succeed."""
+    if n == crash:
+        os._exit(3)
+    time.sleep(0.2)
+    return n
+
+
+@register_runner("test.spanned", span=lambda length, **_: length)
+def spanned_task(length, seed=0):
+    return length
 
 
 @register_runner("test.buggy")
@@ -259,6 +281,23 @@ class TestFarmExecutor:
         assert excinfo.value.attempts == 2  # initial + one retry
         assert "crashed" in str(excinfo.value)
 
+    def test_a_crash_is_charged_to_the_spec_that_crashed(self):
+        """A spec queued or running beside a worker crash neither uses up
+        its retries nor is named in the error: the crash is charged to
+        the spec that caused it."""
+        farm = FarmExecutor(jobs=2, retries=1)
+        specs = [
+            RunSpec("test.nap_or_crash", {"n": n, "crash": 4}) for n in range(9)
+        ]
+        with pytest.raises(FarmTaskError) as excinfo:
+            farm.run(specs)
+        assert excinfo.value.spec == specs[4]
+        assert excinfo.value.attempts == 2
+        assert "crashed" in str(excinfo.value)
+        assert farm.progress.failed == 1
+        # only the specs in flight beside the crash were rerun
+        assert farm.progress.retried <= farm.jobs
+
     def test_timeout_in_pool(self):
         farm = FarmExecutor(jobs=2, timeout=0.2, retries=0)
         spec = RunSpec("test.sleepy", {"duration": 10.0}, seed=0)
@@ -282,11 +321,117 @@ class TestFarmExecutor:
         assert excinfo.value.attempts == 1
         assert farm.progress.retried == 0
 
+    def test_unknown_runner_fails_before_any_worker_starts(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr("repro.farm.executor.ProcessPoolExecutor", no_pool)
+        progress = FarmProgress(bus=TraceBus(retain=True))
+        farm = FarmExecutor(jobs=2, progress=progress)
+        unknown = RunSpec("nope.not.registered", {}, seed=0)
+        specs = [RunSpec("test.echo", {"value": 1}), unknown]
+        with pytest.raises(FarmTaskError, match="unknown farm runner") as excinfo:
+            farm.run(specs)
+        assert excinfo.value.spec == unknown
+        assert progress.bus.count("farm.task.started") == 0
+        assert (progress.done, progress.failed, progress.running) == (0, 1, 0)
+
     def test_results_keyed_by_spec_hash(self):
         farm = FarmExecutor(jobs=1)
         spec = RunSpec("test.echo", {"value": "k"}, seed=0)
         results = farm.run([spec])
         assert set(results) == {spec.key}
+
+
+# ----------------------------------------------------------------------
+# dispatch order and the runners' spans
+# ----------------------------------------------------------------------
+def _started(progress):
+    """The specs' short keys in the order they were handed to a worker."""
+    return [r.data["key"] for r in progress.bus.records
+            if r.topic == "farm.task.started"]
+
+
+#: one small spec per runner of ``repro.analysis.tasks``
+SPAN_SAMPLES = {
+    "fig4.tcp": {"variant": "linespeed", "duration": 0.01, "reverse": False},
+    # linespeed's probes repeat one interval: a single probe runs
+    "fig5.udp_max": {"variant": "linespeed", "duration": 0.01, "iterations": 8},
+    "fig6.udp_point": {"rate_mbps": 50.0, "duration": 0.01},
+    "fig7.rtt": {"variant": "linespeed", "count": 5},
+    "chaos.run": {
+        "schedule": builtin_battery()["link_flap"].to_dict(), "duration": 0.01,
+    },
+    "adv.run": {"duration": 0.01, "activate_at": 0.002},
+    "ctrl.run": {"duration": 0.01},
+    "fig8.jitter": {
+        "variant": "linespeed", "payload_size": 512, "rate_mbps": 10.0,
+        "duration": 0.01,
+    },
+    "casestudy.run": {"run": "protected", "echo_count": 3},
+}
+
+
+class TestDispatchOrder:
+    def test_pool_hands_out_longest_first(self):
+        progress = FarmProgress(bus=TraceBus(retain=True))
+        specs = [
+            RunSpec("test.spanned", {"length": 1.0}),
+            RunSpec("test.echo", {"value": 1}),  # declares no span: last
+            RunSpec("test.spanned", {"length": 3.0}),
+            RunSpec("test.spanned", {"length": 2.0}),
+            RunSpec("test.spanned", {"length": 3.0}, seed=1),  # a tie
+        ]
+        expected = [specs[2], specs[4], specs[3], specs[0], specs[1]]
+        assert longest_first(specs) == expected
+        FarmExecutor(jobs=2, progress=progress).run(specs)
+        assert _started(progress) == [spec.short_key for spec in expected]
+        assert progress.running == 0 and progress.done == len(specs)
+
+    def test_inline_keeps_the_given_order(self):
+        progress = FarmProgress(bus=TraceBus(retain=True))
+        specs = [RunSpec("test.spanned", {"length": n}) for n in (1.0, 3.0, 2.0)]
+        FarmExecutor(jobs=1, progress=progress).run(specs)
+        assert _started(progress) == [spec.short_key for spec in specs]
+
+    def test_table1_hands_out_the_max_rate_searches_first(self):
+        progress = FarmProgress(bus=TraceBus(retain=True))
+        plan = builtin_plan("table1", quick=True)
+        plan.run(FarmExecutor(jobs=2, progress=progress))
+        runners = {spec.short_key: spec.runner for spec in plan.expand()}
+        handed = [runners[key] for key in _started(progress)]
+        assert len(handed) == 15
+        assert handed[:5] == ["fig5.udp_max"] * 5
+
+    def test_every_task_runner_declares_a_span(self):
+        import repro.analysis.tasks  # noqa: F401 - registers the runners
+
+        tasks = {
+            name for name in registered_runners()
+            if resolve_runner(name).__module__ == "repro.analysis.tasks"
+        }
+        assert tasks == set(SPAN_SAMPLES)
+        for runner, kwargs in SPAN_SAMPLES.items():
+            assert spec_span(RunSpec(runner, kwargs, seed=1)) > 0, runner
+
+    @pytest.mark.parametrize("runner", sorted(SPAN_SAMPLES))
+    def test_span_is_the_simulated_time_the_run_covers(self, runner, monkeypatch):
+        built = []
+        init = Simulator.__init__
+
+        def recording(sim):
+            init(sim)
+            built.append(sim)
+
+        monkeypatch.setattr(Simulator, "__init__", recording)
+        spec = RunSpec(runner, SPAN_SAMPLES[runner], seed=1)
+        spec.execute()
+        covered = sum(sim.now for sim in built)
+        if runner == "fig5.udp_max":
+            # the search's span is a bound: a repeated probe does not run
+            assert 0 < covered < spec_span(spec)
+        else:
+            assert covered == spec_span(spec)
 
 
 # ----------------------------------------------------------------------

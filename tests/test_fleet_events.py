@@ -268,6 +268,31 @@ class TestFarmIntegration:
         assert errors == []
         assert replayed["done"] == 5
 
+    def test_running_counts_only_specs_handed_to_a_worker(self, tmp_path):
+        """``farm.task.started`` means handed to a worker: ``running`` and
+        ``/fleet``'s ``in_flight`` never list a spec still queued."""
+        bus = TraceBus()
+        peak = {"running": 0, "in_flight": 0}
+        progress = FarmProgress(bus=bus)
+
+        def watch(record):
+            peak["running"] = max(peak["running"], progress.running)
+            peak["in_flight"] = max(peak["in_flight"], len(progress.in_flight))
+
+        bus.subscribe("farm.*", watch)
+        path = str(tmp_path / "events-running.jsonl")
+        writer = EventLogWriter(path, name="running")
+        logger = FarmEventLogger(writer, progress)
+        specs = [RunSpec("fleet.echo", {"value": i}, seed=i) for i in range(15)]
+        FarmExecutor(jobs=2, progress=progress).run(specs)
+        logger.detach()
+        writer.close()
+        assert peak["running"] == peak["in_flight"]
+        assert 1 <= peak["running"] <= 2
+        replayed, errors = check_replay(read_events(path))
+        assert errors == []
+        assert replayed["done"] == 15 and replayed["running"] == 0
+
     def test_retry_logged_and_replayable(self, tmp_path):
         flag = str(tmp_path / "crashed-once")
         specs = [RunSpec("fleet.crash_once", {"flag_path": flag}, seed=1)]
