@@ -15,7 +15,8 @@ from conftest import emit
 
 from repro.adversary.modify import PayloadCorruptionBehavior
 from repro.analysis.report import format_table
-from repro.core.policy import BitExactPolicy, HashPolicy, HeaderOnlyPolicy
+from repro.core.policy import BitExactPolicy
+from repro.core.policy_ablation import HashPolicy, HeaderOnlyPolicy
 from repro.scenarios.testbed import TestbedParams, build_testbed
 from repro.traffic.iperf import PathEndpoints, run_ping, run_udp_flow
 

@@ -21,7 +21,7 @@ line counts.  ``--check`` fails on an unreached function that
 unreached function any more, so the list can only shrink.  Allow-list
 lines are ``ENTRY REASON``: ENTRY is a module (``repro/net/legacy.py``) or
 a module and a qualified name or ``fnmatch`` pattern, where a class covers
-its methods (``repro/core/policy.py:MaskedPolicy``,
+its methods (``repro/core/policy_ablation.py:MaskedPolicy``,
 ``repro/traffic/ping.py:PingResult.*``); the reason is required.
 """
 

@@ -8,6 +8,12 @@ Python-scale) per-message processing cost, and the release travels back
 as a packet-out.  The paper attributes POX3's poor showing to exactly
 these two costs — language overhead and piping every packet through the
 controller — both of which are explicit parameters here.
+
+Both directions are transport sessions on the OpenFlow control channel:
+:class:`ControlChannelCollectSession` on the endpoint's side (each copy a
+packet-in whose ``in_port`` names its branch) and
+:class:`ControlChannelReleaseSession` on the app's (each release a
+packet-out).  :meth:`PoxStyleCompareApp.attach` wires one endpoint.
 """
 
 from __future__ import annotations
@@ -16,9 +22,10 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.compare import CompareContext, CompareCore
 from repro.core.endpoint import CombinerEndpoint
+from repro.net.node import Datapath
+from repro.net.packet import Packet
 from repro.openflow.controller import Controller
-from repro.openflow.messages import PacketIn, PacketOut
-from repro.openflow.switch import OpenFlowSwitch
+from repro.openflow.messages import PACKETIN_NO_MATCH, PacketIn, PacketOut
 from repro.transport.base import (
     ROLE_COLLECT,
     ROLE_RELEASE,
@@ -26,6 +33,38 @@ from repro.transport.base import (
     SessionSpec,
     Transport,
 )
+
+
+class ControlChannelCollectSession(Session):
+    """Collect-role session over the OpenFlow control channel.
+
+    Each message is a packet-in whose ``in_port`` encodes the branch —
+    the paper's reference transport.  Claims are not representable on
+    this channel (packet-ins carry no sideband), matching the original
+    controller path.
+    """
+
+    def __init__(self, transport: Transport, endpoint: CombinerEndpoint) -> None:
+        super().__init__(transport, SessionSpec(endpoint.name, ROLE_COLLECT))
+        self.endpoint = endpoint
+
+    def send(
+        self,
+        packet: Packet,
+        branch: Optional[int] = None,
+        claim: Optional[int] = None,
+    ) -> None:
+        self.stats.tx_messages += 1
+        endpoint = self.endpoint
+        endpoint.stats.packet_ins += 1
+        endpoint._send_to_controller(
+            PacketIn(
+                datapath_id=endpoint.datapath_id,
+                packet=packet,
+                in_port=endpoint.port_of_branch(branch),
+                reason=PACKETIN_NO_MATCH,
+            )
+        )
 
 
 class ControlChannelReleaseSession(Session):
@@ -57,10 +96,8 @@ class ControlChannelReleaseSession(Session):
 class PoxStyleCompareApp(Controller):
     """Controller application hosting a :class:`CompareCore`.
 
-    Attach combiner endpoints with ``endpoint.connect_controller(app,
-    latency)`` followed by ``endpoint.attach_compare_controller(app.core)``;
-    the endpoint then submits branch copies as packet-ins and treats
-    packet-outs as release decisions.
+    :meth:`attach` each combiner endpoint: it then submits branch copies
+    as packet-ins and treats packet-outs as release decisions.
     """
 
     def __init__(
@@ -75,6 +112,14 @@ class PoxStyleCompareApp(Controller):
         self.core = core
         self.transport = Transport(name=f"{name}.transport")
         self._sessions: Dict[int, Tuple[Session, CompareContext]] = {}
+
+    def attach(self, endpoint: CombinerEndpoint, latency: float) -> None:
+        """Connect ``endpoint`` with a one-way channel ``latency`` and make
+        its packet-ins the way its copies reach the compare."""
+        endpoint.connect_controller(self, latency=latency)
+        endpoint.collect_over(
+            ControlChannelCollectSession(endpoint.transport, endpoint)
+        )
 
     def _sessions_for(
         self, endpoint: CombinerEndpoint
@@ -101,7 +146,7 @@ class PoxStyleCompareApp(Controller):
             self._sessions[endpoint.datapath_id] = entry
         return entry
 
-    def on_packet_in(self, switch: OpenFlowSwitch, event: PacketIn) -> None:
+    def on_packet_in(self, switch: Datapath, event: PacketIn) -> None:
         if not isinstance(switch, CombinerEndpoint):
             if self.tracing("pox_compare.not_an_endpoint"):
                 self.trace("pox_compare.not_an_endpoint", datapath=switch.datapath_id)

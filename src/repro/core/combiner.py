@@ -27,10 +27,9 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 from repro.core.alarms import AlarmSink
 from repro.core.compare import CompareConfig, CompareContext, CompareCore
 from repro.core.endpoint import MODE_COMBINE, MODE_DUP, CombinerEndpoint
-from repro.core.sampling import DivergenceWatcher, SamplingEndpoint
 from repro.net.addresses import MacAddress
 from repro.net.link import Link
-from repro.net.node import NetworkError, Node, Port
+from repro.net.node import Datapath, NetworkError, Node, Port
 from repro.net.packet import Packet
 from repro.net.topology import Network
 from repro.obs.metrics import StatBlock
@@ -145,7 +144,6 @@ class CombinerChainParams:
     compare_link_rate_bps: float = 1e9
     compare_link_delay: float = 2e-6
     compare: CompareConfig = field(default_factory=CompareConfig)
-    mark_sources: bool = False
     #: 'inline' = dedicated compare host on the data plane (the paper's
     #: C prototype); 'controller' = compare as a controller app (POX3).
     transport: str = "inline"
@@ -171,8 +169,8 @@ class CombinerChain:
         self,
         network: Network,
         name: str,
-        endpoint_a: OpenFlowSwitch,
-        endpoint_b: OpenFlowSwitch,
+        endpoint_a: Datapath,
+        endpoint_b: Datapath,
         branches: List[List[OpenFlowSwitch]],
         compare_host: Optional[CompareHost],
         compare_core: Optional[CompareCore],
@@ -293,11 +291,11 @@ def build_combiner_chain(
         raise NetworkError(f"a combiner has 1 or 2 endpoints, got {params.endpoints}")
     if params.endpoints == 1 and (
         params.mode != MODE_COMBINE or params.transport != "inline"
-        or params.depth > 1 or sampled or params.mark_sources
+        or params.depth > 1 or sampled
     ):
         raise NetworkError(
             "a one-endpoint combiner votes on an inline compare over "
-            "one-switch branches, unsampled and unmarked"
+            "one-switch branches, unsampled"
         )
     sim, trace = network.sim, network.trace
     alarms = alarm_sink or AlarmSink(trace)
@@ -305,6 +303,8 @@ def build_combiner_chain(
 
     make_endpoint = CombinerEndpoint
     if sampled:
+        from repro.core.sampling import DivergenceWatcher, SamplingEndpoint
+
         make_endpoint = partial(SamplingEndpoint, sample_rate=params.sample_rate)
     endpoints = [
         make_endpoint(
@@ -315,8 +315,6 @@ def build_combiner_chain(
             proc_per_byte=params.endpoint_proc_per_byte,
             cpu=cpu,
             mode=params.mode,
-            mark_sources=params.mark_sources,
-            alarm_sink=alarms,
             service_queue_capacity=params.switch_service_queue,
         )
         for suffix in (("sA", "sB") if params.endpoints == 2 else ("e",))
@@ -324,9 +322,6 @@ def build_combiner_chain(
     for endpoint in endpoints:
         network.add_node(endpoint)
     endpoint_a, endpoint_b = endpoints[0], endpoints[-1]
-    # Trusted endpoints share their address registry (they are jointly
-    # administered and already share the compare host).
-    endpoint_b.address_registry = endpoint_a.address_registry
 
     link = dict(
         rate_bps=params.link_rate_bps,
@@ -373,12 +368,6 @@ def build_combiner_chain(
             # not a crafted-packet flood, so the auto-block mitigation
             # stays off (it would end up blocking the honest primary).
             config = replace(config, craft_threshold=1 << 30)
-        if params.mark_sources:
-            # Branch markers legitimately differentiate the copies'
-            # dl_src, so the compare votes on src-masked bytes.
-            from repro.core.policy import mask_src_mac_policy
-
-            config = replace(config, policy=mask_src_mac_policy(config.policy))
         compare_core = CompareCore(
             sim, config, name=f"{name}_compare", alarm_sink=alarms, trace_bus=trace
         )
@@ -416,8 +405,7 @@ def build_combiner_chain(
                 proc_time=params.controller_proc_time,
             )
             for endpoint in (endpoint_a, endpoint_b):
-                endpoint.connect_controller(controller, latency=params.controller_latency)
-                endpoint.attach_compare_controller(compare_core)
+                controller.attach(endpoint, latency=params.controller_latency)
         else:
             raise NetworkError(f"unknown compare transport {params.transport!r}")
 

@@ -7,16 +7,17 @@ flows it acts as
 * **hub** — packets arriving on an *external* port are duplicated onto
   every *branch* port (one untrusted router per branch);
 * **collector** — packets arriving on a *branch* port are handed to the
-  compare, tagged with the branch identity (the paper does this with an
-  OpenFlow packet-in whose ``in_port`` identifies the router; optionally
-  the endpoint also enforces the paper's "ingress port must match MAC
-  source" spoofing check via per-branch source marking);
+  compare, tagged with the branch they arrived from (the paper does this
+  with an OpenFlow packet-in whose ``in_port`` identifies the router);
 * **egress** — packets released by the compare are forwarded onward
   "based on the switch's MAC table".
 
-The endpoint subclasses :class:`OpenFlowSwitch` so the POX3 scenario can
-attach the compare as a genuine controller application via packet-in /
-packet-out, exactly as the paper's reference implementation does.  In
+The endpoint is a :class:`~repro.net.node.Datapath` (the service queue it
+shares with the untrusted switches) plus :class:`BranchPorts`, and no
+OpenFlow pipeline: no flow table, no packet buffer, no behaviour hook.
+The POX3 scenario reaches the compare over the endpoint's controller
+channel instead of its compare port
+(:mod:`repro.apps.combiner_app` supplies that collect session).  In
 ``dup`` mode (the Dup3/Dup5 scenarios) the compare is bypassed: branch
 arrivals are forwarded directly, duplicates and all.
 """
@@ -25,14 +26,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.alarms import ALARM_SPOOFED_BRANCH, AlarmSink
-from repro.core.compare import CompareCore
 from repro.net.addresses import MacAddress
-from repro.net.node import NetworkError
+from repro.net.node import Datapath, NetworkError
 from repro.net.packet import Packet
 from repro.obs.metrics import StatBlock
-from repro.openflow.messages import PACKETIN_NO_MATCH, PacketIn, PacketOut
-from repro.openflow.switch import OpenFlowSwitch
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus
 from repro.transport.base import (
@@ -41,52 +38,10 @@ from repro.transport.base import (
     ROLE_RELEASE,
     Session,
     SessionSpec,
-    Transport,
 )
 
 MODE_COMBINE = "combine"
 MODE_DUP = "dup"
-
-#: Locally-administered MAC prefix used for per-branch source markers.
-_MARKER_BASE = 0x06_00_00_00_00_00
-
-
-def branch_marker(branch: int) -> MacAddress:
-    """The source-marker MAC for a branch (paper: 'the only written
-    header field is the MAC source address')."""
-    return MacAddress(_MARKER_BASE + branch)
-
-
-class ControlChannelCollectSession(Session):
-    """Collect-role session over the OpenFlow control channel (POX3).
-
-    Each message is a packet-in whose ``in_port`` encodes the branch —
-    the paper's reference transport.  Claims are not representable on
-    this channel (packet-ins carry no sideband), matching the original
-    controller path.
-    """
-
-    def __init__(self, transport: Transport, endpoint: "CombinerEndpoint") -> None:
-        super().__init__(transport, SessionSpec(endpoint.name, ROLE_COLLECT))
-        self.endpoint = endpoint
-
-    def send(
-        self,
-        packet: Packet,
-        branch: Optional[int] = None,
-        claim: Optional[int] = None,
-    ) -> None:
-        self.stats.tx_messages += 1
-        endpoint = self.endpoint
-        endpoint.stats.packet_ins += 1
-        endpoint._send_to_controller(
-            PacketIn(
-                datapath_id=endpoint.datapath_id,
-                packet=packet,
-                in_port=endpoint._port_by_branch[branch],
-                reason=PACKETIN_NO_MATCH,
-            )
-        )
 
 
 class EndpointStats(StatBlock):
@@ -98,7 +53,6 @@ class EndpointStats(StatBlock):
         "collected",
         "submitted",
         "released_out",
-        "spoof_drops",
         "flooded",
     )
 
@@ -160,7 +114,7 @@ class BranchPorts:
                 self.block_port(port_no, duration)
 
 
-class CombinerEndpoint(BranchPorts, OpenFlowSwitch):
+class CombinerEndpoint(BranchPorts, Datapath):
     """One trusted bracket of a NetCo combiner (see module docstring)."""
 
     def __init__(
@@ -172,8 +126,6 @@ class CombinerEndpoint(BranchPorts, OpenFlowSwitch):
         proc_per_byte: float = 0.0,
         cpu=None,
         mode: str = MODE_COMBINE,
-        mark_sources: bool = False,
-        alarm_sink: Optional[AlarmSink] = None,
         service_queue_capacity: int = 1000,
     ) -> None:
         if mode not in (MODE_COMBINE, MODE_DUP):
@@ -188,27 +140,19 @@ class CombinerEndpoint(BranchPorts, OpenFlowSwitch):
             service_queue_capacity=service_queue_capacity,
         )
         self.mode = mode
-        self.mark_sources = mark_sources
-        # Shared across the trusted endpoints of one combiner (they
-        # already share the compare): IP -> original MAC, learned on
-        # external ingress, used to restore dl_src after source-marked
-        # copies win their vote.
-        self.address_registry: Dict = {}
-        self.alarms = alarm_sink or AlarmSink(trace_bus)
         self.estats = EndpointStats().publish("endpoint", endpoint=name)
         self._compare_port_no: Optional[int] = None
-        self._compare_core: Optional[CompareCore] = None
         self._mac_table: Dict[MacAddress, int] = {}
         # Transport sessions for the collect and release directions (the
-        # collect session is set on wiring because the controller variant
-        # replaces it with a control-channel session).
+        # collect session is set on wiring because POX3 replaces it with
+        # a control-channel session).
         self._collect_session: Optional[Session] = None
         self._release_session: Optional[Session] = None
         # Wiring resolved once, for the per-packet and the train paths
         # alike (it is static once the testbed is built; any port or role
-        # change drops both): the fan-out ``(branch, session)`` pairs and
+        # change drops both): the fan-out sessions, in branch order, and
         # the external ports ``(numbers, ports in port order)``.
-        self._fan_cache: Optional[List[Tuple[int, Session]]] = None
+        self._fan_cache: Optional[List[Session]] = None
         self._ext_cache: Optional[Tuple[frozenset, List]] = None
 
     def add_port(self, port_no: Optional[int] = None):
@@ -234,14 +178,10 @@ class CombinerEndpoint(BranchPorts, OpenFlowSwitch):
             SessionSpec(self.name, ROLE_RELEASE), port=port
         )
 
-    def attach_compare_controller(self, core: CompareCore) -> None:
-        """Use the control channel (packet-in/packet-out) to reach the
-        compare — the POX3 configuration.  The endpoint must already be
-        connected to the controller hosting ``core``."""
-        self._compare_core = core
-        self._collect_session = self.transport.adopt(
-            ControlChannelCollectSession(self.transport, self)
-        )
+    def collect_over(self, session: Session) -> None:
+        """Hand branch copies to ``session`` instead of a compare port:
+        POX3's packet-ins over the controller channel."""
+        self._collect_session = self.transport.adopt(session)
 
     def external_ports(self) -> List[int]:
         """Every wired port that is neither a branch nor the compare port."""
@@ -253,16 +193,16 @@ class CombinerEndpoint(BranchPorts, OpenFlowSwitch):
             and no != self._compare_port_no
         ]
 
-    def _resolve_fan(self) -> List[Tuple[int, Session]]:
-        """Fill ``_fan_cache``: the hub's ``(branch, fan-out session)``
-        pairs, in branch order, over wired branch ports."""
+    def _resolve_fan(self) -> List[Session]:
+        """Fill ``_fan_cache``: the hub's fan-out sessions, in branch
+        order, over wired branch ports."""
         fan = []
         for branch in self.branch_ids:
             port = self.ports.get(self._port_by_branch[branch])
             if port is not None and port.is_wired:
-                fan.append((branch, self.transport.session(
+                fan.append(self.transport.session(
                     SessionSpec(self.name, ROLE_FANOUT, branch), port=port
-                )))
+                ))
         self._fan_cache = fan
         return fan
 
@@ -305,18 +245,6 @@ class CombinerEndpoint(BranchPorts, OpenFlowSwitch):
         branch = self._branch_by_port.get(in_port_no)
         if branch is not None:
             self.estats.collected += 1
-            if self.mark_sources:
-                src = batch.template.fields()[0].src
-                if src != branch_marker(branch):
-                    self.estats.spoof_drops += 1
-                    self.alarms.raise_alarm(
-                        now,
-                        ALARM_SPOOFED_BRANCH,
-                        self.name,
-                        branch=branch,
-                        claimed=str(src),
-                    )
-                    return
             if self.mode == MODE_DUP:
                 self._forward_external_batch(batch, i, now)
                 return
@@ -333,22 +261,15 @@ class CombinerEndpoint(BranchPorts, OpenFlowSwitch):
 
     def _from_external_batch(self, batch, i: int, in_port_no: int, now: float) -> None:
         """Hub role for one train packet: learn, fan the shared batch."""
-        if self.mark_sources:
-            # Marked copies mutate per branch: per-packet semantics.
-            self.sim.realm.note_fallback("mixed-headers")
-            self._from_external(batch.packet_at(i), in_port_no)
-            return
         self.estats.external_in += 1
-        eth, _vlan, ip, _l4, _payload = batch.template.fields()
-        if not eth.src.is_multicast:
-            self._mac_table[eth.src] = in_port_no
-            if ip is not None:
-                self.address_registry[ip.src] = eth.src
+        src = batch.template.fields()[0].src
+        if not src.is_multicast:
+            self._mac_table[src] = in_port_no
         fan = self._fan_cache
         if fan is None:
             fan = self._resolve_fan()
         estats = self.estats
-        for _branch, session in fan:
+        for session in fan:
             session.port.send_batch_packet(batch, i, now)
             estats.duplicated += 1
 
@@ -383,28 +304,22 @@ class CombinerEndpoint(BranchPorts, OpenFlowSwitch):
     def _from_external(self, packet: Packet, in_port_no: int) -> None:
         """Hub role: learn the source, duplicate to every branch."""
         self.estats.external_in += 1
-        eth, _vlan, ip, _l4, _payload = packet.fields()  # read-only access
-        if not eth.src.is_multicast:
-            self._mac_table[eth.src] = in_port_no
-            if ip is not None:
-                self.address_registry[ip.src] = eth.src
-        if self.mode == MODE_COMBINE and not self.mark_sources:
+        src = packet.fields()[0].src  # read-only access
+        if not src.is_multicast:
+            self._mac_table[src] = in_port_no
+        if self.mode == MODE_COMBINE:
             # Warm the wire-image cache before fanning out: the k CoW
             # copies share it, so the egress compare vote-keys every
             # benign copy without serialising again.  Pointless in dup
-            # mode (no compare) and when source marking mutates each copy.
+            # mode (no compare).
             packet.to_bytes()
         fan = self._fan_cache
         if fan is None:
             fan = self._resolve_fan()
         estats = self.estats
-        mark = self.mark_sources
-        for branch, session in fan:
+        for session in fan:
             # a private object per branch: see transport/base.py
-            copy = packet.copy()
-            if mark:
-                copy.eth.src = branch_marker(branch)
-            session.send(copy)
+            session.send(packet.copy())
             estats.duplicated += 1
         if packet.trace_id is not None:
             self.trace("endpoint.dup", trace=packet.trace_id, fanout=len(fan))
@@ -412,21 +327,8 @@ class CombinerEndpoint(BranchPorts, OpenFlowSwitch):
     def _from_branch(
         self, packet: Packet, branch: int, claim: Optional[int] = None
     ) -> None:
-        """Collector role: validate and hand the copy to the compare."""
+        """Collector role: hand the copy to the compare."""
         self.estats.collected += 1
-        if self.mark_sources:
-            expected = branch_marker(branch)
-            src = packet.fields()[0].src  # read-only access
-            if src != expected:
-                self.estats.spoof_drops += 1
-                self.alarms.raise_alarm(
-                    self.sim.now,
-                    ALARM_SPOOFED_BRANCH,
-                    self.name,
-                    branch=branch,
-                    claimed=str(src),
-                )
-                return
         if self.mode == MODE_DUP:
             # Dup3/Dup5: hubs only; duplicates flow through unfiltered.
             self._forward_external(packet)
@@ -446,13 +348,6 @@ class CombinerEndpoint(BranchPorts, OpenFlowSwitch):
         """Egress role: the compare released this packet; forward it on."""
         self.estats.released_out += 1
         claim = (packet.meta or {}).get("claim")
-        if self.mark_sources:
-            eth, _vlan, ip, _l4, _payload = packet.fields()  # read-only
-            if ip is not None:
-                original = self.address_registry.get(ip.src)
-                if original is not None and eth.src != original:
-                    packet = packet.copy()  # note: clears meta; claim saved above
-                    packet.eth.src = original
         if claim is not None:
             ext = self._ext_cache
             if ext is None:
@@ -484,8 +379,8 @@ class CombinerEndpoint(BranchPorts, OpenFlowSwitch):
     # ------------------------------------------------------------------
     # control-plane release path (POX3)
     # ------------------------------------------------------------------
-    def _apply_packet_out(self, message: PacketOut) -> None:
-        """A packet-out from the compare app is a release decision."""
+    def handle_controller_message(self, message) -> None:
+        """The compare app sends packet-outs only: each is a release."""
         self.stats.packet_outs += 1
         if message.packet is not None:
             self.handle_release(message.packet)

@@ -10,9 +10,10 @@ dependencies), which keeps it unit- and property-testable in isolation.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Hashable, Iterator, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Dict, Hashable, Iterator, List, NamedTuple, Optional
 
-from repro.net.packet import Packet
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.net.packet import Packet
 
 
 class VoteEntry:

@@ -2,7 +2,9 @@
 
 A :class:`Node` is anything attached to the network: a host, an OpenFlow
 switch, a trusted hub, or the compare server.  Nodes own numbered
-:class:`Port` objects; links connect ports pairwise.
+:class:`Port` objects; links connect ports pairwise.  A :class:`Datapath`
+is a node that serves its arrivals from a bounded FIFO on a CPU: the
+untrusted OpenFlow switch and the trusted combiner endpoint are both one.
 """
 
 from __future__ import annotations
@@ -10,12 +12,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.obs.metrics import StatBlock, bind_histogram
-from repro.sim.engine import Simulator
+from repro.sim.engine import CpuResource, Simulator
 from repro.sim.trace import TraceBus
+from repro.transport.des import DesTransport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.link import Link
     from repro.net.packet import Packet
+    from repro.openflow.controller import Controller
 
 
 class LinkStats(StatBlock):
@@ -391,3 +395,175 @@ class Node:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name}, ports={sorted(self.ports)})"
+
+
+class SwitchStats(StatBlock):
+    """Datapath-level counters."""
+
+    __slots__ = (
+        "rx_packets",
+        "forwarded",
+        "dropped_no_match",
+        "dropped_no_actions",
+        "dropped_service_queue",
+        "dropped_failed",
+        "dropped_bad_port",
+        "packet_ins",
+        "packet_outs",
+        "flow_mods",
+        "behavior_handled",
+    )
+
+
+class Datapath(Node):
+    """A node whose arrivals wait in a bounded single-server FIFO.
+
+    The paper runs software datapaths inside Mininet: each packet pays
+    ``proc_time`` plus ``proc_per_byte`` per wire byte on ``cpu`` before
+    the subclass's ``_process(packet, in_port_no)`` sees it (the train
+    path's ``_serve_batch_packet(batch, i, in_port_no, now)`` likewise).
+    Passing one shared :class:`CpuResource` models co-location: every
+    datapath's per-packet work serialises on one core.
+
+    A datapath also owns its egress transport, a process-wide datapath
+    id (in construction order), administrative port blocking and an
+    optional controller channel; a subclass that connects one handles
+    ``handle_controller_message``.
+    """
+
+    _dpid_counter = 0
+
+    def __init__(
+        self,
+        sim: Simulator,
+        name: str,
+        trace_bus: Optional[TraceBus] = None,
+        proc_time: float = 0.0,
+        proc_per_byte: float = 0.0,
+        cpu: Optional[CpuResource] = None,
+        service_queue_capacity: int = 1000,
+        datapath_id: Optional[int] = None,
+    ) -> None:
+        super().__init__(sim, name, trace_bus)
+        # The byte-moving backend for this datapath's egress I/O.
+        self.transport = DesTransport(sim, name=f"{name}.transport")
+        if datapath_id is None:
+            Datapath._dpid_counter += 1
+            datapath_id = Datapath._dpid_counter
+        self.datapath_id = datapath_id
+        self.proc_time = proc_time
+        self.proc_per_byte = proc_per_byte
+        # None = this datapath has its own core.
+        self.cpu = cpu if cpu is not None else CpuResource(f"{name}.cpu")
+        self.service_queue_capacity = service_queue_capacity
+        self.stats = SwitchStats().publish("switch", switch=name)
+        self._controller: Optional["Controller"] = None
+        self._controller_latency = 0.0
+        self._in_service = 0
+        self._failed = False
+
+    # ------------------------------------------------------------------
+    # control channel
+    # ------------------------------------------------------------------
+    def connect_controller(self, controller: "Controller", latency: float = 0.0) -> None:
+        self._controller = controller
+        self._controller_latency = latency
+        controller.register_switch(self)
+
+    @property
+    def controller(self) -> Optional["Controller"]:
+        return self._controller
+
+    def _send_to_controller(self, message: object) -> None:
+        controller = self._controller
+        if controller is None:
+            return
+        sim = self.sim
+        sim.post(
+            sim.now + self._controller_latency,
+            controller.receive_from_switch,
+            (self, message),
+        )
+
+    def controller_latency(self) -> float:
+        return self._controller_latency
+
+    # ------------------------------------------------------------------
+    # service queue
+    # ------------------------------------------------------------------
+    def receive(self, packet: "Packet", in_port: Port) -> None:
+        stats = self.stats
+        stats.rx_packets += 1
+        if self._failed:
+            stats.dropped_failed += 1
+            if self.tracing("switch.drop"):
+                self.trace("switch.drop", reason="failed", packet=packet)
+            return
+        if self._in_service >= self.service_queue_capacity:
+            stats.dropped_service_queue += 1
+            if self.tracing("switch.drop"):
+                self.trace("switch.drop", reason="service_queue", packet=packet)
+            return
+        cost = self.proc_time + self.proc_per_byte * packet.wire_len
+        if cost <= 0.0:
+            self._process(packet, in_port.port_no)
+            return
+        # cpu.acquire, inlined (hot): book `cost` seconds of FIFO service.
+        sim = self.sim
+        now = sim.now
+        cpu = self.cpu
+        busy = cpu._busy_until
+        finish = (now if now > busy else busy) + cost
+        cpu._busy_until = finish
+        cpu.busy_time += cost
+        self._in_service += 1
+        sim.post(finish, self._serve_one, (packet, in_port.port_no))
+
+    def _serve_one(self, packet: "Packet", in_port_no: int) -> None:
+        """Event: CPU service of one packet completes."""
+        self._in_service -= 1
+        self._process(packet, in_port_no)
+
+    def receive_batch_packet(self, batch, i: int, in_port: Port) -> None:
+        """:meth:`receive` for one train packet (clock already patched)."""
+        stats = self.stats
+        stats.rx_packets += 1
+        if self._failed:
+            stats.dropped_failed += 1
+            if self.tracing("switch.drop"):
+                self.trace("switch.drop", reason="failed", packet=batch.packet_at(i))
+            return
+        if self._in_service >= self.service_queue_capacity:
+            stats.dropped_service_queue += 1
+            if self.tracing("switch.drop"):
+                self.trace(
+                    "switch.drop", reason="service_queue", packet=batch.packet_at(i)
+                )
+            return
+        cost = self.proc_time + self.proc_per_byte * batch.wire_len
+        now = self.sim.now
+        if cost <= 0.0:
+            self._serve_batch_packet(batch, i, in_port.port_no, now)
+            return
+        # cpu.acquire, inlined (hot): book `cost` seconds of FIFO service.
+        cpu = self.cpu
+        busy = cpu._busy_until
+        finish = (now if now > busy else busy) + cost
+        cpu._busy_until = finish
+        cpu.busy_time += cost
+        self._in_service += 1
+        self.sim.realm.post(
+            finish, self._serve_batch_micro, (batch, i, in_port.port_no)
+        )
+
+    def _serve_batch_micro(self, batch, i: int, in_port_no: int) -> None:
+        """Micro-event: CPU service of one train packet completes."""
+        self._in_service -= 1
+        self._serve_batch_packet(batch, i, in_port_no, self.sim.now)
+
+    def block_port(self, port_no: int, duration: float) -> None:
+        """Administratively block a port (compare DoS mitigation)."""
+        port = self.ports.get(port_no)
+        if port is not None:
+            port.block_for(duration)
+            self.trace("switch.port_blocked", port=port_no, duration=duration)

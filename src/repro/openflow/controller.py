@@ -27,7 +27,7 @@ from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.openflow.switch import OpenFlowSwitch
+    from repro.net.node import Datapath
 
 
 class Controller:
@@ -46,7 +46,7 @@ class Controller:
         self.trace_bus = trace_bus
         self.proc_time = proc_time
         self.queue_capacity = queue_capacity
-        self.switches: Dict[int, "OpenFlowSwitch"] = {}
+        self.switches: Dict[int, "Datapath"] = {}
         self._busy_until = 0.0
         self._in_service = 0
         self.messages_received = 0
@@ -57,7 +57,7 @@ class Controller:
         #: ``outbox(switch, message)`` instead of the control channel —
         #: the replicated control plane uses it to route replica output
         #: through the trusted voter
-        self.outbox: Optional[Callable[["OpenFlowSwitch", object], None]] = None
+        self.outbox: Optional[Callable[["Datapath", object], None]] = None
         StatBlock.publish_samples(
             lambda: {
                 "controller_queue_drops_total": self.messages_dropped,
@@ -69,17 +69,17 @@ class Controller:
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
-    def register_switch(self, switch: "OpenFlowSwitch") -> None:
+    def register_switch(self, switch: "Datapath") -> None:
         self.switches[switch.datapath_id] = switch
         self.on_switch_connected(switch)
 
-    def switch(self, datapath_id: int) -> "OpenFlowSwitch":
+    def switch(self, datapath_id: int) -> "Datapath":
         return self.switches[datapath_id]
 
     # ------------------------------------------------------------------
     # receive path (switch -> controller), with service-time modelling
     # ------------------------------------------------------------------
-    def receive_from_switch(self, switch: "OpenFlowSwitch", message: object) -> None:
+    def receive_from_switch(self, switch: "Datapath", message: object) -> None:
         self.messages_received += 1
         if self._in_service >= self.queue_capacity:
             self.messages_dropped += 1
@@ -95,12 +95,12 @@ class Controller:
         self._in_service += 1
         sim.post(finish, self._serve_one, (switch, message))
 
-    def _serve_one(self, switch: "OpenFlowSwitch", message: object) -> None:
+    def _serve_one(self, switch: "Datapath", message: object) -> None:
         """Event: the controller CPU finishes one queued message."""
         self._in_service -= 1
         self._dispatch(switch, message)
 
-    def _dispatch(self, switch: "OpenFlowSwitch", message: object) -> None:
+    def _dispatch(self, switch: "Datapath", message: object) -> None:
         if isinstance(message, PacketIn):
             self.on_packet_in(switch, message)
         elif isinstance(message, FlowRemoved):
@@ -117,7 +117,7 @@ class Controller:
     # ------------------------------------------------------------------
     # send path (controller -> switch)
     # ------------------------------------------------------------------
-    def send(self, switch: "OpenFlowSwitch", message: object) -> None:
+    def send(self, switch: "Datapath", message: object) -> None:
         """Send a FlowMod/PacketOut/etc. over the control channel."""
         if self.outbox is not None:
             self.outbox(switch, message)
@@ -132,19 +132,19 @@ class Controller:
     # ------------------------------------------------------------------
     # application hooks
     # ------------------------------------------------------------------
-    def on_switch_connected(self, switch: "OpenFlowSwitch") -> None:
+    def on_switch_connected(self, switch: "Datapath") -> None:
         """Called when a switch attaches; install proactive rules here."""
 
-    def on_packet_in(self, switch: "OpenFlowSwitch", event: PacketIn) -> None:
+    def on_packet_in(self, switch: "Datapath", event: PacketIn) -> None:
         """Called on every packet-in.  Default: drop silently."""
 
-    def on_flow_removed(self, switch: "OpenFlowSwitch", event: FlowRemoved) -> None:
+    def on_flow_removed(self, switch: "Datapath", event: FlowRemoved) -> None:
         """Called when a flow entry expires or is deleted."""
 
-    def on_port_stats(self, switch: "OpenFlowSwitch", reply: PortStatsReply) -> None:
+    def on_port_stats(self, switch: "Datapath", reply: PortStatsReply) -> None:
         """Called on port-stats replies."""
 
-    def on_flow_stats(self, switch: "OpenFlowSwitch", reply: FlowStatsReply) -> None:
+    def on_flow_stats(self, switch: "Datapath", reply: FlowStatsReply) -> None:
         """Called on flow-stats replies."""
 
     def tracing(self, topic: str) -> bool:

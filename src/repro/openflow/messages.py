@@ -18,11 +18,13 @@ after the voter digested it, and a ``FlowMod`` is hashable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.net.packet import Packet
-from repro.openflow.actions import Action
-from repro.openflow.match import Match
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.openflow.actions import Action
+    from repro.openflow.match import Match
 
 # FlowMod commands
 FLOWMOD_ADD = "add"

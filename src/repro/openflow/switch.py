@@ -2,8 +2,8 @@
 
 The switch models a *software* switch (the paper runs Open vSwitch-style
 datapaths inside Mininet): each packet pays a per-packet processing cost
-(``proc_time``) in a single-server FIFO before the match-action pipeline
-runs.  This service time, not the raw link rate, is what bounds throughput
+(``proc_time``) in the single-server FIFO of :class:`~repro.net.node.Datapath`
+before the match-action pipeline runs.  This service time, not the raw link rate, is what bounds throughput
 in the paper's testbed — and what makes duplication (Dup5/Central5)
 visibly more expensive than Linespeed.
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.net.node import Node, Port
+from repro.net.node import Datapath, Port
 from repro.net.packet import Packet
 from repro.openflow.actions import (
     Action,
@@ -49,38 +49,16 @@ from repro.obs.metrics import StatBlock
 from repro.sim.engine import CpuResource, Simulator
 from repro.sim.trace import TraceBus
 from repro.transport.base import ROLE_EGRESS, SessionSpec
-from repro.transport.des import DesTransport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adversary.behaviors import AdversarialBehavior
-    from repro.openflow.controller import Controller
 
 #: train-memo marker: the resolved Output port exists but is not wired
 _BAD_EGRESS = object()
 
 
-class SwitchStats(StatBlock):
-    """Datapath-level counters."""
-
-    __slots__ = (
-        "rx_packets",
-        "forwarded",
-        "dropped_no_match",
-        "dropped_no_actions",
-        "dropped_service_queue",
-        "dropped_failed",
-        "dropped_bad_port",
-        "packet_ins",
-        "packet_outs",
-        "flow_mods",
-        "behavior_handled",
-    )
-
-
-class OpenFlowSwitch(Node):
+class OpenFlowSwitch(Datapath):
     """An OpenFlow 1.0 switch with a bounded processing pipeline."""
-
-    _dpid_counter = 0
 
     def __init__(
         self,
@@ -89,34 +67,25 @@ class OpenFlowSwitch(Node):
         trace_bus: Optional[TraceBus] = None,
         proc_time: float = 0.0,
         proc_per_byte: float = 0.0,
-        cpu: Optional["CpuResource"] = None,
+        cpu: Optional[CpuResource] = None,
         service_queue_capacity: int = 1000,
         packet_buffer_capacity: int = 256,
         datapath_id: Optional[int] = None,
     ) -> None:
-        super().__init__(sim, name, trace_bus)
-        # The byte-moving backend for this switch's egress I/O.
-        self.transport = DesTransport(sim, name=f"{name}.transport")
+        super().__init__(
+            sim,
+            name,
+            trace_bus,
+            proc_time=proc_time,
+            proc_per_byte=proc_per_byte,
+            cpu=cpu,
+            service_queue_capacity=service_queue_capacity,
+            datapath_id=datapath_id,
+        )
         self._egress_sessions: Dict[int, object] = {}
-        if datapath_id is None:
-            OpenFlowSwitch._dpid_counter += 1
-            datapath_id = OpenFlowSwitch._dpid_counter
-        self.datapath_id = datapath_id
         self.table = FlowTable()
-        self.proc_time = proc_time
-        self.proc_per_byte = proc_per_byte
-        # The CPU the datapath runs on.  Passing a shared CpuResource
-        # models Mininet-style co-location: every switch's per-packet work
-        # serialises on one core.  None = this switch has its own core.
-        self.cpu = cpu if cpu is not None else CpuResource(f"{name}.cpu")
-        self.service_queue_capacity = service_queue_capacity
-        self.stats = SwitchStats().publish("switch", switch=name)
         StatBlock.publish_samples(self._table_samples, switch=name)
         self.behavior: Optional["AdversarialBehavior"] = None
-        self._controller: Optional["Controller"] = None
-        self._controller_latency = 0.0
-        self._in_service = 0
-        self._failed = False
         self._saved_flows: Optional[List[FlowEntry]] = None
         self._packet_buffer: Dict[int, Tuple[Packet, int]] = {}
         self._packet_buffer_capacity = packet_buffer_capacity
@@ -128,26 +97,6 @@ class OpenFlowSwitch(Node):
     # ------------------------------------------------------------------
     # control channel
     # ------------------------------------------------------------------
-    def connect_controller(self, controller: "Controller", latency: float = 0.0) -> None:
-        self._controller = controller
-        self._controller_latency = latency
-        controller.register_switch(self)
-
-    @property
-    def controller(self) -> Optional["Controller"]:
-        return self._controller
-
-    def _send_to_controller(self, message: object) -> None:
-        controller = self._controller
-        if controller is None:
-            return
-        sim = self.sim
-        sim.post(
-            sim.now + self._controller_latency,
-            controller.receive_from_switch,
-            (self, message),
-        )
-
     def handle_controller_message(self, message: object) -> None:
         """Entry point for messages arriving from the controller."""
         # by exact type, the common release first (the voter, too, only
@@ -164,85 +113,9 @@ class OpenFlowSwitch(Node):
         else:
             self.trace("switch.unknown_message", message=kind.__name__)
 
-    def controller_latency(self) -> float:
-        return self._controller_latency
-
-    # ------------------------------------------------------------------
-    # datapath
-    # ------------------------------------------------------------------
-    def receive(self, packet: Packet, in_port: Port) -> None:
-        stats = self.stats
-        stats.rx_packets += 1
-        if self._failed:
-            stats.dropped_failed += 1
-            if self.tracing("switch.drop"):
-                self.trace("switch.drop", reason="failed", packet=packet)
-            return
-        if self._in_service >= self.service_queue_capacity:
-            stats.dropped_service_queue += 1
-            if self.tracing("switch.drop"):
-                self.trace("switch.drop", reason="service_queue", packet=packet)
-            return
-        cost = self.proc_time + self.proc_per_byte * packet.wire_len
-        if cost <= 0.0:
-            self._process(packet, in_port.port_no)
-            return
-        # cpu.acquire, inlined (hot): book `cost` seconds of FIFO service.
-        sim = self.sim
-        now = sim.now
-        cpu = self.cpu
-        busy = cpu._busy_until
-        finish = (now if now > busy else busy) + cost
-        cpu._busy_until = finish
-        cpu.busy_time += cost
-        self._in_service += 1
-        sim.post(finish, self._serve_one, (packet, in_port.port_no))
-
-    def _serve_one(self, packet: Packet, in_port_no: int) -> None:
-        """Event: CPU service of one packet completes."""
-        self._in_service -= 1
-        self._process(packet, in_port_no)
-
     # ------------------------------------------------------------------
     # packet-train fast path (batch realm)
     # ------------------------------------------------------------------
-    def receive_batch_packet(self, batch, i: int, in_port: Port) -> None:
-        """:meth:`receive` for one train packet (clock already patched)."""
-        stats = self.stats
-        stats.rx_packets += 1
-        if self._failed:
-            stats.dropped_failed += 1
-            if self.tracing("switch.drop"):
-                self.trace("switch.drop", reason="failed", packet=batch.packet_at(i))
-            return
-        if self._in_service >= self.service_queue_capacity:
-            stats.dropped_service_queue += 1
-            if self.tracing("switch.drop"):
-                self.trace(
-                    "switch.drop", reason="service_queue", packet=batch.packet_at(i)
-                )
-            return
-        cost = self.proc_time + self.proc_per_byte * batch.wire_len
-        now = self.sim.now
-        if cost <= 0.0:
-            self._serve_batch_packet(batch, i, in_port.port_no, now)
-            return
-        # cpu.acquire, inlined (hot): book `cost` seconds of FIFO service.
-        cpu = self.cpu
-        busy = cpu._busy_until
-        finish = (now if now > busy else busy) + cost
-        cpu._busy_until = finish
-        cpu.busy_time += cost
-        self._in_service += 1
-        self.sim.realm.post(
-            finish, self._serve_batch_micro, (batch, i, in_port.port_no)
-        )
-
-    def _serve_batch_micro(self, batch, i: int, in_port_no: int) -> None:
-        """Micro-event: CPU service of one train packet completes."""
-        self._in_service -= 1
-        self._serve_batch_packet(batch, i, in_port_no, self.sim.now)
-
     def _serve_batch_packet(self, batch, i: int, in_port_no: int, now: float) -> None:
         """:meth:`_process` for one train packet, with a train-granular
         flow-table probe: the first packet of a train does the real
@@ -609,13 +482,6 @@ class OpenFlowSwitch(Node):
             restored = len(self._saved_flows)
         self._saved_flows = None
         self.trace("switch.recovered", restored_flows=restored)
-
-    def block_port(self, port_no: int, duration: float) -> None:
-        """Administratively block a port (compare DoS mitigation)."""
-        port = self.ports.get(port_no)
-        if port is not None:
-            port.block_for(duration)
-            self.trace("switch.port_blocked", port=port_no, duration=duration)
 
     # ------------------------------------------------------------------
     # stats & buffering

@@ -347,6 +347,32 @@ class TestSwitchFaults:
         assert sorted(p.ip.ident for p in got) == [0, 1, 2, 3, 7, 8, 9]
 
 
+class TestTrustedTargets:
+    """A combiner endpoint is a trusted element, not a router: a router
+    fault aimed at one is refused when the schedule is armed, rather than
+    armed on a hook the endpoint never consults."""
+
+    @pytest.mark.parametrize("target", ["nc_sA", "nc_sB"])
+    @pytest.mark.parametrize("make", [
+        lambda target: BehaviorOn(0.001, target, behavior="blackhole"),
+        lambda target: AdversaryStrategy(
+            0.001, target, strategy="sampled_corruption", branch=0
+        ),
+        lambda target: RouterCrash(0.001, target),
+    ], ids=["behavior", "adversary_strategy", "router_crash"])
+    def test_a_router_fault_on_an_endpoint_fails_at_arm(self, make, target):
+        from repro.scenarios.testbed import build_testbed
+
+        testbed = build_testbed("central3", seed=1)
+        engine = ChaosEngine(
+            FaultSchedule([make(target)]),
+            testbed.network,
+            compare_core=testbed.compare_core,
+        )
+        with pytest.raises(ValueError, match=f"node '{target}' is not a switch"):
+            engine.arm()
+
+
 class TestAdversaryStrategyEvents:
     def test_activation_window_tampers_then_restores(self):
         net, h1, h2, s1, _ = two_switch_net()

@@ -116,10 +116,14 @@ def test_calls_and_events_per_hop():
     # no entry of these tables has a timeout: nothing to sweep
     assert _calls(stats, "openflow/flowtable", "sweep_expired") == 0
     # a hop is two frames, `Port.send` and the arrival event; the rest of
-    # net.link and net.node is wiring, resolved once
+    # net.link and net.node, but for a datapath's service queue
+    # (`Datapath.receive` and its `_serve_one` event), is wiring, resolved
+    # once
     hop_frames = _calls(stats, "net/node", "send", "_arrive")
     assert hop_frames == 2 * hops
-    assert _calls(stats, "net/link") + _calls(stats, "net/node") - hop_frames < 0.01 * hops
+    service = _calls(stats, "net/node", "receive", "_serve_one")
+    wiring = _calls(stats, "net/link") + _calls(stats, "net/node") - hop_frames - service
+    assert wiring < 0.01 * hops
     # addresses hash, compare and serialise as ints, without a frame
     assert _calls(stats, "net/addresses") <= 0.25 * hops
 
@@ -228,17 +232,32 @@ def _retain(network) -> None:
 
 
 def test_retained_telemetry_is_unchanged(monkeypatch):
-    from repro.openflow.switch import OpenFlowSwitch
+    from repro.net.node import Datapath
 
     # datapath ids come from a process-wide counter and appear in ctrl.*
     # records: start it where a fresh interpreter would
-    monkeypatch.setattr(OpenFlowSwitch, "_dpid_counter", 0)
+    monkeypatch.setattr(Datapath, "_dpid_counter", 0)
     _record, network = run_ctrl_slice(prepare=_retain)
     assert _telemetry(network.trace) == CTRL_SLICE_TELEMETRY
     testbed = build_testbed("central3", params=TestbedParams(batch_train=1), seed=1)
     testbed.network.trace.start_retaining()
     run_udp_flow(testbed.path(), rate_bps=200e6, duration=0.005, payload_size=1470)
     assert _telemetry(testbed.network.trace) == CENTRAL3_FLOW_TELEMETRY
+
+
+def test_datapaths_are_numbered_in_build_order(monkeypatch):
+    from repro.net.node import Datapath
+
+    # one counter numbers the trusted endpoints and the untrusted routers
+    # alike, in build order: the ids the ctrl.* records above carry
+    monkeypatch.setattr(Datapath, "_dpid_counter", 0)
+    testbed = build_testbed("central3", seed=1)
+    ids = {
+        name: node.datapath_id
+        for name, node in testbed.network.nodes.items()
+        if isinstance(node, Datapath)
+    }
+    assert ids == {"nc_sA": 1, "nc_sB": 2, "nc_r0": 3, "nc_r1": 4, "nc_r2": 5}
 
 
 # ----------------------------------------------------------------------
@@ -319,11 +338,11 @@ def _check_listeners_get_the_retained_stream(run, patterns, mid_run: float) -> N
 
 
 def test_ctrl_slice_listeners_get_the_retained_stream(monkeypatch):
-    from repro.openflow.switch import OpenFlowSwitch
+    from repro.net.node import Datapath
 
     def run(prepare):
         # datapath ids appear in ctrl.* records: every run starts them at 1
-        monkeypatch.setattr(OpenFlowSwitch, "_dpid_counter", 0)
+        monkeypatch.setattr(Datapath, "_dpid_counter", 0)
         return _ctrl_slice(prepare)
 
     _check_listeners_get_the_retained_stream(run, CTRL_LISTENERS, mid_run=0.005)

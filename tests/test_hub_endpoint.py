@@ -3,14 +3,8 @@ endpoint's hub role)."""
 
 import pytest
 
-from repro.core.alarms import ALARM_SPOOFED_BRANCH
 from repro.core.compare import CompareConfig, CompareContext, CompareCore
-from repro.core.endpoint import (
-    MODE_COMBINE,
-    MODE_DUP,
-    CombinerEndpoint,
-    branch_marker,
-)
+from repro.core.endpoint import MODE_COMBINE, MODE_DUP, CombinerEndpoint
 from repro.net.packet import Packet
 from repro.net.topology import Network
 from repro.net.node import NetworkError
@@ -20,13 +14,11 @@ def udp(a, b, ident=0):
     return Packet.udp(a.mac, b.mac, a.ip, b.ip, 1, 5001, ident=ident)
 
 
-def build_endpoint_rig(mode=MODE_COMBINE, mark_sources=False, k=3):
+def build_endpoint_rig(mode=MODE_COMBINE, k=3):
     """An endpoint with one external host, k branch sinks and an
     in-process compare backing (combine mode)."""
     net = Network(seed=1)
-    endpoint = CombinerEndpoint(
-        net.sim, "e", trace_bus=net.trace, mode=mode, mark_sources=mark_sources
-    )
+    endpoint = CombinerEndpoint(net.sim, "e", trace_bus=net.trace, mode=mode)
     net.add_node(endpoint)
     ext = net.add_host("ext", promiscuous=True)
     net.connect(ext, endpoint)
@@ -59,16 +51,6 @@ class TestEndpointHubRole:
         net.run()
         assert received[0] is not received[1]
         assert received[0] == received[1]
-
-    def test_source_marking_rewrites_dl_src(self):
-        net, endpoint, ext, branches = build_endpoint_rig(
-            mode=MODE_DUP, mark_sources=True
-        )
-        got = []
-        branches[1].bind_raw(got.append)
-        ext.send(udp(ext, branches[1]))
-        net.run()
-        assert got[0].eth.src == branch_marker(1)
 
     def test_mac_learning_on_external_ingress(self):
         net, endpoint, ext, branches = build_endpoint_rig(mode=MODE_DUP)
@@ -105,10 +87,8 @@ class TestEndpointDupMode:
 
 
 class TestEndpointCombineMode:
-    def build_combine(self, mark_sources=False):
-        net, endpoint, ext, branches = build_endpoint_rig(
-            mode=MODE_COMBINE, mark_sources=mark_sources
-        )
+    def build_combine(self):
+        net, endpoint, ext, branches = build_endpoint_rig(mode=MODE_COMBINE)
         core = CompareCore(
             net.sim, CompareConfig(k=3, buffer_timeout=0.01), trace_bus=net.trace
         )
@@ -147,15 +127,6 @@ class TestEndpointCombineMode:
         branches[2].send(udp(branches[2], ext))
         net.run(until=0.05)
         assert got == []
-
-    def test_spoofed_marker_dropped_with_alarm(self):
-        net, endpoint, ext, branches, core = self.build_combine(mark_sources=True)
-        spoofed = udp(branches[0], ext)
-        spoofed.eth.src = branch_marker(2)  # branch 0 claims to be branch 2
-        branches[0].send(spoofed)
-        net.run(until=0.01)
-        assert endpoint.estats.spoof_drops == 1
-        assert endpoint.alarms.count(ALARM_SPOOFED_BRANCH) == 1
 
     def test_release_honours_claim_port(self):
         net, endpoint, ext, branches, core = self.build_combine()

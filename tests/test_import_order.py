@@ -55,7 +55,6 @@ FOOTPRINTS = {
         "repro.core.endpoint",
         "repro.core.membership",
         "repro.core.policy",
-        "repro.core.sampling",
         "repro.core.votes",
         "repro.net",
         "repro.net.addresses",
@@ -93,10 +92,44 @@ FOOTPRINTS = {
         "repro",
         "repro.core",
         "repro.core.votes",
+    ]),
+    # the trusted edge: its datapath base, packets and sessions, and
+    # nothing of the untrusted OpenFlow switch
+    "endpoint": ("import repro.core.endpoint", [
+        "repro",
+        "repro.core",
+        "repro.core.endpoint",
         "repro.net",
         "repro.net.addresses",
+        "repro.net.node",
         "repro.net.packet",
+        "repro.obs",
+        "repro.obs.metrics",
+        "repro.sim",
+        "repro.sim.engine",
+        "repro.sim.trace",
+        "repro.transport",
+        "repro.transport.base",
+        "repro.transport.des",
     ]),
+}
+
+
+#: the trusted base (DESIGN §11): a ceiling on the source lines each
+#: trusted module's import closure loads.  A ceiling rises only with a
+#: reason in DESIGN; the data-plane modules load nothing of the untrusted
+#: OpenFlow switch (the control-plane voter needs its message types).
+TRUSTED_CLOSURE_LINES = {
+    "repro.core.votes": 300,
+    "repro.core.alarms": 400,
+    "repro.core.policy": 1_500,
+    "repro.core.membership": 1_500,
+    "repro.core.compare": 3_800,
+    "repro.core.endpoint": 4_000,
+    "repro.core.sampling": 5_300,
+    "repro.transport.wire": 1_000,
+    "repro.ctrl.digest": 2_400,
+    "repro.ctrl.compare": 4_600,
 }
 
 
@@ -231,6 +264,16 @@ def test_a_run_loads_its_pinned_modules(case):
     loaded, pinned = set(_loaded_by(code)), set(pinned)
     assert not loaded - pinned, f"not in the list: {sorted(loaded - pinned)}"
     assert not pinned - loaded, f"listed, never loaded: {sorted(pinned - loaded)}"
+
+
+@pytest.mark.parametrize("module", sorted(TRUSTED_CLOSURE_LINES))
+def test_the_trusted_base_stays_small(module):
+    modules = _modules()
+    closure = _closure(_import_graph(), module)
+    lines = sum(len(modules[name].read_text().splitlines()) for name in closure)
+    assert lines < TRUSTED_CLOSURE_LINES[module], (lines, sorted(closure))
+    if not module.startswith("repro.ctrl."):
+        assert not [name for name in closure if name.startswith("repro.openflow")]
 
 
 def _sampled() -> list:

@@ -190,7 +190,8 @@ class TestLegacyCombiner:
     def build(self, k=3):
         from repro.core.compare import CompareConfig, CompareCore
         from repro.core.endpoint import CombinerEndpoint
-        from repro.core.policy import BitExactPolicy, mask_src_mac_policy
+        from repro.core.policy import BitExactPolicy
+        from repro.core.policy_ablation import mask_src_mac_policy
         from repro.core.combiner import CompareHost
 
         net = Network(seed=22)

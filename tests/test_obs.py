@@ -378,7 +378,7 @@ class TestCollectAndReport:
             run_instrumented_ctrl_scenario,
             run_instrumented_scenario,
         )
-        from repro.openflow.switch import SwitchStats
+        from repro.net.node import SwitchStats
         from repro.transport.base import SessionStats
 
         families = {

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.adversary.modify import dst_mac_rewrite, vlan_rewrite
-from repro.core.policy import BitExactPolicy, HeaderOnlyPolicy
+from repro.core.policy import BitExactPolicy
+from repro.core.policy_ablation import HeaderOnlyPolicy
 from repro.net.addresses import IpAddress, MacAddress
 from repro.net.packet import (
     IP_PROTO_ICMP,

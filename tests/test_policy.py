@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.policy import (
-    BitExactPolicy,
+from repro.core.policy import BitExactPolicy
+from repro.core.policy_ablation import (
     HashPolicy,
     HeaderOnlyPolicy,
     mask_src_mac_policy,

@@ -129,7 +129,7 @@ class TestWiring:
         {"transport": "controller"},
         {"depth": 2},
         {"sample_rate": 0.2},
-        {"mark_sources": True},
+        {"endpoints": 0},
         {"endpoints": 3},
     ])
     def test_one_endpoint_refuses_what_it_cannot_wire(self, override):
