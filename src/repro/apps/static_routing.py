@@ -9,8 +9,9 @@ path — the control plane of the datacenter case study.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import List, Tuple
 
+from repro.core.virtual import VirtualEdge
 from repro.net.host import Host
 from repro.net.topology import Network
 from repro.openflow.actions import Output
@@ -24,8 +25,6 @@ class StaticMacRouter:
     def __init__(self, network: Network, priority: int = 10) -> None:
         self.network = network
         self.priority = priority
-        # (switch, dst mac string) -> out port, for screening/inspection
-        self.installed: Dict[Tuple[str, str], int] = {}
 
     # ------------------------------------------------------------------
     def install_path(self, path: List[str], dst_host: Host) -> None:
@@ -41,13 +40,15 @@ class StaticMacRouter:
             )
         for here, nxt in zip(path[:-1], path[1:]):
             node = self.network.node(here)
-            if not isinstance(node, OpenFlowSwitch):
-                continue  # hosts on the path don't take rules
             out_port = self.network.port_no_between(here, nxt)
-            node.install(
-                Match(dl_dst=dst_host.mac), [Output(out_port)], priority=self.priority
-            )
-            self.installed[(here, str(dst_host.mac))] = out_port
+            if isinstance(node, OpenFlowSwitch):
+                node.install(
+                    Match(dl_dst=dst_host.mac), [Output(out_port)],
+                    priority=self.priority,
+                )
+            elif isinstance(node, VirtualEdge):
+                node.route(dst_host.mac, out_port)
+            # hosts on the path don't take rules
 
     def install_pair(self, a: Host, b: Host) -> Tuple[List[str], List[str]]:
         """Shortest-path routes in both directions between two hosts."""
@@ -56,13 +57,3 @@ class StaticMacRouter:
         self.install_path(forward, b)
         self.install_path(backward, a)
         return forward, backward
-
-    def install_full_mesh(self, hosts: Iterable[Host]) -> None:
-        """Routes between every pair of hosts (small topologies only)."""
-        host_list = list(hosts)
-        for i, a in enumerate(host_list):
-            for b in host_list[i + 1 :]:
-                self.install_pair(a, b)
-
-    def route_of(self, switch_name: str, dst_host: Host) -> Optional[int]:
-        return self.installed.get((switch_name, str(dst_host.mac)))

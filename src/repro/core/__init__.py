@@ -9,9 +9,9 @@ The primary contribution of the paper, as a library:
 * :func:`~repro.core.combiner.build_combiner_chain` — the Figure 3
   evaluation unit and, with one endpoint, Figure 2's drop-in shielded
   router for one n-port router;
-* :func:`~repro.core.virtual.provision_virtual_combiner` — the Section
-  VII virtualized combiner over diverse paths.
+* :mod:`~repro.core.virtual` — the trusted edges of the Section VII
+  virtualized combiner over diverse paths (``scenarios.virtualized``).
 
-Both return one handle, :class:`~repro.core.combiner.CombinerChain`; in
-each a copy's branch is the trusted port it arrived on.
+Both are read through one handle, :class:`~repro.core.combiner.CombinerChain`;
+in each a copy's branch is the trusted port it arrived on.
 """

@@ -58,8 +58,8 @@ class EndpointStats(StatBlock):
 
 
 class BranchPorts:
-    """Branch identity read off the trusted side's own ports, for the
-    switches that collect copies for a vote (:class:`CombinerEndpoint`,
+    """Branch identity read off a trusted datapath's own ports, for those
+    that collect copies for a vote (:class:`CombinerEndpoint`,
     :class:`~repro.core.virtual.VirtualEgress`): a copy's branch is the
     port it arrived on, never something the branch wrote."""
 

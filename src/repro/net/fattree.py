@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.net.host import Host
+from repro.net.node import Datapath
 from repro.net.topology import Network
 from repro.openflow.switch import OpenFlowSwitch
 
@@ -24,23 +25,12 @@ class FatTree:
 
     network: Network
     k: int
-    core: List[OpenFlowSwitch] = field(default_factory=list)
+    core: List[Datapath] = field(default_factory=list)
     # aggregation[pod][i], edge[pod][i]
-    aggregation: List[List[OpenFlowSwitch]] = field(default_factory=list)
-    edge: List[List[OpenFlowSwitch]] = field(default_factory=list)
+    aggregation: List[List[Datapath]] = field(default_factory=list)
+    edge: List[List[Datapath]] = field(default_factory=list)
     # hosts[pod][edge_index][host_index]
     hosts: List[List[List[Host]]] = field(default_factory=list)
-
-    def all_switches(self) -> List[OpenFlowSwitch]:
-        switches = list(self.core)
-        for pod in self.aggregation:
-            switches.extend(pod)
-        for pod in self.edge:
-            switches.extend(pod)
-        return switches
-
-    def all_hosts(self) -> List[Host]:
-        return [h for pod in self.hosts for rack in pod for h in rack]
 
     def host(self, pod: int, edge: int, index: int) -> Host:
         return self.hosts[pod][edge][index]
@@ -59,9 +49,11 @@ def build_fat_tree(
     """Build a k-ary fat-tree.  ``k`` must be even and >= 2.
 
     ``switch_factory(layer, name, network)`` (layer in ``core``/``agg``/
-    ``edge``) may return a custom :class:`OpenFlowSwitch` subclass for
-    specific positions — e.g. virtual-combiner ingress/egress edges —
-    or ``None`` to get the default switch.
+    ``edge``) may return another datapath for specific positions — e.g.
+    a virtual combiner's trusted edge, a
+    :class:`~repro.core.virtual.VirtualIngress` or
+    :class:`~repro.core.virtual.VirtualEgress` — or ``None`` to get the
+    default :class:`OpenFlowSwitch`.
     """
     if k < 2 or k % 2:
         raise ValueError(f"fat-tree arity must be even and >= 2, got {k}")
@@ -69,7 +61,7 @@ def build_fat_tree(
     half = k // 2
     tree = FatTree(network=net, k=k)
 
-    def make_switch(name: str, layer: str = "core") -> OpenFlowSwitch:
+    def make_switch(name: str, layer: str = "core") -> Datapath:
         switch = None
         if switch_factory is not None:
             switch = switch_factory(layer, name, net)

@@ -4,7 +4,8 @@ A :class:`Node` is anything attached to the network: a host, an OpenFlow
 switch, a trusted hub, or the compare server.  Nodes own numbered
 :class:`Port` objects; links connect ports pairwise.  A :class:`Datapath`
 is a node that serves its arrivals from a bounded FIFO on a CPU: the
-untrusted OpenFlow switch and the trusted combiner endpoint are both one.
+untrusted OpenFlow switch, the trusted combiner endpoint and the
+virtualized combiner's trusted edges are each one.
 """
 
 from __future__ import annotations
@@ -397,21 +398,12 @@ class Node:
         return f"{type(self).__name__}({self.name}, ports={sorted(self.ports)})"
 
 
-class SwitchStats(StatBlock):
-    """Datapath-level counters."""
+class DatapathStats(StatBlock):
+    """The counters every datapath moves (an OpenFlow switch's are wider)."""
 
     __slots__ = (
-        "rx_packets",
-        "forwarded",
-        "dropped_no_match",
-        "dropped_no_actions",
-        "dropped_service_queue",
-        "dropped_failed",
-        "dropped_bad_port",
-        "packet_ins",
-        "packet_outs",
-        "flow_mods",
-        "behavior_handled",
+        "rx_packets", "forwarded", "dropped_service_queue", "dropped_failed",
+        "packet_ins", "packet_outs",
     )
 
 
@@ -432,6 +424,8 @@ class Datapath(Node):
     """
 
     _dpid_counter = 0
+    #: the counter block published as ``switch_<field>_total``
+    stats_class = DatapathStats
 
     def __init__(
         self,
@@ -456,7 +450,7 @@ class Datapath(Node):
         # None = this datapath has its own core.
         self.cpu = cpu if cpu is not None else CpuResource(f"{name}.cpu")
         self.service_queue_capacity = service_queue_capacity
-        self.stats = SwitchStats().publish("switch", switch=name)
+        self.stats = self.stats_class().publish("switch", switch=name)
         self._controller: Optional["Controller"] = None
         self._controller_latency = 0.0
         self._in_service = 0

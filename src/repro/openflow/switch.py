@@ -57,8 +57,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _BAD_EGRESS = object()
 
 
+class SwitchStats(StatBlock):
+    """:class:`~repro.net.node.DatapathStats` plus the pipeline's counters."""
+
+    __slots__ = (
+        "rx_packets", "forwarded", "dropped_no_match", "dropped_no_actions",
+        "dropped_service_queue", "dropped_failed", "dropped_bad_port",
+        "packet_ins", "packet_outs", "flow_mods", "behavior_handled",
+    )
+
+
 class OpenFlowSwitch(Datapath):
     """An OpenFlow 1.0 switch with a bounded processing pipeline."""
+
+    stats_class = SwitchStats
 
     def __init__(
         self,

@@ -15,17 +15,16 @@ attack be mounted on any transit switch.  With ``k = 2`` misbehaviour is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, replace
+from typing import List, Optional, Tuple
 
+from repro.core.alarms import AlarmSink
 from repro.core.combiner import CombinerChain
-from repro.core.compare import CompareConfig
-from repro.core.virtual import (
-    VirtualEgress,
-    VirtualIngress,
-    provision_virtual_combiner,
-)
+from repro.core.compare import CompareConfig, CompareCore
+from repro.core.virtual import VID_BASE, VirtualEgress, VirtualIngress
+from repro.net.addresses import MacAddress
 from repro.net.host import Host
+from repro.net.node import NetworkError
 from repro.net.topology import Network
 from repro.openflow.actions import Output
 from repro.openflow.match import Match
@@ -88,28 +87,16 @@ def build_virtualized_scenario(
         net.connect(transit, egress, **link)
 
     # The egress forwards released (and unprotected) dst-bound packets on.
-    egress.install(
-        Match(dl_dst=dst.mac),
-        [Output(net.port_no_between("egress", "dst"))],
-        priority=10,
-    )
+    egress.route(dst.mac, net.port_no_between("egress", "dst"))
     # Reverse direction (dst -> src) is left unprotected: it rides the
     # first transit, as ordinary traffic would.
-    egress.install(
-        Match(dl_dst=src.mac),
-        [Output(net.port_no_between("egress", transits[0].name))],
-        priority=10,
-    )
+    egress.route(src.mac, net.port_no_between("egress", transits[0].name))
     transits[0].install(
         Match(dl_dst=src.mac),
         [Output(net.port_no_between(transits[0].name, "ingress"))],
         priority=10,
     )
-    ingress.install(
-        Match(dl_dst=src.mac),
-        [Output(net.port_no_between("ingress", "src"))],
-        priority=10,
-    )
+    ingress.route(src.mac, net.port_no_between("ingress", "src"))
 
     combiner = provision_virtual_combiner(
         net,
@@ -120,3 +107,68 @@ def build_virtualized_scenario(
         compare=compare or CompareConfig(k=k, proc_time=5e-6, buffer_timeout=2e-3),
     )
     return VirtualizedScenario(net, src, dst, transits, combiner)
+
+
+def provision_virtual_combiner(
+    network: Network,
+    ingress: VirtualIngress,
+    egress: VirtualEgress,
+    dst_mac: MacAddress,
+    k: int = 3,
+    compare: Optional[CompareConfig] = None,
+) -> CombinerChain:
+    """Split traffic for ``dst_mac`` from ``ingress`` to ``egress`` over
+    ``k`` node-disjoint tunnels and recombine in-band at the egress.
+
+    Installs ``dl_vlan`` forwarding rules on every transit switch; the
+    caller routes the egress on to the final destination
+    (:meth:`~repro.core.virtual.VirtualEdge.route`, or a
+    :class:`~repro.apps.static_routing.StaticMacRouter`).  The handle's
+    trusted elements are the two edges, branch i is tunnel i's transit
+    switches, and it has no compare host.
+    """
+    paths = network.disjoint_paths(ingress.name, egress.name, k)
+    if len(paths) < k:
+        raise NetworkError(
+            f"only {len(paths)} disjoint paths between {ingress.name} and "
+            f"{egress.name}; need {k}"
+        )
+    paths = paths[:k]
+    alarms = AlarmSink(network.trace)
+    core = CompareCore(
+        network.sim,
+        replace(compare or CompareConfig(), k=k),
+        name=f"{egress.name}_inband_compare",
+        alarm_sink=alarms,
+        trace_bus=network.trace,
+    )
+
+    vids = [VID_BASE + i for i in range(k)]
+    tunnels: List[Tuple[int, int]] = []
+    for branch, (vid, path) in enumerate(zip(vids, paths)):
+        tunnels.append((vid, network.port_no_between(ingress.name, path[1])))
+        egress.assign_branch(network.port_no_between(egress.name, path[-2]), branch)
+        # Program the transit switches (everything strictly between the
+        # two edges) to forward this tag along the path.
+        for here, nxt in zip(path[1:-1], path[2:]):
+            node = network.node(here)
+            if not isinstance(node, OpenFlowSwitch):
+                raise NetworkError(f"transit node {here!r} is not a switch")
+            node.install(
+                Match(dl_vlan=vid),
+                [Output(network.port_no_between(here, nxt))],
+                priority=20,
+            )
+    ingress.protect_flow(dst_mac, tunnels)
+    egress.attach_compare(core, vids, dst_mac)
+
+    return CombinerChain(
+        network,
+        f"{egress.name}_inband",
+        ingress,
+        egress,
+        [[network.node(n) for n in path[1:-1]] for path in paths],
+        compare_host=None,
+        compare_core=core,
+        alarms=alarms,
+    )

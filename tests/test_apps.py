@@ -6,6 +6,7 @@ from repro.apps.learning import LearningSwitchApp
 from repro.apps.static_routing import StaticMacRouter
 from repro.net.packet import Packet
 from repro.net.topology import Network
+from repro.openflow.actions import Output
 from repro.openflow.switch import OpenFlowSwitch
 
 
@@ -110,12 +111,12 @@ class TestStaticMacRouter:
         net.run()
         assert len(replies) == 1
 
-    def test_route_of_reports_installed_port(self):
+    def test_install_pair_programs_each_switch_toward_the_destination(self):
         net, switches, (h1, h2) = line_topology(n_switches=2)
-        router = StaticMacRouter(net)
-        router.install_pair(h1, h2)
-        assert router.route_of("s1", h2) == net.port_no_between("s1", "s2")
-        assert router.route_of("s2", h2) == net.port_no_between("s2", "h2")
+        StaticMacRouter(net).install_pair(h1, h2)
+        for name, nxt in (("s1", "s2"), ("s2", "h2")):
+            [entry] = [e for e in net.node(name).table if e.match.dl_dst == h2.mac]
+            assert list(entry.actions) == [Output(net.port_no_between(name, nxt))]
 
     def test_install_path_validates_destination(self):
         net, switches, (h1, h2) = line_topology()
@@ -124,14 +125,3 @@ class TestStaticMacRouter:
             router.install_path(["h1", "s1"], h2)
         with pytest.raises(ValueError):
             router.install_path(["h2"], h2)
-
-    def test_full_mesh(self):
-        net, (s1,), (h1, h2) = line_topology()
-        h3 = net.add_host("h3")
-        net.connect(h3, s1)
-        StaticMacRouter(net).install_full_mesh([h1, h2, h3])
-        got = []
-        h3.bind_udp(5001, got.append)
-        h1.send(udp(h1, h3))
-        net.run()
-        assert len(got) == 1

@@ -348,11 +348,17 @@ class TestSwitchFaults:
 
 
 class TestTrustedTargets:
-    """A combiner endpoint is a trusted element, not a router: a router
-    fault aimed at one is refused when the schedule is armed, rather than
-    armed on a hook the endpoint never consults."""
+    """A combiner endpoint or a virtual combiner's edge is a trusted
+    element, not a router: a router fault aimed at one is refused when the
+    schedule is armed, rather than armed on a hook the element never
+    consults (or, for a crash, taking the trusted element down)."""
 
-    @pytest.mark.parametrize("target", ["nc_sA", "nc_sB"])
+    VARIANT = {
+        "nc_sA": "central3", "nc_sB": "central3",
+        "ingress": "virtual3", "egress": "virtual3",
+    }
+
+    @pytest.mark.parametrize("target", ["nc_sA", "nc_sB", "ingress", "egress"])
     @pytest.mark.parametrize("make", [
         lambda target: BehaviorOn(0.001, target, behavior="blackhole"),
         lambda target: AdversaryStrategy(
@@ -363,7 +369,7 @@ class TestTrustedTargets:
     def test_a_router_fault_on_an_endpoint_fails_at_arm(self, make, target):
         from repro.scenarios.testbed import build_testbed
 
-        testbed = build_testbed("central3", seed=1)
+        testbed = build_testbed(self.VARIANT[target], seed=1)
         engine = ChaosEngine(
             FaultSchedule([make(target)]),
             testbed.network,

@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.static_routing import StaticMacRouter
 from repro.net.fattree import build_fat_tree
+from repro.net.host import Host
 from repro.traffic.iperf import PathEndpoints, run_ping
 
 
@@ -13,13 +14,16 @@ class TestStructure:
         assert len(tree.core) == 4
         assert sum(len(p) for p in tree.aggregation) == 8
         assert sum(len(p) for p in tree.edge) == 8
-        assert len(tree.all_hosts()) == 16
-        assert len(tree.all_switches()) == 20
+        hosts = [n for n in tree.network.nodes.values() if isinstance(n, Host)]
+        assert len(hosts) == 16
+        assert len(tree.network.nodes) == 16 + 20
 
     def test_k2_element_counts(self):
         tree = build_fat_tree(2)
         assert len(tree.core) == 1
-        assert len(tree.all_hosts()) == 2
+        hosts = [n for n in tree.network.nodes.values() if isinstance(n, Host)]
+        assert len(hosts) == 2
+        assert len(tree.network.nodes) == 2 + 5
 
     def test_odd_k_rejected(self):
         with pytest.raises(ValueError):

@@ -49,7 +49,7 @@ def _twin(run: dict) -> dict:
 #: were written with can move.
 ADDED_ZERO_SAMPLES = [
     *(f'switch_dropped_bad_port_total{{switch="nc_{name}"}}'
-      for name in ("sA", "sB", "r0", "r1", "r2")),
+      for name in ("r0", "r1", "r2")),
     'compare_host_dropped_unregistered_port_total{host="nc_h3"}',
     'compare_host_dropped_untagged_total{host="nc_h3"}',
     'compare_spoof_drops_total{compare="nc_compare"}',
@@ -58,13 +58,18 @@ ADDED_ZERO_SAMPLES = [
 
 #: Samples the pins were written with that are no longer exported: a
 #: combiner endpoint has had no flow table since it stopped being an
-#: OpenFlow switch, and no spoofed-marker counter since source marking
-#: went.  Each read 0 in both instrumented runs; they are put back as 0,
-#: so the pinned digests still cover every sample that remains.
+#: OpenFlow switch, nor the switch counters only a pipeline moves, and no
+#: spoofed-marker counter since source marking went.  Each read 0 in both
+#: instrumented runs; they are put back as 0, so the pinned digests still
+#: cover every sample that remains.
 REMOVED_ZERO_SAMPLES = [
     *(f'flowtable_{name}{{switch="nc_{side}"}}'
       for name in ("entries", "lookups_total", "index_hits_total",
                    "scan_steps_total", "misses_total")
+      for side in ("sA", "sB")),
+    *(f'switch_{name}_total{{switch="nc_{side}"}}'
+      for name in ("dropped_no_match", "dropped_no_actions", "flow_mods",
+                   "behavior_handled")
       for side in ("sA", "sB")),
     *(f'endpoint_spoof_drops_total{{endpoint="nc_{side}"}}'
       for side in ("sA", "sB")),

@@ -127,6 +127,7 @@ TRUSTED_CLOSURE_LINES = {
     "repro.core.compare": 3_800,
     "repro.core.endpoint": 4_000,
     "repro.core.sampling": 5_300,
+    "repro.core.virtual": 5_400,
     "repro.transport.wire": 1_000,
     "repro.ctrl.digest": 2_400,
     "repro.ctrl.compare": 4_600,

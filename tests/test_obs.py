@@ -378,11 +378,13 @@ class TestCollectAndReport:
             run_instrumented_ctrl_scenario,
             run_instrumented_scenario,
         )
-        from repro.net.node import SwitchStats
+        from repro.net.node import DatapathStats
+        from repro.openflow.switch import SwitchStats
         from repro.transport.base import SessionStats
 
         families = {
-            LinkStats: "link", SwitchStats: "switch", EndpointStats: "endpoint",
+            LinkStats: "link", SwitchStats: "switch", DatapathStats: "switch",
+            EndpointStats: "endpoint",
             CompareStats: "compare", CtrlStats: "ctrl",
             SessionStats: "transport_session", CompareHostStats: "compare_host",
         }
@@ -410,6 +412,18 @@ class TestCollectAndReport:
                 assert name in by_name, f"{name} missing from the snapshot"
                 assert sum(by_name[name]) == pytest.approx(total), name
         assert seen == set(families)
+
+    def test_a_datapath_publishes_only_the_counters_it_can_move(self):
+        # a combiner endpoint has no flow table, pipeline or behaviour
+        # hook: the switch counters of those are not exported for it
+        samples = self._mini_run().registry.samples()
+
+        def switch_samples(name):
+            return [key for key in samples
+                    if key.startswith("switch_") and f'switch="{name}"' in key]
+
+        assert len(switch_samples("nc_sA")) == 6
+        assert len(switch_samples("nc_r0")) == 11
 
     def test_report_roundtrip(self, tmp_path):
         report = RunReport(

@@ -14,12 +14,18 @@ from repro.core.alarms import (
     ALARM_SPOOFED_BRANCH,
 )
 from repro.core.combiner import CombinerChain
+from repro.net.addresses import MacAddress
 from repro.net.node import NetworkError
 from repro.net.packet import Packet
+from repro.net.topology import Network
 from repro.openflow.actions import Output
 from repro.openflow.match import Match
+from repro.openflow.switch import OpenFlowSwitch
 from repro.core.virtual import VID_BASE, VirtualEgress, VirtualIngress
-from repro.scenarios.virtualized import build_virtualized_scenario
+from repro.scenarios.virtualized import (
+    build_virtualized_scenario,
+    provision_virtual_combiner,
+)
 from repro.traffic.iperf import PathEndpoints, run_ping, run_udp_flow
 
 
@@ -70,6 +76,57 @@ class TestProvisioning:
         net.run()
         assert len(got) == 1
         assert scenario.combiner.endpoint_a.split_packets == 0
+
+
+class TestEdgeRouting:
+    """What an edge does not split or vote on leaves through its static
+    route table; a frame with no route is counted, traced and dropped,
+    never flooded or sent into a tunnel."""
+
+    @pytest.mark.parametrize("edge, host", [("ingress", "src"), ("egress", "dst")])
+    def test_an_unrouted_frame_is_dropped_and_counted(self, edge, host):
+        scenario = build_virtualized_scenario(k=3)
+        net = scenario.network
+        net.trace.start_retaining()
+        node, sender = net.node(edge), net.node(host)
+        stranger = MacAddress("02:00:00:00:00:99")
+        sender.send(Packet.udp(sender.mac, stranger, sender.ip, sender.ip, 1, 7))
+        net.run()
+        assert node.unrouted_drops == 1
+        assert node.stats.forwarded == 0
+        assert sum(port.tx_packets for port in node.ports.values()) == 0
+        topics = [record.topic for record in net.trace.records]
+        assert topics.count("virtual_edge.no_route") == 1
+
+    def test_a_release_with_no_route_is_dropped_and_counted(self):
+        # the ladder without its edges' routes: the copies are split,
+        # voted on and released, and the release has nowhere to go
+        net = Network(seed=0)
+        ingress = net.add_node(VirtualIngress(net.sim, "ingress", trace_bus=net.trace))
+        egress = net.add_node(VirtualEgress(net.sim, "egress", trace_bus=net.trace))
+        src, dst = net.add_host("src"), net.add_host("dst")
+        net.connect(src, ingress)
+        net.connect(egress, dst)
+        for i in range(3):
+            transit = net.add_node(OpenFlowSwitch(net.sim, f"vendor{i}"))
+            net.connect(ingress, transit)
+            net.connect(transit, egress)
+        provision_virtual_combiner(net, ingress, egress, dst_mac=dst.mac, k=3)
+        got = []
+        dst.bind_udp(7, got.append)
+        for ident in range(4):
+            src.send(Packet.udp(src.mac, dst.mac, src.ip, dst.ip, 1, 7, ident=ident))
+        net.run()
+        assert (ingress.split_packets, egress.recombined) == (4, 4)
+        assert egress.unrouted_drops == 4 and not got
+        assert egress.port(net.port_no_between("egress", "dst")).tx_packets == 0
+
+    def test_a_route_needs_a_wired_port(self):
+        scenario = build_virtualized_scenario(k=3)
+        egress = scenario.combiner.endpoint_b
+        unwired = egress.add_port().port_no
+        with pytest.raises(NetworkError):
+            egress.route(scenario.dst.mac, unwired)
 
 
 class TestBenignFlow:

@@ -15,12 +15,9 @@ from repro.adversary.modify import PayloadCorruptionBehavior
 from repro.core.alarms import ALARM_SPOOFED_BRANCH
 from repro.apps.static_routing import StaticMacRouter
 from repro.core.compare import CompareConfig
-from repro.core.virtual import (
-    VirtualEgress,
-    VirtualIngress,
-    provision_virtual_combiner,
-)
+from repro.core.virtual import VirtualEgress, VirtualIngress
 from repro.net.fattree import build_fat_tree
+from repro.scenarios.virtualized import provision_virtual_combiner
 from repro.traffic.iperf import PathEndpoints, run_ping, run_udp_flow
 
 
