@@ -19,9 +19,9 @@ nested functions and lambdas are inside its span), grouped by module, with
 line counts.  ``--check`` fails on an unreached function that
 ``reach_allow.txt`` does not list, and on a listed entry that matches no
 unreached function any more, so the list can only shrink.  Allow-list
-lines are ``ENTRY REASON``: ENTRY is a module (``repro/net/legacy.py``) or
-a module and a qualified name or ``fnmatch`` pattern, where a class covers
-its methods (``repro/core/policy_ablation.py:MaskedPolicy``,
+lines are ``ENTRY REASON``: ENTRY is a module (``repro/core/policy_ablation.py``)
+or a module and a qualified name or ``fnmatch`` pattern, where a class covers
+its methods (``repro/adversary/modify.py:PacketInjectionBehavior``,
 ``repro/traffic/ping.py:PingResult.*``); the reason is required.
 """
 

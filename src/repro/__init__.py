@@ -4,10 +4,10 @@ reproduction of the DSN 2016 paper.
 Packages:
 
 * :mod:`repro.sim` — deterministic discrete-event kernel;
-* :mod:`repro.net` — packets, links, hosts, topologies (fat-tree);
+* :mod:`repro.net` — packets, links, hosts and topologies;
 * :mod:`repro.openflow` — OpenFlow 1.0 match-action substrate;
-* :mod:`repro.apps` — controller applications (learning switch, static
-  routing, POX-style compare);
+* :mod:`repro.apps` — controller applications (learning switch,
+  POX-style compare);
 * :mod:`repro.core` — the NetCo contribution: endpoints, compare and
   the combiner chain (a shielded router is its one-endpoint case), and
   virtualized combiners;

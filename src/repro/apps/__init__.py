@@ -1,1 +1,1 @@
-"""Controller applications: learning switch, static routing, POX compare."""
+"""Controller applications: learning switch and POX compare."""

@@ -21,7 +21,7 @@ Hot-path machinery (see DESIGN.md "Per-packet hot path"):
   private header copies only when it actually mutates them;
 * :func:`internet_checksum` reduces the buffer as one big integer mod
   0xFFFF, and :func:`incremental_checksum_update` implements RFC 1624 so
-  the TTL-decrement path of a routed hop patches the cached image in place;
+  :meth:`Packet.decrement_ttl` patches the cached image in place;
 * :meth:`Packet.parse` keeps the bytes it was given as the wire image when
   they are provably what serialising the parsed headers would rebuild, so
   a received copy is vote-keyed and forwarded without re-serialising;
@@ -902,7 +902,7 @@ class Packet:
         return length
 
     # ------------------------------------------------------------------
-    # in-place header rewrites that keep the wire cache coherent
+    # an in-place header rewrite that keeps the wire cache coherent
     # ------------------------------------------------------------------
     def decrement_ttl(self, delta: int = 1) -> None:
         """Decrement the IPv4 TTL, patching the cached wire image in place.
@@ -938,27 +938,6 @@ class Packet:
             wire[csum_off + 2 :],
         ))
         self._snap = self._snapshot()
-
-    def rewrite_eth(
-        self,
-        src: Optional[MacAddress] = None,
-        dst: Optional[MacAddress] = None,
-    ) -> None:
-        """Rewrite Ethernet addresses, patching the cached wire image.
-
-        The Ethernet header carries no checksum, so a routed hop's MAC
-        rewrite is a pure byte splice when the cache is valid.
-        """
-        cache_ok = self._cache_valid()
-        wire = self._wire
-        eth = self.eth  # materialises a private header if CoW-shared
-        if src is not None:
-            eth.src = MacAddress(src)
-        if dst is not None:
-            eth.dst = MacAddress(dst)
-        if cache_ok:
-            self._wire = eth.dst.to_bytes() + eth.src.to_bytes() + wire[12:]
-            self._snap = self._snapshot()
 
     # ------------------------------------------------------------------
     # duplication / identity
@@ -1206,67 +1185,6 @@ class PacketBatch:
     def packets(self) -> List[Packet]:
         """Materialise every packet of the train, in order."""
         return [self.packet_at(i) for i in range(self.count)]
-
-    # ------------------------------------------------------------------
-    # batch-level rewrites: patch every cached wire image in one sweep
-    # ------------------------------------------------------------------
-    def decrement_ttl(self, delta: int = 1) -> None:
-        """Decrement TTL across the train (template, buffer, packets)."""
-        buf = self._buffer
-        if buf is not None and self._patchable:
-            wl = self.wire_len
-            for i in range(self.count):
-                base = i * wl
-                ttl = buf[base + 22]
-                new_ttl = ttl - delta
-                if not 0 <= new_ttl <= 255:
-                    raise PacketError(f"TTL out of range after decrement: {new_ttl}")
-                csum = (buf[base + 24] << 8) | buf[base + 25]
-                proto = buf[base + 23]
-                csum = incremental_checksum_update(
-                    csum, (ttl << 8) | proto, (new_ttl << 8) | proto
-                )
-                buf[base + 22] = new_ttl
-                buf[base + 24] = csum >> 8
-                buf[base + 25] = csum & 0xFF
-        elif buf is not None:
-            self._buffer = None  # generic shape: rebuild lazily
-        pkts = self._packets
-        if pkts is not None:
-            for pkt in pkts:
-                if pkt is not None:
-                    pkt.decrement_ttl(delta)
-            if pkts[0] is None:
-                self.template.decrement_ttl(delta)
-        else:
-            self.template.decrement_ttl(delta)
-
-    def rewrite_eth(
-        self,
-        src: Optional[MacAddress] = None,
-        dst: Optional[MacAddress] = None,
-    ) -> None:
-        """Rewrite Ethernet addresses across the train in one sweep."""
-        buf = self._buffer
-        if buf is not None:
-            wl = self.wire_len
-            src_b = src.to_bytes() if src is not None else None
-            dst_b = dst.to_bytes() if dst is not None else None
-            for i in range(self.count):
-                base = i * wl
-                if dst_b is not None:
-                    buf[base : base + 6] = dst_b
-                if src_b is not None:
-                    buf[base + 6 : base + 12] = src_b
-        pkts = self._packets
-        if pkts is not None:
-            for pkt in pkts:
-                if pkt is not None:
-                    pkt.rewrite_eth(src=src, dst=dst)
-            if pkts[0] is None:
-                self.template.rewrite_eth(src=src, dst=dst)
-        else:
-            self.template.rewrite_eth(src=src, dst=dst)
 
     def __len__(self) -> int:
         return self.count

@@ -199,37 +199,12 @@ class Network:
     # ------------------------------------------------------------------
     # path computation
     # ------------------------------------------------------------------
-    def shortest_path(self, src: str, dst: str) -> List[str]:
-        """BFS shortest node path from ``src`` to ``dst`` (inclusive)."""
-        if src == dst:
-            return [src]
-        self.node(src)
-        self.node(dst)
-        prev: Dict[str, str] = {}
-        seen = {src}
-        queue = deque([src])
-        while queue:
-            cur = queue.popleft()
-            for nxt in self.neighbors(cur):
-                if nxt in seen:
-                    continue
-                seen.add(nxt)
-                prev[nxt] = cur
-                if nxt == dst:
-                    path = [dst]
-                    while path[-1] != src:
-                        path.append(prev[path[-1]])
-                    path.reverse()
-                    return path
-                queue.append(nxt)
-        raise NetworkError(f"no path from {src!r} to {dst!r}")
-
     def disjoint_paths(self, src: str, dst: str, count: int) -> List[List[str]]:
         """Up to ``count`` node-disjoint paths (greedy BFS with removal).
 
         Used by the virtualized NetCo to pick diverse tunnels.  Greedy
         shortest-path-then-remove is not maximal in general but suffices
-        for the diamond/fat-tree topologies of the paper.
+        for the Figure 9 ladder, where every rung is its own path.
         """
         paths: List[List[str]] = []
         banned: set = set()

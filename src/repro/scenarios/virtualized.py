@@ -122,8 +122,7 @@ def provision_virtual_combiner(
 
     Installs ``dl_vlan`` forwarding rules on every transit switch; the
     caller routes the egress on to the final destination
-    (:meth:`~repro.core.virtual.VirtualEdge.route`, or a
-    :class:`~repro.apps.static_routing.StaticMacRouter`).  The handle's
+    (:meth:`~repro.core.virtual.VirtualEdge.route`).  The handle's
     trusted elements are the two edges, branch i is tunnel i's transit
     switches, and it has no compare host.
     """

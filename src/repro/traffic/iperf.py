@@ -10,13 +10,15 @@ directions can be reversed as in the paper's 10+10 design.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.net.host import Host
 from repro.net.topology import Network
-from repro.traffic.ping import Pinger, PingResult
-from repro.traffic.tcp import TcpFlowResult, TcpReceiver, TcpSender
 from repro.traffic.udp import UdpFlowResult, UdpReceiver, UdpSender, send_interval
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.traffic.ping import PingResult
+    from repro.traffic.tcp import TcpFlowResult
 
 #: grace period after the send window for in-flight packets to drain
 DRAIN_TIME = 20e-3
@@ -94,6 +96,8 @@ def run_tcp_flow(
     warmup: float = 1e-3,
 ) -> TcpFlowResult:
     """One iperf TCP bulk-transfer run from client to server."""
+    from repro.traffic.tcp import TcpReceiver, TcpSender
+
     net = path.network
     receiver = TcpReceiver(path.server, dport)
     sender = TcpSender(
@@ -119,6 +123,8 @@ def run_ping(
     payload_size: int = 56,
 ) -> PingResult:
     """One ``ping -c count`` run from client to server."""
+    from repro.traffic.ping import Pinger
+
     net = path.network
     pinger = Pinger(
         path.client,

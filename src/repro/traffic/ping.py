@@ -34,14 +34,6 @@ class PingResult:
     def avg_rtt_ms(self) -> float:
         return self.rtts.mean * 1e3
 
-    @property
-    def min_rtt_ms(self) -> float:
-        return self.rtts.minimum * 1e3
-
-    @property
-    def max_rtt_ms(self) -> float:
-        return self.rtts.maximum * 1e3
-
 
 class Pinger:
     """Echo-request generator + reply collector on one host."""

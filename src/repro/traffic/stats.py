@@ -7,21 +7,13 @@ estimator), and *ping* RTT statistics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 
-def mbits(value_bytes: float, seconds: float) -> float:
-    """Convert a byte count over a window to Mbit/s."""
-    if seconds <= 0:
-        return 0.0
-    return value_bytes * 8.0 / seconds / 1e6
-
-
 @dataclass
 class SummaryStats:
-    """Mean/min/max/stdev/percentiles over a sample list."""
+    """A sample list and its mean."""
 
     samples: List[float] = field(default_factory=list)
 
@@ -29,54 +21,8 @@ class SummaryStats:
         self.samples.append(value)
 
     @property
-    def count(self) -> int:
-        return len(self.samples)
-
-    @property
     def mean(self) -> float:
         return sum(self.samples) / len(self.samples) if self.samples else 0.0
-
-    @property
-    def minimum(self) -> float:
-        return min(self.samples) if self.samples else 0.0
-
-    @property
-    def maximum(self) -> float:
-        return max(self.samples) if self.samples else 0.0
-
-    @property
-    def stdev(self) -> float:
-        n = len(self.samples)
-        if n < 2:
-            return 0.0
-        mu = self.mean
-        return math.sqrt(sum((x - mu) ** 2 for x in self.samples) / (n - 1))
-
-    def percentile(self, p: float) -> float:
-        """Linear-interpolated percentile, p in [0, 100]."""
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (p / 100.0) * (len(ordered) - 1)
-        low = int(math.floor(rank))
-        high = int(math.ceil(rank))
-        if low == high:
-            return ordered[low]
-        frac = rank - low
-        return ordered[low] * (1 - frac) + ordered[high] * frac
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "min": self.minimum,
-            "max": self.maximum,
-            "stdev": self.stdev,
-            "p50": self.percentile(50),
-            "p99": self.percentile(99),
-        }
 
 
 class JitterEstimator:
@@ -117,11 +63,3 @@ class ThroughputMeter:
         if self.first_time is None:
             self.first_time = now
         self.last_time = now
-
-    def mbps(self, window: Optional[float] = None) -> float:
-        """Throughput in Mbit/s, over ``window`` or first-to-last arrival."""
-        if window is not None:
-            return mbits(self.bytes, window)
-        if self.first_time is None or self.last_time is None:
-            return 0.0
-        return mbits(self.bytes, self.last_time - self.first_time)

@@ -1,12 +1,8 @@
-"""Tests for controller applications: learning switch, static routing."""
-
-import pytest
+"""Tests for controller applications: the learning switch."""
 
 from repro.apps.learning import LearningSwitchApp
-from repro.apps.static_routing import StaticMacRouter
 from repro.net.packet import Packet
 from repro.net.topology import Network
-from repro.openflow.actions import Output
 from repro.openflow.switch import OpenFlowSwitch
 
 
@@ -97,31 +93,3 @@ class TestLearningSwitch:
         h2.send(udp(h2, h1, ident=2))
         net.run()
         assert s1.table.entries[0].idle_timeout == 0.05
-
-
-class TestStaticMacRouter:
-    def test_install_pair_enables_ping(self):
-        net, switches, (h1, h2) = line_topology(n_switches=3)
-        router = StaticMacRouter(net)
-        forward, backward = router.install_pair(h1, h2)
-        assert forward[0] == h1.name and forward[-1] == h2.name
-        replies = []
-        h1.bind_icmp(replies.append)
-        h1.send(Packet.icmp_echo(h1.mac, h2.mac, h1.ip, h2.ip, 1, 1))
-        net.run()
-        assert len(replies) == 1
-
-    def test_install_pair_programs_each_switch_toward_the_destination(self):
-        net, switches, (h1, h2) = line_topology(n_switches=2)
-        StaticMacRouter(net).install_pair(h1, h2)
-        for name, nxt in (("s1", "s2"), ("s2", "h2")):
-            [entry] = [e for e in net.node(name).table if e.match.dl_dst == h2.mac]
-            assert list(entry.actions) == [Output(net.port_no_between(name, nxt))]
-
-    def test_install_path_validates_destination(self):
-        net, switches, (h1, h2) = line_topology()
-        router = StaticMacRouter(net)
-        with pytest.raises(ValueError):
-            router.install_path(["h1", "s1"], h2)
-        with pytest.raises(ValueError):
-            router.install_path(["h2"], h2)

@@ -55,7 +55,7 @@ through ``__init__``), and reads the clock once per copy.
 
 Memory has a clock-free gate too: ``tracemalloc`` counts the bytes a
 held packet retains — serialised, parsed from a canonical frame, or
-after a routed hop — so a second copy of the payload beside the wire
+after an in-place TTL decrement — so a second copy of the payload beside the wire
 image fails by name instead of hiding in ``peak_rss_mb`` noise.
 """
 
@@ -669,13 +669,10 @@ def _held_serialised(payload_size: int) -> list:
     return packets
 
 
-def _held_hopped(payload_size: int) -> list:
-    from repro.net.addresses import MacAddress
-
+def _held_decremented(payload_size: int) -> list:
     packets = _held_serialised(payload_size)
     for packet in packets:
         packet.decrement_ttl()
-        packet.rewrite_eth(dst=MacAddress.from_index(3))
     return packets
 
 
@@ -689,8 +686,9 @@ def _held_parsed(payload_size: int) -> list:
 
 def test_a_held_packet_keeps_its_payload_once():
     """A serialised packet, a parsed canonical frame and a warm packet
-    after a routed hop hold their payload inside the wire image only."""
-    for make in (_held_serialised, _held_parsed, _held_hopped):
+    after an in-place TTL decrement hold their payload inside the wire
+    image only."""
+    for make in (_held_serialised, _held_parsed, _held_decremented):
         make(0), make(HELD_PAYLOAD)  # the imports and caches a first call fills
         wire_len = make(HELD_PAYLOAD)[0].wire_len
         full = _held_bytes(make, HELD_PAYLOAD)

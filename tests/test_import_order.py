@@ -80,9 +80,7 @@ FOOTPRINTS = {
         "repro.sim.trace",
         "repro.traffic",
         "repro.traffic.iperf",
-        "repro.traffic.ping",
         "repro.traffic.stats",
-        "repro.traffic.tcp",
         "repro.traffic.udp",
         "repro.transport",
         "repro.transport.base",

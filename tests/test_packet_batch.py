@@ -6,7 +6,7 @@ RFC 1624-patched per packet) is **bit-identical** to serialising every
 packet of the train from scratch.  These tests drive randomized trains
 — random sizes, payloads, head lengths (odd and even, to exercise the
 word-alignment path), idents, TTLs — and diff the images byte for byte,
-before and after the batch-level header rewrites the data plane applies
+before and after header rewrites of the packets a train materialises
 (TTL decrement, Ethernet rewrite).
 """
 
@@ -50,8 +50,8 @@ def _random_train(rng):
     eth, _vlan, ip, udp, _ = template.fields()
     idents[0] = ip.ident  # ... so its delta entries must match it
     batch = PacketBatch(template, heads, idents)
-    # snapshot the header fields now: the batch-level rewrites mutate the
-    # template in place, and the references must stay independent
+    # snapshot the header fields now: packet 0 is the template, so its
+    # rewrites mutate it in place, and the references must stay independent
     src_mac, dst_mac = MacAddress(eth.src), MacAddress(eth.dst)
     src_ip, dst_ip = ip.src, ip.dst
     sport, dport, ttl = udp.sport, udp.dport, ip.ttl
@@ -103,11 +103,12 @@ def test_batch_ttl_decrement_matches_per_packet(seed):
     rng = random.Random(seed)
     batch, reference = _random_train(rng)
     batch.wire_buffer()
-    batch.decrement_ttl()
-    for i, image in enumerate(_slices(batch)):
+    for i, pkt in enumerate(batch.packets()):  # each image is a buffer slice
+        pkt.decrement_ttl()
         ref = reference(i)
         ref.decrement_ttl()
-        assert image == ref.to_bytes(), f"packet {i} differs after TTL"
+        assert pkt.wire_cache() is not None, f"packet {i} went cold"
+        assert pkt.to_bytes() == ref.to_bytes(), f"packet {i} differs after TTL"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -117,11 +118,11 @@ def test_batch_eth_rewrite_matches_per_packet(seed):
     batch.wire_buffer()
     new_src = MacAddress.from_index(rng.randrange(200, 250))
     new_dst = MacAddress.from_index(rng.randrange(200, 250))
-    batch.rewrite_eth(src=new_src, dst=new_dst)
-    for i, image in enumerate(_slices(batch)):
+    for i, pkt in enumerate(batch.packets()):
+        pkt.eth.src, pkt.eth.dst = new_src, new_dst
         ref = reference(i)
-        ref.rewrite_eth(src=new_src, dst=new_dst)
-        assert image == ref.to_bytes(), f"packet {i} differs after rewrite"
+        ref.eth.src, ref.eth.dst = new_src, new_dst
+        assert pkt.to_bytes() == ref.to_bytes(), f"packet {i} differs after rewrite"
 
 
 def test_udp_train_shape_is_patchable():

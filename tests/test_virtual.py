@@ -14,6 +14,7 @@ from repro.core.alarms import (
     ALARM_SPOOFED_BRANCH,
 )
 from repro.core.combiner import CombinerChain
+from repro.core.compare import CompareConfig
 from repro.net.addresses import MacAddress
 from repro.net.node import NetworkError
 from repro.net.packet import Packet
@@ -127,6 +128,46 @@ class TestEdgeRouting:
         unwired = egress.add_port().port_no
         with pytest.raises(NetworkError):
             egress.route(scenario.dst.mac, unwired)
+
+
+def build_two_hop_fabric():
+    """Ingress and egress joined by two tunnels of two transits each
+    (``near{i}`` then ``far{i}``): a tag crosses two untrusted hops."""
+    net = Network(seed=0)
+    ingress = net.add_node(VirtualIngress(net.sim, "ingress", trace_bus=net.trace))
+    egress = net.add_node(VirtualEgress(net.sim, "egress", trace_bus=net.trace))
+    src, dst = net.add_host("src"), net.add_host("dst")
+    net.connect(src, ingress)
+    net.connect(egress, dst)
+    for i in range(2):
+        near = net.add_node(OpenFlowSwitch(net.sim, f"near{i}", trace_bus=net.trace))
+        far = net.add_node(OpenFlowSwitch(net.sim, f"far{i}", trace_bus=net.trace))
+        net.connect(ingress, near)
+        net.connect(near, far)
+        net.connect(far, egress)
+    egress.route(dst.mac, net.port_no_between("egress", "dst"))
+    chain = provision_virtual_combiner(
+        net, ingress, egress, dst_mac=dst.mac, k=2,
+        compare=CompareConfig(k=2, buffer_timeout=2e-3),
+    )
+    return net, chain, src, dst
+
+
+class TestMultiHopTunnels:
+    def test_each_tunnel_is_tagged_across_both_of_its_transits(self):
+        net, chain, src, dst = build_two_hop_fabric()
+        assert [[node.name for node in branch] for branch in chain.branches] == [
+            ["near0", "far0"], ["near1", "far1"],
+        ]
+        for i, branch in enumerate(chain.branches):
+            for transit in branch:
+                assert [e.match.dl_vlan for e in transit.table] == [VID_BASE + i]
+
+    def test_benign_udp_crosses_both_hops(self):
+        net, chain, src, dst = build_two_hop_fabric()
+        flow = run_udp_flow(PathEndpoints(net, src, dst), rate_bps=10e6, duration=0.02)
+        assert flow.loss_rate == 0.0 and flow.duplicates == 0
+        assert chain.endpoint_b.recombined == flow.sent
 
 
 class TestBenignFlow:
@@ -277,3 +318,67 @@ class TestAttacksDetection:
         topics = {record.topic for record in net.trace.records}
         assert "switch.port_blocked" in topics
         assert "virtual_egress.block_tunnel" not in topics
+
+    def test_quorum_one_keeps_a_blackholed_tunnel_available(self):
+        # at k=2 a blackholed tunnel stalls every vote (above); an
+        # operator who dials the quorum down to 1 trades detection for
+        # availability, and the live tunnel alone delivers everything
+        scenario = build_virtualized_scenario(k=2)
+        scenario.combiner.compare_core.book.quorum = 1
+        BlackholeBehavior().attach(scenario.transits[1])
+        result = run_ping(
+            PathEndpoints(scenario.network, scenario.src, scenario.dst),
+            count=8, interval=1e-3,
+        )
+        assert result.received == 8 and result.duplicates == 0
+
+
+class TestBesideTheTunnels:
+    def test_protected_dst_is_reached_only_through_the_tunnels(self):
+        # an untagged frame for the protected destination on a tunnel
+        # port is a branch copy without its tunnel's tag: refused as a
+        # spoofed branch, never routed; a host on the egress itself
+        # still reaches the destination
+        scenario = build_virtualized_scenario(k=3)
+        net, dst = scenario.network, scenario.dst
+        egress, core = scenario.combiner.endpoint_b, scenario.combiner.compare_core
+        vendor0 = scenario.transits[0]
+        remote = net.add_host("remote")
+        net.connect(remote, vendor0)
+        vendor0.install(
+            Match(dl_dst=dst.mac),
+            [Output(net.port_no_between("vendor0", "egress"))],
+            priority=10,
+        )
+        refused = run_ping(PathEndpoints(net, remote, dst), count=5, interval=1e-3)
+        assert refused.received == 0
+        alarms = core.alarms.of_kind(ALARM_SPOOFED_BRANCH)
+        assert len(alarms) == 5 and {a.details["claimed"] for a in alarms} == {None}
+        neighbour = net.add_host("neighbour")
+        net.connect(egress, neighbour)
+        egress.route(neighbour.mac, net.port_no_between("egress", "neighbour"))
+        local = run_ping(PathEndpoints(net, neighbour, dst), count=5, interval=1e-3)
+        assert local.received == 5
+        assert core.stats.submissions == 0
+
+    def test_unrelated_traffic_is_routed_never_submitted(self):
+        # a flow between a host behind transit 2 and a host on the egress
+        # shares the tunnel's egress port but not its destination
+        scenario = build_virtualized_scenario(k=3)
+        net = scenario.network
+        egress, vendor2 = scenario.combiner.endpoint_b, scenario.transits[2]
+        far, near = net.add_host("far"), net.add_host("near")
+        net.connect(far, vendor2)
+        net.connect(egress, near)
+        egress.route(near.mac, net.port_no_between("egress", "near"))
+        egress.route(far.mac, net.port_no_between("egress", "vendor2"))
+        for host, nxt in ((near, "egress"), (far, "far")):
+            vendor2.install(
+                Match(dl_dst=host.mac),
+                [Output(net.port_no_between("vendor2", nxt))],
+                priority=10,
+            )
+        ping = run_ping(PathEndpoints(net, far, near), count=5, interval=1e-3)
+        assert ping.received == 5 and ping.duplicates == 0
+        assert scenario.combiner.compare_core.stats.submissions == 0
+        assert scenario.combiner.endpoint_a.split_packets == 0
