@@ -4,7 +4,7 @@
 Replays the paper's three scenario runs on a Clos pod slice:
 
 1. baseline — all switches benign: 10 perfect echo cycles, screening
-   (interface taps + flow counters) confirms nothing strays;
+   (interface taps, cross-checked by spans) confirms nothing strays;
 2. attack — the aggregation switch mirrors firewall-bound packets to a
    core switch and blackholes the victim's return traffic: 20 requests
    at fw1, 0 responses at vm1;

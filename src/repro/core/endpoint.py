@@ -39,6 +39,7 @@ from repro.transport.base import (
     Session,
     SessionSpec,
 )
+from repro.transport.des import DesTransport
 
 MODE_COMBINE = "combine"
 MODE_DUP = "dup"
@@ -140,6 +141,8 @@ class CombinerEndpoint(BranchPorts, Datapath):
             service_queue_capacity=service_queue_capacity,
         )
         self.mode = mode
+        # fan-out, collect and release sessions (forwarding uses the port)
+        self.transport = DesTransport(sim, name=f"{name}.transport")
         self.estats = EndpointStats().publish("endpoint", endpoint=name)
         self._compare_port_no: Optional[int] = None
         self._mac_table: Dict[MacAddress, int] = {}

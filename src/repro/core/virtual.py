@@ -26,9 +26,8 @@ from repro.core.alarms import ALARM_SPOOFED_BRANCH
 from repro.core.compare import CompareContext
 from repro.core.endpoint import BranchPorts
 from repro.net.addresses import MacAddress
-from repro.net.node import Datapath, NetworkError
+from repro.net.node import Datapath, NetworkError, Port
 from repro.net.packet import Packet, Vlan
-from repro.transport.base import ROLE_EGRESS, Session, SessionSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.compare import CompareCore
@@ -43,8 +42,8 @@ class VirtualEdge(Datapath):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # dst mac -> the egress session of its port
-        self._routes: Dict[MacAddress, Session] = {}
+        # dst mac -> the port toward it
+        self._routes: Dict[MacAddress, Port] = {}
         self.unrouted_drops = 0
 
     def route(self, dst_mac: MacAddress, port_no: int) -> None:
@@ -52,19 +51,17 @@ class VirtualEdge(Datapath):
         port = self.port(port_no)
         if not port.is_wired:
             raise NetworkError(f"{self.name}: port {port_no} is not wired")
-        self._routes[MacAddress(dst_mac)] = self.transport.session(
-            SessionSpec(self.name, ROLE_EGRESS, port_no), port=port
-        )
+        self._routes[MacAddress(dst_mac)] = port
 
     def _forward(self, packet: Packet) -> None:
         """Send ``packet`` (the caller's to give) toward its destination."""
-        session = self._routes.get(packet.fields()[0].dst)
-        if session is None:
+        port = self._routes.get(packet.fields()[0].dst)
+        if port is None:
             self.unrouted_drops += 1
             if self.tracing("virtual_edge.no_route"):
                 self.trace("virtual_edge.no_route", packet=packet)
             return
-        session.send(packet)
+        port.send(packet)
         self.stats.forwarded += 1
 
 

@@ -9,10 +9,9 @@ controller, but internally it:
 * runs ``k`` independent replicas of the same application logic (built
   by a caller-supplied factory, so each replica owns its state and can
   own its rng stream);
-* fans every switch-to-controller message (PacketIn, FlowRemoved, stats
-  replies) to all live replicas — PacketIns carry a copy-on-write clone
-  of the packet so a misbehaving replica cannot corrupt its siblings'
-  input;
+* fans every switch-to-controller message (PacketIn, FlowRemoved) to
+  all live replicas — PacketIns carry a copy-on-write clone of the
+  packet so a misbehaving replica cannot corrupt its siblings' input;
 * intercepts every replica's outbound FlowMod/PacketOut via the
   :attr:`Controller.outbox` hook and submits it to a trusted
   :class:`~repro.ctrl.compare.ControlCompare`, which releases a message
@@ -48,10 +47,8 @@ from repro.openflow.controller import Controller
 from repro.openflow.messages import (
     FlowMod,
     FlowRemoved,
-    FlowStatsReply,
     PacketIn,
     PacketOut,
-    PortStatsReply,
 )
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus
@@ -216,19 +213,10 @@ class ReplicatedControlPlane(Controller):
         finally:
             self._cause_trace = None
 
-    def _fan_out(self, switch: "OpenFlowSwitch", message: object) -> None:
+    def on_flow_removed(self, switch: "OpenFlowSwitch", event: FlowRemoved) -> None:
         for handle in self.replicas:
             if not handle.crashed:
-                handle.controller._dispatch(switch, message)
-
-    def on_flow_removed(self, switch: "OpenFlowSwitch", event: FlowRemoved) -> None:
-        self._fan_out(switch, event)
-
-    def on_port_stats(self, switch: "OpenFlowSwitch", reply: PortStatsReply) -> None:
-        self._fan_out(switch, reply)
-
-    def on_flow_stats(self, switch: "OpenFlowSwitch", reply: FlowStatsReply) -> None:
-        self._fan_out(switch, reply)
+                handle.controller._dispatch(switch, event)
 
     # ------------------------------------------------------------------
     # fan-out (replicas -> voter -> switch)

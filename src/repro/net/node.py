@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 from repro.obs.metrics import StatBlock, bind_histogram
 from repro.sim.engine import CpuResource, Simulator
 from repro.sim.trace import TraceBus
-from repro.transport.des import DesTransport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.link import Link
@@ -48,15 +47,19 @@ class Port:
     a single-server FIFO transmitter with a bounded drop-tail queue.
     :meth:`send` admits a frame, books its serialisation, draws its loss
     and posts its arrival; the arrival event, :meth:`_arrive`, counts the
-    delivery on the direction and on the far port and hands the frame to
-    the far node.  A hop is those two frames.  :class:`~repro.net.link.Link`
-    wires the two ports and is the duplex handle for faults, loss models
-    and rate changes.
+    delivery on the direction and hands the frame to the far node.  A hop
+    is those two frames.  A frame is counted once, on the direction it
+    crosses (:class:`LinkStats`): what an unblocked port offered is that
+    direction's ``tx_packets + queue_drops + fault_drops``, and what it
+    received is the peer direction's ``delivered_packets`` and
+    ``delivered_bytes``.  :class:`~repro.net.link.Link` wires the two
+    ports and is the duplex handle for faults, loss models and rate
+    changes.
     """
 
     __slots__ = (
-        "node", "port_no", "link", "peer", "rx_packets", "rx_bytes",
-        "tx_packets", "tx_bytes", "taps", "blocked_until", "blocked_drops",
+        "node", "port_no", "link", "peer", "taps", "blocked_until",
+        "blocked_drops",
         # the egress direction of the attached link
         "wire_name", "wire_stats", "_rate_bps", "_delay", "_loss",
         "_loss_model", "_queue_capacity", "_busy_until", "_queued",
@@ -69,10 +72,6 @@ class Port:
         self.link: Optional["Link"] = None
         #: the port at the other end of the attached link, if wired
         self.peer: Optional["Port"] = None
-        self.rx_packets = 0
-        self.rx_bytes = 0
-        self.tx_packets = 0
-        self.tx_bytes = 0
         # tcpdump-style observers: called on every received packet.
         self.taps: List[Callable[["Packet"], None]] = []
         # A port may be administratively blocked (compare DoS mitigation);
@@ -140,8 +139,6 @@ class Port:
                 node.trace("port.blocked_drop", port=self.port_no, packet=packet)
             return
         wire_len = packet.wire_len
-        self.tx_packets += 1
-        self.tx_bytes += wire_len
         if packet.trace_id is not None:
             self._span(packet, "span.send", now)
         stats = self.wire_stats
@@ -205,8 +202,6 @@ class Port:
         stats.delivered_packets += 1
         stats.delivered_bytes += wire_len
         far = self.peer
-        far.rx_packets += 1
-        far.rx_bytes += packet.wire_len
         for tap in far.taps:
             tap(packet)
         node = far.node
@@ -244,8 +239,6 @@ class Port:
                 )
             return
         wire_len = batch.wire_len
-        self.tx_packets += 1
-        self.tx_bytes += wire_len
         stats = self.wire_stats
         if link._down:
             stats.fault_drops += 1
@@ -302,8 +295,6 @@ class Port:
         wire_len = batch.wire_len
         stats.delivered_packets += 1
         stats.delivered_bytes += wire_len
-        far.rx_packets += 1
-        far.rx_bytes += wire_len
         if far.taps:
             pkt = batch.packet_at(i)
             for tap in far.taps:
@@ -417,10 +408,12 @@ class Datapath(Node):
     Passing one shared :class:`CpuResource` models co-location: every
     datapath's per-packet work serialises on one core.
 
-    A datapath also owns its egress transport, a process-wide datapath
-    id (in construction order), administrative port blocking and an
-    optional controller channel; a subclass that connects one handles
-    ``handle_controller_message``.
+    A datapath also owns a process-wide datapath id (in construction
+    order), administrative port blocking and an optional controller
+    channel; a subclass that connects one handles
+    ``handle_controller_message``.  It sends on its ports: only a
+    combiner endpoint, which opens fan-out, collect and release sessions,
+    builds a transport.
     """
 
     _dpid_counter = 0
@@ -439,8 +432,6 @@ class Datapath(Node):
         datapath_id: Optional[int] = None,
     ) -> None:
         super().__init__(sim, name, trace_bus)
-        # The byte-moving backend for this datapath's egress I/O.
-        self.transport = DesTransport(sim, name=f"{name}.transport")
         if datapath_id is None:
             Datapath._dpid_counter += 1
             datapath_id = Datapath._dpid_counter

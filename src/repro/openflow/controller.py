@@ -17,12 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.obs.metrics import StatBlock
-from repro.openflow.messages import (
-    FlowRemoved,
-    FlowStatsReply,
-    PacketIn,
-    PortStatsReply,
-)
+from repro.openflow.messages import FlowRemoved, PacketIn
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus
 
@@ -105,10 +100,6 @@ class Controller:
             self.on_packet_in(switch, message)
         elif isinstance(message, FlowRemoved):
             self.on_flow_removed(switch, message)
-        elif isinstance(message, PortStatsReply):
-            self.on_port_stats(switch, message)
-        elif isinstance(message, FlowStatsReply):
-            self.on_flow_stats(switch, message)
         else:
             self.messages_unknown += 1
             if self.tracing("controller.unknown_message"):
@@ -140,12 +131,6 @@ class Controller:
 
     def on_flow_removed(self, switch: "Datapath", event: FlowRemoved) -> None:
         """Called when a flow entry expires or is deleted."""
-
-    def on_port_stats(self, switch: "Datapath", reply: PortStatsReply) -> None:
-        """Called on port-stats replies."""
-
-    def on_flow_stats(self, switch: "Datapath", reply: FlowStatsReply) -> None:
-        """Called on flow-stats replies."""
 
     def tracing(self, topic: str) -> bool:
         """Whether a record on ``topic`` would be kept or delivered: a

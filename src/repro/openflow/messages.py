@@ -17,8 +17,8 @@ after the voter digested it, and a ``FlowMod`` is hashable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from repro.net.packet import Packet
 
@@ -129,42 +129,3 @@ class FlowRemoved:
     byte_count: int
     cookie: int = 0
 
-
-@dataclass(frozen=True)
-class PortStatsRequest:
-    datapath_id: int
-
-
-@dataclass(frozen=True)
-class PortStats:
-    port_no: int
-    rx_packets: int
-    tx_packets: int
-    rx_bytes: int
-    tx_bytes: int
-
-
-@dataclass(frozen=True)
-class PortStatsReply:
-    datapath_id: int
-    stats: List[PortStats] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class FlowStatsRequest:
-    datapath_id: int
-
-
-@dataclass(frozen=True)
-class FlowStatsEntry:
-    match: Match
-    priority: int
-    packet_count: int
-    byte_count: int
-    cookie: int
-
-
-@dataclass(frozen=True)
-class FlowStatsReply:
-    datapath_id: int
-    stats: List[FlowStatsEntry] = field(default_factory=list)

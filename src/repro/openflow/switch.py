@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.net.node import Datapath, Port
+from repro.net.node import Datapath
 from repro.net.packet import Packet
 from repro.openflow.actions import (
     Action,
@@ -34,21 +34,14 @@ from repro.openflow.messages import (
     FLOWMOD_DELETE_STRICT,
     FlowMod,
     FlowRemoved,
-    FlowStatsEntry,
-    FlowStatsReply,
-    FlowStatsRequest,
     PACKETIN_ACTION,
     PACKETIN_NO_MATCH,
     PacketIn,
     PacketOut,
-    PortStats,
-    PortStatsReply,
-    PortStatsRequest,
 )
 from repro.obs.metrics import StatBlock
 from repro.sim.engine import CpuResource, Simulator
 from repro.sim.trace import TraceBus
-from repro.transport.base import ROLE_EGRESS, SessionSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adversary.behaviors import AdversarialBehavior
@@ -94,7 +87,6 @@ class OpenFlowSwitch(Datapath):
             service_queue_capacity=service_queue_capacity,
             datapath_id=datapath_id,
         )
-        self._egress_sessions: Dict[int, object] = {}
         self.table = FlowTable()
         StatBlock.publish_samples(self._table_samples, switch=name)
         self.behavior: Optional["AdversarialBehavior"] = None
@@ -118,10 +110,6 @@ class OpenFlowSwitch(Datapath):
             self._apply_packet_out(message)
         elif kind is FlowMod:
             self._apply_flow_mod(message)
-        elif kind is PortStatsRequest:
-            self._send_to_controller(self._port_stats_reply())
-        elif kind is FlowStatsRequest:
-            self._send_to_controller(self._flow_stats_reply())
         else:
             self.trace("switch.unknown_message", message=kind.__name__)
 
@@ -316,16 +304,6 @@ class OpenFlowSwitch(Datapath):
         if emitted:
             self.stats.forwarded += 1
 
-    def _egress_session(self, port: Port):
-        """The egress transport session for one local port (memoised)."""
-        session = self._egress_sessions.get(port.port_no)
-        if session is None:
-            session = self.transport.session(
-                SessionSpec(self.name, ROLE_EGRESS, port.port_no), port=port
-            )
-            self._egress_sessions[port.port_no] = session
-        return session
-
     def _output(
         self, packet: Packet, out_port: int, in_port_no: int, owned: bool = False
     ) -> bool:
@@ -335,7 +313,7 @@ class OpenFlowSwitch(Datapath):
         if out_port == PORT_FLOOD:
             for port_no, port in sorted(self.ports.items()):
                 if port_no != in_port_no and port.is_wired:
-                    self._egress_session(port).send(packet.copy())
+                    port.send(packet.copy())
         elif out_port == PORT_CONTROLLER:
             self.stats.packet_ins += 1
             self._send_to_controller(
@@ -358,10 +336,7 @@ class OpenFlowSwitch(Datapath):
                         "switch.drop", reason="bad_port", port=out_port, packet=packet
                     )
                 return False
-            session = self._egress_sessions.get(out_port)
-            if session is None:
-                session = self._egress_session(port)
-            session.send(packet if owned else packet.copy())
+            port.send(packet if owned else packet.copy())
         return True
 
     # ------------------------------------------------------------------
@@ -496,7 +471,7 @@ class OpenFlowSwitch(Datapath):
         self.trace("switch.recovered", restored_flows=restored)
 
     # ------------------------------------------------------------------
-    # stats & buffering
+    # packet buffer
     # ------------------------------------------------------------------
     def _buffer_packet(self, packet: Packet, in_port_no: int) -> int:
         if len(self._packet_buffer) >= self._packet_buffer_capacity:
@@ -506,29 +481,3 @@ class OpenFlowSwitch(Datapath):
         self._buffer_seq += 1
         self._packet_buffer[self._buffer_seq] = (packet, in_port_no)
         return self._buffer_seq
-
-    def _port_stats_reply(self) -> PortStatsReply:
-        stats = [
-            PortStats(
-                port_no=port_no,
-                rx_packets=port.rx_packets,
-                tx_packets=port.tx_packets,
-                rx_bytes=port.rx_bytes,
-                tx_bytes=port.tx_bytes,
-            )
-            for port_no, port in sorted(self.ports.items())
-        ]
-        return PortStatsReply(datapath_id=self.datapath_id, stats=stats)
-
-    def _flow_stats_reply(self) -> FlowStatsReply:
-        stats = [
-            FlowStatsEntry(
-                match=e.match,
-                priority=e.priority,
-                packet_count=e.packet_count,
-                byte_count=e.byte_count,
-                cookie=e.cookie,
-            )
-            for e in self.table
-        ]
-        return FlowStatsReply(datapath_id=self.datapath_id, stats=stats)

@@ -6,9 +6,9 @@ Routing is on MAC destination addresses only, as in the paper.
 
 Three scenarios, exactly as Section VI runs them:
 
-1. **baseline** — all switches benign; 10 echo cycles complete, and two
-   screening methods in parallel (tcpdump-style taps on every interface
-   plus flow-table counters) confirm no test packet strays off the path.
+1. **baseline** — all switches benign; 10 echo cycles complete, and
+   tcpdump-style taps on every interface confirm no test packet strays
+   off the path (packet-lifecycle spans cross-check the tap counts).
 2. **attack** — the aggregation switch mirrors fw1-bound packets to a
    core switch (which forwards the copies on to fw1) and drops every
    packet addressed to vm1: 20 requests arrive at fw1, 0 responses
@@ -67,7 +67,7 @@ SHIELD = CombinerChainParams(
 
 @dataclass
 class ScreeningReport:
-    """What the two screening methods observed."""
+    """What one screening method (taps, or spans) observed."""
 
     #: test packets seen per node (tap counts, requests + responses)
     per_node: Dict[str, int] = field(default_factory=dict)

@@ -1,8 +1,7 @@
-"""Measurement primitives: throughput, loss, RTT and RFC 3550 jitter.
+"""Measurement primitives: RTT samples and RFC 3550 jitter.
 
-These mirror what the paper's tools report: *iperf* throughput and loss
-percentages, *iperf -u* jitter (the RFC 3550 interarrival-jitter
-estimator), and *ping* RTT statistics.
+These mirror what the paper's tools report: *iperf -u* jitter (the
+RFC 3550 interarrival-jitter estimator) and *ping* RTT statistics.
 """
 
 from __future__ import annotations
@@ -47,19 +46,3 @@ class JitterEstimator:
         self._prev_send = send_time
         self._prev_recv = recv_time
 
-
-class ThroughputMeter:
-    """Byte counting over an observation window."""
-
-    def __init__(self) -> None:
-        self.bytes = 0
-        self.packets = 0
-        self.first_time: Optional[float] = None
-        self.last_time: Optional[float] = None
-
-    def observe(self, nbytes: int, now: float) -> None:
-        self.bytes += nbytes
-        self.packets += 1
-        if self.first_time is None:
-            self.first_time = now
-        self.last_time = now

@@ -20,7 +20,7 @@ from typing import Optional, Set
 
 from repro.net.host import Host
 from repro.net.packet import Packet, PacketBatch
-from repro.traffic.stats import JitterEstimator, ThroughputMeter
+from repro.traffic.stats import JitterEstimator
 
 _HEADER = struct.Struct("!IQ")  # sequence number, send time in ns
 
@@ -218,7 +218,6 @@ class UdpReceiver:
         self.reordered = 0
         self.highest_seq = -1
         self._seen: Set[int] = set()
-        self.meter = ThroughputMeter()
         self.jitter = JitterEstimator()
         host.bind_udp(port, self._on_packet)
         host.bind_udp_batch(port, self._on_batch_packet)
@@ -241,7 +240,6 @@ class UdpReceiver:
         if seq < self.highest_seq:
             self.reordered += 1
         self.highest_seq = max(self.highest_seq, seq)
-        self.meter.observe(len(payload), now)
         self.jitter.observe(send_time, now)
 
     def _on_batch_packet(self, batch, i: int) -> None:
@@ -249,8 +247,8 @@ class UdpReceiver:
 
         ``batch.seqs``/``batch.ts_ns`` hold exactly what
         :func:`_encode_payload` wrote (``seq & 0xFFFFFFFF``,
-        ``int(t * 1e9)``), so dedup keys, reorder counts, the throughput
-        meter and the RFC 3550 jitter estimator see identical inputs.
+        ``int(t * 1e9)``), so dedup keys, reorder counts and the RFC 3550
+        jitter estimator see identical inputs.
         """
         seq = batch.seqs[i]
         if seq in self._seen:
@@ -265,7 +263,6 @@ class UdpReceiver:
             self.reordered += 1
         else:
             self.highest_seq = seq
-        self.meter.observe(size, now)
         self.jitter.observe(batch.ts_ns[i] / 1e9, now)
 
     @property

@@ -1,11 +1,14 @@
 """Transports: how combiner bytes move between elements.
 
-The NetCo elements (hub, endpoints, compare) are wired to each other
+The combiner's own messages (hub fan-out, collect, release) move
 through :class:`~repro.transport.base.Transport` /
-:class:`~repro.transport.base.Session` objects instead of talking to DES
-ports directly.  A session is one directed stream for one role at one
-vote scope and counts the messages it sends and is handed; each node
-builds its own transport.  Two byte-moving backends exist:
+:class:`~repro.transport.base.Session` objects instead of DES ports
+directly.  A session is one directed stream for one role at one vote
+scope and counts the messages it sends and is handed; each combiner
+endpoint and compare host builds its own transport.  Plain forwarding
+(the untrusted routers, the virtual edges) sends on the port and is
+counted once, by the link direction it crosses.  Two byte-moving
+backends exist:
 
 * :class:`~repro.transport.des.DesTransport` — the discrete-event
   backend: sessions wrap :class:`~repro.net.node.Port` objects, frame

@@ -14,9 +14,11 @@ Roles (``SessionSpec.role``):
     untrusted router produced the copy) and ``claim`` (the egress port
     the copy's arrival link stands for, shielded-router wiring);
 ``release``
-    compare → endpoint; messages carry ``claim`` only;
-``egress``
-    plain forwarding between neighbours (switch/hub output).
+    compare → endpoint; messages carry ``claim`` only.
+
+Plain forwarding is no role: a router, a virtual edge and an endpoint's
+external output send on their port, and the link direction the frame
+crosses counts it (:class:`~repro.net.node.LinkStats`).
 
 The send contract is *ownership transfer*: ``send(packet, ...)`` takes
 the packet object and the caller must not mutate it afterwards.  The DES
@@ -51,9 +53,8 @@ from repro.obs.metrics import StatBlock
 ROLE_FANOUT = "fanout"
 ROLE_COLLECT = "collect"
 ROLE_RELEASE = "release"
-ROLE_EGRESS = "egress"
 
-_ROLES = (ROLE_FANOUT, ROLE_COLLECT, ROLE_RELEASE, ROLE_EGRESS)
+_ROLES = (ROLE_FANOUT, ROLE_COLLECT, ROLE_RELEASE)
 
 #: receiver callback: fn(packet, meta)
 Receiver = Callable[[object, dict], None]

@@ -8,11 +8,8 @@ and metric of a DES run is bit-identical to that tree
 (``tests/test_transport_layer.py`` pins this against
 ``benchmarks/transport_baseline.json``):
 
-* ``fanout``/``egress`` sessions transmit the packet object as handed in,
-  which is the caller's to give: the hub hands each branch a CoW copy of
-  its own, an OpenFlow switch whose action list writes nothing hands on
-  the very packet that arrived (nothing upstream holds it any more; see
-  ``OpenFlowSwitch.apply_actions``), and every other emitter a fresh copy;
+* ``fanout`` sessions transmit the packet object as handed in, which is
+  the caller's to give: the hub hands each branch a CoW copy of its own;
 * ``collect`` sessions attach the branch tag the compare host reads, on
   a copy, never on the object handed in — the DES wire format for collect
   metadata is the packet's ``meta`` dict, unchanged:
@@ -23,9 +20,9 @@ and metric of a DES run is bit-identical to that tree
 ``transport/base.py`` says why the hub, collect and release copies stay.
 
 Reception stays on the DES delivery path (links schedule
-``node.receive``); nodes route inbound packets into
-:meth:`~repro.transport.base.Session.deliver` so the counters see both
-directions.  The packet-train batch tier rides *below* this
+``node.receive``); the receiving node counts each inbound message on its
+own session's ``rx_messages`` (the compare host's collect, the
+endpoint's release), so the counters see both directions.  The packet-train batch tier rides *below* this
 interface (shared-batch port sends), which is fine: batches never cross
 a vote boundary, and the batch fast paths are DES-only by construction.
 """
@@ -49,8 +46,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class DesSession(Session):
-    """One port-backed ``fanout``/``egress`` session: the packet object
-    goes to the port as handed in.  The role's framing is fixed when the
+    """One port-backed ``fanout`` session: the packet object goes to the
+    port as handed in.  The role's framing is fixed when the
     session is built (:meth:`DesTransport._make_session` picks the class),
     so a send tests nothing."""
 

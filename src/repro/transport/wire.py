@@ -5,7 +5,7 @@ One UDP datagram carries one message::
     magic   2B  b"NC"
     version 1B
     mtype   1B  DATA / HELLO / BYE
-    role    1B  session role (fanout/collect/release/egress)
+    role    1B  session role (fanout 0 / collect 1 / release 2)
     branch  2B  int16, -1 = none
     claim   2B  int16, -1 = none
     seq     4B  uint32 sender message counter
@@ -37,7 +37,6 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.transport.base import (
     ROLE_COLLECT,
-    ROLE_EGRESS,
     ROLE_FANOUT,
     ROLE_RELEASE,
     TransportError,
@@ -55,7 +54,6 @@ _ROLE_CODES = {
     ROLE_FANOUT: 0,
     ROLE_COLLECT: 1,
     ROLE_RELEASE: 2,
-    ROLE_EGRESS: 3,
 }
 _CODE_ROLES = {code: role for role, code in _ROLE_CODES.items()}
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from dataclasses import asdict
 from functools import partial
 from typing import Any, Callable, Dict
@@ -76,6 +77,41 @@ REMOVED_ZERO_SAMPLES = [
 ]
 
 
+#: a router port's link direction, by its ``link_tx_packets_total`` key
+ROUTER_DIRECTION = re.compile(
+    r'link_tx_packets_total\{link="(?P<link>'
+    r'.*:(?P<router>nc_r\d+)\.p(?P<port>\d+)->[^"]*)"\}'
+)
+
+
+def router_session_samples(samples: Dict[str, float]) -> Dict[str, float]:
+    """The samples of the router egress sessions the pins were written
+    with, rebuilt from the link directions that counted the same frames.
+
+    A router sent each frame through a session of its own, which counted
+    it before the port did: its ``tx`` is what the port offered (the
+    direction's ``tx``, ``queue_drops`` and ``fault_drops``), its ``rx``
+    was never moved, and a port that offered nothing had no session.
+    """
+    sessions = {}
+    for key, tx in samples.items():
+        found = ROUTER_DIRECTION.fullmatch(key)
+        if found is None:
+            continue
+        link = f'{{link="{found["link"]}"}}'
+        offered = (
+            tx + samples[f"link_queue_drops_total{link}"]
+            + samples[f"link_fault_drops_total{link}"]
+        )
+        if offered:
+            router = found["router"]
+            labels = (f'{{session="egress:{router}:{found["port"]}",'
+                      f'transport="{router}.transport"}}')
+            sessions[f"transport_session_tx_messages_total{labels}"] = offered
+            sessions[f"transport_session_rx_messages_total{labels}"] = 0.0
+    return sessions
+
+
 def _instrumented(run: Callable[..., Any], **kwargs: Any) -> dict:
     scenario = run(**kwargs)
     samples = scenario.registry.samples()
@@ -83,6 +119,9 @@ def _instrumented(run: Callable[..., Any], **kwargs: Any) -> dict:
     assert added == dict.fromkeys(ADDED_ZERO_SAMPLES, 0.0), added
     assert not samples.keys() & set(REMOVED_ZERO_SAMPLES)
     samples.update(dict.fromkeys(REMOVED_ZERO_SAMPLES, 0.0))
+    restored = router_session_samples(samples)
+    assert restored and not samples.keys() & restored.keys()
+    samples.update(restored)
     return {
         "flow": asdict(scenario.result),
         "metrics": samples,

@@ -86,6 +86,25 @@ FOOTPRINTS = {
         "repro.transport.base",
         "repro.transport.des",
     ]),
+    # the untrusted router sends on its ports: no transport
+    "switch": ("import repro.openflow.switch", [
+        "repro",
+        "repro.net",
+        "repro.net.addresses",
+        "repro.net.node",
+        "repro.net.packet",
+        "repro.obs",
+        "repro.obs.metrics",
+        "repro.openflow",
+        "repro.openflow.actions",
+        "repro.openflow.flowtable",
+        "repro.openflow.match",
+        "repro.openflow.messages",
+        "repro.openflow.switch",
+        "repro.sim",
+        "repro.sim.engine",
+        "repro.sim.trace",
+    ]),
     "votes": ("import repro.core.votes", [
         "repro",
         "repro.core",

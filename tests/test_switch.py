@@ -1,9 +1,12 @@
 """Tests for the OpenFlow switch datapath and control channel."""
 
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net.addresses import IpAddress, MacAddress
+from repro.net.node import Port
 from repro.net.topology import Network
 from repro.net.packet import Packet, Vlan
 from repro.openflow.actions import (
@@ -27,9 +30,7 @@ from repro.openflow.messages import (
     FLOWMOD_DELETE,
     FLOWMOD_DELETE_STRICT,
     FlowMod,
-    FlowStatsRequest,
     PacketOut,
-    PortStatsRequest,
 )
 from repro.openflow.switch import OpenFlowSwitch
 from repro.sim.engine import CpuResource
@@ -227,17 +228,6 @@ def bad_port_drops(net) -> list:
 # who owns the packet: the datapath emits what it was handed only when
 # its action list writes nothing
 # ----------------------------------------------------------------------
-class RecordingSession:
-    """Stands in for a port's egress session: keeps what it is handed."""
-
-    def __init__(self, port_no: int, sent: list) -> None:
-        self.port_no = port_no
-        self.sent = sent
-
-    def send(self, packet, branch=None, claim=None) -> None:
-        self.sent.append((self.port_no, packet))
-
-
 WRITES = st.one_of(
     st.builds(SetVlanVid, st.integers(1, 4094)),
     st.just(StripVlan()),
@@ -257,13 +247,10 @@ ACTION_LISTS = st.one_of(
 
 
 def emitting_switch():
-    """A switch on three hosts, plus an unwired port 7, whose egress
-    sessions record instead of transmitting."""
+    """A switch on three hosts, plus an unwired port 7."""
     net, s1, _hosts = three_hosts_one_switch()
     s1.add_port(7)
-    sent = []
-    s1._egress_sessions = {no: RecordingSession(no, sent) for no in s1.ports}
-    return s1, sent
+    return s1
 
 
 @settings(max_examples=200, deadline=None)
@@ -274,12 +261,18 @@ def test_datapath_emits_the_packet_it_owns_only_when_nothing_writes(actions, vla
         vlan=Vlan(5) if vlan else None,
     )
     before = packet.to_bytes()
-    # the reference: the same list applied for a caller that keeps its packet
-    reference, expected = emitting_switch()
-    reference.apply_actions(packet.copy(), actions, 1)
-    owner, emitted = emitting_switch()
-    owner.install(Match(), actions)
-    owner._process(packet, 1)
+    reference, owner = emitting_switch(), emitting_switch()
+    sent = {reference: [], owner: []}
+    with pytest.MonkeyPatch.context() as patch:
+        # a port records what it is handed instead of transmitting it
+        patch.setattr(
+            Port, "send", lambda port, p: sent[port.node].append((port.port_no, p))
+        )
+        # the reference: the same list applied for a caller that keeps its packet
+        reference.apply_actions(packet.copy(), actions, 1)
+        owner.install(Match(), actions)
+        owner._process(packet, 1)
+    expected, emitted = sent[reference], sent[owner]
 
     assert packet.to_bytes() == before  # handed over, never written
     assert [(no, p.to_bytes()) for no, p in emitted] == [
@@ -369,20 +362,12 @@ class RecordingController(Controller):
         super().__init__(sim, **kwargs)
         self.packet_ins = []
         self.flow_removed = []
-        self.port_stats = []
-        self.flow_stats = []
 
     def on_packet_in(self, switch, event):
         self.packet_ins.append(event)
 
     def on_flow_removed(self, switch, event):
         self.flow_removed.append(event)
-
-    def on_port_stats(self, switch, reply):
-        self.port_stats.append(reply)
-
-    def on_flow_stats(self, switch, reply):
-        self.flow_stats.append(reply)
 
 
 class TestControlChannel:
@@ -475,11 +460,16 @@ class TestControlChannel:
             [Output(net.port_no_between("s1", "h2"))],
             idle_timeout=0.01,
         )
+        matched = udp_between(h1, h2)
+        h1.send(matched)
         # traffic long after the timeout forces a sweep
         net.sim.schedule(0.1, lambda: h1.send(udp_between(h1, h2)))
         net.run()
         assert len(ctl.flow_removed) == 1
-        assert ctl.flow_removed[0].reason == "idle"
+        removed = ctl.flow_removed[0]
+        assert removed.reason == "idle"
+        # the entry's own counters ride the removal
+        assert (removed.packet_count, removed.byte_count) == (1, matched.wire_len)
 
     def test_output_to_controller_action(self):
         net, s1, (h1, h2, _) = three_hosts_one_switch()
@@ -491,29 +481,29 @@ class TestControlChannel:
         assert len(ctl.packet_ins) == 1
         assert ctl.packet_ins[0].reason == "action"
 
-    def test_port_stats_request(self):
-        net, s1, (h1, h2, _) = three_hosts_one_switch()
-        ctl = RecordingController(net.sim)
-        s1.connect_controller(ctl)
-        s1.install(Match(dl_dst=h2.mac), [Output(net.port_no_between("s1", "h2"))])
-        h1.send(udp_between(h1, h2))
-        net.run()
-        ctl.send(s1, PortStatsRequest(s1.datapath_id))
-        net.run()
-        reply = ctl.port_stats[0]
-        rx = {s.port_no: s.rx_packets for s in reply.stats}
-        assert rx[net.port_no_between("s1", "h1")] == 1
+    def test_a_statistics_request_is_an_unknown_message(self):
+        # the link directions count every frame: a switch answers no
+        # OpenFlow statistics request, and a controller handles no reply
+        @dataclass(frozen=True)
+        class StatsRequest:
+            datapath_id: int
 
-    def test_flow_stats_request(self):
-        net, s1, (h1, h2, _) = three_hosts_one_switch()
-        ctl = RecordingController(net.sim)
+        @dataclass(frozen=True)
+        class StatsReply:
+            datapath_id: int
+
+        net, s1, _hosts = three_hosts_one_switch()
+        ctl = RecordingController(net.sim, trace_bus=net.trace)
         s1.connect_controller(ctl)
-        s1.install(Match(dl_dst=h2.mac), [Output(net.port_no_between("s1", "h2"))])
-        h1.send(udp_between(h1, h2))
+        net.trace.start_retaining()
+        ctl.send(s1, StatsRequest(s1.datapath_id))
         net.run()
-        ctl.send(s1, FlowStatsRequest(s1.datapath_id))
-        net.run()
-        assert ctl.flow_stats[0].stats[0].packet_count == 1
+        unknown = net.trace.select(topic="switch.unknown_message")
+        assert [r.data["message"] for r in unknown] == ["StatsRequest"]
+        assert ctl.messages_received == 0  # no reply was sent
+        ctl.receive_from_switch(s1, StatsReply(s1.datapath_id))
+        assert ctl.messages_unknown == 1
+        assert (ctl.packet_ins, ctl.flow_removed) == ([], [])
 
     def test_controller_proc_time_queues_messages(self):
         net, s1, (h1, h2, _) = three_hosts_one_switch()

@@ -1,8 +1,8 @@
-"""Tests for measurement primitives (stats, jitter, throughput)."""
+"""Tests for measurement primitives (summary stats, jitter)."""
 
 import pytest
 
-from repro.traffic.stats import JitterEstimator, SummaryStats, ThroughputMeter
+from repro.traffic.stats import JitterEstimator, SummaryStats
 
 
 class TestSummaryStats:
@@ -45,16 +45,3 @@ class TestJitterEstimator:
         jitter.observe(2.0, 2.1)
         assert jitter.samples == 2  # first observation only primes
 
-
-class TestThroughputMeter:
-    def test_empty_meter(self):
-        meter = ThroughputMeter()
-        assert (meter.bytes, meter.packets) == (0, 0)
-        assert meter.first_time is None and meter.last_time is None
-
-    def test_observe_counts_bytes_over_the_arrival_window(self):
-        meter = ThroughputMeter()
-        meter.observe(125_000, now=1.0)
-        meter.observe(125_000, now=3.0)
-        assert (meter.bytes, meter.packets) == (250_000, 2)
-        assert (meter.first_time, meter.last_time) == (1.0, 3.0)

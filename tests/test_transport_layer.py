@@ -415,6 +415,18 @@ class TestUdpDispatch:
         transport._on_datagram(good, self.PEER)
         assert got == [("any", 0, 0)]
 
+    def test_role_code_3_is_a_malformed_datagram(self):
+        """The wire knows fan-out, collect and release (0-2); plain
+        forwarding is no session role, so code 3 is an error, not a
+        message no session matches."""
+        transport, got = self._transport()
+        data = bytearray(_datagram())
+        data[4] = 3  # the role byte
+        with pytest.raises(TransportError, match="unknown role code 3"):
+            decode_message(bytes(data))
+        transport._on_datagram(bytes(data), self.PEER)
+        assert (transport.rx_errors, transport.rx_unmatched, got) == (1, 0, [])
+
     def test_only_packet_errors_count_as_rx_errors(self, monkeypatch):
         """A bug behind ``Packet.parse`` is not a malformed datagram."""
         from repro.transport import udp

@@ -95,7 +95,7 @@ class TestEdgeRouting:
         net.run()
         assert node.unrouted_drops == 1
         assert node.stats.forwarded == 0
-        assert sum(port.tx_packets for port in node.ports.values()) == 0
+        assert sum(port.wire_stats.tx_packets for port in node.ports.values()) == 0
         topics = [record.topic for record in net.trace.records]
         assert topics.count("virtual_edge.no_route") == 1
 
@@ -120,7 +120,8 @@ class TestEdgeRouting:
         net.run()
         assert (ingress.split_packets, egress.recombined) == (4, 4)
         assert egress.unrouted_drops == 4 and not got
-        assert egress.port(net.port_no_between("egress", "dst")).tx_packets == 0
+        to_dst = egress.port(net.port_no_between("egress", "dst")).wire_stats
+        assert to_dst.tx_packets == 0
 
     def test_a_route_needs_a_wired_port(self):
         scenario = build_virtualized_scenario(k=3)
