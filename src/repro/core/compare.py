@@ -31,7 +31,7 @@ paper's C prototype) or to the control plane (a POX-style controller app,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
 
 from repro.core.alarms import (
     ALARM_DOS_SUSPECTED,
@@ -42,10 +42,12 @@ from repro.core.alarms import (
 from repro.core.membership import QuorumConfig, QuorumVoter
 from repro.core.policy import BitExactPolicy, ComparePolicy
 from repro.core.votes import VoteEntry, VoteOutcome
-from repro.net.packet import Packet
 from repro.obs.metrics import StatBlock, bind_counter, bind_histogram
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.net.packet import Packet
 
 
 @dataclass

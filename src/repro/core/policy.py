@@ -16,7 +16,10 @@ policies of the policy ablation live in :mod:`repro.core.policy_ablation`.
 
 from __future__ import annotations
 
-from repro.net.packet import Packet
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.net.packet import Packet
 
 
 class ComparePolicy:
@@ -41,6 +44,7 @@ class BitExactPolicy(ComparePolicy):
 
     name = "bit-exact"
 
-    #: the key is the frame itself: ``policy.key(packet)`` is
-    #: ``packet.to_bytes()``, with no frame of the policy's own per copy
-    key = staticmethod(Packet.to_bytes)
+    def key(self, packet: Packet) -> bytes:
+        """The frame itself: a :class:`~repro.net.packet.Packet`'s wire
+        image, or the bytes a live copy arrived with."""
+        return packet.to_bytes()

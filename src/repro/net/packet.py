@@ -24,7 +24,9 @@ Hot-path machinery (see DESIGN.md "Per-packet hot path"):
   :meth:`Packet.decrement_ttl` patches the cached image in place;
 * :meth:`Packet.parse` keeps the bytes it was given as the wire image when
   they are provably what serialising the parsed headers would rebuild, so
-  a received copy is vote-keyed and forwarded without re-serialising;
+  a parsed canonical frame is keyed and sent without re-serialising (the
+  live transport builds no packet: it hands on a read-only
+  :class:`~repro.transport.wire.WireFrame`);
 * a packet holds its payload bytes once: in ``_payload`` while it has no
   wire image, inside the image (its tail, from ``_hlen`` on) once it has
   one.  ``payload``/``fields()`` slice it back out as ``bytes``, and every
@@ -48,15 +50,20 @@ import struct
 from typing import Callable, List, Optional, Union
 
 from repro.net.addresses import IpAddress, MacAddress
-
-# EtherTypes
-ETH_TYPE_IPV4 = 0x0800
-ETH_TYPE_VLAN = 0x8100
-
-# IP protocol numbers
-IP_PROTO_ICMP = 1
-IP_PROTO_TCP = 6
-IP_PROTO_UDP = 17
+from repro.net.layout import (
+    ETH_TYPE_IPV4,
+    ETH_TYPE_VLAN,
+    ETHERNET_HEADER_LEN,
+    ICMP_HEADER_LEN,
+    IP_PROTO_ICMP,
+    IP_PROTO_TCP,
+    IP_PROTO_UDP,
+    IPV4_HEADER_LEN,
+    TCP_HEADER_LEN,
+    UDP_HEADER_LEN,
+    VLAN_TAG_LEN,
+    PacketError,
+)
 
 # TCP flags
 TCP_FIN = 0x01
@@ -75,18 +82,6 @@ TCP_DSACK = 0x40
 # ICMP types
 ICMP_ECHO_REPLY = 0
 ICMP_ECHO_REQUEST = 8
-
-ETHERNET_HEADER_LEN = 14
-VLAN_TAG_LEN = 4
-IPV4_HEADER_LEN = 20
-UDP_HEADER_LEN = 8
-TCP_HEADER_LEN = 20
-ICMP_HEADER_LEN = 8
-
-
-class PacketError(Exception):
-    """Raised on malformed packet construction or parsing."""
-
 
 #: a checksummed payload is read in slices of up to this many bytes (an
 #: even number): the reduction mod 0xFFFF costs per digit of the number
@@ -1046,7 +1041,6 @@ class PacketBatch:
         "seqs",
         "ts_ns",
         "wire_len",
-        "payload_size",
         "_packets",
         "_buffer",
         "_patchable",
@@ -1076,7 +1070,6 @@ class PacketBatch:
         self.seqs = seqs
         self.ts_ns = ts_ns
         self.wire_len = template.wire_len
-        self.payload_size = len(payload)
         self._packets: Optional[List[Optional[Packet]]] = None
         self._buffer: Optional[bytearray] = None
         eth, vlan, ip, l4, _ = template.fields()

@@ -213,7 +213,6 @@ class UdpReceiver:
     def __init__(self, host: Host, port: int) -> None:
         self.host = host
         self.port = port
-        self.payload_size = 0
         self.duplicates = 0
         self.reordered = 0
         self.highest_seq = -1
@@ -236,7 +235,6 @@ class UdpReceiver:
             return
         self._seen.add(seq)
         now = self.host.sim.now
-        self.payload_size = max(self.payload_size, len(payload))
         if seq < self.highest_seq:
             self.reordered += 1
         self.highest_seq = max(self.highest_seq, seq)
@@ -256,9 +254,6 @@ class UdpReceiver:
             return
         self._seen.add(seq)
         now = self.host.sim.now
-        size = batch.payload_size
-        if size > self.payload_size:
-            self.payload_size = size
         if seq < self.highest_seq:
             self.reordered += 1
         else:

@@ -10,16 +10,14 @@ branch's copies through it, branch identity riding in the message.
 
 Receive path: each reader wakeup drains up to :data:`RX_BURST` datagrams
 (the loop runs timers and other sockets between wakeups, so the burst is
-the longest a due timer waits behind a busy socket).  A payload goes to
-``Packet.parse`` as the ``bytes`` that arrived; parse keeps them as the
-packet's wire image when they are canonical, so the compare's bit-exact
-policy keys on the received buffer itself — the same bytes the DES
-backend sees — and a forwarding process re-sends it without
-serialising.  Each *distinct* payload is parsed once: the last
-:data:`RX_SHARE_FRAMES` parsed frames are kept by their bytes and every
-delivery is a ``copy()`` of the kept packet, so the k copies of an honest
-frame cost one parse and hand the vote the same ``bytes`` object, while a
-tampered copy differs in bytes and is parsed and verified on its own.
+the longest a due timer waits behind a busy socket).  A payload becomes a
+:class:`~repro.transport.wire.WireFrame`: the ``bytes`` that arrived,
+validated and read-only, with no packet model behind them.  The compare's
+bit-exact policy keys on that buffer itself — a copy votes as the bytes
+it arrived with, as the paper's ``memcmp`` does — and a forwarding
+process re-sends it as it came.  A frame cannot be rewritten, so the k
+copies of a frame share nothing and need no copy: each costs one header
+walk, and a tampered copy differs in bytes and is outvoted.
 What is *not* preserved over UDP is DES timing exactness:
 arrival times are wall-clock, so anything counted in packets (quorums,
 miss thresholds, probation credits) is comparable across backends while
@@ -31,10 +29,10 @@ from __future__ import annotations
 import asyncio
 import socket
 import struct
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Callable, Deque, Dict, Optional, Tuple
 
-from repro.net.packet import Packet, PacketError
+from repro.net.layout import PacketError
 from repro.obs.metrics import StatBlock
 from repro.transport.base import (
     ROLE_COLLECT,
@@ -48,6 +46,7 @@ from repro.transport.wire import (
     MSG_BYE,
     MSG_DATA,
     MSG_HELLO,
+    WireFrame,
     decode_message,
     encode_message,
     message_parts,
@@ -61,9 +60,6 @@ ControlHandler = Callable[[int, str, Optional[int], Address], None]
 #: datagrams handled per reader wakeup before the loop gets to run its
 #: timers (the voter's sweep) and other sockets again
 RX_BURST = 64
-#: distinct parsed frames kept for their other copies: four bursts, which
-#: covers a burst from each of k = 3…5 branches plus the skew between them
-RX_SHARE_FRAMES = 256
 #: datagrams queued behind a socket that answers EAGAIN; past this the
 #: newest is dropped (about 1.5 MB of full-size frames)
 TX_BACKLOG_FRAMES = 1024
@@ -118,14 +114,13 @@ class UdpSession(Session):
 class UdpTransport(Transport):
     """One socket, many sessions; see module docstring.
 
-    ``rx_errors`` counts datagrams that did not decode or parse and
-    errors the socket reported; ``rx_unmatched`` data for no open
-    session; ``rx_handler_errors`` exceptions raised by a receiver or
-    control callback (reported to the loop's exception handler — the
-    drain goes on with the next datagram).  Of the data that matched a
-    session and parsed, ``rx_parsed`` went through ``Packet.parse`` and
-    ``rx_shared`` reused the parse of an earlier copy of the same bytes.
-    ``tx_dropped`` counts datagrams refused by a full send backlog.
+    ``rx_errors`` counts datagrams that did not decode or carried no
+    valid frame, and errors the socket reported; ``rx_unmatched`` data
+    for no open session; ``rx_handler_errors`` exceptions raised by a
+    receiver or control callback (reported to the loop's exception
+    handler — the drain goes on with the next datagram).  ``tx_dropped``
+    counts datagrams refused by a full send backlog.  What each session
+    was handed is its own ``rx_messages``.
     """
 
     def __init__(
@@ -138,8 +133,6 @@ class UdpTransport(Transport):
         self.rx_errors = 0
         self.rx_unmatched = 0
         self.rx_handler_errors = 0
-        self.rx_parsed = 0
-        self.rx_shared = 0
         self.tx_dropped = 0
         StatBlock.publish_samples(
             lambda: {
@@ -154,12 +147,6 @@ class UdpTransport(Transport):
         self._backlog: Deque[Tuple[bytes, Address]] = deque()
         #: (scope, role, branch) as decoded -> the session it matched
         self._routes: Dict[tuple, Session] = {}
-        #: payload bytes -> the packet parsed from them, oldest first
-        self._parsed: "OrderedDict[bytes, Packet]" = OrderedDict()
-        #: the newest entry of ``_parsed``, which a frame's next copy
-        #: usually repeats: compared before the map is probed
-        self._last_payload: Optional[bytes] = None
-        self._last_parsed: Optional[Packet] = None
         self._control: Optional[ControlHandler] = None
 
     def rx_counts(self) -> Dict[str, int]:
@@ -168,8 +155,6 @@ class UdpTransport(Transport):
             "rx_errors": self.rx_errors,
             "rx_unmatched": self.rx_unmatched,
             "rx_handler_errors": self.rx_handler_errors,
-            "rx_parsed": self.rx_parsed,
-            "rx_shared": self.rx_shared,
             "tx_dropped": self.tx_dropped,
         }
 
@@ -203,8 +188,6 @@ class UdpTransport(Transport):
     def close(self) -> None:
         """Close sessions and socket; a backlog not yet sent is dropped."""
         super().close()
-        self._parsed.clear()
-        self._last_payload = self._last_parsed = None
         sock = self._sock
         if sock is not None:
             self._sock = None
@@ -322,30 +305,13 @@ class UdpTransport(Transport):
             if len(self._routes) >= ROUTE_MEMO_ENTRIES:
                 self._routes.clear()
             self._routes[route] = session
-        payload = message.payload
-        if payload == self._last_payload:
-            # the newest frame is always in the map: this is its hit
-            first = self._last_parsed
-            self.rx_shared += 1
-        else:
-            parsed = self._parsed
-            first = parsed.get(payload)
-            if first is None:
-                try:
-                    first = Packet.parse(payload)
-                except PacketError:
-                    self.rx_errors += 1
-                    return
-                if len(parsed) >= RX_SHARE_FRAMES:
-                    parsed.popitem(last=False)
-                parsed[payload] = first
-                self._last_payload, self._last_parsed = payload, first
-                self.rx_parsed += 1
-            else:
-                self.rx_shared += 1
-        # only copies leave the map: a receiver may rewrite what it is given
+        try:
+            frame = WireFrame(message.payload)
+        except PacketError:
+            self.rx_errors += 1
+            return
         session.deliver(
-            first.copy(),
+            frame,
             {"branch": message.branch, "claim": message.claim,
              "seq": message.seq, "peer": addr},
         )

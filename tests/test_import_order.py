@@ -59,6 +59,7 @@ FOOTPRINTS = {
         "repro.net",
         "repro.net.addresses",
         "repro.net.host",
+        "repro.net.layout",
         "repro.net.link",
         "repro.net.node",
         "repro.net.packet",
@@ -91,6 +92,7 @@ FOOTPRINTS = {
         "repro",
         "repro.net",
         "repro.net.addresses",
+        "repro.net.layout",
         "repro.net.node",
         "repro.net.packet",
         "repro.obs",
@@ -118,6 +120,7 @@ FOOTPRINTS = {
         "repro.core.endpoint",
         "repro.net",
         "repro.net.addresses",
+        "repro.net.layout",
         "repro.net.node",
         "repro.net.packet",
         "repro.obs",
@@ -139,13 +142,13 @@ FOOTPRINTS = {
 TRUSTED_CLOSURE_LINES = {
     "repro.core.votes": 300,
     "repro.core.alarms": 400,
-    "repro.core.policy": 1_500,
+    "repro.core.policy": 200,
     "repro.core.membership": 1_500,
-    "repro.core.compare": 3_800,
+    "repro.core.compare": 2_500,
     "repro.core.endpoint": 4_000,
     "repro.core.sampling": 5_300,
     "repro.core.virtual": 5_400,
-    "repro.transport.wire": 1_000,
+    "repro.transport.wire": 1_200,
     "repro.ctrl.digest": 2_400,
     "repro.ctrl.compare": 4_600,
 }

@@ -34,6 +34,7 @@ from repro.net.packet import (
     incremental_checksum_update,
     internet_checksum,
 )
+from tests.test_packet_properties import reference_parse
 
 
 def make_packet(payload: bytes = b"hello-netco", vlan: Vlan = None) -> Packet:
@@ -392,9 +393,9 @@ def _apply(packet: Packet, payload: bytes, op: str, n: int, data: bytes):
         if _shape(parsed) == _shape(packet):  # a consistent stack round-trips
             return parsed, payload
         # the frame reads as another stack (an ip.proto the l4 header
-        # contradicts): its payload is the frame after that stack's headers
-        frame = packet.to_bytes()
-        return parsed, frame[len(frame) - len(parsed.fields()[4]):]
+        # contradicts): its payload is what that stack's headers leave,
+        # which a UDP length read from foreign bytes may cut short
+        return parsed, reference_parse(packet.to_bytes()).payload
     return packet, payload
 
 

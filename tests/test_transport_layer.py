@@ -10,9 +10,9 @@
 * the UDP receive path: dispatch and counters without a socket, then the
   burst drain, timers between bursts, a close or a failing callback
   mid-burst, and ordered re-sends after ``EAGAIN``, over the loopback;
-* the copies of a frame share one parse: what is delivered equals a
-  fresh ``Packet.parse`` of the same bytes, for mangled frames too, a
-  receiver's rewrites stay its own, and the map of parses is bounded;
+* every copy is delivered as a read-only frame over the bytes that
+  arrived: its payload equals a fresh ``Packet.parse`` of the same
+  bytes, for mangled frames too, and a receiver can rewrite nothing;
 * the session registry (memoised by spec, stable stats order) and what
   the per-session counters count: conservation per scope on one DES flow;
 * UDP smoke: the live multi-process demo's verdict — alarms, quarantine
@@ -26,7 +26,7 @@ import json
 import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.tasks import build_scenario, chaos_run
 from repro.chaos.schedule import builtin_battery
@@ -47,10 +47,20 @@ from repro.transport.wire import (
     MSG_BYE,
     MSG_DATA,
     MSG_HELLO,
+    WireFrame,
     decode_message,
     encode_message,
 )
-from tests.test_packet_properties import frames, mutated_frames
+from tests.test_packet_properties import (
+    _A,
+    _B,
+    _TCP,
+    _UDP,
+    _VLAN,
+    frames,
+    mutated_frames,
+    repaired,
+)
 
 BASELINE_PATH = os.path.join(
     os.path.dirname(__file__), "..", "benchmarks", "transport_baseline.json"
@@ -194,6 +204,74 @@ class TestWireFraming:
             return
         assert message.mtype in (MSG_DATA, MSG_HELLO, MSG_BYE)
         assert isinstance(message.scope, str) and isinstance(message.payload, bytes)
+
+
+#: random bytes behind an Ethernet header naming IPv4, with the IPv4
+#: header checksum made right wherever there is room for one, so the
+#: walk past it sees every version, length and protocol
+_random_ipv4 = st.binary(max_size=72).map(
+    lambda tail: bytes(repaired(bytearray(bytes(12) + b"\x08\x00" + tail), l4=False))
+)
+#: a canonical frame with one header byte set to any value and both
+#: checksums repaired: every length, offset and version field in reach
+_one_header_byte = st.tuples(frames, st.integers(12, 61), st.integers(0, 255)).map(
+    lambda edit: bytes(repaired(bytearray(edit[0][: edit[1]]) + bytes((edit[2],))
+                                + edit[0][edit[1] + 1 :]))
+)
+
+
+def _edited(packet, at, value):
+    """``packet``'s frame with byte ``at`` set to ``value`` and both
+    checksums repaired."""
+    frame = bytearray(packet.to_bytes())
+    frame[at] = value
+    return bytes(repaired(frame))
+
+
+_ICMP = Packet.icmp_echo(*_A, *_B, ident=1, seqno=2, payload=b"ab")
+
+
+class TestWireFrame:
+    """The frame's header walk against ``Packet.parse``: the same
+    rejections, the same payload, and the bytes themselves kept."""
+
+    # one of each rule, whatever the draw: every rejection, and the
+    # lengths that cut the IP payload short or from the end
+    @example(_VLAN.to_bytes()[:16])              # truncated VLAN tag
+    @example(_edited(_UDP, 14, 0x65))            # IPv4 version 6
+    @example(_edited(_UDP, 39, 0x07))            # UDP length below its header
+    @example(_edited(_UDP, 17, 0x1E))            # UDP length past the IP payload
+    @example(_edited(_TCP, 46, 0x40))            # TCP data offset below 20
+    @example(_edited(_TCP, 46, 0xF0))            # TCP data offset past the segment
+    @example(_edited(_ICMP, 17, 0x1B))           # ICMP segment of 7 bytes
+    @example(_edited(_UDP, 17, 0x05))            # total_length below 20
+    @example(_edited(_UDP, 17, 0x00) + bytes(40))  # ... cutting from the end
+    @example(_UDP.to_bytes() + b"pad")           # trailing bytes
+    @given(st.one_of(
+        st.binary(max_size=80),
+        _random_ipv4,
+        _one_header_byte,
+        mutated_frames(),
+        st.tuples(frames, st.integers(0, 80)).map(lambda cut: cut[0][: cut[1]]),
+    ))
+    @settings(max_examples=2000, deadline=None)
+    def test_rejects_exactly_what_parse_rejects(self, data):
+        try:
+            parsed = Packet.parse(data)
+        except PacketError:
+            with pytest.raises(PacketError):
+                WireFrame(data)
+            return
+        frame = WireFrame(data)
+        assert frame.to_bytes() is data and frame.wire_len == len(data)
+        assert frame.payload == parsed.payload
+        assert frame.trace_id is None
+        for name in (*WireFrame.__slots__, "payload", "trace_id", "to_bytes", "meta"):
+            with pytest.raises(AttributeError):
+                setattr(frame, name, b"")
+            with pytest.raises(AttributeError):
+                delattr(frame, name)
+        assert frame.to_bytes() is data and frame.payload == parsed.payload
 
 
 def _overwrite(data, edits, keep):
@@ -428,7 +506,8 @@ class TestUdpDispatch:
         assert (transport.rx_errors, transport.rx_unmatched, got) == (1, 0, [])
 
     def test_only_packet_errors_count_as_rx_errors(self, monkeypatch):
-        """A bug behind ``Packet.parse`` is not a malformed datagram."""
+        """A bug behind the frame's header walk is not a malformed
+        datagram."""
         from repro.transport import udp
 
         transport, _got = self._transport()
@@ -436,7 +515,7 @@ class TestUdpDispatch:
         def broken(_data):
             raise RuntimeError("bug")
 
-        monkeypatch.setattr(udp.Packet, "parse", broken)
+        monkeypatch.setattr(udp, "WireFrame", broken)
         with pytest.raises(RuntimeError):
             transport._on_datagram(_datagram(), self.PEER)
         assert transport.rx_errors == 0
@@ -451,7 +530,8 @@ class TestUdpDispatch:
         )
         frame = _pkt(ident=3).to_bytes()
         transport._on_datagram(_datagram(payload=frame), self.PEER)
-        assert packets[0].wire_cache() == frame
+        assert type(packets[0]) is WireFrame
+        assert packets[0].to_bytes() == frame and packets[0].wire_len == len(frame)
 
     def test_route_memo_follows_session_changes(self):
         transport, got = self._transport()
@@ -478,19 +558,12 @@ class TestUdpDispatch:
         assert 0 < len(transport._routes) <= ROUTE_MEMO_ENTRIES
 
 
-def _view(packet):
-    """What a receiver can tell about a packet without changing it."""
-    return (
-        [repr(field) for field in packet.fields()],
-        packet.wire_len,
-        packet.wire_cache() is None,
-        packet.copy().to_bytes(),
-    )
-
-
 class TestUdpSharedParse:
-    """``_on_datagram`` parses each distinct payload once and delivers a
-    copy of that parse to every datagram carrying the same bytes."""
+    """``_on_datagram`` hands each datagram's payload on as a read-only
+    :class:`WireFrame` of its own.  The copies of a frame share nothing
+    any more (the class keeps the name of the parse map the frames
+    replaced): what each delivers is a fresh parse's payload over its own
+    bytes, and nothing a receiver does to it changes the next delivery."""
 
     PEER = ("127.0.0.1", 9)
 
@@ -500,10 +573,9 @@ class TestUdpSharedParse:
 
         transport = UdpTransport(name="unit")
         packets = []
-        transport.session(SessionSpec("sA", ROLE_COLLECT)).set_receiver(
-            lambda packet, _meta: packets.append(packet)
-        )
-        return transport, packets
+        session = transport.session(SessionSpec("sA", ROLE_COLLECT))
+        session.set_receiver(lambda packet, _meta: packets.append(packet))
+        return transport, session, packets
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -514,28 +586,30 @@ class TestUdpSharedParse:
             st.lists(st.one_of(frames, mutated_frames()), min_size=1, max_size=5)
         )
         sequence = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=15))
-        transport, packets = self._transport()
+        transport, session, packets = self._transport()
         for branch, payload in enumerate(sequence):
             transport._on_datagram(_datagram(branch % 3, payload=payload), self.PEER)
         accepted = [payload for payload in sequence if _parses(payload)]
-        # a malformed payload is rejected every time it comes, never kept
+        # a malformed payload is rejected every time it comes
         assert transport.rx_errors == len(sequence) - len(accepted)
-        assert set(transport._parsed) == set(accepted)
-        assert transport.rx_parsed == len(set(accepted))
-        assert transport.rx_parsed + transport.rx_shared == len(accepted)
-        assert len(packets) == len(accepted)
+        assert session.stats.rx_messages == len(packets) == len(accepted)
         for packet, payload in zip(packets, accepted):
-            assert _view(packet) == _view(Packet.parse(payload))
+            # the bytes that arrived, never a normalised rebuild of them
+            assert packet.to_bytes() == payload and packet.wire_len == len(payload)
+            assert packet.payload == Packet.parse(payload).payload
+            assert packet.trace_id is None
 
-    def test_the_copies_of_a_frame_carry_one_bytes_object(self):
-        transport, packets = self._transport()
+    def test_each_copy_is_delivered_as_its_own_bytes(self):
+        """An honest copy and a copy that differs only in its UDP checksum
+        field: each is delivered as it arrived, so they vote apart."""
+        transport, session, packets = self._transport()
         frame = _pkt(ident=3).to_bytes()
-        for branch in range(3):
-            transport._on_datagram(_datagram(branch, payload=bytes(frame)), self.PEER)
-        assert (transport.rx_parsed, transport.rx_shared) == (1, 2)
-        first = packets[0].wire_cache()
-        assert first == frame and all(p.wire_cache() is first for p in packets)
+        bad_checksum = frame[:40] + bytes([frame[40] ^ 0xFF]) + frame[41:]
+        for branch, payload in enumerate((frame, frame, bad_checksum)):
+            transport._on_datagram(_datagram(branch, payload=payload), self.PEER)
+        assert [p.to_bytes() for p in packets] == [frame, frame, bad_checksum]
         assert len({id(p) for p in packets}) == 3
+        assert (transport.rx_errors, session.stats.rx_messages) == (0, 3)
 
     @pytest.mark.parametrize("rewrite", [
         lambda packet: packet.decrement_ttl(),
@@ -545,37 +619,20 @@ class TestUdpSharedParse:
         lambda packet: setattr(packet, "trace_id", 7),
     ], ids=["ttl", "payload", "eth-src", "l4-dport", "trace-id"])
     def test_a_receivers_rewrite_stays_its_own(self, rewrite):
-        transport, packets = self._transport()
+        """Each way a receiver rewrote a parsed packet fails on a frame —
+        it has no header objects, no rewriting method and refuses every
+        assignment — and the later copies arrive as the first did."""
+        transport, _session, packets = self._transport()
         frame = _pkt(ident=4).to_bytes()
-        reference = _view(Packet.parse(frame))
-        transport._on_datagram(_datagram(0, payload=frame), self.PEER)
-        rewrite(packets[0])
-        transport._on_datagram(_datagram(1, payload=frame), self.PEER)
-        rewrite(packets[1])
-        transport._on_datagram(_datagram(2, payload=frame), self.PEER)
-        assert _view(packets[2]) == reference and packets[2].trace_id is None
-        assert _view(transport._parsed[frame]) == reference
-        assert (transport.rx_parsed, transport.rx_shared) == (1, 2)
-
-    def test_the_map_is_bounded_and_an_evicted_frame_parses_again(self):
-        from repro.transport.udp import RX_SHARE_FRAMES
-
-        transport, packets = self._transport()
-        extra = 10
-        wires = [_pkt(ident=n).to_bytes() for n in range(RX_SHARE_FRAMES + extra)]
-        for frame in wires:
-            transport._on_datagram(_datagram(payload=frame), self.PEER)
-        # oldest first: the first `extra` frames went
-        assert list(transport._parsed) == wires[extra:]
-        assert transport.rx_parsed == len(wires) and transport.rx_shared == 0
-        transport._on_datagram(_datagram(payload=wires[-1]), self.PEER)  # kept
-        transport._on_datagram(_datagram(payload=wires[0]), self.PEER)   # evicted
-        assert (transport.rx_parsed, transport.rx_shared) == (len(wires) + 1, 1)
-        assert len(transport._parsed) == RX_SHARE_FRAMES
-        assert _view(packets[-1]) == _view(Packet.parse(wires[0]))
-        assert packets[-1].wire_cache() == wires[0]
-        transport.close()
-        assert not transport._parsed
+        for branch in range(3):
+            transport._on_datagram(_datagram(branch, payload=frame), self.PEER)
+            if branch < 2:
+                with pytest.raises(AttributeError):
+                    rewrite(packets[-1])
+        for packet in packets:
+            assert packet.to_bytes() == frame and packet.wire_len == len(frame)
+            assert packet.payload == _pkt(ident=4).payload
+            assert packet.trace_id is None
 
 
 def _parses(payload):
@@ -743,21 +800,22 @@ class TestUdpDrain:
                     raw.sendto(b"not a transport datagram", rx.local_address())
                 outbound.send(_pkt())
                 await self._until(lambda: len(seen) == 3)
-                return seen, reported, rx
+                return seen, reported, rx, inbound
             finally:
                 tx.close()
                 rx.close()
 
-        seen, reported, rx = asyncio.run(scenario())
+        seen, reported, rx, inbound = asyncio.run(scenario())
         assert seen == [0, 1, 2]
         assert rx.rx_handler_errors == 1 and rx.rx_errors == 1
         # the compare worker's verdict and /metrics read the same counts
         verdict = Verdict.build("udp", 3, seen, (), (), **rx.rx_counts())
         assert verdict.extras == {
             "rx_errors": 1, "rx_unmatched": 0, "rx_handler_errors": 1,
-            # three copies of one frame: parsed once, shared twice
-            "rx_parsed": 1, "rx_shared": 2, "tx_dropped": 0,
+            "tx_dropped": 0,
         }
+        # the three copies reached the one session; the junk datagram did not
+        assert inbound.stats.rx_messages == 3
         samples = registry.samples()
         assert samples['transport_rx_handler_errors_total{transport="rx"}'] == 1
         assert samples['transport_rx_errors_total{transport="rx"}'] == 1

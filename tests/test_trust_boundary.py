@@ -16,7 +16,9 @@ is refused as a spoof the other time.
 
 The data-plane compare itself counts only the branches it owns: a copy
 tagged with any other id (over the live wire the tag is the sender's own
-claim) is refused where it enters, as a spoof.
+claim) is refused where it enters, as a spoof.  Over the live wire a copy
+also votes as the bytes it arrived with: one a parse would normalise
+into the honest bytes (a rewritten UDP checksum, padding) is outvoted.
 
 The control plane has the same boundary one layer up: the voter is handed
 message objects a controller replica built and still holds.  The last
@@ -36,7 +38,12 @@ from repro.analysis.tasks import DRAIN_TIME, drive_ctrl_flow
 from repro.apps.learning import LearningSwitchApp
 from repro.ctrl.digest import digest
 from repro.live.verdict import fingerprint
-from repro.core.alarms import ALARM_SPOOFED_BRANCH, AlarmSink
+from repro.core.alarms import (
+    ALARM_MINORITY_DIVERGENCE,
+    ALARM_SINGLE_SOURCE_PACKET,
+    ALARM_SPOOFED_BRANCH,
+    AlarmSink,
+)
 from repro.core.compare import CompareConfig, CompareContext, CompareCore
 from repro.net.addresses import IpAddress, MacAddress
 from repro.net.packet import Packet, Vlan
@@ -233,7 +240,8 @@ def test_a_branchless_datagram_cannot_stop_the_expiry_sweep():
         try:
             voter_addr = await voter_side.start()
             await switch_side.start()
-            voter_side.session(SessionSpec("sA", ROLE_COLLECT)).set_receiver(
+            collect = voter_side.session(SessionSpec("sA", ROLE_COLLECT))
+            collect.set_receiver(
                 lambda packet, meta: core.submit(packet, meta["branch"], context)
             )
             honest = switch_side.session(
@@ -254,15 +262,101 @@ def test_a_branchless_datagram_cannot_stop_the_expiry_sweep():
         finally:
             switch_side.close()
             voter_side.close()
-        return core, released, alarms, errors, voter_side.rx_counts()
+        return core, released, alarms, errors, voter_side.rx_counts(), collect
 
-    core, released, alarms, errors, rx = asyncio.run(scenario())
+    core, released, alarms, errors, rx, collect = asyncio.run(scenario())
     assert errors == []
-    assert (rx["rx_parsed"], rx["rx_shared"], rx["rx_errors"]) == (3, 1, 0)
+    # all four copies reach the session; the compare refuses one of them
+    assert (collect.stats.rx_messages, rx["rx_errors"]) == (4, 0)
     assert released == [] and len(core.book) == 0
     assert core.spoof_drops == 1
     assert core.stats.expired_unreleased == 3
     assert alarms.count(ALARM_SPOOFED_BRANCH) == 1
+
+
+#: copies of the laundering test, past the 16 divergent entries that
+#: latch a minority-divergence alarm
+LAUNDERED = 20
+#: byte of a plain UDP frame's checksum field: Ethernet 14, IPv4 20, then
+#: the checksum 6 bytes into the UDP header
+_UDP_CHECKSUM_AT = 40
+#: what branch 2 does to every copy: a change a parse normalises away
+LAUNDERINGS = {
+    "udp-checksum": lambda frame: (
+        frame[:_UDP_CHECKSUM_AT] + bytes((frame[_UDP_CHECKSUM_AT] ^ 0xFF,))
+        + frame[_UDP_CHECKSUM_AT + 1 :]
+    ),
+    "padding": lambda frame: frame + bytes(4),
+}
+
+
+@pytest.mark.parametrize("launder", sorted(LAUNDERINGS))
+def test_a_live_copy_votes_as_the_bytes_it_arrived_with(launder):
+    """Branch 2 sends every copy with only its UDP checksum rewritten, or
+    with 4 bytes of padding behind the datagram.  Parsed leniently and
+    re-serialised, either copy is the honest bytes again and votes with
+    the honest branches, raising nothing.  Voted as it arrived, each copy
+    is outvoted and counted against branch 2 alone, and the compare
+    releases the honest stream byte for byte."""
+    timeout = 0.02
+    packets = [_datagram(seq) for seq in range(LAUNDERED)]
+    laundered = [LAUNDERINGS[launder](packet.to_bytes()) for packet in packets]
+    assert all(
+        Packet.parse(bad).to_bytes() == packet.to_bytes() != bad
+        for bad, packet in zip(laundered, packets)
+    )
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        alarms = AlarmSink()
+        core = CompareCore(
+            RealTimeScheduler(loop), CompareConfig(k=3, buffer_timeout=timeout),
+            alarm_sink=alarms,
+        )
+        voter_side = UdpTransport(name="boundary.compare")
+        switch_side = UdpTransport(name="boundary.switch")
+        released = []
+        done = asyncio.Event()
+
+        def release(packet) -> None:
+            released.append(packet)
+            if len(released) == len(packets):
+                done.set()
+
+        context = CompareContext("sA", release)
+        try:
+            voter_addr = await voter_side.start()
+            await switch_side.start()
+            voter_side.session(SessionSpec("sA", ROLE_COLLECT)).set_receiver(
+                lambda packet, meta: core.submit(packet, meta["branch"], context)
+            )
+            honest = [
+                switch_side.session(
+                    SessionSpec("sA", ROLE_COLLECT, branch), remote=voter_addr
+                )
+                for branch in (0, 1)
+            ]
+            for packet, bad in zip(packets, laundered):
+                for session in honest:
+                    session.send(packet)
+                switch_side._sendto(
+                    encode_message(MSG_DATA, ROLE_COLLECT, "sA", bad, branch=2),
+                    voter_addr,
+                )
+            await asyncio.wait_for(done.wait(), timeout=10.0)
+            await asyncio.sleep(10 * timeout)  # branch 2's entries expire
+        finally:
+            switch_side.close()
+            voter_side.close()
+        return core, released, alarms
+
+    core, released, alarms = asyncio.run(scenario())
+    assert [p.to_bytes() for p in released] == [p.to_bytes() for p in packets]
+    assert core.stats.released == LAUNDERED
+    assert core.stats.divergent_copies == core.stats.expired_unreleased == LAUNDERED
+    assert alarms.alarms and {alarm.branch for alarm in alarms.alarms} == {2}
+    assert alarms.count(ALARM_SINGLE_SOURCE_PACKET) == LAUNDERED
+    assert alarms.count(ALARM_MINORITY_DIVERGENCE) == 1
 
 
 # ----------------------------------------------------------------------
