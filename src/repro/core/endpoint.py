@@ -313,8 +313,9 @@ class CombinerEndpoint(BranchPorts, Datapath):
         if self.mode == MODE_COMBINE:
             # Warm the wire-image cache before fanning out: the k CoW
             # copies share it, so the egress compare vote-keys every
-            # benign copy without serialising again.  Pointless in dup
-            # mode (no compare).
+            # benign copy without serialising again (a stamped CBR
+            # datagram arrives with its image: nothing to do).  Pointless
+            # in dup mode (no compare).
             packet.to_bytes()
         fan = self._fan_cache
         if fan is None:

@@ -57,7 +57,7 @@ def _print_verdict(label: str, verdict: dict) -> None:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    from repro.live.demo import K, build_datagram, run_live_demo
+    from repro.live.demo import K, datagram_template, run_live_demo
 
     crash_index = args.crash_index
     if crash_index is None:
@@ -68,7 +68,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     )
     try:
         schedule.validate(K)
-        build_datagram(0, args.payload_size)  # must hold the probe header
+        datagram_template(args.payload_size)  # must hold the probe header
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

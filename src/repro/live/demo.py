@@ -23,8 +23,8 @@ from repro.live.schedule import LiveSchedule, default_schedule
 from repro.live.twin import des_twin_run
 from repro.live.verdict import Verdict, verdicts_match
 from repro.net.addresses import IpAddress, MacAddress
-from repro.net.packet import Packet
-from repro.traffic.udp import _encode_payload
+from repro.net.packet import Packet, UdpTemplate
+from repro.traffic.udp import cbr_head, cbr_template
 from repro.transport.base import ROLE_FANOUT, SessionSpec
 from repro.transport.udp import UdpTransport
 from repro.transport.wire import MSG_BYE, MSG_HELLO
@@ -50,18 +50,17 @@ def _free_udp_ports(count: int) -> List[int]:
     return ports
 
 
-def build_datagram(seq: int, payload_size: int) -> Packet:
-    """The CBR probe for ``seq`` — deterministic bytes (timestamp 0), so
-    every branch's copy of a sequence number is bit-identical."""
-    return Packet.udp(
-        src_mac=_SRC_MAC,
-        dst_mac=_DST_MAC,
-        src_ip=_SRC_IP,
-        dst_ip=_DST_IP,
-        sport=50000,
-        dport=5001,
-        payload=_encode_payload(seq, 0.0, payload_size),
-    )
+def datagram_template(payload_size: int) -> UdpTemplate:
+    """The demo flow's template; a ``payload_size`` too small to hold the
+    probe header is a ``ValueError``."""
+    return cbr_template(_SRC_MAC, _DST_MAC, _SRC_IP, _DST_IP, 50000, 5001, payload_size)
+
+
+def build_datagram(seq: int, flow: UdpTemplate) -> Packet:
+    """The CBR probe for ``seq`` — deterministic bytes (ident and
+    timestamp 0), so every branch's copy of a sequence number is
+    bit-identical."""
+    return flow.stamp(0, cbr_head(seq, 0.0))
 
 
 async def _source_async(
@@ -104,13 +103,14 @@ async def _source_async(
         )
         for branch in range(k)
     ]
+    flow = datagram_template(payload_size)
     loop = asyncio.get_running_loop()
     start = loop.time() + 0.05
     for seq in range(packets):
         delay = start + seq * interval - loop.time()
         if delay > 0:
             await asyncio.sleep(delay)
-        packet = build_datagram(seq, payload_size)
+        packet = build_datagram(seq, flow)
         for session in fans:
             session.send(packet)
     # Redundant BYEs: UDP gives no delivery guarantee and the compare's

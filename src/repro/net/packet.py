@@ -22,6 +22,11 @@ Hot-path machinery (see DESIGN.md "Per-packet hot path"):
 * :func:`internet_checksum` reduces the buffer as one big integer mod
   0xFFFF, and :func:`incremental_checksum_update` implements RFC 1624 so
   :meth:`Packet.decrement_ttl` patches the cached image in place;
+* a CBR source's datagrams differ only in their IPv4 ident and payload
+  head, so :meth:`UdpTemplate.stamp` makes each one from its flow's
+  template frame, serialised once: its own IPv4 header, the template's
+  other headers shared copy-on-write, and the template's image with four
+  fields patched (no header built, no checksum pass);
 * :meth:`Packet.parse` keeps the bytes it was given as the wire image when
   they are provably what serialising the parsed headers would rebuild, so
   a parsed canonical frame is keyed and sent without re-serialising (the
@@ -411,6 +416,11 @@ _PSEUDO_TAIL = struct.Struct("!BBH").pack  # zero, protocol, L4 length
 _IPV4_HEAD = struct.Struct("!BBHHHBBHII").pack
 _UDP_PSEUDO = struct.Struct("!IIxBHHHHxx").pack
 _IPV4_UDP = struct.Struct("!BBHHHBBHIIHHHH").pack
+# UdpTemplate.stamp writes a datagram's four changed fields in one pack
+# around the template bytes between them: the ident, flags to protocol,
+# the IPv4 checksum, addresses to UDP length, the UDP checksum
+_STAMP = struct.Struct("!H4sH14sH").pack
+_new = object.__new__
 
 # CoW bitmask positions for Packet._cow
 _COW_ETH = 1
@@ -1012,28 +1022,142 @@ class Packet:
         return f"Packet({self.summary()})"
 
 
+class UdpTemplate:
+    """One UDP flow's frame, serialised once, from which each datagram is
+    stamped.
+
+    A CBR source's datagrams are one frame but for the IPv4 ident and the
+    leading bytes of the payload (the seq/timestamp head).  :meth:`stamp`
+    makes each from the template instead of building and serialising it:
+    a new :class:`Ipv4` header carrying the ident, the template's
+    Ethernet, VLAN and UDP headers shared copy-on-write, and a wire image
+    that is the template's with the ident, the IPv4 checksum, the head and
+    the UDP checksum patched.  It builds no other header and runs no
+    checksum pass.
+
+    The result is bit-identical to :meth:`Packet.udp` followed by
+    serialisation, by construction.  A checksum is the ones-complement of
+    the sum mod 0xFFFF of what it covers (:func:`internet_checksum`), and
+    the template keeps two such sums: its IPv4 header's without the ident,
+    and everything its UDP checksum covers.  A stamp adds the ident to the
+    first; from the second it takes the template head's words away and
+    adds the new head's (the head starts word-aligned, and an odd-length
+    one ends in the high byte of a word).  A sum of 0 gives the checksum
+    0, never 0xFFFF, as :func:`internet_checksum` gives it: neither header
+    can sum to a true zero (the IPv4 version byte, the UDP protocol
+    number).
+
+    ``packet`` is the template frame.  Its headers are marked shared, so a
+    write through a stamp's header properties materialises a private
+    header and never reaches the template or a sibling stamp; it is read
+    for the flow's headers and never sent.
+    """
+
+    __slots__ = ("packet", "_headers", "_hlen", "_wire_len", "_snap", "_cow",
+                 "_wire", "_front", "_flags", "_addrs", "_ip_sum", "_udp_sum",
+                 "_head_len", "_shift", "_base", "_tail")
+
+    def __init__(self, packet: Packet) -> None:
+        eth, vlan, ip, l4, _payload = packet.fields()
+        if ip is None or type(l4) is not Udp:
+            raise PacketError("a UDP template needs an IPv4/UDP frame")
+        wire = packet.to_bytes()
+        for header in (eth, vlan, ip, l4):
+            if header is not None:
+                object.__setattr__(header, "_shared", True)
+        self.packet = packet
+        self._headers = (eth, vlan, ip, l4)
+        self._hlen = hlen = packet._hlen
+        self._wire_len = packet.wire_len
+        # a stamp's own IPv4 header is new, at version 0
+        self._snap = (eth._v, -1 if vlan is None else vlan._v, 0, l4._v)
+        self._cow = _COW_ETH | _COW_L4 | (0 if vlan is None else _COW_VLAN)
+        self._wire = wire
+        at = hlen - UDP_HEADER_LEN - IPV4_HEADER_LEN  # the IPv4 header
+        self._front = wire[: at + 4]
+        self._flags = wire[at + 6 : at + 10]
+        self._addrs = wire[at + 12 : at + 26]
+        # a checksum and the sum of what it covers add up to 0 mod 0xFFFF
+        ip_check = int.from_bytes(wire[at + 10 : at + 12], "big")
+        self._ip_sum = (-ip_check - ip.ident) % 0xFFFF
+        self._udp_sum = -int.from_bytes(wire[at + 26 : at + 28], "big") % 0xFFFF
+        self._fit(0)
+
+    def _fit(self, head_len: int) -> None:
+        """Ready :meth:`stamp` for heads of ``head_len`` bytes: the UDP sum
+        without the template head's words, and the payload behind it."""
+        hlen = self._hlen
+        if head_len > self._wire_len - hlen:
+            raise PacketError("payload head longer than template payload")
+        self._shift = 8 if head_len & 1 else 0
+        old = int.from_bytes(self._wire[hlen : hlen + head_len], "big") << self._shift
+        self._base = (self._udp_sum - old) % 0xFFFF
+        self._tail = self._wire[hlen + head_len :]
+        self._head_len = head_len
+
+    def stamp(self, ident: int, head: bytes) -> Packet:
+        """The flow's datagram with IPv4 ident ``ident`` whose payload
+        starts with ``head``."""
+        if len(head) != self._head_len:
+            self._fit(len(head))
+        ident &= 0xFFFF
+        ip_sum = (self._ip_sum + ident) % 0xFFFF
+        udp_sum = (self._base + (int.from_bytes(head, "big") << self._shift)) % 0xFFFF
+        eth, vlan, template, l4 = self._headers
+        # built as Packet.parse builds headers: fields as they are
+        s = object.__setattr__
+        ip = _new(Ipv4)
+        s(ip, "_shared", False)
+        s(ip, "_v", 0)
+        s(ip, "src", template.src)
+        s(ip, "dst", template.dst)
+        s(ip, "proto", template.proto)
+        s(ip, "ttl", template.ttl)
+        s(ip, "ident", ident)
+        s(ip, "tos", template.tos)
+        s(ip, "total_length", template.total_length)
+        packet = _new(Packet)
+        packet._eth = eth
+        packet._vlan = vlan
+        packet._ip = ip
+        packet._l4 = l4
+        packet._payload = None
+        packet._hlen = self._hlen
+        packet.wire_len = self._wire_len
+        packet._wire = b"".join((
+            self._front,
+            _STAMP(ident, self._flags, 0xFFFF - ip_sum if ip_sum else 0,
+                   self._addrs, 0xFFFF - udp_sum if udp_sum else 0),
+            head,
+            self._tail,
+        ))
+        packet._snap = self._snap
+        packet._cow = self._cow
+        packet.meta = None
+        packet.trace_id = None
+        return packet
+
+
 class PacketBatch:
-    """A packet train: one header template plus per-packet deltas.
+    """A packet train: one flow template plus per-packet deltas.
 
     Batches carry the N packets of a CBR train through the data plane as
-    one object.  Packet ``0`` *is* the template; packet ``i`` differs
-    from it only in its IPv4 ident and the leading ``heads[i]`` bytes of
-    its payload (for UDP trains: the 12-byte seq/timestamp header).  The
-    per-packet wire images live in one contiguous buffer: the template
-    is serialised once — one vectorised RFC 1071 checksum pass — then
-    stamped N times and each copy gets constant-time RFC 1624 patches
-    for its ident, payload head, and the two checksums that cover them.
-    The result is bit-identical to serialising each packet from scratch
-    (property-tested in ``tests/test_packet_batch.py``).
+    one object.  Packet ``i`` is the flow's :class:`UdpTemplate` stamped
+    with ``idents[i]`` and ``heads[i]`` (for UDP trains: the 12-byte
+    seq/timestamp head), so every packet of a train, packet 0 included,
+    is bit-identical to serialising it from scratch (property-tested in
+    ``tests/test_packet_batch.py``) and shares only headers a write
+    materialises.  ``template`` is the flow's template frame, which the
+    train's stages read for its headers; it is none of the train's packets.
 
     ``seqs``/``ts_ns`` are opaque traffic-layer annotations (the decoded
     form of the head bytes) so receivers can do per-seq accounting
-    without parsing payloads.  :meth:`packet_at` lazily materialises a
-    real :class:`Packet` — with a pre-warmed wire cache — wherever the
-    pipeline must fall back to per-packet handling.
+    without parsing payloads.  :meth:`packet_at` stamps a packet wherever
+    the pipeline must fall back to per-packet handling.
     """
 
     __slots__ = (
+        "flow",
         "template",
         "count",
         "heads",
@@ -1042,13 +1166,11 @@ class PacketBatch:
         "ts_ns",
         "wire_len",
         "_packets",
-        "_buffer",
-        "_patchable",
     )
 
     def __init__(
         self,
-        template: Packet,
+        flow: UdpTemplate,
         heads: List[bytes],
         idents: List[int],
         seqs: Optional[List[int]] = None,
@@ -1059,10 +1181,12 @@ class PacketBatch:
             raise PacketError("empty packet batch")
         if len(idents) != count:
             raise PacketError("idents/heads length mismatch")
-        payload = template.payload
+        template = flow.packet
+        room = template.wire_len - template._hlen
         for head in heads:
-            if len(head) > len(payload):
+            if len(head) > room:
                 raise PacketError("payload head longer than template payload")
+        self.flow = flow
         self.template = template
         self.count = count
         self.heads = heads
@@ -1071,112 +1195,23 @@ class PacketBatch:
         self.ts_ns = ts_ns
         self.wire_len = template.wire_len
         self._packets: Optional[List[Optional[Packet]]] = None
-        self._buffer: Optional[bytearray] = None
-        eth, vlan, ip, l4, _ = template.fields()
-        self._patchable = (
-            vlan is None and ip is not None and isinstance(l4, Udp)
-        )
 
-    # ------------------------------------------------------------------
-    # wire images
-    # ------------------------------------------------------------------
-    def wire_buffer(self) -> bytearray:
-        """The contiguous buffer of all ``count`` wire images."""
-        buf = self._buffer
-        if buf is None:
-            buf = self._build_buffer()
-            self._buffer = buf
-        return buf
+    def wire_buffer(self) -> bytes:
+        """The wire images of the train's packets, back to back."""
+        return b"".join([packet.to_bytes() for packet in self.packets()])
 
-    def _build_buffer(self) -> bytearray:
-        wire0 = self.template.to_bytes()
-        wl = len(wire0)
-        if not self._patchable:
-            # generic (rare) shape: serialise each packet independently
-            parts = [wire0]
-            payload = self.template.payload
-            for i in range(1, self.count):
-                head = self.heads[i]
-                parts.append(self._construct(i, head + payload[len(head) :]).to_bytes())
-            return bytearray(b"".join(parts))
-        buf = bytearray(wire0 * self.count)
-        ident0 = (wire0[18] << 8) | wire0[19]
-        ipc0 = (wire0[24] << 8) | wire0[25]
-        udpc0 = (wire0[40] << 8) | wire0[41]
-        head0 = bytes(wire0[42:])
-        idents = self.idents
-        heads = self.heads
-        for i in range(1, self.count):
-            base = i * wl
-            ident = idents[i]
-            if ident != ident0:
-                ipc = incremental_checksum_update(ipc0, ident0, ident)
-                buf[base + 18] = ident >> 8
-                buf[base + 19] = ident & 0xFF
-                buf[base + 24] = ipc >> 8
-                buf[base + 25] = ipc & 0xFF
-            head = heads[i]
-            hl = len(head)
-            if hl & 1:  # word-align the patched region
-                head = head + head0[hl : hl + 1]
-                hl += 1
-            if head != head0[:hl]:
-                # RFC 1624 over every payload word the head rewrites
-                total = ~udpc0 & 0xFFFF
-                for off in range(0, hl, 2):
-                    old_w = (head0[off] << 8) | head0[off + 1]
-                    new_w = (head[off] << 8) | head[off + 1]
-                    total += (~old_w & 0xFFFF) + new_w
-                while total >> 16:
-                    total = (total & 0xFFFF) + (total >> 16)
-                udpc = (~total) & 0xFFFF
-                buf[base + 42 : base + 42 + hl] = head
-                buf[base + 40] = udpc >> 8
-                buf[base + 41] = udpc & 0xFF
-        return buf
-
-    # ------------------------------------------------------------------
-    # per-packet materialisation (the fallback boundary)
-    # ------------------------------------------------------------------
     def packet_at(self, i: int) -> Packet:
-        """Materialise packet ``i`` (memoised; ``0`` is the template)."""
+        """Packet ``i``, stamped on first use (memoised)."""
         pkts = self._packets
         if pkts is None:
             pkts = self._packets = [None] * self.count
         pkt = pkts[i]
         if pkt is None:
-            if i == 0:
-                pkt = self.template
-            else:
-                # the train's image holds packet i's payload: build the
-                # stack around none and hand the packet its image
-                wl = self.wire_len
-                buf = self.wire_buffer()
-                pkt = self._construct(i, b"")
-                pkt._wire = bytes(buf[i * wl : (i + 1) * wl])
-                pkt._snap = pkt._snapshot()
-                pkt._payload = None
-                pkt.wire_len = wl
-            pkts[i] = pkt
+            pkt = pkts[i] = self.flow.stamp(self.idents[i], self.heads[i])
         return pkt
 
-    def _construct(self, i: int, payload: bytes) -> Packet:
-        """Build packet ``i``'s header stack around ``payload`` (no wire cache)."""
-        t = self.template
-        eth, vlan, ip, l4 = t._eth, t._vlan, t._ip, t._l4
-        new_ip = ip.copy() if ip is not None else None
-        if new_ip is not None:
-            new_ip.ident = self.idents[i]
-        return Packet(
-            eth.copy(),
-            new_ip,
-            l4.copy() if l4 is not None else None,
-            payload,
-            vlan=vlan.copy() if vlan is not None else None,
-        )
-
     def packets(self) -> List[Packet]:
-        """Materialise every packet of the train, in order."""
+        """Every packet of the train, in order."""
         return [self.packet_at(i) for i in range(self.count)]
 
     def __len__(self) -> int:

@@ -19,17 +19,34 @@ from dataclasses import dataclass
 from typing import Optional, Set
 
 from repro.net.host import Host
-from repro.net.packet import Packet, PacketBatch
+from repro.net.packet import Packet, PacketBatch, UdpTemplate
 from repro.traffic.stats import JitterEstimator
 
 _HEADER = struct.Struct("!IQ")  # sequence number, send time in ns
 
 
-def _encode_payload(seq: int, now: float, size: int) -> bytes:
-    header = _HEADER.pack(seq & 0xFFFFFFFF, int(now * 1e9))
-    if size < _HEADER.size:
-        raise ValueError(f"payload size must be >= {_HEADER.size}, got {size}")
-    return header + b"\x00" * (size - _HEADER.size)
+def cbr_head(seq: int, now: float) -> bytes:
+    """The head of datagram ``seq`` sent at ``now``: what a CBR flow's
+    datagrams differ in, beside their IPv4 ident."""
+    return _HEADER.pack(seq & 0xFFFFFFFF, int(now * 1e9))
+
+
+def cbr_template(
+    src_mac, dst_mac, src_ip, dst_ip, sport: int, dport: int, payload_size: int
+) -> UdpTemplate:
+    """A CBR flow's template: each datagram is it stamped with its ident
+    and its :func:`cbr_head` (the rest of the payload is zeros)."""
+    if payload_size < _HEADER.size:
+        raise ValueError(f"payload size must be >= {_HEADER.size}, got {payload_size}")
+    return UdpTemplate(Packet.udp(
+        src_mac=src_mac,
+        dst_mac=dst_mac,
+        src_ip=src_ip,
+        dst_ip=dst_ip,
+        sport=sport,
+        dport=dport,
+        payload=bytes(payload_size),
+    ))
 
 
 def _decode_payload(payload: bytes) -> Optional[tuple]:
@@ -116,11 +133,18 @@ class UdpSender:
         self.sent = 0
         self._running = False
         self._end_time = 0.0
+        #: the flow's template, built when it starts
+        self._flow: Optional[UdpTemplate] = None
 
     def start(self, duration: float, delay: float = 0.0) -> None:
         """Begin sending; stops once ``duration`` of sending has elapsed."""
+        host = self.host
+        self._flow = cbr_template(
+            host.mac, self.dst_mac, host.ip, self.dst_ip,
+            self.sport, self.dport, self.payload_size,
+        )
         self._running = True
-        sim = self.host.sim
+        sim = host.sim
         self._end_time = sim.now + delay + duration
         sim.schedule(delay, self._send_one)
 
@@ -137,18 +161,11 @@ class UdpSender:
         if not self._running or now >= self._end_time:
             self._running = False
             return
-        payload = _encode_payload(self.sent, now, self.payload_size)
-        packet = Packet.udp(
-            src_mac=self.host.mac,
-            dst_mac=self.dst_mac,
-            src_ip=self.host.ip,
-            dst_ip=self.dst_ip,
-            sport=self.sport,
-            dport=self.dport,
-            payload=payload,
-            ident=self.host.next_ip_ident(),
-        )
-        self.host.send(packet)
+        host = self.host
+        host.send(self._flow.stamp(
+            host.next_ip_ident(),
+            _HEADER.pack(self.sent & 0xFFFFFFFF, int(now * 1e9)),  # cbr_head, inline
+        ))
         self.sent += 1
         sim.post(now + self.interval, self._send_one)
 
@@ -183,24 +200,14 @@ class UdpSender:
             if t >= end:
                 self._running = False
                 break
-        heads = [_HEADER.pack(s & 0xFFFFFFFF, ns) for s, ns in zip(seqs, ts_ns)]
-        pad = b"\x00" * (self.payload_size - _HEADER.size)
-        template = Packet.udp(
-            src_mac=host.mac,
-            dst_mac=self.dst_mac,
-            src_ip=host.ip,
-            dst_ip=self.dst_ip,
-            sport=self.sport,
-            dport=self.dport,
-            payload=heads[0] + pad,
-            ident=idents[0],
-        )
+        heads = [_HEADER.pack(s, ns) for s, ns in zip(seqs, ts_ns)]
+        flow = self._flow
         if len(seqs) == 1:
             # Trailing partial train of one: the plain path is cheaper
             # and trivially exact.
-            host.send(template)
+            host.send(flow.stamp(idents[0], heads[0]))
         else:
-            batch = PacketBatch(template, heads, idents, seqs=seqs, ts_ns=ts_ns)
+            batch = PacketBatch(flow, heads, idents, seqs=seqs, ts_ns=ts_ns)
             realm.note_batch(batch.count)
             host.send_batch(batch, times)
         if self._running:
@@ -244,7 +251,7 @@ class UdpReceiver:
         """:meth:`_on_packet` for one train packet, without decoding bytes.
 
         ``batch.seqs``/``batch.ts_ns`` hold exactly what
-        :func:`_encode_payload` wrote (``seq & 0xFFFFFFFF``,
+        :func:`cbr_head` wrote (``seq & 0xFFFFFFFF``,
         ``int(t * 1e9)``), so dedup keys, reorder counts and the RFC 3550
         jitter estimator see identical inputs.
         """

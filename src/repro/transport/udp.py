@@ -312,8 +312,7 @@ class UdpTransport(Transport):
             return
         session.deliver(
             frame,
-            {"branch": message.branch, "claim": message.claim,
-             "seq": message.seq, "peer": addr},
+            {"branch": message.branch, "claim": message.claim, "seq": message.seq},
         )
 
     def _match(

@@ -25,7 +25,10 @@ wire-image check and the bit-exact key have no frames of their own, a
 copy re-marks no header already shared, a UDP frame is serialised in
 one pack); then 26.4 once a router sends on its port (no egress session
 between its action list and the wire) and the UDP receiver lost a
-throughput meter nothing read.
+throughput meter nothing read; then 24.6 once a CBR datagram is stamped
+from its flow's template (one new IPv4 header and a patched image, where
+``Packet.udp`` built four objects and the combiner ingress serialised the
+frame, with two checksum passes, to key the vote).
 
 The control-plane decision path (PacketIn → k replicas → ``ControlCompare``
 → release) has the same gate on one slice of the ``des_ctrl_reactive_k3``
@@ -41,7 +44,8 @@ per-decision record site asks the bus before it builds its fields (a
 quiet bus: 4 ``emit`` calls in the slice, 6,111 before) and the learning
 app, the switch's message dispatch and the FlowMod encoder lost their
 leftover per-decision work; then 74.7 with the same shared packet and
-voter trims; then 74.0 once a router sends on its port.
+voter trims; then 74.0 once a router sends on its port; then 72.4 with
+the stamped CBR datagram.
 
 The same idea gates the live receive path (``live_udp_vote``'s recipe at
 small size): per released packet of k = 3 copies, how often the voter
@@ -76,7 +80,9 @@ from repro.scenarios.testbed import TestbedParams, build_testbed
 from repro.traffic.iperf import run_udp_flow
 
 #: budget, in profiled calls (built-ins included) per link hop
-MAX_CALLS_PER_HOP = 27.6
+MAX_CALLS_PER_HOP = 25.8
+#: UDP flows the recipe runs, each from a template of its own
+FLOWS = 10
 #: what the recipe simulates; any change here is a change of simulated
 #: behaviour, not of speed, and must be explained (the counts are those
 #: of the commit before `Simulator.post` existed)
@@ -97,7 +103,7 @@ def test_calls_and_events_per_hop():
     profile = cProfile.Profile()
     datagrams = 0
     profile.enable()
-    for _ in range(10):
+    for _ in range(FLOWS):
         flow = run_udp_flow(
             testbed.path(), rate_bps=200e6, duration=0.005, payload_size=1470
         )
@@ -119,6 +125,12 @@ def test_calls_and_events_per_hop():
     # egress; the routers forward the packet they own (11 when each of
     # them copied it)
     assert _calls(stats, "net/packet", "copy") == 8 * datagrams
+    # a datagram is stamped from its flow's template: only the template is
+    # serialised, with its two checksums (one serialisation and two passes
+    # per datagram while the combiner ingress keyed a built packet)
+    assert _calls(stats, "net/packet", "_serialise") == FLOWS
+    assert _calls(stats, "net/packet", "internet_checksum") == 2 * FLOWS
+    assert _calls(stats, "net/packet", "stamp") == datagrams
     # no entry of these tables has a timeout: nothing to sweep
     assert _calls(stats, "openflow/flowtable", "sweep_expired") == 0
     # a hop is two frames, `Port.send` and the arrival event; the rest of
@@ -146,7 +158,7 @@ CTRL_KWARGS = dict(
     payload_size=512,
     flow_hard_timeout=1e-4,
 )
-MAX_CTRL_CALLS_PER_HOP = 76.4
+MAX_CTRL_CALLS_PER_HOP = 74.8
 #: what one slice simulates (the counts of the commit before the lean
 #: decision path): hops, events, ``ctrl.submissions``, ``ctrl.released``
 CTRL_SLICE = (2_880, 7_658, 4_149, 702)

@@ -1,13 +1,14 @@
 """Property tests for :class:`repro.net.packet.PacketBatch`.
 
-The batch tier's whole correctness story rests on one invariant: the
-contiguous wire buffer a batch builds (template serialised once, then
-RFC 1624-patched per packet) is **bit-identical** to serialising every
-packet of the train from scratch.  These tests drive randomized trains
-— random sizes, payloads, head lengths (odd and even, to exercise the
-word-alignment path), idents, TTLs — and diff the images byte for byte,
-before and after header rewrites of the packets a train materialises
-(TTL decrement, Ethernet rewrite).
+The batch tier's whole correctness story rests on one invariant: every
+packet of a train, stamped from the flow's template (serialised once,
+then patched per packet), is **bit-identical** to serialising it from
+scratch.  These tests drive randomized trains — random sizes, payloads,
+head lengths (odd and even, to exercise the word-alignment path),
+idents, TTLs — and diff the images byte for byte, before and after
+header rewrites of the packets a train materialises (TTL decrement,
+Ethernet rewrite), and check that a rewrite of one packet reaches no
+other.
 """
 
 import random
@@ -16,7 +17,7 @@ import struct
 import pytest
 
 from repro.net.addresses import IpAddress, MacAddress
-from repro.net.packet import Packet, PacketBatch
+from repro.net.packet import Packet, PacketBatch, UdpTemplate
 
 SEEDS = list(range(24))
 
@@ -44,14 +45,11 @@ def _random_train(rng):
     heads = [
         bytes(rng.randrange(256) for _ in range(head_len)) for _ in range(count)
     ]
-    heads[0] = payload[:head_len]  # packet 0 IS the template
     idents = [rng.randrange(0, 0xFFFF) for _ in range(count)]
     template = _template(rng, payload)
     eth, _vlan, ip, udp, _ = template.fields()
-    idents[0] = ip.ident  # ... so its delta entries must match it
-    batch = PacketBatch(template, heads, idents)
-    # snapshot the header fields now: packet 0 is the template, so its
-    # rewrites mutate it in place, and the references must stay independent
+    batch = PacketBatch(UdpTemplate(template), heads, idents)
+    # the references are built from the template's field values, read now
     src_mac, dst_mac = MacAddress(eth.src), MacAddress(eth.dst)
     src_ip, dst_ip = ip.src, ip.dst
     sport, dport, ttl = udp.sport, udp.dport, ip.ttl
@@ -125,16 +123,41 @@ def test_batch_eth_rewrite_matches_per_packet(seed):
         assert pkt.to_bytes() == ref.to_bytes(), f"packet {i} differs after rewrite"
 
 
-def test_udp_train_shape_is_patchable():
-    """The fig5 CBR train shape (12-byte seq/ts heads) takes the
-    constant-time patch path, not the generic re-serialise path."""
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_rewrite_of_one_packet_reaches_no_other(seed):
+    """Each packet is stamped from the flow's template, none from packet
+    0: a header write to packet 0 before packet i is materialised leaves
+    packet i's headers and image in agreement, and as sent."""
+    rng = random.Random(seed)
+    batch, reference = _random_train(rng)
+    batch.wire_buffer()
+    first = batch.packet_at(0)
+    first.eth.dst = MacAddress.from_index(rng.randrange(200, 250))
+    first.decrement_ttl()
+    for i in range(1, batch.count):
+        pkt = batch.packet_at(i)
+        assert pkt.to_bytes() == pkt._serialise(), f"packet {i} contradicts its image"
+        assert pkt.to_bytes() == reference(i).to_bytes(), f"packet {i} differs"
+    assert first.to_bytes() == first._serialise()
+    assert first.to_bytes() != reference(0).to_bytes()
+
+
+def test_udp_train_shape_is_patchable(monkeypatch):
+    """The fig5 CBR train shape (12-byte seq/ts heads) is stamped: its
+    packets are made without a serialisation or a checksum pass."""
+    import repro.net.packet as packet_module
+
     rng = random.Random(0)
     payload = bytes(rng.randrange(256) for _ in range(1400))
-    template = _template(rng, payload)
+    flow = UdpTemplate(_template(rng, payload))
     heads = [struct.pack("!IQ", i, 1_000_000 + i) for i in range(32)]
-    heads[0] = payload[:12]
-    batch = PacketBatch(template, heads, list(range(32)))
-    assert batch._patchable
+    batch = PacketBatch(flow, heads, list(range(32)))
+
+    def no_pass(*_args):
+        pytest.fail("a train packet was serialised or checksummed")
+
+    monkeypatch.setattr(packet_module.Packet, "_serialise", no_pass)
+    monkeypatch.setattr(packet_module, "internet_checksum", no_pass)
     images = _slices(batch)
     for i in range(32):
         assert images[i][42:54] == heads[i]

@@ -30,6 +30,7 @@ from repro.net.packet import (
     PacketError,
     Tcp,
     Udp,
+    UdpTemplate,
     Vlan,
     incremental_checksum_update,
     internet_checksum,
@@ -444,7 +445,7 @@ class TestWireLenAttribute:
         if warm:
             template.to_bytes()
         heads = [payload[:12] if i == 0 else bytes([i]) * 12 for i in range(count)]
-        batch = PacketBatch(template, heads, list(range(count)))
+        batch = PacketBatch(UdpTemplate(template), heads, list(range(count)))
         for i in range(count):
             packet = batch.packet_at(i)
             _assert_holds(packet, heads[i] + payload[12:], f"packet_at({i})")

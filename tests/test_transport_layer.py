@@ -533,6 +533,20 @@ class TestUdpDispatch:
         assert type(packets[0]) is WireFrame
         assert packets[0].to_bytes() == frame and packets[0].wire_len == len(frame)
 
+    def test_delivered_meta_carries_what_receivers_read(self):
+        """The meta dict a receiver is handed holds the wire's branch,
+        claim and seq, and nothing else."""
+        from repro.transport.udp import UdpTransport
+
+        transport = UdpTransport(name="unit")
+        metas = []
+        transport.session(SessionSpec("sA", ROLE_COLLECT)).set_receiver(
+            lambda _packet, meta: metas.append(meta)
+        )
+        transport._on_datagram(_datagram(branch=2, seq=7), self.PEER)
+        assert len(metas) == 1 and set(metas[0]) == {"branch", "claim", "seq"}
+        assert (metas[0]["branch"], metas[0]["seq"]) == (2, 7)
+
     def test_route_memo_follows_session_changes(self):
         transport, got = self._transport()
         transport._on_datagram(_datagram(branch=2, seq=0), self.PEER)
