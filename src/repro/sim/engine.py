@@ -14,7 +14,7 @@ sequence number), and all randomness flows through seeded
 from __future__ import annotations
 
 import math
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, List, Optional, Tuple
 
 
@@ -25,17 +25,20 @@ class SimulationError(Exception):
 class EventHandle:
     """A cancellable scheduled callback, returned by :meth:`Simulator.schedule`.
 
-    It is the only object a cancellable event allocates: it rides in the
-    fifth field of its heap entry, where :meth:`Simulator.run` reads
-    ``cancelled``.  ``_sim`` is cleared once the event has fired or been
-    cancelled, so a late ``cancel()`` is a no-op.
+    The only object a cancellable event allocates, it rides in the fifth
+    field of its heap entry, filed at ``_filed``.  The event fires at
+    ``(time, seq)``: the entry's key until :meth:`Timer.start` moves it
+    later in place.  An entry whose ``seq`` is not its handle's is re-filed
+    at that key when it surfaces, or dropped if cancelled (``seq`` -1).
+    ``_sim`` is cleared once the event has fired or been cancelled, so a
+    late ``cancel()`` is a no-op.
     """
 
-    __slots__ = ("time", "cancelled", "_sim")
+    __slots__ = ("time", "seq", "cancelled", "_filed", "_sim")
 
-    def __init__(self, time: float, sim: "Simulator") -> None:
-        #: simulated timestamp at which the event will fire
-        self.time = time
+    def __init__(self, time: float, seq: int, sim: "Simulator") -> None:
+        self.time = self._filed = time
+        self.seq = seq
         self.cancelled = False
         self._sim: Optional["Simulator"] = sim
 
@@ -44,7 +47,7 @@ class EventHandle:
         sim = self._sim
         if sim is not None:
             self._sim = None
-            self.cancelled = True
+            self.cancelled, self.seq = True, -1
             sim._note_cancel()
 
 
@@ -58,9 +61,7 @@ class Simulator:
         sim.run(until=1.0)
     """
 
-    # Compact the heap when cancelled entries both dominate it and are
-    # numerous enough to be worth the O(n) rebuild (Timer restarts can
-    # cancel far more events than ever fire).
+    # Compact when cancelled entries dominate the heap and pay for the rebuild
     _COMPACT_MIN_DEAD = 64
 
     def __init__(self) -> None:
@@ -110,7 +111,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past (now={self.now}, when={when})"
             )
-        handle = EventHandle(when, self)
+        handle = EventHandle(when, self._seq, self)
         heappush(self._queue, (when, self._seq, callback, (), handle))
         self._seq += 1
         self._live += 1
@@ -166,10 +167,9 @@ class Simulator:
             while queue:
                 if self._stop_requested:
                     break
-                when, _seq, fn, args, handle = queue[0]
-                if handle is not None and handle.cancelled:
-                    heappop(queue)
-                    self._dead -= 1
+                when, seq, fn, args, handle = queue[0]
+                if handle is not None and handle.seq != seq:
+                    self._refile(handle)
                     continue
                 if until is not None and when > until:
                     break
@@ -199,17 +199,16 @@ class Simulator:
         """Timestamp of the next live queued event (``inf`` when empty).
 
         Cancelled entries sitting on top of the heap are popped on the
-        way — they would never fire anyway.  Used by the batch realm to
-        bound how far its micro-events may run ahead of the outer heap.
+        way — they would never fire anyway — and moved ones re-filed.  Used
+        by the batch realm to bound how far its micro-events may run ahead.
         """
         queue = self._queue
         while queue:
-            head = queue[0]
-            if head[4] is not None and head[4].cancelled:
-                heappop(queue)
-                self._dead -= 1
+            when, seq, _fn, _args, handle = queue[0]
+            if handle is not None and handle.seq != seq:
+                self._refile(handle)
                 continue
-            return head[0]
+            return when
         return math.inf
 
     def pending_events(self) -> int:
@@ -220,6 +219,16 @@ class Simulator:
     def peak_pending_events(self) -> int:
         """High-water mark of the pending-event count (telemetry)."""
         return self._peak_pending
+
+    def _refile(self, handle: EventHandle) -> None:
+        """Drop a cancelled top entry, or re-file a moved one (no event)."""
+        queue = self._queue
+        if handle.cancelled:
+            heappop(queue)
+            self._dead -= 1
+        else:
+            handle._filed = handle.time
+            heapreplace(queue, (handle.time, handle.seq) + queue[0][2:])
 
     def _note_cancel(self) -> None:
         """Bookkeeping for an EventHandle.cancel(); may compact the heap."""
@@ -263,10 +272,11 @@ class CpuResource:
 
 
 class Timer:
-    """A restartable one-shot timer bound to a simulator.
+    """A restartable one-shot timer bound to a simulator (TCP's RTO).
 
-    Wraps the schedule/cancel dance used by retransmission timers, compare
-    buffer expirations and DoS block timers.
+    A restart no earlier than the pending entry moves it in place: it then
+    fires at the ``(time, seq)``, so in the order, a cancel and a new
+    schedule would give, with the same event and pending counts.
     """
 
     def __init__(self, sim: Simulator, callback: Callable[[], None]) -> None:
@@ -276,8 +286,15 @@ class Timer:
 
     def start(self, delay: float) -> None:
         """(Re)start the timer to fire ``delay`` seconds from now."""
+        handle, sim = self._handle, self._sim
+        if handle is not None and handle._sim is not None:
+            when = sim.now + delay
+            if when >= handle._filed:  # never for NaN or delay < 0
+                handle.time, handle.seq = when, sim._seq  # as schedule_at would
+                sim._seq += 1
+                return
         self.cancel()
-        self._handle = self._sim.schedule(delay, self._fire)
+        self._handle = sim.schedule(delay, self._fire)
 
     def cancel(self) -> None:
         """Stop the timer if running (idempotent)."""

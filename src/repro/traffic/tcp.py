@@ -17,8 +17,11 @@ exercise:
   spurious fast retransmits, while the combiner (Central3/Central5)
   removes duplicates before they reach the receiver.
 
-The sender streams an unbounded byte source for a fixed duration, like
-``iperf`` in its default TCP mode.
+The sender streams an unbounded byte source of zeros for a fixed
+duration, like ``iperf`` in its default TCP mode.  Every segment, the
+receiver's included, is stamped from its connection direction's
+:func:`connection_template` (:class:`~repro.net.packet.TcpTemplate`),
+never built and serialised.
 """
 
 from __future__ import annotations
@@ -34,10 +37,28 @@ from repro.net.packet import (
     TCP_FIN,
     TCP_SYN,
     Tcp,
+    TcpTemplate,
 )
 from repro.sim.engine import Timer
 
 MSS_DEFAULT = 1460
+
+
+def connection_template(
+    src_mac, dst_mac, src_ip, dst_ip, sport: int, dport: int, mss: int
+) -> TcpTemplate:
+    """One direction of a connection: each of its segments is this
+    stamped with its ident, seq, ack, flags, window and length (up to
+    ``mss`` bytes of zeros)."""
+    return TcpTemplate(Packet.tcp(
+        src_mac=src_mac,
+        dst_mac=dst_mac,
+        src_ip=src_ip,
+        dst_ip=dst_ip,
+        sport=sport,
+        dport=dport,
+        payload=bytes(mss),
+    ))
 
 
 @dataclass
@@ -76,6 +97,11 @@ class TcpReceiver:
         self.duplicate_segments = 0
         self.out_of_order_segments = 0
         self._ooo: Dict[int, int] = {}  # seq -> payload length
+        self._ack_emissions = 0
+        #: the reply direction's ends, and its template: built when a SYN
+        #: names the peer (the receiver sends no data, so no payload)
+        self._reply: Optional[tuple] = None
+        self._template: Optional[TcpTemplate] = None
         host.bind_tcp(port, self._on_segment)
 
     def close(self) -> None:
@@ -83,17 +109,17 @@ class TcpReceiver:
 
     # ------------------------------------------------------------------
     def _on_segment(self, packet: Packet) -> None:
-        _eth, _vlan, ip, tcp, _payload = packet.fields()  # read-only access
+        _eth, _vlan, ip, tcp, payload = packet.fields()  # read-only access
         if not isinstance(tcp, Tcp) or ip is None:
             return
-        if tcp.flag(TCP_SYN):
+        if tcp.flags & TCP_SYN:
             self._on_syn(packet, tcp)
             return
         if self.rcv_nxt is None or tcp.sport != self.peer_port:
             return  # not our connection
         self.segments_received += 1
-        length = len(packet.payload)
-        if tcp.flag(TCP_FIN):
+        length = len(payload)
+        if tcp.flags & TCP_FIN:
             if tcp.seq == self.rcv_nxt:  # in-order FIN (ignore repeats)
                 self.rcv_nxt += 1
             self._send_ack(dsack=False)
@@ -130,19 +156,14 @@ class TcpReceiver:
         self.rcv_nxt = tcp.seq + 1
         if first_syn:
             self.snd_nxt = self.iss + 1
-        synack = Packet.tcp(
-            src_mac=self.host.mac,
-            dst_mac=self.peer_mac,
-            src_ip=self.host.ip,
-            dst_ip=self.peer_ip,
-            sport=self.port,
-            dport=self.peer_port,
-            seq=self.iss,
-            ack=self.rcv_nxt,
-            flags=TCP_SYN | TCP_ACK,
-            ident=self.host.next_ip_ident(),
-        )
-        self.host.send(synack)
+        host = self.host
+        reply = (host.mac, self.peer_mac, host.ip, self.peer_ip, self.port, self.peer_port)
+        if reply != self._reply:
+            self._template = connection_template(*reply, 0)
+            self._reply = reply
+        host.send(self._template.stamp(
+            host.next_ip_ident(), self.iss, self.rcv_nxt, TCP_SYN | TCP_ACK, 65535, 0
+        ))
 
     def _drain_ooo(self) -> None:
         while self.rcv_nxt in self._ooo:
@@ -157,21 +178,11 @@ class TcpReceiver:
         # carries new SACK information (RFC 5681/6675); network-duplicated
         # copies of one ACK carry none.  Distinct emissions get distinct
         # counters, so loss-induced duplicate ACKs still register.
-        self._ack_emissions = (getattr(self, "_ack_emissions", 0) + 1) & 0xFFFF
-        ack = Packet.tcp(
-            src_mac=self.host.mac,
-            dst_mac=self.peer_mac,
-            src_ip=self.host.ip,
-            dst_ip=self.peer_ip,
-            sport=self.port,
-            dport=self.peer_port,
-            seq=self.snd_nxt,
-            ack=self.rcv_nxt,
-            flags=flags,
-            window=self._ack_emissions,
-            ident=self.host.next_ip_ident(),
-        )
-        self.host.send(ack)
+        self._ack_emissions = emission = (self._ack_emissions + 1) & 0xFFFF
+        host = self.host
+        host.send(self._template.stamp(
+            host.next_ip_ident(), self.snd_nxt, self.rcv_nxt, flags, emission, 0
+        ))
 
 
 class TcpSender:
@@ -232,7 +243,12 @@ class TcpSender:
         self.fast_retransmits = 0
         self.rtt_samples = 0
         self._last_ack_emission = -1
+        #: the peer's next sequence number, learnt from its SYN-ACK
+        self._rcv_nxt_peer = 0
 
+        self._template = connection_template(
+            host.mac, dst_mac, host.ip, dst_ip, sport, dport, mss
+        )
         self._rto_timer = Timer(host.sim, self._on_rto)
         host.bind_tcp(sport, self._on_segment)
 
@@ -274,7 +290,7 @@ class TcpSender:
     def _send_syn(self) -> None:
         if not self._running:
             return
-        syn = self._make_segment(self.iss, b"", TCP_SYN)
+        syn = self._make_segment(self.iss, 0, TCP_SYN)
         self.snd_nxt = self.iss + 1
         self.host.send(syn)
         self._rto_timer.start(self.rto)
@@ -284,10 +300,10 @@ class TcpSender:
     # ------------------------------------------------------------------
     def _on_segment(self, packet: Packet) -> None:
         tcp = packet.fields()[3]  # read-only access
-        if not isinstance(tcp, Tcp) or not tcp.flag(TCP_ACK):
+        if not isinstance(tcp, Tcp) or not tcp.flags & TCP_ACK:
             return
         if not self.connected:
-            if tcp.flag(TCP_SYN) and tcp.ack == self.iss + 1:
+            if tcp.flags & TCP_SYN and tcp.ack == self.iss + 1:
                 self.connected = True
                 self.snd_una = tcp.ack
                 self._rcv_nxt_peer = tcp.seq + 1
@@ -298,7 +314,7 @@ class TcpSender:
         emission = tcp.window
         novel = emission != self._last_ack_emission
         self._last_ack_emission = emission
-        self._on_ack(tcp.ack, dsack=tcp.flag(TCP_DSACK), novel=novel)
+        self._on_ack(tcp.ack, dsack=bool(tcp.flags & TCP_DSACK), novel=novel)
 
     def _on_ack(self, ack: int, dsack: bool = False, novel: bool = True) -> None:
         if ack > self.snd_una:
@@ -391,18 +407,14 @@ class TcpSender:
             self._rto_timer.start(self.rto)
 
     def _send_fin(self) -> None:
-        from repro.net.packet import TCP_FIN
-
         self.fin_sent = True
-        fin = self._make_segment(self.snd_nxt, b"", TCP_ACK | TCP_FIN)
+        fin = self._make_segment(self.snd_nxt, 0, TCP_ACK | TCP_FIN)
         self.snd_nxt += 1  # FIN consumes one sequence number
         self.host.send(fin)
         self._rto_timer.start(self.rto)
 
     def _emit_segment(self, seq: int, length: int) -> None:
-        payload = b"\x00" * length
-        segment = self._make_segment(seq, payload, TCP_ACK)
-        self.host.send(segment)
+        self.host.send(self._make_segment(seq, length, TCP_ACK))
         if self._timed_seq is None:
             self._timed_seq = seq + length
             self._timed_at = self.host.sim.now
@@ -416,36 +428,21 @@ class TcpSender:
         if outstanding <= 0:
             return
         if self.fin_sent and outstanding == 1:
-            from repro.net.packet import TCP_FIN
-
-            self.host.send(self._make_segment(self.snd_una, b"", TCP_ACK | TCP_FIN))
+            self.host.send(self._make_segment(self.snd_una, 0, TCP_ACK | TCP_FIN))
             return
         fin_in_flight = 1 if self.fin_sent else 0
         length = min(self.mss, outstanding - fin_in_flight)
         if length <= 0:
             return
-        payload = b"\x00" * length
-        segment = self._make_segment(self.snd_una, payload, TCP_ACK)
-        self.host.send(segment)
+        self.host.send(self._make_segment(self.snd_una, length, TCP_ACK))
 
     def _send_pure_ack(self) -> None:
-        ack = self._make_segment(self.snd_nxt, b"", TCP_ACK)
-        self.host.send(ack)
+        self.host.send(self._make_segment(self.snd_nxt, 0, TCP_ACK))
 
-    def _make_segment(self, seq: int, payload: bytes, flags: int) -> Packet:
-        ack_field = getattr(self, "_rcv_nxt_peer", 0)
-        return Packet.tcp(
-            src_mac=self.host.mac,
-            dst_mac=self.dst_mac,
-            src_ip=self.host.ip,
-            dst_ip=self.dst_ip,
-            sport=self.sport,
-            dport=self.dport,
-            seq=seq,
-            ack=ack_field,
-            flags=flags,
-            payload=payload,
-            ident=self.host.next_ip_ident(),
+    def _make_segment(self, seq: int, length: int, flags: int) -> Packet:
+        """Segment ``seq`` with ``length`` bytes of the zero stream."""
+        return self._template.stamp(
+            self.host.next_ip_ident(), seq, self._rcv_nxt_peer, flags, 65535, length
         )
 
     # ------------------------------------------------------------------

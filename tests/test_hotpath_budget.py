@@ -47,6 +47,14 @@ leftover per-decision work; then 74.7 with the same shared packet and
 voter trims; then 74.0 once a router sends on its port; then 72.4 with
 the stamped CBR datagram.
 
+The TCP path has the same gate on one tenth of the ``des_tcp_central3``
+recipe: 27.4 calls per hop while every segment and ACK was built with
+``Packet.tcp`` and serialised (a checksum pass over its payload) and
+every restart of the retransmission timer cancelled its event and
+scheduled another; then 24.8 once each segment is stamped from its
+connection direction's template and a restart moves the pending event in
+place.
+
 The same idea gates the live receive path (``live_udp_vote``'s recipe at
 small size): per released packet of k = 3 copies, how often the voter
 side serialises (0; it re-serialised every copy before ``Packet.parse``
@@ -219,6 +227,53 @@ def test_control_plane_calls_per_hop():
         _calls(stats, "ctrl/digest", "encode_flow_mod", "encode_packet_out")
         == record["ctrl"]["submissions"]
     )
+
+
+# ----------------------------------------------------------------------
+# the TCP path: one tenth of des_tcp_central3
+# ----------------------------------------------------------------------
+#: ``TcpFlow`` of ``bench/workloads.py`` at one-tenth size: flows of 4 ms
+TCP_FLOWS = 10
+TCP_DURATION = 0.004
+MAX_TCP_CALLS_PER_HOP = 26.0
+#: what the recipe simulates: hops and events
+TCP_HOPS = 9_720
+TCP_EVENTS = 20_281
+#: timer cancels: when a connection opens, when its flight empties and
+#: when it ends (264 while every restart cancelled the pending event)
+TCP_CANCELS = 45
+
+
+def test_tcp_calls_per_hop():
+    from repro.traffic.iperf import run_tcp_flow
+
+    import repro.traffic.tcp  # noqa: F401 (the import is not the path)
+
+    testbed = build_testbed("central3", seed=1)
+    profile = cProfile.Profile()
+    profile.enable()
+    for _ in range(TCP_FLOWS):
+        flow = run_tcp_flow(testbed.path(), duration=TCP_DURATION, mss=1460)
+        assert flow.bytes_acked > 0
+    profile.disable()
+    hops = _link_hops(testbed.network)
+    assert (hops, testbed.network.sim.events_processed) == (TCP_HOPS, TCP_EVENTS)
+    stats = pstats.Stats(profile)
+    calls = stats.total_calls
+    assert calls / hops <= MAX_TCP_CALLS_PER_HOP, (
+        f"{calls / hops:.1f} calls per hop; "
+        "`python bench/run.py --workload des_tcp_central3 --trace` names the layer"
+    )
+    # every segment and ACK a host sends is stamped from its connection
+    # direction's template; only the two templates of a flow are built
+    # and serialised, with their two checksums (810 of each and 1,620
+    # passes when every segment was)
+    templates = 2 * TCP_FLOWS
+    assert _calls(stats, "net/packet", "stamp") == _calls(stats, "net/host", "send")
+    assert _calls(stats, "net/packet", "tcp", "_serialise") == 2 * templates
+    assert _calls(stats, "net/packet", "internet_checksum") == 2 * templates
+    # a restart moves the pending event: no cancel per ACK
+    assert _calls(stats, "sim/engine", "_note_cancel") == TCP_CANCELS
 
 
 # ----------------------------------------------------------------------

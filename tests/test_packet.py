@@ -125,7 +125,7 @@ class TestHeaderRoundTrips:
         tcp = Tcp(1, 2, seq=100, ack=200, flags=TCP_SYN | TCP_ACK, window=4096)
         parsed = Packet.parse(frame(ip, tcp.to_bytes(ip, b""))).l4
         assert parsed.seq == 100 and parsed.ack == 200
-        assert parsed.flag(TCP_SYN) and parsed.flag(TCP_ACK)
+        assert parsed.flags & TCP_SYN and parsed.flags & TCP_ACK
         assert parsed.window == 4096
 
     def test_tcp_flags_str(self):
