@@ -10,10 +10,10 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.adversary.behaviors import AdversarialBehavior, Selector, match_all
+from repro.core.clock import PeriodicTask
 from repro.net.addresses import MacAddress
 from repro.net.packet import Packet, Vlan
 from repro.openflow.switch import OpenFlowSwitch
-from repro.sim.engine import PeriodicTask
 
 
 class DropBehavior(AdversarialBehavior):

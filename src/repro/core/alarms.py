@@ -14,9 +14,10 @@ onto the trace bus so tests and operators can observe them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.sim.trace import TraceBus
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.trace import TraceBus
 
 ALARM_ROUTER_UNAVAILABLE = "router_unavailable"
 ALARM_DOS_SUSPECTED = "dos_suspected"

@@ -43,11 +43,11 @@ from repro.core.membership import QuorumConfig, QuorumVoter
 from repro.core.policy import BitExactPolicy, ComparePolicy
 from repro.core.votes import VoteEntry, VoteOutcome
 from repro.obs.metrics import StatBlock, bind_counter, bind_histogram
-from repro.sim.engine import Simulator
-from repro.sim.trace import TraceBus
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.packet import Packet
+    from repro.sim.engine import Simulator
+    from repro.sim.trace import TraceBus
 
 
 @dataclass

@@ -24,14 +24,11 @@ arrivals are forwarded directly, duplicates and all.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.net.addresses import MacAddress
 from repro.net.node import Datapath, NetworkError
-from repro.net.packet import Packet
 from repro.obs.metrics import StatBlock
-from repro.sim.engine import Simulator
-from repro.sim.trace import TraceBus
 from repro.transport.base import (
     ROLE_COLLECT,
     ROLE_FANOUT,
@@ -40,6 +37,11 @@ from repro.transport.base import (
     SessionSpec,
 )
 from repro.transport.des import DesTransport
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.net.packet import Packet
+    from repro.sim.engine import Simulator
+    from repro.sim.trace import TraceBus
 
 MODE_COMBINE = "combine"
 MODE_DUP = "dup"

@@ -40,7 +40,7 @@ keys off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.alarms import (
     ALARM_BRANCH_QUARANTINED,
@@ -49,9 +49,11 @@ from repro.core.alarms import (
     ALARM_ROUTER_UNAVAILABLE,
     AlarmSink,
 )
+from repro.core.clock import Clock, PeriodicTask
 from repro.core.votes import VoteBook, VoteEntry, VoteOutcome
-from repro.sim.engine import PeriodicTask, Simulator
-from repro.sim.trace import TraceBus
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.trace import TraceBus
 
 __all__ = ["QuorumConfig", "QuorumVoter"]
 
@@ -116,7 +118,7 @@ class QuorumVoter:
 
     def __init__(
         self,
-        sim: Simulator,
+        sim: Clock,
         config: QuorumConfig,
         timeout: float,
         stats: object,

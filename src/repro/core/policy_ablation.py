@@ -40,13 +40,13 @@ class HeaderOnlyPolicy(ComparePolicy):
             # The key is a pure re-slicing of the frame: Ethernet header
             # with the *inner* ethertype, VLAN tag, then the IP header
             # exactly as serialised (same total_length, same checksum).
-            _eth, vlan, ip, _l4, _payload = packet.fields()
+            _eth, vlan, ip, _l4 = packet.fields()
             if vlan is None:
                 return wire[:34] if ip is not None else wire[:ETHERNET_HEADER_LEN]
             if ip is not None:
                 return wire[:12] + wire[16:18] + wire[14:38]
             return wire[:12] + wire[16:18] + wire[14:18]
-        eth, vlan, ip, _l4, _payload = packet.fields()
+        eth, vlan, ip, _l4 = packet.fields()
         parts = [eth.to_bytes()]
         if vlan is not None:
             parts.append(vlan.to_bytes(eth.ethertype))

@@ -19,13 +19,15 @@ packets, at ``rate`` times the compare load of the full combiner.
 from __future__ import annotations
 
 import zlib
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.alarms import ALARM_MINORITY_DIVERGENCE
 from repro.core.compare import CompareCore
 from repro.core.endpoint import CombinerEndpoint
-from repro.net.packet import Packet
-from repro.sim.engine import Simulator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.net.packet import Packet
+    from repro.sim.engine import Simulator
 
 
 def deterministic_sample(key: bytes, rate: float) -> bool:

@@ -38,7 +38,7 @@ Two failure signatures are distinguished:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Set, Tuple
 
 from repro.core.alarms import ALARM_COPY_REWRITTEN, AlarmSink
 from repro.core.membership import QuorumConfig, QuorumVoter
@@ -46,8 +46,10 @@ from repro.core.votes import VoteEntry, VoteOutcome
 from repro.ctrl.digest import DigestError, digest
 from repro.obs.metrics import StatBlock, bind_histogram
 from repro.openflow.messages import FlowMod
-from repro.sim.engine import Simulator
-from repro.sim.trace import TraceBus
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.engine import Simulator
+    from repro.sim.trace import TraceBus
 
 __all__ = ["ControlCompareConfig", "CtrlStats", "ControlCompare"]
 

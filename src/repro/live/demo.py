@@ -23,7 +23,8 @@ from repro.live.schedule import LiveSchedule, default_schedule
 from repro.live.twin import des_twin_run
 from repro.live.verdict import Verdict, verdicts_match
 from repro.net.addresses import IpAddress, MacAddress
-from repro.net.packet import Packet, UdpTemplate
+from repro.net.packet import Packet
+from repro.net.stamp import UdpTemplate
 from repro.traffic.udp import cbr_head, cbr_template
 from repro.transport.base import ROLE_FANOUT, SessionSpec
 from repro.transport.udp import UdpTransport

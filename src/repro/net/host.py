@@ -364,7 +364,7 @@ class Host(Node):
     # default ICMP echo behaviour
     # ------------------------------------------------------------------
     def _echo_responder(self, packet: Packet) -> None:
-        eth, _vlan, ip, icmp, _payload = packet.fields()
+        eth, _vlan, ip, icmp = packet.fields()
         if not isinstance(icmp, Icmp) or icmp.icmp_type != ICMP_ECHO_REQUEST:
             return
         if ip is None or ip.dst != self.ip:

@@ -93,7 +93,7 @@ class Match:
     @classmethod
     def from_packet(cls, packet: Packet, in_port: Optional[int] = None) -> "Match":
         """Exact match extracted from a packet (OF 1.0 reactive style)."""
-        eth, vlan, ip, l4, _payload = packet.fields()
+        eth, vlan, ip, l4 = packet.fields()
         match = cls(
             in_port=in_port,
             dl_src=eth.src,
@@ -119,7 +119,7 @@ class Match:
     # ------------------------------------------------------------------
     def matches(self, packet: Packet, in_port: int) -> bool:
         """Does ``packet`` arriving on ``in_port`` satisfy this match?"""
-        eth, vlan, ip, l4, _payload = packet.fields()
+        eth, vlan, ip, l4 = packet.fields()
         if self.in_port is not None and in_port != self.in_port:
             return False
         if self.dl_src is not None and eth.src != self.dl_src:
@@ -245,7 +245,7 @@ def packet_probe_keys(packet: Packet, in_port: int) -> List[Tuple]:
       the network fields stripped, matching the all-None shape exactness
       forces on such entries.
     """
-    eth, vlan, ip, l4, _payload = packet.fields()
+    eth, vlan, ip, l4 = packet.fields()
     if isinstance(l4, (Udp, Tcp)):
         tp_src: Optional[int] = l4.sport
         tp_dst: Optional[int] = l4.dport

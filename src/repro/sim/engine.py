@@ -17,9 +17,7 @@ import math
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, List, Optional, Tuple
 
-
-class SimulationError(Exception):
-    """Raised for invalid uses of the simulation engine."""
+from repro.core.clock import SimulationError
 
 
 class EventHandle:
@@ -309,52 +307,3 @@ class Timer:
     def _fire(self) -> None:
         self._handle = None
         self._callback()
-
-
-class PeriodicTask:
-    """Invoke a callback at a fixed simulated period until stopped."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        period: float,
-        callback: Callable[[], None],
-        jitter_fn: Optional[Callable[[], float]] = None,
-    ) -> None:
-        if period <= 0:
-            raise SimulationError(f"period must be positive (got {period})")
-        self._sim = sim
-        self._period = period
-        self._callback = callback
-        self._jitter_fn = jitter_fn
-        self._handle: Optional[EventHandle] = None
-        #: a plain attribute, not a property: voters test it once per copy
-        self.running = False
-
-    def start(self, initial_delay: float = 0.0) -> None:
-        """(Re)start the task: a pending tick is cancelled, as
-        :meth:`Timer.start` does, so one chain of ticks runs."""
-        if self._handle is not None:
-            self._handle.cancel()
-        self.running = True
-        self._handle = self._sim.schedule(initial_delay, self._tick)
-
-    def stop(self) -> None:
-        self.running = False
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-    def _tick(self) -> None:
-        self._handle = None
-        if not self.running:
-            return
-        self._callback()
-        # the callback may stop the task, or restart it (which scheduled
-        # the next tick already)
-        if not self.running or self._handle is not None:
-            return
-        delay = self._period
-        if self._jitter_fn is not None:
-            delay = max(0.0, delay + self._jitter_fn())
-        self._handle = self._sim.schedule(delay, self._tick)

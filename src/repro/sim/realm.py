@@ -1,7 +1,7 @@
 """The packet-train batch realm: a micro-event tier under the event heap.
 
 :class:`BatchRealm` lets the data plane move whole packet trains
-(:class:`repro.net.packet.PacketBatch`) through the pipeline while
+(:class:`repro.net.stamp.PacketBatch`) through the pipeline while
 keeping every observable bit-identical to the event-per-packet run.  The
 trick is a second, much cheaper event queue:
 

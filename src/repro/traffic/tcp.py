@@ -20,7 +20,7 @@ exercise:
 The sender streams an unbounded byte source of zeros for a fixed
 duration, like ``iperf`` in its default TCP mode.  Every segment, the
 receiver's included, is stamped from its connection direction's
-:func:`connection_template` (:class:`~repro.net.packet.TcpTemplate`),
+:func:`connection_template` (:class:`~repro.net.stamp.TcpTemplate`),
 never built and serialised.
 """
 
@@ -37,8 +37,8 @@ from repro.net.packet import (
     TCP_FIN,
     TCP_SYN,
     Tcp,
-    TcpTemplate,
 )
+from repro.net.stamp import TcpTemplate
 from repro.sim.engine import Timer
 
 MSS_DEFAULT = 1460
@@ -109,7 +109,7 @@ class TcpReceiver:
 
     # ------------------------------------------------------------------
     def _on_segment(self, packet: Packet) -> None:
-        _eth, _vlan, ip, tcp, payload = packet.fields()  # read-only access
+        _eth, _vlan, ip, tcp = packet.fields()  # read-only access
         if not isinstance(tcp, Tcp) or ip is None:
             return
         if tcp.flags & TCP_SYN:
@@ -118,7 +118,7 @@ class TcpReceiver:
         if self.rcv_nxt is None or tcp.sport != self.peer_port:
             return  # not our connection
         self.segments_received += 1
-        length = len(payload)
+        length = len(packet.payload)
         if tcp.flags & TCP_FIN:
             if tcp.seq == self.rcv_nxt:  # in-order FIN (ignore repeats)
                 self.rcv_nxt += 1
@@ -149,7 +149,7 @@ class TcpReceiver:
         if self.rcv_nxt is not None and tcp.sport != self.peer_port:
             return  # second connection attempt: ignore
         first_syn = self.rcv_nxt is None
-        eth, _vlan, ip, _l4, _payload = packet.fields()  # read-only access
+        eth, _vlan, ip, _l4 = packet.fields()  # read-only access
         self.peer_mac = eth.src
         self.peer_ip = ip.src
         self.peer_port = tcp.sport

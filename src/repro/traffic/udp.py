@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Optional, Set
 
 from repro.net.host import Host
-from repro.net.packet import Packet, PacketBatch, UdpTemplate
+from repro.net.packet import Packet
+from repro.net.stamp import PacketBatch, UdpTemplate
 from repro.traffic.stats import JitterEstimator
 
 _HEADER = struct.Struct("!IQ")  # sequence number, send time in ns

@@ -1,12 +1,13 @@
 """Wall-clock scheduler with the DES ``Simulator`` surface.
 
-:class:`CompareCore`, :class:`~repro.sim.engine.PeriodicTask` and the
-quarantine machinery only touch ``sim.now``, ``sim.schedule``,
-``sim.schedule_at``, ``sim.post`` and ``sim.realm``; this adapter maps
-those onto an asyncio event loop so the *same* voting code runs
-unmodified in a real-time process.  ``now`` is seconds since the
-scheduler was created (``loop.time()`` is monotonic), which keeps
-compare timestamps small and comparable with DES run timelines.
+:class:`CompareCore`, :class:`~repro.core.clock.PeriodicTask` and the
+quarantine machinery only touch ``sim.now``, ``sim.schedule`` and
+``sim.post`` (a :class:`~repro.core.clock.Clock`); this adapter maps
+those, ``schedule_at`` and ``realm`` onto an asyncio event loop so the
+*same* voting code runs unmodified in a real-time process.  ``now`` is
+seconds since the scheduler was created (``loop.time()`` is monotonic),
+which keeps compare timestamps small and comparable with DES run
+timelines.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Property tests for :class:`repro.net.packet.PacketBatch`.
+"""Property tests for :class:`repro.net.stamp.PacketBatch`.
 
 The batch tier's whole correctness story rests on one invariant: every
 packet of a train, stamped from the flow's template (serialised once,
@@ -17,7 +17,8 @@ import struct
 import pytest
 
 from repro.net.addresses import IpAddress, MacAddress
-from repro.net.packet import Packet, PacketBatch, UdpTemplate
+from repro.net.packet import Packet
+from repro.net.stamp import PacketBatch, UdpTemplate
 
 SEEDS = list(range(24))
 
@@ -47,7 +48,7 @@ def _random_train(rng):
     ]
     idents = [rng.randrange(0, 0xFFFF) for _ in range(count)]
     template = _template(rng, payload)
-    eth, _vlan, ip, udp, _ = template.fields()
+    eth, _vlan, ip, udp = template.fields()
     batch = PacketBatch(UdpTemplate(template), heads, idents)
     # the references are built from the template's field values, read now
     src_mac, dst_mac = MacAddress(eth.src), MacAddress(eth.dst)

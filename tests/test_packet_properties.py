@@ -308,6 +308,7 @@ def test_parse_votes_on_the_bytes_the_reference_rebuilds(data):
     assert parsed.wire_len == reference.wire_len
     assert parsed._snapshot() == reference._snapshot()
     assert [repr(h) for h in parsed.fields()] == [repr(h) for h in reference.fields()]
+    assert parsed.payload == reference.payload
 
 
 @given(frames, st.integers(1, 3), macs)

@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.sim.engine import (
-    CpuResource,
-    PeriodicTask,
-    SimulationError,
-    Simulator,
-    Timer,
-)
+from repro.core.clock import PeriodicTask
+from repro.sim.engine import CpuResource, SimulationError, Simulator, Timer
 
 
 class TestScheduling:

@@ -1,4 +1,4 @@
-"""Property tests for :meth:`repro.net.packet.TcpTemplate.stamp` (hypothesis).
+"""Property tests for :meth:`repro.net.stamp.TcpTemplate.stamp` (hypothesis).
 
 Every TCP segment of a connection direction is stamped from its
 template: the template's wire image cut to the segment's length, with the
@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.net.addresses import IpAddress, MacAddress
 from repro.net.layout import PacketError
-from repro.net.packet import Packet, TcpTemplate
+from repro.net.packet import Packet
+from repro.net.stamp import TcpTemplate
 from repro.traffic.tcp import MSS_DEFAULT, connection_template
 
 macs = st.integers(min_value=0, max_value=(1 << 48) - 1).map(MacAddress)
@@ -63,13 +64,13 @@ def _reference(ends, fields):
 def _view(packet):
     """Every modelled field of the packet's stack, read without
     materialising a shared header."""
-    eth, vlan, ip, l4, payload = packet.fields()
+    eth, vlan, ip, l4 = packet.fields()
     return (
         (eth.dst, eth.src, eth.ethertype),
         vlan,
         (ip.src, ip.dst, ip.proto, ip.ttl, ip.ident, ip.tos, ip.total_length),
         (type(l4), l4.sport, l4.dport, l4.seq, l4.ack, l4.flags, l4.window),
-        payload,
+        packet.payload,
     )
 
 

@@ -1,4 +1,4 @@
-"""Property tests for :meth:`repro.net.packet.UdpTemplate.stamp` (hypothesis).
+"""Property tests for :meth:`repro.net.stamp.UdpTemplate.stamp` (hypothesis).
 
 Every CBR datagram is stamped from its flow's template: the template's
 wire image with the IPv4 ident, the IPv4 checksum, the payload head and
@@ -17,7 +17,8 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.net.addresses import IpAddress, MacAddress
-from repro.net.packet import Packet, UdpTemplate
+from repro.net.packet import Packet
+from repro.net.stamp import UdpTemplate
 from repro.traffic.udp import cbr_head, cbr_template
 
 macs = st.integers(min_value=0, max_value=(1 << 48) - 1).map(MacAddress)
@@ -58,13 +59,13 @@ def _reference(ends, body, flow, ident, head):
 def _view(packet):
     """Every modelled field of the packet's stack, read without
     materialising a shared header."""
-    eth, vlan, ip, l4, payload = packet.fields()
+    eth, vlan, ip, l4 = packet.fields()
     return (
         (eth.dst, eth.src, eth.ethertype),
         vlan,
         (ip.src, ip.dst, ip.proto, ip.ttl, ip.ident, ip.tos, ip.total_length),
         (type(l4), l4.sport, l4.dport),
-        payload,
+        packet.payload,
     )
 
 
